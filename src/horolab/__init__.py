@@ -9,7 +9,7 @@ from .graph import (
     DistanceOracle,
     Graph,
     Path,
-    bfs_distances,
+    distance_rows,
     enumerate_geodesics,
     hausdorff_distance,
     is_interior_pair,

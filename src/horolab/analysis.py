@@ -159,7 +159,7 @@ def convexity_defect(
     quasi = 0
     if geodesic_cap:
         for u, v in pair_list:
-            paths, _ = enumerate_geodesics(g, u, v, cap=geodesic_cap)
+            paths, _ = enumerate_geodesics(g, u, v, cap=geodesic_cap, dist_to_target=oracle.row(v))
             for p in paths:
                 outside = [w for w in p.vertices if not in_set[w]]
                 if outside:

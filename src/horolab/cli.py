@@ -31,7 +31,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for fan-out stages")
         p.add_argument("--export-dot", action="store_true", help="also emit DOT files for built graphs")
     return parser
 
@@ -56,8 +55,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = load_config(args.config, args.experiment, args.seed)
-        report = run_experiment(config, args.out, export_dot=args.export_dot,
-                                threads=max(1, args.threads))
+        report = run_experiment(config, args.out, export_dot=args.export_dot)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

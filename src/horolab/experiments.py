@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
 
 from . import __version__
 from .analysis import (
@@ -30,6 +29,7 @@ from .graph import (
     DistanceOracle,
     Graph,
     cycle_graph,
+    distance_rows,
     enumerate_geodesics,
     grid_graph,
     is_interior_pair,
@@ -147,6 +147,8 @@ def build_instance_graph(instance: dict) -> tuple[Graph, CayleyBall | None, str]
     """Realize the instance; returns (graph, ball or None, stable hash)."""
     if "graph_file" in instance:
         g = read_graph(instance["graph_file"])
+        if g.num_vertices == 0:
+            raise InputError("graph file has no vertices")
         digest = sha256_of(pathlib.Path(instance["graph_file"]).read_text(encoding="utf-8"))
         return g, None, digest
     digest = sha256_of(canonical_json(instance))
@@ -193,59 +195,7 @@ def family_distance_matrices(base: Graph, family: Sequence[Subgraph]) -> list[np
     for member in family:
         local = {v: i for i, v in enumerate(member.vertices)}
         edges = [(local[u], local[v]) for u, v in member.edges]
-        out.append(DistanceOracle(Graph(len(member.vertices), edges)).matrix())
-    return out
-
-
-# -- exact batched rows on big carriers --------------------------------------
-
-
-def _bfs_row_vectorized(indptr, indices, source: int, num_vertices: int) -> np.ndarray:
-    """One exact BFS row as int16 via numpy frontier expansion.  Much faster
-    than heap-based traversal on carriers with ~10^6 vertices."""
-    dist = np.full(num_vertices, -1, dtype=np.int16)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    d = 0
-    while frontier.size:
-        d += 1
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        # gather the concatenated neighbor lists of the frontier
-        idx = np.repeat(starts, counts) + (np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts))
-        neigh = indices[idx]
-        fresh = neigh[dist[neigh] < 0]
-        if fresh.size == 0:
-            break
-        dist[fresh] = d
-        frontier = np.nonzero(dist == d)[0]
-    return dist
-
-
-def _carrier_rows(
-    carrier: Graph,
-    sources: Sequence[int],
-    columns: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact distance rows as int16.
-
-    ``columns`` restricts the stored columns (e.g. only group-element
-    vertices), which keeps all-pairs tables on big carriers small.  The
-    carrier must be connected; a disconnected one surfaces as a negative
-    entry and is rejected."""
-    n = carrier.num_vertices
-    indptr, indices = carrier.csr_arrays()
-    width = n if columns is None else len(columns)
-    srcs = list(sources)
-    out = np.empty((len(srcs), width), dtype=np.int16)
-    for i, s in enumerate(srcs):
-        row = _bfs_row_vectorized(indptr, indices, int(s), n)
-        if row.min() < 0:
-            raise InputError("carrier is not connected")
-        out[i] = row if columns is None else row[columns]
+        out.append(distance_rows(Graph(len(member.vertices), edges), range(len(member.vertices))))
     return out
 
 
@@ -297,7 +247,7 @@ def scan_parabolic(
     top_ids = [aug.horo_vertex(alpha, members[i], n) for i in range(len(members))]
     local_of = {i: k for k, i in enumerate(endpoints)}
 
-    rows_top = _carrier_rows(aug.carrier, [top_ids[i] for i in endpoints])
+    rows_top = distance_rows(aug.carrier, [top_ids[i] for i in endpoints])
     in_set = np.zeros(aug.carrier.num_vertices, dtype=bool)
     in_set[top_ids] = True
 
@@ -306,8 +256,7 @@ def scan_parabolic(
     def dist_to_set(w: int) -> int:
         nonlocal to_set
         if to_set is None:
-            d = dijkstra(aug.carrier.csr(), unweighted=True, indices=top_ids, min_only=True)
-            to_set = d.astype(np.int32)
+            to_set = DistanceOracle(aug.carrier).distance_to_set(top_ids)
         return int(to_set[w])
 
     defect = 0
@@ -333,7 +282,7 @@ def scan_parabolic(
 
     drop_excess = 0
     if check_level_drop:
-        rows_bottom = _carrier_rows(aug.carrier, [members[i] for i in endpoints])
+        rows_bottom = distance_rows(aug.carrier, [members[i] for i in endpoints])
         for i, j in pairs:
             d0 = int(rows_bottom[local_of[i]][members[j]])
             dn = int(rows_top[local_of[i]][top_ids[j]])
@@ -461,13 +410,13 @@ def milnor_svarc_experiment(
     n_el = ball.graph.num_vertices
     element_ids = np.arange(n_el)
     # carrier distances between group elements (element vertices keep ids 0..n_el-1)
-    d_aug = _carrier_rows(aug.carrier, range(n_el), columns=element_ids)
+    d_aug = distance_rows(aug.carrier, range(n_el), columns=element_ids)
     displacement = [int(d_aug[0][i]) for i in range(n_el)]
     orbit = [(g, displacement[i]) for i, g in enumerate(ball.elements)]
 
     # interior pairs in the word metric of the ball itself
     wl = np.asarray(ball.word_lengths, dtype=np.int32)
-    d_word = _carrier_rows(ball.graph, range(n_el)).astype(np.int32)
+    d_word = distance_rows(ball.graph, range(n_el))
     iu, iv = np.nonzero(np.triu(np.minimum.outer(wl, wl) + d_word <= radius, k=1))
     pair_idx = (iu.astype(np.int64), iv.astype(np.int64))
 
@@ -492,7 +441,7 @@ def milnor_svarc_experiment(
                 j = ball.index.get(GroupElement(spec, spec._mul(g.key, s.key)))
                 if j is not None and j > i:
                     edges.append((i, j))
-        d_st = _carrier_rows(Graph(n_el, edges), range(n_el))
+        d_st = distance_rows(Graph(n_el, edges), range(n_el))
 
         domain = d_st[pair_idx]
         image = d_aug[pair_idx]
@@ -514,7 +463,7 @@ def milnor_svarc_experiment(
 # -- the runner ---------------------------------------------------------------
 
 
-def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False, threads: int = 1) -> Report:
+def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) -> Report:
     import pathlib
 
     out = pathlib.Path(out_dir)
@@ -634,7 +583,6 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False, 
             graph, k, n_list, grid,
             node_cap=int(params.get("node_cap", 2_000_000)),
             restrict=params.get("restrict"),
-            threads=threads,
         )
         rows = profile.to_json_rows(witnesses)
         write_artifact("profile.csv", profile.to_csv())

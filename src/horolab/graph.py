@@ -1,27 +1,39 @@
 """Finite undirected graphs with an exact hop-count metric.
 
 Everything downstream (horoballs, Cayley balls, convexity scans) sits on top
-of this module.  Distances are exact nonnegative integers; there is no
-floating point in the metric itself.  Unreachable pairs are reported with the
-integer sentinel ``INF``, which is large enough that sums of two sentinels
-never overflow an int64.
+of this module, and every distance it uses comes from ``distance_rows``.
+Distances are exact nonnegative integers, returned as int32 rows; there is
+no floating point in the metric itself.  Unreachable pairs carry the single
+sentinel ``INF = 2**30 - 1``, so the sum of two sentinels still fits in an
+int32 and row sums such as d(u, w) + d(w, v) never wrap.
+
+Two C kernels compute the rows, chosen by vertex count.  Below
+``_BATCH_MAX_VERTICES`` one batched scipy ``dijkstra`` call serves all
+sources at once, which wins on the many small graphs (coset members, word
+balls) where per-call overhead dominates.  From there on each row is one
+scipy ``breadth_first_order`` traversal split into levels, which wins on big
+carriers where the batched call's float work dominates.  Tests check both
+against a pure-Python BFS and Floyd-Warshall in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .errors import InputError
 
-# Sentinel for unreachable pairs.  Any real hop count is < 2**40 and the sum
-# of two sentinels stays well inside int64.
-INF: int = 2**40
+# Sentinel for unreachable pairs: every real hop count is smaller, and two
+# sentinels add up to 2**31 - 2, still an int32.
+INF: int = 2**30 - 1
+
+# Vertex count from which distance_rows runs one BFS traversal per source
+# instead of one batched dijkstra call.
+_BATCH_MAX_VERTICES = 1000
 
 
 def is_unreachable(d: int) -> bool:
@@ -122,14 +134,10 @@ class Graph:
             self._csr = csr_matrix((data, self._indices, self._indptr), shape=(self._n, self._n))
         return self._csr
 
-    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) of the sorted symmetric adjacency."""
-        return self._indptr, self._indices
-
     def is_connected(self) -> bool:
         if self._n <= 1:
             return True
-        return not np.any(bfs_distances(self, 0) >= INF)
+        return not np.any(distance_rows(self, [0]) >= INF)
 
     def __repr__(self) -> str:
         return f"Graph(|V|={self._n}, |E|={self.num_edges})"
@@ -173,53 +181,71 @@ class Path:
         return iter(self.vertices)
 
 
-def bfs_distances(g: Graph, source: int) -> np.ndarray:
-    """Exact hop distances from ``source``; unreachable entries are ``INF``.
+def distance_rows(g: Graph, sources: Sequence[int], columns: Sequence[int] | None = None) -> np.ndarray:
+    """Exact hop distances from each source, one int32 row per source.
 
-    Pure-Python reference implementation.  ``DistanceOracle`` produces the
-    same rows through scipy and is cross-checked against this one in tests.
+    Unreachable entries are ``INF``.  ``columns`` keeps only those columns of
+    every row, so a tall table over a big graph never exists in full.  No
+    sources give a ``(0, width)`` array.
     """
-    if not 0 <= source < g.num_vertices:
-        raise InputError(f"unknown vertex id {source}")
-    dist = np.full(g.num_vertices, INF, dtype=np.int64)
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        for v in g.neighbors(u):
-            if dist[v] >= INF:
-                dist[v] = du + 1
-                q.append(int(v))
+    srcs = np.asarray(sources, dtype=np.int64)
+    n = g.num_vertices
+    bad = srcs[(srcs < 0) | (srcs >= n)]
+    if bad.size:
+        raise InputError(f"unknown vertex id {bad[0]}")
+    width = n if columns is None else len(columns)
+    if srcs.size == 0:
+        return np.empty((0, width), dtype=np.int32)
+    if n < _BATCH_MAX_VERTICES:
+        d = dijkstra(g.csr(), unweighted=True, indices=srcs)
+        if columns is not None:
+            d = d[:, columns]
+        d[np.isinf(d)] = INF
+        return d.astype(np.int32)
+    out = np.empty((len(srcs), width), dtype=np.int32)
+    for i, s in enumerate(srcs):
+        row = _bfs_order_row(g, int(s))
+        out[i] = row if columns is None else row[columns]
+    return out
+
+
+def _bfs_order_row(g: Graph, source: int) -> np.ndarray:
+    order, pred = breadth_first_order(g.csr(), source, directed=True, return_predecessors=True)
+    # The traversal is FIFO, so the visit positions of the parents never
+    # decrease along the visit order.  Each BFS level is therefore one
+    # contiguous run of ``order``, and the run of level k+1 ends where the
+    # parent positions reach the end of level k.
+    position = np.empty(g.num_vertices, dtype=np.int64)
+    position[order] = np.arange(len(order))
+    parent_pos = position[pred[order[1:]]]
+    ends = [1]
+    while ends[-1] < len(order):
+        ends.append(1 + int(np.searchsorted(parent_pos, ends[-1])))
+    dist = np.full(g.num_vertices, INF, dtype=np.int32)
+    dist[order] = np.repeat(np.arange(len(ends), dtype=np.int32), np.diff(ends, prepend=0))
     return dist
 
 
 class DistanceOracle:
-    """Per-source cached BFS rows.
-
-    Single rows and batches are computed with scipy's C-level traversal and
-    converted back to exact integers, so large carriers stay tractable while
-    the metric remains exact.
-    """
+    """Per-source cache of ``distance_rows``."""
 
     def __init__(self, g: Graph):
         self.graph = g
         self._rows: dict[int, np.ndarray] = {}
 
     def row(self, source: int) -> np.ndarray:
-        if not 0 <= source < self.graph.num_vertices:
-            raise InputError(f"unknown vertex id {source}")
         cached = self._rows.get(source)
         if cached is None:
-            cached = self._compute([source])[0]
-            self._rows[source] = cached
+            cached = self._rows[source] = distance_rows(self.graph, [source])[0]
         return cached
 
     def rows(self, sources: Sequence[int]) -> np.ndarray:
-        missing = [s for s in sources if s not in self._rows]
-        if missing:
-            for s, r in zip(missing, self._compute(missing)):
-                self._rows[s] = r
+        sources = [int(s) for s in sources]
+        missing = [s for s in dict.fromkeys(sources) if s not in self._rows]
+        for s, r in zip(missing, distance_rows(self.graph, missing)):
+            self._rows[s] = r
+        if not sources:
+            return np.empty((0, self.graph.num_vertices), dtype=np.int32)
         return np.stack([self._rows[s] for s in sources])
 
     def distance(self, u: int, v: int) -> int:
@@ -233,19 +259,8 @@ class DistanceOracle:
         if not len(sources):
             raise InputError("source set must be nonempty")
         d = dijkstra(self.graph.csr(), unweighted=True, indices=list(sources), min_only=True)
-        return _to_int_row(d)
-
-    def _compute(self, sources: list[int]) -> np.ndarray:
-        if self.graph.num_vertices == 1:
-            return np.zeros((len(sources), 1), dtype=np.int64)
-        d = dijkstra(self.graph.csr(), unweighted=True, indices=sources)
-        d = np.atleast_2d(d)
-        return _to_int_row(d)
-
-
-def _to_int_row(d: np.ndarray) -> np.ndarray:
-    out = np.where(np.isinf(d), float(INF), d)
-    return out.astype(np.int64)
+        d[np.isinf(d)] = INF
+        return d.astype(np.int32)
 
 
 def rips_graph(g: Graph, t: int) -> Graph:
@@ -272,36 +287,34 @@ def enumerate_geodesics(
     """
     if cap < 1:
         raise InputError("cap must be >= 1")
-    dist_to_v = bfs_distances(g, v) if dist_to_target is None else dist_to_target
+    dist_to_v = distance_rows(g, [v])[0] if dist_to_target is None else dist_to_target
     if is_unreachable(int(dist_to_v[u])):
         raise InputError("u and v are in different components")
     if u == v:
         return [Path((u,))], False
 
+    def closer(x: int) -> Iterator[int]:
+        nb = g.neighbors(x)
+        return iter(nb[dist_to_v[nb] == dist_to_v[x] - 1].tolist())
+
+    # Iterative DFS: ``stack`` is the current path, ``pending[i]`` the
+    # unexplored next steps from ``stack[i]``.
     out: list[Path] = []
-    truncated = False
     stack: list[int] = [u]
-
-    def dfs(x: int) -> bool:
-        nonlocal truncated
-        if x == v:
-            out.append(Path(tuple(stack)))
+    pending = [closer(u)]
+    while pending:
+        w = next(pending[-1], None)
+        if w is None:
+            pending.pop()
+            stack.pop()
+        elif w == v:
+            out.append(Path(tuple(stack) + (v,)))
             if len(out) >= cap:
-                truncated = True
-                return False
-            return True
-        dx = dist_to_v[x]
-        for w in g.neighbors(x):
-            if dist_to_v[w] == dx - 1:
-                stack.append(int(w))
-                keep_going = dfs(int(w))
-                stack.pop()
-                if not keep_going:
-                    return False
-        return True
-
-    dfs(u)
-    return out, truncated
+                return out, True
+        else:
+            stack.append(w)
+            pending.append(closer(w))
+    return out, False
 
 
 def hausdorff_distance(g: Graph, a: Sequence[int], b: Sequence[int]) -> int:

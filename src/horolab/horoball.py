@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .graph import DistanceOracle, Graph, Path
+from .graph import INF, DistanceOracle, Graph, Path, distance_rows
 
 ASCENDING = "ascending"
 DESCENDING = "descending"
@@ -434,7 +434,7 @@ class AugmentedSpace:
                 f"|carrier|={self.carrier.num_vertices})")
 
 
-def _member_local_graph(base: Graph, member: Subgraph, where: str) -> Graph:
+def _member_local_edges(base: Graph, member: Subgraph, where: str) -> list[tuple[int, int]]:
     local = {v: i for i, v in enumerate(member.vertices)}
     if len(local) != len(member.vertices):
         raise InputError(f"{where}: repeated vertices")
@@ -448,10 +448,7 @@ def _member_local_graph(base: Graph, member: Subgraph, where: str) -> Graph:
         if not base.has_edge(u, v):
             raise InputError(f"{where}: edge ({u}, {v}) is not a base edge")
         edges.append((local[u], local[v]))
-    g = Graph(len(member.vertices), edges)
-    if not g.is_connected():
-        raise InputError(f"{where}: member is not connected")
-    return g
+    return edges
 
 
 def build_augmented(
@@ -488,12 +485,14 @@ def build_augmented(
     chunks = [np.asarray(base.edges, dtype=np.int64)]
     for a, member in enumerate(family):
         where = f"family member {a}"
-        local_graph = _member_local_graph(base, member, where)
+        local_edges = _member_local_edges(base, member, where)
         s = sizes[a]
         if family_distances is not None:
             dmat = family_distances[a]
         else:
-            dmat = DistanceOracle(local_graph).matrix()
+            dmat = distance_rows(Graph(s, local_edges), range(s))
+        if np.any(dmat >= INF):
+            raise InputError(f"{where}: member is not connected")
 
         member_ids = np.asarray(member.vertices, dtype=np.int64)
         start = block_starts[a]

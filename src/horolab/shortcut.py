@@ -162,8 +162,9 @@ def _search_one_lambda(
         f0_pool = tuple(v for v in f0_pool if allowed[v])
 
     for f0 in f0_pool:
-        row0 = oracle.row(f0)
-        # bracket against f(0) filters each slot's candidate list
+        # bracket against f(0) filters each slot's candidate list; the
+        # products below outgrow int32 for large constants, so take int64
+        row0 = oracle.row(f0).astype(np.int64)
         candidates: list[np.ndarray] = [np.array([f0])]
         feasible = True
         for i in range(1, n):
@@ -300,12 +301,9 @@ def shortcut_profile(
     lambdas: LambdaGrid,
     node_cap: int = 2_000_000,
     restrict: Sequence[int] | None = None,
-    threads: int = 1,
 ) -> tuple[ShortcutProfile, dict[int, CycleEmbedding]]:
     """One search row per cycle length.  Every scale of an unsuccessful row is
-    searched; nothing learned at one (n, lam) cell prunes another.  Rows are
-    independent, so they may fan out over ``threads``; results are collected
-    in row order either way."""
+    searched; nothing learned at one (n, lam) cell prunes another."""
 
     def run_one(n: int) -> tuple[ProfileRow, CycleEmbedding | None]:
         t0 = time.perf_counter()
@@ -329,13 +327,7 @@ def shortcut_profile(
         )
         return row, outcome.embedding
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, n_list))
-    else:
-        results = [run_one(n) for n in n_list]
+    results = [run_one(n) for n in n_list]
 
     witnesses = {row.cycle_length: emb for row, emb in results if emb is not None}
     return ShortcutProfile(target_size=target.num_vertices,

@@ -7,9 +7,29 @@ layouts, no shared helpers with the package.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
 BIG = 10**9
+
+
+def bfs_distances(n: int, edges, source: int) -> list[int]:
+    """Hop distances from ``source`` by a queue over adjacency lists;
+    unreachable entries are ``BIG``."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[int(u)].append(int(v))
+        adj[int(v)].append(int(u))
+    dist = [BIG] * n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if dist[v] == BIG:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
 
 
 def floyd_warshall(n: int, edges) -> list[list[int]]:

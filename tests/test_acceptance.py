@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from horolab import DistanceOracle, bfs_distances, cayley_ball, enumerate_geodesics
+from horolab import DistanceOracle, cayley_ball, distance_rows, enumerate_geodesics
 from horolab.analysis import convexity_defect, four_point_delta
 from horolab.experiments import (
     _sample_cosets,
@@ -128,8 +128,8 @@ def test_criterion_03_level_halving():
             (int(u) - 9 * k, int(v) - 9 * k) for u, v in h.carrier.edges
             if h.level_of(int(u)) == k and h.level_of(int(v)) == k
         ])
-        assert bfs_distances(level_graph(0), 0)[8] == 8
-        assert bfs_distances(level_graph(1), 0)[8] == 4
+        assert distance_rows(level_graph(0), [0])[0][8] == 8
+        assert distance_rows(level_graph(1), [0])[0][8] == 4
 
 
 def test_criterion_04_geodesic_shape_laws():

@@ -249,6 +249,29 @@ def test_cli_rejects_unknown_param(tmp_path, capsys):
     assert main(["delta", "--config", cfg]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("kind,params", [("build-horoball", {"depth": 2}), ("delta", {"sample": "all"})])
+def test_cli_rejects_empty_graph_file(tmp_path, capsys, kind, params):
+    graph = tmp_path / "empty.json"
+    graph.write_text(json.dumps({"version": 1, "vertices": [], "edges": []}), encoding="utf-8")
+    cfg = write_config(tmp_path, {
+        "version": 1, "experiment": kind,
+        "instance": {"graph_file": str(graph)}, "params": params,
+    })
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "input error" in capsys.readouterr().err
+
+
+def test_cli_convexity_on_a_long_path(tmp_path):
+    # geodesic enumeration along 3000 edges must not recurse per vertex
+    cfg = write_config(tmp_path, {
+        "version": 1, "experiment": "convexity",
+        "instance": {"path": 3000}, "params": {"set": {"vertices": [0, 3000]}},
+    })
+    assert main(["convexity", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    row = json.loads((tmp_path / "out" / "report.json").read_text())["rows"][0]
+    assert row["defect"] == 1500 and row["quasiconvexity"] == 1500
+
+
 def test_cli_seed_override_changes_echo(tmp_path):
     cfg = write_config(tmp_path, {
         "version": 1, "experiment": "delta",
@@ -289,7 +312,7 @@ def test_cli_augment_with_threads(tmp_path):
                      "radius": 3},
         "params": {"depth": 2},
     })
-    code = main(["augment", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "2"])
+    code = main(["augment", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == EXIT_OK
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["rows"][0]["carrier_vertices"] > report["rows"][0]["family_members"]

@@ -14,16 +14,17 @@ from horolab import (
     Graph,
     InputError,
     Path,
-    bfs_distances,
+    distance_rows,
     enumerate_geodesics,
     hausdorff_distance,
     is_interior_pair,
     rips_graph,
 )
+import horolab.graph
 from horolab.graph import cycle_graph, grid_graph, path_graph, random_connected_graph
 from horolab.io import canonical_json, graph_from_json, read_graph, to_dot, write_graph
 
-from oracles import floyd_warshall
+from oracles import BIG, bfs_distances, floyd_warshall
 
 
 def test_graph_rejects_self_loops_and_bad_ids():
@@ -45,36 +46,99 @@ def test_adjacency_symmetric_and_sorted():
     assert g.has_edge(3, 0) and g.has_edge(0, 3)
 
 
+# Both kernels of distance_rows: the real vertex-count switch, and a switch
+# at 0 that sends even the smallest graph through the BFS-order kernel.
+KERNELS = [horolab.graph._BATCH_MAX_VERTICES, 0]
+
+
+def random_graph(n, edge_count, rng):
+    """Uniform random edges; usually disconnected when sparse."""
+    edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(edge_count)}
+    return Graph(n, [(u, v) for u, v in edges if u != v])
+
+
+def as_inf(row):
+    return [INF if d == BIG else d for d in row]
+
+
 def test_bfs_cycle_antipode():
-    assert bfs_distances(cycle_graph(8), 0)[4] == 4
+    assert distance_rows(cycle_graph(8), [0])[0][4] == 4
 
 
 def test_bfs_path_end_to_end():
     # path on vertices 0..4
-    assert bfs_distances(path_graph(4), 0)[4] == 4
+    assert distance_rows(path_graph(4), [0])[0][4] == 4
 
 
 def test_bfs_unknown_source():
     with pytest.raises(InputError):
-        bfs_distances(path_graph(2), 7)
+        distance_rows(path_graph(2), [7])
+    with pytest.raises(InputError):
+        distance_rows(path_graph(2), [0, -1])
+    with pytest.raises(InputError):
+        DistanceOracle(path_graph(2)).row(7)
 
 
-def test_bfs_disconnected_sentinel():
+def test_bfs_disconnected_sentinel(monkeypatch):
     g = Graph(4, [(0, 1), (2, 3)])
-    d = bfs_distances(g, 0)
-    assert d[1] == 1 and d[2] >= INF and d[3] >= INF
+    for batch_max in KERNELS:
+        monkeypatch.setattr(horolab.graph, "_BATCH_MAX_VERTICES", batch_max)
+        d = distance_rows(g, [0, 3])
+        assert d.dtype == np.int32
+        assert d.tolist() == [[0, 1, INF, INF], [INF, INF, 1, 0]]
+        # two sentinels still add up without wrapping
+        assert int((d[0] + d[0]).max()) == 2 * INF
 
 
-def test_bfs_matches_floyd_warshall_on_random_graphs():
-    rng = random.Random(7)
-    for _ in range(25):
-        g = random_connected_graph(rng.randrange(2, 15), rng.randrange(0, 8), rng)
-        fw = floyd_warshall(g.num_vertices, [tuple(e) for e in g.edges])
+def test_bfs_matches_floyd_warshall_on_random_graphs(monkeypatch):
+    for batch_max in KERNELS:
+        monkeypatch.setattr(horolab.graph, "_BATCH_MAX_VERTICES", batch_max)
+        check_random_graphs_against_references(random.Random(7))
+
+
+def check_random_graphs_against_references(rng):
+    for i in range(40):
+        n = rng.randrange(1, 15)
+        if i % 2:
+            g = random_connected_graph(n, rng.randrange(0, 8), rng)
+        else:
+            g = random_graph(n, rng.randrange(0, 2 * n), rng)
+        edges = [tuple(e) for e in g.edges]
+        fw = [as_inf(row) for row in floyd_warshall(n, edges)]
+        assert distance_rows(g, range(n)).tolist() == fw
         oracle = DistanceOracle(g)
-        for s in range(g.num_vertices):
-            row = bfs_distances(g, s)
-            assert list(row) == fw[s]
-            assert list(oracle.row(s)) == fw[s]
+        for s in range(n):
+            assert as_inf(bfs_distances(n, edges, s)) == fw[s]
+            assert oracle.row(s).tolist() == fw[s]
+        cols = sorted(rng.sample(range(n), rng.randrange(0, n + 1)))
+        assert distance_rows(g, [n - 1, 0], columns=cols).tolist() == [
+            [fw[n - 1][c] for c in cols], [fw[0][c] for c in cols]]
+
+
+@pytest.mark.parametrize("n", [horolab.graph._BATCH_MAX_VERTICES - 1, horolab.graph._BATCH_MAX_VERTICES])
+def test_distance_rows_at_the_kernel_switch(n):
+    rng = random.Random(n)
+    for g in (random_connected_graph(n, n // 4, rng), random_graph(n, n, rng)):
+        edges = [tuple(e) for e in g.edges]
+        sources = rng.sample(range(n), 5)
+        rows = distance_rows(g, sources)
+        assert rows.dtype == np.int32
+        for s, row in zip(sources, rows):
+            assert row.tolist() == as_inf(bfs_distances(n, edges, s))
+
+
+def test_no_sources_give_an_empty_table():
+    g = path_graph(3)
+    assert distance_rows(g, []).shape == (0, 4)
+    assert distance_rows(g, [], columns=[1, 2]).shape == (0, 2)
+    assert DistanceOracle(g).rows([]).shape == (0, 4)
+    empty = DistanceOracle(Graph(0, [])).matrix()
+    assert empty.shape == (0, 0) and empty.dtype == np.int32
+
+
+def test_long_path_geodesic_is_not_recursive():
+    paths, truncated = enumerate_geodesics(path_graph(5000), 0, 5000, cap=3)
+    assert not truncated and [p.vertices for p in paths] == [tuple(range(5001))]
 
 
 def test_metric_axioms_on_sampled_triples():
@@ -103,7 +167,7 @@ def test_distance_to_set_matches_min_of_rows():
 def test_rips_p9_halves_path_distance():
     # path on vertices 0..8, t=2: d(0,8) becomes ceil(8/2) = 4
     r = rips_graph(path_graph(8), 2)
-    assert bfs_distances(r, 0)[8] == 4
+    assert distance_rows(r, [0])[0][8] == 4
 
 
 def test_rips_identity_at_t1():

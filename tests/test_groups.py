@@ -10,7 +10,6 @@ import pytest
 from horolab import (
     InputError,
     ResourceLimitError,
-    bfs_distances,
     cayley_ball,
     coset_family,
     free,
@@ -20,7 +19,7 @@ from horolab import (
 )
 from horolab.groups import GroupSpec, coset_representative
 
-from oracles import heis_from_matrix, heis_matmul, heis_matrix
+from oracles import bfs_distances, heis_from_matrix, heis_matmul, heis_matrix
 
 
 Z2 = free_abelian(2)
@@ -143,7 +142,7 @@ def test_free2_ball_counts():
 def test_ball_distance_equals_word_length():
     for spec, radius in ((Z2, 3), (F2, 3), (Z2xZ2, 3), (H3, 3)):
         ball = cayley_ball(spec, radius)
-        dist = bfs_distances(ball.graph, ball.basepoint)
+        dist = bfs_distances(ball.graph.num_vertices, ball.graph.edges, ball.basepoint)
         assert list(dist) == list(ball.word_lengths)
 
 

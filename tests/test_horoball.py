@@ -12,7 +12,6 @@ from horolab import (
     Graph,
     InputError,
     Path,
-    bfs_distances,
     cayley_ball,
     coset_family,
     enumerate_geodesics,
@@ -33,6 +32,8 @@ from horolab.horoball import (
     normal_form_geodesic,
     verify_geodesic_shape,
 )
+
+from oracles import bfs_distances
 
 
 def all_pairs(n):
@@ -106,14 +107,14 @@ def test_level_crossing_shrinks_distance():
             if int(u) in level_ids and int(v) in level_ids
         ]
         level_graph = Graph(len(level_ids), induced)
-        assert bfs_distances(level_graph, 0)[8] == expected
+        assert bfs_distances(level_graph.num_vertices, level_graph.edges, 0)[8] == expected
 
 
 def test_p8_depth3_base_endpoints():
     h = build_restricted_horoball(path_graph(8), 3)
     a, b = h.vertex_id(0, 0), h.vertex_id(8, 0)
     assert horoball_distance(h, a, b) == 6  # min(8, 2+4, 4+2, 6+1)
-    assert bfs_distances(h.carrier, a)[b] == 6
+    assert bfs_distances(h.carrier.num_vertices, h.carrier.edges, a)[b] == 6
 
 
 @pytest.mark.parametrize("length,depth", [(8, 1), (8, 3), (12, 2), (5, 4)])

@@ -130,6 +130,22 @@ def test_agreement_with_naive_enumeration(target):
             assert (out.status == FOUND) == expected, (n, lam)
 
 
+def test_bracket_products_do_not_wrap_for_large_constants():
+    # K's numerator times a distance row exceeds int32 from distance 2 on
+    target = cycle_graph(8)
+    oracle = DistanceOracle(target)
+    dist = [[oracle.distance(i, j) for j in range(8)] for i in range(8)]
+    k = Fraction(2**30 + 1, 2**30)
+    for n in (4, 5, 8):
+        for lam in (Fraction(1), Fraction(2)):
+            out = run(target, n, k, lam, lam)
+            expected = naive_cycle_embedding_exists(
+                dist, n, k.numerator, k.denominator, lam.numerator, lam.denominator
+            )
+            assert (out.status == FOUND) == expected, (n, lam)
+    assert run(target, 8, k, 1, 1).status == FOUND
+
+
 def test_deep_binary_tree_has_no_k13_cycles():
     tree = binary_tree(5)
     profile, _ = shortcut_profile(
