@@ -114,6 +114,9 @@ def convexity_defect(
     s_list = sorted(dict.fromkeys(int(v) for v in vertex_set))
     if not s_list:
         raise InputError("vertex set must be nonempty")
+    for v in (s_list[0], s_list[-1]):
+        if not 0 <= v < g.num_vertices:
+            raise InputError(f"vertex set: unknown vertex id {v}")
     oracle = oracle or DistanceOracle(g)
     in_set = np.zeros(g.num_vertices, dtype=bool)
     in_set[s_list] = True

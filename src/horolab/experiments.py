@@ -36,7 +36,7 @@ from .graph import (
     path_graph,
 )
 from .groups import DEFAULT_BALL_BUDGET, CayleyBall, GroupElement, GroupSpec, cayley_ball, coset_family
-from .horoball import Subgraph, build_augmented, build_restricted_horoball
+from .horoball import Subgraph, build_augmented, build_restricted_horoball, member_shapes
 from .io import canonical_json, graph_to_json, read_graph, sha256_of, to_dot
 from .shortcut import LambdaGrid, shortcut_profile
 
@@ -129,6 +129,14 @@ def validate_config(obj: dict) -> ExperimentConfig:
             raise ConfigError("instance.group", str(exc)) from exc
     elif "radius" in instance:
         raise ConfigError("instance.radius", "only valid with a group instance")
+    if "path" in instance and not _is_count(instance["path"], 0):
+        raise ConfigError("instance.path", "must be a nonnegative integer")
+    if "cycle" in instance and not _is_count(instance["cycle"], 3):
+        raise ConfigError("instance.cycle", "must be an integer >= 3")
+    if "grid" in instance:
+        grid = instance["grid"]
+        if not (isinstance(grid, list) and len(grid) == 2 and all(_is_count(x, 1) for x in grid)):
+            raise ConfigError("instance.grid", "must be [rows, cols] with positive integers")
 
     params = obj.get("params", {})
     if not isinstance(params, dict):
@@ -191,12 +199,10 @@ def parabolic_family(ball: CayleyBall) -> tuple[list[Subgraph], list[int], list[
 
 
 def family_distance_matrices(base: Graph, family: Sequence[Subgraph]) -> list[np.ndarray]:
-    out = []
-    for member in family:
-        local = {v: i for i, v in enumerate(member.vertices)}
-        edges = [(local[u], local[v]) for u, v in member.edges]
-        out.append(distance_rows(Graph(len(member.vertices), edges), range(len(member.vertices))))
-    return out
+    """Each member's int32 distance matrix over its local indices; members
+    of one shape share one array (see ``horoball.member_shapes``)."""
+    shape_of, dmats = member_shapes(base, family)
+    return [dmats[shape] for shape in shape_of]
 
 
 @dataclass
@@ -345,7 +351,7 @@ def convexify_experiment(
 
     rows = []
     for n in sorted(depths):
-        aug = build_augmented(ball.graph, family, n, family_distances=dmats)
+        aug = build_augmented(ball.graph, family, n)
         defect = 0
         pairs = 0
         quasi = 0
@@ -404,8 +410,7 @@ def milnor_svarc_experiment(
     """
     ball = cayley_ball(spec, radius, max_vertices=budget)
     family, _, _ = parabolic_family(ball)
-    dmats = family_distance_matrices(ball.graph, family)
-    aug = build_augmented(ball.graph, family, depth, family_distances=dmats)
+    aug = build_augmented(ball.graph, family, depth)
 
     n_el = ball.graph.num_vertices
     element_ids = np.arange(n_el)
@@ -484,14 +489,10 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
     if kind == "build-horoball":
         depth = _int_param(params, "depth")
         h = build_restricted_horoball(graph, depth)
-        rows = []
-        for k in range(depth + 1):
-            level = [v for v in h.level_vertices(k)]
-            horizontal = sum(
-                1 for u, v in h.carrier.edges
-                if h.level_of(int(u)) == k and h.level_of(int(v)) == k
-            )
-            rows.append({"level": k, "vertices": len(level), "horizontal_edges": horizontal})
+        lv = h.carrier.edges // graph.num_vertices
+        horizontal = np.bincount(lv[lv[:, 0] == lv[:, 1], 0], minlength=depth + 1)
+        rows = [{"level": k, "vertices": len(h.level_vertices(k)),
+                 "horizontal_edges": int(horizontal[k])} for k in range(depth + 1)]
         rows.append({"level": "total", "vertices": h.carrier.num_vertices,
                      "horizontal_edges": int(h.carrier.num_edges)})
         write_artifact("horoball.json", canonical_json(graph_to_json(h.carrier)))
@@ -571,14 +572,15 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
         }]
 
     elif kind == "shortcut":
-        k = Fraction(str(params.get("K", "1")))
+        k = _fraction_param("K", params.get("K", "1"))
         n_list = params.get("n_list")
         if not isinstance(n_list, list) or not n_list:
             raise ConfigError("params.n_list", "must be a nonempty list")
         lam = params.get("lambda")
-        if not isinstance(lam, dict):
+        if not isinstance(lam, dict) or "lo" not in lam or "hi" not in lam:
             raise ConfigError("params.lambda", "must be {lo, hi, step}")
-        grid = LambdaGrid.of(str(lam["lo"]), str(lam["hi"]), str(lam.get("step", "1/4")))
+        grid = LambdaGrid(*(_fraction_param(f"lambda.{key}", lam.get(key, "1/4"))
+                            for key in ("lo", "hi", "step")))
         profile, witnesses = shortcut_profile(
             graph, k, n_list, grid,
             node_cap=int(params.get("node_cap", 2_000_000)),
@@ -624,6 +626,17 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
     )
     (out / "report.json").write_text(canonical_json(report.to_json()), encoding="utf-8")
     return report
+
+
+def _is_count(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _fraction_param(key: str, value) -> Fraction:
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"params.{key}", f"not a rational number: {value!r}") from None
 
 
 def _int_param(params: dict, key: str) -> int:

@@ -366,6 +366,11 @@ class GroupElement:
     def is_identity(self) -> bool:
         return self.key == self.spec._identity_key()
 
+    def __hash__(self) -> int:
+        # Equality still compares the spec too; hashing it as well would walk
+        # the whole GroupSpec on every set or dict lookup.
+        return hash(self.key)
+
 
 # -- public constructors --------------------------------------------------
 

@@ -418,20 +418,21 @@ class AugmentedSpace:
         return list(range(start, start + s))
 
     def vertex_meta(self) -> list[dict]:
-        out = []
-        for vid in range(self.carrier.num_vertices):
-            if self._kind[vid] == 0:
-                out.append({"kind": "gamma", "alpha": None,
-                            "base": int(self._base_vertex[vid]), "level": 0})
-            else:
-                out.append({"kind": "horo", "alpha": int(self._alpha[vid]),
-                            "base": int(self._base_vertex[vid]), "level": int(self._level[vid])})
-        return out
+        return _vertex_meta(self._kind, self._alpha, self._base_vertex, self._level)
 
     def __repr__(self) -> str:
         return (f"AugmentedSpace(|base|={self.base.num_vertices}, "
                 f"family={len(self.family)}, depth={self.depth}, "
                 f"|carrier|={self.carrier.num_vertices})")
+
+
+def _vertex_meta(kind, alpha, base_vertex, level) -> list[dict]:
+    return [
+        {"kind": "gamma", "alpha": None, "base": b, "level": 0}
+        if t == 0
+        else {"kind": "horo", "alpha": a, "base": b, "level": k}
+        for t, a, b, k in zip(kind.tolist(), alpha.tolist(), base_vertex.tolist(), level.tolist())
+    ]
 
 
 def _member_local_edges(base: Graph, member: Subgraph, where: str) -> list[tuple[int, int]]:
@@ -451,30 +452,62 @@ def _member_local_edges(base: Graph, member: Subgraph, where: str) -> list[tuple
     return edges
 
 
+def member_shapes(base: Graph, family: Sequence[Subgraph]) -> tuple[list[int], list[np.ndarray]]:
+    """Validate every family member and group the members by shape.
+
+    A member's shape is its size plus its sorted local edge list, where a
+    vertex's local index is its position in ``member.vertices``; members of
+    one shape have the same graph on their local indices.
+    Returns the shape index of each member and, per shape, its int32
+    distance matrix over local indices.  A disconnected shape is reported on
+    the first member that has it.
+    """
+    index: dict[tuple, int] = {}
+    shape_of: list[int] = []
+    dmats: list[np.ndarray] = []
+    for a, member in enumerate(family):
+        where = f"family member {a}"
+        local_edges = _member_local_edges(base, member, where)
+        s = len(member.vertices)
+        key = (s, tuple(sorted({(min(e), max(e)) for e in local_edges})))
+        shape = index.get(key)
+        if shape is None:
+            dmat = distance_rows(Graph(s, key[1]), range(s))
+            if np.any(dmat >= INF):
+                raise InputError(f"{where}: member is not connected")
+            shape = index[key] = len(dmats)
+            dmats.append(dmat)
+        shape_of.append(shape)
+    return shape_of, dmats
+
+
 def build_augmented(
     base: Graph,
     family: Sequence[Subgraph],
     depth: int,
     with_meta: bool = False,
-    family_distances: Sequence[np.ndarray] | None = None,
 ) -> AugmentedSpace:
     """Glue a depth-``depth`` horoball onto each family member.
 
-    ``family_distances`` may carry precomputed member-internal distance
-    matrices (saves repeated BFS when the same family is augmented at several
-    depths)."""
+    Member ``a`` owns the block of carrier ids ``block_starts[a] + (k-1)*s +
+    i`` for its level-k copy of local vertex ``i`` (``s`` its size); level 0
+    is the member itself, inside the base.  The work is done per shape, not
+    per member (see ``member_shapes``): a shape's level-k horizontal pairs
+    come from its distance matrix once, and one broadcast over the block
+    offsets of all its members emits their edges and provenance.  On Cayley
+    balls the parabolic subgroups act cocompactly on their cosets, so the
+    coset family has only a few shapes however many members it has
+    (Z^2*Z^2 at radius 4: 1,970 members, 5 shapes).
+    """
     if depth < 1:
         raise InputError("depth must be >= 1")
     family = tuple(Subgraph(tuple(m.vertices), tuple(tuple(e) for e in m.edges)) for m in family)
+    shape_of, dmats = member_shapes(base, family)
 
     n0 = base.num_vertices
-    sizes = [len(m.vertices) for m in family]
-    block_starts = []
-    cursor = n0
-    for s in sizes:
-        block_starts.append(cursor)
-        cursor += s * depth
-    total = cursor
+    blocks = np.array([len(m.vertices) for m in family], dtype=np.int64) * depth
+    block_starts = n0 + np.cumsum(blocks) - blocks
+    total = int(n0 + blocks.sum())
 
     kind = np.zeros(total, dtype=np.int8)
     alpha = np.full(total, -1, dtype=np.int32)
@@ -483,55 +516,40 @@ def build_augmented(
     base_vertex[:n0] = np.arange(n0)
 
     chunks = [np.asarray(base.edges, dtype=np.int64)]
-    for a, member in enumerate(family):
-        where = f"family member {a}"
-        local_edges = _member_local_edges(base, member, where)
-        s = sizes[a]
-        if family_distances is not None:
-            dmat = family_distances[a]
-        else:
-            dmat = distance_rows(Graph(s, local_edges), range(s))
-        if np.any(dmat >= INF):
-            raise InputError(f"{where}: member is not connected")
-
-        member_ids = np.asarray(member.vertices, dtype=np.int64)
-        start = block_starts[a]
-        for k in range(1, depth + 1):
-            ids = start + (k - 1) * s + np.arange(s)
-            kind[ids] = 1
-            alpha[ids] = a
-            base_vertex[ids] = member_ids
-            level[ids] = k
+    shape_of = np.asarray(shape_of, dtype=np.int64)
+    by_shape = np.split(np.argsort(shape_of, kind="stable"),
+                        np.cumsum(np.bincount(shape_of, minlength=len(dmats)))[:-1])
+    for dmat, members in zip(dmats, by_shape):
+        s = dmat.shape[0]
+        # ids[m, k-1, i]: level-k copy of local vertex i of the m-th member
+        ids = (block_starts[members, None, None]
+               + (np.arange(depth, dtype=np.int64) * s)[None, :, None]
+               + np.arange(s, dtype=np.int64)[None, None, :])
+        bottom = np.array([family[a].vertices for a in members], dtype=np.int64)
+        kind[ids] = 1
+        alpha[ids] = members[:, None, None]
+        base_vertex[ids] = bottom[:, None, :]
+        level[ids] = np.arange(1, depth + 1)[None, :, None]
 
         # vertical edges: level 0 (the member itself) up to level depth
-        prev = member_ids
-        for k in range(1, depth + 1):
-            cur = start + (k - 1) * s + np.arange(s, dtype=np.int64)
-            chunks.append(np.stack([prev, cur], axis=1))
-            prev = cur
+        below = np.concatenate([bottom[:, None, :], ids[:, :-1, :]], axis=1)
+        chunks.append(np.stack([below.ravel(), ids.ravel()], axis=1))
         # horizontal edges at levels >= 1 (level 0 edges are base edges)
         for k in range(1, depth + 1):
             iu, iv = np.nonzero(np.triu((dmat > 0) & (dmat <= 2**k), k=1))
-            off = start + (k - 1) * s
-            chunks.append(np.stack([iu + off, iv + off], axis=1))
+            level_ids = ids[:, k - 1, :]
+            chunks.append(np.stack([level_ids[:, iu].ravel(), level_ids[:, iv].ravel()], axis=1))
 
     labels = None
     meta = {}
     if with_meta:
         if base.labels is not None:
-            labels = list(base.labels)
-            for a, member in enumerate(family):
-                for k in range(1, depth + 1):
-                    labels.extend(f"{base.labels[v]}@{k}" for v in member.vertices)
-        meta = {
-            "vertex_meta": [
-                {"kind": "gamma", "alpha": None, "base": int(base_vertex[vid]), "level": 0}
-                if kind[vid] == 0
-                else {"kind": "horo", "alpha": int(alpha[vid]),
-                      "base": int(base_vertex[vid]), "level": int(level[vid])}
-                for vid in range(total)
+            labels = list(base.labels) + [
+                f"{base.labels[v]}@{k}"
+                for v, k in zip(base_vertex[n0:].tolist(), level[n0:].tolist())
             ]
-        }
+        meta = {"vertex_meta": _vertex_meta(kind, alpha, base_vertex, level)}
 
     carrier = Graph(total, np.concatenate(chunks, axis=0), labels=labels, metadata=meta)
-    return AugmentedSpace(base, family, depth, carrier, kind, alpha, base_vertex, level, block_starts)
+    return AugmentedSpace(base, family, depth, carrier, kind, alpha, base_vertex, level,
+                          block_starts.tolist())

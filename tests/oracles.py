@@ -113,3 +113,52 @@ def naive_cycle_embedding_exists(dist, n_cycle: int, k_num: int, k_den: int,
         return False
 
     return rec(0, [])
+
+
+def augmented_carrier(num_base: int, base_edges, family, depth: int, base_labels=None) -> dict:
+    """Member-by-member reference for ``build_augmented``.
+
+    ``family`` is a list of (vertices, edges) in base ids.  Member ``a``
+    owns the ids ``block_starts[a] + (k-1)*s + i`` for the level-k copy of
+    its i-th vertex; level k joins copies at member distance in (0, 2^k].
+    Returns the canonical edge list and the per-vertex provenance lists."""
+    kind = [0] * num_base
+    alpha = [-1] * num_base
+    base_vertex = list(range(num_base))
+    level = [0] * num_base
+    labels = list(base_labels) if base_labels is not None else None
+    vertex_meta = [{"kind": "gamma", "alpha": None, "base": v, "level": 0} for v in range(num_base)]
+    edges = {(min(int(u), int(v)), max(int(u), int(v))) for u, v in base_edges}
+    block_starts = []
+    for a, (vertices, member_edges) in enumerate(family):
+        s = len(vertices)
+        local = {v: i for i, v in enumerate(vertices)}
+        local_edges = [(local[u], local[v]) for u, v in member_edges]
+        dist = [bfs_distances(s, local_edges, i) for i in range(s)]
+        start = len(kind)
+        block_starts.append(start)
+        for k in range(1, depth + 1):
+            off = start + (k - 1) * s
+            for i, v in enumerate(vertices):
+                kind.append(1)
+                alpha.append(a)
+                base_vertex.append(v)
+                level.append(k)
+                vertex_meta.append({"kind": "horo", "alpha": a, "base": v, "level": k})
+                if labels is not None:
+                    labels.append(f"{base_labels[v]}@{k}")
+                below = v if k == 1 else off - s + i
+                edges.add((below, off + i))
+                for j in range(i + 1, s):
+                    if 0 < dist[i][j] <= 2**k:
+                        edges.add((off + i, off + j))
+    return {
+        "edges": sorted(edges),
+        "kind": kind,
+        "alpha": alpha,
+        "base_vertex": base_vertex,
+        "level": level,
+        "labels": labels,
+        "vertex_meta": vertex_meta,
+        "block_starts": block_starts,
+    }

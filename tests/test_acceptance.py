@@ -170,7 +170,7 @@ def test_criterion_06_bottom_to_top_rough_isometry(z2z2_radius6):
     with criterion(6, "|d_bottom - d_top| <= 2n over interior parabolic pairs at radius 6"):
         ball, family, factor_of, identity_indices, dmats = z2z2_radius6
         depth = 3
-        aug = build_augmented(ball.graph, family, depth, family_distances=dmats)
+        aug = build_augmented(ball.graph, family, depth)
         scanned = list(identity_indices) + _sample_cosets(family, factor_of, identity_indices, 3)
         total_pairs = 0
         for alpha in scanned:

@@ -160,7 +160,7 @@ def test_scan_matches_generic_convexity_defect():
     ball = cayley_ball(Z2xZ2, radius)
     family, factor_of, identity_indices = parabolic_family(ball)
     dmats = family_distance_matrices(ball.graph, family)
-    aug = build_augmented(ball.graph, family, depth, family_distances=dmats)
+    aug = build_augmented(ball.graph, family, depth)
 
     alpha = identity_indices[0]
     scan = scan_parabolic(aug, ball, alpha, dmats[alpha], radius, geodesic_cap=16)
@@ -259,6 +259,25 @@ def test_cli_rejects_empty_graph_file(tmp_path, capsys, kind, params):
     })
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,instance,params,stream", [
+    ("convexity", {"cycle": 8}, {"set": {"vertices": [0, 9]}}, "input error"),
+    ("convexity", {"cycle": 8}, {"set": {"vertices": [-1, 3]}}, "input error"),
+    ("delta", {"cycle": "abc"}, {}, "config error: instance.cycle"),
+    ("delta", {"path": 2.5}, {}, "config error: instance.path"),
+    ("delta", {"grid": [3]}, {}, "config error: instance.grid"),
+    ("shortcut", {"cycle": 6}, {"n_list": [4], "lambda": {"hi": "2"}}, "config error: params.lambda"),
+    ("shortcut", {"cycle": 6}, {"n_list": [4], "lambda": {"lo": "x", "hi": "2"}},
+     "config error: params.lambda.lo"),
+], ids=["set-above-range", "set-below-range", "cycle-not-int", "path-not-int", "grid-one-value",
+        "lambda-without-lo", "lambda-lo-not-rational"])
+def test_cli_rejects_bad_values(tmp_path, capsys, kind, instance, params, stream):
+    cfg = write_config(tmp_path, {
+        "version": 1, "experiment": kind, "instance": instance, "params": params,
+    })
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert stream in capsys.readouterr().err
 
 
 def test_cli_convexity_on_a_long_path(tmp_path):

@@ -15,9 +15,11 @@ from horolab import (
     cayley_ball,
     coset_family,
     enumerate_geodesics,
+    free,
     free_abelian,
     free_product,
     hausdorff_distance,
+    heisenberg,
 )
 from horolab.graph import cycle_graph, path_graph
 from horolab.horoball import (
@@ -29,11 +31,14 @@ from horolab.horoball import (
     build_restricted_horoball,
     classify_segments,
     horoball_distance,
+    member_shapes,
     normal_form_geodesic,
     verify_geodesic_shape,
 )
 
-from oracles import bfs_distances
+from horolab.experiments import parabolic_family
+
+from oracles import augmented_carrier, bfs_distances
 
 
 def all_pairs(n):
@@ -387,3 +392,73 @@ def test_augmented_vertex_meta_roundtrip(tmp_path):
     write_graph(aug.carrier, f)
     again = read_graph(f)
     assert again.metadata["vertex_meta"] == meta
+
+
+# -- shape templates against the member-by-member reference --------------------
+
+
+def assert_matches_member_reference(base, family, depth):
+    ref = augmented_carrier(base.num_vertices, base.edges.tolist(),
+                            [(m.vertices, m.edges) for m in family], depth, base.labels)
+    aug = build_augmented(base, family, depth, with_meta=True)
+    assert aug.carrier.edges.tolist() == [list(e) for e in ref["edges"]]
+    assert aug.carrier.labels == ref["labels"]
+    assert aug.carrier.metadata["vertex_meta"] == ref["vertex_meta"]
+    assert aug._kind.tolist() == ref["kind"]
+    assert aug._alpha.tolist() == ref["alpha"]
+    assert aug._base_vertex.tolist() == ref["base_vertex"]
+    assert aug._level.tolist() == ref["level"]
+    assert aug._block_starts == ref["block_starts"]
+    plain = build_augmented(base, family, depth)
+    assert np.array_equal(plain.carrier.edges, aug.carrier.edges)
+    assert plain.carrier.labels is None and plain.carrier.metadata == {}
+    assert plain._block_starts == ref["block_starts"]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("spec,radius", [
+    (free_product(free_abelian(2), free_abelian(2)), 3),
+    (free_product(free_abelian(2), free_abelian(1)), 3),
+    (free_product(free(2), heisenberg()), 2),
+], ids=["Z2*Z2", "Z2*Z", "F2*Heis"])
+def test_coset_family_matches_member_reference(spec, radius, depth):
+    ball = cayley_ball(spec, radius)
+    family, _, _ = parabolic_family(ball)
+    assert len(member_shapes(ball.graph, family)[1]) < len(family)
+    assert_matches_member_reference(ball.graph, family, depth)
+
+
+def test_reordered_vertex_lists_are_different_shapes():
+    base = path_graph(4)
+    family = [
+        Subgraph((0, 1, 2), ((0, 1), (1, 2))),
+        Subgraph((2, 0, 1), ((1, 2), (0, 1))),  # same set, other local order
+        Subgraph((2, 3, 4), ((3, 2), (3, 4))),  # translate of the first
+    ]
+    shape_of, dmats = member_shapes(base, family)
+    assert shape_of == [0, 1, 0]
+    assert dmats[1].tolist() == [[0, 2, 1], [2, 0, 1], [1, 1, 0]]
+    for depth in (1, 2, 3):
+        assert_matches_member_reference(base, family, depth)
+
+
+def test_same_size_members_with_different_edges():
+    base = cycle_graph(4)
+    family = [
+        Subgraph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3), (3, 0))),
+        Subgraph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3))),
+    ]
+    shape_of, dmats = member_shapes(base, family)
+    assert shape_of == [0, 1]
+    assert dmats[0][0, 3] == 1 and dmats[1][0, 3] == 3
+    for depth in (1, 2):
+        assert_matches_member_reference(base, family, depth)
+
+
+def test_z2z2_radius4_coset_shapes():
+    ball = cayley_ball(free_product(free_abelian(2), free_abelian(2)), 4)
+    family, _, _ = parabolic_family(ball)
+    shape_of, dmats = member_shapes(ball.graph, family)
+    assert len(family) == 1970
+    assert len(dmats) == 5
+    assert sorted(set(shape_of)) == list(range(5))
