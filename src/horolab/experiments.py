@@ -35,8 +35,14 @@ from .graph import (
     is_interior_pair,
     path_graph,
 )
-from .groups import DEFAULT_BALL_BUDGET, CayleyBall, GroupElement, GroupSpec, cayley_ball, coset_family
-from .horoball import Subgraph, build_augmented, build_restricted_horoball, member_shapes
+from .groups import DEFAULT_BALL_BUDGET, CayleyBall, GroupSpec, cayley_ball, coset_family
+from .horoball import (
+    Subgraph,
+    build_augmented,
+    build_restricted_horoball,
+    crossing_distance,
+    member_shapes,
+)
 from .io import canonical_json, graph_to_json, read_graph, sha256_of, to_dot
 from .shortcut import LambdaGrid, shortcut_profile
 
@@ -151,8 +157,11 @@ def validate_config(obj: dict) -> ExperimentConfig:
     return ExperimentConfig(kind=kind, instance=instance, params=params, seed=seed)
 
 
-def build_instance_graph(instance: dict) -> tuple[Graph, CayleyBall | None, str]:
-    """Realize the instance; returns (graph, ball or None, stable hash)."""
+def build_instance_graph(
+    instance: dict, max_vertices: int = DEFAULT_BALL_BUDGET
+) -> tuple[Graph, CayleyBall | None, str]:
+    """Realize the instance; returns (graph, ball or None, stable hash).
+    A group instance's ball may hold at most ``max_vertices`` elements."""
     if "graph_file" in instance:
         g = read_graph(instance["graph_file"])
         if g.num_vertices == 0:
@@ -168,7 +177,7 @@ def build_instance_graph(instance: dict) -> tuple[Graph, CayleyBall | None, str]
         r, c = instance["grid"]
         return grid_graph(r, c), None, digest
     spec = GroupSpec.from_json(instance["group"])
-    ball = cayley_ball(spec, instance["radius"])
+    ball = cayley_ball(spec, instance["radius"], max_vertices=max_vertices)
     return ball.graph, ball, digest
 
 
@@ -327,24 +336,22 @@ def _sample_cosets(family, factor_of, identity_indices, per_factor: int) -> list
 
 
 def convexify_experiment(
-    spec: GroupSpec,
-    radius: int,
+    ball: CayleyBall,
     depths: Sequence[int],
-    budget: int = DEFAULT_BALL_BUDGET,
     verify_cosets: int = 3,
     geodesic_cap: int = 32,
 ) -> list[dict]:
-    """Defect of the top-level parabolics of the depth-n augmentation, one
-    row per n.
+    """Defect of the top-level parabolics of the depth-n augmentation of
+    ``ball``, one row per n.
 
     Measured exactly on the identity coset of each factor, whose interior
     pair set covers (by translation) every interior configuration of every
     other coset; a deterministic sample of translated cosets is re-scanned
     as a cross-check and folded into the reported maximum.
     """
+    spec, radius = ball.spec, ball.radius
     if spec.kind != "free_product":
         raise InputError("the convexification experiment needs a free product")
-    ball = cayley_ball(spec, radius, max_vertices=budget)
     family, factor_of, identity_indices = parabolic_family(ball)
     dmats = family_distance_matrices(ball.graph, family)
     sampled = _sample_cosets(family, factor_of, identity_indices, verify_cosets)
@@ -381,6 +388,7 @@ def convexify_experiment(
             "translation_check": "ok" if translation_ok else "exceeded",
             "generating_set": list(spec.generator_names),
         })
+        del aug  # so that the next depth's carrier is not built beside this one
     return rows
 
 
@@ -395,40 +403,53 @@ def convexify_gate(rows: Sequence[dict]) -> None:
         raise PropertyViolation(f"defect never reached 0 within the depth range: {defects}")
 
 
-def milnor_svarc_experiment(
-    spec: GroupSpec,
-    depth: int,
-    t_list: Sequence[int],
-    radius: int,
-    budget: int = DEFAULT_BALL_BUDGET,
-) -> list[dict]:
+def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int]) -> list[dict]:
     """Displacement generating sets S_t and the multiplicative fit K_t of
-    g -> g·x0 from (G, t·d_{S_t}) into the depth-``depth`` augmentation.
+    g -> g·x0 from (G, t·d_{S_t}) into the depth-``depth`` augmentation of
+    ``ball``.
 
     One row per t, measured over ball-interior element pairs with additive
     budget C = t.
-    """
-    ball = cayley_ball(spec, radius, max_vertices=budget)
-    family, _, _ = parabolic_family(ball)
-    aug = build_augmented(ball.graph, family, depth)
 
+    The augmented distances between group elements come from the paper's
+    formula where it applies.  A group that is not a free product is its
+    own single parabolic, so the whole ball is the one family member and the
+    carrier is one horoball over the ball; its level-0 distances are the
+    crossing-level formula ``horoball.crossing_distance`` at levels (0, 0)
+    over the word-metric table, and no carrier is built.  Free products
+    build the carrier and take its BFS rows.  The tests check the formula
+    against carrier BFS.
+
+    The S_t graph joins g to g·s for s in S_t.  Its edges come from the
+    right-translation columns of ``CayleyBall.right_translation``: S_t grows
+    with t, so each element's column is computed once for the whole
+    ``t_list``, and one numpy mask over the stacked columns gives the edges.
+    """
+    spec, radius = ball.spec, ball.radius
     n_el = ball.graph.num_vertices
-    element_ids = np.arange(n_el)
-    # carrier distances between group elements (element vertices keep ids 0..n_el-1)
-    d_aug = distance_rows(aug.carrier, range(n_el), columns=element_ids)
-    displacement = [int(d_aug[0][i]) for i in range(n_el)]
-    orbit = [(g, displacement[i]) for i, g in enumerate(ball.elements)]
+    d_word = distance_rows(ball.graph, range(n_el))
+
+    family, _, _ = parabolic_family(ball)
+    if (len(family) == 1 and len(family[0].vertices) == n_el
+            and len(family[0].edges) == ball.graph.num_edges):
+        d_aug = crossing_distance(d_word, 0, 0, depth)
+    else:
+        aug = build_augmented(ball.graph, family, depth)
+        # element vertices keep ids 0..n_el-1 in the carrier
+        d_aug = distance_rows(aug.carrier, range(n_el), columns=np.arange(n_el))
+    displacement = d_aug[0].tolist()
+    orbit = list(zip(ball.elements, displacement))
 
     # interior pairs in the word metric of the ball itself
     wl = np.asarray(ball.word_lengths, dtype=np.int32)
-    d_word = distance_rows(ball.graph, range(n_el))
-    iu, iv = np.nonzero(np.triu(np.minimum.outer(wl, wl) + d_word <= radius, k=1))
-    pair_idx = (iu.astype(np.int64), iv.astype(np.int64))
+    pair_idx = np.nonzero(np.triu(np.minimum.outer(wl, wl) + d_word <= radius, k=1))
 
     factor_generators = []
     if spec.kind == "free_product":
         factor_generators = [g for _, g in spec.generators()]
 
+    vid = np.arange(n_el, dtype=np.int32)
+    columns: dict[int, np.ndarray] = {}  # ball index of s -> right translation by s
     rows = []
     for t in t_list:
         try:
@@ -439,13 +460,13 @@ def milnor_svarc_experiment(
                 "flagged": str(exc), "factor_generators_present": False,
             })
             continue
-        s_nontrivial = [g for g in s_t if not g.is_identity()]
-        edges = []
-        for i, g in enumerate(ball.elements):
-            for s in s_nontrivial:
-                j = ball.index.get(GroupElement(spec, spec._mul(g.key, s.key)))
-                if j is not None and j > i:
-                    edges.append((i, j))
+        s_ids = [ball.key_index[s.key] for s in s_t if not s.is_identity()]
+        for i in s_ids:
+            if i not in columns:
+                columns[i] = ball.right_translation(ball.elements[i])
+        targets = np.stack([columns[i] for i in s_ids])
+        keep = targets > vid  # j > i, which also drops the -1 of a product outside the ball
+        edges = np.stack([np.broadcast_to(vid, targets.shape)[keep], targets[keep]], axis=1)
         d_st = distance_rows(Graph(n_el, edges), range(n_el))
 
         domain = d_st[pair_idx]
@@ -482,9 +503,10 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
         path.write_text(text, encoding="utf-8")
         artifacts.append(name)
 
-    graph, ball, digest = build_instance_graph(config.instance)
     kind = config.kind
     params = config.params
+    graph, ball, digest = build_instance_graph(
+        config.instance, max_vertices=_int_param(params, "budget", DEFAULT_BALL_BUDGET))
 
     if kind == "build-horoball":
         depth = _int_param(params, "depth")
@@ -546,22 +568,25 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
             h = build_restricted_horoball(graph, _int_param(params, "depth"))
             target = h.carrier
             if "level_at_least" in spec_set:
-                vertex_set = h.deep_vertices(int(spec_set["level_at_least"]))
+                vertex_set = h.deep_vertices(_int_param(spec_set, "level_at_least", where="set."))
             elif "vertices" in spec_set:
-                vertex_set = list(spec_set["vertices"])
+                vertex_set = _int_list_param(spec_set, "vertices", least=None, where="set.")
             else:
                 raise ConfigError("params.set", "need level_at_least or vertices")
         elif "vertices" in spec_set:
-            vertex_set = list(spec_set["vertices"])
+            vertex_set = _int_list_param(spec_set, "vertices", least=None, where="set.")
         else:
             raise ConfigError("params.set", "need vertices (or a horoball depth)")
         pair_filter = None
         if "interior" in params:
             inter = params["interior"]
-            pair_filter = InteriorFilter(int(inter["basepoint"]), int(inter["radius"]))
+            if not isinstance(inter, dict):
+                raise ConfigError("params.interior", "must be {basepoint, radius}")
+            pair_filter = InteriorFilter(_int_param(inter, "basepoint", least=0, where="interior."),
+                                         _int_param(inter, "radius", least=0, where="interior."))
         report = convexity_defect(
             target, vertex_set, pair_filter=pair_filter,
-            geodesic_cap=int(params.get("geodesic_cap", 64)),
+            geodesic_cap=_int_param(params, "geodesic_cap", 64, least=0),
         )
         rows = [{
             "defect": report.defect,
@@ -573,18 +598,19 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
 
     elif kind == "shortcut":
         k = _fraction_param("K", params.get("K", "1"))
-        n_list = params.get("n_list")
-        if not isinstance(n_list, list) or not n_list:
-            raise ConfigError("params.n_list", "must be a nonempty list")
+        n_list = _int_list_param(params, "n_list", least=3)
         lam = params.get("lambda")
         if not isinstance(lam, dict) or "lo" not in lam or "hi" not in lam:
             raise ConfigError("params.lambda", "must be {lo, hi, step}")
         grid = LambdaGrid(*(_fraction_param(f"lambda.{key}", lam.get(key, "1/4"))
                             for key in ("lo", "hi", "step")))
+        restrict = params.get("restrict")
+        if restrict is not None and not (isinstance(restrict, list) and all(map(_is_int, restrict))):
+            raise ConfigError("params.restrict", "must be a list of vertex ids")
         profile, witnesses = shortcut_profile(
             graph, k, n_list, grid,
-            node_cap=int(params.get("node_cap", 2_000_000)),
-            restrict=params.get("restrict"),
+            node_cap=_int_param(params, "node_cap", 2_000_000),
+            restrict=restrict,
         )
         rows = profile.to_json_rows(witnesses)
         write_artifact("profile.csv", profile.to_csv())
@@ -592,27 +618,18 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
     elif kind == "convexify-experiment":
         if ball is None:
             raise ConfigError("instance", "convexify experiment needs a group instance")
-        depths = params.get("depths")
-        if not isinstance(depths, list) or not depths:
-            raise ConfigError("params.depths", "must be a nonempty list")
         rows = convexify_experiment(
-            ball.spec, config.instance["radius"], depths,
-            budget=int(params.get("budget", DEFAULT_BALL_BUDGET)),
-            verify_cosets=int(params.get("verify_cosets", 3)),
-            geodesic_cap=int(params.get("geodesic_cap", 32)),
+            ball, _int_list_param(params, "depths"),
+            verify_cosets=_int_param(params, "verify_cosets", 3, least=0),
+            geodesic_cap=_int_param(params, "geodesic_cap", 32, least=0),
         )
         convexify_gate(rows)
 
     elif kind == "milnor-svarc":
         if ball is None:
             raise ConfigError("instance", "milnor-svarc needs a group instance")
-        t_list = params.get("t_list")
-        if not isinstance(t_list, list) or not t_list:
-            raise ConfigError("params.t_list", "must be a nonempty list")
         rows = milnor_svarc_experiment(
-            ball.spec, _int_param(params, "depth"), t_list, config.instance["radius"],
-            budget=int(params.get("budget", DEFAULT_BALL_BUDGET)),
-        )
+            ball, _int_param(params, "depth"), _int_list_param(params, "t_list", least=0))
 
     else:  # unreachable after validation
         raise ConfigError("experiment", f"unhandled kind {kind}")
@@ -628,8 +645,12 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
     return report
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_count(value, least: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+    return _is_int(value) and value >= least
 
 
 def _fraction_param(key: str, value) -> Fraction:
@@ -639,8 +660,21 @@ def _fraction_param(key: str, value) -> Fraction:
         raise ConfigError(f"params.{key}", f"not a rational number: {value!r}") from None
 
 
-def _int_param(params: dict, key: str) -> int:
+def _int_param(params: dict, key: str, default: int | None = None, least: int = 1,
+               where: str = "") -> int:
+    """``params[key]`` (or ``default`` when absent) as an integer >= ``least``."""
+    value = params.get(key, default)
+    if not _is_count(value, least):
+        raise ConfigError(f"params.{where}{key}", f"must be an integer >= {least}")
+    return value
+
+
+def _int_list_param(params: dict, key: str, least: int | None = 1, where: str = "") -> list[int]:
+    """``params[key]`` as a nonempty list of integers, each >= ``least``
+    unless ``least`` is None."""
     value = params.get(key)
-    if not isinstance(value, int) or value < 1:
-        raise ConfigError(f"params.{key}", "must be a positive integer")
+    if not (isinstance(value, list) and value
+            and all(_is_int(x) and (least is None or x >= least) for x in value)):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(f"params.{where}{key}", f"must be a nonempty list of integers{bound}")
     return value

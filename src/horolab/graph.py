@@ -71,21 +71,21 @@ class Graph:
         if np.any(e[:, 0] == e[:, 1]):
             raise InputError("self-loops are not allowed")
 
-        lo = np.minimum(e[:, 0], e[:, 1])
-        hi = np.maximum(e[:, 0], e[:, 1])
-        canon = np.stack([lo, hi], axis=1)
-        if canon.shape[0]:
-            canon = np.unique(canon, axis=0)
-        self._edges = canon.astype(np.int32)
+        # Canonical edges (lo, hi), deduplicated and ordered through the 1-D
+        # key lo * n + hi, which sorts exactly like the pair.  A sort plus a
+        # mask, not np.unique: numpy 2's np.unique hashes 1-D integers, which
+        # measured ~30x slower on 600k keys and raised the peak RSS.
+        n = max(self._n, 1)
+        key = np.sort(np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1]))
+        key = key[np.diff(key, prepend=-1) != 0]
+        self._edges = np.stack([key // n, key % n], axis=1).astype(np.int32)
         self._edges.setflags(write=False)
 
         # CSR over the symmetrized edge set; rows sorted ascending.
-        both = np.concatenate([self._edges, self._edges[:, ::-1]], axis=0)
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
-        counts = np.bincount(both[:, 0], minlength=self._n)
+        both = np.sort(np.concatenate([key, (key % n) * n + key // n]))
+        counts = np.bincount(both // n, minlength=self._n)
         self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self._indices = both[:, 1].astype(np.int32)
+        self._indices = (both % n).astype(np.int32)
         self._indptr.setflags(write=False)
         self._indices.setflags(write=False)
 
@@ -129,8 +129,11 @@ class Graph:
         return bool(i < len(row) and row[i] == v)
 
     def csr(self) -> csr_matrix:
+        """Unit-weight adjacency matrix, built once.  Its data is float64,
+        the dtype scipy's graph kernels work in, so they use it without a
+        converted copy and check its canonical format only once."""
         if self._csr is None:
-            data = np.ones(len(self._indices), dtype=np.int8)
+            data = np.ones(len(self._indices), dtype=np.float64)
             self._csr = csr_matrix((data, self._indices, self._indptr), shape=(self._n, self._n))
         return self._csr
 

@@ -20,6 +20,7 @@ Serialized normal forms use the grammar
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -69,13 +70,7 @@ class GroupSpec:
     # -- construction of elements --------------------------------------
 
     def identity(self) -> "GroupElement":
-        if self.kind == "free":
-            return GroupElement(self, ())
-        if self.kind == "free_abelian":
-            return GroupElement(self, (0,) * self.rank)
-        if self.kind == "heisenberg":
-            return GroupElement(self, (0, 0, 0))
-        return GroupElement(self, ())
+        return GroupElement(self, self._identity_key())
 
     def element(self, key) -> "GroupElement":
         """Wrap a raw key after validating it is a normal form."""
@@ -133,13 +128,20 @@ class GroupSpec:
         if not isinstance(obj, dict) or len(set(obj) & {"free", "free_abelian", "heisenberg", "free_product"}) != 1:
             raise InputError(f"not a group description: {obj!r}")
         names = obj.get("names")
+        if names is not None and not (isinstance(names, list) and all(isinstance(nm, str) for nm in names)):
+            raise InputError(f"group names must be a list of strings: {names!r}")
+        for kind in ("free", "free_abelian"):
+            if kind in obj and (not isinstance(obj[kind], int) or isinstance(obj[kind], bool)):
+                raise InputError(f"{kind} rank must be an integer: {obj[kind]!r}")
         if "free" in obj:
-            return free(int(obj["free"]), names=names)
+            return free(obj["free"], names=names)
         if "free_abelian" in obj:
-            return free_abelian(int(obj["free_abelian"]), names=names)
+            return free_abelian(obj["free_abelian"], names=names)
         if "heisenberg" in obj:
             opts = obj["heisenberg"] if isinstance(obj["heisenberg"], dict) else {}
             return heisenberg(include_central=bool(opts.get("include_central", False)), names=names)
+        if not isinstance(obj["free_product"], list):
+            raise InputError(f"free_product must be a list of groups: {obj['free_product']!r}")
         return free_product(*[cls.from_json(f) for f in obj["free_product"]])
 
     # -- kind-specific internals ----------------------------------------
@@ -167,7 +169,11 @@ class GroupSpec:
         return out
 
     def _identity_key(self):
-        return self.identity().key
+        if self.kind == "free_abelian":
+            return (0,) * self.rank
+        if self.kind == "heisenberg":
+            return (0, 0, 0)
+        return ()
 
     def _mul(self, xk, yk):
         if self.kind == "free":
@@ -182,7 +188,7 @@ class GroupSpec:
                     word.append(letter)
             return tuple(word)
         if self.kind == "free_abelian":
-            return tuple(a + b for a, b in zip(xk, yk))
+            return tuple(map(operator.add, xk, yk))
         if self.kind == "heisenberg":
             p1, q1, r1 = xk
             p2, q2, r2 = yk
@@ -444,6 +450,23 @@ class CayleyBall:
             object.__setattr__(self, "_index", {g: i for i, g in enumerate(self.elements)})
         return self._index
 
+    @property
+    def key_index(self) -> dict:
+        """Like ``index``, keyed by raw normal-form keys."""
+        if not hasattr(self, "_key_index"):
+            object.__setattr__(self, "_key_index", {g.key: i for i, g in enumerate(self.elements)})
+        return self._key_index
+
+    def right_translation(self, s: GroupElement) -> np.ndarray:
+        """Ball index of g·s for every ball element g, in ball order, as an
+        int32 column; -1 where g·s leaves the ball.  The products run on raw
+        keys, so no ``GroupElement`` is built per element."""
+        if s.spec != self.spec:
+            raise InputError("element does not belong to this group")
+        mul, get, sk = self.spec._mul, self.key_index.get, s.key
+        return np.fromiter((get(mul(g.key, sk), -1) for g in self.elements),
+                           dtype=np.int32, count=len(self.elements))
+
     def vertex_of(self, g: GroupElement) -> int:
         try:
             return self.index[g]
@@ -539,21 +562,16 @@ def coset_family(ball: CayleyBall, factor_index: int) -> list[CosetSubgraph]:
     ]
     factor_gens += [g.inverse() for g in factor_gens]
 
-    out = []
     # A representative is the shortest member of its coset, so it always lies
     # inside the ball; order families by (word length, normal form).
     reps = sorted(groups, key=lambda r: (ball.word_lengths[ball.index[r]], spec.format(r)))
+    columns = [ball.right_translation(s).tolist() for s in factor_gens]
+    out = []
     for rep in reps:
-        members = sorted(groups[rep])
+        members = groups[rep]  # ascending, like the ball order
         member_set = set(members)
-        edges = set()
-        for vid in members:
-            g = ball.elements[vid]
-            for s in factor_gens:
-                h = GroupElement(spec, spec._mul(g.key, s.key))
-                w = ball.index.get(h)
-                if w is not None and w in member_set and w > vid:
-                    edges.add((vid, w))
+        edges = {(v, col[v]) for v in members for col in columns
+                 if col[v] > v and col[v] in member_set}
         out.append(CosetSubgraph(factor_index=factor_index, representative=rep,
                                  members=tuple(members), edges=tuple(sorted(edges))))
     return out

@@ -11,6 +11,7 @@ onto each member of a family of subgraphs along its level 0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -110,25 +111,33 @@ def build_restricted_horoball(base: Graph, depth: int) -> RestrictedHoroball:
     return RestrictedHoroball(base, depth, carrier, oracle)
 
 
-def horoball_distance(h: RestrictedHoroball, v1: int, v2: int) -> int:
-    """Exact carrier distance, via the crossing-level formula.
+def _crossing_costs(d_base, k: int, l: int, depth: int) -> list:
+    """Lengths of the ascend-cross-descend paths between (x,k) and (y,l),
+    one per crossing level m = max(k,l), ..., depth, for base distance
+    ``d_base`` = d(x, y): (m-k) + (m-l) + ceil(D / 2^m).
 
-    For endpoints (x,k), (y,l) with base distance D the distance is
-    min over levels m in [max(k,l), depth] of (m-k) + (m-l) + ceil(D / 2^m);
-    a crossing below max(k,l) or split across levels is never shorter.
-    Agreement with carrier BFS is enforced by the acceptance suite.
+    ``d_base`` may be an int or an integer array of base distances; each
+    cost then has its shape.
     """
+    return [(m - k) + (m - l) + _ceil_div(d_base, 2**m) for m in range(max(k, l), depth + 1)]
+
+
+def crossing_distance(d_base, k: int, l: int, depth: int):
+    """Exact distance between (x,k) and (y,l) in a depth-``depth`` horoball
+    whose base distance d(x, y) is ``d_base`` (an int or an integer array),
+    by the crossing-level formula: the minimum of ``_crossing_costs``.  A
+    crossing below max(k,l) or split across levels is never shorter, and
+    D = 0 gives |k - l|.  Agreement with carrier BFS is checked in the tests
+    and by the acceptance suite.
+    """
+    return functools.reduce(np.minimum, _crossing_costs(d_base, k, l, depth))
+
+
+def horoball_distance(h: RestrictedHoroball, v1: int, v2: int) -> int:
+    """Exact carrier distance, via ``crossing_distance``."""
     x, k = h.base_of(v1), h.level_of(v1)
     y, l = h.base_of(v2), h.level_of(v2)
-    if x == y:
-        return abs(k - l)
-    d_base = h.base_distance(x, y)
-    best = None
-    for m in range(max(k, l), h.depth + 1):
-        cost = (m - k) + (m - l) + _ceil_div(d_base, 2**m)
-        if best is None or cost < best:
-            best = cost
-    return best
+    return int(crossing_distance(h.base_distance(x, y), k, l, h.depth))
 
 
 @dataclass(frozen=True)
@@ -192,12 +201,8 @@ def normal_form_geodesic(h: RestrictedHoroball, v1: int, v2: int) -> GeodesicNor
         )
 
     d_base = h.base_distance(x, y)
-    costs = {
-        m: (m - k) + (m - l) + _ceil_div(d_base, 2**m)
-        for m in range(max(k, l), h.depth + 1)
-    }
-    best = min(costs.values())
-    m = min(mm for mm, c in costs.items() if c == best)
+    costs = _crossing_costs(d_base, k, l, h.depth)
+    m = max(k, l) + costs.index(min(costs))
     if m < h.depth and _ceil_div(d_base, 2**m) in (4, 5):
         m += 1  # same total length, crossing shrinks to <= 3
 

@@ -78,6 +78,8 @@ class ShortcutQuery:
             raise InputError("bilipschitz constant must be >= 1")
         if self.node_cap < 1:
             raise InputError("node cap must be positive")
+        if self.restrict is not None and not all(0 <= v < self.target.num_vertices for v in self.restrict):
+            raise InputError("restrict: vertex id outside the target graph")
 
 
 @dataclass(frozen=True)

@@ -185,7 +185,7 @@ def test_criterion_06_bottom_to_top_rough_isometry(z2z2_radius6):
 
 def test_criterion_07_convexification_experiment():
     with criterion(7, "defect column non-increasing in n and 0 by n0 <= 5 (radius 6)"):
-        rows = convexify_experiment(Z2_FREE_Z2, radius=6, depths=[1, 2, 3, 4, 5])
+        rows = convexify_experiment(cayley_ball(Z2_FREE_Z2, 6), depths=[1, 2, 3, 4, 5])
         convexify_gate(rows)  # raises PropertyViolation = CLI exit 4
         defects = [r["defect"] for r in rows]
         assert all(a >= b for a, b in zip(defects, defects[1:])), defects
@@ -242,7 +242,7 @@ def test_criterion_09_delta_estimator():
 def test_criterion_10_milnor_svarc_trend():
     with criterion(10, "K_t non-increasing with K_8 < K_1 on Z^2 (radius 32), byte-stable golden rows"):
         runs = [
-            milnor_svarc_experiment(Z2, depth=3, t_list=[1, 2, 4, 8], radius=32)
+            milnor_svarc_experiment(cayley_ball(Z2, 32), depth=3, t_list=[1, 2, 4, 8])
             for _ in range(2)
         ]
         assert canonical_json(runs[0]) == canonical_json(runs[1])  # rerun-stable

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from horolab import PropertyViolation, free_abelian, free_product
+from horolab import PropertyViolation, cayley_ball, free_abelian, free_product
 from horolab.cli import EXIT_CONFIG, EXIT_OK, main
 from horolab.errors import ConfigError
 from horolab.experiments import (
@@ -130,7 +130,7 @@ Z2xZ2 = free_product(free_abelian(2), free_abelian(2))
 
 
 def test_convexify_rows_small_radius():
-    rows = convexify_experiment(Z2xZ2, radius=3, depths=[1, 2])
+    rows = convexify_experiment(cayley_ball(Z2xZ2, 3), depths=[1, 2])
     assert [r["n"] for r in rows] == [1, 2]
     for row in rows:
         assert row["pairs_checked"] > 0
@@ -181,7 +181,7 @@ def test_scan_matches_generic_convexity_defect():
 
 
 def test_milnor_svarc_small_z2():
-    rows = milnor_svarc_experiment(free_abelian(2), depth=2, t_list=[1, 2, 4], radius=8)
+    rows = milnor_svarc_experiment(cayley_ball(free_abelian(2), 8), depth=2, t_list=[1, 2, 4])
     assert [r["t"] for r in rows] == [1, 2, 4]
     assert rows[0]["S_t_size"] == 5
     assert rows[1]["S_t_size"] == 13
@@ -191,13 +191,13 @@ def test_milnor_svarc_small_z2():
 
 
 def test_milnor_svarc_flags_sub_threshold_t():
-    rows = milnor_svarc_experiment(free_abelian(2), depth=1, t_list=[0, 2], radius=4)
+    rows = milnor_svarc_experiment(cayley_ball(free_abelian(2), 4), depth=1, t_list=[0, 2])
     assert rows[0]["flagged"] is not None and rows[0]["K_t"] is None
     assert rows[1]["flagged"] is None
 
 
 def test_milnor_svarc_free_product_generator_presence():
-    rows = milnor_svarc_experiment(Z2xZ2, depth=2, t_list=[1, 5], radius=3)
+    rows = milnor_svarc_experiment(cayley_ball(Z2xZ2, 3), depth=2, t_list=[1, 5])
     # the 2n+1 displacement bound puts every factor generator inside S_t
     assert rows[1]["factor_generators_present"] is True
     assert rows[0]["factor_generators_present"] is True  # generators sit at distance 1
@@ -261,6 +261,9 @@ def test_cli_rejects_empty_graph_file(tmp_path, capsys, kind, params):
     assert "input error" in capsys.readouterr().err
 
 
+ZZ_RADIUS2 = {"group": {"free_product": [{"free_abelian": 1}, {"free_abelian": 1}]}, "radius": 2}
+
+
 @pytest.mark.parametrize("kind,instance,params,stream", [
     ("convexity", {"cycle": 8}, {"set": {"vertices": [0, 9]}}, "input error"),
     ("convexity", {"cycle": 8}, {"set": {"vertices": [-1, 3]}}, "input error"),
@@ -270,8 +273,26 @@ def test_cli_rejects_empty_graph_file(tmp_path, capsys, kind, params):
     ("shortcut", {"cycle": 6}, {"n_list": [4], "lambda": {"hi": "2"}}, "config error: params.lambda"),
     ("shortcut", {"cycle": 6}, {"n_list": [4], "lambda": {"lo": "x", "hi": "2"}},
      "config error: params.lambda.lo"),
+    ("convexity", {"cycle": 8}, {"set": {"vertices": ["a", 1]}}, "config error: params.set.vertices"),
+    ("convexity", {"cycle": 8}, {"set": {"vertices": [0, 4]}, "interior": {"radius": 2}},
+     "config error: params.interior.basepoint"),
+    ("convexify-experiment", ZZ_RADIUS2, {"depths": ["x"]}, "config error: params.depths"),
+    ("milnor-svarc", ZZ_RADIUS2, {"depth": 1, "t_list": ["x"]}, "config error: params.t_list"),
+    ("convexify-experiment", ZZ_RADIUS2, {"depths": [1], "geodesic_cap": "z"},
+     "config error: params.geodesic_cap"),
+    ("shortcut", {"cycle": 6}, {"n_list": [4], "lambda": {"lo": "1", "hi": "2"}, "restrict": "abc"},
+     "config error: params.restrict"),
+    ("shortcut", {"cycle": 6}, {"n_list": [4], "lambda": {"lo": "1", "hi": "2"}, "restrict": [0, 6]},
+     "input error: restrict"),
+    ("augment", {"group": {"free": "x"}, "radius": 2}, {"depth": 1}, "config error: instance.group"),
+    ("augment", {"group": {"free_product": 5}, "radius": 2}, {"depth": 1},
+     "config error: instance.group"),
+    ("augment", {"group": {"free_abelian": 2, "names": 7}, "radius": 2}, {"depth": 1},
+     "config error: instance.group"),
 ], ids=["set-above-range", "set-below-range", "cycle-not-int", "path-not-int", "grid-one-value",
-        "lambda-without-lo", "lambda-lo-not-rational"])
+        "lambda-without-lo", "lambda-lo-not-rational", "set-vertex-not-int", "interior-without-basepoint",
+        "depths-not-int", "t_list-not-int", "geodesic_cap-not-int", "restrict-not-a-list",
+        "restrict-out-of-range", "rank-not-int", "free-product-not-a-list", "names-not-a-list"])
 def test_cli_rejects_bad_values(tmp_path, capsys, kind, instance, params, stream):
     cfg = write_config(tmp_path, {
         "version": 1, "experiment": kind, "instance": instance, "params": params,

@@ -34,6 +34,34 @@ def test_graph_rejects_self_loops_and_bad_ids():
         Graph(3, [(0, 3)])
 
 
+def _unique_rows_reference(n, edges):
+    """Canonical edges and CSR arrays via a row-wise np.unique and lexsort."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    canon = np.unique(np.stack([e.min(axis=1), e.max(axis=1)], axis=1), axis=0)
+    both = np.concatenate([canon, canon[:, ::-1]])
+    both = both[np.lexsort((both[:, 1], both[:, 0]))]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(both[:, 0], minlength=n))])
+    return canon, indptr, both[:, 1]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_edge_order_and_duplicates_do_not_change_the_graph(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(2, 60)
+    edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(0, 3 * n))]
+    canon, indptr, indices = _unique_rows_reference(n, edges)
+    shuffled = edges[:]
+    rng.shuffle(shuffled)
+    for variant in (edges, shuffled, [(v, u) for u, v in edges], edges + shuffled[: len(edges) // 2]):
+        g = Graph(n, variant)
+        assert g.edges.dtype == np.int32
+        assert np.array_equal(g.edges, canon.reshape(-1, 2))
+        csr = g.csr()
+        assert csr.dtype == np.float64
+        assert np.array_equal(csr.indptr, indptr) and np.array_equal(csr.indices, indices)
+        assert np.array_equal(csr.toarray(), csr.toarray().T)
+
+
 def test_parallel_edges_collapse():
     g = Graph(3, [(0, 1), (1, 0), (0, 1)])
     assert g.num_edges == 1

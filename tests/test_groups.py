@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from horolab import (
@@ -17,7 +18,7 @@ from horolab import (
     free_product,
     heisenberg,
 )
-from horolab.groups import GroupSpec, coset_representative
+from horolab.groups import GroupSpec, GroupElement, coset_representative
 
 from oracles import bfs_distances, heis_from_matrix, heis_matmul, heis_matrix
 
@@ -286,3 +287,49 @@ def test_group_spec_json_roundtrip():
     assert spec == Z2xZ2
     with pytest.raises(InputError):
         GroupSpec.from_json({"nonsense": 1})
+
+
+@pytest.mark.parametrize("spec", [Z2xZ2, free_product(free_abelian(2), free_abelian(1)),
+                                  free_product(free(2), heisenberg())],
+                         ids=["Z2*Z2", "Z2*Z", "F2*Heis"])
+def test_coset_edges_match_per_element_products(spec):
+    ball = cayley_ball(spec, 3)
+    for factor in range(len(spec.factors)):
+        gens = [g for _, g in spec.generators() if g.key[0][0] == factor]
+        for c in coset_family(ball, factor):
+            members = set(c.members)
+            expected = set()
+            for u in c.members:
+                for s in gens:
+                    w = ball.index.get(ball.elements[u] * s)
+                    if w is not None and w in members and w > u:
+                        expected.add((u, w))
+            assert c.edges == tuple(sorted(expected))
+
+
+# -- right translation ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec,radius", [
+    (Z2, 4), (H3, 3), (F2, 3), (free_product(free_abelian(2), free_abelian(1)), 3),
+], ids=["Z2", "Heis", "F2", "Z2*Z"])
+def test_right_translation_matches_products(spec, radius):
+    ball = cayley_ball(spec, radius)
+    outside = 0
+    for s in ball.elements:
+        col = ball.right_translation(s)
+        assert col.dtype == np.int32 and col.shape == (len(ball.elements),)
+        for g, j in zip(ball.elements, col.tolist()):
+            try:
+                expected = ball.vertex_of(spec.multiply(g, s))
+            except InputError:
+                expected = -1
+                outside += 1
+            assert j == expected
+    assert outside > 0
+
+
+def test_right_translation_rejects_foreign_elements():
+    ball = cayley_ball(Z2, 2)
+    with pytest.raises(InputError):
+        ball.right_translation(GroupElement(F2, ((0, 1),)))

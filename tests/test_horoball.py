@@ -14,6 +14,7 @@ from horolab import (
     Path,
     cayley_ball,
     coset_family,
+    distance_rows,
     enumerate_geodesics,
     free,
     free_abelian,
@@ -30,13 +31,15 @@ from horolab.horoball import (
     build_augmented,
     build_restricted_horoball,
     classify_segments,
+    crossing_distance,
     horoball_distance,
     member_shapes,
     normal_form_geodesic,
     verify_geodesic_shape,
 )
 
-from horolab.experiments import parabolic_family
+import horolab.experiments
+from horolab.experiments import milnor_svarc_experiment, parabolic_family
 
 from oracles import augmented_carrier, bfs_distances
 
@@ -462,3 +465,47 @@ def test_z2z2_radius4_coset_shapes():
     assert len(family) == 1970
     assert len(dmats) == 5
     assert sorted(set(shape_of)) == list(range(5))
+
+
+# -- the closed form of a whole-ball horoball -----------------------------------
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("spec,radius", [
+    (free_abelian(2), 6),
+    (free_abelian(3), 3),
+    (heisenberg(), 3),
+    (free(2), 3),
+], ids=["Z2", "Z3", "Heis", "F2"])
+def test_crossing_distance_matrix_equals_carrier_bfs(spec, radius, depth):
+    """At levels (0, 0) over the word-metric table, the formula gives the
+    element-to-element distances of the carrier over the whole-ball member."""
+    ball = cayley_ball(spec, radius)
+    n = ball.graph.num_vertices
+    family, _, _ = parabolic_family(ball)
+    assert len(family) == 1 and len(family[0].vertices) == n
+    carrier = build_augmented(ball.graph, family, depth).carrier
+    expected = distance_rows(carrier, range(n), columns=np.arange(n))
+    closed = crossing_distance(distance_rows(ball.graph, range(n)), 0, 0, depth)
+    assert closed.dtype == np.int32
+    assert np.array_equal(closed, expected)
+
+
+def test_crossing_distance_scalar_matches_every_level_pair():
+    h = build_restricted_horoball(path_graph(20), 3)
+    d = DistanceOracle(h.carrier)
+    for v1 in (0, 7, 21 + 3, 63 + 20):
+        for v2 in range(h.carrier.num_vertices):
+            assert horoball_distance(h, v1, v2) == d.distance(v1, v2)
+
+
+def test_milnor_svarc_builds_no_carrier_for_a_whole_ball_parabolic(monkeypatch):
+    def no_carrier(*args, **kwargs):
+        raise AssertionError("the whole-ball parabolic needs no carrier")
+
+    monkeypatch.setattr(horolab.experiments, "build_augmented", no_carrier)
+    rows = milnor_svarc_experiment(cayley_ball(free_abelian(2), 6), depth=2, t_list=[1, 2])
+    assert [(r["t"], r["S_t_size"]) for r in rows] == [(1, 5), (2, 13)]
+    with pytest.raises(AssertionError, match="no carrier"):
+        milnor_svarc_experiment(cayley_ball(free_product(free_abelian(1), free_abelian(1)), 3),
+                                depth=2, t_list=[1])
