@@ -30,44 +30,68 @@ class HyperbolicityEstimate:
     exhaustive: bool
 
 
-def _quad_defect(d, w, x, y, z) -> int:
-    s1 = d[w, x] + d[y, z]
-    s2 = d[w, y] + d[x, z]
-    s3 = d[w, z] + d[x, y]
-    hi = max(s1, s2, s3)
-    mid = s1 + s2 + s3 - hi - min(s1, s2, s3)
-    return int(hi - mid)
+# Largest number of int32 entries in one block of the exhaustive four-point
+# scan (one slab of x values against every y, z from the slab's first x on),
+# unless one x alone needs more.
+_BLOCK_MAX_ELEMENTS = 1 << 18
+
+
+def _defects(s1: np.ndarray, s2: np.ndarray, s3: np.ndarray) -> np.ndarray:
+    """max(s) - mid(s) elementwise, for the three pair sums of quadruples."""
+    hi = np.maximum(np.maximum(s1, s2), s3)
+    lo = np.minimum(np.minimum(s1, s2), s3)
+    return 2 * hi + lo - (s1 + s2 + s3)
 
 
 def four_point_delta(g: Graph, sample: str | int = "all", seed: int | None = None) -> HyperbolicityEstimate:
     """Largest four-point defect, halved.
 
-    ``sample="all"`` scans every vertex quadruple (exact constant of the
-    instance); an integer samples that many quadruples uniformly with the
-    given seed.  Quadruples with repeated vertices never dominate, so the
-    exhaustive scan runs over unordered 4-subsets.
+    ``sample="all"`` gives the exact constant of the instance over every
+    unordered 4-subset (``quadruples_checked`` is C(n, 4)).  It runs per
+    basepoint w on int32 blocks over (x, y, z) > w: the defect is symmetric in
+    the four points and 0 when two coincide, so the cube has the same maximum
+    as the 4-subsets.  Slab j of x values pairs with y, z >= its first x,
+    which still covers every subset once its least point is in slab j; a
+    block holds at most max(_BLOCK_MAX_ELEMENTS, n^2) entries.
+
+    An integer samples that many quadruples uniformly: ``random.Random(seed)``
+    draws the four vertices of each in turn, and distance rows are computed
+    only for drawn vertices, once each.
     """
     if not g.is_connected():
         raise InputError("four-point scan needs a connected graph")
-    d = DistanceOracle(g).matrix()
     n = g.num_vertices
-    best = 0
+    oracle = DistanceOracle(g)
     if sample == "all":
-        count = 0
-        for w, x, y, z in itertools.combinations(range(n), 4):
-            count += 1
-            defect = _quad_defect(d, w, x, y, z)
-            if defect > best:
-                best = defect
-        return HyperbolicityEstimate(Fraction(best, 2), count, True)
+        d = oracle.matrix()
+        best = 0
+        for w in range(n - 3):
+            tail = d[w + 1:, w + 1:]
+            dw = d[w, w + 1:]
+            m = n - w - 1
+            x0 = 0
+            while x0 < m:
+                width = m - x0
+                x1 = min(m, x0 + max(1, _BLOCK_MAX_ELEMENTS // (width * width)))
+                yz = tail[x0:, x0:]
+                xy = tail[x0:x1, x0:]
+                s1 = dw[x0:x1, None, None] + yz[None, :, :]
+                s2 = dw[None, x0:, None] + xy[:, None, :]
+                s3 = dw[None, None, x0:] + xy[:, :, None]
+                best = max(best, int(_defects(s1, s2, s3).max()))
+                x0 = x1
+        return HyperbolicityEstimate(Fraction(best, 2), math.comb(n, 4), True)
     if not isinstance(sample, int) or sample < 1:
         raise InputError("sample must be 'all' or a positive count")
     rng = random.Random(seed)
+    best = 0
     for _ in range(sample):
         w, x, y, z = (rng.randrange(n) for _ in range(4))
-        defect = _quad_defect(d, w, x, y, z)
-        if defect > best:
-            best = defect
+        rw, rx, ry = oracle.row(w), oracle.row(x), oracle.row(y)
+        s1 = int(rw[x]) + int(ry[z])
+        s2 = int(rw[y]) + int(rx[z])
+        s3 = int(rw[z]) + int(rx[y])
+        best = max(best, 2 * max(s1, s2, s3) + min(s1, s2, s3) - (s1 + s2 + s3))
     return HyperbolicityEstimate(Fraction(best, 2), sample, False)
 
 

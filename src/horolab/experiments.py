@@ -43,7 +43,7 @@ from .horoball import (
     crossing_distance,
     member_shapes,
 )
-from .io import canonical_json, graph_to_json, read_graph, sha256_of, to_dot
+from .io import canonical_json, read_graph, sha256_of, to_dot, write_graph, write_json
 from .shortcut import LambdaGrid, shortcut_profile
 
 EXPERIMENT_KINDS = (
@@ -498,10 +498,9 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
     artifacts: list[str] = []
     rows: list[dict]
 
-    def write_artifact(name: str, text: str) -> None:
-        path = out / name
-        path.write_text(text, encoding="utf-8")
+    def artifact(name: str) -> pathlib.Path:
         artifacts.append(name)
+        return out / name
 
     kind = config.kind
     params = config.params
@@ -517,9 +516,9 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
                  "horizontal_edges": int(horizontal[k])} for k in range(depth + 1)]
         rows.append({"level": "total", "vertices": h.carrier.num_vertices,
                      "horizontal_edges": int(h.carrier.num_edges)})
-        write_artifact("horoball.json", canonical_json(graph_to_json(h.carrier)))
+        write_graph(h.carrier, artifact("horoball.json"))
         if export_dot:
-            write_artifact("horoball.dot", to_dot(h.carrier, name="horoball"))
+            artifact("horoball.dot").write_text(to_dot(h.carrier, name="horoball"), encoding="utf-8")
 
     elif kind == "augment":
         depth = _int_param(params, "depth")
@@ -536,9 +535,9 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
             "depth": depth,
         }]
         if aug.carrier.metadata:
-            write_artifact("augmented.json", canonical_json(graph_to_json(aug.carrier)))
+            write_graph(aug.carrier, artifact("augmented.json"))
             if export_dot:
-                write_artifact("augmented.dot", to_dot(aug.carrier, name="augmented"))
+                artifact("augmented.dot").write_text(to_dot(aug.carrier, name="augmented"), encoding="utf-8")
 
     elif kind == "delta":
         sample = params.get("sample", "all")
@@ -613,7 +612,7 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
             restrict=restrict,
         )
         rows = profile.to_json_rows(witnesses)
-        write_artifact("profile.csv", profile.to_csv())
+        artifact("profile.csv").write_text(profile.to_csv(), encoding="utf-8")
 
     elif kind == "convexify-experiment":
         if ball is None:
@@ -641,7 +640,7 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
         timings={"total_seconds": round(time.perf_counter() - t0, 6)},
         artifacts=artifacts,
     )
-    (out / "report.json").write_text(canonical_json(report.to_json()), encoding="utf-8")
+    write_json(report.to_json(), out / "report.json")
     return report
 
 

@@ -10,9 +10,10 @@ The on-disk format is a single JSON document:
     }
 
 Serialization is canonical (sorted keys, fixed separators, trailing newline)
-so identical graphs produce byte-identical files.  Per-vertex annotations of
-structured carriers live under ``metadata["vertex_meta"]`` as a list aligned
-with vertex ids.
+so identical graphs produce byte-identical files.  Files are streamed into
+the open file by the encoder, never held in memory as one text.  Per-vertex
+annotations of structured carriers live under ``metadata["vertex_meta"]`` as
+a list aligned with vertex ids.
 """
 
 from __future__ import annotations
@@ -33,8 +34,18 @@ _DOT_PALETTE = (
 )
 
 
+_JSON_OPTIONS = {"sort_keys": True, "indent": 2, "ensure_ascii": False}
+
+
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(obj, **_JSON_OPTIONS) + "\n"
+
+
+def write_json(obj: Any, path: str | pathlib.Path) -> None:
+    """Write ``canonical_json(obj)`` to ``path`` chunk by chunk."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, **_JSON_OPTIONS)
+        f.write("\n")
 
 
 def sha256_of(text: str) -> str:
@@ -48,11 +59,10 @@ def graph_to_json(g: Graph) -> dict:
         if g.labels is not None:
             entry["label"] = g.labels[v]
         vertices.append(entry)
-    edges = sorted((int(u), int(v)) for u, v in g.edges)
     return {
         "version": FORMAT_VERSION,
         "vertices": vertices,
-        "edges": [list(e) for e in edges],
+        "edges": g.edges.tolist(),  # canonical already: rows u < v, sorted
         "metadata": g.metadata,
     }
 
@@ -80,7 +90,7 @@ def graph_from_json(obj: dict) -> Graph:
 
 
 def write_graph(g: Graph, path: str | pathlib.Path) -> None:
-    pathlib.Path(path).write_text(canonical_json(graph_to_json(g)), encoding="utf-8")
+    write_json(graph_to_json(g), path)
 
 
 def read_graph(path: str | pathlib.Path) -> Graph:

@@ -9,17 +9,22 @@ some K > 1, only boundedly many cycle lengths admit such embeddings (for all
 large scales lam) has bounded "circle approximation" behavior; the searches
 here probe that on finite targets.
 
-The search assigns f(0), f(1), ... by depth-first backtracking.  Candidates
-for f(i) are pre-filtered through the distance bracket against f(0) using one
-BFS row, then checked against every assigned image.  All comparisons are
-exact integer cross-multiplications of the rational constants.  A capped
-search reports "unknown", never a false "none".
+The search assigns f(0), f(1), ... by depth-first backtracking.  The rational
+bracket becomes an integer one per cycle distance c, ceil(lam*c/K) <= d <=
+floor(K*lam*c), computed exactly once per scale, so the comparisons are exact
+for every constant.  Each image w contributes, per c, the bitset of vertices
+inside its bracket (one distance row, one broadcast compare); every future
+slot keeps the AND of the sets of the images assigned so far, and its
+candidates are read off that set in ascending id.  Every accepted candidate
+costs one node of the budget.  A capped search reports "unknown", never a
+false "none".
 """
 
 from __future__ import annotations
 
 import csv
 import io as _io
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .graph import DistanceOracle, Graph
+from .graph import INF, DistanceOracle, Graph
 
 FOUND = "found"
 NONE = "none"
@@ -133,6 +138,22 @@ class _CapExceeded(Exception):
     pass
 
 
+def _cycle_brackets(n: int, lam: Fraction, bilipschitz: Fraction) -> tuple[np.ndarray, np.ndarray]:
+    """Integer distance brackets per cycle distance c in [0, n//2].
+
+    An integer d satisfies lam*c/K <= d <= K*lam*c exactly when
+    lo[c] <= d <= hi[c], with lo[c] = ceil(lam*c/K) and hi[c] = floor(K*lam*c)
+    taken in exact rational arithmetic.  Both are capped at INF + 1 before
+    they become int32: distance rows never exceed INF, so the cap changes no
+    comparison.
+    """
+    cap = INF + 1
+    cs = range(n // 2 + 1)
+    lo = np.array([min(math.ceil(lam * c / bilipschitz), cap) for c in cs], dtype=np.int32)
+    hi = np.array([min(math.floor(bilipschitz * lam * c), cap) for c in cs], dtype=np.int32)
+    return lo, hi
+
+
 def _search_one_lambda(
     query: ShortcutQuery,
     lam: Fraction,
@@ -140,22 +161,35 @@ def _search_one_lambda(
     budget: list[int],
 ) -> tuple[int, ...] | None:
     """First embedding at one scale, or None.  ``budget`` holds the shared
-    remaining node allowance (mutated in place)."""
+    remaining node allowance (mutated in place).
+
+    Sets of vertices are Python-int bitsets over the target's ids.  Slot j
+    keeps an "alive" set: the vertices inside the bracket of every assigned
+    image, so the candidates of the next slot are exactly its alive bits,
+    taken lowest id first."""
     n = query.cycle_length
-    k = query.bilipschitz
     dc = cycle_metric(n)
-
-    ln, ld = lam.numerator, lam.denominator
-    kn, kd = k.numerator, k.denominator
-
-    def pair_ok(dist: int, dcij: int) -> bool:
-        # lam*dc/K <= d   and   d <= K*lam*dc, cross-multiplied
-        return ln * kd * dcij <= dist * ld * kn and dist * ld * kd <= kn * ln * dcij
+    lo, hi = _cycle_brackets(n, lam, query.bilipschitz)
 
     allowed = None
     if query.restrict is not None:
         allowed = np.zeros(query.target.num_vertices, dtype=bool)
         allowed[list(query.restrict)] = True
+
+    masks: dict[int, list[int]] = {}
+
+    def bracket_masks(w: int) -> list[int]:
+        """Entry c: the vertices v (within ``restrict``) whose distance
+        d(w, v) lies in the bracket of cycle distance c."""
+        got = masks.get(w)
+        if got is None:
+            row = oracle.row(w)
+            inside = (row >= lo[:, None]) & (row <= hi[:, None])
+            if allowed is not None:
+                inside &= allowed
+            packed = np.packbits(inside, axis=1, bitorder="little")
+            got = masks[w] = [int.from_bytes(b.tobytes(), "little") for b in packed]
+        return got
 
     f0_pool = query.f0_candidates
     if f0_pool is None:
@@ -163,55 +197,38 @@ def _search_one_lambda(
     if query.restrict is not None:
         f0_pool = tuple(v for v in f0_pool if allowed[v])
 
+    chosen: list[int] = []
+
+    def extend(i: int, alive: list[int]) -> tuple[int, ...] | None:
+        if i == n:
+            return tuple(chosen)
+        dci = dc[i]
+        todo = alive[i]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            w = low.bit_length() - 1
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise _CapExceeded
+            mask_w = bracket_masks(w)
+            nxt = alive[:]
+            for j in range(i + 1, n):
+                nxt[j] &= mask_w[dci[j]]
+            chosen.append(w)
+            hit = extend(i + 1, nxt)
+            if hit is not None:
+                return hit
+            chosen.pop()
+        return None
+
     for f0 in f0_pool:
-        # bracket against f(0) filters each slot's candidate list; the
-        # products below outgrow int32 for large constants, so take int64
-        row0 = oracle.row(f0).astype(np.int64)
-        candidates: list[np.ndarray] = [np.array([f0])]
-        feasible = True
-        for i in range(1, n):
-            dci = dc[0][i]
-            lo_ok = ln * kd * dci <= row0 * (ld * kn)
-            hi_ok = row0 * (ld * kd) <= kn * ln * dci
-            mask = lo_ok & hi_ok
-            if allowed is not None:
-                mask &= allowed
-            cand = np.nonzero(mask)[0]
-            if len(cand) == 0:
-                feasible = False
-                break
-            candidates.append(cand)
-        if not feasible:
+        mask0 = bracket_masks(f0)
+        alive = [0] + [mask0[dc[0][i]] for i in range(1, n)]
+        if not all(alive[1:]):
             continue
-
-        chosen: list[int] = [f0]
-        rows = [row0]
-
-        def extend(i: int) -> tuple[int, ...] | None:
-            if i == n:
-                return tuple(chosen)
-            for w in candidates[i]:
-                w = int(w)
-                ok = True
-                for j in range(1, i):  # j = 0 already filtered
-                    if not pair_ok(int(rows[j][w]), dc[j][i]):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise _CapExceeded
-                chosen.append(w)
-                rows.append(oracle.row(w))
-                hit = extend(i + 1)
-                if hit is not None:
-                    return hit
-                chosen.pop()
-                rows.pop()
-            return None
-
-        hit = extend(1)
+        chosen[:] = [f0]
+        hit = extend(1, alive)
         if hit is not None:
             return hit
     return None

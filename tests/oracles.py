@@ -7,6 +7,7 @@ layouts, no shared helpers with the package.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 from fractions import Fraction
 
@@ -113,6 +114,94 @@ def naive_cycle_embedding_exists(dist, n_cycle: int, k_num: int, k_den: int,
         return False
 
     return rec(0, [])
+
+
+def reference_cycle_search(dist, n_cycle: int, k: Fraction, lambdas, restrict=None,
+                           f0_candidates=None, node_cap: int = 2_000_000):
+    """Scalar backtracking with the node accounting of
+    ``shortcut.bilipschitz_cycle_search``; Python ints throughout.
+
+    f(0) runs over ``f0_candidates`` (default: every vertex) within
+    ``restrict``; each slot's candidates are the vertices whose distance to
+    f(0) is in its bracket, tried in ascending id and checked against every
+    other assigned image.  Every accepted candidate costs one node.  Returns
+    (status, nodes, exhaustive, images or None)."""
+    nv = len(dist)
+    dc = [[min(abs(i - j), n_cycle - abs(i - j)) for j in range(n_cycle)] for i in range(n_cycle)]
+    kn, kd = k.numerator, k.denominator
+    lams = list(lambdas)
+    if not lams:
+        return "not_searched", 0, False, None
+    allowed = set(range(nv)) if restrict is None else set(restrict)
+    pool = [v for v in (range(nv) if f0_candidates is None else f0_candidates) if v in allowed]
+    budget = node_cap
+
+    class Cap(Exception):
+        pass
+
+    def search(lam):
+        nonlocal budget
+        ln, ld = lam.numerator, lam.denominator
+
+        def pair_ok(d, c):
+            return ln * kd * c <= d * ld * kn and d * ld * kd <= kn * ln * c
+
+        for f0 in pool:
+            candidates = [[f0]]
+            for i in range(1, n_cycle):
+                cand = [v for v in range(nv) if v in allowed and pair_ok(dist[f0][v], dc[0][i])]
+                if not cand:
+                    break
+                candidates.append(cand)
+            else:
+                chosen = [f0]
+
+                def extend(i):
+                    nonlocal budget
+                    if i == n_cycle:
+                        return tuple(chosen)
+                    for w in candidates[i]:
+                        if not all(pair_ok(dist[chosen[j]][w], dc[j][i]) for j in range(1, i)):
+                            continue
+                        budget -= 1
+                        if budget < 0:
+                            raise Cap
+                        chosen.append(w)
+                        hit = extend(i + 1)
+                        if hit is not None:
+                            return hit
+                        chosen.pop()
+                    return None
+
+                hit = extend(1)
+                if hit is not None:
+                    return hit
+        return None
+
+    for lam in lams:
+        try:
+            hit = search(lam)
+        except Cap:
+            return "unknown", node_cap, False, None
+        if hit is not None:
+            return "found", node_cap - budget, True, hit
+    return "none", node_cap - budget, True, None
+
+
+def reference_sampled_delta(dist, sample: int, seed) -> tuple[int, Fraction]:
+    """Sampled four-point defect by one scalar loop over ``random.Random(seed)``
+    draws, four ``randrange`` calls per quadruple in (w, x, y, z) order."""
+    n = len(dist)
+    rng = random.Random(seed)
+    best = 0
+    for _ in range(sample):
+        w, x, y, z = (rng.randrange(n) for _ in range(4))
+        s1 = dist[w][x] + dist[y][z]
+        s2 = dist[w][y] + dist[x][z]
+        s3 = dist[w][z] + dist[x][y]
+        a, b, _ = sorted((s1, s2, s3), reverse=True)
+        best = max(best, a - b)
+    return sample, Fraction(best, 2)
 
 
 def augmented_carrier(num_base: int, base_edges, family, depth: int, base_labels=None) -> dict:

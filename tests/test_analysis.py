@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horolab import InputError, Path, cayley_ball, free_abelian
+from horolab import InputError, Path, analysis, cayley_ball, free_abelian
 from horolab.analysis import (
     InteriorFilter,
     convexity_defect,
@@ -20,6 +20,7 @@ from horolab.analysis import (
     quasigeodesic_fit,
 )
 from horolab.graph import (
+    Graph,
     binary_tree,
     cycle_graph,
     enumerate_geodesics,
@@ -30,7 +31,7 @@ from horolab.graph import (
 )
 from horolab.horoball import build_restricted_horoball
 
-from oracles import floyd_warshall, naive_four_point_delta
+from oracles import floyd_warshall, naive_four_point_delta, reference_sampled_delta
 
 
 # -- four point delta ------------------------------------------------------------
@@ -74,6 +75,28 @@ def test_sampled_mode_flags_and_reproducibility():
     assert a.delta <= exact.delta
     with pytest.raises(InputError):
         four_point_delta(g, sample=0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 10, 25, 40])
+def test_exhaustive_blocks_match_naive_across_slab_edges(monkeypatch, n):
+    # a tiny block bound splits every basepoint's x range into many slabs
+    monkeypatch.setattr(analysis, "_BLOCK_MAX_ELEMENTS", 40)
+    g = Graph(0, []) if n == 0 else random_connected_graph(n, n // 2, random.Random(n))
+    est = four_point_delta(g)
+    fw = floyd_warshall(n, [tuple(e) for e in g.edges])
+    assert est.delta == naive_four_point_delta(fw)
+    assert est.quadruples_checked == math.comb(n, 4) and est.exhaustive
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sampled_delta_matches_scalar_loop(seed):
+    rng = random.Random(1000 + seed)
+    g = random_connected_graph(rng.randrange(1, 30), rng.randrange(0, 20), rng)
+    fw = floyd_warshall(g.num_vertices, [tuple(e) for e in g.edges])
+    sample = rng.randrange(1, 400)
+    est = four_point_delta(g, sample=sample, seed=seed)
+    assert (est.quadruples_checked, est.delta) == reference_sampled_delta(fw, sample, seed)
+    assert not est.exhaustive
 
 
 # -- convexity ----------------------------------------------------------------------

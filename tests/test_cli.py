@@ -123,6 +123,21 @@ def test_shortcut_experiment_rows_and_csv(tmp_path):
     assert (out / "profile.csv").read_text().startswith("n,K,lambda,status,nodes,seconds")
 
 
+@pytest.mark.parametrize("e", [61, 70])
+def test_cli_shortcut_with_a_constant_near_one(tmp_path, e):
+    # (2^e + 1)/2^e: cross-multiplied int64 brackets wrapped at e = 61 (a false
+    # exhaustive none) and overflowed at e = 70
+    cfg = write_config(tmp_path, {
+        "version": 1, "experiment": "shortcut", "instance": {"cycle": 8},
+        "params": {"K": f"{2**e + 1}/{2**e}", "n_list": [8],
+                   "lambda": {"lo": "1", "hi": "1", "step": "1"}},
+    })
+    assert main(["shortcut", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    row, = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+    assert (row["status"], row["nodes"], row["exhaustive"]) == ("found", 7, True)
+    assert row["witness"]["images"] == list(range(8))
+
+
 # -- convexify + milnor-svarc at reduced scale ------------------------------------
 
 

@@ -22,7 +22,7 @@ from horolab import (
 )
 import horolab.graph
 from horolab.graph import cycle_graph, grid_graph, path_graph, random_connected_graph
-from horolab.io import canonical_json, graph_from_json, read_graph, to_dot, write_graph
+from horolab.io import canonical_json, graph_from_json, graph_to_json, read_graph, to_dot, write_graph
 
 from oracles import BIG, bfs_distances, floyd_warshall
 
@@ -340,6 +340,19 @@ def test_json_roundtrip_and_byte_stability(tmp_path):
     first = f.read_bytes()
     write_graph(h, f)
     assert f.read_bytes() == first
+
+
+def test_streamed_graph_file_equals_canonical_text(tmp_path):
+    g = Graph(5, [(3, 1), (0, 4), (2, 0), (1, 0)], labels=["e", "α", "b⁻¹", "c", "d"],
+              metadata={"note": "ünï", "vertex_meta": [{"level": i, "kind": "horo"} for i in range(5)]})
+    doc = graph_to_json(g)
+    assert doc["edges"] == [[0, 1], [0, 2], [0, 4], [1, 3]]
+    f = tmp_path / "g.json"
+    write_graph(g, f)
+    assert f.read_bytes() == canonical_json(doc).encode("utf-8")
+    empty = Graph(1, [])
+    write_graph(empty, f)
+    assert f.read_bytes() == canonical_json(graph_to_json(empty)).encode("utf-8")
 
 
 def test_json_validation_errors():

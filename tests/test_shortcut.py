@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from horolab.graph import (
     cycle_graph,
     grid_graph,
     path_graph,
+    random_connected_graph,
     star_graph,
 )
 from horolab.shortcut import (
@@ -27,7 +29,7 @@ from horolab.shortcut import (
     shortcut_profile,
 )
 
-from oracles import naive_cycle_embedding_exists
+from oracles import naive_cycle_embedding_exists, reference_cycle_search
 
 
 def run(target, n, k, lo, hi, step="1/4", **kw):
@@ -131,19 +133,66 @@ def test_agreement_with_naive_enumeration(target):
 
 
 def test_bracket_products_do_not_wrap_for_large_constants():
-    # K's numerator times a distance row exceeds int32 from distance 2 on
+    # cross-multiplied brackets outgrow int32 from e = 30 and int64 from e = 61
     target = cycle_graph(8)
     oracle = DistanceOracle(target)
     dist = [[oracle.distance(i, j) for j in range(8)] for i in range(8)]
-    k = Fraction(2**30 + 1, 2**30)
-    for n in (4, 5, 8):
-        for lam in (Fraction(1), Fraction(2)):
-            out = run(target, n, k, lam, lam)
-            expected = naive_cycle_embedding_exists(
-                dist, n, k.numerator, k.denominator, lam.numerator, lam.denominator
-            )
-            assert (out.status == FOUND) == expected, (n, lam)
-    assert run(target, 8, k, 1, 1).status == FOUND
+    for e in (30, 61, 62, 70):
+        k = Fraction(2**e + 1, 2**e)
+        for n in (4, 5, 8):
+            for lam in (Fraction(1), Fraction(2)):
+                out = run(target, n, k, lam, lam)
+                expected = naive_cycle_embedding_exists(
+                    dist, n, k.numerator, k.denominator, lam.numerator, lam.denominator
+                )
+                assert (out.status == FOUND) == expected, (e, n, lam)
+        assert run(target, 8, k, 1, 1).status == FOUND, e
+
+
+def assert_matches_reference(target, n, k, grid, **kw):
+    dist = DistanceOracle(target).matrix().tolist()
+    out = run(target, n, k, grid.lo, grid.hi, grid.step, **kw)
+    got = (out.status, out.nodes_expanded, out.exhaustive,
+           out.embedding.images if out.embedding else None)
+    assert got == reference_cycle_search(dist, n, Fraction(k), grid.values(), **kw), (n, k, kw)
+    return out
+
+
+@pytest.mark.parametrize("k, lam", [
+    (2**62, 2),          # K*lam*c >= 2^63: the upper bracket passes int64
+    (2**63 + 1, 1),      # K*lam*c between 2^63 and 2^64 at c = 1
+    (2**70, 2**40),      # both brackets past int64
+    (1, 2**40),          # lam*c/K past int32: no embedding at all
+])
+def test_brackets_past_int64_match_reference(k, lam):
+    grid = LambdaGrid.of(lam, lam, "1")
+    for target in (cycle_graph(8), path_graph(5)):
+        for n in (3, 4, 8):
+            assert_matches_reference(target, n, k, grid)
+    assert run(cycle_graph(8), 8, k, lam, lam, "1").status == (NONE if k == 1 else FOUND)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_search_matches_reference_on_random_graphs(seed):
+    rng = random.Random(seed)
+    nv = rng.randrange(8, 15)
+    target = random_connected_graph(nv, rng.randrange(0, 2 * nv), rng)
+    restrict = tuple(sorted(rng.sample(range(nv), 2 * nv // 3)))
+    grid = LambdaGrid.of(1, 3, "1/2")
+    statuses = set()
+    for k in ("1", "6/5", "3/2", "2"):
+        for n in (3, 4, 5, 6):
+            for kw in ({}, {"restrict": restrict}, {"node_cap": 7}, {"f0_candidates": (0, nv - 1)}):
+                statuses.add(assert_matches_reference(target, n, k, grid, **kw).status)
+    assert UNKNOWN in statuses and FOUND in statuses
+
+
+def test_search_matches_reference_on_the_benchmark_grid():
+    # 7x7 grid, K = 6/5, lambda in [2, 3] by 1/4: every row is an exhaustive none
+    target = grid_graph(7, 7)
+    grid = LambdaGrid.of(2, 3, "1/4")
+    nodes = [assert_matches_reference(target, n, "6/5", grid).nodes_expanded for n in range(5, 11)]
+    assert sum(nodes) == 76_012
 
 
 def test_deep_binary_tree_has_no_k13_cycles():
