@@ -81,7 +81,7 @@ def four_point_delta(g: Graph, sample: str | int = "all", seed: int | None = Non
                 best = max(best, int(_defects(s1, s2, s3).max()))
                 x0 = x1
         return HyperbolicityEstimate(Fraction(best, 2), math.comb(n, 4), True)
-    if not isinstance(sample, int) or sample < 1:
+    if isinstance(sample, bool) or not isinstance(sample, int) or sample < 1:
         raise InputError("sample must be 'all' or a positive count")
     rng = random.Random(seed)
     best = 0

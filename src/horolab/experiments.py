@@ -30,17 +30,17 @@ from .graph import (
     Graph,
     cycle_graph,
     distance_rows,
-    enumerate_geodesics,
     grid_graph,
-    is_interior_pair,
     path_graph,
 )
 from .groups import DEFAULT_BALL_BUDGET, CayleyBall, GroupSpec, cayley_ball, coset_family
 from .horoball import (
+    AugmentedSpace,
     Subgraph,
     build_augmented,
     build_restricted_horoball,
     crossing_distance,
+    glue_horoballs,
     member_shapes,
 )
 from .io import canonical_json, read_graph, sha256_of, to_dot, write_graph, write_json
@@ -127,7 +127,7 @@ def validate_config(obj: dict) -> ExperimentConfig:
     if extra:
         raise ConfigError(f"instance.{sorted(extra)[0]}", "unknown instance field")
     if "group" in instance:
-        if not isinstance(instance.get("radius"), int) or instance["radius"] < 1:
+        if not _is_count(instance.get("radius"), 1):
             raise ConfigError("instance.radius", "group instances need a positive radius")
         try:
             GroupSpec.from_json(instance["group"])
@@ -152,7 +152,7 @@ def validate_config(obj: dict) -> ExperimentConfig:
             raise ConfigError(f"params.{key}", f"unknown parameter for {kind}")
 
     seed = obj.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_count(seed, 0):
         raise ConfigError("seed", "must be a nonnegative integer")
     return ExperimentConfig(kind=kind, instance=instance, params=params, seed=seed)
 
@@ -190,11 +190,7 @@ def parabolic_family(ball: CayleyBall) -> tuple[list[Subgraph], list[int], list[
     factor index per member, family indices of the identity cosets).
     """
     if ball.spec.kind != "free_product":
-        whole = Subgraph(
-            tuple(range(ball.graph.num_vertices)),
-            tuple((int(u), int(v)) for u, v in ball.graph.edges),
-        )
-        return [whole], [0], [0]
+        return [Subgraph.whole(ball.graph)], [0], [0]
     family: list[Subgraph] = []
     factor_of: list[int] = []
     identity_members: list[int] = []
@@ -205,13 +201,6 @@ def parabolic_family(ball: CayleyBall) -> tuple[list[Subgraph], list[int], list[
             family.append(Subgraph(coset.members, coset.edges))
             factor_of.append(i)
     return family, factor_of, identity_members
-
-
-def family_distance_matrices(base: Graph, family: Sequence[Subgraph]) -> list[np.ndarray]:
-    """Each member's int32 distance matrix over its local indices; members
-    of one shape share one array (see ``horoball.member_shapes``)."""
-    shape_of, dmats = member_shapes(base, family)
-    return [dmats[shape] for shape in shape_of]
 
 
 @dataclass
@@ -227,87 +216,46 @@ class ParabolicScan:
 
 
 def scan_parabolic(
-    aug,
+    aug: AugmentedSpace,
     ball: CayleyBall,
     alpha: int,
-    local_dmat: np.ndarray,
-    radius: int,
     geodesic_cap: int = 32,
-    witness_cap: int = 10,
     check_level_drop: bool = False,
 ) -> ParabolicScan:
     """Exact scan of one coset horoball's top level inside the carrier.
 
     Interior pairs use word lengths from the ball and the coset's own metric:
     min(|u|, |v|) + d(u, v) <= radius guarantees the relevant geodesics stay
-    inside the carrier.  This is the same betweenness computation as
-    ``analysis.convexity_defect``, organized around batched distance rows so
-    carriers with ~10^6 vertices stay cheap.
+    inside the carrier.  The betweenness scan over those pairs is
+    ``analysis.convexity_defect``.
     """
-    member = aug.family[alpha]
-    members = list(member.vertices)
+    members = aug.family[alpha].vertices
     n = aug.depth
-    wl = ball.word_lengths
-
-    pairs = []  # (local index, local index)
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            d_word = int(local_dmat[i][j])
-            if is_interior_pair(wl[members[i]], wl[members[j]], d_word, radius):
-                pairs.append((i, j))
-    if not pairs:
+    wl = np.array([ball.word_lengths[v] for v in members])
+    iu, iv = np.nonzero(np.triu(
+        np.minimum.outer(wl, wl) + aug.member_metric(alpha) <= ball.radius, k=1))
+    if not len(iu):
         return ParabolicScan(0, [], 0, 0, 0)
 
-    endpoints = sorted({i for p in pairs for i in p})
-    top_ids = [aug.horo_vertex(alpha, members[i], n) for i in range(len(members))]
-    local_of = {i: k for k, i in enumerate(endpoints)}
-
-    rows_top = distance_rows(aug.carrier, [top_ids[i] for i in endpoints])
-    in_set = np.zeros(aug.carrier.num_vertices, dtype=bool)
-    in_set[top_ids] = True
-
-    to_set = None
-
-    def dist_to_set(w: int) -> int:
-        nonlocal to_set
-        if to_set is None:
-            to_set = DistanceOracle(aug.carrier).distance_to_set(top_ids)
-        return int(to_set[w])
-
-    defect = 0
-    witnesses: list[tuple[int, int, int]] = []
-    quasi = 0
-    for i, j in pairs:
-        ru = rows_top[local_of[i]]
-        rv = rows_top[local_of[j]]
-        d = int(ru[top_ids[j]])
-        hits = np.nonzero((ru + rv == d) & ~in_set)[0]
-        for w in hits:
-            defect = max(defect, dist_to_set(int(w)))
-            if len(witnesses) < witness_cap:
-                witnesses.append((top_ids[i], top_ids[j], int(w)))
-        if geodesic_cap:
-            paths, _ = enumerate_geodesics(
-                aug.carrier, top_ids[i], top_ids[j], cap=geodesic_cap, dist_to_target=rv
-            )
-            for p in paths:
-                strays = [w for w in p.vertices if not in_set[w]]
-                if strays:
-                    quasi = max(quasi, max(dist_to_set(w) for w in strays))
+    top_ids = np.asarray(aug.level_vertices(alpha, n))
+    oracle = DistanceOracle(aug.carrier)
+    report = convexity_defect(aug.carrier, top_ids, pairs=zip(top_ids[iu], top_ids[iv]),
+                              oracle=oracle, geodesic_cap=geodesic_cap)
 
     drop_excess = 0
     if check_level_drop:
-        rows_bottom = distance_rows(aug.carrier, [members[i] for i in endpoints])
-        for i, j in pairs:
-            d0 = int(rows_bottom[local_of[i]][members[j]])
-            dn = int(rows_top[local_of[i]][top_ids[j]])
-            drop_excess = max(drop_excess, abs(d0 - dn) - 2 * n)
+        bottom = np.asarray(members)
+        sources, row_of = np.unique(iu, return_inverse=True)
+        d0 = distance_rows(aug.carrier, bottom[sources])[row_of, bottom[iv]]
+        dn = np.array([oracle.distance(u, v)
+                       for u, v in zip(top_ids[iu].tolist(), top_ids[iv].tolist())])
+        drop_excess = max(0, int(np.abs(d0 - dn).max()) - 2 * n)
 
     return ParabolicScan(
-        defect=defect,
-        witnesses=witnesses,
-        pairs_checked=len(pairs),
-        quasiconvexity=quasi,
+        defect=report.defect,
+        witnesses=list(report.witnesses),
+        pairs_checked=report.pairs_checked,
+        quasiconvexity=report.quasiconvexity_constant,
         level_drop_excess=drop_excess,
     )
 
@@ -349,43 +297,30 @@ def convexify_experiment(
     other coset; a deterministic sample of translated cosets is re-scanned
     as a cross-check and folded into the reported maximum.
     """
-    spec, radius = ball.spec, ball.radius
+    spec = ball.spec
     if spec.kind != "free_product":
         raise InputError("the convexification experiment needs a free product")
     family, factor_of, identity_indices = parabolic_family(ball)
-    dmats = family_distance_matrices(ball.graph, family)
+    shapes = member_shapes(ball.graph, family)
     sampled = _sample_cosets(family, factor_of, identity_indices, verify_cosets)
 
     rows = []
     for n in sorted(depths):
-        aug = build_augmented(ball.graph, family, n)
-        defect = 0
-        pairs = 0
-        quasi = 0
-        witnesses: list[tuple[int, int, int]] = []
-        translation_ok = True
-        identity_defect = 0
-        for alpha in identity_indices:
-            scan = scan_parabolic(aug, ball, alpha, dmats[alpha], radius, geodesic_cap=geodesic_cap)
-            identity_defect = max(identity_defect, scan.defect)
-            defect = max(defect, scan.defect)
-            pairs += scan.pairs_checked
-            quasi = max(quasi, scan.quasiconvexity)
-            witnesses.extend(scan.witnesses[: 10 - len(witnesses)])
-        for alpha in sampled:
-            scan = scan_parabolic(aug, ball, alpha, dmats[alpha], radius, geodesic_cap=geodesic_cap)
-            if scan.defect > identity_defect:
-                translation_ok = False
-            defect = max(defect, scan.defect)
-            pairs += scan.pairs_checked
+        aug = glue_horoballs(ball.graph, family, shapes, n)
+        scans = {alpha: scan_parabolic(aug, ball, alpha, geodesic_cap=geodesic_cap)
+                 for alpha in identity_indices + sampled}
+        identity = [scans[alpha] for alpha in identity_indices]
+        identity_defect = max((scan.defect for scan in identity), default=0)
+        witnesses = [w for scan in identity for w in scan.witnesses][:10]
         rows.append({
             "n": n,
-            "defect": defect,
+            "defect": max((scan.defect for scan in scans.values()), default=0),
             "witnesses": [list(w) for w in witnesses],
-            "pairs_checked": pairs,
-            "quasiconvexity": quasi,
+            "pairs_checked": sum(scan.pairs_checked for scan in scans.values()),
+            "quasiconvexity": max((scan.quasiconvexity for scan in identity), default=0),
             "carrier_vertices": aug.carrier.num_vertices,
-            "translation_check": "ok" if translation_ok else "exceeded",
+            "translation_check": ("ok" if all(scans[alpha].defect <= identity_defect
+                                              for alpha in sampled) else "exceeded"),
             "generating_set": list(spec.generator_names),
         })
         del aug  # so that the next depth's carrier is not built beside this one
@@ -490,8 +425,6 @@ def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int])
 
 
 def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) -> Report:
-    import pathlib
-
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -541,7 +474,7 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
 
     elif kind == "delta":
         sample = params.get("sample", "all")
-        if sample != "all" and (not isinstance(sample, int) or sample < 1):
+        if sample != "all" and not _is_count(sample, 1):
             raise ConfigError("params.sample", "must be 'all' or a positive integer")
         target = graph
         if "depth" in params:

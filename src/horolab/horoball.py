@@ -7,6 +7,14 @@ between base vertices at base distance in (0, 2^k].  Level k is therefore the
 2^k-Rips graph of the base, so within-level distances halve (up to rounding)
 with each level climbed.  The augmentation of a graph glues one such horoball
 onto each member of a family of subgraphs along its level 0.
+
+One gluing step builds every carrier.  ``member_shapes`` validates the family
+and computes the shape table: one distance matrix per member shape.  ``_glue``
+then emits the edges and per-vertex provenance of all members of a shape at
+once.  ``build_augmented`` runs the two in a row; ``glue_horoballs`` takes a
+shape table already computed, so an experiment over several depths builds it
+once.  The restricted horoball over a whole base is the one-member case: the
+gluing over ``Subgraph.whole(base)``.
 """
 
 from __future__ import annotations
@@ -77,38 +85,20 @@ class RestrictedHoroball:
 
 
 def build_restricted_horoball(base: Graph, depth: int) -> RestrictedHoroball:
-    if depth < 1:
-        raise InputError("depth must be >= 1")
+    """Depth-``depth`` horoball over all of ``base``: the gluing step of
+    ``build_augmented`` over the one member ``Subgraph.whole(base)``, whose
+    level-k block starts at k*|base|.  Every vertex, level 0 included, counts
+    as a vertex of that member's horoball, so its label is ``x@k`` and its
+    vertex_meta is ``{"kind": "horo", "alpha": 0, ...}`` at every level.
+    """
     if not base.is_connected():
         raise InputError("horoball base must be connected")
-
-    v = base.num_vertices
-    oracle = DistanceOracle(base)
-    dmat = oracle.matrix()
-
-    chunks = []
-    # vertical edges (x, k) - (x, k+1)
-    ids = np.arange(v, dtype=np.int64)
-    for k in range(depth):
-        lo = k * v + ids
-        chunks.append(np.stack([lo, lo + v], axis=1))
-    # horizontal edges per level; level 0 is the base itself
-    for k in range(depth + 1):
-        iu, iv = np.nonzero(np.triu((dmat > 0) & (dmat <= 2**k), k=1))
-        chunks.append(np.stack([iu + k * v, iv + k * v], axis=1))
-
-    labels = None
-    if base.labels is not None:
-        labels = [f"{base.labels[x]}@{k}" for k in range(depth + 1) for x in range(v)]
-    meta = {
-        "vertex_meta": [
-            {"kind": "horo", "alpha": 0, "base": x, "level": k}
-            for k in range(depth + 1)
-            for x in range(v)
-        ]
-    }
-    carrier = Graph(v * (depth + 1), np.concatenate(chunks, axis=0), labels=labels, metadata=meta)
-    return RestrictedHoroball(base, depth, carrier, oracle)
+    family = (Subgraph.whole(base),)
+    edges, kind, alpha, base_vertex, level, _ = _glue(base, family, member_shapes(base, family), depth)
+    kind[:] = 1
+    alpha[:] = 0
+    carrier = _carrier(base, edges, kind, alpha, base_vertex, level, with_meta=True)
+    return RestrictedHoroball(base, depth, carrier, DistanceOracle(base))
 
 
 def _crossing_costs(d_base, k: int, l: int, depth: int) -> list:
@@ -371,12 +361,18 @@ class Subgraph:
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
+    @classmethod
+    def whole(cls, g: Graph) -> "Subgraph":
+        """All of ``g``: every vertex in id order and every edge."""
+        return cls(tuple(range(g.num_vertices)), tuple(map(tuple, g.edges.tolist())))
+
 
 class AugmentedSpace:
     """A base graph with one depth-``depth`` horoball glued onto each family
     member along its level 0."""
 
-    def __init__(self, base, family, depth, carrier, kind, alpha, base_vertex, level, block_starts):
+    def __init__(self, base, family, depth, carrier, kind, alpha, base_vertex, level, block_starts,
+                 shapes):
         self.base: Graph = base
         self.family: tuple[Subgraph, ...] = family
         self.depth: int = depth
@@ -386,6 +382,7 @@ class AugmentedSpace:
         self._base_vertex = base_vertex
         self._level = level
         self._block_starts = block_starts
+        self._shape_of, self._dmats = shapes  # see member_shapes
 
     def provenance(self, vid: int) -> tuple:
         if not 0 <= vid < self.carrier.num_vertices:
@@ -397,47 +394,34 @@ class AugmentedSpace:
     def level_of(self, vid: int) -> int:
         return int(self._level[vid])
 
-    def base_vertex_of(self, vid: int) -> int:
-        return int(self._base_vertex[vid])
+    def member_metric(self, alpha: int) -> np.ndarray:
+        """Member ``alpha``'s int32 distance matrix over its local indices,
+        shared by every member of its shape."""
+        return self._dmats[self._shape_of[alpha]]
 
     def horo_vertex(self, alpha: int, base_vid: int, level: int) -> int:
         """Carrier id of the level-``level`` copy of a member vertex."""
-        member = self.family[alpha]
-        if level == 0:
-            return base_vid
-        if not 1 <= level <= self.depth:
-            raise InputError(f"no level {level}")
         try:
-            idx = member.vertices.index(base_vid)
+            idx = self.family[alpha].vertices.index(base_vid)
         except ValueError:
             raise InputError(f"vertex {base_vid} not in family member {alpha}") from None
-        s = len(member.vertices)
-        return self._block_starts[alpha] + (level - 1) * s + idx
+        return self.level_vertices(alpha, level)[idx]
 
     def level_vertices(self, alpha: int, level: int) -> list[int]:
+        """Carrier ids of member ``alpha``'s level-``level`` copy, in member
+        order; level 0 is the member itself."""
         member = self.family[alpha]
         if level == 0:
             return list(member.vertices)
-        s = len(member.vertices)
-        start = self._block_starts[alpha] + (level - 1) * s
-        return list(range(start, start + s))
-
-    def vertex_meta(self) -> list[dict]:
-        return _vertex_meta(self._kind, self._alpha, self._base_vertex, self._level)
+        if not 1 <= level <= self.depth:
+            raise InputError(f"no level {level}")
+        start = self._block_starts[alpha] + (level - 1) * len(member.vertices)
+        return list(range(start, start + len(member.vertices)))
 
     def __repr__(self) -> str:
         return (f"AugmentedSpace(|base|={self.base.num_vertices}, "
                 f"family={len(self.family)}, depth={self.depth}, "
                 f"|carrier|={self.carrier.num_vertices})")
-
-
-def _vertex_meta(kind, alpha, base_vertex, level) -> list[dict]:
-    return [
-        {"kind": "gamma", "alpha": None, "base": b, "level": 0}
-        if t == 0
-        else {"kind": "horo", "alpha": a, "base": b, "level": k}
-        for t, a, b, k in zip(kind.tolist(), alpha.tolist(), base_vertex.tolist(), level.tolist())
-    ]
 
 
 def _member_local_edges(base: Graph, member: Subgraph, where: str) -> list[tuple[int, int]]:
@@ -463,9 +447,9 @@ def member_shapes(base: Graph, family: Sequence[Subgraph]) -> tuple[list[int], l
     A member's shape is its size plus its sorted local edge list, where a
     vertex's local index is its position in ``member.vertices``; members of
     one shape have the same graph on their local indices.
-    Returns the shape index of each member and, per shape, its int32
-    distance matrix over local indices.  A disconnected shape is reported on
-    the first member that has it.
+    Returns the shape table: the shape index of each member and, per shape,
+    its int32 distance matrix over local indices.  A disconnected shape is
+    reported on the first member that has it.
     """
     index: dict[tuple, int] = {}
     shape_of: list[int] = []
@@ -492,23 +476,49 @@ def build_augmented(
     depth: int,
     with_meta: bool = False,
 ) -> AugmentedSpace:
-    """Glue a depth-``depth`` horoball onto each family member.
+    """Glue a depth-``depth`` horoball onto each family member: the shape
+    table of ``member_shapes``, then ``glue_horoballs``."""
+    family = tuple(Subgraph(tuple(m.vertices), tuple(tuple(e) for e in m.edges)) for m in family)
+    return glue_horoballs(base, family, member_shapes(base, family), depth, with_meta)
+
+
+def glue_horoballs(
+    base: Graph,
+    family: Sequence[Subgraph],
+    shapes: tuple[list[int], list[np.ndarray]],
+    depth: int,
+    with_meta: bool = False,
+) -> AugmentedSpace:
+    """``build_augmented`` over the family's shape table from
+    ``member_shapes``, so that a run over several depths validates and
+    measures the members once.  With ``with_meta`` the carrier carries
+    labels and vertex_meta (see ``_carrier``)."""
+    edges, kind, alpha, base_vertex, level, block_starts = _glue(base, family, shapes, depth)
+    carrier = _carrier(base, edges, kind, alpha, base_vertex, level, with_meta)
+    return AugmentedSpace(base, family, depth, carrier, kind, alpha, base_vertex, level,
+                          block_starts, shapes)
+
+
+def _glue(base: Graph, family: Sequence[Subgraph], shapes, depth: int) -> tuple:
+    """The one gluing step: carrier edges and per-vertex provenance.
 
     Member ``a`` owns the block of carrier ids ``block_starts[a] + (k-1)*s +
     i`` for its level-k copy of local vertex ``i`` (``s`` its size); level 0
     is the member itself, inside the base.  The work is done per shape, not
-    per member (see ``member_shapes``): a shape's level-k horizontal pairs
-    come from its distance matrix once, and one broadcast over the block
-    offsets of all its members emits their edges and provenance.  On Cayley
-    balls the parabolic subgroups act cocompactly on their cosets, so the
-    coset family has only a few shapes however many members it has
-    (Z^2*Z^2 at radius 4: 1,970 members, 5 shapes).
+    per member: a shape's level-k horizontal pairs come from its distance
+    matrix once, and one broadcast over the block offsets of all its members
+    emits their edges and provenance.  On Cayley balls the parabolic
+    subgroups act cocompactly on their cosets, so the coset family has only
+    a few shapes however many members it has (Z^2*Z^2 at radius 4: 1,970
+    members, 5 shapes).
+
+    Returns (edges, kind, alpha, base_vertex, level, block_starts): kind is 0
+    on base vertices and 1 on horoball copies, alpha the member index (-1 on
+    base vertices).
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
-    family = tuple(Subgraph(tuple(m.vertices), tuple(tuple(e) for e in m.edges)) for m in family)
-    shape_of, dmats = member_shapes(base, family)
-
+    shape_of, dmats = shapes
     n0 = base.num_vertices
     blocks = np.array([len(m.vertices) for m in family], dtype=np.int64) * depth
     block_starts = n0 + np.cumsum(blocks) - blocks
@@ -545,16 +555,25 @@ def build_augmented(
             level_ids = ids[:, k - 1, :]
             chunks.append(np.stack([level_ids[:, iu].ravel(), level_ids[:, iv].ravel()], axis=1))
 
+    edges = np.concatenate(chunks, axis=0)
+    return edges, kind, alpha, base_vertex, level, block_starts.tolist()
+
+
+def _carrier(base: Graph, edges, kind, alpha, base_vertex, level, with_meta: bool) -> Graph:
+    """The carrier graph over the glued edges.  With ``with_meta``, a vertex
+    of kind 1 over base vertex x at level k is labelled ``label(x)@k`` (a
+    base vertex keeps its label) when the base has labels, and the metadata
+    holds one vertex_meta entry per vertex."""
     labels = None
     meta = {}
     if with_meta:
         if base.labels is not None:
-            labels = list(base.labels) + [
-                f"{base.labels[v]}@{k}"
-                for v, k in zip(base_vertex[n0:].tolist(), level[n0:].tolist())
-            ]
-        meta = {"vertex_meta": _vertex_meta(kind, alpha, base_vertex, level)}
-
-    carrier = Graph(total, np.concatenate(chunks, axis=0), labels=labels, metadata=meta)
-    return AugmentedSpace(base, family, depth, carrier, kind, alpha, base_vertex, level,
-                          block_starts.tolist())
+            labels = [f"{base.labels[b]}@{k}" if t else base.labels[b]
+                      for t, b, k in zip(kind.tolist(), base_vertex.tolist(), level.tolist())]
+        meta = {"vertex_meta": [
+            {"kind": "gamma", "alpha": None, "base": b, "level": 0}
+            if t == 0
+            else {"kind": "horo", "alpha": a, "base": b, "level": k}
+            for t, a, b, k in zip(kind.tolist(), alpha.tolist(), base_vertex.tolist(), level.tolist())
+        ]}
+    return Graph(len(kind), edges, labels=labels, metadata=meta)

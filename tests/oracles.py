@@ -251,3 +251,34 @@ def augmented_carrier(num_base: int, base_edges, family, depth: int, base_labels
         "vertex_meta": vertex_meta,
         "block_starts": block_starts,
     }
+
+
+def restricted_horoball(base, depth: int) -> dict:
+    """Vertex-by-vertex reference for ``build_restricted_horoball``, as the
+    graph document ``io.graph_to_json`` writes for its carrier.
+
+    (x, k) has id k*|V| + x for 0 <= k <= depth; vertical edges join (x, k)
+    to (x, k+1), and level k joins x and y at base distance in (0, 2^k].
+    Every vertex is labelled ``label@k`` and tagged as a horoball vertex of
+    member 0, level 0 included."""
+    n = base.num_vertices
+    base_edges = base.edges.tolist()
+    dist = [bfs_distances(n, base_edges, x) for x in range(n)]
+    vertices = []
+    vertex_meta = []
+    edges = []
+    for k in range(depth + 1):
+        for x in range(n):
+            vid = k * n + x
+            entry = {"id": vid}
+            if base.labels is not None:
+                entry["label"] = f"{base.labels[x]}@{k}"
+            vertices.append(entry)
+            vertex_meta.append({"kind": "horo", "alpha": 0, "base": x, "level": k})
+            if k < depth:
+                edges.append([vid, vid + n])
+            for y in range(x + 1, n):
+                if 0 < dist[x][y] <= 2**k:
+                    edges.append([vid, k * n + y])
+    return {"version": 1, "vertices": vertices, "edges": sorted(edges),
+            "metadata": {"vertex_meta": vertex_meta}}

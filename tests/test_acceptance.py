@@ -24,7 +24,6 @@ from horolab.experiments import (
     _sample_cosets,
     convexify_experiment,
     convexify_gate,
-    family_distance_matrices,
     milnor_svarc_experiment,
     parabolic_family,
     scan_parabolic,
@@ -72,8 +71,7 @@ def criterion(number: int, label: str):
 def z2z2_radius6():
     ball = cayley_ball(Z2_FREE_Z2, 6, max_vertices=200_000)
     family, factor_of, identity_indices = parabolic_family(ball)
-    dmats = family_distance_matrices(ball.graph, family)
-    return ball, family, factor_of, identity_indices, dmats
+    return ball, family, factor_of, identity_indices
 
 
 def test_criterion_01_rips_identity():
@@ -168,16 +166,13 @@ def test_criterion_05_deep_level_convexity():
 
 def test_criterion_06_bottom_to_top_rough_isometry(z2z2_radius6):
     with criterion(6, "|d_bottom - d_top| <= 2n over interior parabolic pairs at radius 6"):
-        ball, family, factor_of, identity_indices, dmats = z2z2_radius6
+        ball, family, factor_of, identity_indices = z2z2_radius6
         depth = 3
         aug = build_augmented(ball.graph, family, depth)
         scanned = list(identity_indices) + _sample_cosets(family, factor_of, identity_indices, 3)
         total_pairs = 0
         for alpha in scanned:
-            scan = scan_parabolic(
-                aug, ball, alpha, dmats[alpha], radius=6,
-                geodesic_cap=0, check_level_drop=True,
-            )
+            scan = scan_parabolic(aug, ball, alpha, geodesic_cap=0, check_level_drop=True)
             assert scan.level_drop_excess <= 0, f"coset {alpha}: excess {scan.level_drop_excess}"
             total_pairs += scan.pairs_checked
         assert total_pairs > 1800

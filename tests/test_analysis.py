@@ -75,6 +75,8 @@ def test_sampled_mode_flags_and_reproducibility():
     assert a.delta <= exact.delta
     with pytest.raises(InputError):
         four_point_delta(g, sample=0)
+    with pytest.raises(InputError):
+        four_point_delta(g, sample=True)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 10, 25, 40])

@@ -163,22 +163,21 @@ def test_convexify_gate_rejects_bad_tables():
 
 
 def test_scan_matches_generic_convexity_defect():
-    """The batched parabolic scan and the generic betweenness scan must agree
-    on a small instance scanned over the same pairs."""
+    """The parabolic scan (interior pairs picked in one array pass) and the
+    generic betweenness scan over pairs picked one by one must agree."""
     from horolab.analysis import convexity_defect
     from horolab.graph import is_interior_pair
     from horolab.groups import cayley_ball
     from horolab.horoball import build_augmented
-    from horolab.experiments import family_distance_matrices
 
     radius, depth = 3, 2
     ball = cayley_ball(Z2xZ2, radius)
     family, factor_of, identity_indices = parabolic_family(ball)
-    dmats = family_distance_matrices(ball.graph, family)
     aug = build_augmented(ball.graph, family, depth)
 
     alpha = identity_indices[0]
-    scan = scan_parabolic(aug, ball, alpha, dmats[alpha], radius, geodesic_cap=16)
+    dmat = aug.member_metric(alpha)
+    scan = scan_parabolic(aug, ball, alpha, geodesic_cap=16)
 
     member = aug.family[alpha]
     top_ids = [aug.horo_vertex(alpha, v, depth) for v in member.vertices]
@@ -187,7 +186,7 @@ def test_scan_matches_generic_convexity_defect():
         for j in range(i + 1, len(member.vertices)):
             wl_i = ball.word_lengths[member.vertices[i]]
             wl_j = ball.word_lengths[member.vertices[j]]
-            if is_interior_pair(wl_i, wl_j, int(dmats[alpha][i][j]), radius):
+            if is_interior_pair(wl_i, wl_j, int(dmat[i][j]), radius):
                 pairs.append((top_ids[i], top_ids[j]))
     report = convexity_defect(aug.carrier, top_ids, pairs=pairs, geodesic_cap=16)
     assert report.pairs_checked == scan.pairs_checked
@@ -311,6 +310,20 @@ ZZ_RADIUS2 = {"group": {"free_product": [{"free_abelian": 1}, {"free_abelian": 1
 def test_cli_rejects_bad_values(tmp_path, capsys, kind, instance, params, stream):
     cfg = write_config(tmp_path, {
         "version": 1, "experiment": kind, "instance": instance, "params": params,
+    })
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert stream in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,instance,params,seed,stream", [
+    ("delta", {"cycle": 6}, {"sample": True}, True, "config error: seed"),
+    ("delta", {"cycle": 6}, {"sample": True}, 0, "config error: params.sample"),
+    ("augment", {"group": {"free_abelian": 2}, "radius": True}, {"depth": 1}, 0,
+     "config error: instance.radius"),
+], ids=["seed-true", "sample-true", "radius-true"])
+def test_cli_rejects_booleans_as_integers(tmp_path, capsys, kind, instance, params, seed, stream):
+    cfg = write_config(tmp_path, {
+        "version": 1, "experiment": kind, "instance": instance, "params": params, "seed": seed,
     })
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert stream in capsys.readouterr().err

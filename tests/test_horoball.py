@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from horolab import (
     hausdorff_distance,
     heisenberg,
 )
-from horolab.graph import cycle_graph, path_graph
+from horolab.graph import cycle_graph, grid_graph, path_graph, random_connected_graph
 from horolab.horoball import (
     ASCENDING,
     DESCENDING,
@@ -37,11 +38,13 @@ from horolab.horoball import (
     normal_form_geodesic,
     verify_geodesic_shape,
 )
+from horolab.io import canonical_json, graph_to_json
 
 import horolab.experiments
-from horolab.experiments import milnor_svarc_experiment, parabolic_family
+import horolab.horoball
+from horolab.experiments import convexify_experiment, milnor_svarc_experiment, parabolic_family
 
-from oracles import augmented_carrier, bfs_distances
+from oracles import augmented_carrier, bfs_distances, restricted_horoball
 
 
 def all_pairs(n):
@@ -76,6 +79,26 @@ def test_p8_horizontal_counts_per_level():
         )
         expected = sum(1 for u, v in all_pairs(9) if 0 < abs(u - v) <= 2**k)
         assert count == expected
+
+
+def _restricted_cases():
+    rng = random.Random(11)
+    cases = [("P1", path_graph(1)), ("P6-labelled", path_graph(6, labels=True)),
+             ("C3", cycle_graph(3)), ("C9", cycle_graph(9)), ("grid3x4", grid_graph(3, 4))]
+    for n in (7, 12, 20):
+        g = random_connected_graph(n, n // 2, rng)
+        cases.append((f"random{n}", g))
+        cases.append((f"random{n}-labelled", Graph(n, g.edges, labels=[f"v{i}" for i in range(n)])))
+    cases.append(("ball-Z2*Z-r2", cayley_ball(free_product(free_abelian(2), free_abelian(1)), 2).graph))
+    return [pytest.param(base, id=name) for name, base in cases]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("base", _restricted_cases())
+def test_restricted_horoball_document_matches_reference(base, depth):
+    """Edges, ``x@k`` labels (level 0 included) and vertex_meta, byte for byte."""
+    h = build_restricted_horoball(base, depth)
+    assert canonical_json(graph_to_json(h.carrier)) == canonical_json(restricted_horoball(base, depth))
 
 
 def test_rejects_disconnected_or_shallow():
@@ -509,3 +532,18 @@ def test_milnor_svarc_builds_no_carrier_for_a_whole_ball_parabolic(monkeypatch):
     with pytest.raises(AssertionError, match="no carrier"):
         milnor_svarc_experiment(cayley_ball(free_product(free_abelian(1), free_abelian(1)), 3),
                                 depth=2, t_list=[1])
+
+
+def test_convexify_builds_the_shape_table_once(monkeypatch):
+    calls = []
+
+    def counting(base, family):
+        calls.append(len(family))
+        return member_shapes(base, family)
+
+    monkeypatch.setattr(horolab.horoball, "member_shapes", counting)
+    monkeypatch.setattr(horolab.experiments, "member_shapes", counting)
+    ball = cayley_ball(free_product(free_abelian(1), free_abelian(1)), 3)
+    rows = convexify_experiment(ball, depths=[1, 2, 3])
+    assert [r["n"] for r in rows] == [1, 2, 3]
+    assert len(calls) == 1
