@@ -112,6 +112,7 @@ class ConvexityReport:
     witnesses: tuple[tuple[int, int, int], ...]  # (u, v, w), capped
     quasiconvexity_constant: int
     pairs_checked: int
+    truncated_pairs: int  # pairs whose geodesic enumeration hit geodesic_cap
 
     @property
     def convex(self) -> bool:
@@ -133,7 +134,9 @@ def convexity_defect(
     d(u,w) + d(w,v) = d(u,v); such a w lies on a geodesic between u and v, so
     the set is convex exactly when no witness exists.  The defect is the
     largest distance from any witness back to the set.  The quasiconvexity
-    constant is measured on capped geodesic enumeration over the same pairs.
+    constant is measured on capped geodesic enumeration over the same pairs;
+    it is only a lower bound when ``truncated_pairs`` is nonzero.  The rows of
+    all pair endpoints are computed up front, in one ``distance_rows`` call.
     """
     s_list = sorted(dict.fromkeys(int(v) for v in vertex_set))
     if not s_list:
@@ -154,12 +157,14 @@ def convexity_defect(
                 raise InputError(f"pair ({u}, {v}) leaves the vertex set")
 
     if pair_filter is not None:
+        oracle.prefetch([pair_filter.basepoint] + [u for u, _ in pair_list])
         o_row = oracle.row(pair_filter.basepoint)
         pair_list = [
             (u, v) for u, v in pair_list
             if is_interior_pair(int(o_row[u]), int(o_row[v]), oracle.distance(u, v), pair_filter.radius)
         ]
 
+    oracle.prefetch(itertools.chain.from_iterable(pair_list))
     witnesses: list[tuple[int, int, int]] = []
     witness_ids: set[int] = set()
     for u, v in pair_list:
@@ -184,9 +189,11 @@ def convexity_defect(
         defect = max(dist_to_set(w) for w in witness_ids)
 
     quasi = 0
+    truncated = 0
     if geodesic_cap:
         for u, v in pair_list:
-            paths, _ = enumerate_geodesics(g, u, v, cap=geodesic_cap, dist_to_target=oracle.row(v))
+            paths, capped = enumerate_geodesics(g, u, v, cap=geodesic_cap, dist_to_target=oracle.row(v))
+            truncated += capped
             for p in paths:
                 outside = [w for w in p.vertices if not in_set[w]]
                 if outside:
@@ -197,6 +204,7 @@ def convexity_defect(
         witnesses=tuple(witnesses),
         quasiconvexity_constant=quasi,
         pairs_checked=len(pair_list),
+        truncated_pairs=truncated,
     )
 
 

@@ -31,6 +31,7 @@ from .graph import (
     cycle_graph,
     distance_rows,
     grid_graph,
+    neighborhood_subgraph,
     path_graph,
 )
 from .groups import DEFAULT_BALL_BUDGET, CayleyBall, GroupSpec, cayley_ball, coset_family
@@ -93,12 +94,14 @@ class Report:
     rows: list[dict]
     timings: dict
     artifacts: list[str]
+    diagnostics: dict  # how much work the rows took and which numbers are bounds
 
     def to_json(self) -> dict:
         return {
             "config": self.config.echo(),
             "environment": self.environment,
             "rows": self.rows,
+            "diagnostics": self.diagnostics,
             "timings": self.timings,
             "artifacts": self.artifacts,
         }
@@ -209,54 +212,78 @@ class ParabolicScan:
     level) over its ball-interior pairs."""
 
     defect: int
-    witnesses: list[tuple[int, int, int]]
+    witnesses: list[tuple[int, int, int]]  # carrier ids
     pairs_checked: int
     quasiconvexity: int
-    level_drop_excess: int  # max over pairs of |d_bottom - d_top| - 2n
+    level_drop_excess: int  # max over pairs of |d_bottom - d_top| - 2n, at least 0
+    level_drop: int = 0  # max over pairs of |d_bottom - d_top|
+    local_vertices: int = 0  # vertices of the neighborhood the scan ran on
+    truncated_pairs: int = 0  # pairs whose geodesic enumeration hit the cap
 
 
 def scan_parabolic(
     aug: AugmentedSpace,
-    ball: CayleyBall,
+    basepoint_row: Sequence[int],
+    radius: int,
     alpha: int,
     geodesic_cap: int = 32,
     check_level_drop: bool = False,
 ) -> ParabolicScan:
-    """Exact scan of one coset horoball's top level inside the carrier.
+    """Exact scan of one coset horoball's top level S, inside a neighborhood
+    of S rather than the whole carrier.
 
-    Interior pairs use word lengths from the ball and the coset's own metric:
-    min(|u|, |v|) + d(u, v) <= radius guarantees the relevant geodesics stay
-    inside the carrier.  The betweenness scan over those pairs is
-    ``analysis.convexity_defect``.
+    Interior pairs (u, v) of member ``alpha`` satisfy min(o(u), o(v)) + D <=
+    ``radius``, with o the basepoint row over base vertices (word lengths in
+    a Cayley ball) and D the member metric; in a ball of that radius the
+    relevant geodesics stay inside the carrier.  Level n joins copies at
+    member distance <= 2^n, so the top copies of a pair are at most
+    R = max ceil(D / 2^n) apart.  Every betweenness witness and every vertex
+    of a geodesic between the copies is then within floor(R/2) of the pair,
+    and so is every shortest path from a witness back to S.  The scan
+    (``analysis.convexity_defect``) therefore runs on the subgraph induced on
+    N_floor(R/2)(S): its distances are never shorter than the carrier's, so
+    it adds no witness, and equal along all of those paths, so it loses
+    none.  Its local ids follow carrier order, which keeps the capped
+    geodesic enumeration the same, and its witnesses are mapped back to
+    carrier ids.  The check of the level drop takes the bottom distances
+    (d_0 <= D) from a second neighborhood, of radius floor(max D / 2) around
+    the bottom copies of the pairs.
     """
-    members = aug.family[alpha].vertices
+    members = np.asarray(aug.family[alpha].vertices, dtype=np.int64)
     n = aug.depth
-    wl = np.array([ball.word_lengths[v] for v in members])
-    iu, iv = np.nonzero(np.triu(
-        np.minimum.outer(wl, wl) + aug.member_metric(alpha) <= ball.radius, k=1))
+    dmat = aug.member_metric(alpha)
+    wl = np.array([basepoint_row[v] for v in aug.family[alpha].vertices])
+    iu, iv = np.nonzero(np.triu(np.minimum.outer(wl, wl) + dmat <= radius, k=1))
     if not len(iu):
         return ParabolicScan(0, [], 0, 0, 0)
 
-    top_ids = np.asarray(aug.level_vertices(alpha, n))
-    oracle = DistanceOracle(aug.carrier)
-    report = convexity_defect(aug.carrier, top_ids, pairs=zip(top_ids[iu], top_ids[iv]),
+    top = np.asarray(aug.level_vertices(alpha, n))
+    d_max = int(dmat[iu, iv].max())
+    sub, ids = neighborhood_subgraph(aug.carrier, top, -(-d_max // 2**n) // 2)  # floor(R/2)
+    local = np.searchsorted(ids, top)
+    oracle = DistanceOracle(sub)
+    report = convexity_defect(sub, local, pairs=zip(local[iu], local[iv]),
                               oracle=oracle, geodesic_cap=geodesic_cap)
 
-    drop_excess = 0
+    drop = 0
     if check_level_drop:
-        bottom = np.asarray(members)
+        ends = np.unique(np.concatenate([iu, iv]))
+        sub0, ids0 = neighborhood_subgraph(aug.carrier, members[ends], d_max // 2)
+        local0 = np.searchsorted(ids0, members)
         sources, row_of = np.unique(iu, return_inverse=True)
-        d0 = distance_rows(aug.carrier, bottom[sources])[row_of, bottom[iv]]
-        dn = np.array([oracle.distance(u, v)
-                       for u, v in zip(top_ids[iu].tolist(), top_ids[iv].tolist())])
-        drop_excess = max(0, int(np.abs(d0 - dn).max()) - 2 * n)
+        d0 = distance_rows(sub0, local0[sources])[row_of, local0[iv]]
+        dn = np.array([oracle.row(u)[v] for u, v in zip(local[iu].tolist(), local[iv].tolist())])
+        drop = int(np.abs(d0 - dn).max())
 
     return ParabolicScan(
         defect=report.defect,
-        witnesses=list(report.witnesses),
+        witnesses=[(int(ids[u]), int(ids[v]), int(ids[w])) for u, v, w in report.witnesses],
         pairs_checked=report.pairs_checked,
         quasiconvexity=report.quasiconvexity_constant,
-        level_drop_excess=drop_excess,
+        level_drop_excess=max(0, drop - 2 * n),
+        level_drop=drop,
+        local_vertices=sub.num_vertices,
+        truncated_pairs=report.truncated_pairs,
     )
 
 
@@ -288,6 +315,7 @@ def convexify_experiment(
     depths: Sequence[int],
     verify_cosets: int = 3,
     geodesic_cap: int = 32,
+    diagnostics: list[dict] | None = None,
 ) -> list[dict]:
     """Defect of the top-level parabolics of the depth-n augmentation of
     ``ball``, one row per n.
@@ -295,7 +323,10 @@ def convexify_experiment(
     Measured exactly on the identity coset of each factor, whose interior
     pair set covers (by translation) every interior configuration of every
     other coset; a deterministic sample of translated cosets is re-scanned
-    as a cross-check and folded into the reported maximum.
+    as a cross-check and folded into the reported maximum.  A
+    ``diagnostics`` list receives one entry per n: the vertices of the
+    neighborhoods scanned, summed, and the pairs whose geodesic enumeration
+    hit ``geodesic_cap`` (where quasiconvexity is only a lower bound).
     """
     spec = ball.spec
     if spec.kind != "free_product":
@@ -307,7 +338,8 @@ def convexify_experiment(
     rows = []
     for n in sorted(depths):
         aug = glue_horoballs(ball.graph, family, shapes, n)
-        scans = {alpha: scan_parabolic(aug, ball, alpha, geodesic_cap=geodesic_cap)
+        scans = {alpha: scan_parabolic(aug, ball.word_lengths, ball.radius, alpha,
+                                       geodesic_cap=geodesic_cap)
                  for alpha in identity_indices + sampled}
         identity = [scans[alpha] for alpha in identity_indices]
         identity_defect = max((scan.defect for scan in identity), default=0)
@@ -323,6 +355,12 @@ def convexify_experiment(
                                               for alpha in sampled) else "exceeded"),
             "generating_set": list(spec.generator_names),
         })
+        if diagnostics is not None:
+            diagnostics.append({
+                "n": n,
+                "local_carrier_vertices": sum(scan.local_vertices for scan in scans.values()),
+                "geodesic_cap_hits": sum(scan.truncated_pairs for scan in scans.values()),
+            })
         del aug  # so that the next depth's carrier is not built beside this one
     return rows
 
@@ -429,6 +467,7 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     artifacts: list[str] = []
+    diagnostics: dict = {}
     rows: list[dict]
 
     def artifact(name: str) -> pathlib.Path:
@@ -527,6 +566,7 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
             "quasiconvexity": report.quasiconvexity_constant,
             "pairs_checked": report.pairs_checked,
         }]
+        diagnostics["geodesic_cap_hits"] = report.truncated_pairs
 
     elif kind == "shortcut":
         k = _fraction_param("K", params.get("K", "1"))
@@ -554,6 +594,7 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
             ball, _int_list_param(params, "depths"),
             verify_cosets=_int_param(params, "verify_cosets", 3, least=0),
             geodesic_cap=_int_param(params, "geodesic_cap", 32, least=0),
+            diagnostics=diagnostics.setdefault("depths", []),
         )
         convexify_gate(rows)
 
@@ -572,6 +613,7 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
         rows=rows,
         timings={"total_seconds": round(time.perf_counter() - t0, 6)},
         artifacts=artifacts,
+        diagnostics=diagnostics,
     )
     write_json(report.to_json(), out / "report.json")
     return report

@@ -242,11 +242,16 @@ class DistanceOracle:
             cached = self._rows[source] = distance_rows(self.graph, [source])[0]
         return cached
 
-    def rows(self, sources: Sequence[int]) -> np.ndarray:
-        sources = [int(s) for s in sources]
-        missing = [s for s in dict.fromkeys(sources) if s not in self._rows]
+    def prefetch(self, sources: Iterable[int]) -> None:
+        """Cache the rows of every source not cached yet, from one
+        ``distance_rows`` call (one batched kernel call on a small graph)."""
+        missing = [s for s in dict.fromkeys(map(int, sources)) if s not in self._rows]
         for s, r in zip(missing, distance_rows(self.graph, missing)):
             self._rows[s] = r
+
+    def rows(self, sources: Sequence[int]) -> np.ndarray:
+        sources = [int(s) for s in sources]
+        self.prefetch(sources)
         if not sources:
             return np.empty((0, self.graph.num_vertices), dtype=np.int32)
         return np.stack([self._rows[s] for s in sources])
@@ -264,6 +269,54 @@ class DistanceOracle:
         d = dijkstra(self.graph.csr(), unweighted=True, indices=list(sources), min_only=True)
         d[np.isinf(d)] = INF
         return d.astype(np.int32)
+
+
+def neighborhood_subgraph(g: Graph, sources: Sequence[int], radius: int) -> tuple[Graph, np.ndarray]:
+    """The subgraph induced on N_radius(sources), the vertices within
+    ``radius`` hops of a source, and its local -> global id map (sorted).
+
+    Local ids follow global id order, so neighbor lists keep their order and
+    an id-ordered traversal such as ``enumerate_geodesics`` meets shared
+    vertices in the same order as in ``g``.  Distances in the subgraph are
+    never shorter than in ``g``, and equal for pairs joined by some shortest
+    path that stays inside.  A frontier grows one BFS level at a time over
+    the CSR arrays, so the work grows with the neighborhood, not with ``g``.
+    """
+    if radius < 0:
+        raise InputError("radius must be >= 0")
+    reached = np.unique(np.asarray(sources, dtype=np.int64))
+    if not reached.size:
+        raise InputError("source set must be nonempty")
+    bad = reached[(reached < 0) | (reached >= g.num_vertices)]
+    if bad.size:
+        raise InputError(f"unknown vertex id {bad[0]}")
+    frontier = reached
+    for _ in range(radius):
+        step = np.unique(_csr_neighbors(g, frontier)[1])
+        frontier = step[~_sorted_contains(reached, step)]
+        if not frontier.size:
+            break
+        reached = np.union1d(reached, frontier)
+    owner, nb = _csr_neighbors(g, reached)
+    inside = _sorted_contains(reached, nb)
+    edges = np.stack([owner[inside], np.searchsorted(reached, nb[inside])], axis=1)
+    return Graph(len(reached), edges), reached
+
+
+def _csr_neighbors(g: Graph, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position in ``vertices``, neighbor) for every edge end at
+    ``vertices``, read from the CSR arrays without a per-vertex loop."""
+    starts = g._indptr[vertices]
+    counts = g._indptr[vertices + 1] - starts
+    owner = np.repeat(np.arange(len(vertices)), counts)
+    slot = np.arange(int(counts.sum())) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return owner, g._indices[slot]
+
+
+def _sorted_contains(sorted_ids: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Elementwise ``x in sorted_ids`` for a nonempty sorted id array."""
+    pos = np.minimum(np.searchsorted(sorted_ids, x), len(sorted_ids) - 1)
+    return sorted_ids[pos] == x
 
 
 def rips_graph(g: Graph, t: int) -> Graph:

@@ -1,7 +1,10 @@
 """Independent reference implementations used only to check the main code.
 
 Everything here is deliberately naive: different algorithms, different data
-layouts, no shared helpers with the package.
+layouts, no shared helpers with the package.  The one exception is
+``whole_carrier_scan``, the package's betweenness scan run on the whole
+carrier: it is the reference for where the parabolic scan may look, not for
+the scan itself.
 """
 
 from __future__ import annotations
@@ -282,3 +285,32 @@ def restricted_horoball(base, depth: int) -> dict:
                     edges.append([vid, k * n + y])
     return {"version": 1, "vertices": vertices, "edges": sorted(edges),
             "metadata": {"vertex_meta": vertex_meta}}
+
+
+def whole_carrier_scan(aug, basepoint_row, radius: int, alpha: int, geodesic_cap: int) -> dict:
+    """Reference for ``experiments.scan_parabolic``: the same interior pairs
+    of member ``alpha``, scanned with rows over the whole carrier.
+
+    Pairs are picked one by one from the member metric; d_0 and d_n for the
+    level drop come from whole-carrier rows of every pair's endpoints."""
+    from horolab.analysis import convexity_defect
+    from horolab.graph import DistanceOracle
+
+    members = list(aug.family[alpha].vertices)
+    dmat = aug.member_metric(alpha)
+    top = aug.level_vertices(alpha, aug.depth)
+    pairs = [(i, j) for i, j in itertools.combinations(range(len(members)), 2)
+             if min(basepoint_row[members[i]], basepoint_row[members[j]]) + dmat[i][j] <= radius]
+    out = {"defect": 0, "witnesses": [], "pairs_checked": 0, "quasiconvexity": 0,
+           "level_drop": 0, "truncated_pairs": 0}
+    if not pairs:
+        return out
+    oracle = DistanceOracle(aug.carrier)
+    report = convexity_defect(aug.carrier, top, pairs=[(top[i], top[j]) for i, j in pairs],
+                              oracle=oracle, geodesic_cap=geodesic_cap)
+    drop = max(abs(oracle.distance(members[i], members[j]) - oracle.distance(top[i], top[j]))
+               for i, j in pairs)
+    out.update(defect=report.defect, witnesses=[tuple(map(int, w)) for w in report.witnesses],
+               pairs_checked=report.pairs_checked, quasiconvexity=report.quasiconvexity_constant,
+               level_drop=int(drop), truncated_pairs=report.truncated_pairs)
+    return out

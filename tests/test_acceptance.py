@@ -171,11 +171,17 @@ def test_criterion_06_bottom_to_top_rough_isometry(z2z2_radius6):
         aug = build_augmented(ball.graph, family, depth)
         scanned = list(identity_indices) + _sample_cosets(family, factor_of, identity_indices, 3)
         total_pairs = 0
+        drops = []
         for alpha in scanned:
-            scan = scan_parabolic(aug, ball, alpha, geodesic_cap=0, check_level_drop=True)
+            scan = scan_parabolic(aug, ball.word_lengths, ball.radius, alpha,
+                                  geodesic_cap=0, check_level_drop=True)
             assert scan.level_drop_excess <= 0, f"coset {alpha}: excess {scan.level_drop_excess}"
             total_pairs += scan.pairs_checked
+            drops.append(scan.level_drop)
         assert total_pairs > 1800
+        # max |d_bottom - d_top| per scanned coset, as whole-carrier rows give it
+        # (tests/oracles.py::whole_carrier_scan)
+        assert drops == [4, 4, 4, 0, 0, 4, 0, 0], drops
 
 
 def test_criterion_07_convexification_experiment():

@@ -161,6 +161,14 @@ def test_pair_filter_restricts_scan():
         convexity_defect(g, [])
 
 
+def test_pairs_that_hit_the_geodesic_cap_are_counted():
+    # corner to corner of the 3x3 grid has 6 geodesics; along a side, 1
+    g = grid_graph(3, 3)
+    assert convexity_defect(g, [0, 2, 8], geodesic_cap=4).truncated_pairs == 1
+    assert convexity_defect(g, [0, 2, 8], geodesic_cap=6 + 1).truncated_pairs == 0
+    assert convexity_defect(g, [0, 2, 8], geodesic_cap=0).truncated_pairs == 0
+
+
 def test_quasiconvexity_constant_of_cycle_arc():
     # geodesics from 0 to 4 the short way stay in S; the witness path through
     # 5 strays distance 1 from the arc {0..4} in C_6... use C_8 arc instead

@@ -177,7 +177,7 @@ def test_scan_matches_generic_convexity_defect():
 
     alpha = identity_indices[0]
     dmat = aug.member_metric(alpha)
-    scan = scan_parabolic(aug, ball, alpha, geodesic_cap=16)
+    scan = scan_parabolic(aug, ball.word_lengths, radius, alpha, geodesic_cap=16)
 
     member = aug.family[alpha]
     top_ids = [aug.horo_vertex(alpha, v, depth) for v in member.vertices]
@@ -192,6 +192,58 @@ def test_scan_matches_generic_convexity_defect():
     assert report.pairs_checked == scan.pairs_checked
     assert report.defect == scan.defect
     assert report.quasiconvexity_constant == scan.quasiconvexity
+
+
+def _scan_fields(scan):
+    return {"defect": scan.defect, "witnesses": scan.witnesses, "pairs_checked": scan.pairs_checked,
+            "quasiconvexity": scan.quasiconvexity, "level_drop": scan.level_drop,
+            "truncated_pairs": scan.truncated_pairs}
+
+
+def test_local_scan_finds_the_defect_of_a_nonconvex_arc():
+    """C_40 with a 40-vertex path hanging off vertex 35, and one parabolic:
+    the arc 0..29.  At depth 1 the long way round the arc is shorter through
+    the rest of the cycle, so the scan must find witnesses off the arc, and
+    find them inside its neighborhood of the top level."""
+    from horolab.graph import Graph, distance_rows
+    from horolab.horoball import Subgraph, build_augmented
+
+    from oracles import whole_carrier_scan
+
+    base = Graph(80, [(i, (i + 1) % 40) for i in range(40)] + [(35, 40)]
+                 + [(i, i + 1) for i in range(40, 79)])
+    arc = Subgraph(tuple(range(30)), tuple((i, i + 1) for i in range(29)))
+    row = distance_rows(base, [0])[0]
+    expected = {1: (6, 62, 71), 2: (0, 0, 94)}  # defect, witnesses, neighborhood vertices
+    for depth, (defect, witnesses, local) in expected.items():
+        aug = build_augmented(base, [arc], depth)
+        assert aug.carrier.num_vertices == 80 + 30 * depth
+        scan = scan_parabolic(aug, row, 100, 0, geodesic_cap=32, check_level_drop=True)
+        assert scan.pairs_checked == 30 * 29 // 2
+        assert (scan.defect, len(scan.witnesses), scan.local_vertices) == (defect, witnesses, local)
+        assert _scan_fields(scan) == whole_carrier_scan(aug, row, 100, 0, geodesic_cap=32)
+
+
+@pytest.mark.parametrize("factors, radius", [
+    ([{"free_abelian": 2}, {"free_abelian": 2}], 4), ([{"free_abelian": 2}, {"free_abelian": 1}], 5)])
+def test_local_scan_matches_the_whole_carrier_scan(factors, radius):
+    from horolab.experiments import _sample_cosets
+    from horolab.groups import GroupSpec
+    from horolab.horoball import glue_horoballs, member_shapes
+
+    from oracles import whole_carrier_scan
+
+    ball = cayley_ball(GroupSpec.from_json({"free_product": factors}), radius)
+    family, factor_of, identity_indices = parabolic_family(ball)
+    shapes = member_shapes(ball.graph, family)
+    scanned = identity_indices + _sample_cosets(family, factor_of, identity_indices, 3)
+    for depth in range(1, 6):
+        aug = glue_horoballs(ball.graph, family, shapes, depth)
+        for alpha in scanned:
+            scan = scan_parabolic(aug, ball.word_lengths, ball.radius, alpha, check_level_drop=True)
+            reference = whole_carrier_scan(aug, ball.word_lengths, ball.radius, alpha, geodesic_cap=32)
+            assert _scan_fields(scan) == reference, (depth, alpha)
+            assert scan.local_vertices < aug.carrier.num_vertices
 
 
 def test_milnor_svarc_small_z2():
@@ -371,6 +423,35 @@ def test_cli_convexify_end_to_end(tmp_path):
     })
     code = main(["convexify-experiment", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == EXIT_OK
+
+
+def test_convexify_report_keeps_diagnostics_out_of_rows(tmp_path):
+    cfg = validate_config({
+        "version": 1, "experiment": "convexify-experiment",
+        "instance": {"group": {"free_product": [{"free_abelian": 2}, {"free_abelian": 2}]},
+                     "radius": 3},
+        "params": {"depths": [1, 2], "geodesic_cap": 2},
+    })
+    report = run_experiment(cfg, tmp_path / "out")
+    assert report.rows == convexify_experiment(cayley_ball(Z2xZ2, 3), depths=[1, 2], geodesic_cap=2)
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert doc["rows"] == report.rows
+    depths = doc["diagnostics"]["depths"]
+    assert [d["n"] for d in depths] == [1, 2]
+    assert all(0 < d["local_carrier_vertices"] < row["carrier_vertices"]
+               for d, row in zip(depths, report.rows))
+    assert depths[0]["geodesic_cap_hits"] > 0  # cap 2 cuts some depth-1 enumerations
+    assert not any(key in row for row in report.rows for key in set(depths[0]) - {"n"})
+
+
+def test_convexity_report_counts_capped_pairs(tmp_path):
+    cfg = validate_config({
+        "version": 1, "experiment": "convexity", "instance": {"grid": [3, 3]},
+        "params": {"set": {"vertices": [0, 2, 8]}, "geodesic_cap": 4},
+    })
+    report = run_experiment(cfg, tmp_path / "out")
+    assert report.diagnostics == {"geodesic_cap_hits": 1}
+    assert "geodesic_cap_hits" not in report.rows[0]
 
 
 def test_cli_augment_with_threads(tmp_path):

@@ -21,7 +21,13 @@ from horolab import (
     rips_graph,
 )
 import horolab.graph
-from horolab.graph import cycle_graph, grid_graph, path_graph, random_connected_graph
+from horolab.graph import (
+    cycle_graph,
+    grid_graph,
+    neighborhood_subgraph,
+    path_graph,
+    random_connected_graph,
+)
 from horolab.io import canonical_json, graph_from_json, graph_to_json, read_graph, to_dot, write_graph
 
 from oracles import BIG, bfs_distances, floyd_warshall
@@ -187,6 +193,43 @@ def test_distance_to_set_matches_min_of_rows():
     sources = [0, 7, 19]
     expected = np.min(oracle.rows(sources), axis=0)
     assert np.array_equal(oracle.distance_to_set(sources), expected)
+
+
+def _induced_reference(g, sources, radius):
+    """N_radius(sources) from ``distance_to_set``, and the edges of g with
+    both ends inside, renumbered by rank."""
+    to_set = DistanceOracle(g).distance_to_set(sources)
+    ids = [v for v in range(g.num_vertices) if to_set[v] <= radius]
+    rank = {v: i for i, v in enumerate(ids)}
+    edges = sorted((rank[u], rank[v]) for u, v in g.edges.tolist() if u in rank and v in rank)
+    return ids, edges
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_neighborhood_subgraph_matches_distance_to_set(seed):
+    rng = random.Random(seed)
+    parts = [random_connected_graph(rng.randrange(1, 30), rng.randrange(0, 20), rng)
+             for _ in range(1 + seed % 3)]  # seeds 1, 2 mod 3 are disconnected
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for u, v in part.edges.tolist()]
+        offset += part.num_vertices
+    g = Graph(offset, edges)
+    for radius in (0, 1, 2, 5, 40):
+        sources = [rng.randrange(offset) for _ in range(rng.randrange(1, 6))]
+        sources += sources[:2]  # duplicates
+        sub, ids = neighborhood_subgraph(g, sources, radius)
+        ref_ids, ref_edges = _induced_reference(g, sources, radius)
+        assert ids.tolist() == ref_ids, (seed, radius)
+        assert sub.edges.tolist() == [list(e) for e in ref_edges], (seed, radius)
+    assert neighborhood_subgraph(g, [3 % offset], 0)[1].tolist() == [3 % offset]
+
+
+def test_neighborhood_subgraph_rejects_bad_input():
+    g = path_graph(4)
+    for sources, radius in (([], 1), ([5], 1), ([-1], 1), ([0], -1)):
+        with pytest.raises(InputError):
+            neighborhood_subgraph(g, sources, radius)
 
 
 # -- rips ------------------------------------------------------------------

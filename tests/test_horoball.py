@@ -41,6 +41,7 @@ from horolab.horoball import (
 from horolab.io import canonical_json, graph_to_json
 
 import horolab.experiments
+import horolab.graph
 import horolab.horoball
 from horolab.experiments import convexify_experiment, milnor_svarc_experiment, parabolic_family
 
@@ -547,3 +548,25 @@ def test_convexify_builds_the_shape_table_once(monkeypatch):
     rows = convexify_experiment(ball, depths=[1, 2, 3])
     assert [r["n"] for r in rows] == [1, 2, 3]
     assert len(calls) == 1
+
+
+def test_convexify_computes_no_row_over_a_whole_carrier(monkeypatch):
+    sizes = []
+
+    def recording(g, sources, columns=None):
+        sizes.append(g.num_vertices)
+        return distance_rows(g, sources, columns)
+
+    def recording_to_set(self, sources):
+        sizes.append(self.graph.num_vertices)
+        return to_set(self, sources)
+
+    to_set = DistanceOracle.distance_to_set
+    for module in (horolab.graph, horolab.horoball, horolab.experiments):
+        monkeypatch.setattr(module, "distance_rows", recording)
+    monkeypatch.setattr(DistanceOracle, "distance_to_set", recording_to_set)
+    ball = cayley_ball(free_product(free_abelian(2), free_abelian(2)), 3)
+    rows = convexify_experiment(ball, depths=[1, 2, 3])
+    assert [r["n"] for r in rows] == [1, 2, 3]
+    # not even as big as the ball, which every carrier contains
+    assert sizes and max(sizes) < ball.graph.num_vertices, max(sizes)
