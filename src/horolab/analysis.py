@@ -112,7 +112,7 @@ class ConvexityReport:
     witnesses: tuple[tuple[int, int, int], ...]  # (u, v, w), capped
     quasiconvexity_constant: int
     pairs_checked: int
-    truncated_pairs: int  # pairs whose geodesic enumeration hit geodesic_cap
+    truncated_pairs: int  # pairs with more than geodesic_cap geodesics
 
     @property
     def convex(self) -> bool:

@@ -218,7 +218,7 @@ class ParabolicScan:
     level_drop_excess: int  # max over pairs of |d_bottom - d_top| - 2n, at least 0
     level_drop: int = 0  # max over pairs of |d_bottom - d_top|
     local_vertices: int = 0  # vertices of the neighborhood the scan ran on
-    truncated_pairs: int = 0  # pairs whose geodesic enumeration hit the cap
+    truncated_pairs: int = 0  # pairs with more geodesics than the cap
 
 
 def scan_parabolic(
@@ -325,8 +325,8 @@ def convexify_experiment(
     other coset; a deterministic sample of translated cosets is re-scanned
     as a cross-check and folded into the reported maximum.  A
     ``diagnostics`` list receives one entry per n: the vertices of the
-    neighborhoods scanned, summed, and the pairs whose geodesic enumeration
-    hit ``geodesic_cap`` (where quasiconvexity is only a lower bound).
+    neighborhoods scanned, summed, and the pairs with more than
+    ``geodesic_cap`` geodesics (where quasiconvexity is only a lower bound).
     """
     spec = ball.spec
     if spec.kind != "free_product":
@@ -468,11 +468,20 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
     t0 = time.perf_counter()
     artifacts: list[str] = []
     diagnostics: dict = {}
+    timings: dict = {}
     rows: list[dict]
 
     def artifact(name: str) -> pathlib.Path:
         artifacts.append(name)
         return out / name
+
+    def write_carrier(carrier, stem: str) -> None:
+        """``<stem>.json`` (and ``<stem>.dot``), timed as ``artifacts_s``."""
+        t = time.perf_counter()
+        write_graph(carrier, artifact(f"{stem}.json"))
+        if export_dot:
+            artifact(f"{stem}.dot").write_text(to_dot(carrier, name=stem), encoding="utf-8")
+        timings["artifacts_s"] = round(time.perf_counter() - t, 6)
 
     kind = config.kind
     params = config.params
@@ -488,9 +497,7 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
                  "horizontal_edges": int(horizontal[k])} for k in range(depth + 1)]
         rows.append({"level": "total", "vertices": h.carrier.num_vertices,
                      "horizontal_edges": int(h.carrier.num_edges)})
-        write_graph(h.carrier, artifact("horoball.json"))
-        if export_dot:
-            artifact("horoball.dot").write_text(to_dot(h.carrier, name="horoball"), encoding="utf-8")
+        write_carrier(h.carrier, "horoball")
 
     elif kind == "augment":
         depth = _int_param(params, "depth")
@@ -507,9 +514,7 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
             "depth": depth,
         }]
         if aug.carrier.metadata:
-            write_graph(aug.carrier, artifact("augmented.json"))
-            if export_dot:
-                artifact("augmented.dot").write_text(to_dot(aug.carrier, name="augmented"), encoding="utf-8")
+            write_carrier(aug.carrier, "augmented")
 
     elif kind == "delta":
         sample = params.get("sample", "all")
@@ -611,7 +616,7 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
         config=config,
         environment={"tool": "horolab", "version": __version__, "instance_hash": digest},
         rows=rows,
-        timings={"total_seconds": round(time.perf_counter() - t0, 6)},
+        timings={"total_seconds": round(time.perf_counter() - t0, 6), **timings},
         artifacts=artifacts,
         diagnostics=diagnostics,
     )

@@ -337,8 +337,9 @@ def enumerate_geodesics(
 ) -> tuple[list[Path], bool]:
     """All geodesics from u to v in DFS order over id-sorted neighbor lists.
 
-    Returns (paths, truncated).  ``truncated`` is set when ``cap`` stopped the
-    enumeration early, in which case the list holds exactly ``cap`` paths.
+    Returns (paths, truncated).  The list holds at most ``cap`` paths;
+    ``truncated`` is set exactly when u and v have more than ``cap``
+    geodesics, which the search confirms by finding one more before it stops.
     ``dist_to_target`` may carry a precomputed distance row of ``v``.
     """
     if cap < 1:
@@ -364,9 +365,9 @@ def enumerate_geodesics(
             pending.pop()
             stack.pop()
         elif w == v:
-            out.append(Path(tuple(stack) + (v,)))
-            if len(out) >= cap:
+            if len(out) == cap:
                 return out, True
+            out.append(Path(tuple(stack) + (v,)))
         else:
             stack.append(w)
             pending.append(closer(w))

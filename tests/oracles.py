@@ -36,6 +36,28 @@ def bfs_distances(n: int, edges, source: int) -> list[int]:
     return dist
 
 
+def geodesic_counts(n: int, edges, source: int) -> list[int]:
+    """Number of geodesics from ``source`` to every vertex, by a queue that
+    adds up the counts of each vertex's predecessors one level closer."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[int(u)].append(int(v))
+        adj[int(v)].append(int(u))
+    dist = [BIG] * n
+    count = [0] * n
+    dist[source], count[source] = 0, 1
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if dist[v] == BIG:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+            if dist[v] == dist[u] + 1:
+                count[v] += count[u]
+    return count
+
+
 def floyd_warshall(n: int, edges) -> list[list[int]]:
     d = [[0 if i == j else BIG for j in range(n)] for i in range(n)]
     for u, v in edges:

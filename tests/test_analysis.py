@@ -165,7 +165,8 @@ def test_pairs_that_hit_the_geodesic_cap_are_counted():
     # corner to corner of the 3x3 grid has 6 geodesics; along a side, 1
     g = grid_graph(3, 3)
     assert convexity_defect(g, [0, 2, 8], geodesic_cap=4).truncated_pairs == 1
-    assert convexity_defect(g, [0, 2, 8], geodesic_cap=6 + 1).truncated_pairs == 0
+    assert convexity_defect(g, [0, 2, 8], geodesic_cap=5).truncated_pairs == 1
+    assert convexity_defect(g, [0, 2, 8], geodesic_cap=6).truncated_pairs == 0
     assert convexity_defect(g, [0, 2, 8], geodesic_cap=0).truncated_pairs == 0
 
 

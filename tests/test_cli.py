@@ -89,6 +89,24 @@ def test_build_horoball_writes_expected_graph(tmp_path):
     assert (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("kind, instance, artifact", [
+    ("build-horoball", {"path": 8}, "horoball.json"),
+    ("augment", {"group": {"free_product": [{"free_abelian": 1}, {"free_abelian": 1}]}, "radius": 3},
+     "augmented.json"),
+])
+def test_artifact_write_time_is_a_timing_not_a_row(tmp_path, kind, instance, artifact):
+    cfg = validate_config({"version": 1, "experiment": kind, "instance": instance, "params": {"depth": 2}})
+    out = tmp_path / "out"
+    run_experiment(cfg, out)
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["artifacts"] == [artifact]
+    assert 0 <= doc["timings"]["artifacts_s"] <= doc["timings"]["total_seconds"]
+    assert not any("artifacts_s" in row for row in doc["rows"])
+    delta = run_experiment(validate_config({"version": 1, "experiment": "delta",
+                                            "instance": {"cycle": 6}, "params": {}}), tmp_path / "d")
+    assert "artifacts_s" not in delta.timings
+
+
 def test_report_rows_are_reproducible(tmp_path):
     cfg_obj = {
         "version": 1, "experiment": "delta",
@@ -442,6 +460,39 @@ def test_convexify_report_keeps_diagnostics_out_of_rows(tmp_path):
                for d, row in zip(depths, report.rows))
     assert depths[0]["geodesic_cap_hits"] > 0  # cap 2 cuts some depth-1 enumerations
     assert not any(key in row for row in report.rows for key in set(depths[0]) - {"n"})
+
+
+def test_geodesic_cap_hits_are_the_pairs_with_more_geodesics_than_the_cap():
+    """At cap 1, ``geodesic_cap_hits`` counts exactly the scanned pairs that
+    have two or more geodesics, counted by brute force on the whole carrier
+    (a pair with a single geodesic was not cut short)."""
+    from horolab.experiments import _sample_cosets
+    from horolab.horoball import build_augmented
+
+    from oracles import geodesic_counts
+
+    radius = 3
+    ball = cayley_ball(Z2xZ2, radius)
+    diagnostics = []
+    convexify_experiment(ball, [1, 2], geodesic_cap=1, diagnostics=diagnostics)
+    family, factor_of, identity_indices = parabolic_family(ball)
+    scanned = dict.fromkeys(identity_indices + _sample_cosets(family, factor_of, identity_indices, 3))
+    for entry in diagnostics:
+        aug = build_augmented(ball.graph, family, entry["n"])
+        n, edges = aug.carrier.num_vertices, aug.carrier.edges.tolist()
+        several = 0
+        for alpha in scanned:
+            members = aug.family[alpha].vertices
+            dmat = aug.member_metric(alpha)
+            top = aug.level_vertices(alpha, entry["n"])
+            for i in range(len(members)):
+                counts = geodesic_counts(n, edges, top[i])
+                for j in range(i + 1, len(members)):
+                    wl = min(ball.word_lengths[members[i]], ball.word_lengths[members[j]])
+                    if wl + dmat[i][j] <= radius:
+                        several += counts[top[j]] >= 2
+        assert entry["geodesic_cap_hits"] == several
+    assert [entry["geodesic_cap_hits"] for entry in diagnostics] == [24, 0]  # of 228 pairs each
 
 
 def test_convexity_report_counts_capped_pairs(tmp_path):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
 import random
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from horolab import (
     INF,
@@ -21,6 +25,7 @@ from horolab import (
     rips_graph,
 )
 import horolab.graph
+import horolab.io
 from horolab.graph import (
     cycle_graph,
     grid_graph,
@@ -295,6 +300,20 @@ def test_single_zero_length_geodesic():
 def test_enumeration_cap_and_flag():
     paths, truncated = enumerate_geodesics(grid_graph(3, 3), 0, 8, cap=4)
     assert truncated and len(paths) == 4
+    paths, truncated = enumerate_geodesics(grid_graph(3, 3), 0, 8, cap=5)
+    assert truncated and len(paths) == 5
+    paths, truncated = enumerate_geodesics(grid_graph(3, 3), 0, 8, cap=6)
+    assert not truncated and len(paths) == 6
+
+
+def test_a_pair_with_exactly_cap_geodesics_is_not_truncated():
+    # opposite vertices of C_4 have exactly two geodesics
+    paths, truncated = enumerate_geodesics(cycle_graph(4), 0, 2, cap=2)
+    assert not truncated and [p.vertices for p in paths] == [(0, 1, 2), (0, 3, 2)]
+    paths, truncated = enumerate_geodesics(cycle_graph(4), 0, 2, cap=1)
+    assert truncated and [p.vertices for p in paths] == [(0, 1, 2)]
+    paths, truncated = enumerate_geodesics(path_graph(4), 0, 3, cap=1)
+    assert not truncated and len(paths) == 1
 
 
 def test_enumeration_errors():
@@ -396,6 +415,78 @@ def test_streamed_graph_file_equals_canonical_text(tmp_path):
     empty = Graph(1, [])
     write_graph(empty, f)
     assert f.read_bytes() == canonical_json(graph_to_json(empty)).encode("utf-8")
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.text(alphabet=st.sampled_from('"\\%\x00\x1f\x7f\u2028\u2029é\U0001F600a')) | st.text())
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+# few distinct keys, so that runs of records share a key set
+_RECORD_KEYS = st.sampled_from(["alpha", "base", "kind", "level", "%s", 'q"', "é"])
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(0, 14))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]), max_size=30)) if n > 1 else []
+    labels = draw(st.none() | st.lists(st.text(), min_size=n, max_size=n))
+    metadata = draw(st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=3))
+    if draw(st.booleans()):
+        metadata["vertex_meta"] = draw(st.lists(
+            st.dictionaries(_RECORD_KEYS, _JSON_SCALARS | _JSON_VALUES, max_size=4), max_size=n + 3))
+    return Graph(n, edges, labels=labels, metadata=metadata)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_graphs(), block=st.sampled_from([1, 2, 3, 4096]))
+@example(g=Graph(0, []), block=4096)
+@example(g=Graph(5, []), block=2)
+@example(g=Graph(3, [(0, 1)], labels=['"\\', "\x00\n\u2028", "\U0001F600%s"],
+                 metadata={"vertex_meta": [{"alpha": None, "base": 0, "kind": "gamma", "level": 0},
+                                           {"alpha": 1, "base": 0, "kind": "horo", "level": 1},
+                                           {"x": float("nan"), "y": float("-inf"), "z": True}, {}]}),
+         block=1)
+@example(g=Graph(2, [(0, 1)], metadata={2: [1, {"b": []}], 1: {}}), block=4096)
+def test_written_graph_equals_canonical_text(g, block):
+    """``write_graph`` lays out the indented document itself, block by
+    block; it must give the bytes of the canonical text of the document."""
+    expected = canonical_json(graph_to_json(g)).encode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(horolab.io, "_BLOCK", block):
+        f = pathlib.Path(tmp) / "g.json"
+        write_graph(g, f)
+        assert f.read_bytes() == expected
+
+
+def test_carriers_never_reach_the_pure_python_encoder(tmp_path, monkeypatch):
+    """Augmented carriers with vertex_meta and restricted horoballs are
+    written without ``json``'s pure-Python encoder, and with the same bytes."""
+    from horolab.experiments import parabolic_family
+    from horolab.groups import cayley_ball, free_abelian, free_product
+    from horolab.horoball import build_augmented, build_restricted_horoball
+
+    ball = cayley_ball(free_product(free_abelian(2), free_abelian(1)), 3)
+    family, _, _ = parabolic_family(ball)
+    carriers = {
+        "augmented": build_augmented(ball.graph, family, 2, with_meta=True).carrier,
+        "horoball": build_restricted_horoball(grid_graph(12, 12), 3).carrier,
+    }
+    assert carriers["augmented"].labels and all(g.metadata["vertex_meta"] for g in carriers.values())
+    assert carriers["horoball"].num_edges > 2 * horolab.io._BLOCK  # the edges span three blocks
+    expected = {name: canonical_json(graph_to_json(g)).encode("utf-8") for name, g in carriers.items()}
+
+    def no_python_encoder(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", no_python_encoder)
+    with pytest.raises(AssertionError, match="pure-Python"):
+        canonical_json({"vertex_meta": [{"level": 0}]})
+    for name, g in carriers.items():
+        write_graph(g, tmp_path / f"{name}.json")
+        assert (tmp_path / f"{name}.json").read_bytes() == expected[name]
 
 
 def test_json_validation_errors():
