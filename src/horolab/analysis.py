@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .graph import DistanceOracle, Graph, Path, enumerate_geodesics, is_interior_pair
+from .graph import INF, DistanceOracle, Graph, Path, enumerate_geodesics, is_interior_pair
 from .groups import GroupElement
 
 
@@ -301,9 +301,9 @@ def qi_distortion(
     """Minimal multiplicative constant for index-aligned distance samples.
 
     ``domain_distances[i]`` and ``image_distances[i]`` are the distances of
-    the i-th pair in the domain and under the declared map.  The scale
-    multiplies the domain side, so a map that scales every distance by
-    lam fits with K = 1.
+    the i-th pair in the domain and under the declared map: lists or int
+    arrays of hop counts in 0..INF.  The scale multiplies the domain side,
+    so a map that scales every distance by lam fits with K = 1.
     """
     lam = Fraction(scale)
     c = Fraction(additive_budget)
@@ -313,12 +313,23 @@ def qi_distortion(
         raise InputError("additive budget must be >= 0")
     if len(domain_distances) != len(image_distances):
         raise InputError("samples must be aligned index-wise")
+    try:
+        dxs = np.asarray(domain_distances, dtype=np.int64)
+        dys = np.asarray(image_distances, dtype=np.int64)
+        hop_counts = not dxs.size or (min(dxs.min(), dys.min()) >= 0
+                                      and max(dxs.max(), dys.max()) <= INF)
+    except OverflowError:
+        hop_counts = False
+    if not hop_counts:
+        raise InputError(f"distances must be hop counts in 0..{INF}")
 
-    # the fit is a max over pairs, so repeated (dx, dy) values cost nothing
-    distinct = sorted(set(zip(map(int, domain_distances), map(int, image_distances))))
+    # the fit is a max over pairs, so repeated (dx, dy) values cost nothing;
+    # dy < 2**30, so the key dx * 2**30 + dy sorts exactly like the pair
+    distinct = np.unique(dxs << 30 | dys).tolist()
 
     k = Fraction(1)
-    for dx_raw, dy in distinct:
+    for key in distinct:
+        dx_raw, dy = key >> 30, key & (2**30 - 1)
         dx = lam * dx_raw
         # upper side: dy <= K*dx + C
         if dy > c:

@@ -442,9 +442,7 @@ def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int])
         edges = np.stack([np.broadcast_to(vid, targets.shape)[keep], targets[keep]], axis=1)
         d_st = distance_rows(Graph(n_el, edges), range(n_el))
 
-        domain = d_st[pair_idx]
-        image = d_aug[pair_idx]
-        fit = qi_distortion(domain.tolist(), image.tolist(), scale=t, additive_budget=t)
+        fit = qi_distortion(d_st[pair_idx], d_aug[pair_idx], scale=t, additive_budget=t)
         present = all(ball.index.get(g) is not None and displacement[ball.index[g]] <= t
                       for g in factor_generators)
         rows.append({
@@ -460,6 +458,11 @@ def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int])
 
 
 # -- the runner ---------------------------------------------------------------
+
+# Largest carrier, in vertices, that ``augment`` builds with labels and
+# vertex_meta and writes out as augmented.json.  Above it the report's
+# diagnostics say the artifact was skipped, and why.
+_AUGMENT_ARTIFACT_MAX_VERTICES = 50_000
 
 
 def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) -> Report:
@@ -504,8 +507,10 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
         if ball is None:
             raise ConfigError("instance", "augment needs a group instance")
         family, factor_of, identity_indices = parabolic_family(ball)
-        aug = build_augmented(ball.graph, family, depth,
-                              with_meta=ball.graph.num_vertices * (depth + 1) <= 50_000)
+        # the carrier holds the base plus depth copies of every member
+        carrier_vertices = ball.graph.num_vertices + depth * sum(len(m.vertices) for m in family)
+        written = carrier_vertices <= _AUGMENT_ARTIFACT_MAX_VERTICES
+        aug = build_augmented(ball.graph, family, depth, with_meta=written)
         rows = [{
             "family_members": len(family),
             "identity_cosets": len(identity_indices),
@@ -513,8 +518,12 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
             "carrier_edges": int(aug.carrier.num_edges),
             "depth": depth,
         }]
-        if aug.carrier.metadata:
+        if written:
             write_carrier(aug.carrier, "augmented")
+        else:
+            diagnostics["artifact_skipped"] = {
+                "name": "augmented.json", "carrier_vertices": carrier_vertices,
+                "max_vertices": _AUGMENT_ARTIFACT_MAX_VERTICES}
 
     elif kind == "delta":
         sample = params.get("sample", "all")

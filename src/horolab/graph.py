@@ -7,13 +7,18 @@ no floating point in the metric itself.  Unreachable pairs carry the single
 sentinel ``INF = 2**30 - 1``, so the sum of two sentinels still fits in an
 int32 and row sums such as d(u, w) + d(w, v) never wrap.
 
-Two C kernels compute the rows, chosen by vertex count.  Below
-``_BATCH_MAX_VERTICES`` one batched scipy ``dijkstra`` call serves all
-sources at once, which wins on the many small graphs (coset members, word
-balls) where per-call overhead dominates.  From there on each row is one
-scipy ``breadth_first_order`` traversal split into levels, which wins on big
-carriers where the batched call's float work dominates.  Tests check both
-against a pure-Python BFS and Floyd-Warshall in ``tests/oracles.py``.
+Three kernels compute the rows, chosen from the graph itself.  Below
+``_BATCH_MAX_VERTICES`` vertices all sources are served at once: a dense
+graph, with average degree 2E/n of at least ``_DENSE_MIN_DEGREE``, runs a
+level-synchronous BFS in which each level is one float32 BLAS product of the
+frontier rows with the dense adjacency matrix (the S_t graphs of
+Milnor-Svarc, whose diameter is a few hops); a sparser one gets one batched
+scipy ``dijkstra`` call, which wins on the many small graphs (coset members,
+word balls) where per-call overhead dominates.  From ``_BATCH_MAX_VERTICES``
+on, each row is one scipy ``breadth_first_order`` traversal split into
+levels, which wins on big carriers where the batched call's float work
+dominates.  Tests check all three against a pure-Python BFS and
+Floyd-Warshall in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -32,8 +37,17 @@ from .errors import InputError
 INF: int = 2**30 - 1
 
 # Vertex count from which distance_rows runs one BFS traversal per source
-# instead of one batched dijkstra call.
+# instead of one batched call for all sources.
 _BATCH_MAX_VERTICES = 1000
+
+# Average degree 2E/n from which a graph under _BATCH_MAX_VERTICES gets the
+# dense frontier-product BFS instead of batched dijkstra.  Each BFS level
+# costs one n x n product whatever the degree, so it pays off once the graph
+# is dense enough for few levels and heavy dijkstra relaxation.  On the S_t
+# graphs of Z^2 at radius 16 (545 vertices, all sources; 2 cores, one BLAS
+# thread), degree 35 took 16 ms against dijkstra's 30 ms, degree 11 took
+# 32 ms against 20 ms.
+_DENSE_MIN_DEGREE = 32
 
 
 def is_unreachable(d: int) -> bool:
@@ -200,6 +214,9 @@ def distance_rows(g: Graph, sources: Sequence[int], columns: Sequence[int] | Non
     if srcs.size == 0:
         return np.empty((0, width), dtype=np.int32)
     if n < _BATCH_MAX_VERTICES:
+        if 2 * g.num_edges >= _DENSE_MIN_DEGREE * n:
+            d = _frontier_product_rows(g, srcs)
+            return d if columns is None else d[:, columns]
         d = dijkstra(g.csr(), unweighted=True, indices=srcs)
         if columns is not None:
             d = d[:, columns]
@@ -210,6 +227,38 @@ def distance_rows(g: Graph, sources: Sequence[int], columns: Sequence[int] | Non
         row = _bfs_order_row(g, int(s))
         out[i] = row if columns is None else row[columns]
     return out
+
+
+def _frontier_product_rows(g: Graph, srcs: np.ndarray) -> np.ndarray:
+    """BFS from every source at once, one level per BLAS product.
+
+    Row i of ``frontier`` marks the vertices source i reached last level;
+    its product with the 0/1 adjacency matrix counts, per vertex, the
+    frontier neighbours.  Those counts are integers below n, exact in
+    float32, so ``> 0`` is exactly "has a neighbour in the frontier".  A
+    vertex's distance is the number of levels after which it is still
+    unreached, which the loop adds up in place.
+    """
+    n, k = g.num_vertices, len(srcs)
+    adj = np.zeros((n, n), dtype=np.float32)
+    adj[np.repeat(np.arange(n), np.diff(g._indptr)), g._indices] = 1
+    frontier = np.zeros((k, n), dtype=np.float32)
+    frontier[np.arange(k), srcs] = 1
+    unreached = frontier == 0
+    dist = unreached.astype(np.int32)
+    step = np.empty_like(frontier)
+    new = np.empty_like(unreached)
+    while True:
+        np.matmul(frontier, adj, out=step)
+        np.greater(step, 0, out=new)
+        new &= unreached
+        if not new.any():
+            break
+        unreached ^= new
+        dist += unreached
+        np.copyto(frontier, new)
+    dist[unreached] = INF
+    return dist
 
 
 def _bfs_order_row(g: Graph, source: int) -> np.ndarray:

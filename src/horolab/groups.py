@@ -20,6 +20,7 @@ Serialized normal forms use the grammar
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -460,12 +461,52 @@ class CayleyBall:
     def right_translation(self, s: GroupElement) -> np.ndarray:
         """Ball index of g·s for every ball element g, in ball order, as an
         int32 column; -1 where g·s leaves the ball.  The products run on raw
-        keys, so no ``GroupElement`` is built per element."""
+        keys, so no ``GroupElement`` is built per element.  In a free abelian
+        group they are one array addition over the coordinate table, looked
+        up through ``_coordinate_codes``."""
         if s.spec != self.spec:
             raise InputError("element does not belong to this group")
-        mul, get, sk = self.spec._mul, self.key_index.get, s.key
-        return np.fromiter((get(mul(g.key, sk), -1) for g in self.elements),
-                           dtype=np.int32, count=len(self.elements))
+        table = self._coordinate_codes()
+        if table is None:
+            mul, get, sk = self.spec._mul, self.key_index.get, s.key
+            return np.fromiter((get(mul(g.key, sk), -1) for g in self.elements),
+                               dtype=np.int32, count=len(self.elements))
+        coords, lo, hi, radix, codes, order = table
+        out = np.full(len(self.elements), -1, dtype=np.int32)
+        # a coordinate shift wider than the ball's range leaves it from
+        # everywhere; checked on Python ints, so no int64 sum can wrap
+        if any(not lo_i - hi_i <= x <= hi_i - lo_i for x, lo_i, hi_i in zip(s.key, lo, hi)):
+            return out
+        moved = coords + np.asarray(s.key, dtype=np.int64)
+        inside = np.nonzero(np.all((moved >= lo) & (moved <= hi), axis=1))[0]
+        code = (moved[inside] - lo) @ radix
+        pos = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+        hit = codes[pos] == code
+        out[inside[hit]] = order[pos[hit]]
+        return out
+
+    def _coordinate_codes(self):
+        """For a free abelian ball, built once: the (n, rank) int64
+        coordinate table, each coordinate's range [lo, hi] over the ball,
+        the mixed-radix weights that code an in-range vector exactly, and the
+        sorted codes with their ball indices.  None for other groups, and
+        where the code range does not fit in an int64."""
+        if not hasattr(self, "_codes"):
+            table = None
+            if self.spec.kind == "free_abelian":
+                keys = [g.key for g in self.elements]
+                lo = [min(c) for c in zip(*keys)]
+                hi = [max(c) for c in zip(*keys)]
+                bases = [b - a + 1 for a, b in zip(lo, hi)]
+                if math.prod(bases) <= 2**63 - 1:
+                    coords = np.array(keys, dtype=np.int64)
+                    radix = np.array([math.prod(bases[i + 1:]) for i in range(len(bases))],
+                                     dtype=np.int64)
+                    code = (coords - lo) @ radix
+                    order = np.argsort(code).astype(np.int32)
+                    table = (coords, lo, hi, radix, code[order], order)
+            object.__setattr__(self, "_codes", table)
+        return self._codes
 
     def vertex_of(self, g: GroupElement) -> int:
         try:

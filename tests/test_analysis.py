@@ -6,10 +6,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horolab import InputError, Path, analysis, cayley_ball, free_abelian
+from horolab import INF, InputError, Path, analysis, cayley_ball, free_abelian
 from horolab.analysis import (
     InteriorFilter,
     convexity_defect,
@@ -320,3 +321,52 @@ def test_qi_input_validation():
         qi_distortion([1], [1], scale=0)
     with pytest.raises(InputError):
         qi_distortion([1, 2], [1], scale=1)
+    with pytest.raises(InputError, match="hop counts"):
+        qi_distortion([1, -1], [1, 1], scale=1)
+    with pytest.raises(InputError, match="hop counts"):
+        qi_distortion(np.array([1, 1]), np.array([1, INF + 1]), scale=1)
+    with pytest.raises(InputError, match="hop counts"):
+        qi_distortion([2**70], [1], scale=1)
+
+
+def naive_qi_fit(dx, dy, lam, c):
+    """The fit as a max over every pair, duplicates included."""
+    k = Fraction(1)
+    for x, y in zip(dx, dy):
+        x = lam * x
+        if y > c:
+            if x == 0:
+                return math.inf
+            k = max(k, Fraction(y - c, x))
+        if x > 0:
+            if y + c == 0:
+                return math.inf
+            k = max(k, Fraction(x, y + c))
+    return k
+
+
+@pytest.mark.parametrize("dx, dy, c", [
+    ([1, 2, 3, 4, 2, 2, 0], [1, 3, 3, 9, 3, 1, 0], 0),
+    ([0, 3, 3], [5, 3, 3], 1),  # dy > C at dx = 0: no finite K
+    ([4, 1, 4], [0, 1, 0], 0),  # dx > 0 at dy + C = 0: no finite K
+    ([2, INF, 5, INF], [INF, 7, 5, INF], 3),  # the unreachable sentinel
+    ([], [], 2),
+], ids=["finite", "inf-upper", "inf-lower", "sentinel", "empty"])
+def test_qi_fit_of_arrays_equals_fit_of_lists(dx, dy, c):
+    fit = qi_distortion(dx, dy, scale=2, additive_budget=c)
+    assert fit.multiplicative == naive_qi_fit(dx, dy, 2, c)
+    assert fit.pairs_checked == len(dx)
+    for dtype in (np.int32, np.int64):
+        assert qi_distortion(np.array(dx, dtype=dtype), np.array(dy, dtype=dtype),
+                             scale=2, additive_budget=c) == fit
+
+
+def test_qi_fit_of_random_arrays_matches_every_pair():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        dx = rng.integers(0, 12, size=300, dtype=np.int32)
+        dy = rng.integers(0, 12, size=300, dtype=np.int32)
+        c = int(rng.integers(0, 3))
+        expected = naive_qi_fit(dx.tolist(), dy.tolist(), 3, c)
+        assert qi_distortion(dx, dy, scale=3, additive_budget=c).multiplicative == expected
+        assert qi_distortion(dx.tolist(), dy.tolist(), scale=3, additive_budget=c).multiplicative == expected

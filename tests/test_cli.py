@@ -9,6 +9,7 @@ import pytest
 
 from horolab import PropertyViolation, cayley_ball, free_abelian, free_product
 from horolab.cli import EXIT_CONFIG, EXIT_OK, main
+from horolab import experiments
 from horolab.errors import ConfigError
 from horolab.experiments import (
     build_instance_graph,
@@ -105,6 +106,30 @@ def test_artifact_write_time_is_a_timing_not_a_row(tmp_path, kind, instance, art
     delta = run_experiment(validate_config({"version": 1, "experiment": "delta",
                                             "instance": {"cycle": 6}, "params": {}}), tmp_path / "d")
     assert "artifacts_s" not in delta.timings
+
+
+def test_augment_reports_a_skipped_artifact(tmp_path, monkeypatch):
+    # Z*Z at radius 3: 53 elements, each in one coset of each factor, so the
+    # depth-2 carrier has 53 + 2 * 106 = 265 vertices
+    cfg = write_config(tmp_path, {
+        "version": 1, "experiment": "augment",
+        "instance": {"group": {"free_product": [{"free_abelian": 1}, {"free_abelian": 1}]},
+                     "radius": 3},
+        "params": {"depth": 2},
+    })
+    reports = {}
+    for cap in (265, 264):
+        monkeypatch.setattr(experiments, "_AUGMENT_ARTIFACT_MAX_VERTICES", cap)
+        out = tmp_path / str(cap)
+        assert main(["augment", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        reports[cap] = json.loads((out / "report.json").read_text())
+        assert (out / "augmented.json").exists() == (cap == 265)
+    assert reports[265]["artifacts"] == ["augmented.json"] and reports[265]["diagnostics"] == {}
+    assert reports[264]["artifacts"] == []
+    assert reports[264]["diagnostics"] == {"artifact_skipped": {
+        "name": "augmented.json", "carrier_vertices": 265, "max_vertices": 264}}
+    assert reports[264]["rows"] == reports[265]["rows"]
+    assert reports[264]["rows"][0]["carrier_vertices"] == 265
 
 
 def test_report_rows_are_reproducible(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import pathlib
 import random
@@ -85,9 +86,23 @@ def test_adjacency_symmetric_and_sorted():
     assert g.has_edge(3, 0) and g.has_edge(0, 3)
 
 
-# Both kernels of distance_rows: the real vertex-count switch, and a switch
-# at 0 that sends even the smallest graph through the BFS-order kernel.
-KERNELS = [horolab.graph._BATCH_MAX_VERTICES, 0]
+# The three kernels of distance_rows, as (vertex-count switch, degree
+# switch): the real switches, which send the small sparse test graphs to
+# batched dijkstra; a degree switch at 0, which sends every small graph,
+# edgeless or disconnected ones too, through the dense frontier products;
+# and a vertex-count switch at 0, which sends even the smallest graph
+# through the BFS-order kernel.
+KERNELS = [
+    (horolab.graph._BATCH_MAX_VERTICES, horolab.graph._DENSE_MIN_DEGREE),
+    (horolab.graph._BATCH_MAX_VERTICES, 0),
+    (0, horolab.graph._DENSE_MIN_DEGREE),
+]
+
+
+def use_kernel(monkeypatch, kernel):
+    batch_max, dense_min_degree = kernel
+    monkeypatch.setattr(horolab.graph, "_BATCH_MAX_VERTICES", batch_max)
+    monkeypatch.setattr(horolab.graph, "_DENSE_MIN_DEGREE", dense_min_degree)
 
 
 def random_graph(n, edge_count, rng):
@@ -120,8 +135,8 @@ def test_bfs_unknown_source():
 
 def test_bfs_disconnected_sentinel(monkeypatch):
     g = Graph(4, [(0, 1), (2, 3)])
-    for batch_max in KERNELS:
-        monkeypatch.setattr(horolab.graph, "_BATCH_MAX_VERTICES", batch_max)
+    for kernel in KERNELS:
+        use_kernel(monkeypatch, kernel)
         d = distance_rows(g, [0, 3])
         assert d.dtype == np.int32
         assert d.tolist() == [[0, 1, INF, INF], [INF, INF, 1, 0]]
@@ -130,8 +145,8 @@ def test_bfs_disconnected_sentinel(monkeypatch):
 
 
 def test_bfs_matches_floyd_warshall_on_random_graphs(monkeypatch):
-    for batch_max in KERNELS:
-        monkeypatch.setattr(horolab.graph, "_BATCH_MAX_VERTICES", batch_max)
+    for kernel in KERNELS:
+        use_kernel(monkeypatch, kernel)
         check_random_graphs_against_references(random.Random(7))
 
 
@@ -150,8 +165,8 @@ def check_random_graphs_against_references(rng):
             assert as_inf(bfs_distances(n, edges, s)) == fw[s]
             assert oracle.row(s).tolist() == fw[s]
         cols = sorted(rng.sample(range(n), rng.randrange(0, n + 1)))
-        assert distance_rows(g, [n - 1, 0], columns=cols).tolist() == [
-            [fw[n - 1][c] for c in cols], [fw[0][c] for c in cols]]
+        assert distance_rows(g, [n - 1, 0, n - 1], columns=cols).tolist() == [
+            [fw[n - 1][c] for c in cols], [fw[0][c] for c in cols], [fw[n - 1][c] for c in cols]]
 
 
 @pytest.mark.parametrize("n", [horolab.graph._BATCH_MAX_VERTICES - 1, horolab.graph._BATCH_MAX_VERTICES])
@@ -164,6 +179,30 @@ def test_distance_rows_at_the_kernel_switch(n):
         assert rows.dtype == np.int32
         for s, row in zip(sources, rows):
             assert row.tolist() == as_inf(bfs_distances(n, edges, s))
+
+
+@pytest.mark.parametrize("extra_edges", [-1, 0])
+def test_distance_rows_at_the_degree_switch(monkeypatch, extra_edges):
+    """Average degree 2E/n just under and exactly at the switch: batched
+    dijkstra, then the frontier products.  The last vertex is isolated, so
+    some rows hold INF."""
+    n = 60
+    rng = random.Random(extra_edges)
+    e = horolab.graph._DENSE_MIN_DEGREE * n // 2 + extra_edges
+    g = Graph(n, rng.sample(list(itertools.combinations(range(n - 1), 2)), e))
+    dense_calls = []
+    frontier_rows = horolab.graph._frontier_product_rows
+    monkeypatch.setattr(horolab.graph, "_frontier_product_rows",
+                        lambda graph, srcs: dense_calls.append(len(srcs)) or frontier_rows(graph, srcs))
+    edges = [tuple(x) for x in g.edges]
+    fw = [as_inf(row) for row in floyd_warshall(n, edges)]
+    sources = [n - 1, 3, 0, 3, n - 1]
+    cols = sorted(rng.sample(range(n), 20)) + [n - 1]
+    assert distance_rows(g, range(n)).tolist() == fw
+    assert distance_rows(g, sources, columns=cols).tolist() == [[fw[s][c] for c in cols] for s in sources]
+    for s in sources:
+        assert as_inf(bfs_distances(n, edges, s)) == fw[s]
+    assert dense_calls == ([] if extra_edges < 0 else [n, len(sources)])
 
 
 def test_no_sources_give_an_empty_table():

@@ -312,7 +312,8 @@ def test_coset_edges_match_per_element_products(spec):
 
 @pytest.mark.parametrize("spec,radius", [
     (Z2, 4), (H3, 3), (F2, 3), (free_product(free_abelian(2), free_abelian(1)), 3),
-], ids=["Z2", "Heis", "F2", "Z2*Z"])
+    (free_abelian(1), 5), (free_abelian(3), 3), (free_abelian(40), 1),
+], ids=["Z2", "Heis", "F2", "Z2*Z", "Z1", "Z3", "Z40"])
 def test_right_translation_matches_products(spec, radius):
     ball = cayley_ball(spec, radius)
     outside = 0
@@ -327,6 +328,26 @@ def test_right_translation_matches_products(spec, radius):
                 outside += 1
             assert j == expected
     assert outside > 0
+
+
+def test_free_abelian_codes_fall_back_where_int64_overflows():
+    # radius-1 coordinates take 3 values each: 3**39 codes fit in an int64,
+    # 3**40 do not, so Z^40 takes the per-element products
+    assert cayley_ball(free_abelian(39), 1)._coordinate_codes() is not None
+    assert cayley_ball(free_abelian(40), 1)._coordinate_codes() is None
+    assert cayley_ball(Z2, 2)._coordinate_codes() is not None
+    assert cayley_ball(H3, 2)._coordinate_codes() is None
+
+
+@pytest.mark.parametrize("spec", [free_abelian(1), Z2, free_abelian(3)], ids=["Z1", "Z2", "Z3"])
+def test_right_translation_by_elements_outside_the_ball(spec):
+    radius = 3
+    ball = cayley_ball(spec, radius)
+    for shift in (radius, radius + 1, 2 * radius, 2 * radius + 1, 10**30):
+        for sign in (1, -1):
+            s = spec.element((sign * shift,) + (1,) * (spec.rank - 1))
+            expected = [ball.index.get(spec.multiply(g, s), -1) for g in ball.elements]
+            assert ball.right_translation(s).tolist() == expected
 
 
 def test_right_translation_rejects_foreign_elements():
