@@ -38,7 +38,6 @@ from .groups import DEFAULT_BALL_BUDGET, CayleyBall, GroupSpec, cayley_ball, cos
 from .horoball import (
     AugmentedSpace,
     Subgraph,
-    build_augmented,
     build_restricted_horoball,
     crossing_distance,
     glue_horoballs,
@@ -206,6 +205,21 @@ def parabolic_family(ball: CayleyBall) -> tuple[list[Subgraph], list[int], list[
     return family, factor_of, identity_members
 
 
+def _shaped_family(ball: CayleyBall, timings: dict | None) -> tuple:
+    """``parabolic_family`` and the ``member_shapes`` table of its members,
+    timed as ``family_s`` in ``timings`` (when given)."""
+    t = time.perf_counter()
+    family, factor_of, identity_members = parabolic_family(ball)
+    shapes = member_shapes(ball.graph, family)
+    if timings is not None:
+        timings["family_s"] = _since(t)
+    return family, factor_of, identity_members, shapes
+
+
+def _since(t: float) -> float:
+    return round(time.perf_counter() - t, 6)
+
+
 @dataclass
 class ParabolicScan:
     """Betweenness-convexity measurements for one parabolic (a coset's top
@@ -316,6 +330,7 @@ def convexify_experiment(
     verify_cosets: int = 3,
     geodesic_cap: int = 32,
     diagnostics: list[dict] | None = None,
+    timings: dict | None = None,
 ) -> list[dict]:
     """Defect of the top-level parabolics of the depth-n augmentation of
     ``ball``, one row per n.
@@ -327,12 +342,12 @@ def convexify_experiment(
     ``diagnostics`` list receives one entry per n: the vertices of the
     neighborhoods scanned, summed, and the pairs with more than
     ``geodesic_cap`` geodesics (where quasiconvexity is only a lower bound).
+    A ``timings`` dict receives ``family_s`` (see ``_shaped_family``).
     """
     spec = ball.spec
     if spec.kind != "free_product":
         raise InputError("the convexification experiment needs a free product")
-    family, factor_of, identity_indices = parabolic_family(ball)
-    shapes = member_shapes(ball.graph, family)
+    family, factor_of, identity_indices, shapes = _shaped_family(ball, timings)
     sampled = _sample_cosets(family, factor_of, identity_indices, verify_cosets)
 
     rows = []
@@ -376,7 +391,8 @@ def convexify_gate(rows: Sequence[dict]) -> None:
         raise PropertyViolation(f"defect never reached 0 within the depth range: {defects}")
 
 
-def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int]) -> list[dict]:
+def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int],
+                            timings: dict | None = None) -> list[dict]:
     """Displacement generating sets S_t and the multiplicative fit K_t of
     g -> g·x0 from (G, t·d_{S_t}) into the depth-``depth`` augmentation of
     ``ball``.
@@ -390,8 +406,9 @@ def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int])
     carrier is one horoball over the ball; its level-0 distances are the
     crossing-level formula ``horoball.crossing_distance`` at levels (0, 0)
     over the word-metric table, and no carrier is built.  Free products
-    build the carrier and take its BFS rows.  The tests check the formula
-    against carrier BFS.
+    build the carrier and take its BFS rows; ``timings`` (when given)
+    receives the ``family_s`` of their coset family.  The tests check the
+    formula against carrier BFS.
 
     The S_t graph joins g to g·s for s in S_t.  Its edges come from the
     right-translation columns of ``CayleyBall.right_translation``: S_t grows
@@ -402,12 +419,11 @@ def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int])
     n_el = ball.graph.num_vertices
     d_word = distance_rows(ball.graph, range(n_el))
 
-    family, _, _ = parabolic_family(ball)
-    if (len(family) == 1 and len(family[0].vertices) == n_el
-            and len(family[0].edges) == ball.graph.num_edges):
+    if spec.kind != "free_product":
         d_aug = crossing_distance(d_word, 0, 0, depth)
     else:
-        aug = build_augmented(ball.graph, family, depth)
+        family, _, _, shapes = _shaped_family(ball, timings)
+        aug = glue_horoballs(ball.graph, family, shapes, depth)
         # element vertices keep ids 0..n_el-1 in the carrier
         d_aug = distance_rows(aug.carrier, range(n_el), columns=np.arange(n_el))
     displacement = d_aug[0].tolist()
@@ -484,12 +500,14 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
         write_graph(carrier, artifact(f"{stem}.json"))
         if export_dot:
             artifact(f"{stem}.dot").write_text(to_dot(carrier, name=stem), encoding="utf-8")
-        timings["artifacts_s"] = round(time.perf_counter() - t, 6)
+        timings["artifacts_s"] = _since(t)
 
     kind = config.kind
     params = config.params
+    t = time.perf_counter()
     graph, ball, digest = build_instance_graph(
         config.instance, max_vertices=_int_param(params, "budget", DEFAULT_BALL_BUDGET))
+    timings["instance_s"] = _since(t)
 
     if kind == "build-horoball":
         depth = _int_param(params, "depth")
@@ -506,11 +524,11 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
         depth = _int_param(params, "depth")
         if ball is None:
             raise ConfigError("instance", "augment needs a group instance")
-        family, factor_of, identity_indices = parabolic_family(ball)
+        family, _, identity_indices, shapes = _shaped_family(ball, timings)
         # the carrier holds the base plus depth copies of every member
         carrier_vertices = ball.graph.num_vertices + depth * sum(len(m.vertices) for m in family)
         written = carrier_vertices <= _AUGMENT_ARTIFACT_MAX_VERTICES
-        aug = build_augmented(ball.graph, family, depth, with_meta=written)
+        aug = glue_horoballs(ball.graph, family, shapes, depth, with_meta=written)
         rows = [{
             "family_members": len(family),
             "identity_cosets": len(identity_indices),
@@ -534,8 +552,8 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
             depth = _int_param(params, "depth")
             if ball is None:
                 raise ConfigError("params.depth", "augmented delta needs a group instance")
-            family, _, _ = parabolic_family(ball)
-            target = build_augmented(ball.graph, family, depth).carrier
+            family, _, _, shapes = _shaped_family(ball, timings)
+            target = glue_horoballs(ball.graph, family, shapes, depth).carrier
         est = four_point_delta(target, sample=sample, seed=config.seed)
         rows = [{
             "delta": str(est.delta),
@@ -609,6 +627,7 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
             verify_cosets=_int_param(params, "verify_cosets", 3, least=0),
             geodesic_cap=_int_param(params, "geodesic_cap", 32, least=0),
             diagnostics=diagnostics.setdefault("depths", []),
+            timings=timings,
         )
         convexify_gate(rows)
 
@@ -616,7 +635,7 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
         if ball is None:
             raise ConfigError("instance", "milnor-svarc needs a group instance")
         rows = milnor_svarc_experiment(
-            ball, _int_param(params, "depth"), _int_list_param(params, "t_list", least=0))
+            ball, _int_param(params, "depth"), _int_list_param(params, "t_list", least=0), timings)
 
     else:  # unreachable after validation
         raise ConfigError("experiment", f"unhandled kind {kind}")
@@ -625,7 +644,7 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
         config=config,
         environment={"tool": "horolab", "version": __version__, "instance_hash": digest},
         rows=rows,
-        timings={"total_seconds": round(time.perf_counter() - t0, 6), **timings},
+        timings={"total_seconds": _since(t0), **timings},
         artifacts=artifacts,
         diagnostics=diagnostics,
     )

@@ -23,10 +23,13 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InputError, ResourceLimitError
 from .graph import Graph
@@ -194,18 +197,17 @@ class GroupSpec:
             p1, q1, r1 = xk
             p2, q2, r2 = yk
             return (p1 + p2, q1 + q2, r1 + r2 - p2 * q1)
-        # free product: merge at the seam, cancelling identity syllables
-        xs = list(xk)
-        ys = list(yk)
-        while xs and ys and xs[-1][0] == ys[0][0]:
-            i = xs[-1][0]
-            merged = self.factors[i]._mul(xs[-1][1], ys[0][1])
-            xs.pop()
-            ys.pop(0)
+        # free product: merge at the seam, cancelling identity syllables; only
+        # the syllables that meet there are touched, the rest are tuple slices
+        end, start = len(xk), 0
+        while end and start < len(yk) and xk[end - 1][0] == yk[start][0]:
+            i = yk[start][0]
+            merged = self.factors[i]._mul(xk[end - 1][1], yk[start][1])
+            end -= 1
+            start += 1
             if merged != self.factors[i]._identity_key():
-                xs.append((i, merged))
-                break
-        return tuple(xs + ys)
+                return xk[:end] + ((i, merged),) + yk[start:]
+        return xk[:end] + yk[start:]
 
     def _inv(self, xk):
         if self.kind == "free":
@@ -436,6 +438,12 @@ class CayleyBall:
 
     Vertices are numbered by (word length, lexicographic normal form), so the
     identity is vertex 0 and graph distance from it equals word length.
+    ``generator_table`` is the (n, |S|) int32 generator table: row g,
+    column j holds the ball index of g·s_j, or -1 where the product leaves
+    the ball, for the generators s_j of ``spec.generators()`` in that order.
+    Every product is computed once, by the BFS that builds the ball; the
+    graph edges, the generator right translations and the coset families
+    are all read from this one table.
     """
 
     spec: GroupSpec
@@ -443,6 +451,7 @@ class CayleyBall:
     graph: Graph
     elements: tuple[GroupElement, ...]
     word_lengths: tuple[int, ...]
+    generator_table: np.ndarray = field(compare=False, repr=False)
     basepoint: int = 0
 
     @property
@@ -460,12 +469,17 @@ class CayleyBall:
 
     def right_translation(self, s: GroupElement) -> np.ndarray:
         """Ball index of g·s for every ball element g, in ball order, as an
-        int32 column; -1 where g·s leaves the ball.  The products run on raw
-        keys, so no ``GroupElement`` is built per element.  In a free abelian
-        group they are one array addition over the coordinate table, looked
-        up through ``_coordinate_codes``."""
+        int32 column; -1 where g·s leaves the ball.  For a generator or its
+        inverse this is a copy of its ``generator_table`` column.  Other
+        elements (the S_t of Milnor-Svarc) are multiplied here: in a free
+        abelian group by one array addition over the coordinate table,
+        looked up through ``_coordinate_codes``, and otherwise on raw keys,
+        one element at a time, with no ``GroupElement`` built per element."""
         if s.spec != self.spec:
             raise InputError("element does not belong to this group")
+        column = {g.key: j for j, (_, g) in enumerate(self.spec.generators())}.get(s.key)
+        if column is not None:
+            return self.generator_table[:, column].copy()
         table = self._coordinate_codes()
         if table is None:
             mul, get, sk = self.spec._mul, self.key_index.get, s.key
@@ -516,51 +530,68 @@ class CayleyBall:
 
 
 def cayley_ball(spec: GroupSpec, radius: int, max_vertices: int = DEFAULT_BALL_BUDGET) -> CayleyBall:
+    """BFS over word length.  Layer k is expanded in its final order, and
+    each product g·s is computed once: it either finds its ball element,
+    discovers a new one of layer k + 1, or (from the sphere) leaves the
+    ball.  Elements of a new layer get consecutive discovery ids; the layer
+    is then sorted by normal form, formatted once per element for both the
+    sort and the label, and the table is renumbered at the end."""
     if radius < 1:
         raise InputError("radius must be >= 1")
-    gens = spec.generators()
-    identity = spec.identity()
+    gen_keys = [s.key for _, s in spec.generators()]
+    mul, fmt = spec._mul, spec._format_key
+    identity = spec._identity_key()
 
-    layers: list[list[GroupElement]] = [[identity]]
-    seen = {identity: 0}
-    for _ in range(radius):
-        frontier = []
-        for g in layers[-1]:
-            for _, s in gens:
-                h = GroupElement(spec, spec._mul(g.key, s.key))
-                if h not in seen:
-                    seen[h] = -1
-                    frontier.append(h)
-        if len(seen) > max_vertices:
-            raise ResourceLimitError(
-                f"ball of {spec.describe()} at radius {radius} exceeds the "
-                f"budget of {max_vertices} vertices"
-            )
-        if not frontier:
+    ids = {identity: 0}  # normal-form key -> discovery id
+    keys, labels, word_lengths = [identity], [fmt(identity)], [0]
+    discovered = [0]  # ball index -> discovery id
+    raw = array("i")  # generator table in ball row order, discovery-id entries
+    get = ids.get
+    layer_start = 0
+    for length in range(radius + 1):
+        layer = keys[layer_start:]
+        if length == radius:  # the sphere: products that leave the ball are -1
+            for gk in layer:
+                raw.extend([get(mul(gk, sk), -1) for sk in gen_keys])
             break
-        frontier.sort(key=spec.format)
-        layers.append(frontier)
+        new = []
+        for gk in layer:
+            for sk in gen_keys:
+                hk = mul(gk, sk)
+                d = get(hk)
+                if d is None:
+                    d = len(ids)
+                    if d >= max_vertices:
+                        raise ResourceLimitError(
+                            f"ball of {spec.describe()} at radius {radius} exceeds the "
+                            f"budget of {max_vertices} vertices"
+                        )
+                    ids[hk] = d
+                    new.append(hk)
+                raw.append(d)
+        if not new:
+            break
+        layer_start = len(keys)
+        names = [fmt(hk) for hk in new]
+        order = sorted(range(len(new)), key=names.__getitem__)
+        discovered.extend(layer_start + o for o in order)
+        keys.extend(new[o] for o in order)
+        labels.extend(names[o] for o in order)
+        word_lengths.extend([length + 1] * len(new))
+    del ids, get  # not held while the table and the graph are built
 
-    elements: list[GroupElement] = []
-    word_lengths: list[int] = []
-    for length, layer in enumerate(layers):
-        for g in layer:
-            seen[g] = len(elements)
-            elements.append(g)
-            word_lengths.append(length)
-
-    edges = []
-    for i, g in enumerate(elements):
-        for _, s in gens:
-            h = GroupElement(spec, spec._mul(g.key, s.key))
-            j = seen.get(h, -1)
-            if j > i:
-                edges.append((i, j))
-    labels = [spec.format(g) for g in elements]
-    graph = Graph(len(elements), edges, labels=labels,
+    n = len(keys)
+    # discovery id -> ball index, with a trailing -1 that raw's -1 entries pick
+    final = np.append(np.argsort(discovered), -1).astype(np.int32)
+    table = final[np.frombuffer(raw, dtype=np.int32)].reshape(n, len(gen_keys))
+    table.setflags(write=False)
+    rows = np.broadcast_to(np.arange(n, dtype=np.int32)[:, None], table.shape)
+    upper = table > rows
+    graph = Graph(n, np.stack([rows[upper], table[upper]], axis=1), labels=labels,
                   metadata={"group": spec.to_json(), "radius": radius})
     return CayleyBall(spec=spec, radius=radius, graph=graph,
-                      elements=tuple(elements), word_lengths=tuple(word_lengths))
+                      elements=tuple(GroupElement(spec, k) for k in keys),
+                      word_lengths=tuple(word_lengths), generator_table=table)
 
 
 # -- coset subgraph families (free products) -------------------------------
@@ -576,43 +607,44 @@ class CosetSubgraph:
     edges: tuple[tuple[int, int], ...]
 
 
-def coset_representative(spec: GroupSpec, g: GroupElement, factor_index: int) -> GroupElement:
-    """Strip the trailing factor-``factor_index`` syllable: the shortest
-    element of g·H_i, which identifies the coset."""
-    key = g.key
-    if key and key[-1][0] == factor_index:
-        key = key[:-1]
-    return GroupElement(spec, key)
-
-
 def coset_family(ball: CayleyBall, factor_index: int) -> list[CosetSubgraph]:
+    """The cosets g·H_i of factor ``factor_index`` inside the ball, as the
+    connected components of the factor-i columns of ``generator_table``.
+
+    Word length adds over syllables, so a coset meets the ball in
+    r·B_{H_i}(radius - |r|), with r its shortest element: a translated word
+    ball, hence connected, so the components are exactly the cosets.  r is
+    the coset's unique shortest element, so it has the smallest ball index,
+    and ordering families by that index is the (word length, normal form)
+    order of their representatives.  Members are ascending and edges sorted.
+    """
     spec = ball.spec
     if spec.kind != "free_product":
         raise InputError("coset families are defined for free products only")
     if not 0 <= factor_index < len(spec.factors):
         raise InputError(f"factor index {factor_index} out of range")
 
-    groups: dict[GroupElement, list[int]] = {}
-    for vid, g in enumerate(ball.elements):
-        rep = coset_representative(spec, g, factor_index)
-        groups.setdefault(rep, []).append(vid)
+    n = len(ball.elements)
+    factor_columns = [j for j, (_, s) in enumerate(spec.generators()) if s.key[0][0] == factor_index]
+    cols = ball.generator_table[:, factor_columns]
+    u, j = np.nonzero(cols > np.arange(n)[:, None])
+    w = cols[u, j]
+    _, label = connected_components(csr_matrix((np.ones(len(u), dtype=np.int8), (u, w)), shape=(n, n)),
+                                    directed=False)
+    _, first = np.unique(label, return_index=True)
+    rep_of = first[label]  # each element's representative: its component's smallest ball index
+    reps, member_counts = np.unique(rep_of, return_counts=True)
+    edge_counts = np.bincount(rep_of[u], minlength=n)[reps]
+    member_list = np.argsort(rep_of, kind="stable").tolist()  # ascending within a coset
+    by_edge = np.lexsort((w, u, rep_of[u]))
+    edge_list = list(zip(u[by_edge].tolist(), w[by_edge].tolist()))
 
-    factor_gens = [
-        GroupElement(spec, ((factor_index, key),))
-        for _, key in spec.factors[factor_index]._generator_keys()
-    ]
-    factor_gens += [g.inverse() for g in factor_gens]
-
-    # A representative is the shortest member of its coset, so it always lies
-    # inside the ball; order families by (word length, normal form).
-    reps = sorted(groups, key=lambda r: (ball.word_lengths[ball.index[r]], spec.format(r)))
-    columns = [ball.right_translation(s).tolist() for s in factor_gens]
     out = []
-    for rep in reps:
-        members = groups[rep]  # ascending, like the ball order
-        member_set = set(members)
-        edges = {(v, col[v]) for v in members for col in columns
-                 if col[v] > v and col[v] in member_set}
-        out.append(CosetSubgraph(factor_index=factor_index, representative=rep,
-                                 members=tuple(members), edges=tuple(sorted(edges))))
+    m0 = e0 = 0
+    for rep, m, e in zip(reps.tolist(), member_counts.tolist(), edge_counts.tolist()):
+        out.append(CosetSubgraph(factor_index=factor_index, representative=ball.elements[rep],
+                                 members=tuple(member_list[m0:m0 + m]),
+                                 edges=tuple(edge_list[e0:e0 + e])))
+        m0 += m
+        e0 += e
     return out

@@ -1,10 +1,12 @@
 """Independent reference implementations used only to check the main code.
 
 Everything here is deliberately naive: different algorithms, different data
-layouts, no shared helpers with the package.  The one exception is
-``whole_carrier_scan``, the package's betweenness scan run on the whole
+layouts, no shared helpers with the package.  There are two exceptions.
+``whole_carrier_scan`` is the package's betweenness scan run on the whole
 carrier: it is the reference for where the parabolic scan may look, not for
-the scan itself.
+the scan itself.  The Cayley ball and coset family references multiply
+factor keys with the package's group law: they are the reference for how
+balls and families are built from products, not for the factors' products.
 """
 
 from __future__ import annotations
@@ -335,4 +337,93 @@ def whole_carrier_scan(aug, basepoint_row, radius: int, alpha: int, geodesic_cap
     out.update(defect=report.defect, witnesses=[tuple(map(int, w)) for w in report.witnesses],
                pairs_checked=report.pairs_checked, quasiconvexity=report.quasiconvexity_constant,
                level_drop=int(drop), truncated_pairs=report.truncated_pairs)
+    return out
+
+
+def reference_product(spec, xk, yk):
+    """Product of two normal-form keys.  Free products by list surgery:
+    pop the syllables that meet at the seam, merge them with the factor's own
+    product, and stop at the first merge that is not the identity.  Other
+    groups use the package's product."""
+    if spec.kind != "free_product":
+        return spec._mul(xk, yk)
+    xs, ys = list(xk), list(yk)
+    while xs and ys and xs[-1][0] == ys[0][0]:
+        i = xs[-1][0]
+        merged = spec.factors[i]._mul(xs.pop()[1], ys.pop(0)[1])
+        if merged != spec.factors[i]._identity_key():
+            xs.append((i, merged))
+            break
+    return tuple(xs + ys)
+
+
+def reference_cayley_ball(spec, radius: int) -> dict:
+    """Reference for ``groups.cayley_ball``: BFS over ``GroupElement``s,
+    each new layer sorted by its normal-form text, then a second pass of
+    products for the edges.  Returns the elements, word lengths, labels and
+    the sorted edge list."""
+    from horolab.groups import GroupElement
+
+    gens = [s.key for _, s in spec.generators()]
+    layers = [[spec.identity()]]
+    seen = {spec.identity()}
+    for _ in range(radius):
+        frontier = []
+        for g in layers[-1]:
+            for s in gens:
+                h = GroupElement(spec, reference_product(spec, g.key, s))
+                if h not in seen:
+                    seen.add(h)
+                    frontier.append(h)
+        frontier.sort(key=spec.format)
+        layers.append(frontier)
+    elements = [g for layer in layers for g in layer]
+    index = {g: i for i, g in enumerate(elements)}
+    edges = set()
+    for i, g in enumerate(elements):
+        for s in gens:
+            j = index.get(GroupElement(spec, reference_product(spec, g.key, s)))
+            if j is not None and j != i:
+                edges.add((min(i, j), max(i, j)))
+    return {"elements": tuple(elements),
+            "word_lengths": tuple(k for k, layer in enumerate(layers) for _ in layer),
+            "labels": [spec.format(g) for g in elements],
+            "edges": sorted(edges)}
+
+
+def coset_representative(spec, g, factor_index: int):
+    """Strip the trailing factor-``factor_index`` syllable: the shortest
+    element of g·H_i, which identifies the coset."""
+    from horolab.groups import GroupElement
+
+    key = g.key
+    if key and key[-1][0] == factor_index:
+        key = key[:-1]
+    return GroupElement(spec, key)
+
+
+def reference_coset_family(ball, factor_index: int) -> list:
+    """Reference for ``groups.coset_family``: members grouped by their
+    representative, families ordered by the representative's (word length,
+    normal form), and edges from per-element products by the factor's
+    generators and their inverses."""
+    from horolab.groups import CosetSubgraph
+
+    spec = ball.spec
+    groups: dict = {}
+    for vid, g in enumerate(ball.elements):
+        groups.setdefault(coset_representative(spec, g, factor_index), []).append(vid)
+    gens = [s.key for _, s in spec.generators() if s.key[0][0] == factor_index]
+    out = []
+    for rep in sorted(groups, key=lambda r: (ball.word_lengths[ball.index[r]], spec.format(r))):
+        members = groups[rep]
+        member_set = set(members)
+        edges = set()
+        for v in members:
+            for s in gens:
+                w = ball.key_index.get(reference_product(spec, ball.elements[v].key, s))
+                if w is not None and w > v and w in member_set:
+                    edges.add((v, w))
+        out.append(CosetSubgraph(factor_index=factor_index, representative=rep,
+                                 members=tuple(members), edges=tuple(sorted(edges))))
     return out

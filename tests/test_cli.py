@@ -108,6 +108,33 @@ def test_artifact_write_time_is_a_timing_not_a_row(tmp_path, kind, instance, art
     assert "artifacts_s" not in delta.timings
 
 
+Z_FREE_Z = {"group": {"free_product": [{"free_abelian": 1}, {"free_abelian": 1}]}, "radius": 3}
+
+
+@pytest.mark.parametrize("kind, instance, params, stages", [
+    ("build-horoball", {"path": 8}, {"depth": 2}, {"instance_s", "artifacts_s"}),
+    ("augment", Z_FREE_Z, {"depth": 2}, {"instance_s", "family_s", "artifacts_s"}),
+    ("delta", {"cycle": 6}, {}, {"instance_s"}),
+    ("delta", Z_FREE_Z, {"depth": 1, "sample": 50}, {"instance_s", "family_s"}),
+    ("convexify-experiment", Z_FREE_Z, {"depths": [1, 2]}, {"instance_s", "family_s"}),
+    ("milnor-svarc", Z_FREE_Z, {"depth": 1, "t_list": [1]}, {"instance_s", "family_s"}),
+    ("milnor-svarc", {"group": {"free_abelian": 2}, "radius": 3}, {"depth": 1, "t_list": [1]},
+     {"instance_s"}),
+], ids=["build-horoball", "augment", "delta", "delta-augmented", "convexify", "milnor-svarc-product",
+        "milnor-svarc-abelian"])
+def test_stage_times_are_timings_not_rows(tmp_path, kind, instance, params, stages):
+    """Every run times its instance; runs that build a coset family and its
+    shape table time that too.  Stage times stay out of the rows."""
+    cfg = validate_config({"version": 1, "experiment": kind, "instance": instance, "params": params})
+    run_experiment(cfg, tmp_path / "out")
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    timings = doc["timings"]
+    assert set(timings) == {"total_seconds"} | stages
+    for key in stages:
+        assert 0 <= timings[key] <= timings["total_seconds"]
+    assert not any(key in row for row in doc["rows"] for key in timings)
+
+
 def test_augment_reports_a_skipped_artifact(tmp_path, monkeypatch):
     # Z*Z at radius 3: 53 elements, each in one coset of each factor, so the
     # depth-2 carrier has 53 + 2 * 106 = 265 vertices
@@ -264,6 +291,34 @@ def test_local_scan_finds_the_defect_of_a_nonconvex_arc():
         scan = scan_parabolic(aug, row, 100, 0, geodesic_cap=32, check_level_drop=True)
         assert scan.pairs_checked == 30 * 29 // 2
         assert (scan.defect, len(scan.witnesses), scan.local_vertices) == (defect, witnesses, local)
+        assert _scan_fields(scan) == whole_carrier_scan(aug, row, 100, 0, geodesic_cap=32)
+
+
+def test_local_scan_finds_the_defect_of_a_u_shaped_path_in_a_grid():
+    """A 14 x 12 grid and one parabolic: the 22-vertex path down column 1
+    (rows 0..6), along row 6 and up column 10.  At depth 1 the ends of the
+    U are closer across the grid than along the path, so the scan finds
+    witnesses off it; from depth 2 on the top level is convex.  Even at
+    depth 1 the neighborhood scanned is smaller than the carrier."""
+    from horolab.graph import distance_rows, grid_graph
+    from horolab.horoball import Subgraph, build_augmented
+
+    from oracles import whole_carrier_scan
+
+    rows, cols = 14, 12
+    base = grid_graph(rows, cols)
+    cells = [(r, 1) for r in range(7)] + [(6, c) for c in range(2, 10)] + [(r, 10) for r in range(6, -1, -1)]
+    path = [r * cols + c for r, c in cells]
+    arc = Subgraph(tuple(path), tuple(zip(path, path[1:])))
+    row = distance_rows(base, [0])[0]
+    expected = {1: (5, 10, 152), 2: (0, 0, 108), 3: (0, 0, 44)}  # defect, witnesses, neighborhood vertices
+    for depth, (defect, witnesses, local) in expected.items():
+        aug = build_augmented(base, [arc], depth)
+        assert aug.carrier.num_vertices == rows * cols + 22 * depth
+        scan = scan_parabolic(aug, row, 100, 0, geodesic_cap=32, check_level_drop=True)
+        assert scan.pairs_checked == 22 * 21 // 2
+        assert (scan.defect, len(scan.witnesses), scan.local_vertices) == (defect, witnesses, local)
+        assert scan.local_vertices < aug.carrier.num_vertices
         assert _scan_fields(scan) == whole_carrier_scan(aug, row, 100, 0, geodesic_cap=32)
 
 

@@ -18,9 +18,18 @@ from horolab import (
     free_product,
     heisenberg,
 )
-from horolab.groups import GroupSpec, GroupElement, coset_representative
+from horolab.groups import GroupSpec, GroupElement
 
-from oracles import bfs_distances, heis_from_matrix, heis_matmul, heis_matrix
+from oracles import (
+    bfs_distances,
+    coset_representative,
+    heis_from_matrix,
+    heis_matmul,
+    heis_matrix,
+    reference_cayley_ball,
+    reference_coset_family,
+    reference_product,
+)
 
 
 Z2 = free_abelian(2)
@@ -193,6 +202,48 @@ def test_ball_budget_error_mentions_bound():
         cayley_ball(F2, 4, max_vertices=37)
 
 
+def test_ball_budget_is_checked_while_a_layer_grows(monkeypatch):
+    # F2 at radius 4 has 161 elements: the budget is the ball size, exactly
+    assert cayley_ball(F2, 4, max_vertices=161).graph.num_vertices == 161
+    with pytest.raises(ResourceLimitError, match="160"):
+        cayley_ball(F2, 4, max_vertices=160)
+    # Layers 0, 1, 2 of F2 take 4, 16 and 48 products and reach 5, 17 and
+    # 53 elements.  The 38th element turns up inside layer 2, and the ball
+    # stops there, even at a radius far past the budget.
+    products = []
+    mul = GroupSpec._mul
+    monkeypatch.setattr(GroupSpec, "_mul", lambda self, x, y: products.append(1) or mul(self, x, y))
+    with pytest.raises(ResourceLimitError, match="at radius 50 exceeds the budget of 37 vertices"):
+        cayley_ball(F2, 50, max_vertices=37)
+    assert 4 + 16 < len(products) < 4 + 16 + 48
+
+
+BALL_CASES = [
+    (Z2xZ2, 4), (free_product(free_abelian(2), free_abelian(1)), 5), (free_product(F2, H3), 3),
+    (free_product(free_abelian(1), free_abelian(1), free_abelian(1)), 4), (free_product(F2, Z2), 3),
+]
+BALL_IDS = ["Z2*Z2-r4", "Z2*Z-r5", "F2*Heis-r3", "Z*Z*Z-r4", "F2*Z2-r3"]
+
+
+@pytest.mark.parametrize("spec,radius", BALL_CASES, ids=BALL_IDS)
+def test_ball_and_coset_families_match_the_references(spec, radius):
+    ball = cayley_ball(spec, radius)
+    reference = reference_cayley_ball(spec, radius)
+    assert ball.elements == reference["elements"]
+    assert ball.word_lengths == reference["word_lengths"]
+    assert ball.graph.labels == reference["labels"]
+    assert ball.graph.edges.tolist() == [list(e) for e in reference["edges"]]
+    for factor in range(len(spec.factors)):
+        assert coset_family(ball, factor) == reference_coset_family(ball, factor)
+
+
+def test_free_product_product_matches_the_reference():
+    for spec in (Z2xZ2, free_product(F2, H3), free_product(free_abelian(1), free_abelian(1), F2)):
+        keys = [g.key for g in cayley_ball(spec, 2).elements]
+        for xk, yk in itertools.product(keys, repeat=2):
+            assert spec._mul(xk, yk) == reference_product(spec, xk, yk)
+
+
 def test_ball_radius_validation():
     with pytest.raises(InputError):
         cayley_ball(Z2, 0)
@@ -328,6 +379,23 @@ def test_right_translation_matches_products(spec, radius):
                 outside += 1
             assert j == expected
     assert outside > 0
+
+
+@pytest.mark.parametrize("spec,radius", [(Z2, 5), (F2, 4), (heisenberg(include_central=True), 3),
+                                         (Z2xZ2, 3)], ids=["Z2", "F2", "Heis-central", "Z2*Z2"])
+def test_generator_columns_match_per_element_products(spec, radius):
+    ball = cayley_ball(spec, radius)
+    gens = spec.generators()
+    assert ball.generator_table.shape == (len(ball.elements), len(gens))
+    assert ball.generator_table.dtype == np.int32
+    for j, (_, s) in enumerate(gens):
+        expected = [ball.key_index.get(reference_product(spec, g.key, s.key), -1) for g in ball.elements]
+        column = ball.right_translation(s)
+        assert column.dtype == np.int32 and column.tolist() == expected
+        assert ball.generator_table[:, j].tolist() == expected
+        column[:] = 0  # a copy: the table stays as it was
+        assert ball.generator_table[:, j].tolist() == expected
+    assert (ball.generator_table == -1).any()
 
 
 def test_free_abelian_codes_fall_back_where_int64_overflows():

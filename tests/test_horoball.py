@@ -527,7 +527,7 @@ def test_milnor_svarc_builds_no_carrier_for_a_whole_ball_parabolic(monkeypatch):
     def no_carrier(*args, **kwargs):
         raise AssertionError("the whole-ball parabolic needs no carrier")
 
-    monkeypatch.setattr(horolab.experiments, "build_augmented", no_carrier)
+    monkeypatch.setattr(horolab.experiments, "glue_horoballs", no_carrier)
     rows = milnor_svarc_experiment(cayley_ball(free_abelian(2), 6), depth=2, t_list=[1, 2])
     assert [(r["t"], r["S_t_size"]) for r in rows] == [(1, 5), (2, 13)]
     with pytest.raises(AssertionError, match="no carrier"):
