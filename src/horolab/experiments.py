@@ -392,7 +392,8 @@ def convexify_gate(rows: Sequence[dict]) -> None:
 
 
 def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int],
-                            timings: dict | None = None) -> list[dict]:
+                            timings: dict | None = None,
+                            diagnostics: list[dict] | None = None) -> list[dict]:
     """Displacement generating sets S_t and the multiplicative fit K_t of
     g -> g·x0 from (G, t·d_{S_t}) into the depth-``depth`` augmentation of
     ``ball``.
@@ -406,18 +407,31 @@ def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int],
     carrier is one horoball over the ball; its level-0 distances are the
     crossing-level formula ``horoball.crossing_distance`` at levels (0, 0)
     over the word-metric table, and no carrier is built.  Free products
-    build the carrier and take its BFS rows; ``timings`` (when given)
-    receives the ``family_s`` of their coset family.  The tests check the
-    formula against carrier BFS.
+    build the carrier and take its BFS rows.  The tests check the formula
+    against carrier BFS.
 
-    The S_t graph joins g to g·s for s in S_t.  Its edges come from the
-    right-translation columns of ``CayleyBall.right_translation``: S_t grows
-    with t, so each element's column is computed once for the whole
-    ``t_list``, and one numpy mask over the stacked columns gives the edges.
+    The S_t graph joins g to g·s for s in S_t.  Every S_t is found first, so
+    that one ``CayleyBall.right_translations`` call gives the translation
+    rows of all their elements, and one numpy mask over an S_t's rows gives
+    its edges.  An S_t graph whose canonical edges equal the word ball's or
+    the previous S_t graph's reuses that distance table.
+
+    ``timings`` (when given) receives ``word_rows_s``, ``translations_s``
+    and ``st_rows_s``, and for free products the ``family_s`` of their coset
+    family.  ``diagnostics`` (when given) receives one entry per distance
+    table: the graph, the ``distance_rows`` kernel (or ``"reused"``) and
+    its level bound.
     """
     spec, radius = ball.spec, ball.radius
     n_el = ball.graph.num_vertices
-    d_word = distance_rows(ball.graph, range(n_el))
+    timings = {} if timings is None else timings
+    diagnostics = [] if diagnostics is None else diagnostics
+
+    t0 = time.perf_counter()
+    word = {"graph": "word"}
+    d_word = distance_rows(ball.graph, range(n_el), info=word)
+    diagnostics.append(word)
+    timings["word_rows_s"] = _since(t0)
 
     if spec.kind != "free_product":
         d_aug = crossing_distance(d_word, 0, 0, depth)
@@ -425,7 +439,9 @@ def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int],
         family, _, _, shapes = _shaped_family(ball, timings)
         aug = glue_horoballs(ball.graph, family, shapes, depth)
         # element vertices keep ids 0..n_el-1 in the carrier
-        d_aug = distance_rows(aug.carrier, range(n_el), columns=np.arange(n_el))
+        carrier = {"graph": "carrier"}
+        d_aug = distance_rows(aug.carrier, range(n_el), columns=np.arange(n_el), info=carrier)
+        diagnostics.append(carrier)
     displacement = d_aug[0].tolist()
     orbit = list(zip(ball.elements, displacement))
 
@@ -437,26 +453,45 @@ def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int],
     if spec.kind == "free_product":
         factor_generators = [g for _, g in spec.generators()]
 
-    vid = np.arange(n_el, dtype=np.int32)
-    columns: dict[int, np.ndarray] = {}  # ball index of s -> right translation by s
-    rows = []
+    s_sets: dict[int, tuple | InputError] = {}
     for t in t_list:
         try:
-            s_t = displacement_generating_set(orbit, t)
+            s_sets[t] = displacement_generating_set(orbit, t)
         except InputError as exc:
+            s_sets[t] = exc
+    t0 = time.perf_counter()
+    shifts = {s.key: s for s_t in s_sets.values() if not isinstance(s_t, InputError)
+              for s in s_t if not s.is_identity()}
+    row_of = {key: r for r, key in enumerate(shifts)}
+    translations = ball.right_translations(list(shifts.values()))
+    timings["translations_s"] = _since(t0)
+
+    vid = np.arange(n_el, dtype=np.int32)
+    word_table = previous = (ball.graph.edges, d_word, word)
+    st_seconds = 0.0
+    rows = []
+    for t in t_list:
+        s_t = s_sets[t]
+        if isinstance(s_t, InputError):
             rows.append({
                 "t": t, "S_t_size": 0, "K_t": None, "C": t, "pairs_checked": 0,
-                "flagged": str(exc), "factor_generators_present": False,
+                "flagged": str(s_t), "factor_generators_present": False,
             })
             continue
-        s_ids = [ball.key_index[s.key] for s in s_t if not s.is_identity()]
-        for i in s_ids:
-            if i not in columns:
-                columns[i] = ball.right_translation(ball.elements[i])
-        targets = np.stack([columns[i] for i in s_ids])
+        t0 = time.perf_counter()
+        targets = translations[[row_of[s.key] for s in s_t if not s.is_identity()]]
         keep = targets > vid  # j > i, which also drops the -1 of a product outside the ball
-        edges = np.stack([np.broadcast_to(vid, targets.shape)[keep], targets[keep]], axis=1)
-        d_st = distance_rows(Graph(n_el, edges), range(n_el))
+        g_t = Graph(n_el, np.stack([np.broadcast_to(vid, targets.shape)[keep], targets[keep]], axis=1))
+        info = {"graph": f"S_{t}"}
+        same = next((table for table in (word_table, previous) if np.array_equal(g_t.edges, table[0])), None)
+        if same is None:
+            d_st = distance_rows(g_t, range(n_el), info=info)
+        else:
+            d_st = same[1]
+            info.update(kernel="reused", levels=same[2]["levels"])
+        diagnostics.append(info)
+        previous = (g_t.edges, d_st, info)
+        st_seconds += time.perf_counter() - t0
 
         fit = qi_distortion(d_st[pair_idx], d_aug[pair_idx], scale=t, additive_budget=t)
         present = all(ball.index.get(g) is not None and displacement[ball.index[g]] <= t
@@ -470,6 +505,7 @@ def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int],
             "flagged": None,
             "factor_generators_present": bool(present) if factor_generators else None,
         })
+    timings["st_rows_s"] = round(st_seconds, 6)
     return rows
 
 
@@ -635,7 +671,8 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
         if ball is None:
             raise ConfigError("instance", "milnor-svarc needs a group instance")
         rows = milnor_svarc_experiment(
-            ball, _int_param(params, "depth"), _int_list_param(params, "t_list", least=0), timings)
+            ball, _int_param(params, "depth"), _int_list_param(params, "t_list", least=0), timings,
+            diagnostics.setdefault("distance_tables", []))
 
     else:  # unreachable after validation
         raise ConfigError("experiment", f"unhandled kind {kind}")

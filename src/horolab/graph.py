@@ -7,22 +7,23 @@ no floating point in the metric itself.  Unreachable pairs carry the single
 sentinel ``INF = 2**30 - 1``, so the sum of two sentinels still fits in an
 int32 and row sums such as d(u, w) + d(w, v) never wrap.
 
-Three kernels compute the rows, chosen from the graph itself.  Below
-``_BATCH_MAX_VERTICES`` vertices all sources are served at once: a dense
-graph, with average degree 2E/n of at least ``_DENSE_MIN_DEGREE``, runs a
-level-synchronous BFS in which each level is one float32 BLAS product of the
-frontier rows with the dense adjacency matrix (the S_t graphs of
-Milnor-Svarc, whose diameter is a few hops); a sparser one gets one batched
-scipy ``dijkstra`` call, which wins on the many small graphs (coset members,
-word balls) where per-call overhead dominates.  From ``_BATCH_MAX_VERTICES``
-on, each row is one scipy ``breadth_first_order`` traversal split into
-levels, which wins on big carriers where the batched call's float work
-dominates.  Tests check all three against a pure-Python BFS and
-Floyd-Warshall in ``tests/oracles.py``.
+Three kernels compute the rows, and ``_pick_kernel`` picks one per call by
+a fitted cost model, under one byte budget for working buffers
+(``KERNEL_BYTES``).  One BFS row from the first source, which every call
+computes anyway, bounds the level count L of every source's BFS.  The
+bit-parallel BFS runs 64 sources per uint64 word, one gather-OR pass over
+the edges per level, and keeps each distance bit-sliced until the end; it
+serves most multi-source calls.  The frontier product runs the BFS from all
+sources as one float32 BLAS product per level; it wins on small dense graphs
+of a few levels (the S_8 graph of Milnor-Svarc at radius 16).  Per-source
+scipy ``breadth_first_order`` wins for one or a few sources, on big carriers
+above all; its first row is the probe itself.  Tests check all three against
+a pure-Python BFS and Floyd-Warshall in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -36,18 +37,31 @@ from .errors import InputError
 # sentinels add up to 2**31 - 2, still an int32.
 INF: int = 2**30 - 1
 
-# Vertex count from which distance_rows runs one BFS traversal per source
-# instead of one batched call for all sources.
-_BATCH_MAX_VERTICES = 1000
+# Byte budget for one distance kernel's working buffers, not counting the
+# rows it returns.  A kernel whose buffers do not fit is not picked; the
+# bit-parallel one takes its sources in as many 64-source words as fit.
+KERNEL_BYTES = 64 * 2**20
 
-# Average degree 2E/n from which a graph under _BATCH_MAX_VERTICES gets the
-# dense frontier-product BFS instead of batched dijkstra.  Each BFS level
-# costs one n x n product whatever the degree, so it pays off once the graph
-# is dense enough for few levels and heavy dijkstra relaxation.  On the S_t
-# graphs of Z^2 at radius 16 (545 vertices, all sources; 2 cores, one BLAS
-# thread), degree 35 took 16 ms against dijkstra's 30 ms, degree 11 took
-# 32 ms against 20 ms.
-_DENSE_MIN_DEGREE = 32
+# The cost model of _pick_kernel, in seconds per unit of work.  Fitted by
+# least squares on relative error to 136 timings of the three kernels
+# (2-core host, one BLAS thread): the word ball and S_1, S_2, S_4, S_8 of
+# Z^2 at radii 8, 16 and 32, cycles, a path, grids, random, complete, star
+# and tree graphs, and horoball carriers of 2,359 and 21,659 vertices, each
+# from 1, 8, 64, 200 and all sources.  The adjacency read is set by hand:
+# the fit took 5.4e-11 from cached matrices, which picked the frontier
+# product for 8 sources on S_8 at radius 32 (43 ms against 8 ms per source).
+# Picking by the model took 1.907 s over the set, against 1.906 s for the
+# fastest kernel each time.
+_BFS_ROW_S = 22e-6          # per-source BFS: per row,
+_BFS_VERTEX_S = 38e-9       # per vertex and row,
+_BFS_EDGE_S = 1.6e-9        # per edge end and row,
+_BFS_LEVEL_S = 0.18e-6      # per level and row (the level split)
+_BITS_WORD_S = 2e-9         # bit-parallel: per edge end, 64-source word and level,
+_BITS_LEVEL_S = 1.3e-6      # per level and chunk,
+_BITS_SLOT_S = 6.2e-6       # per level, chunk and neighbour slot (max degree),
+_BITS_UNPACK_S = 2.2e-9     # per output cell and bit plane
+_FRONTIER_MAC_S = 2.7e-11   # frontier product: per multiply-add,
+_FRONTIER_READ_S = 5e-10    # per adjacency cell and level
 
 
 def is_unreachable(d: int) -> bool:
@@ -198,35 +212,80 @@ class Path:
         return iter(self.vertices)
 
 
-def distance_rows(g: Graph, sources: Sequence[int], columns: Sequence[int] | None = None) -> np.ndarray:
+def distance_rows(g: Graph, sources: Sequence[int], columns: Sequence[int] | None = None,
+                  info: dict | None = None) -> np.ndarray:
     """Exact hop distances from each source, one int32 row per source.
 
     Unreachable entries are ``INF``.  ``columns`` keeps only those columns of
     every row, so a tall table over a big graph never exists in full.  No
-    sources give a ``(0, width)`` array.
+    sources give a ``(0, width)`` array.  ``info``, when given, receives the
+    kernel that ``_pick_kernel`` chose and its level bound.
     """
     srcs = np.asarray(sources, dtype=np.int64)
     n = g.num_vertices
     bad = srcs[(srcs < 0) | (srcs >= n)]
     if bad.size:
         raise InputError(f"unknown vertex id {bad[0]}")
-    width = n if columns is None else len(columns)
+    cols = None if columns is None else np.asarray(columns, dtype=np.int64)
+    width = n if cols is None else len(cols)
     if srcs.size == 0:
         return np.empty((0, width), dtype=np.int32)
-    if n < _BATCH_MAX_VERTICES:
-        if 2 * g.num_edges >= _DENSE_MIN_DEGREE * n:
-            d = _frontier_product_rows(g, srcs)
-            return d if columns is None else d[:, columns]
-        d = dijkstra(g.csr(), unweighted=True, indices=srcs)
-        if columns is not None:
-            d = d[:, columns]
-        d[np.isinf(d)] = INF
-        return d.astype(np.int32)
+    probe = _bfs_order_row(g, int(srcs[0]))
+    kernel, levels = _pick_kernel(g, len(srcs), width, probe)
+    if info is not None:
+        info.update(kernel=kernel, levels=levels)
+    if kernel == "frontier":
+        d = _frontier_product_rows(g, srcs)
+        return d if cols is None else d[:, cols]
+    if kernel == "bits":
+        return _bit_parallel_rows(g, srcs, cols, levels)
     out = np.empty((len(srcs), width), dtype=np.int32)
-    for i, s in enumerate(srcs):
-        row = _bfs_order_row(g, int(s))
-        out[i] = row if columns is None else row[columns]
+    out[0] = probe if cols is None else probe[cols]
+    for i in range(1, len(srcs)):
+        row = _bfs_order_row(g, int(srcs[i]))
+        out[i] = row if cols is None else row[cols]
     return out
+
+
+def _pick_kernel(g: Graph, n_sources: int, width: int | None = None,
+                 probe: np.ndarray | None = None) -> tuple[str, int]:
+    """The cheapest kernel for ``n_sources`` rows of ``width`` columns, and
+    the level bound L it was priced at, as ``("frontier" | "bits" | "bfs", L)``.
+
+    ``probe`` is the distance row of one vertex s0 (vertex 0 when not
+    given).  Every eccentricity in the component of s0 is at most
+    2·ecc(s0), and a BFS from another component reaches none of the vertices
+    the probe reached, so no BFS from any source runs more than
+    L = min(n, max(2·ecc(s0) + 1, n - reached)) levels.  The probe is also
+    the first row of the per-source kernel, so that kernel is priced for
+    the other ``n_sources - 1`` rows, and one source always takes it.  A
+    kernel whose working buffers exceed ``KERNEL_BYTES`` is not a
+    candidate; per-source BFS always is.
+    """
+    n, two_e = g.num_vertices, 2 * g.num_edges
+    width = n if width is None else width
+    if probe is None:
+        probe = _bfs_order_row(g, 0)
+    reached = probe[probe < INF]
+    levels = min(n, max(2 * int(reached.max()) + 1, n - len(reached)))
+    k, planes = n_sources, levels.bit_length()
+    if k == 1:  # the probe is the row
+        return "bfs", levels
+    costs = {"bfs": (k - 1) * (_BFS_ROW_S + n * _BFS_VERTEX_S + two_e * _BFS_EDGE_S
+                               + levels * _BFS_LEVEL_S)}
+    chunk_words = _bit_chunk_words(g, width, levels)
+    if chunk_words:
+        words = -(-k // 64)
+        chunks = -(-words // chunk_words)
+        dmax = int(np.diff(g._indptr).max())
+        costs["bits"] = (levels * (words * two_e * _BITS_WORD_S
+                                   + chunks * (_BITS_LEVEL_S + dmax * _BITS_SLOT_S))
+                         + k * width * planes * _BITS_UNPACK_S)
+    # float32 adjacency, float32 frontier and product rows, int32 counts and
+    # two bool masks
+    if 4 * n * n + 14 * k * n <= KERNEL_BYTES:
+        costs["frontier"] = levels * n * n * (k * _FRONTIER_MAC_S + _FRONTIER_READ_S)
+    return min(costs, key=costs.get), levels
 
 
 def _frontier_product_rows(g: Graph, srcs: np.ndarray) -> np.ndarray:
@@ -261,20 +320,111 @@ def _frontier_product_rows(g: Graph, srcs: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _bit_chunk_words(g: Graph, width: int, levels: int) -> int:
+    """How many 64-source words one pass of the bit-parallel kernel takes
+    under ``KERNEL_BYTES``; 0 when not even one fits."""
+    fixed, per_word = _bit_bytes(g, width, levels)
+    return max(0, (KERNEL_BYTES - fixed) // per_word)
+
+
+def _bit_bytes(g: Graph, width: int, levels: int) -> tuple[int, int]:
+    """The bit-parallel kernel's working bytes, as (fixed, per word).  Fixed:
+    the jagged-diagonal slots and the vertex order.  Per word: frontier,
+    next, unseen and gather rows plus one plane per bit of the level count
+    (8 bytes per vertex each), and the unpacking buffers, 64 cells per
+    column (uint8, or int32 counts past 255 levels)."""
+    n, planes = g.num_vertices, levels.bit_length()
+    cell = 1 if planes <= 8 else 4
+    return 8 * (2 * g.num_edges + 2 * n), 8 * n * (4 + planes) + 64 * width * (3 + 2 * cell)
+
+
+def _bit_parallel_rows(g: Graph, srcs: np.ndarray, cols: np.ndarray | None, levels: int) -> np.ndarray:
+    """BFS from every source at once, 64 sources per uint64 word.
+
+    Bit i of a vertex's words stands for source i (duplicate sources get
+    bits of their own).  One level ORs every vertex's neighbours' frontier
+    words into its own: the vertices are stored by descending degree, so
+    the j-th neighbours of all vertices of degree > j are one contiguous
+    gather, the jagged-diagonal layout.  Each bit's distance is the level
+    that first reaches it, written bit-sliced: the bits reached at level l
+    are ORed into plane i for each set bit i of l, so a level costs a few
+    word operations per vertex, and the planes are unpacked into integer
+    rows once, at the end, only for the wanted columns.
+    """
+    n, k = g.num_vertices, len(srcs)
+    deg = np.diff(g._indptr)
+    order = np.argsort(-deg, kind="stable")  # position -> vertex
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)  # vertex -> position
+    # slots[offsets[j]:offsets[j + 1]]: position of the j-th neighbour of
+    # each of the first counts[j] positions, those of degree > j
+    counts = np.searchsorted(-deg[order], -np.arange(int(deg.max())), side="left")
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    owner = np.repeat(np.arange(n), deg)
+    slots = np.empty(len(g._indices), dtype=np.int64)
+    slots[offsets[np.arange(len(owner)) - g._indptr[owner]] + rank[owner]] = rank[g._indices]
+    rows = rank if cols is None else rank[cols]
+
+    out = np.empty((k, len(rows)), dtype=np.int32)
+    step = 64 * _bit_chunk_words(g, len(rows), levels)
+    for lo in range(0, k, step):
+        chunk = srcs[lo:lo + step]
+        words = -(-len(chunk) // 64)
+        frontier = np.zeros((n, words), dtype="<u8")
+        bit = np.arange(len(chunk), dtype="<u8")
+        np.bitwise_or.at(frontier, (rank[chunk], bit // 64), np.left_shift(1, bit % 64, dtype="<u8"))
+        unseen = ~frontier
+        nxt, gathered = np.empty_like(frontier), np.empty_like(frontier)
+        planes: list[np.ndarray] = []
+        level = 0
+        while True:
+            level += 1
+            nxt[:] = 0
+            for j, c in enumerate(counts):
+                np.take(frontier, slots[offsets[j]:offsets[j + 1]], axis=0, out=gathered[:c])
+                nxt[:c] |= gathered[:c]
+            nxt &= unseen
+            if not nxt.any():
+                break
+            unseen ^= nxt
+            frontier, nxt = nxt, frontier
+            for i in range(level.bit_length()):
+                if i == len(planes):
+                    planes.append(np.zeros_like(frontier))
+                if level >> i & 1:
+                    planes[i] |= frontier
+        acc = np.zeros((len(rows), 64 * words), dtype=np.uint8 if len(planes) <= 8 else np.int32)
+        for i, plane in enumerate(planes):
+            acc |= np.left_shift(_unpack(plane[rows]), i, dtype=acc.dtype)
+        block = out[lo:lo + len(chunk)]
+        block[:] = acc[:, :len(chunk)].T
+        block[_unpack(unseen[rows])[:, :len(chunk)].T.astype(bool)] = INF
+    return out
+
+
+def _unpack(words: np.ndarray) -> np.ndarray:
+    """Bit j of word w of each row, at column 64·w + j, as uint8 0/1."""
+    return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+
+
 def _bfs_order_row(g: Graph, source: int) -> np.ndarray:
     order, pred = breadth_first_order(g.csr(), source, directed=True, return_predecessors=True)
     # The traversal is FIFO, so the visit positions of the parents never
     # decrease along the visit order.  Each BFS level is therefore one
     # contiguous run of ``order``, and the run of level k+1 ends where the
-    # parent positions reach the end of level k.
+    # parent positions reach the end of level k: one bisection per level,
+    # over a memoryview so that each probe is a plain int.
+    m = len(order)
     position = np.empty(g.num_vertices, dtype=np.int64)
-    position[order] = np.arange(len(order))
-    parent_pos = position[pred[order[1:]]]
+    position[order] = np.arange(m)
+    parent_pos = memoryview(position[pred[order[1:]]])
     ends = [1]
-    while ends[-1] < len(order):
-        ends.append(1 + int(np.searchsorted(parent_pos, ends[-1])))
+    while ends[-1] < m:
+        ends.append(1 + bisect.bisect_left(parent_pos, ends[-1]))
+    starts = np.zeros(m, dtype=np.int32)
+    starts[ends[:-1]] = 1
     dist = np.full(g.num_vertices, INF, dtype=np.int32)
-    dist[order] = np.repeat(np.arange(len(ends), dtype=np.int32), np.diff(ends, prepend=0))
+    dist[order] = np.cumsum(starts, dtype=np.int32)
     return dist
 
 
@@ -293,7 +443,7 @@ class DistanceOracle:
 
     def prefetch(self, sources: Iterable[int]) -> None:
         """Cache the rows of every source not cached yet, from one
-        ``distance_rows`` call (one batched kernel call on a small graph)."""
+        ``distance_rows`` call."""
         missing = [s for s in dict.fromkeys(map(int, sources)) if s not in self._rows]
         for s, r in zip(missing, distance_rows(self.graph, missing)):
             self._rows[s] = r

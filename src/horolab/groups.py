@@ -39,6 +39,10 @@ _LETTERS = "abcdfghijklmnopqrstuvwxyz"
 
 DEFAULT_BALL_BUDGET = 200_000
 
+# Largest code range, per ball element, that a free abelian ball looks its
+# translations up in through a dense table rather than a sorted search.
+_DENSE_CODES_PER_ELEMENT = 16
+
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
 
@@ -467,44 +471,67 @@ class CayleyBall:
             object.__setattr__(self, "_key_index", {g.key: i for i, g in enumerate(self.elements)})
         return self._key_index
 
-    def right_translation(self, s: GroupElement) -> np.ndarray:
-        """Ball index of g·s for every ball element g, in ball order, as an
-        int32 column; -1 where g·s leaves the ball.  For a generator or its
-        inverse this is a copy of its ``generator_table`` column.  Other
-        elements (the S_t of Milnor-Svarc) are multiplied here: in a free
-        abelian group by one array addition over the coordinate table,
-        looked up through ``_coordinate_codes``, and otherwise on raw keys,
-        one element at a time, with no ``GroupElement`` built per element."""
-        if s.spec != self.spec:
-            raise InputError("element does not belong to this group")
-        column = {g.key: j for j, (_, g) in enumerate(self.spec.generators())}.get(s.key)
-        if column is not None:
-            return self.generator_table[:, column].copy()
-        table = self._coordinate_codes()
-        if table is None:
-            mul, get, sk = self.spec._mul, self.key_index.get, s.key
-            return np.fromiter((get(mul(g.key, sk), -1) for g in self.elements),
-                               dtype=np.int32, count=len(self.elements))
-        coords, lo, hi, radix, codes, order = table
-        out = np.full(len(self.elements), -1, dtype=np.int32)
+    def right_translations(self, elements: Sequence[GroupElement]) -> np.ndarray:
+        """Right translation by each of ``elements``: row i holds the ball
+        index of g·s_i for every ball element g, in ball order, or -1 where
+        g·s_i leaves the ball; a (len(elements), n) int32 array.
+
+        A free abelian ball does all rows in one array pass over its
+        coordinate table: the code of g·s is code(g) + code(s) - code(e)
+        wherever every coordinate of g·s stays in its range, and it is
+        looked up through ``_coordinate_codes``.  Other balls copy a
+        generator's ``generator_table`` column, and multiply any other
+        element on raw keys, one ball element at a time."""
+        for s in elements:
+            if s.spec != self.spec:
+                raise InputError("element does not belong to this group")
+        n = len(self.elements)
+        out = np.full((len(elements), n), -1, dtype=np.int32)
+        codes = self._coordinate_codes()
+        if codes is None:
+            columns = {g.key: j for j, (_, g) in enumerate(self.spec.generators())}
+            mul, get = self.spec._mul, self.key_index.get
+            for i, s in enumerate(elements):
+                j = columns.get(s.key)
+                if j is not None:
+                    out[i] = self.generator_table[:, j]
+                else:
+                    out[i] = np.fromiter((get(mul(g.key, s.key), -1) for g in self.elements),
+                                         dtype=np.int32, count=n)
+            return out
+        coords, lo, hi, radix, code, lookup = codes
         # a coordinate shift wider than the ball's range leaves it from
         # everywhere; checked on Python ints, so no int64 sum can wrap
-        if any(not lo_i - hi_i <= x <= hi_i - lo_i for x, lo_i, hi_i in zip(s.key, lo, hi)):
+        rows = [i for i, s in enumerate(elements)
+                if all(a - b <= x <= b - a for x, a, b in zip(s.key, lo, hi))]
+        if not rows:
             return out
-        moved = coords + np.asarray(s.key, dtype=np.int64)
-        inside = np.nonzero(np.all((moved >= lo) & (moved <= hi), axis=1))[0]
-        code = (moved[inside] - lo) @ radix
-        pos = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
-        hit = codes[pos] == code
-        out[inside[hit]] = order[pos[hit]]
+        shift = np.array([elements[i].key for i in rows], dtype=np.int64)
+        inside = np.ones((len(rows), n), dtype=bool)
+        for c in range(len(lo)):
+            moved = coords[:, c] + shift[:, c, None]
+            inside &= (moved >= lo[c]) & (moved <= hi[c])
+        moved = (code + (shift @ radix)[:, None])[inside]
+        if isinstance(lookup, np.ndarray):
+            found = lookup[moved]
+        else:
+            sorted_codes, order = lookup
+            pos = np.minimum(np.searchsorted(sorted_codes, moved), n - 1)
+            found = np.where(sorted_codes[pos] == moved, order[pos], -1)
+        block = np.full(inside.shape, -1, dtype=np.int32)
+        block[inside] = found
+        out[rows] = block
         return out
 
     def _coordinate_codes(self):
         """For a free abelian ball, built once: the (n, rank) int64
         coordinate table, each coordinate's range [lo, hi] over the ball,
-        the mixed-radix weights that code an in-range vector exactly, and the
-        sorted codes with their ball indices.  None for other groups, and
-        where the code range does not fit in an int64."""
+        the mixed-radix weights that code an in-range vector exactly, each
+        element's code, and the code -> ball index lookup.  The lookup is a
+        dense int32 table (-1 off the ball) while the code range is at most
+        ``_DENSE_CODES_PER_ELEMENT`` times the ball, and otherwise the sorted
+        codes with their ball indices.  None for other groups, and where
+        the code range does not fit in an int64."""
         if not hasattr(self, "_codes"):
             table = None
             if self.spec.kind == "free_abelian":
@@ -512,13 +539,19 @@ class CayleyBall:
                 lo = [min(c) for c in zip(*keys)]
                 hi = [max(c) for c in zip(*keys)]
                 bases = [b - a + 1 for a, b in zip(lo, hi)]
-                if math.prod(bases) <= 2**63 - 1:
+                size = math.prod(bases)
+                if size <= 2**63 - 1:
                     coords = np.array(keys, dtype=np.int64)
                     radix = np.array([math.prod(bases[i + 1:]) for i in range(len(bases))],
                                      dtype=np.int64)
                     code = (coords - lo) @ radix
-                    order = np.argsort(code).astype(np.int32)
-                    table = (coords, lo, hi, radix, code[order], order)
+                    if size <= _DENSE_CODES_PER_ELEMENT * len(keys):
+                        lookup = np.full(size, -1, dtype=np.int32)
+                        lookup[code] = np.arange(len(keys), dtype=np.int32)
+                    else:
+                        order = np.argsort(code).astype(np.int32)
+                        lookup = (code[order], order)
+                    table = (coords, lo, hi, radix, code, lookup)
             object.__setattr__(self, "_codes", table)
         return self._codes
 

@@ -20,6 +20,7 @@ gluing over ``Subgraph.whole(base)``.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -424,23 +425,6 @@ class AugmentedSpace:
                 f"|carrier|={self.carrier.num_vertices})")
 
 
-def _member_local_edges(base: Graph, member: Subgraph, where: str) -> list[tuple[int, int]]:
-    local = {v: i for i, v in enumerate(member.vertices)}
-    if len(local) != len(member.vertices):
-        raise InputError(f"{where}: repeated vertices")
-    for v in member.vertices:
-        if not 0 <= v < base.num_vertices:
-            raise InputError(f"{where}: vertex {v} outside the base graph")
-    edges = []
-    for u, v in member.edges:
-        if u not in local or v not in local:
-            raise InputError(f"{where}: edge ({u}, {v}) leaves the member")
-        if not base.has_edge(u, v):
-            raise InputError(f"{where}: edge ({u}, {v}) is not a base edge")
-        edges.append((local[u], local[v]))
-    return edges
-
-
 def member_shapes(base: Graph, family: Sequence[Subgraph]) -> tuple[list[int], list[np.ndarray]]:
     """Validate every family member and group the members by shape.
 
@@ -448,26 +432,102 @@ def member_shapes(base: Graph, family: Sequence[Subgraph]) -> tuple[list[int], l
     vertex's local index is its position in ``member.vertices``; members of
     one shape have the same graph on their local indices.
     Returns the shape table: the shape index of each member and, per shape,
-    its int32 distance matrix over local indices.  A disconnected shape is
-    reported on the first member that has it.
+    its int32 distance matrix over local indices.  Members are checked in
+    order, and the first fault raises: a member that fails
+    ``_member_faults`` or whose shape, the first time it is seen, is
+    disconnected.
     """
+    sizes = np.fromiter((len(m.vertices) for m in family), dtype=np.int64, count=len(family))
+    edge_counts = np.fromiter((len(m.edges) for m in family), dtype=np.int64, count=len(family))
+    vertices = np.fromiter(itertools.chain.from_iterable(m.vertices for m in family),
+                           dtype=np.int64, count=int(sizes.sum()))
+    ends = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(m.edges) for m in family),
+                       dtype=np.int64, count=2 * int(edge_counts.sum())).reshape(-1, 2)
+    local, faults = _member_faults(base, sizes, vertices, edge_counts, ends)
+
+    # each member's deduplicated local edges (lo, hi), sorted, as codes lo * s + hi
+    owner = np.repeat(np.arange(len(family)), edge_counts)
+    s_of = sizes[owner]
+    code = np.minimum(local[:, 0], local[:, 1]) * s_of + np.maximum(local[:, 0], local[:, 1])
+    order = np.lexsort((code, owner))
+    owner, code = owner[order], code[order]
+    fresh = np.ones(len(code), dtype=bool)
+    fresh[1:] = (owner[1:] != owner[:-1]) | (code[1:] != code[:-1])
+    owner, code = owner[fresh], code[fresh]
+    bounds = np.searchsorted(owner, np.arange(len(family) + 1)).tolist()
+
     index: dict[tuple, int] = {}
     shape_of: list[int] = []
     dmats: list[np.ndarray] = []
-    for a, member in enumerate(family):
-        where = f"family member {a}"
-        local_edges = _member_local_edges(base, member, where)
-        s = len(member.vertices)
-        key = (s, tuple(sorted({(min(e), max(e)) for e in local_edges})))
+    for a, s in enumerate(sizes.tolist()):
+        fault = faults.get(a)
+        if fault is not None:
+            raise InputError(f"family member {a}: {fault}")
+        codes = code[bounds[a]:bounds[a + 1]]
+        key = (s, codes.tobytes())
         shape = index.get(key)
         if shape is None:
-            dmat = distance_rows(Graph(s, key[1]), range(s))
+            dmat = distance_rows(Graph(s, np.stack([codes // s, codes % s], axis=1)), range(s))
             if np.any(dmat >= INF):
-                raise InputError(f"{where}: member is not connected")
+                raise InputError(f"family member {a}: member is not connected")
             shape = index[key] = len(dmats)
             dmats.append(dmat)
         shape_of.append(shape)
     return shape_of, dmats
+
+
+def _member_faults(base: Graph, sizes: np.ndarray, vertices: np.ndarray, edge_counts: np.ndarray,
+                   ends: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """Check every member's vertices and edges at once.
+
+    ``vertices`` and ``ends`` are the members' vertex lists and edge
+    endpoint pairs, concatenated in family order.  Returns the local index
+    pairs of the edges and, for each faulty member, its first fault, in the
+    order a member-by-member check finds it: repeated vertices, then the
+    first vertex outside the base graph, then the first edge that leaves the
+    member or is not a base edge.  Edges are matched as 1-D keys, a member's
+    (member, vertex) keys and the base graph's lo * n + hi keys, each by one
+    ``searchsorted``.
+    """
+    n, m = base.num_vertices, len(sizes)
+    starts = np.cumsum(sizes) - sizes
+    member = np.repeat(np.arange(m), sizes)
+    order = np.lexsort((vertices, member))
+    same = (member[order[1:]] == member[order[:-1]]) & (vertices[order[1:]] == vertices[order[:-1]])
+    repeated = np.unique(member[order[1:][same]])
+    outside = np.nonzero((vertices < 0) | (vertices >= n))[0]
+    _, first_out = np.unique(member[outside], return_index=True)
+
+    # (member, vertex) keys, sorted by ``order``.  Vertices clip to -1..n, so
+    # the keys stay in order, and an out-of-range end can only match in a
+    # member that has a range fault.  A sentinel past every key ends the
+    # array, and one past every lo * n + hi ends the base keys.
+    def member_key(owner, v):
+        return owner * (n + 2) + np.clip(v, -1, n) + 1
+
+    sorted_key = np.append(member_key(member, vertices)[order], m * (n + 2))
+    edge_member = np.repeat(np.arange(m), edge_counts)
+    ends_key = member_key(edge_member[:, None], ends)
+    pos = np.searchsorted(sorted_key, ends_key)
+    leaves = ~(sorted_key[pos] == ends_key).all(axis=1)
+    local = np.append(order, 0)[pos] - starts[edge_member][:, None]
+    lo, hi = np.clip(ends.min(axis=1), 0, n), np.clip(ends.max(axis=1), 0, n)
+    base_keys = np.append(base.edges[:, 0].astype(np.int64) * n + base.edges[:, 1], (n + 1) ** 2)
+    edge_key = lo * n + hi
+    in_base = base_keys[np.searchsorted(base_keys, edge_key)] == edge_key
+    bad_edges = np.nonzero(leaves | ~in_base)[0]
+    _, first_bad = np.unique(edge_member[bad_edges], return_index=True)
+
+    faults: dict[int, str] = {}
+    for i in bad_edges[first_bad].tolist():
+        u, v = ends[i].tolist()
+        what = "leaves the member" if leaves[i] else "is not a base edge"
+        faults[int(edge_member[i])] = f"edge ({u}, {v}) {what}"
+    for i in outside[first_out].tolist():
+        faults[int(member[i])] = f"vertex {int(vertices[i])} outside the base graph"
+    for a in repeated.tolist():
+        faults[a] = "repeated vertices"
+    return local, faults
 
 
 def build_augmented(

@@ -117,14 +117,17 @@ Z_FREE_Z = {"group": {"free_product": [{"free_abelian": 1}, {"free_abelian": 1}]
     ("delta", {"cycle": 6}, {}, {"instance_s"}),
     ("delta", Z_FREE_Z, {"depth": 1, "sample": 50}, {"instance_s", "family_s"}),
     ("convexify-experiment", Z_FREE_Z, {"depths": [1, 2]}, {"instance_s", "family_s"}),
-    ("milnor-svarc", Z_FREE_Z, {"depth": 1, "t_list": [1]}, {"instance_s", "family_s"}),
+    ("milnor-svarc", Z_FREE_Z, {"depth": 1, "t_list": [1]},
+     {"instance_s", "family_s", "word_rows_s", "translations_s", "st_rows_s"}),
     ("milnor-svarc", {"group": {"free_abelian": 2}, "radius": 3}, {"depth": 1, "t_list": [1]},
-     {"instance_s"}),
+     {"instance_s", "word_rows_s", "translations_s", "st_rows_s"}),
 ], ids=["build-horoball", "augment", "delta", "delta-augmented", "convexify", "milnor-svarc-product",
         "milnor-svarc-abelian"])
 def test_stage_times_are_timings_not_rows(tmp_path, kind, instance, params, stages):
     """Every run times its instance; runs that build a coset family and its
-    shape table time that too.  Stage times stay out of the rows."""
+    shape table time that too, and milnor-svarc times its word-ball rows,
+    its translation table and its S_t rows.  Stage times stay out of the
+    rows."""
     cfg = validate_config({"version": 1, "experiment": kind, "instance": instance, "params": params})
     run_experiment(cfg, tmp_path / "out")
     doc = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -352,6 +355,29 @@ def test_milnor_svarc_small_z2():
     ks = [Fraction(r["K_t"]) for r in rows]
     assert all(k >= 1 for k in ks)
     assert ks == sorted(ks, reverse=True)  # non-increasing in t
+
+
+def test_milnor_svarc_reports_its_distance_tables(tmp_path, monkeypatch):
+    """One diagnostics entry per distance table, with its kernel and level
+    bound.  On Z^2, S_1 is the generating set, so its graph reuses the word
+    ball's table, and a repeated t reuses the previous S_t table."""
+    calls = []
+    real = experiments.distance_rows
+    monkeypatch.setattr(experiments, "distance_rows",
+                        lambda g, *a, **k: calls.append(g.num_edges) or real(g, *a, **k))
+    cfg = validate_config({"version": 1, "experiment": "milnor-svarc",
+                           "instance": {"group": {"free_abelian": 2}, "radius": 6},
+                           "params": {"depth": 1, "t_list": [0, 1, 2, 2, 4]}})
+    report = run_experiment(cfg, tmp_path / "out")
+    tables = report.diagnostics["distance_tables"]
+    assert [(e["graph"], e["kernel"] == "reused") for e in tables] == [
+        ("word", False), ("S_1", True), ("S_2", False), ("S_2", True), ("S_4", False)]
+    assert {e["kernel"] for e in tables} <= {"bits", "frontier", "bfs", "reused"}
+    assert tables[0]["levels"] == tables[1]["levels"] == 2 * 6 + 1  # ecc(e) is the radius
+    assert tables[2]["levels"] == tables[3]["levels"]
+    assert len(calls) == 3
+    assert report.rows[2] == report.rows[3] | {"t": 2} and report.rows[1]["S_t_size"] == 5
+    assert not any("kernel" in row for row in report.rows)
 
 
 def test_milnor_svarc_flags_sub_threshold_t():

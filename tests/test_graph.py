@@ -86,23 +86,16 @@ def test_adjacency_symmetric_and_sorted():
     assert g.has_edge(3, 0) and g.has_edge(0, 3)
 
 
-# The three kernels of distance_rows, as (vertex-count switch, degree
-# switch): the real switches, which send the small sparse test graphs to
-# batched dijkstra; a degree switch at 0, which sends every small graph,
-# edgeless or disconnected ones too, through the dense frontier products;
-# and a vertex-count switch at 0, which sends even the smallest graph
-# through the BFS-order kernel.
-KERNELS = [
-    (horolab.graph._BATCH_MAX_VERTICES, horolab.graph._DENSE_MIN_DEGREE),
-    (horolab.graph._BATCH_MAX_VERTICES, 0),
-    (0, horolab.graph._DENSE_MIN_DEGREE),
-]
+# The three kernels of distance_rows.  ``use_kernel`` forces one through
+# the picker: the picker still runs and prices the call, and its level bound
+# is kept, but its choice is replaced.
+KERNELS = ["frontier", "bits", "bfs"]
 
 
 def use_kernel(monkeypatch, kernel):
-    batch_max, dense_min_degree = kernel
-    monkeypatch.setattr(horolab.graph, "_BATCH_MAX_VERTICES", batch_max)
-    monkeypatch.setattr(horolab.graph, "_DENSE_MIN_DEGREE", dense_min_degree)
+    pick = horolab.graph._pick_kernel
+    monkeypatch.setattr(horolab.graph, "_pick_kernel",
+                        lambda *args: (kernel, pick(*args)[1]))
 
 
 def random_graph(n, edge_count, rng):
@@ -169,40 +162,169 @@ def check_random_graphs_against_references(rng):
             [fw[n - 1][c] for c in cols], [fw[0][c] for c in cols], [fw[n - 1][c] for c in cols]]
 
 
-@pytest.mark.parametrize("n", [horolab.graph._BATCH_MAX_VERTICES - 1, horolab.graph._BATCH_MAX_VERTICES])
-def test_distance_rows_at_the_kernel_switch(n):
-    rng = random.Random(n)
-    for g in (random_connected_graph(n, n // 4, rng), random_graph(n, n, rng)):
-        edges = [tuple(e) for e in g.edges]
-        sources = rng.sample(range(n), 5)
-        rows = distance_rows(g, sources)
-        assert rows.dtype == np.int32
-        for s, row in zip(sources, rows):
-            assert row.tolist() == as_inf(bfs_distances(n, edges, s))
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernels_at_word_boundaries_and_edge_cases(monkeypatch, kernel):
+    """63, 64, 65 and 129 sources straddle the 64-source words of the
+    bit-parallel kernel; duplicate sources get rows of their own; isolated
+    vertices stay at INF; graphs of one vertex and of none."""
+    use_kernel(monkeypatch, kernel)
+    rng = random.Random(5)
+    g = Graph(80, [e for e in rng.sample(list(itertools.combinations(range(75), 2)), 160)])
+    edges = [tuple(e) for e in g.edges]
+    fw = [as_inf(row) for row in floyd_warshall(80, edges)]
+    for k in (63, 64, 65, 129):
+        sources = [rng.randrange(80) for _ in range(k)]
+        sources[-1] = sources[0]  # a duplicate in another word
+        assert distance_rows(g, sources).tolist() == [fw[s] for s in sources]
+        cols = [79, 0, 40, 40]
+        assert distance_rows(g, sources, columns=cols).tolist() == [[fw[s][c] for c in cols] for s in sources]
+    assert distance_rows(Graph(3, []), [2, 0, 2]).tolist() == [[INF, INF, 0], [0, INF, INF], [INF, INF, 0]]
+    assert distance_rows(Graph(1, []), [0, 0]).tolist() == [[0], [0]]
+    assert distance_rows(Graph(0, []), []).shape == (0, 0)
 
 
-@pytest.mark.parametrize("extra_edges", [-1, 0])
-def test_distance_rows_at_the_degree_switch(monkeypatch, extra_edges):
-    """Average degree 2E/n just under and exactly at the switch: batched
-    dijkstra, then the frontier products.  The last vertex is isolated, so
-    some rows hold INF."""
-    n = 60
-    rng = random.Random(extra_edges)
-    e = horolab.graph._DENSE_MIN_DEGREE * n // 2 + extra_edges
-    g = Graph(n, rng.sample(list(itertools.combinations(range(n - 1), 2)), e))
-    dense_calls = []
-    frontier_rows = horolab.graph._frontier_product_rows
-    monkeypatch.setattr(horolab.graph, "_frontier_product_rows",
-                        lambda graph, srcs: dense_calls.append(len(srcs)) or frontier_rows(graph, srcs))
-    edges = [tuple(x) for x in g.edges]
-    fw = [as_inf(row) for row in floyd_warshall(n, edges)]
-    sources = [n - 1, 3, 0, 3, n - 1]
-    cols = sorted(rng.sample(range(n), 20)) + [n - 1]
-    assert distance_rows(g, range(n)).tolist() == fw
-    assert distance_rows(g, sources, columns=cols).tolist() == [[fw[s][c] for c in cols] for s in sources]
-    for s in sources:
-        assert as_inf(bfs_distances(n, edges, s)) == fw[s]
-    assert dense_calls == ([] if extra_edges < 0 else [n, len(sources)])
+def test_bit_parallel_counts_past_255_levels(monkeypatch):
+    """The bit-sliced counter needs more than 8 planes on a long path."""
+    use_kernel(monkeypatch, "bits")
+    g = path_graph(700)
+    assert distance_rows(g, [0, 700, 350, 0]).tolist() == [
+        list(range(701)), list(range(700, -1, -1)), [abs(v - 350) for v in range(701)], list(range(701))]
+
+
+def test_the_level_bound_covers_every_source():
+    """L from one probe row bounds the BFS levels from every source, in the
+    probe's component (2·ecc + 1) and in the others (the unreached count)."""
+    rng = random.Random(9)
+    for _ in range(60):
+        n = rng.randrange(1, 30)
+        g = random_graph(n, rng.randrange(0, 2 * n), rng)
+        fw = [as_inf(row) for row in floyd_warshall(n, [tuple(e) for e in g.edges])]
+        levels = horolab.graph._pick_kernel(g, n)[1]
+        assert max(d for row in fw for d in row if d < INF) < levels <= n
+
+
+def test_the_byte_budget_is_a_kernel_choice(monkeypatch):
+    """Over budget the frontier product is no candidate and the bit-parallel
+    kernel takes its sources one word per pass; the rows do not change."""
+    g = random_connected_graph(120, 2000, random.Random(2))
+    sources = list(range(120)) * 2
+    levels = horolab.graph._pick_kernel(g, 240)[1]
+    expected = distance_rows(g, sources)
+    assert horolab.graph._pick_kernel(g, 240)[0] == "frontier"
+    fixed, per_word = horolab.graph._bit_bytes(g, 120, levels)
+    monkeypatch.setattr(horolab.graph, "KERNEL_BYTES", fixed + per_word)
+    assert horolab.graph._bit_chunk_words(g, 120, levels) == 1
+    info = {}
+    assert np.array_equal(distance_rows(g, sources, info=info), expected)
+    assert info == {"kernel": "bits", "levels": levels}
+    monkeypatch.setattr(horolab.graph, "KERNEL_BYTES", 0)
+    assert horolab.graph._pick_kernel(g, 240)[0] == "bfs"
+    assert np.array_equal(distance_rows(g, sources), expected)
+
+
+def kernel_switch(graphs, picks):
+    """The first graph (and source count) where the picker's choice moves
+    from ``picks[0]`` to ``picks[1]``, and the one before it."""
+    before = None
+    for g, k in graphs:
+        kernel = horolab.graph._pick_kernel(g, k)[0]
+        if kernel == picks[1]:
+            assert before is not None
+            return before, (g, k)
+        assert kernel == picks[0]
+        before = (g, k)
+    raise AssertionError(f"no switch from {picks[0]} to {picks[1]}")
+
+
+def check_rows_and_kernel(g, k, kernel):
+    info = {}
+    sources = [(7 * i) % g.num_vertices for i in range(k)]
+    rows = distance_rows(g, sources, info=info)
+    assert info["kernel"] == kernel
+    edges = [tuple(e) for e in g.edges]
+    for s, row in zip(sources, rows):
+        assert row.tolist() == as_inf(bfs_distances(g.num_vertices, edges, s))
+
+
+def test_distance_rows_at_the_source_count_switch():
+    """On a 2,000-vertex carrier-like graph, per-source BFS up to some
+    source count, the bit-parallel kernel from the next one on."""
+    rng = random.Random(11)
+    g = random_connected_graph(2000, 2000, rng)
+    before, after = kernel_switch(((g, k) for k in range(1, 200)), ("bfs", "bits"))
+    assert before[1] + 1 == after[1] > 2
+    check_rows_and_kernel(*before, "bfs")
+    check_rows_and_kernel(*after, "bits")
+
+
+def test_distance_rows_at_the_size_switch():
+    """All sources of a growing dense graph: the frontier product while the
+    graph is small, the bit-parallel kernel once n^3 work per level loses
+    to the word-parallel edge passes.  Vertex n - 1 is isolated, so the
+    rows hold INF."""
+    rng = random.Random(3)
+    pool = list(itertools.combinations(range(400), 2))
+    rng.shuffle(pool)
+
+    def dense(n):
+        return Graph(n, [(u, v) for u, v in pool if v < n - 1][: 8 * n])
+
+    before, after = kernel_switch(((dense(n), n) for n in range(40, 400, 8)), ("frontier", "bits"))
+    check_rows_and_kernel(*before, "frontier")
+    check_rows_and_kernel(*after, "bits")
+
+
+def milnor_svarc_graphs(radius, depth=3):
+    """The word ball of Z^2 and its S_1, S_2, S_4, S_8 graphs, built as
+    ``milnor_svarc_experiment`` builds them, from one distance row."""
+    from horolab.analysis import displacement_generating_set
+    from horolab.groups import cayley_ball, free_abelian
+    from horolab.horoball import crossing_distance
+
+    ball = cayley_ball(free_abelian(2), radius)
+    n = ball.graph.num_vertices
+    displacement = crossing_distance(distance_rows(ball.graph, [0])[0], 0, 0, depth)
+    orbit = list(zip(ball.elements, displacement.tolist()))
+    graphs = {"word": ball.graph}
+    vid = np.arange(n)
+    for t in (1, 2, 4, 8):
+        s_t = [s for s in displacement_generating_set(orbit, t) if not s.is_identity()]
+        targets = ball.right_translations(s_t)
+        keep = targets > vid
+        edges = np.stack([np.broadcast_to(vid, targets.shape)[keep], targets[keep]], axis=1)
+        graphs[f"S_{t}"] = Graph(n, edges)
+    return graphs
+
+
+@pytest.mark.parametrize("radius", [16, 32])
+def test_pick_kernel_on_the_milnor_svarc_graphs(radius):
+    """All sources: bit-parallel on the sparse graphs; on S_8, the frontier
+    product at radius 16 (545 vertices, 3 levels) and the bit-parallel
+    kernel at radius 32, where the frontier buffers (80 MB) exceed the
+    budget and the BLAS work grows as n^3.  Only the picker runs."""
+    graphs = milnor_svarc_graphs(radius)
+    picks = {name: horolab.graph._pick_kernel(g, g.num_vertices) for name, g in graphs.items()}
+    assert picks == {
+        "word": ("bits", 2 * radius + 1), "S_1": ("bits", 2 * radius + 1),
+        "S_2": ("bits", radius + 1), "S_4": ("bits", radius // 2 + 1),
+        "S_8": ("frontier" if radius == 16 else "bits", radius // 8 + 1),
+    }
+
+
+def test_pick_kernel_keeps_per_source_bfs_on_long_paths_and_big_carriers():
+    """A geodesic's two endpoints on a 3,001-vertex path (L = n levels),
+    and one source on the 21,659-vertex depth-5 carrier of Z^2*Z^2 at
+    radius 4."""
+    from horolab.experiments import _shaped_family
+    from horolab.groups import cayley_ball, free_abelian, free_product
+    from horolab.horoball import glue_horoballs
+
+    assert horolab.graph._pick_kernel(path_graph(3000), 2) == ("bfs", 3001)
+    ball = cayley_ball(free_product(free_abelian(2), free_abelian(2)), 4)
+    family, _, _, shapes = _shaped_family(ball, None)
+    carrier = glue_horoballs(ball.graph, family, shapes, 5).carrier
+    assert carrier.num_vertices == 21659
+    assert horolab.graph._pick_kernel(carrier, 1)[0] == "bfs"
 
 
 def test_no_sources_give_an_empty_table():

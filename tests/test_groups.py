@@ -366,12 +366,13 @@ def test_coset_edges_match_per_element_products(spec):
     (free_abelian(1), 5), (free_abelian(3), 3), (free_abelian(40), 1),
 ], ids=["Z2", "Heis", "F2", "Z2*Z", "Z1", "Z3", "Z40"])
 def test_right_translation_matches_products(spec, radius):
+    """One-row calls of ``right_translations``, one per ball element."""
     ball = cayley_ball(spec, radius)
     outside = 0
     for s in ball.elements:
-        col = ball.right_translation(s)
-        assert col.dtype == np.int32 and col.shape == (len(ball.elements),)
-        for g, j in zip(ball.elements, col.tolist()):
+        col = ball.right_translations([s])
+        assert col.dtype == np.int32 and col.shape == (1, len(ball.elements))
+        for g, j in zip(ball.elements, col[0].tolist()):
             try:
                 expected = ball.vertex_of(spec.multiply(g, s))
             except InputError:
@@ -390,7 +391,7 @@ def test_generator_columns_match_per_element_products(spec, radius):
     assert ball.generator_table.dtype == np.int32
     for j, (_, s) in enumerate(gens):
         expected = [ball.key_index.get(reference_product(spec, g.key, s.key), -1) for g in ball.elements]
-        column = ball.right_translation(s)
+        column = ball.right_translations([s])[0]
         assert column.dtype == np.int32 and column.tolist() == expected
         assert ball.generator_table[:, j].tolist() == expected
         column[:] = 0  # a copy: the table stays as it was
@@ -415,10 +416,32 @@ def test_right_translation_by_elements_outside_the_ball(spec):
         for sign in (1, -1):
             s = spec.element((sign * shift,) + (1,) * (spec.rank - 1))
             expected = [ball.index.get(spec.multiply(g, s), -1) for g in ball.elements]
-            assert ball.right_translation(s).tolist() == expected
+            assert ball.right_translations([s]).tolist() == [expected]
 
 
 def test_right_translation_rejects_foreign_elements():
     ball = cayley_ball(Z2, 2)
     with pytest.raises(InputError):
-        ball.right_translation(GroupElement(F2, ((0, 1),)))
+        ball.right_translations([ball.elements[1], GroupElement(F2, ((0, 1),))])
+
+
+@pytest.mark.parametrize("spec,radius", [
+    (Z2, 5), (free_abelian(3), 3), (free_abelian(39), 1), (F2, 3), (H3, 3), (Z2xZ2, 3),
+], ids=["Z2", "Z3", "Z39", "F2", "Heis", "Z2*Z2"])
+def test_right_translations_equal_the_per_element_products(spec, radius):
+    """The whole table in one call, with elements repeated, out of ball
+    order and (for free abelian groups) outside the ball.  Z^2 and Z^3 look
+    codes up in a dense table; Z^39 at radius 1 has 3^39 codes for 79
+    elements and searches the sorted codes instead."""
+    ball = cayley_ball(spec, radius)
+    elements = list(reversed(ball.elements)) + [ball.elements[3], ball.elements[0]]
+    if spec.kind == "free_abelian":
+        elements.append(spec.element((2 * radius,) + (0,) * (spec.rank - 1)))
+    table = ball.right_translations(elements)
+    assert table.dtype == np.int32 and table.shape == (len(elements), len(ball.elements))
+    for s, row in zip(elements, table.tolist()):
+        assert row == [ball.key_index.get(reference_product(spec, g.key, s.key), -1) for g in ball.elements]
+    if spec.kind == "free_abelian":
+        lookup = ball._coordinate_codes()[-1]
+        assert isinstance(lookup, np.ndarray) == (spec.rank < 39)
+    assert ball.right_translations([]).shape == (0, len(ball.elements))

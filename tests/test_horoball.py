@@ -348,6 +348,77 @@ def test_family_validation_errors():
         build_augmented(base, [Subgraph((0, 2), ())], 1)  # disconnected member
 
 
+@pytest.mark.parametrize("family, message", [
+    ([Subgraph((0, 1, 0), ((0, 1),))], "family member 0: repeated vertices"),
+    ([Subgraph((0, 1), ((0, 1),)), Subgraph((2, 9, -1), ())],
+     "family member 1: vertex 9 outside the base graph"),
+    ([Subgraph((1, 2), ((1, 2), (2, 3)))], "family member 0: edge (2, 3) leaves the member"),
+    ([Subgraph((0, 2, 1), ((0, 1), (0, 2), (1, 2)))], "family member 0: edge (0, 2) is not a base edge"),
+    ([Subgraph((0, 1), ((0, 1),)), Subgraph((0, 2), ())], "family member 1: member is not connected"),
+    # the first faulty member wins, and within a member the first check
+    ([Subgraph((3, 3, 7), ((3, 9),)), Subgraph((0, 0), ())], "family member 0: repeated vertices"),
+    ([Subgraph((3, -1, 7), ((3, 9),))], "family member 0: vertex -1 outside the base graph"),
+    ([Subgraph((-1, 5, -1), ())], "family member 0: repeated vertices"),
+    ([Subgraph((0, 1), ((1, 0), (0, 0), (1, 3)))], "family member 0: edge (0, 0) is not a base edge"),
+    ([Subgraph((0, 2), ()), Subgraph((0, 0), ())], "family member 0: member is not connected"),
+    ([Subgraph((0,), ()), Subgraph((1, 2), ((2, 1),)), Subgraph((4, 3), ((3, 4), (4, 5)))],
+     "family member 2: edge (4, 5) leaves the member"),
+], ids=["repeated", "out-of-range", "leaves", "not-base", "disconnected", "first-member", "range-first",
+        "repeated-outside", "self-loop", "disconnected-first", "third-member"])
+def test_family_validation_messages(family, message):
+    with pytest.raises(InputError) as err:
+        member_shapes(path_graph(4), family)
+    assert str(err.value) == message
+
+
+def reference_member_fault(base, family):
+    """The member-by-member validation the vectorised check replaces."""
+    shapes = set()
+    for a, m in enumerate(family):
+        local = {v: i for i, v in enumerate(m.vertices)}
+        if len(local) != len(m.vertices):
+            return f"family member {a}: repeated vertices"
+        for v in m.vertices:
+            if not 0 <= v < base.num_vertices:
+                return f"family member {a}: vertex {v} outside the base graph"
+        for u, v in m.edges:
+            if u not in local or v not in local:
+                return f"family member {a}: edge ({u}, {v}) leaves the member"
+            if u == v or not base.has_edge(u, v):
+                return f"family member {a}: edge ({u}, {v}) is not a base edge"
+        edges = frozenset((min(local[u], local[v]), max(local[u], local[v])) for u, v in m.edges)
+        key = (len(m.vertices), edges)
+        if key not in shapes:
+            shapes.add(key)
+            if not Graph(key[0], list(key[1])).is_connected():
+                return f"family member {a}: member is not connected"
+    return None
+
+
+def test_family_validation_matches_the_member_by_member_check():
+    rng = random.Random(4)
+    base = grid_graph(3, 4)
+    faults = 0
+    for _ in range(400):
+        family = []
+        for _ in range(rng.randrange(1, 5)):
+            vs = rng.sample(range(-1, 13), rng.randrange(0, 5))
+            if vs and rng.random() < 0.1:
+                vs.append(vs[0])
+            pool = vs + [rng.randrange(-1, 13)]
+            family.append(Subgraph(tuple(vs), tuple((rng.choice(pool), rng.choice(pool))
+                                                    for _ in range(rng.randrange(0, 5)))))
+        expected = reference_member_fault(base, family)
+        if expected is None:
+            member_shapes(base, family)
+        else:
+            faults += 1
+            with pytest.raises(InputError) as err:
+                member_shapes(base, family)
+            assert str(err.value) == expected
+    assert 100 < faults < 400
+
+
 def test_provenance_partition_on_coset_family():
     ball = cayley_ball(free_product(free_abelian(2), free_abelian(2)), 3)
     cosets = coset_family(ball, 0)
