@@ -274,6 +274,45 @@ def test_distance_rows_at_the_size_switch():
     check_rows_and_kernel(*after, "bits")
 
 
+@pytest.mark.parametrize("n", [999, 1000])
+def test_distance_rows_at_the_kernel_switch(n):
+    """Graphs of 999 and 1,000 vertices, where a fixed vertex-count switch
+    once sat: the kernel the cost rule picks gives the BFS rows there."""
+    rng = random.Random(n)
+    for g in (random_connected_graph(n, n // 4, rng), random_graph(n, n, rng)):
+        edges = [tuple(e) for e in g.edges]
+        sources = rng.sample(range(n), 5)
+        info = {}
+        rows = distance_rows(g, sources, info=info)
+        assert rows.dtype == np.int32
+        assert info["kernel"] in KERNELS
+        for s, row in zip(sources, rows):
+            assert row.tolist() == as_inf(bfs_distances(n, edges, s))
+
+
+@pytest.mark.parametrize("extra_edges", [-1, 0])
+def test_distance_rows_at_the_degree_switch(monkeypatch, extra_edges):
+    """Average degree 2E/n just under and exactly at 32, where a fixed
+    degree switch once sat: the picked kernel and each forced kernel give
+    the Floyd-Warshall rows.  The last vertex is isolated, so some rows
+    hold INF."""
+    n = 60
+    rng = random.Random(extra_edges)
+    e = 32 * n // 2 + extra_edges
+    g = Graph(n, rng.sample(list(itertools.combinations(range(n - 1), 2)), e))
+    edges = [tuple(x) for x in g.edges]
+    fw = [as_inf(row) for row in floyd_warshall(n, edges)]
+    sources = [n - 1, 3, 0, 3, n - 1]
+    cols = sorted(rng.sample(range(n), 20)) + [n - 1]
+    for s in sources:
+        assert as_inf(bfs_distances(n, edges, s)) == fw[s]
+    for kernel in [None] + KERNELS:
+        if kernel is not None:
+            use_kernel(monkeypatch, kernel)
+        assert distance_rows(g, range(n)).tolist() == fw
+        assert distance_rows(g, sources, columns=cols).tolist() == [[fw[s][c] for c in cols] for s in sources]
+
+
 def milnor_svarc_graphs(radius, depth=3):
     """The word ball of Z^2 and its S_1, S_2, S_4, S_8 graphs, built as
     ``milnor_svarc_experiment`` builds them, from one distance row."""
