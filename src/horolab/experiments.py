@@ -28,16 +28,16 @@ from .errors import ConfigError, InputError, PropertyViolation
 from .graph import (
     DistanceOracle,
     Graph,
+    SubgraphFamily,
     cycle_graph,
     distance_rows,
     grid_graph,
     neighborhood_subgraph,
     path_graph,
 )
-from .groups import DEFAULT_BALL_BUDGET, CayleyBall, GroupSpec, cayley_ball, coset_family
+from .groups import DEFAULT_BALL_BUDGET, CayleyBall, GroupSpec, cayley_ball
 from .horoball import (
     AugmentedSpace,
-    Subgraph,
     build_restricted_horoball,
     crossing_distance,
     glue_horoballs,
@@ -183,25 +183,21 @@ def build_instance_graph(
     return ball.graph, ball, digest
 
 
-def parabolic_family(ball: CayleyBall) -> tuple[list[Subgraph], list[int], list[int]]:
+def parabolic_family(ball: CayleyBall) -> tuple[SubgraphFamily, list[int], list[int]]:
     """The coset family a Cayley ball is augmented over.
 
-    Free products use every coset of every factor; any other group is its own
-    single parabolic (relative hyperbolicity is trivial there, which is
-    exactly what e.g. the Milnor-Svarc baseline wants).  Returns (family,
-    factor index per member, family indices of the identity cosets).
+    Free products use every coset of every factor, ``ball.cosets``; any other
+    group is its own single parabolic (relative hyperbolicity is trivial
+    there, which is exactly what e.g. the Milnor-Svarc baseline wants).
+    Returns (family, factor index per member, family indices of the
+    identity cosets).
     """
     if ball.spec.kind != "free_product":
-        return [Subgraph.whole(ball.graph)], [0], [0]
-    family: list[Subgraph] = []
-    factor_of: list[int] = []
-    identity_members: list[int] = []
-    for i in range(len(ball.spec.factors)):
-        for coset in coset_family(ball, i):
-            if coset.representative.is_identity():
-                identity_members.append(len(family))
-            family.append(Subgraph(coset.members, coset.edges))
-            factor_of.append(i)
+        return SubgraphFamily.whole(ball.graph), [0], [0]
+    family = ball.cosets
+    factor_of = ball.coset_factors.tolist()
+    # a coset's first member is its representative, and e is ball index 0
+    identity_members = np.nonzero(family.vertices[family.offsets[:-1]] == 0)[0].tolist()
     return family, factor_of, identity_members
 
 
@@ -266,7 +262,7 @@ def scan_parabolic(
     members = np.asarray(aug.family[alpha].vertices, dtype=np.int64)
     n = aug.depth
     dmat = aug.member_metric(alpha)
-    wl = np.array([basepoint_row[v] for v in aug.family[alpha].vertices])
+    wl = np.array([basepoint_row[v] for v in members.tolist()])
     iu, iv = np.nonzero(np.triu(np.minimum.outer(wl, wl) + dmat <= radius, k=1))
     if not len(iu):
         return ParabolicScan(0, [], 0, 0, 0)
@@ -309,12 +305,13 @@ def _sample_cosets(family, factor_of, identity_indices, per_factor: int) -> list
     if per_factor < 1:
         return picked
     skip = set(identity_indices)
+    sizes = family.sizes.tolist()
     for f in sorted(set(factor_of)):
         # family order within a factor is (rep word length, rep normal form);
         # only cosets with at least two members can have pairs to check
         candidates = [
             a for a in range(len(family))
-            if factor_of[a] == f and a not in skip and len(family[a].vertices) >= 2
+            if factor_of[a] == f and a not in skip and sizes[a] >= 2
         ]
         if not candidates:
             continue
@@ -562,7 +559,7 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
             raise ConfigError("instance", "augment needs a group instance")
         family, _, identity_indices, shapes = _shaped_family(ball, timings)
         # the carrier holds the base plus depth copies of every member
-        carrier_vertices = ball.graph.num_vertices + depth * sum(len(m.vertices) for m in family)
+        carrier_vertices = ball.graph.num_vertices + depth * len(family.vertices)
         written = carrier_vertices <= _AUGMENT_ARTIFACT_MAX_VERTICES
         aug = glue_horoballs(ball.graph, family, shapes, depth, with_meta=written)
         rows = [{

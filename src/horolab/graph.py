@@ -23,7 +23,6 @@ a pure-Python BFS and Floyd-Warshall in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -210,6 +209,63 @@ class Path:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.vertices)
+
+
+@dataclass(frozen=True)
+class Subgraph:
+    """A subgraph of an ambient graph, by vertex ids and explicit edges.
+
+    The edge list may be a strict subset of the induced edges (coset
+    subgraphs keep only their own factor's edges)."""
+
+    vertices: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def whole(cls, g: Graph) -> "Subgraph":
+        """All of ``g``: every vertex in id order and every edge."""
+        return cls(tuple(range(g.num_vertices)), tuple(map(tuple, g.edges.tolist())))
+
+
+@dataclass(frozen=True, eq=False)
+class SubgraphFamily:
+    """Subgraphs of one graph held as arrays, each a copy of one of a few
+    templates.
+
+    Member ``a`` has the vertices ``vertices[offsets[a]:offsets[a + 1]]``
+    and the edges of template ``template[a]``: ``templates[t]`` is a sorted
+    (k, 2) array of local index pairs (i, j) with i < j, where local index i
+    names the member's i-th vertex, so all members of one template have one
+    size.  Nothing is checked against the graph: the builder vouches for the
+    members, as a Cayley ball does for its cosets.  ``family[a]`` builds
+    member ``a`` as a ``Subgraph`` when asked.
+    """
+
+    offsets: np.ndarray
+    vertices: np.ndarray
+    template: np.ndarray
+    templates: tuple[np.ndarray, ...]
+
+    @classmethod
+    def whole(cls, g: Graph) -> "SubgraphFamily":
+        """The one member ``Subgraph.whole(g)``."""
+        n = g.num_vertices
+        return cls(np.array([0, n]), np.arange(n), np.zeros(1, dtype=np.int64), (g.edges,))
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def __len__(self) -> int:
+        return len(self.template)
+
+    def __getitem__(self, a: int) -> Subgraph:
+        a = range(len(self))[a]  # IndexError past the end, as for a list
+        vs = self.vertices[self.offsets[a]:self.offsets[a + 1]]
+        return Subgraph(tuple(vs.tolist()), tuple(map(tuple, vs[self.templates[self.template[a]]].tolist())))
+
+    def __iter__(self) -> Iterator[Subgraph]:
+        return map(self.__getitem__, range(len(self)))
 
 
 def distance_rows(g: Graph, sources: Sequence[int], columns: Sequence[int] | None = None,
@@ -412,15 +468,16 @@ def _bfs_order_row(g: Graph, source: int) -> np.ndarray:
     # The traversal is FIFO, so the visit positions of the parents never
     # decrease along the visit order.  Each BFS level is therefore one
     # contiguous run of ``order``, and the run of level k+1 ends where the
-    # parent positions reach the end of level k: one bisection per level,
-    # over a memoryview so that each probe is a plain int.
+    # parents reach the end of level k: at 1 + the number of parents visited
+    # before it.  Those counts are tabulated once, by one bincount, so each
+    # level costs one lookup.
     m = len(order)
     position = np.empty(g.num_vertices, dtype=np.int64)
     position[order] = np.arange(m)
-    parent_pos = memoryview(position[pred[order[1:]]])
+    before = memoryview(np.cumsum(np.bincount(position[pred[order[1:]]], minlength=m)))
     ends = [1]
     while ends[-1] < m:
-        ends.append(1 + bisect.bisect_left(parent_pos, ends[-1]))
+        ends.append(1 + before[ends[-1] - 1])
     starts = np.zeros(m, dtype=np.int32)
     starts[ends[:-1]] = 1
     dist = np.full(g.num_vertices, INF, dtype=np.int32)

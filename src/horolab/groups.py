@@ -28,11 +28,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InputError, ResourceLimitError
-from .graph import Graph
+from .graph import Graph, SubgraphFamily
 
 # Default generator letters; "e" is reserved for the identity.
 _LETTERS = "abcdfghijklmnopqrstuvwxyz"
@@ -445,9 +443,10 @@ class CayleyBall:
     ``generator_table`` is the (n, |S|) int32 generator table: row g,
     column j holds the ball index of g·s_j, or -1 where the product leaves
     the ball, for the generators s_j of ``spec.generators()`` in that order.
-    Every product is computed once, by the BFS that builds the ball; the
-    graph edges, the generator right translations and the coset families
-    are all read from this one table.
+    Every product is computed once, by the BFS that builds the ball, or for
+    a free product by index arithmetic over its factor balls (``tree``);
+    the graph edges and the generator right translations are read from this
+    one table, and a free product's coset families from its ``tree``.
     """
 
     spec: GroupSpec
@@ -457,6 +456,7 @@ class CayleyBall:
     word_lengths: tuple[int, ...]
     generator_table: np.ndarray = field(compare=False, repr=False)
     basepoint: int = 0
+    tree: FactorTree | None = field(default=None, compare=False, repr=False)
 
     @property
     def index(self) -> dict[GroupElement, int]:
@@ -561,16 +561,52 @@ class CayleyBall:
         except KeyError:
             raise InputError(f"element {g!r} is outside the ball") from None
 
+    @property
+    def cosets(self) -> SubgraphFamily:
+        """Every coset g·H_i of every factor inside a free-product ball, read
+        off ``tree`` once.  Factor by factor, the cosets come in ball order of
+        their representatives r, the elements with no trailing factor-i
+        syllable.  Coset r·H_i meets the ball in r·B_{H_i}(ρ), ρ = radius -
+        |r|: its members are r and r's children in factor i, in factor-ball
+        order, which is ball order too, and its edges are the factor ball's
+        edges inside B_{H_i}(ρ).  That factor ball is the member's template,
+        numbered i·(radius + 1) + ρ."""
+        if self.tree is None:
+            raise InputError("coset families are defined for free products only")
+        if not hasattr(self, "_cosets"):
+            object.__setattr__(self, "_cosets", _cosets(self))
+        return self._cosets
+
+    @property
+    def coset_factors(self) -> np.ndarray:
+        """The factor index of each member of ``cosets``."""
+        return self.cosets.template // (self.radius + 1)
+
+
+@dataclass(frozen=True)
+class FactorTree:
+    """A free-product ball as a tree of factor balls.  Every element g other
+    than e is p·h with h its last syllable, a nontrivial element of factor
+    ``last[g]``, and p its prefix, at ball index ``parent[g]``; both are -1
+    at e."""
+
+    factor_balls: tuple[CayleyBall, ...]
+    parent: np.ndarray
+    last: np.ndarray
+
 
 def cayley_ball(spec: GroupSpec, radius: int, max_vertices: int = DEFAULT_BALL_BUDGET) -> CayleyBall:
-    """BFS over word length.  Layer k is expanded in its final order, and
-    each product g·s is computed once: it either finds its ball element,
-    discovers a new one of layer k + 1, or (from the sphere) leaves the
-    ball.  Elements of a new layer get consecutive discovery ids; the layer
-    is then sorted by normal form, formatted once per element for both the
-    sort and the label, and the table is renumbered at the end."""
+    """BFS over word length (free products: ``_free_product_ball``).  Layer
+    k is expanded in its final order, and each product g·s is computed once:
+    it either finds its ball element, discovers a new one of layer k + 1,
+    or (from the sphere) leaves the ball.  Elements of a new layer get
+    consecutive discovery ids; the layer is then sorted by normal form,
+    formatted once per element for both the sort and the label, and the
+    table is renumbered at the end."""
     if radius < 1:
         raise InputError("radius must be >= 1")
+    if spec.kind == "free_product":
+        return _free_product_ball(spec, radius, max_vertices)
     gen_keys = [s.key for _, s in spec.generators()]
     mul, fmt = spec._mul, spec._format_key
     identity = spec._identity_key()
@@ -613,10 +649,17 @@ def cayley_ball(spec: GroupSpec, radius: int, max_vertices: int = DEFAULT_BALL_B
         word_lengths.extend([length + 1] * len(new))
     del ids, get  # not held while the table and the graph are built
 
-    n = len(keys)
     # discovery id -> ball index, with a trailing -1 that raw's -1 entries pick
     final = np.append(np.argsort(discovered), -1).astype(np.int32)
-    table = final[np.frombuffer(raw, dtype=np.int32)].reshape(n, len(gen_keys))
+    table = final[np.frombuffer(raw, dtype=np.int32)].reshape(len(keys), len(gen_keys))
+    return _ball(spec, radius, keys, labels, word_lengths, table)
+
+
+def _ball(spec: GroupSpec, radius: int, keys: list, labels: list[str], word_lengths: list[int],
+          table: np.ndarray, tree: FactorTree | None = None) -> CayleyBall:
+    """The ball over its elements in ball order; its graph edges are the
+    entries of the generator table above their row."""
+    n = len(keys)
     table.setflags(write=False)
     rows = np.broadcast_to(np.arange(n, dtype=np.int32)[:, None], table.shape)
     upper = table > rows
@@ -624,7 +667,117 @@ def cayley_ball(spec: GroupSpec, radius: int, max_vertices: int = DEFAULT_BALL_B
                   metadata={"group": spec.to_json(), "radius": radius})
     return CayleyBall(spec=spec, radius=radius, graph=graph,
                       elements=tuple(GroupElement(spec, k) for k in keys),
-                      word_lengths=tuple(word_lengths), generator_table=table)
+                      word_lengths=tuple(word_lengths), generator_table=table, tree=tree)
+
+
+def _free_product_ball(spec: GroupSpec, radius: int, max_vertices: int) -> CayleyBall:
+    """A free-product ball as a tree of factor balls.
+
+    Normal forms are unique and word length adds over syllables, so every
+    element g other than e is p·h: p its prefix, one syllable shorter, h a
+    nontrivial element of a factor H_i that p does not end in, and |g| =
+    |p| + |h|.  The children of p in factor i are therefore p·h for h in
+    B_{H_i}(radius - |p|) minus e, the start of the factor ball's order.
+    Each factor ball is built once, by ``cayley_ball``; the product's
+    elements are expanded one syllable at a time as arrays of (prefix,
+    factor, factor-ball index), with the children of one prefix in one
+    factor contiguous and in factor-ball order.
+
+    A product g·s by a generator s of factor i is index arithmetic: it moves
+    inside g's last syllable h when that is in H_i (the factor ball's table
+    gives h·s, and h·s = e gives the prefix), and otherwise appends the
+    syllable s.  A label is the prefix's label, " | " and the factor label,
+    the normal form the BFS formats, so one sort by (word length, label)
+    gives the BFS's order.  The exact size is counted from the factor
+    spheres before any array of the product's size is allocated.
+    """
+    def over_budget() -> ResourceLimitError:
+        return ResourceLimitError(f"ball of {spec.describe()} at radius {radius} exceeds the "
+                                  f"budget of {max_vertices} vertices")
+
+    try:
+        # a factor ball is the identity coset, so it is no larger than the ball
+        factor_balls = tuple(cayley_ball(f, radius, max_vertices) for f in spec.factors)
+    except ResourceLimitError:
+        raise over_budget() from None
+    lengths = [np.asarray(b.word_lengths, dtype=np.int64) for b in factor_balls]
+    spheres = [np.bincount(w, minlength=radius + 1).tolist() for w in lengths]
+    n = _free_product_size(spheres, radius)
+    if n > max_vertices:
+        raise over_budget()
+
+    # creation order: one syllable count after another; element 0 is e
+    parent = np.full(n, -1, dtype=np.int64)
+    last = np.full(n, -1, dtype=np.int64)
+    syllable = np.zeros(n, dtype=np.int64)  # factor-ball index of the last syllable
+    wl = np.zeros(n, dtype=np.int64)
+    first = np.full((n, len(factor_balls)), -1, dtype=np.int64)  # the child of factor-ball index 1
+    upto = [np.cumsum(sphere) for sphere in spheres]  # upto[i][rho] = |B_{H_i}(rho)|
+    factor_keys = [[g.key for g in b.elements] for b in factor_balls]
+    keys, labels = [()], ["e"]
+    lo, hi = 0, 1  # the elements one syllable shorter than those being made
+    while lo < hi:
+        end = hi
+        for i, b in enumerate(factor_balls):
+            p = np.arange(lo, hi)
+            p = p[(last[p] != i) & (wl[p] < radius)]
+            counts = upto[i][radius - wl[p]] - 1
+            starts = end + np.cumsum(counts) - counts
+            first[p, i] = starts
+            new = slice(end, end + int(counts.sum()))
+            parent[new] = np.repeat(p, counts)
+            syllable[new] = np.arange(new.stop - new.start) - np.repeat(starts - end, counts) + 1
+            last[new] = i
+            wl[new] = wl[parent[new]] + lengths[i][syllable[new]]
+            names, fk = b.graph.labels, factor_keys[i]
+            if lo == 0:  # the children of e are single syllables
+                hs = syllable[new].tolist()
+                labels.extend([names[h] for h in hs])
+                keys.extend([((i, fk[h]),) for h in hs])
+            else:
+                pairs = list(zip(parent[new].tolist(), syllable[new].tolist()))
+                labels.extend([f"{labels[q]} | {names[h]}" for q, h in pairs])
+                keys.extend([keys[q] + ((i, fk[h]),) for q, h in pairs])
+            end = new.stop
+        lo, hi = hi, end
+
+    by_label = sorted(range(n), key=labels.__getitem__)
+    order = np.asarray(by_label)[np.argsort(wl[by_label], kind="stable")]
+    rank = np.empty(n + 1, dtype=np.int64)  # creation id -> ball index; rank[-1] = -1
+    rank[order] = np.arange(n)
+    rank[n] = -1
+
+    raw = np.empty((n, len(spec.generators())), dtype=np.int64)  # creation ids
+    col = 0
+    for i, b in enumerate(factor_balls):
+        mine, others = np.nonzero(last == i)[0], np.nonzero(last != i)[0]
+        p = parent[mine]
+        reach = np.append(lengths[i], radius + 1)  # index -1, outside the factor ball, never fits
+        for j in range(b.generator_table.shape[1]):
+            h = b.generator_table[syllable[mine], j].astype(np.int64)
+            fits = wl[p] + reach[h] <= radius
+            raw[mine, col] = np.where(h == 0, p, np.where(fits, first[p, i] + h - 1, -1))
+            s = int(b.generator_table[0, j])  # the factor-ball index of the generator
+            raw[others, col] = np.where(wl[others] < radius, first[others, i] + s - 1, -1)
+            col += 1
+
+    order_list = order.tolist()
+    tree = FactorTree(factor_balls, rank[parent[order]], last[order])
+    return _ball(spec, radius, [keys[c] for c in order_list], [labels[c] for c in order_list],
+                 wl[order].tolist(), rank[raw[order]].astype(np.int32), tree)
+
+
+def _free_product_size(spheres: list[list[int]], radius: int) -> int:
+    """|B(radius)| of a free product from its factors' sphere sizes: of the
+    elements of length l, ``ending[i][l]`` end in a syllable of factor i,
+    one of length l - m after each element of length m that does not."""
+    total = [1] + [0] * radius
+    ending = [[0] * (radius + 1) for _ in spheres]
+    for length in range(1, radius + 1):
+        for i, sphere in enumerate(spheres):
+            ending[i][length] = sum((total[m] - ending[i][m]) * sphere[length - m] for m in range(length))
+        total[length] = sum(e[length] for e in ending)
+    return sum(total)
 
 
 # -- coset subgraph families (free products) -------------------------------
@@ -641,43 +794,50 @@ class CosetSubgraph:
 
 
 def coset_family(ball: CayleyBall, factor_index: int) -> list[CosetSubgraph]:
-    """The cosets g·H_i of factor ``factor_index`` inside the ball, as the
-    connected components of the factor-i columns of ``generator_table``.
-
-    Word length adds over syllables, so a coset meets the ball in
-    r·B_{H_i}(radius - |r|), with r its shortest element: a translated word
-    ball, hence connected, so the components are exactly the cosets.  r is
-    the coset's unique shortest element, so it has the smallest ball index,
-    and ordering families by that index is the (word length, normal form)
-    order of their representatives.  Members are ascending and edges sorted.
+    """The cosets g·H_i of factor ``factor_index`` inside the ball, from
+    ``ball.cosets``: each is r·B_{H_i}(radius - |r|) for its unique shortest
+    element r, the coset's smallest ball index, so the families come in the
+    (word length, normal form) order of their representatives.  Members are
+    ascending and edges sorted.
     """
     spec = ball.spec
     if spec.kind != "free_product":
         raise InputError("coset families are defined for free products only")
     if not 0 <= factor_index < len(spec.factors):
         raise InputError(f"factor index {factor_index} out of range")
-
-    n = len(ball.elements)
-    factor_columns = [j for j, (_, s) in enumerate(spec.generators()) if s.key[0][0] == factor_index]
-    cols = ball.generator_table[:, factor_columns]
-    u, j = np.nonzero(cols > np.arange(n)[:, None])
-    w = cols[u, j]
-    _, label = connected_components(csr_matrix((np.ones(len(u), dtype=np.int8), (u, w)), shape=(n, n)),
-                                    directed=False)
-    _, first = np.unique(label, return_index=True)
-    rep_of = first[label]  # each element's representative: its component's smallest ball index
-    reps, member_counts = np.unique(rep_of, return_counts=True)
-    edge_counts = np.bincount(rep_of[u], minlength=n)[reps]
-    member_list = np.argsort(rep_of, kind="stable").tolist()  # ascending within a coset
-    by_edge = np.lexsort((w, u, rep_of[u]))
-    edge_list = list(zip(u[by_edge].tolist(), w[by_edge].tolist()))
-
+    family = ball.cosets
     out = []
-    m0 = e0 = 0
-    for rep, m, e in zip(reps.tolist(), member_counts.tolist(), edge_counts.tolist()):
-        out.append(CosetSubgraph(factor_index=factor_index, representative=ball.elements[rep],
-                                 members=tuple(member_list[m0:m0 + m]),
-                                 edges=tuple(edge_list[e0:e0 + e])))
-        m0 += m
-        e0 += e
+    for a in np.nonzero(ball.coset_factors == factor_index)[0].tolist():
+        member = family[a]
+        out.append(CosetSubgraph(factor_index=factor_index, representative=ball.elements[member.vertices[0]],
+                                 members=member.vertices, edges=member.edges))
     return out
+
+
+def _cosets(ball: CayleyBall) -> SubgraphFamily:
+    """``CayleyBall.cosets``: per factor, the children of each
+    representative in that factor are the elements whose last syllable is
+    in it, grouped by parent in ball order."""
+    r = ball.radius
+    wl = np.asarray(ball.word_lengths, dtype=np.int64)
+    parent, last = ball.tree.parent, ball.tree.last
+    sizes, vertices, template, templates = [], [], [], []
+    for i, b in enumerate(ball.tree.factor_balls):
+        upto = np.searchsorted(b.word_lengths, np.arange(r + 1), side="right")  # |B_{H_i}(rho)|
+        templates.extend(b.graph.edges[b.graph.edges[:, 1] < s] for s in upto.tolist())
+        reps = np.nonzero(last != i)[0]
+        rho = r - wl[reps]
+        size = upto[rho]
+        kids = np.nonzero(last == i)[0]
+        kids = kids[np.argsort(parent[kids], kind="stable")]
+        is_rep = np.zeros(int(size.sum()), dtype=bool)
+        is_rep[np.cumsum(size) - size] = True
+        block = np.empty(len(is_rep), dtype=np.int64)
+        block[is_rep] = reps
+        block[~is_rep] = kids
+        sizes.append(size)
+        vertices.append(block)
+        template.append(i * (r + 1) + rho)
+    sizes = np.concatenate(sizes)
+    return SubgraphFamily(offsets=np.concatenate([[0], np.cumsum(sizes)]), vertices=np.concatenate(vertices),
+                          template=np.concatenate(template), templates=tuple(templates))

@@ -9,11 +9,12 @@ with each level climbed.  The augmentation of a graph glues one such horoball
 onto each member of a family of subgraphs along its level 0.
 
 One gluing step builds every carrier.  ``member_shapes`` validates the family
-and computes the shape table: one distance matrix per member shape.  ``_glue``
-then emits the edges and per-vertex provenance of all members of a shape at
-once.  ``build_augmented`` runs the two in a row; ``glue_horoballs`` takes a
-shape table already computed, so an experiment over several depths builds it
-once.  The restricted horoball over a whole base is the one-member case: the
+and computes the shape table: one distance matrix per member shape.  A
+``SubgraphFamily`` (a Cayley ball's cosets) is vouched for by its builder and
+has one shape per template.  ``_glue`` then emits the edges and per-vertex
+provenance of all members of a shape at once.  ``build_augmented`` runs the
+two in a row; ``glue_horoballs`` takes a shape table already computed, so an
+experiment over several depths builds it once.  The restricted horoball over a whole base is the one-member case: the
 gluing over ``Subgraph.whole(base)``.
 """
 
@@ -27,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .graph import INF, DistanceOracle, Graph, Path, distance_rows
+from .graph import INF, DistanceOracle, Graph, Path, Subgraph, SubgraphFamily, distance_rows
 
 ASCENDING = "ascending"
 DESCENDING = "descending"
@@ -352,22 +353,6 @@ def verify_geodesic_shape(h: RestrictedHoroball, p: Path) -> ShapeReport:
 # -- augmented spaces ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    """A subgraph of an ambient graph, by vertex ids and explicit edges.
-
-    The edge list may be a strict subset of the induced edges (coset
-    subgraphs keep only their own factor's edges)."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def whole(cls, g: Graph) -> "Subgraph":
-        """All of ``g``: every vertex in id order and every edge."""
-        return cls(tuple(range(g.num_vertices)), tuple(map(tuple, g.edges.tolist())))
-
-
 class AugmentedSpace:
     """A base graph with one depth-``depth`` horoball glued onto each family
     member along its level 0."""
@@ -375,7 +360,7 @@ class AugmentedSpace:
     def __init__(self, base, family, depth, carrier, kind, alpha, base_vertex, level, block_starts,
                  shapes):
         self.base: Graph = base
-        self.family: tuple[Subgraph, ...] = family
+        self.family: Sequence[Subgraph] = family
         self.depth: int = depth
         self.carrier: Graph = carrier
         self._kind = kind            # 0 = base vertex, 1 = horoball copy
@@ -435,20 +420,31 @@ def member_shapes(base: Graph, family: Sequence[Subgraph]) -> tuple[list[int], l
     its int32 distance matrix over local indices.  Members are checked in
     order, and the first fault raises: a member that fails
     ``_member_faults`` or whose shape, the first time it is seen, is
-    disconnected.
+    disconnected.  A ``SubgraphFamily`` skips ``_member_faults``: its
+    members are its templates' copies, so each template is looked at once,
+    in the order of its first member.
     """
-    sizes = np.fromiter((len(m.vertices) for m in family), dtype=np.int64, count=len(family))
+    if isinstance(family, SubgraphFamily):
+        used, first, inverse = np.unique(family.template, return_index=True, return_inverse=True)
+        by_first = np.argsort(first)
+        sizes = family.sizes[first[by_first]].tolist()
+        shape_of_used, dmats = _shape_table(
+            (a, s, _edge_codes(family.templates[t], s))
+            for a, s, t in zip(first[by_first].tolist(), sizes, used[by_first].tolist()))
+        shape_of = np.empty(len(used), dtype=np.int64)
+        shape_of[by_first] = shape_of_used
+        return shape_of[inverse].tolist(), dmats
+
+    offsets, vertices = _member_arrays(family)
+    sizes = np.diff(offsets)
     edge_counts = np.fromiter((len(m.edges) for m in family), dtype=np.int64, count=len(family))
-    vertices = np.fromiter(itertools.chain.from_iterable(m.vertices for m in family),
-                           dtype=np.int64, count=int(sizes.sum()))
     ends = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(m.edges) for m in family),
                        dtype=np.int64, count=2 * int(edge_counts.sum())).reshape(-1, 2)
     local, faults = _member_faults(base, sizes, vertices, edge_counts, ends)
 
     # each member's deduplicated local edges (lo, hi), sorted, as codes lo * s + hi
     owner = np.repeat(np.arange(len(family)), edge_counts)
-    s_of = sizes[owner]
-    code = np.minimum(local[:, 0], local[:, 1]) * s_of + np.maximum(local[:, 0], local[:, 1])
+    code = _edge_codes(local, sizes[owner])
     order = np.lexsort((code, owner))
     owner, code = owner[order], code[order]
     fresh = np.ones(len(code), dtype=bool)
@@ -456,14 +452,31 @@ def member_shapes(base: Graph, family: Sequence[Subgraph]) -> tuple[list[int], l
     owner, code = owner[fresh], code[fresh]
     bounds = np.searchsorted(owner, np.arange(len(family) + 1)).tolist()
 
+    def checked():
+        for a, s in enumerate(sizes.tolist()):
+            fault = faults.get(a)
+            if fault is not None:
+                raise InputError(f"family member {a}: {fault}")
+            yield a, s, code[bounds[a]:bounds[a + 1]]
+
+    return _shape_table(checked())
+
+
+def _edge_codes(local: np.ndarray, s) -> np.ndarray:
+    """Local edges (i, j) as the int64 codes lo * s + hi, which sort like
+    the pairs (lo, hi)."""
+    lo, hi = np.minimum(local[:, 0], local[:, 1]), np.maximum(local[:, 0], local[:, 1])
+    return lo.astype(np.int64) * s + hi
+
+
+def _shape_table(members) -> tuple[list[int], list[np.ndarray]]:
+    """Shape index per (member index, size, sorted local edge codes), in
+    the order given, and the distance matrix of each new shape; the first
+    disconnected shape raises, naming the member it was met on."""
     index: dict[tuple, int] = {}
     shape_of: list[int] = []
     dmats: list[np.ndarray] = []
-    for a, s in enumerate(sizes.tolist()):
-        fault = faults.get(a)
-        if fault is not None:
-            raise InputError(f"family member {a}: {fault}")
-        codes = code[bounds[a]:bounds[a + 1]]
+    for a, s, codes in members:
         key = (s, codes.tobytes())
         shape = index.get(key)
         if shape is None:
@@ -474,6 +487,16 @@ def member_shapes(base: Graph, family: Sequence[Subgraph]) -> tuple[list[int], l
             dmats.append(dmat)
         shape_of.append(shape)
     return shape_of, dmats
+
+
+def _member_arrays(family: Sequence[Subgraph]) -> tuple[np.ndarray, np.ndarray]:
+    """The members' offsets and concatenated vertex lists, as int64."""
+    if isinstance(family, SubgraphFamily):
+        return np.asarray(family.offsets, dtype=np.int64), np.asarray(family.vertices, dtype=np.int64)
+    sizes = np.fromiter((len(m.vertices) for m in family), dtype=np.int64, count=len(family))
+    vertices = np.fromiter(itertools.chain.from_iterable(m.vertices for m in family),
+                           dtype=np.int64, count=int(sizes.sum()))
+    return np.concatenate([[0], np.cumsum(sizes)]), vertices
 
 
 def _member_faults(base: Graph, sizes: np.ndarray, vertices: np.ndarray, edge_counts: np.ndarray,
@@ -537,7 +560,8 @@ def build_augmented(
     with_meta: bool = False,
 ) -> AugmentedSpace:
     """Glue a depth-``depth`` horoball onto each family member: the shape
-    table of ``member_shapes``, then ``glue_horoballs``."""
+    table of ``member_shapes``, then ``glue_horoballs``.  The family is
+    taken as input, copied into ``Subgraph``s and validated in full."""
     family = tuple(Subgraph(tuple(m.vertices), tuple(tuple(e) for e in m.edges)) for m in family)
     return glue_horoballs(base, family, member_shapes(base, family), depth, with_meta)
 
@@ -580,7 +604,8 @@ def _glue(base: Graph, family: Sequence[Subgraph], shapes, depth: int) -> tuple:
         raise InputError("depth must be >= 1")
     shape_of, dmats = shapes
     n0 = base.num_vertices
-    blocks = np.array([len(m.vertices) for m in family], dtype=np.int64) * depth
+    offsets, vertices = _member_arrays(family)
+    blocks = np.diff(offsets) * depth
     block_starts = n0 + np.cumsum(blocks) - blocks
     total = int(n0 + blocks.sum())
 
@@ -600,7 +625,7 @@ def _glue(base: Graph, family: Sequence[Subgraph], shapes, depth: int) -> tuple:
         ids = (block_starts[members, None, None]
                + (np.arange(depth, dtype=np.int64) * s)[None, :, None]
                + np.arange(s, dtype=np.int64)[None, None, :])
-        bottom = np.array([family[a].vertices for a in members], dtype=np.int64)
+        bottom = vertices[offsets[members, None] + np.arange(s)]
         kind[ids] = 1
         alpha[ids] = members[:, None, None]
         base_vertex[ids] = bottom[:, None, :]

@@ -234,19 +234,22 @@ def _search_one_lambda(
     return None
 
 
-def bilipschitz_cycle_search(query: ShortcutQuery) -> SearchOutcome:
+def bilipschitz_cycle_search(query: ShortcutQuery, oracle: DistanceOracle | None = None) -> SearchOutcome:
     """Scan the scale grid in ascending order; the first witness wins.
 
     The outcome's ``exhaustive`` flag is set only when every scale in the
-    grid was fully searched.
+    grid was fully searched.  ``oracle`` may hold rows of ``query.target``
+    that other searches computed; the connectivity check reads its row of
+    vertex 0, so searches that share an oracle share that check too.
     """
-    if not query.target.is_connected():
+    if oracle is None:
+        oracle = DistanceOracle(query.target)
+    if query.target.num_vertices and np.any(oracle.row(0) >= INF):
         raise InputError("target graph must be connected")
     lams = query.lambdas.values()
     if not lams:
         return SearchOutcome(NOT_SEARCHED, None, 0, False)
 
-    oracle = DistanceOracle(query.target)
     budget = [query.node_cap]
     for lam in lams:
         try:
@@ -322,7 +325,9 @@ def shortcut_profile(
     restrict: Sequence[int] | None = None,
 ) -> tuple[ShortcutProfile, dict[int, CycleEmbedding]]:
     """One search row per cycle length.  Every scale of an unsuccessful row is
-    searched; nothing learned at one (n, lam) cell prunes another."""
+    searched; nothing learned at one (n, lam) cell prunes another, but all
+    rows share one distance oracle, so no distance row is computed twice."""
+    oracle = DistanceOracle(target)
 
     def run_one(n: int) -> tuple[ProfileRow, CycleEmbedding | None]:
         t0 = time.perf_counter()
@@ -334,7 +339,7 @@ def shortcut_profile(
             restrict=None if restrict is None else tuple(restrict),
             node_cap=node_cap,
         )
-        outcome = bilipschitz_cycle_search(query)
+        outcome = bilipschitz_cycle_search(query, oracle)
         row = ProfileRow(
             cycle_length=n,
             bilipschitz=Fraction(bilipschitz),

@@ -391,6 +391,16 @@ def reference_cayley_ball(spec, radius: int) -> dict:
             "edges": sorted(edges)}
 
 
+def reference_generator_table(spec, elements) -> list[list[int]]:
+    """Reference for ``CayleyBall.generator_table`` over a ball's
+    ``elements``: row g, column j is the index of g·s_j, the product taken by
+    ``reference_product``, or -1 outside the ball, for the generators s_j of
+    ``spec.generators()``."""
+    index = {g.key: i for i, g in enumerate(elements)}
+    gens = [s.key for _, s in spec.generators()]
+    return [[index.get(reference_product(spec, g.key, s), -1) for s in gens] for g in elements]
+
+
 def coset_representative(spec, g, factor_index: int):
     """Strip the trailing factor-``factor_index`` syllable: the shortest
     element of g·H_i, which identifies the coset."""

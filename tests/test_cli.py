@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from horolab import PropertyViolation, cayley_ball, free_abelian, free_product
-from horolab.cli import EXIT_CONFIG, EXIT_OK, main
+from horolab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, main
 from horolab import experiments
 from horolab.errors import ConfigError
 from horolab.experiments import (
@@ -108,6 +108,7 @@ def test_artifact_write_time_is_a_timing_not_a_row(tmp_path, kind, instance, art
     assert "artifacts_s" not in delta.timings
 
 
+Z2Z2 = {"free_product": [{"free_abelian": 2}, {"free_abelian": 2}]}
 Z_FREE_Z = {"group": {"free_product": [{"free_abelian": 1}, {"free_abelian": 1}]}, "radius": 3}
 
 
@@ -416,6 +417,19 @@ def test_cli_runs_delta(tmp_path, capsys):
     assert report["rows"][0]["delta"] == "3"
     assert report["config"]["experiment"] == "delta"
     assert report["environment"]["tool"] == "horolab"
+
+
+@pytest.mark.parametrize("kind,params", [("convexify-experiment", {"depths": [1], "budget": 100}),
+                                         ("milnor-svarc", {"depth": 1, "t_list": [1], "budget": 100})])
+def test_cli_free_product_over_its_budget_exits_3(tmp_path, capsys, kind, params):
+    # Z^2*Z^2 at radius 3 has 337 elements, each factor ball 25
+    cfg = write_config(tmp_path, {"version": 1, "experiment": kind, "params": params,
+                                  "instance": {"group": Z2Z2, "radius": 3}})
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert ("resource limit: ball of free_abelian(2) * free_abelian(2) at radius 3 exceeds the budget "
+            "of 100 vertices") in err
+    assert "Traceback" not in err
 
 
 def test_cli_rejects_mismatched_subcommand(tmp_path, capsys):

@@ -33,6 +33,7 @@ from horolab.graph import (
     neighborhood_subgraph,
     path_graph,
     random_connected_graph,
+    star_graph,
 )
 from horolab.io import canonical_json, graph_from_json, graph_to_json, read_graph, to_dot, write_graph
 
@@ -135,6 +136,21 @@ def test_bfs_disconnected_sentinel(monkeypatch):
         assert d.tolist() == [[0, 1, INF, INF], [INF, INF, 1, 0]]
         # two sentinels still add up without wrapping
         assert int((d[0] + d[0]).max()) == 2 * INF
+
+
+@pytest.mark.parametrize("g", [
+    path_graph(3000), star_graph(40), Graph(7, [(0, 1), (1, 2), (4, 5), (5, 6), (6, 4)]), Graph(1, []),
+], ids=["path-3001", "star", "disconnected", "single-vertex"])
+def test_per_source_bfs_row_matches_the_queue_bfs(g):
+    """The level split of ``_bfs_order_row``: one level per vertex on a long
+    path, two levels on a star, unreached vertices left at INF."""
+    n = g.num_vertices
+    edges = g.edges.tolist()
+    sources = {0, n // 2, n - 1} | ({1, 3} if n == 7 else set())
+    for s in sorted(sources):
+        row = horolab.graph._bfs_order_row(g, s)
+        assert row.dtype == np.int32
+        assert row.tolist() == as_inf(bfs_distances(n, edges, s))
 
 
 def test_bfs_matches_floyd_warshall_on_random_graphs(monkeypatch):

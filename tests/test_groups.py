@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from oracles import (
     heis_matrix,
     reference_cayley_ball,
     reference_coset_family,
+    reference_generator_table,
     reference_product,
 )
 
@@ -221,8 +223,11 @@ def test_ball_budget_is_checked_while_a_layer_grows(monkeypatch):
 BALL_CASES = [
     (Z2xZ2, 4), (free_product(free_abelian(2), free_abelian(1)), 5), (free_product(F2, H3), 3),
     (free_product(free_abelian(1), free_abelian(1), free_abelian(1)), 4), (free_product(F2, Z2), 3),
+    (Z2xZ2, 1), (free_product(heisenberg(include_central=True), free_abelian(1)), 3),
+    (free_product(free_abelian(1), F2, Z2), 3),
 ]
-BALL_IDS = ["Z2*Z2-r4", "Z2*Z-r5", "F2*Heis-r3", "Z*Z*Z-r4", "F2*Z2-r3"]
+BALL_IDS = ["Z2*Z2-r4", "Z2*Z-r5", "F2*Heis-r3", "Z*Z*Z-r4", "F2*Z2-r3",
+            "Z2*Z2-r1", "Heis-central*Z-r3", "Z*F2*Z2-r3"]
 
 
 @pytest.mark.parametrize("spec,radius", BALL_CASES, ids=BALL_IDS)
@@ -233,8 +238,36 @@ def test_ball_and_coset_families_match_the_references(spec, radius):
     assert ball.word_lengths == reference["word_lengths"]
     assert ball.graph.labels == reference["labels"]
     assert ball.graph.edges.tolist() == [list(e) for e in reference["edges"]]
+    assert ball.generator_table.tolist() == reference_generator_table(spec, reference["elements"])
     for factor in range(len(spec.factors)):
         assert coset_family(ball, factor) == reference_coset_family(ball, factor)
+
+
+def test_free_product_balls_multiply_only_inside_the_factors(monkeypatch):
+    """A free-product ball is built from its factor balls, whose BFS
+    multiplies factor keys; no free-product key is ever multiplied."""
+    kinds = []
+    mul = GroupSpec._mul
+    monkeypatch.setattr(GroupSpec, "_mul", lambda self, x, y: kinds.append(self.kind) or mul(self, x, y))
+    for spec, radius in BALL_CASES:
+        cayley_ball(spec, radius)
+    assert kinds and "free_product" not in kinds
+
+
+def test_free_product_budget_is_checked_before_the_product_is_built():
+    n = cayley_ball(Z2xZ2, 3).graph.num_vertices
+    assert cayley_ball(Z2xZ2, 3, max_vertices=n).graph.num_vertices == n
+    message = "ball of {} at radius {} exceeds the budget of {} vertices"
+    with pytest.raises(ResourceLimitError, match=re.escape(message.format(Z2xZ2.describe(), 3, n - 1))):
+        cayley_ball(Z2xZ2, 3, max_vertices=n - 1)
+    # a factor ball over the budget (Z^2 at radius 3 has 25 elements) names the product
+    with pytest.raises(ResourceLimitError, match=re.escape(message.format(Z2xZ2.describe(), 3, 24))):
+        cayley_ball(Z2xZ2, 3, max_vertices=24)
+    # Z*Z at radius 40 has 4·3^39 elements on its sphere alone: the count
+    # from the factor spheres refuses it before any array of that size exists
+    z_z = free_product(free_abelian(1), free_abelian(1))
+    with pytest.raises(ResourceLimitError, match=re.escape(message.format(z_z.describe(), 40, 10**6))):
+        cayley_ball(z_z, 40, max_vertices=10**6)
 
 
 def test_free_product_product_matches_the_reference():

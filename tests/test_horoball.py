@@ -45,7 +45,7 @@ import horolab.graph
 import horolab.horoball
 from horolab.experiments import convexify_experiment, milnor_svarc_experiment, parabolic_family
 
-from oracles import augmented_carrier, bfs_distances, restricted_horoball
+from oracles import augmented_carrier, bfs_distances, reference_coset_family, restricted_horoball
 
 
 def all_pairs(n):
@@ -560,6 +560,33 @@ def test_z2z2_radius4_coset_shapes():
     assert len(family) == 1970
     assert len(dmats) == 5
     assert sorted(set(shape_of)) == list(range(5))
+
+
+@pytest.mark.parametrize("spec,radius", [
+    (free_product(free_abelian(2), free_abelian(2)), 4),
+    (free_product(free_abelian(2), free_abelian(1)), 5),
+    (free_product(free(2), heisenberg()), 3),
+], ids=["Z2*Z2-r4", "Z2*Z-r5", "F2*Heis-r3"])
+def test_array_family_has_the_shape_table_of_its_subgraph_copies(spec, radius, monkeypatch):
+    """The ball's family is the reference coset families, factor after
+    factor.  Its shape table, one shape per (factor, radius) template and no
+    per-member edge check, equals the one ``member_shapes`` computes over
+    ``Subgraph`` copies of the same members, every member validated."""
+    ball = cayley_ball(spec, radius)
+    family, factor_of, identity = parabolic_family(ball)
+    reference = [(i, c) for i in range(len(spec.factors)) for c in reference_coset_family(ball, i)]
+    copies = list(family)
+    assert copies == [Subgraph(c.members, c.edges) for _, c in reference]
+    assert factor_of == [i for i, _ in reference]
+    assert identity == [a for a, (_, c) in enumerate(reference) if c.representative.is_identity()]
+
+    expected_shape_of, expected = member_shapes(ball.graph, copies)
+    monkeypatch.setattr(horolab.horoball, "_member_faults", None)  # not called for the array family
+    shape_of, dmats = member_shapes(ball.graph, family)
+    assert shape_of == expected_shape_of
+    assert len(dmats) == len(expected) < len(family)
+    for dmat, ref in zip(dmats, expected):
+        assert dmat.dtype == ref.dtype and np.array_equal(dmat, ref)
 
 
 # -- the closed form of a whole-ball horoball -----------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from horolab import DistanceOracle, InputError
+from horolab import DistanceOracle, Graph, InputError
 from horolab.graph import (
     binary_tree,
     complete_graph,
@@ -230,3 +230,44 @@ def test_profile_csv_and_json_shapes():
     rows = profile.to_json_rows(witnesses)
     assert rows[1]["status"] == FOUND and "witness" in rows[1]
     assert rows[0]["n"] == 4 and rows[0]["lambda"] == "2"
+
+
+def test_profile_computes_each_distance_row_once(monkeypatch):
+    """The benchmark's shortcut op: one oracle and one connectivity check
+    serve every cycle length, so each source row of the 7x7 grid is computed
+    at most once, and the rows and the CSV (but its timing column) are those
+    of one search per cycle length, each with an oracle of its own."""
+    import horolab.graph
+
+    target = grid_graph(7, 7)
+    grid = LambdaGrid.of(2, 3, "1/4")
+    n_list = [5, 6, 7, 8, 9, 10]
+    separate = [bilipschitz_cycle_search(ShortcutQuery(n, Fraction(6, 5), grid, target)) for n in n_list]
+
+    sources = []
+    rows = horolab.graph.distance_rows
+
+    def recording(g, srcs, *args, **kwargs):
+        sources.extend(int(s) for s in srcs)
+        return rows(g, srcs, *args, **kwargs)
+
+    monkeypatch.setattr(horolab.graph, "distance_rows", recording)
+    profile, witnesses = shortcut_profile(target, Fraction(6, 5), n_list, grid)
+    assert sources and len(sources) == len(set(sources)) <= target.num_vertices
+
+    assert [(r.cycle_length, r.lam, r.status, r.nodes_expanded, r.exhaustive) for r in profile.rows] == [
+        (n, None if o.embedding is None else o.embedding.lam, o.status, o.nodes_expanded, o.exhaustive)
+        for n, o in zip(n_list, separate)]
+    assert witnesses == {n: o.embedding for n, o in zip(n_list, separate) if o.embedding is not None}
+    csv_rows = [line.rsplit(",", 1)[0] for line in profile.to_csv().splitlines()]
+    assert csv_rows == ["n,K,lambda,status,nodes"] + [
+        f"{n},6/5,{'' if o.embedding is None else o.embedding.lam},{o.status},{o.nodes_expanded}"
+        for n, o in zip(n_list, separate)]
+
+
+def test_a_shared_oracle_still_checks_connectivity():
+    split = Graph(4, [(0, 1), (2, 3)])
+    oracle = DistanceOracle(split)
+    oracle.row(3)
+    with pytest.raises(InputError, match="connected"):
+        bilipschitz_cycle_search(ShortcutQuery(4, Fraction(1), LambdaGrid.of(1, 1), split), oracle)
