@@ -14,12 +14,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .graph import INF, DistanceOracle, Graph, Path, enumerate_geodesics, is_interior_pair
+from .graph import (INF, KERNEL_BYTES, DistanceOracle, Graph, Path, _sorted_contains, enumerate_geodesics,
+                    is_interior_pair)
 from .groups import GroupElement
 
 
@@ -123,7 +124,7 @@ def convexity_defect(
     g: Graph,
     vertex_set: Sequence[int],
     pair_filter: InteriorFilter | None = None,
-    pairs: Iterable[tuple[int, int]] | None = None,
+    pairs: Iterable[tuple[int, int]] | np.ndarray | None = None,
     oracle: DistanceOracle | None = None,
     witness_cap: int = 100,
     geodesic_cap: int = 64,
@@ -133,10 +134,20 @@ def convexity_defect(
     w witnesses the pair (u, v) when w is outside the set and
     d(u,w) + d(w,v) = d(u,v); such a w lies on a geodesic between u and v, so
     the set is convex exactly when no witness exists.  The defect is the
-    largest distance from any witness back to the set.  The quasiconvexity
-    constant is measured on capped geodesic enumeration over the same pairs;
-    it is only a lower bound when ``truncated_pairs`` is nonzero.  The rows of
-    all pair endpoints are computed up front, in one ``distance_rows`` call.
+    largest distance from any witness back to the set.  Witnesses come in
+    pair order, then by id.  The rows of all pair endpoints come from one
+    ``distance_rows`` call, and each source's pairs are tested as one block.
+
+    The quasiconvexity constant is the largest distance to the set from a
+    vertex on one of the first ``geodesic_cap`` geodesics of a pair, in the
+    DFS order of ``enumerate_geodesics``.  Every vertex of the interval
+    {w : d(u,w) + d(w,v) = d(u,v)} lies on a geodesic, so a pair with at
+    most ``geodesic_cap`` geodesics adds its largest witness distance, with
+    no enumeration.  A geodesic takes one vertex from each level d(u, .) of
+    the interval, so 2^b bounds the count, b the sum of ceil(log2(size)) over
+    the levels; pairs this leaves open are counted (``_over_cap``).  Only
+    pairs with more than min(cap, 2^52) geodesics are enumerated, and then
+    the constant is a lower bound (``truncated_pairs``).
     """
     s_list = sorted(dict.fromkeys(int(v) for v in vertex_set))
     if not s_list:
@@ -145,67 +156,139 @@ def convexity_defect(
         if not 0 <= v < g.num_vertices:
             raise InputError(f"vertex set: unknown vertex id {v}")
     oracle = oracle or DistanceOracle(g)
-    in_set = np.zeros(g.num_vertices, dtype=bool)
-    in_set[s_list] = True
+    outside = np.ones(g.num_vertices, dtype=bool)
+    outside[s_list] = False
 
+    members = np.asarray(s_list, dtype=np.int32)
     if pairs is None:
-        pair_list = list(itertools.combinations(s_list, 2))
+        pu, pv = np.take(members, np.triu_indices(len(members), 1))
     else:
-        pair_list = [(int(u), int(v)) for u, v in pairs]
-        for u, v in pair_list:
-            if not (in_set[u] and in_set[v]):
-                raise InputError(f"pair ({u}, {v}) leaves the vertex set")
+        both = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64).reshape(-1, 2)
+        bad = np.flatnonzero(~_sorted_contains(members, both).all(axis=1))
+        if bad.size:
+            raise InputError(f"pair ({both[bad[0], 0]}, {both[bad[0], 1]}) leaves the vertex set")
+        pu, pv = both.T
 
     if pair_filter is not None:
-        oracle.prefetch([pair_filter.basepoint] + [u for u, _ in pair_list])
+        oracle.prefetch(np.concatenate([[pair_filter.basepoint], pu]))
         o_row = oracle.row(pair_filter.basepoint)
-        pair_list = [
-            (u, v) for u, v in pair_list
-            if is_interior_pair(int(o_row[u]), int(o_row[v]), oracle.distance(u, v), pair_filter.radius)
-        ]
+        src, at = np.unique(pu, return_inverse=True)
+        keep = is_interior_pair(o_row[pu], o_row[pv], oracle.rows(src)[at, pv], pair_filter.radius)
+        pu, pv = pu[keep], pv[keep]
 
-    oracle.prefetch(itertools.chain.from_iterable(pair_list))
-    witnesses: list[tuple[int, int, int]] = []
-    witness_ids: set[int] = set()
-    for u, v in pair_list:
-        row_u = oracle.row(u)
-        row_v = oracle.row(v)
-        hits = np.nonzero((row_u + row_v == row_u[v]) & ~in_set)[0]
-        for w in hits:
-            witness_ids.add(int(w))
-            if len(witnesses) < witness_cap:
-                witnesses.append((u, v, int(w)))
+    # table rows: the sources in id order, then the other targets
+    is_source = np.bincount(pu, minlength=g.num_vertices) > 0
+    target_only = (np.bincount(pv, minlength=g.num_vertices) > 0) & ~is_source
+    sources = np.flatnonzero(is_source)
+    ends = np.concatenate([sources, np.flatnonzero(target_only)])
+    at = np.zeros(g.num_vertices, dtype=np.int32)
+    at[ends] = np.arange(len(ends))
+    iu, iv = at[pu], at[pv]
+    rows = oracle.rows(ends)
+    d_uv = rows[iu, pv]
+    by_source = np.argsort(iu, kind="stable")
+    bounds = np.searchsorted(iu[by_source], np.arange(len(sources) + 1))
+    if geodesic_cap and len(pu):
+        if geodesic_cap < 1:
+            raise InputError("cap must be >= 1")
+        if d_uv.max() >= INF:
+            raise InputError("u and v are in different components")
+    limit = min(geodesic_cap, 2**52)
 
+    def between(sel: np.ndarray, src) -> np.ndarray:
+        """Interval masks of the pairs ``sel``, with source rows ``rows[src]``."""
+        through = rows[iv[sel]]
+        through += rows[src]
+        return through == d_uv[sel, None]
+
+    far = np.zeros(len(pu), dtype=np.int32)  # largest witness distance to the set
+    wide = np.zeros(len(pu), dtype=bool)  # 2^b > limit: may have more geodesics than the cap
+    bits = int(limit).bit_length()
     to_set = None
+    for r in range(len(sources)):
+        for sel in _blocks(by_source[bounds[r]:bounds[r + 1]], g.num_vertices, 12):
+            inside = between(sel, r)
+            hit = inside & outside
+            if hit.any():
+                if to_set is None:
+                    to_set = oracle.distance_to_set(s_list)
+                far[sel] = np.where(hit, to_set, 0).max(axis=1)
+            if not geodesic_cap:
+                continue
+            # size <= 2^(size - 1) on each level: a looser bound, cheaper to test first
+            loose = inside.sum(axis=1) - d_uv[sel] > bits
+            if loose.any():
+                by_level = np.argsort(rows[r], kind="stable")
+                starts = np.searchsorted(rows[r, by_level], np.arange(d_uv[sel].max() + 1))
+                sizes = np.add.reduceat(inside[loose][:, by_level], starts, axis=1, dtype=np.int32)
+                wide[sel[loose]] = np.searchsorted(1 << np.arange(32), sizes).sum(axis=1) >= bits
 
-    def dist_to_set(w: int) -> int:
-        nonlocal to_set
-        if to_set is None:
-            to_set = oracle.distance_to_set(s_list)
-        return int(to_set[w])
-
-    defect = 0
-    if witness_ids:
-        defect = max(dist_to_set(w) for w in witness_ids)
+    witnesses: list[tuple[int, int, int]] = []
+    cap = max(witness_cap, 0)
+    for sel in _blocks(np.flatnonzero(far)[:cap], g.num_vertices, 22):
+        p, w = np.nonzero(between(sel, iu[sel]) & outside)
+        p, w = p[:cap - len(witnesses)], w[:cap - len(witnesses)]
+        witnesses += zip(pu[sel[p]].tolist(), pv[sel[p]].tolist(), w.tolist())
 
     quasi = 0
     truncated = 0
     if geodesic_cap:
-        for u, v in pair_list:
-            paths, capped = enumerate_geodesics(g, u, v, cap=geodesic_cap, dist_to_target=oracle.row(v))
+        counted = by_source[wide[by_source]]
+        over = np.zeros(len(pu), dtype=bool)
+        if counted.size:
+            over[counted] = _over_cap(g, rows, iu[counted], pv[counted], limit)
+        quasi = int(far[~over].max(initial=0))
+        for p in np.flatnonzero(over).tolist():
+            paths, capped = enumerate_geodesics(g, int(pu[p]), int(pv[p]), cap=geodesic_cap,
+                                                dist_to_target=rows[iv[p]])
             truncated += capped
-            for p in paths:
-                outside = [w for w in p.vertices if not in_set[w]]
-                if outside:
-                    quasi = max(quasi, max(dist_to_set(w) for w in outside))
+            on = np.unique(np.concatenate([path.vertices for path in paths]))
+            off = on[outside[on]]
+            if off.size:  # witnesses of pair p, so to_set is known
+                quasi = max(quasi, int(to_set[off].max()))
 
     return ConvexityReport(
-        defect=defect,
+        defect=int(far.max(initial=0)),
         witnesses=tuple(witnesses),
         quasiconvexity_constant=quasi,
-        pairs_checked=len(pair_list),
+        pairs_checked=len(pu),
         truncated_pairs=truncated,
     )
+
+
+def _blocks(items: np.ndarray, width: int, cell_bytes: int) -> Iterator[np.ndarray]:
+    """``items`` in consecutive pieces, each of at least one item and, when
+    more, small enough that ``width`` cells per item fit in ``KERNEL_BYTES``."""
+    step = max(1, KERNEL_BYTES // (cell_bytes * max(width, 1)))
+    return (items[i:i + step] for i in range(0, len(items), step))
+
+
+def _over_cap(g: Graph, rows: np.ndarray, src: np.ndarray, dst: np.ndarray, limit: int) -> np.ndarray:
+    """Whether σ(u, v) > ``limit`` (at most 2^52) for each pair i: u is the
+    source of distance row ``rows[src[i]]``, ``src`` sorted, v = ``dst[i]``.
+
+    σ counts geodesics level by level over the adjacency matrix A
+    (Brandes 2001), saturated at s = limit + 1: σ_0 is the source's
+    indicator and σ_t = [d = t] · min(σ_{t-1} A, s).  float64 sums are exact
+    below 2^53 and cannot round below s above it, so σ reaches s exactly
+    when it exceeds ``limit``.  Sources go in blocks that fit in ``KERNEL_BYTES``.
+    """
+    adj = g.csr()
+    saturation = limit + 1
+    over = np.zeros(len(dst), dtype=bool)
+    for block in _blocks(src[np.flatnonzero(np.diff(src, prepend=-1))], g.num_vertices, 24):
+        lo, hi = np.searchsorted(src, [block[0], block[-1] + 1])
+        d = rows[block].T  # vertex x source
+        v, c = dst[lo:hi], np.searchsorted(block, src[lo:hi])
+        front = np.ascontiguousarray(d == 0, dtype=np.float64)
+        full = np.zeros(d.shape, dtype=bool)
+        for t in range(1, int(d[v, c].max(initial=0)) + 1):
+            front = adj @ front
+            np.minimum(front, saturation, out=front)
+            front *= d == t
+            full |= front == saturation
+        over[lo:hi] = full[v, c]
+    return over
 
 
 # -- local geodesics and quasigeodesics ----------------------------------------

@@ -253,11 +253,14 @@ def scan_parabolic(
     (``analysis.convexity_defect``) therefore runs on the subgraph induced on
     N_floor(R/2)(S): its distances are never shorter than the carrier's, so
     it adds no witness, and equal along all of those paths, so it loses
-    none.  Its local ids follow carrier order, which keeps the capped
-    geodesic enumeration the same, and its witnesses are mapped back to
-    carrier ids.  The check of the level drop takes the bottom distances
-    (d_0 <= D) from a second neighborhood, of radius floor(max D / 2) around
-    the bottom copies of the pairs.
+    none.  A pair's geodesics are the same paths there, so are its interval
+    and its geodesic count, and with them the quasiconvexity term of every
+    pair with at most ``geodesic_cap`` geodesics.  Only the pairs over the
+    cap are enumerated; local ids follow carrier order, which keeps that
+    capped enumeration the same.  Witnesses are mapped back to carrier ids.
+    The check of the level drop takes the bottom distances (d_0 <= D) from a
+    second neighborhood, of radius floor(max D / 2) around the bottom copies
+    of the pairs, and the top ones from the scan's rows in one gather.
     """
     members = np.asarray(aug.family[alpha].vertices, dtype=np.int64)
     n = aug.depth
@@ -272,7 +275,7 @@ def scan_parabolic(
     sub, ids = neighborhood_subgraph(aug.carrier, top, -(-d_max // 2**n) // 2)  # floor(R/2)
     local = np.searchsorted(ids, top)
     oracle = DistanceOracle(sub)
-    report = convexity_defect(sub, local, pairs=zip(local[iu], local[iv]),
+    report = convexity_defect(sub, local, pairs=np.stack([local[iu], local[iv]], axis=1),
                               oracle=oracle, geodesic_cap=geodesic_cap)
 
     drop = 0
@@ -282,7 +285,7 @@ def scan_parabolic(
         local0 = np.searchsorted(ids0, members)
         sources, row_of = np.unique(iu, return_inverse=True)
         d0 = distance_rows(sub0, local0[sources])[row_of, local0[iv]]
-        dn = np.array([oracle.row(u)[v] for u, v in zip(local[iu].tolist(), local[iv].tolist())])
+        dn = oracle.rows(local[sources])[row_of, local[iv]]
         drop = int(np.abs(d0 - dn).max())
 
     return ParabolicScan(

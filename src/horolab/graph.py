@@ -277,7 +277,10 @@ def distance_rows(g: Graph, sources: Sequence[int], columns: Sequence[int] | Non
     sources give a ``(0, width)`` array.  ``info``, when given, receives the
     kernel that ``_pick_kernel`` chose and its level bound.
     """
-    srcs = np.asarray(sources, dtype=np.int64)
+    try:
+        srcs = np.asarray(sources, dtype=np.int64)
+    except OverflowError:
+        raise InputError(f"unknown vertex id {next(s for s in sources if not -2**63 <= s < 2**63)}") from None
     n = g.num_vertices
     bad = srcs[(srcs < 0) | (srcs >= n)]
     if bad.size:
@@ -506,10 +509,15 @@ class DistanceOracle:
             self._rows[s] = r
 
     def rows(self, sources: Sequence[int]) -> np.ndarray:
+        """The rows of ``sources`` as one table.  When none is cached and
+        none repeats, this is the table of the one ``distance_rows`` call
+        that caches them, shared rather than copied: do not write to it."""
         sources = [int(s) for s in sources]
+        if len(set(sources)) == len(sources) and not any(s in self._rows for s in sources):
+            table = distance_rows(self.graph, sources)
+            self._rows.update(zip(sources, table))
+            return table
         self.prefetch(sources)
-        if not sources:
-            return np.empty((0, self.graph.num_vertices), dtype=np.int32)
         return np.stack([self._rows[s] for s in sources])
 
     def distance(self, u: int, v: int) -> int:
@@ -646,15 +654,15 @@ def hausdorff_distance(g: Graph, a: Sequence[int], b: Sequence[int]) -> int:
     return max(d_ab, d_ba)
 
 
-def is_interior_pair(d_o_u: int, d_o_v: int, d_uv: int, radius: int) -> bool:
+def is_interior_pair(d_o_u, d_o_v, d_uv, radius: int):
     """Ball-interior test for a pair inside a radius-``radius`` ball around o.
 
     If min(d(o,u), d(o,v)) + d(u,v) <= radius then every geodesic between u
     and v stays inside the ball, so ball-restricted distances are exact for
     the pair.  Applied with either endpoint as anchor; the min makes the
-    predicate symmetric.
+    predicate symmetric.  Distances may be ints or int arrays (elementwise).
     """
-    return min(d_o_u, d_o_v) + d_uv <= radius
+    return np.minimum(d_o_u, d_o_v) + d_uv <= radius
 
 
 # -- small builders used throughout tests and experiments ----------------

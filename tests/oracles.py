@@ -311,6 +311,59 @@ def restricted_horoball(base, depth: int) -> dict:
             "metadata": {"vertex_meta": vertex_meta}}
 
 
+def reference_convexity_defect(n: int, edges, vertex_set, pairs=None, interior=None,
+                               witness_cap: int = 100, geodesic_cap: int = 64) -> dict:
+    """Reference for ``analysis.convexity_defect``, by definition.
+
+    Floyd-Warshall distances; w witnesses (u, v) when it is outside the set
+    and d(u,w) + d(w,v) = d(u,v), scanned pair by pair and w by w; the
+    defect is the largest distance from a witness to the set.  Every pair's
+    geodesics are enumerated by a depth-first search over id-sorted
+    neighbours, stopping at the (cap + 1)-th; the quasiconvexity constant is
+    the largest distance to the set over the vertices of the first ``cap``
+    of them, and a pair that reached the (cap + 1)-th is truncated.
+    ``interior`` is (basepoint, radius) of the ball-interior pair filter.
+    Pairs must lie in one component when ``geodesic_cap`` is nonzero."""
+    d = floyd_warshall(n, edges)
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    adj = [sorted(nb) for nb in adj]
+    s = sorted(set(vertex_set))
+    to_set = [min(d[w][x] for x in s) for w in range(n)]
+    pair_list = list(itertools.combinations(s, 2)) if pairs is None else [tuple(p) for p in pairs]
+    if interior is not None:
+        o, radius = interior
+        pair_list = [(u, v) for u, v in pair_list if min(d[o][u], d[o][v]) + d[u][v] <= radius]
+
+    witnesses, defect = [], 0
+    for u, v in pair_list:
+        for w in range(n):
+            if w not in s and d[u][w] + d[w][v] == d[u][v]:
+                defect = max(defect, to_set[w])
+                if len(witnesses) < witness_cap:
+                    witnesses.append((u, v, w))
+
+    quasi = truncated = 0
+    for u, v in pair_list if geodesic_cap else []:
+        assert d[u][v] < BIG, "pair across components"
+        found = []
+
+        def search(path):
+            x = path[-1]
+            if x == v:
+                found.append(path)
+                return len(found) > geodesic_cap
+            return any(search(path + [y]) for y in adj[x] if d[y][v] == d[x][v] - 1)
+
+        truncated += search([u])
+        for path in found[:geodesic_cap]:
+            quasi = max([quasi] + [to_set[w] for w in path if w not in s])
+    return {"defect": defect, "witnesses": witnesses, "quasiconvexity": quasi,
+            "pairs_checked": len(pair_list), "truncated_pairs": truncated}
+
+
 def whole_carrier_scan(aug, basepoint_row, radius: int, alpha: int, geodesic_cap: int) -> dict:
     """Reference for ``experiments.scan_parabolic``: the same interior pairs
     of member ``alpha``, scanned with rows over the whole carrier.

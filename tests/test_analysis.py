@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horolab import INF, InputError, Path, analysis, cayley_ball, free_abelian
+from horolab import INF, InputError, Path, analysis, cayley_ball, free_abelian, free_product
 from horolab.analysis import (
+    ConvexityReport,
     InteriorFilter,
     convexity_defect,
     displacement_generating_set,
@@ -24,15 +25,23 @@ from horolab.graph import (
     Graph,
     binary_tree,
     cycle_graph,
+    distance_rows,
     enumerate_geodesics,
     grid_graph,
     path_graph,
     random_connected_graph,
     star_graph,
 )
+from horolab.experiments import convexify_experiment
 from horolab.horoball import build_restricted_horoball
 
-from oracles import floyd_warshall, naive_four_point_delta, reference_sampled_delta
+from oracles import (
+    floyd_warshall,
+    geodesic_counts,
+    naive_four_point_delta,
+    reference_convexity_defect,
+    reference_sampled_delta,
+)
 
 
 # -- four point delta ------------------------------------------------------------
@@ -179,6 +188,110 @@ def test_quasiconvexity_constant_of_cycle_arc():
     report = convexity_defect(g, s)
     assert report.defect == 2  # vertex 6 sits at distance 2 from the arc
     assert report.quasiconvexity_constant == 2
+
+
+def _report_dict(report) -> dict:
+    return {"defect": report.defect, "witnesses": list(report.witnesses),
+            "quasiconvexity": report.quasiconvexity_constant,
+            "pairs_checked": report.pairs_checked, "truncated_pairs": report.truncated_pairs}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_convexity_defect_matches_the_reference(seed):
+    """Every field against the by-definition scan: default, explicit (with
+    repeats and u = v) and ball-interior pairs, small and huge caps."""
+    rng = random.Random(seed)
+    n = rng.randrange(3, 15)
+    g = random_connected_graph(n, rng.randrange(0, 2 * n), rng)
+    edges = g.edges.tolist()
+    s = rng.sample(range(n), rng.randrange(1, n + 1))
+    pairs = [(rng.choice(s), rng.choice(s)) for _ in range(rng.randrange(0, 10))]
+    pairs += pairs[:2] + [(s[0], s[0])]
+    interior = (rng.randrange(n), rng.randrange(0, 6))
+    for cap in (0, 1, 2, 3, 5, 64, 2**70):
+        witness_cap = rng.choice([0, 1, 4, 100])
+        for kw, ref_kw in (({}, {}), ({"pairs": pairs}, {"pairs": pairs}),
+                           ({"pair_filter": InteriorFilter(*interior)}, {"interior": interior})):
+            report = convexity_defect(g, s, geodesic_cap=cap, witness_cap=witness_cap, **kw)
+            expected = reference_convexity_defect(n, edges, s, geodesic_cap=cap,
+                                                  witness_cap=witness_cap, **ref_kw)
+            assert _report_dict(report) == expected, (cap, kw)
+
+
+@pytest.mark.parametrize("cap,truncated", [(0, 0), (1, 2), (5, 2), (6, 0), (7, 0), (2**70, 0)])
+def test_geodesic_cap_at_the_corners_of_the_3x3_grid(cap, truncated):
+    # corner to opposite corner has sigma = 6 geodesics; the pair is listed
+    # twice and in both directions, beside a u = v pair
+    g = grid_graph(3, 3)
+    pairs = [(0, 8), (8, 0), (0, 0), (2, 8)]
+    report = convexity_defect(g, [0, 2, 8], pairs=pairs, geodesic_cap=cap)
+    assert report.truncated_pairs == truncated
+    assert _report_dict(report) == reference_convexity_defect(9, g.edges.tolist(), [0, 2, 8], pairs=pairs,
+                                                              geodesic_cap=cap)
+
+
+def _diamond_chain(k: int) -> Graph:
+    """k diamonds in a row: 2^k geodesics from vertex 0 to vertex 3k."""
+    edges = []
+    for i in range(k):
+        a = 3 * i
+        edges += [(a, a + 1), (a, a + 2), (a + 1, a + 3), (a + 2, a + 3)]
+    return Graph(3 * k + 1, edges)
+
+
+def test_count_pass_matches_the_geodesic_counts():
+    """``_over_cap`` says sigma > limit exactly, for every limit up to one
+    past the largest count, on random graphs and across the float64 range."""
+    rng = random.Random(5)
+    for _ in range(12):
+        n = rng.randrange(2, 16)
+        g = random_connected_graph(n, rng.randrange(0, 3 * n), rng)
+        sources = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+        rows = distance_rows(g, sources)
+        src = np.repeat(np.arange(len(sources)), n)
+        dst = np.tile(np.arange(n), len(sources))
+        sigma = np.concatenate([geodesic_counts(n, g.edges.tolist(), s) for s in sources])
+        for limit in range(1, int(sigma.max()) + 2):
+            assert np.array_equal(analysis._over_cap(g, rows, src, dst, limit), sigma > limit)
+    for k, limit, over in [(52, 2**52 - 1, True), (52, 2**52, False), (60, 2**52, True)]:
+        g = _diamond_chain(k)
+        rows = distance_rows(g, [0])
+        assert analysis._over_cap(g, rows, np.array([0]), np.array([3 * k]), limit).tolist() == [over]
+
+
+def test_convexity_defect_needs_one_component_only_for_geodesics():
+    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    with pytest.raises(InputError, match="different components"):
+        convexity_defect(g, [0, 2, 3])
+    assert convexity_defect(g, [0, 2, 3], geodesic_cap=0) == ConvexityReport(
+        defect=1, witnesses=((0, 2, 1),), quasiconvexity_constant=0, pairs_checked=3, truncated_pairs=0)
+
+
+def test_explicit_pairs_outside_the_set_name_the_first_one():
+    g = cycle_graph(12)
+    with pytest.raises(InputError, match=r"pair \(3, 11\) leaves"):
+        convexity_defect(g, [0, 1, 3], pairs=[(0, 1), (3, 11), (12, 0)])
+    with pytest.raises(InputError, match=r"pair \(-1, 0\) leaves"):
+        convexity_defect(g, [0, 1, 11], pairs=[(-1, 0)])
+
+
+def test_enumeration_runs_only_for_pairs_over_the_cap(monkeypatch):
+    calls = []
+    real = analysis.enumerate_geodesics
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "enumerate_geodesics", counted)
+    ball = cayley_ball(free_product(free_abelian(2), free_abelian(2)), 3)
+    diagnostics = []
+    convexify_experiment(ball, [1, 2, 3], geodesic_cap=32, diagnostics=diagnostics)
+    assert calls == [] and all(d["geodesic_cap_hits"] == 0 for d in diagnostics)
+    # at cap 1 every enumerated pair has two or more geodesics, so each is cut short
+    diagnostics = []
+    convexify_experiment(ball, [1, 2], geodesic_cap=1, diagnostics=diagnostics)
+    assert len(calls) == sum(d["geodesic_cap_hits"] for d in diagnostics) > 0
 
 
 # -- local geodesics -----------------------------------------------------------------

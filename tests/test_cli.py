@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from horolab import PropertyViolation, cayley_ball, free_abelian, free_product
-from horolab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, main
+from horolab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATION, main
 from horolab import experiments
 from horolab.errors import ConfigError
 from horolab.experiments import (
@@ -528,6 +530,74 @@ def test_cli_convexity_on_a_long_path(tmp_path):
     assert main(["convexity", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
     row = json.loads((tmp_path / "out" / "report.json").read_text())["rows"][0]
     assert row["defect"] == 1500 and row["quasiconvexity"] == 1500
+
+
+@pytest.mark.parametrize("cap,code", [(None, EXIT_CONFIG), (5, EXIT_CONFIG), (0, EXIT_OK)])
+def test_cli_convexity_across_two_components(tmp_path, capsys, cap, code):
+    # 0-1-2 and 3-4: the set {0, 2, 3} has pairs in two components
+    graph = tmp_path / "two.json"
+    graph.write_text(json.dumps({"version": 1, "vertices": [{"id": i} for i in range(5)],
+                                 "edges": [[0, 1], [1, 2], [3, 4]]}), encoding="utf-8")
+    params = {"set": {"vertices": [0, 2, 3]}}
+    if cap is not None:
+        params["geodesic_cap"] = cap
+    cfg = write_config(tmp_path, {"version": 1, "experiment": "convexity",
+                                  "instance": {"graph_file": str(graph)}, "params": params})
+    assert main(["convexity", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    if code == EXIT_CONFIG:
+        assert "input error: u and v are in different components" in capsys.readouterr().err
+    else:
+        row = json.loads((tmp_path / "out" / "report.json").read_text())["rows"][0]
+        assert row == {"defect": 1, "convex": False, "witnesses": [[0, 2, 1]], "quasiconvexity": 0,
+                       "pairs_checked": 3}
+
+
+_ODD_VALUES = st.one_of(st.booleans(), st.integers(-3, -1), st.floats(allow_nan=True, allow_infinity=True),
+                        st.text(max_size=2), st.none())
+_ODD_IDS = st.one_of(_ODD_VALUES, st.integers(-3, 40), st.just(2**70))
+
+
+@st.composite
+def _convexity_configs(draw):
+    """A convexity config with at most one field drawn from odd values."""
+    odd = draw(st.sampled_from([None, None, "geodesic_cap", "set", "interior", "depth"]))
+    params = {"set": {"vertices": draw(st.lists(st.integers(0, 5), min_size=1, max_size=6))}}
+    if draw(st.booleans()):
+        params["depth"] = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            params["set"] = {"level_at_least": draw(st.integers(0, 3))}
+    if draw(st.booleans()):
+        params["geodesic_cap"] = draw(st.one_of(st.integers(0, 80), st.just(2**70)))
+    if draw(st.booleans()):
+        params["interior"] = {"basepoint": draw(st.integers(0, 5)), "radius": draw(st.integers(0, 8))}
+    if odd == "set":
+        params["set"] = draw(st.one_of(
+            st.fixed_dictionaries({"vertices": st.lists(_ODD_IDS, max_size=8)}),
+            st.fixed_dictionaries({"level_at_least": _ODD_IDS}), st.just({}), st.just([0, 1])))
+    elif odd == "interior":
+        params["interior"] = draw(st.one_of(
+            _ODD_VALUES, st.just([]),
+            st.fixed_dictionaries({"basepoint": _ODD_IDS, "radius": _ODD_IDS})))
+    elif odd == "geodesic_cap":
+        params[odd] = draw(_ODD_VALUES)
+    elif odd == "depth":  # not a huge one: carrier size is not checked before the build
+        params[odd] = draw(st.one_of(_ODD_VALUES, st.just(0)))
+    instance = draw(st.sampled_from([{"cycle": 8}, {"path": 6}, {"grid": [3, 3]}]))
+    return {"version": 1, "experiment": "convexity", "instance": instance, "params": params}
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=_convexity_configs())
+def test_cli_convexity_front_door_never_raises(config):
+    """Any convexity config ends in a documented exit code, not a traceback:
+    odd caps (bools, negatives, floats, 2**70), sets, interiors and depths."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        code = main(["convexity", "--config", str(cfg), "--out", str(pathlib.Path(tmp) / "out")])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RESOURCE, EXIT_VIOLATION)
 
 
 def test_cli_seed_override_changes_echo(tmp_path):

@@ -125,6 +125,8 @@ def test_bfs_unknown_source():
         distance_rows(path_graph(2), [0, -1])
     with pytest.raises(InputError):
         DistanceOracle(path_graph(2)).row(7)
+    with pytest.raises(InputError, match=f"unknown vertex id {2**70}"):
+        distance_rows(path_graph(2), [0, 2**70])
 
 
 def test_bfs_disconnected_sentinel(monkeypatch):
