@@ -43,7 +43,7 @@ from .horoball import (
     glue_horoballs,
     member_shapes,
 )
-from .io import canonical_json, read_graph, sha256_of, to_dot, write_graph, write_json
+from .io import carrier_labels, canonical_json, read_graph, sha256_of, to_dot, write_carrier, write_json
 from .shortcut import LambdaGrid, shortcut_profile
 
 EXPERIMENT_KINDS = (
@@ -511,9 +511,8 @@ def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int],
 
 # -- the runner ---------------------------------------------------------------
 
-# Largest carrier, in vertices, that ``augment`` builds with labels and
-# vertex_meta and writes out as augmented.json.  Above it the report's
-# diagnostics say the artifact was skipped, and why.
+# Largest carrier, in vertices, that ``augment`` writes out as augmented.json.
+# Above it the report's diagnostics say the artifact was skipped, and why.
 _AUGMENT_ARTIFACT_MAX_VERTICES = 50_000
 
 
@@ -530,12 +529,17 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
         artifacts.append(name)
         return out / name
 
-    def write_carrier(carrier, stem: str) -> None:
-        """``<stem>.json`` (and ``<stem>.dot``), timed as ``artifacts_s``."""
+    def carrier_artifacts(space, stem: str) -> None:
+        """``<stem>.json`` (and ``<stem>.dot``) of a carrier, written from its
+        provenance columns and timed as ``artifacts_s``."""
         t = time.perf_counter()
-        write_graph(carrier, artifact(f"{stem}.json"))
+        kind, alpha, base_vertex, level = space.columns
+        write_carrier(artifact(f"{stem}.json"), space.carrier.edges, space.base.labels,
+                      kind, alpha, base_vertex, level)
         if export_dot:
-            artifact(f"{stem}.dot").write_text(to_dot(carrier, name=stem), encoding="utf-8")
+            labels = carrier_labels(space.base.labels, kind, base_vertex, level)
+            artifact(f"{stem}.dot").write_text(to_dot(space.carrier, name=stem, levels=level, labels=labels),
+                                               encoding="utf-8")
         timings["artifacts_s"] = _since(t)
 
     kind = config.kind
@@ -554,7 +558,7 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
                  "horizontal_edges": int(horizontal[k])} for k in range(depth + 1)]
         rows.append({"level": "total", "vertices": h.carrier.num_vertices,
                      "horizontal_edges": int(h.carrier.num_edges)})
-        write_carrier(h.carrier, "horoball")
+        carrier_artifacts(h, "horoball")
 
     elif kind == "augment":
         depth = _int_param(params, "depth")
@@ -563,8 +567,7 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
         family, _, identity_indices, shapes = _shaped_family(ball, timings)
         # the carrier holds the base plus depth copies of every member
         carrier_vertices = ball.graph.num_vertices + depth * len(family.vertices)
-        written = carrier_vertices <= _AUGMENT_ARTIFACT_MAX_VERTICES
-        aug = glue_horoballs(ball.graph, family, shapes, depth, with_meta=written)
+        aug = glue_horoballs(ball.graph, family, shapes, depth)
         rows = [{
             "family_members": len(family),
             "identity_cosets": len(identity_indices),
@@ -572,8 +575,8 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
             "carrier_edges": int(aug.carrier.num_edges),
             "depth": depth,
         }]
-        if written:
-            write_carrier(aug.carrier, "augmented")
+        if carrier_vertices <= _AUGMENT_ARTIFACT_MAX_VERTICES:
+            carrier_artifacts(aug, "augmented")
         else:
             diagnostics["artifact_skipped"] = {
                 "name": "augmented.json", "carrier_vertices": carrier_vertices,

@@ -37,6 +37,11 @@ _LETTERS = "abcdfghijklmnopqrstuvwxyz"
 
 DEFAULT_BALL_BUDGET = 200_000
 
+# Largest carrier, in vertices, that gluing builds: |V| + depth * (member
+# vertices), checked before any carrier array exists.  Z^2*Z^2 at radius 6
+# and depth 5 (acceptance criterion 07) has 66,921 + 5 * 133,842 = 736,131.
+CARRIER_BUDGET = 1_000_000
+
 # Largest code range, per ball element, that a free abelian ball looks its
 # translations up in through a dense table rather than a sorted search.
 _DENSE_CODES_PER_ELEMENT = 16

@@ -14,8 +14,11 @@ and computes the shape table: one distance matrix per member shape.  A
 has one shape per template.  ``_glue`` then emits the edges and per-vertex
 provenance of all members of a shape at once.  ``build_augmented`` runs the
 two in a row; ``glue_horoballs`` takes a shape table already computed, so an
-experiment over several depths builds it once.  The restricted horoball over a whole base is the one-member case: the
-gluing over ``Subgraph.whole(base)``.
+experiment over several depths builds it once.  The restricted horoball
+over a whole base is the one-member case: the gluing over
+``Subgraph.whole(base)``.  A carrier keeps its per-vertex provenance as
+arrays (``columns``); ``io.write_carrier`` renders its labels and
+vertex_meta from them.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .graph import INF, DistanceOracle, Graph, Path, Subgraph, SubgraphFamily, distance_rows
+from .groups import CARRIER_BUDGET
 
 ASCENDING = "ascending"
 DESCENDING = "descending"
@@ -43,14 +47,17 @@ class RestrictedHoroball:
     """Depth-``depth`` horoball over ``base``.
 
     Vertex ids are level-major: (v, k) has id k*|base| + v, so level 0 keeps
-    the base's own ids.
+    the base's own ids.  ``columns`` is the carrier's provenance, as in
+    ``AugmentedSpace.columns``: every vertex is a copy in member 0.
     """
 
-    def __init__(self, base: Graph, depth: int, carrier: Graph, base_oracle: DistanceOracle):
+    def __init__(self, base: Graph, depth: int, carrier: Graph, base_oracle: DistanceOracle,
+                 columns: tuple):
         self.base = base
         self.depth = depth
         self.carrier = carrier
         self.base_oracle = base_oracle
+        self.columns = columns
 
     def vertex_id(self, base_vertex: int, level: int) -> int:
         if not 0 <= base_vertex < self.base.num_vertices or not 0 <= level <= self.depth:
@@ -90,8 +97,8 @@ def build_restricted_horoball(base: Graph, depth: int) -> RestrictedHoroball:
     """Depth-``depth`` horoball over all of ``base``: the gluing step of
     ``build_augmented`` over the one member ``Subgraph.whole(base)``, whose
     level-k block starts at k*|base|.  Every vertex, level 0 included, counts
-    as a vertex of that member's horoball, so its label is ``x@k`` and its
-    vertex_meta is ``{"kind": "horo", "alpha": 0, ...}`` at every level.
+    as a vertex of that member's horoball: its kind is 1 and its member 0 at
+    every level, so ``io.write_carrier`` labels it ``x@k``.
     """
     if not base.is_connected():
         raise InputError("horoball base must be connected")
@@ -99,8 +106,8 @@ def build_restricted_horoball(base: Graph, depth: int) -> RestrictedHoroball:
     edges, kind, alpha, base_vertex, level, _ = _glue(base, family, member_shapes(base, family), depth)
     kind[:] = 1
     alpha[:] = 0
-    carrier = _carrier(base, edges, kind, alpha, base_vertex, level, with_meta=True)
-    return RestrictedHoroball(base, depth, carrier, DistanceOracle(base))
+    return RestrictedHoroball(base, depth, Graph(len(kind), edges), DistanceOracle(base),
+                              (kind, alpha, base_vertex, level))
 
 
 def _crossing_costs(d_base, k: int, l: int, depth: int) -> list:
@@ -370,6 +377,13 @@ class AugmentedSpace:
         self._block_starts = block_starts
         self._shape_of, self._dmats = shapes  # see member_shapes
 
+    @property
+    def columns(self) -> tuple:
+        """The carrier's provenance arrays (kind, alpha, base_vertex, level):
+        kind 0 on base vertices and 1 on horoball copies, alpha the member
+        index (-1 on base vertices)."""
+        return self._kind, self._alpha, self._base_vertex, self._level
+
     def provenance(self, vid: int) -> tuple:
         if not 0 <= vid < self.carrier.num_vertices:
             raise InputError(f"unknown vertex id {vid}")
@@ -557,13 +571,12 @@ def build_augmented(
     base: Graph,
     family: Sequence[Subgraph],
     depth: int,
-    with_meta: bool = False,
 ) -> AugmentedSpace:
     """Glue a depth-``depth`` horoball onto each family member: the shape
     table of ``member_shapes``, then ``glue_horoballs``.  The family is
     taken as input, copied into ``Subgraph``s and validated in full."""
     family = tuple(Subgraph(tuple(m.vertices), tuple(tuple(e) for e in m.edges)) for m in family)
-    return glue_horoballs(base, family, member_shapes(base, family), depth, with_meta)
+    return glue_horoballs(base, family, member_shapes(base, family), depth)
 
 
 def glue_horoballs(
@@ -571,16 +584,15 @@ def glue_horoballs(
     family: Sequence[Subgraph],
     shapes: tuple[list[int], list[np.ndarray]],
     depth: int,
-    with_meta: bool = False,
 ) -> AugmentedSpace:
     """``build_augmented`` over the family's shape table from
     ``member_shapes``, so that a run over several depths validates and
-    measures the members once.  With ``with_meta`` the carrier carries
-    labels and vertex_meta (see ``_carrier``)."""
+    measures the members once.  The carrier graph holds the edges only; its
+    labels and vertex_meta are rendered from ``AugmentedSpace.columns`` by
+    ``io.write_carrier``."""
     edges, kind, alpha, base_vertex, level, block_starts = _glue(base, family, shapes, depth)
-    carrier = _carrier(base, edges, kind, alpha, base_vertex, level, with_meta)
-    return AugmentedSpace(base, family, depth, carrier, kind, alpha, base_vertex, level,
-                          block_starts, shapes)
+    return AugmentedSpace(base, family, depth, Graph(len(kind), edges), kind, alpha, base_vertex,
+                          level, block_starts, shapes)
 
 
 def _glue(base: Graph, family: Sequence[Subgraph], shapes, depth: int) -> tuple:
@@ -598,16 +610,24 @@ def _glue(base: Graph, family: Sequence[Subgraph], shapes, depth: int) -> tuple:
 
     Returns (edges, kind, alpha, base_vertex, level, block_starts): kind is 0
     on base vertices and 1 on horoball copies, alpha the member index (-1 on
-    base vertices).
+    base vertices).  A carrier of more than ``CARRIER_BUDGET`` vertices
+    raises ``ResourceLimitError`` before any carrier array is allocated.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
     shape_of, dmats = shapes
     n0 = base.num_vertices
     offsets, vertices = _member_arrays(family)
+    copied = int(offsets[-1])
+    total = n0 + depth * copied  # Python ints: exact at any depth
+    if total > CARRIER_BUDGET:
+        raise ResourceLimitError(
+            f"carrier of {total} vertices ({n0} base + depth {depth} x {copied} member vertices) "
+            f"exceeds the carrier budget of {CARRIER_BUDGET} vertices")
+    if not copied:
+        depth = 1  # members without vertices glue nothing at any depth
     blocks = np.diff(offsets) * depth
     block_starts = n0 + np.cumsum(blocks) - blocks
-    total = int(n0 + blocks.sum())
 
     kind = np.zeros(total, dtype=np.int8)
     alpha = np.full(total, -1, dtype=np.int32)
@@ -642,23 +662,3 @@ def _glue(base: Graph, family: Sequence[Subgraph], shapes, depth: int) -> tuple:
 
     edges = np.concatenate(chunks, axis=0)
     return edges, kind, alpha, base_vertex, level, block_starts.tolist()
-
-
-def _carrier(base: Graph, edges, kind, alpha, base_vertex, level, with_meta: bool) -> Graph:
-    """The carrier graph over the glued edges.  With ``with_meta``, a vertex
-    of kind 1 over base vertex x at level k is labelled ``label(x)@k`` (a
-    base vertex keeps its label) when the base has labels, and the metadata
-    holds one vertex_meta entry per vertex."""
-    labels = None
-    meta = {}
-    if with_meta:
-        if base.labels is not None:
-            labels = [f"{base.labels[b]}@{k}" if t else base.labels[b]
-                      for t, b, k in zip(kind.tolist(), base_vertex.tolist(), level.tolist())]
-        meta = {"vertex_meta": [
-            {"kind": "gamma", "alpha": None, "base": b, "level": 0}
-            if t == 0
-            else {"kind": "horo", "alpha": a, "base": b, "level": k}
-            for t, a, b, k in zip(kind.tolist(), alpha.tolist(), base_vertex.tolist(), level.tolist())
-        ]}
-    return Graph(len(kind), edges, labels=labels, metadata=meta)

@@ -20,11 +20,17 @@ array, the vertex ids and labels, and the metadata, in blocks of
 ``_BLOCK`` records.  Each block is one ``%`` template repeated over a flat
 tuple of encoded values: strings through ``json``'s own escaper, scalars
 spelled as ``json`` spells them.  A metadata list of flat records (such as
-``vertex_meta``) gets one template per key set; any other metadata value
-goes through ``json`` itself.  So a carrier never reaches the pure-Python
-encoder that ``json.dump`` runs under an indent.  ``write_json`` streams
-other documents (``report.json``) through ``json.dump`` with the same
-options.
+the ``vertex_meta`` of a graph read from a file) gets one template per key
+set; any other metadata value goes through ``json`` itself.
+
+``write_carrier`` writes a glued carrier's document, labels and
+``vertex_meta`` included, from its columns: the edge array, the base labels
+and the per-vertex provenance arrays (kind, member, base vertex, level).
+Each run of base vertices or horoball copies in a block is one template, so
+no label string or ``vertex_meta`` record is built for a carrier.  Neither
+writer reaches the pure-Python encoder that ``json.dump`` runs under an
+indent.  ``write_json`` streams other documents (``report.json``) through
+``json.dump`` with the same options.
 """
 
 from __future__ import annotations
@@ -108,13 +114,50 @@ def graph_from_json(obj: dict) -> Graph:
 def write_graph(g: Graph, path: str | pathlib.Path) -> None:
     """Write ``canonical_json(graph_to_json(g))`` to ``path``, byte for byte,
     straight from the graph's arrays (see the module docstring)."""
+    _write_document(path, g.edges, lambda f: _write_metadata(f, g.metadata),
+                    _vertex_blocks(g.num_vertices, g.labels))
+
+
+def write_carrier(path: str | pathlib.Path, edges: np.ndarray, base_labels: Sequence[str] | None,
+                  kind: np.ndarray, alpha: np.ndarray, base_vertex: np.ndarray,
+                  level: np.ndarray) -> None:
+    """Write the document of a glued carrier from its columns.
+
+    Vertex v has ``kind[v]`` 0 (a base vertex) or 1 (a horoball copy of base
+    vertex ``base_vertex[v]`` at ``level[v]`` in member ``alpha[v]``).  The
+    bytes are those of ``write_graph`` on the carrier with these labels and
+    metadata: a base vertex keeps its base label, a copy is labelled
+    ``label@k`` (level 0 included), and no vertex has a label when the base
+    has none; ``vertex_meta`` holds ``{"kind": "gamma", "alpha": null,
+    "base": x, "level": 0}`` or ``{"kind": "horo", "alpha": a, "base": x,
+    "level": k}`` per vertex."""
+    def metadata(f) -> None:
+        f.write('{\n    "vertex_meta": ')
+        _write_array(f, _provenance_blocks(kind, alpha, base_vertex, level), "    ")
+        f.write("\n  }")
+
+    _write_document(path, edges, metadata, _carrier_vertex_blocks(base_labels, kind, base_vertex, level))
+
+
+def carrier_labels(base_labels: Sequence[str] | None, kind: np.ndarray, base_vertex: np.ndarray,
+                   level: np.ndarray) -> list[str] | None:
+    """The labels ``write_carrier`` gives the carrier's vertices, for
+    ``to_dot``."""
+    if base_labels is None:
+        return None
+    return [f"{base_labels[x]}@{k}" if t else base_labels[x]
+            for t, x, k in zip(kind.tolist(), base_vertex.tolist(), level.tolist())]
+
+
+def _write_document(path, edges: np.ndarray, write_metadata, vertex_blocks: Iterator[str]) -> None:
+    """The graph document's sections in canonical (sorted) order."""
     with open(path, "w", encoding="utf-8") as f:
         f.write('{\n  "edges": ')
-        _write_array(f, _edge_blocks(g.edges), "  ")
+        _write_array(f, _edge_blocks(edges), "  ")
         f.write(',\n  "metadata": ')
-        _write_metadata(f, g.metadata)
+        write_metadata(f)
         f.write(f',\n  "version": {FORMAT_VERSION},\n  "vertices": ')
-        _write_array(f, _vertex_blocks(g.num_vertices, g.labels), "  ")
+        _write_array(f, vertex_blocks, "  ")
         f.write("\n}\n")
 
 
@@ -173,6 +216,58 @@ def _vertex_blocks(n: int, labels: Sequence | None) -> Iterator[str]:
         else:
             args = tuple(chain.from_iterable(zip(ids, _encode_column(labels[start : ids.stop], "      "))))
         yield _repeat(template, len(ids), "  ") % args
+
+
+# Carrier records, one template per vertex kind (0 = base vertex, 1 = horoball
+# copy), with the constant fields written into the template.  A copy's label
+# is its base label's encoding without the closing quote, then ``@k"``.
+_VERTEX = _object_template(("id", "label"), "    ")
+_COPY_VERTEX = _VERTEX % ("%s", '%s@%s"')
+_META = _object_template(("alpha", "base", "kind", "level"), "      ")
+_GAMMA_META = _META % ("null", "%s", '"gamma"', "0")
+_HORO_META = _META % ("%s", "%s", '"horo"', "%s")
+
+
+def _kind_runs(kind: np.ndarray) -> Iterator[list[tuple[int, int, int]]]:
+    """For each block of ``_BLOCK`` vertices, the (start, stop, kind) of
+    every run of equal ``kind`` inside it."""
+    for start in range(0, len(kind), _BLOCK):
+        block = kind[start : start + _BLOCK]
+        cuts = [0, *(np.flatnonzero(block[1:] != block[:-1]) + 1).tolist(), len(block)]
+        yield [(start + a, start + b, int(block[a])) for a, b in zip(cuts, cuts[1:])]
+
+
+def _provenance_blocks(kind, alpha, base_vertex, level) -> Iterator[str]:
+    for runs in _kind_runs(kind):
+        yield _item_sep("    ").join(
+            _repeat(_HORO_META, b - a, "    ") % _interleave(alpha[a:b], base_vertex[a:b], level[a:b])
+            if t else
+            _repeat(_GAMMA_META, b - a, "    ") % tuple(base_vertex[a:b].tolist())
+            for a, b, t in runs)
+
+
+def _carrier_vertex_blocks(base_labels, kind, base_vertex, level) -> Iterator[str]:
+    if base_labels is None:
+        yield from _vertex_blocks(len(kind), None)
+        return
+    encoded = np.array([encode_basestring(x) for x in base_labels], dtype=object)
+    opened = np.array([e[:-1] for e in encoded], dtype=object)
+    for runs in _kind_runs(kind):
+        yield _item_sep("  ").join(
+            _repeat(_COPY_VERTEX, b - a, "  ") % _interleave(np.arange(a, b), opened[base_vertex[a:b]],
+                                                            level[a:b])
+            if t else
+            _repeat(_VERTEX, b - a, "  ") % _interleave(np.arange(a, b), encoded[base_vertex[a:b]])
+            for a, b, t in runs)
+
+
+def _interleave(*columns: np.ndarray) -> tuple:
+    """The values of equal-length columns, row by row, as one flat tuple of
+    Python objects."""
+    table = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        table[:, j] = column
+    return tuple(table.ravel().tolist())
 
 
 def _write_metadata(f, metadata: dict) -> None:
@@ -255,9 +350,13 @@ def read_graph(path: str | pathlib.Path) -> Graph:
     return graph_from_json(obj)
 
 
-def to_dot(g: Graph, name: str = "G", levels: Sequence[int] | None = None) -> str:
-    """Undirected DOT text.  Labels become node labels; ``levels`` (explicit
-    or found in metadata vertex_meta) color nodes per level."""
+def to_dot(g: Graph, name: str = "G", levels: Sequence[int] | None = None,
+           labels: Sequence[str] | None = None) -> str:
+    """Undirected DOT text.  Labels (explicit, or the graph's own) become
+    node labels; ``levels`` (explicit or found in metadata vertex_meta) color
+    nodes per level."""
+    if labels is None:
+        labels = g.labels
     if levels is None:
         meta = g.metadata.get("vertex_meta")
         if isinstance(meta, list) and len(meta) == g.num_vertices:
@@ -266,8 +365,8 @@ def to_dot(g: Graph, name: str = "G", levels: Sequence[int] | None = None) -> st
     lines = [f"graph {name} {{", "  node [shape=circle];"]
     for v in range(g.num_vertices):
         attrs = []
-        if g.labels is not None:
-            attrs.append(f'label="{g.labels[v]}"')
+        if labels is not None:
+            attrs.append(f'label="{labels[v]}"')
         if levels is not None:
             k = int(levels[v])
             attrs.append(f"level={k}")

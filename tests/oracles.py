@@ -237,7 +237,8 @@ def augmented_carrier(num_base: int, base_edges, family, depth: int, base_labels
     ``family`` is a list of (vertices, edges) in base ids.  Member ``a``
     owns the ids ``block_starts[a] + (k-1)*s + i`` for the level-k copy of
     its i-th vertex; level k joins copies at member distance in (0, 2^k].
-    Returns the canonical edge list and the per-vertex provenance lists."""
+    Returns the canonical edge list, the per-vertex provenance lists, and
+    the graph document ``io.write_carrier`` writes for the carrier."""
     kind = [0] * num_base
     alpha = [-1] * num_base
     base_vertex = list(range(num_base))
@@ -268,8 +269,11 @@ def augmented_carrier(num_base: int, base_edges, family, depth: int, base_labels
                 for j in range(i + 1, s):
                     if 0 < dist[i][j] <= 2**k:
                         edges.add((off + i, off + j))
+    vertices = [{"id": v} if labels is None else {"id": v, "label": labels[v]} for v in range(len(kind))]
     return {
         "edges": sorted(edges),
+        "document": {"version": 1, "vertices": vertices, "edges": [list(e) for e in sorted(edges)],
+                     "metadata": {"vertex_meta": vertex_meta}},
         "kind": kind,
         "alpha": alpha,
         "base_vertex": base_vertex,
@@ -282,7 +286,7 @@ def augmented_carrier(num_base: int, base_edges, family, depth: int, base_labels
 
 def restricted_horoball(base, depth: int) -> dict:
     """Vertex-by-vertex reference for ``build_restricted_horoball``, as the
-    graph document ``io.graph_to_json`` writes for its carrier.
+    graph document ``io.write_carrier`` writes for its carrier.
 
     (x, k) has id k*|V| + x for 0 <= k <= depth; vertical edges join (x, k)
     to (x, k+1), and level k joins x and y at base distance in (0, 2^k].

@@ -78,6 +78,33 @@ def test_delta_experiment_matches_oracle(tmp_path):
     assert row["exhaustive"] is True
 
 
+def test_exported_dot_files_equal_the_dot_of_the_reference_documents(tmp_path):
+    """``--export-dot`` writes, for each carrier, the DOT text of the graph
+    document the references build: labels and per-level colors included."""
+    from horolab.io import graph_from_json, read_graph, to_dot
+    from oracles import augmented_carrier, restricted_horoball
+
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text(json.dumps({
+        "version": 1, "vertices": [{"id": v, "label": f"v{v}"} for v in range(5)],
+        "edges": [[0, 1], [1, 2], [1, 3], [3, 4]], "metadata": {}}), encoding="utf-8")
+    run_experiment(validate_config({"version": 1, "experiment": "build-horoball",
+                                    "instance": {"graph_file": str(graph_file)}, "params": {"depth": 3}}),
+                   tmp_path / "h", export_dot=True)
+    doc = restricted_horoball(read_graph(graph_file), 3)
+    assert (tmp_path / "h" / "horoball.dot").read_text() == to_dot(graph_from_json(doc), name="horoball")
+
+    run_experiment(validate_config({"version": 1, "experiment": "augment", "instance": Z_FREE_Z,
+                                    "params": {"depth": 2}}), tmp_path / "a", export_dot=True)
+    ball = cayley_ball(free_product(free_abelian(1), free_abelian(1)), 3)
+    family, _, _ = parabolic_family(ball)
+    ref = augmented_carrier(ball.graph.num_vertices, ball.graph.edges.tolist(),
+                            [(m.vertices, m.edges) for m in family], 2, ball.graph.labels)
+    dot = (tmp_path / "a" / "augmented.dot").read_text()
+    assert dot == to_dot(graph_from_json(ref["document"]), name="augmented")
+    assert 'label="e"' in dot and 'label="e@2", level=2' in dot
+
+
 def test_build_horoball_writes_expected_graph(tmp_path):
     cfg = validate_config({
         "version": 1, "experiment": "build-horoball",
@@ -555,6 +582,8 @@ def test_cli_convexity_across_two_components(tmp_path, capsys, cap, code):
 _ODD_VALUES = st.one_of(st.booleans(), st.integers(-3, -1), st.floats(allow_nan=True, allow_infinity=True),
                         st.text(max_size=2), st.none())
 _ODD_IDS = st.one_of(_ODD_VALUES, st.integers(-3, 40), st.just(2**70))
+# past the carrier budget on every small instance: inside int64, and past it
+_HUGE_DEPTHS = st.sampled_from([10**6, 2**62, 2**63, 2**70])
 
 
 @st.composite
@@ -580,8 +609,8 @@ def _convexity_configs(draw):
             st.fixed_dictionaries({"basepoint": _ODD_IDS, "radius": _ODD_IDS})))
     elif odd == "geodesic_cap":
         params[odd] = draw(_ODD_VALUES)
-    elif odd == "depth":  # not a huge one: carrier size is not checked before the build
-        params[odd] = draw(st.one_of(_ODD_VALUES, st.just(0)))
+    elif odd == "depth":
+        params[odd] = draw(st.one_of(_ODD_VALUES, st.just(0), _HUGE_DEPTHS))
     instance = draw(st.sampled_from([{"cycle": 8}, {"path": 6}, {"grid": [3, 3]}]))
     return {"version": 1, "experiment": "convexity", "instance": instance, "params": params}
 
@@ -598,6 +627,55 @@ def test_cli_convexity_front_door_never_raises(config):
         cfg.write_text(json.dumps(config), encoding="utf-8")
         code = main(["convexity", "--config", str(cfg), "--out", str(pathlib.Path(tmp) / "out")])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RESOURCE, EXIT_VIOLATION)
+
+
+@st.composite
+def _carrier_configs(draw):
+    """A build-horoball or augment config on a small instance, with a depth
+    that is small, huge or odd (or missing)."""
+    kind = draw(st.sampled_from(["build-horoball", "augment"]))
+    instance = draw(st.sampled_from([
+        {"cycle": 6}, {"path": 5}, {"grid": [3, 3]},
+        {"group": {"free_product": [{"free_abelian": 1}, {"free_abelian": 1}]}, "radius": 2},
+        {"group": {"free_product": [{"free_abelian": 2}, {"free_abelian": 1}]}, "radius": 2},
+        {"group": {"free_abelian": 2}, "radius": 2},
+    ]))
+    params = {}
+    if draw(st.integers(0, 9)):
+        params["depth"] = draw(st.one_of(st.integers(1, 3), _HUGE_DEPTHS, _ODD_VALUES, st.just(0)))
+    return {"version": 1, "experiment": kind, "instance": instance, "params": params}
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=_carrier_configs())
+def test_cli_carrier_front_door_never_raises(config):
+    """Any build-horoball or augment config ends in a documented exit code,
+    not a traceback: depths up to 2**70, booleans, floats and negatives."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        code = main([config["experiment"], "--config", str(cfg), "--out", str(pathlib.Path(tmp) / "out")])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RESOURCE, EXIT_VIOLATION)
+
+
+@pytest.mark.parametrize("kind, instance, params", [
+    ("build-horoball", {"path": 8}, {"depth": 2**70}),
+    ("augment", Z_FREE_Z, {"depth": 2**70}),
+    ("augment", Z_FREE_Z, {"depth": 2**62}),
+    ("convexity", {"cycle": 8}, {"depth": 2**70, "set": {"level_at_least": 1}}),
+    ("delta", Z_FREE_Z, {"depth": 2**70, "sample": 10}),
+    ("convexify-experiment", Z_FREE_Z, {"depths": [1, 2**70]}),
+], ids=["build-horoball", "augment", "augment-int64", "convexity", "delta", "convexify"])
+def test_cli_carrier_over_its_budget_exits_3(tmp_path, capsys, kind, instance, params):
+    """A carrier past ``CARRIER_BUDGET`` vertices is refused before it is
+    built, with a message, at depths inside and past int64."""
+    cfg = write_config(tmp_path, {"version": 1, "experiment": kind, "instance": instance, "params": params})
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert "resource limit: carrier of " in err and "exceeds the carrier budget of 1000000 vertices" in err
+    assert "Traceback" not in err
 
 
 def test_cli_seed_override_changes_echo(tmp_path):

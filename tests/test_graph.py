@@ -680,21 +680,29 @@ def test_written_graph_equals_canonical_text(g, block):
 
 
 def test_carriers_never_reach_the_pure_python_encoder(tmp_path, monkeypatch):
-    """Augmented carriers with vertex_meta and restricted horoballs are
-    written without ``json``'s pure-Python encoder, and with the same bytes."""
+    """Augmented carriers and restricted horoballs are written from their
+    columns without ``json``'s pure-Python encoder, with the bytes of the
+    reference documents (labels and vertex_meta included)."""
     from horolab.experiments import parabolic_family
     from horolab.groups import cayley_ball, free_abelian, free_product
     from horolab.horoball import build_augmented, build_restricted_horoball
+    from horolab.io import write_carrier
+    from oracles import augmented_carrier, restricted_horoball
 
     ball = cayley_ball(free_product(free_abelian(2), free_abelian(1)), 3)
     family, _, _ = parabolic_family(ball)
+    grid = grid_graph(12, 12)
     carriers = {
-        "augmented": build_augmented(ball.graph, family, 2, with_meta=True).carrier,
-        "horoball": build_restricted_horoball(grid_graph(12, 12), 3).carrier,
+        "augmented": build_augmented(ball.graph, family, 2),
+        "horoball": build_restricted_horoball(grid, 3),
     }
-    assert carriers["augmented"].labels and all(g.metadata["vertex_meta"] for g in carriers.values())
-    assert carriers["horoball"].num_edges > 2 * horolab.io._BLOCK  # the edges span three blocks
-    expected = {name: canonical_json(graph_to_json(g)).encode("utf-8") for name, g in carriers.items()}
+    ref = augmented_carrier(ball.graph.num_vertices, ball.graph.edges.tolist(),
+                            [(m.vertices, m.edges) for m in family], 2, ball.graph.labels)
+    docs = {"augmented": ref["document"], "horoball": restricted_horoball(grid, 3)}
+    assert all(doc["metadata"]["vertex_meta"] for doc in docs.values())
+    assert "label" in docs["augmented"]["vertices"][-1]
+    assert carriers["horoball"].carrier.num_edges > 2 * horolab.io._BLOCK  # the edges span three blocks
+    expected = {name: canonical_json(doc).encode("utf-8") for name, doc in docs.items()}
 
     def no_python_encoder(*args, **kwargs):
         raise AssertionError("the pure-Python JSON encoder was used")
@@ -702,9 +710,12 @@ def test_carriers_never_reach_the_pure_python_encoder(tmp_path, monkeypatch):
     monkeypatch.setattr(json.encoder, "_make_iterencode", no_python_encoder)
     with pytest.raises(AssertionError, match="pure-Python"):
         canonical_json({"vertex_meta": [{"level": 0}]})
-    for name, g in carriers.items():
-        write_graph(g, tmp_path / f"{name}.json")
-        assert (tmp_path / f"{name}.json").read_bytes() == expected[name]
+    for name, space in carriers.items():
+        f = tmp_path / f"{name}.json"
+        write_carrier(f, space.carrier.edges, space.base.labels, *space.columns)
+        assert f.read_bytes() == expected[name]
+        write_graph(read_graph(f), f)  # the generic record writer, on the graph read back
+        assert f.read_bytes() == expected[name]
 
 
 def test_json_validation_errors():
@@ -724,6 +735,8 @@ def test_dot_export_mentions_labels_and_levels():
     assert 'label="y"' in dot
     assert "level=1" in dot
     assert "0 -- 1;" in dot
+    explicit = to_dot(Graph(3, [(0, 1), (1, 2)]), name="H", levels=[0, 1, 1], labels=["x", "y", "z"])
+    assert explicit == dot
 
 
 def test_canonical_json_is_sorted():

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import itertools
+import pathlib
 import random
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from horolab import (
     DistanceOracle,
     Graph,
     InputError,
     Path,
+    ResourceLimitError,
     cayley_ball,
     coset_family,
     distance_rows,
@@ -38,11 +43,12 @@ from horolab.horoball import (
     normal_form_geodesic,
     verify_geodesic_shape,
 )
-from horolab.io import canonical_json, graph_to_json
+from horolab.io import canonical_json, read_graph, write_carrier, write_graph
 
 import horolab.experiments
 import horolab.graph
 import horolab.horoball
+import horolab.io
 from horolab.experiments import convexify_experiment, milnor_svarc_experiment, parabolic_family
 
 from oracles import augmented_carrier, bfs_distances, reference_coset_family, restricted_horoball
@@ -50,6 +56,12 @@ from oracles import augmented_carrier, bfs_distances, reference_coset_family, re
 
 def all_pairs(n):
     return itertools.combinations(range(n), 2)
+
+
+def written(space, path) -> bytes:
+    """The bytes ``io.write_carrier`` writes for a carrier, from its columns."""
+    write_carrier(path, space.carrier.edges, space.base.labels, *space.columns)
+    return pathlib.Path(path).read_bytes()
 
 
 # -- construction -------------------------------------------------------------
@@ -96,10 +108,14 @@ def _restricted_cases():
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 @pytest.mark.parametrize("base", _restricted_cases())
-def test_restricted_horoball_document_matches_reference(base, depth):
-    """Edges, ``x@k`` labels (level 0 included) and vertex_meta, byte for byte."""
+def test_restricted_horoball_document_matches_reference(base, depth, tmp_path):
+    """Edges, ``x@k`` labels (level 0 included) and vertex_meta, byte for
+    byte, written from the carrier's columns; the carrier graph itself holds
+    no labels or metadata."""
     h = build_restricted_horoball(base, depth)
-    assert canonical_json(graph_to_json(h.carrier)) == canonical_json(restricted_horoball(base, depth))
+    expected = canonical_json(restricted_horoball(base, depth)).encode("utf-8")
+    assert written(h, tmp_path / "h.json") == expected
+    assert h.carrier.labels is None and h.carrier.metadata == {}
 
 
 def test_rejects_disconnected_or_shallow():
@@ -478,39 +494,39 @@ def test_rough_isometry_bound_between_bottom_and_top():
 
 
 def test_augmented_vertex_meta_roundtrip(tmp_path):
-    from horolab.io import read_graph, write_graph
-
+    """The written vertex_meta reads back as the reference's records, and
+    the generic writer reproduces the file from what was read."""
     base = path_graph(3)
     member = Subgraph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)))
-    aug = build_augmented(base, [member], 2, with_meta=True)
-    meta = aug.carrier.metadata["vertex_meta"]
-    assert meta[0] == {"kind": "gamma", "alpha": None, "base": 0, "level": 0}
-    assert meta[-1]["kind"] == "horo" and meta[-1]["level"] == 2
+    aug = build_augmented(base, [member], 2)
+    ref = augmented_carrier(4, base.edges.tolist(), [(member.vertices, member.edges)], 2)
     f = tmp_path / "aug.json"
-    write_graph(aug.carrier, f)
+    assert written(aug, f) == canonical_json(ref["document"]).encode("utf-8")
     again = read_graph(f)
-    assert again.metadata["vertex_meta"] == meta
+    meta = again.metadata["vertex_meta"]
+    assert meta[0] == {"kind": "gamma", "alpha": None, "base": 0, "level": 0}
+    assert meta[-1] == {"kind": "horo", "alpha": 0, "base": 3, "level": 2}
+    assert meta == ref["vertex_meta"] and again.labels is None
+    first = f.read_bytes()
+    write_graph(again, f)
+    assert f.read_bytes() == first
 
 
 # -- shape templates against the member-by-member reference --------------------
 
 
 def assert_matches_member_reference(base, family, depth):
+    """Edges, provenance columns, block starts and the written document
+    (labels and vertex_meta) against the member-by-member reference."""
     ref = augmented_carrier(base.num_vertices, base.edges.tolist(),
                             [(m.vertices, m.edges) for m in family], depth, base.labels)
-    aug = build_augmented(base, family, depth, with_meta=True)
+    aug = build_augmented(base, family, depth)
     assert aug.carrier.edges.tolist() == [list(e) for e in ref["edges"]]
-    assert aug.carrier.labels == ref["labels"]
-    assert aug.carrier.metadata["vertex_meta"] == ref["vertex_meta"]
-    assert aug._kind.tolist() == ref["kind"]
-    assert aug._alpha.tolist() == ref["alpha"]
-    assert aug._base_vertex.tolist() == ref["base_vertex"]
-    assert aug._level.tolist() == ref["level"]
+    assert [c.tolist() for c in aug.columns] == [ref[k] for k in ("kind", "alpha", "base_vertex", "level")]
     assert aug._block_starts == ref["block_starts"]
-    plain = build_augmented(base, family, depth)
-    assert np.array_equal(plain.carrier.edges, aug.carrier.edges)
-    assert plain.carrier.labels is None and plain.carrier.metadata == {}
-    assert plain._block_starts == ref["block_starts"]
+    assert aug.carrier.labels is None and aug.carrier.metadata == {}
+    with tempfile.TemporaryDirectory() as tmp:
+        assert written(aug, pathlib.Path(tmp) / "aug.json") == canonical_json(ref["document"]).encode("utf-8")
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -551,6 +567,108 @@ def test_same_size_members_with_different_edges():
     assert dmats[0][0, 3] == 1 and dmats[1][0, 3] == 3
     for depth in (1, 2):
         assert_matches_member_reference(base, family, depth)
+
+
+# -- carrier documents against the references -----------------------------------
+
+# Labels with characters that ``json`` escapes, a ``%`` that a template must not
+# read, and an ``@`` like the one a copy's label gets.
+_LABEL_PARTS = ("e", "a", 'q"', "\\", "é", "%s", "x@1", "\u2028", "\U0001F600")
+
+
+def _random_family(base: Graph, rng: random.Random) -> list[Subgraph]:
+    """One to four overlapping connected members.  Each grows from a random
+    vertex by taking a random neighbour of what it has, keeps those tree
+    edges and about half of its other induced base edges, and lists its
+    vertices in a random order."""
+    family = []
+    for _ in range(rng.randint(1, 4)):
+        taken = [rng.randrange(base.num_vertices)]
+        tree = []
+        for _ in range(rng.randrange(base.num_vertices)):
+            frontier = [(u, v) for u in taken for v in base.neighbors(u).tolist() if v not in taken]
+            if not frontier:
+                break
+            u, v = rng.choice(frontier)
+            taken.append(v)
+            tree.append((u, v))
+        inside = set(taken)
+        tree_keys = {(min(e), max(e)) for e in tree}
+        extra = [(u, v) for u, v in base.edges.tolist()
+                 if u in inside and v in inside and (u, v) not in tree_keys and rng.random() < 0.5]
+        rng.shuffle(taken)
+        family.append(Subgraph(tuple(taken), tuple(tree + extra)))
+    return family
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), labelled=st.booleans(), depth=st.integers(1, 3),
+       block=st.sampled_from([1, 2, 3, 5, 4096]))
+def test_written_carriers_equal_the_reference_documents(seed, labelled, depth, block):
+    """Augmented carriers over random overlapping families and restricted
+    horoballs, on random small connected bases with and without labels: the
+    written bytes are the canonical text of the reference document, at any
+    block size, and reading the file and writing it back through the
+    generic ``write_graph`` gives the same bytes."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    base = random_connected_graph(n, rng.randint(0, n), rng)
+    if labelled:
+        base = Graph(n, base.edges, labels=[rng.choice(_LABEL_PARTS) + str(i) for i in range(n)])
+    family = _random_family(base, rng)
+    ref = augmented_carrier(n, base.edges.tolist(), [(m.vertices, m.edges) for m in family], depth,
+                            base.labels)
+    cases = [(build_augmented(base, family, depth), ref["document"]),
+             (build_restricted_horoball(base, depth), restricted_horoball(base, depth))]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(horolab.io, "_BLOCK", block):
+        f = pathlib.Path(tmp) / "carrier.json"
+        for space, doc in cases:
+            expected = canonical_json(doc).encode("utf-8")
+            assert written(space, f) == expected
+            write_graph(read_graph(f), f)
+            assert f.read_bytes() == expected
+
+
+def test_written_carrier_with_a_run_boundary_inside_a_block(tmp_path):
+    """More vertices than one block, and the last base vertex and the first
+    horoball copy fall in the same block, away from its start."""
+    base = path_graph(horolab.io._BLOCK + 100, labels=True)
+    n = base.num_vertices
+    family = [Subgraph(tuple(range(a, a + 5)), tuple((v, v + 1) for v in range(a, a + 4)))
+              for a in (0, 3, n - 5)]
+    aug = build_augmented(base, family, 2)
+    assert horolab.io._BLOCK < n < aug.carrier.num_vertices < 2 * horolab.io._BLOCK
+    ref = augmented_carrier(n, base.edges.tolist(), [(m.vertices, m.edges) for m in family], 2,
+                            base.labels)
+    expected = canonical_json(ref["document"]).encode("utf-8")
+    assert written(aug, tmp_path / "aug.json") == expected
+    write_graph(read_graph(tmp_path / "aug.json"), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == expected
+
+
+# -- the carrier budget ------------------------------------------------------------
+
+
+def test_carrier_budget_is_checked_before_gluing(monkeypatch):
+    """|V| + depth * (member vertices) is compared with the budget in Python
+    integers: a depth past int64 is refused like any other, and a carrier
+    of exactly the budget is built."""
+    base = path_graph(4)  # 5 vertices; the whole-base member has 5 too
+    monkeypatch.setattr(horolab.horoball, "CARRIER_BUDGET", 15)
+    assert build_restricted_horoball(base, 2).carrier.num_vertices == 15
+    assert build_augmented(base, [Subgraph.whole(base)], 2).carrier.num_vertices == 15
+    for depth in (3, 2**62, 2**70):
+        with pytest.raises(ResourceLimitError, match="exceeds the carrier budget of 15 vertices"):
+            build_restricted_horoball(base, depth)
+        with pytest.raises(ResourceLimitError, match="carrier budget"):
+            build_augmented(base, [Subgraph.whole(base)], depth)
+        # members without vertices glue nothing, however deep
+        assert build_augmented(base, [Subgraph((), ())], depth).carrier.num_vertices == 5
+
+
+def test_carrier_budget_admits_the_convexification_table():
+    """Criterion 07's deepest carrier: Z^2*Z^2 at radius 6, depth 5."""
+    assert 66_921 + 5 * 133_842 == 736_131 <= horolab.horoball.CARRIER_BUDGET
 
 
 def test_z2z2_radius4_coset_shapes():
