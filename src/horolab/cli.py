@@ -10,23 +10,29 @@ error, 3 resource cap exceeded, 4 structural property violation.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import pathlib
 import sys
 
 from .errors import ConfigError, InputError, PropertyViolation, ResourceLimitError
-from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment, validate_config
+from .experiments import KINDS, ExperimentConfig, run_experiment, validate_config
+from .io import read_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_VIOLATION = 4
 
+# error type -> (exit code, what stderr calls it)
+_FAILURES = {ConfigError: (EXIT_CONFIG, "config error"), InputError: (EXIT_CONFIG, "input error"),
+             ResourceLimitError: (EXIT_RESOURCE, "resource limit"),
+             PropertyViolation: (EXIT_VIOLATION, "property violation")}
+
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="horolab", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for kind in EXPERIMENT_KINDS:
+    for kind in KINDS:
         p = sub.add_parser(kind, help=f"run a {kind} experiment")
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
@@ -36,18 +42,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def load_config(path: str, expected_kind: str, seed_override: int | None) -> ExperimentConfig:
-    p = pathlib.Path(path)
-    if not p.exists():
-        raise ConfigError("--config", f"no such file: {path}")
     try:
-        obj = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError("--config", f"not valid JSON: {exc}") from exc
+        obj = read_json(path, "config")
+    except InputError as exc:
+        raise ConfigError("--config", str(exc)) from None
     config = validate_config(obj)
     if config.kind != expected_kind:
         raise ConfigError("experiment", f"config says {config.kind!r}, subcommand is {expected_kind!r}")
     if seed_override is not None:
-        config = ExperimentConfig(config.kind, config.instance, config.params, seed_override)
+        config = dataclasses.replace(config, seed=seed_override)
     return config
 
 
@@ -56,18 +59,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config, args.experiment, args.seed)
         report = run_experiment(config, args.out, export_dot=args.export_dot)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except PropertyViolation as exc:
-        print(f"property violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+    except tuple(_FAILURES) as exc:
+        code, what = next(failure for kind, failure in _FAILURES.items() if isinstance(exc, kind))
+        print(f"{what}: {exc}", file=sys.stderr)
+        return code
     out = pathlib.Path(args.out) / "report.json"
     print(f"wrote {out} ({len(report.rows)} rows)")
     return EXIT_OK

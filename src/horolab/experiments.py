@@ -1,18 +1,27 @@
 """Experiment pipelines and the JSON report they produce.
 
 A config is a single versioned JSON object; unknown fields are rejected so a
-stale config never silently drifts.  Reports echo the config, stamp the
-instance, and keep result rows separate from timings: identical (config,
-seed) must reproduce byte-identical rows.
+stale config never silently drifts.  Reports echo the config as given,
+stamp the instance, and keep result rows separate from timings: identical
+(config, seed) must reproduce byte-identical rows.
+
+Two tables drive the runner.  ``INSTANCES`` maps each instance kind to its
+parser, its vertex count where that is known before building, and its
+builder.  ``KINDS`` maps each experiment kind to its parameter schema (a
+parser and a default per field, nested for objects), whether it needs a
+group instance, its runner, and a check across its parameters.
+``validate_config`` parses the instance and every parameter once, before
+any work starts, and refuses counts over their budgets; the runners take
+the parsed values and raise no ``ConfigError``.
 """
 
 from __future__ import annotations
 
 import pathlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -24,7 +33,7 @@ from .analysis import (
     four_point_delta,
     qi_distortion,
 )
-from .errors import ConfigError, InputError, PropertyViolation
+from .errors import ConfigError, InputError, PropertyViolation, ResourceLimitError
 from .graph import (
     DistanceOracle,
     Graph,
@@ -35,7 +44,7 @@ from .graph import (
     neighborhood_subgraph,
     path_graph,
 )
-from .groups import DEFAULT_BALL_BUDGET, CayleyBall, GroupSpec, cayley_ball
+from .groups import COUNT_BUDGET, DEFAULT_BALL_BUDGET, CayleyBall, GroupSpec, cayley_ball
 from .horoball import (
     AugmentedSpace,
     build_restricted_horoball,
@@ -46,35 +55,15 @@ from .horoball import (
 from .io import carrier_labels, canonical_json, read_graph, sha256_of, to_dot, write_carrier, write_json
 from .shortcut import LambdaGrid, shortcut_profile
 
-EXPERIMENT_KINDS = (
-    "build-horoball",
-    "augment",
-    "delta",
-    "convexity",
-    "shortcut",
-    "milnor-svarc",
-    "convexify-experiment",
-)
-
-_PARAM_KEYS = {
-    "build-horoball": {"depth"},
-    "augment": {"depth"},
-    "delta": {"sample", "depth"},
-    "convexity": {"depth", "set", "interior", "geodesic_cap"},
-    "shortcut": {"K", "n_list", "lambda", "node_cap", "restrict"},
-    "convexify-experiment": {"depths", "budget", "verify_cosets", "geodesic_cap"},
-    "milnor-svarc": {"depth", "t_list", "budget"},
-}
-
-_INSTANCE_BUILDERS = {"graph_file", "path", "cycle", "grid", "group"}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
-    instance: dict
-    params: dict
+    instance: dict  # as given, echoed in the report
+    params: dict  # as given, echoed in the report
     seed: int
+    source: tuple = ()  # (instance kind, parsed value), see INSTANCES
+    values: dict = field(default_factory=dict)  # params parsed, defaults filled in
 
     def echo(self) -> dict:
         return {
@@ -107,80 +96,171 @@ class Report:
 
 
 def validate_config(obj: dict) -> ExperimentConfig:
+    """Check a config object, and parse its instance and every parameter."""
     if not isinstance(obj, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    allowed_top = {"version", "experiment", "instance", "params", "seed"}
-    for key in obj:
-        if key not in allowed_top:
-            raise ConfigError(key, "unknown config field")
-    if obj.get("version") != 1:
-        raise ConfigError("version", f"expected 1, got {obj.get('version')!r}")
-    kind = obj.get("experiment")
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError("experiment", f"unknown experiment kind {kind!r}")
-
-    instance = obj.get("instance")
-    if not isinstance(instance, dict):
-        raise ConfigError("instance", "must be an object")
-    builders = set(instance) & _INSTANCE_BUILDERS
-    if len(builders) != 1:
-        raise ConfigError("instance", f"need exactly one of {sorted(_INSTANCE_BUILDERS)}")
-    extra = set(instance) - _INSTANCE_BUILDERS - {"radius"}
+    extra = sorted(set(obj) - {"version", "experiment", "instance", "params", "seed"})
     if extra:
-        raise ConfigError(f"instance.{sorted(extra)[0]}", "unknown instance field")
-    if "group" in instance:
-        if not _is_count(instance.get("radius"), 1):
-            raise ConfigError("instance.radius", "group instances need a positive radius")
-        try:
-            GroupSpec.from_json(instance["group"])
-        except InputError as exc:
-            raise ConfigError("instance.group", str(exc)) from exc
-    elif "radius" in instance:
-        raise ConfigError("instance.radius", "only valid with a group instance")
-    if "path" in instance and not _is_count(instance["path"], 0):
-        raise ConfigError("instance.path", "must be a nonnegative integer")
-    if "cycle" in instance and not _is_count(instance["cycle"], 3):
-        raise ConfigError("instance.cycle", "must be an integer >= 3")
-    if "grid" in instance:
-        grid = instance["grid"]
-        if not (isinstance(grid, list) and len(grid) == 2 and all(_is_count(x, 1) for x in grid)):
-            raise ConfigError("instance.grid", "must be [rows, cols] with positive integers")
-
+        raise ConfigError(extra[0], "unknown config field")
+    if not _is_int(obj.get("version")) or obj["version"] != 1:
+        raise ConfigError("version", f"expected 1, got {obj.get('version')!r}")
+    name = obj.get("experiment")
+    if not isinstance(name, str) or name not in KINDS:
+        raise ConfigError("experiment", f"unknown experiment kind {name!r}")
+    kind, instance, seed = KINDS[name], obj.get("instance"), obj.get("seed", 0)
+    source = _parse_instance(instance)
+    if not _is_count(seed, 0):
+        raise ConfigError("seed", "must be a nonnegative integer")
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params", "must be an object")
-    for key in params:
-        if key not in _PARAM_KEYS[kind]:
-            raise ConfigError(f"params.{key}", f"unknown parameter for {kind}")
+    values = _parse_fields(kind.params, params, "params", f"unknown parameter for {name}")
+    group = kind.needs_group
+    if source[0] != "group" and (group is True or group and values[group] is not None):
+        where = "instance" if group is True else f"params.{group}"
+        raise ConfigError(where, f"{name} needs a group instance")
+    if kind.check is not None:
+        kind.check(values)
+    return ExperimentConfig(name, instance, params, seed, source, values)
 
-    seed = obj.get("seed", 0)
-    if not _is_count(seed, 0):
-        raise ConfigError("seed", "must be a nonnegative integer")
-    return ExperimentConfig(kind=kind, instance=instance, params=params, seed=seed)
+
+# -- parsers --------------------------------------------------------------------
 
 
-def build_instance_graph(
-    instance: dict, max_vertices: int = DEFAULT_BALL_BUDGET
-) -> tuple[Graph, CayleyBall | None, str]:
-    """Realize the instance; returns (graph, ball or None, stable hash).
-    A group instance's ball may hold at most ``max_vertices`` elements."""
-    if "graph_file" in instance:
-        g = read_graph(instance["graph_file"])
-        if g.num_vertices == 0:
-            raise InputError("graph file has no vertices")
-        digest = sha256_of(pathlib.Path(instance["graph_file"]).read_text(encoding="utf-8"))
-        return g, None, digest
-    digest = sha256_of(canonical_json(instance))
-    if "path" in instance:
-        return path_graph(instance["path"]), None, digest
-    if "cycle" in instance:
-        return cycle_graph(instance["cycle"]), None, digest
-    if "grid" in instance:
-        r, c = instance["grid"]
-        return grid_graph(r, c), None, digest
-    spec = GroupSpec.from_json(instance["group"])
-    ball = cayley_ball(spec, instance["radius"], max_vertices=max_vertices)
-    return ball.graph, ball, digest
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value, least: int) -> bool:
+    return _is_int(value) and value >= least
+
+
+def _checked(ok: Callable[[Any], bool], message: str) -> Callable:
+    """A parser (value, path) that returns a value ``ok`` accepts and refuses
+    any other with ``message``."""
+    def parse(value, path: str, *_):
+        if not ok(value):
+            raise ConfigError(path, message)
+        return value
+    return parse
+
+
+def _integer(least: int) -> Callable:
+    return _checked(lambda v: _is_count(v, least), f"must be an integer >= {least}")
+
+
+def _integers(least: int | None = None) -> Callable:
+    """A nonempty list of integers, each >= ``least`` unless it is None."""
+    return _checked(lambda v: isinstance(v, list) and v != [] and all(
+                        _is_int(x) and (least is None or x >= least) for x in v),
+                    "must be a nonempty list of integers" + ("" if least is None else f" >= {least}"))
+
+
+def _counted(value, path: str, count: int, what: str):
+    """``value``, unless ``count`` (of ``what``) is over ``COUNT_BUDGET``."""
+    if count > COUNT_BUDGET:
+        raise ResourceLimitError(f"{path}: {count} {what} exceed the count budget of {COUNT_BUDGET}")
+    return value
+
+
+def _sample(value, path: str):
+    if value != "all" and not _is_count(value, 1):
+        raise ConfigError(path, "must be 'all' or a positive integer")
+    return _counted(value, path, 0 if value == "all" else value, "sampled quadruples")
+
+
+def _cycle_lengths(value, path: str) -> list[int]:
+    value = _integers(3)(value, path)
+    return _counted(value, path, max(value) ** 2, "cycle-table cells")
+
+
+def _lambda_grid(value: dict, path: str) -> LambdaGrid:
+    grid = LambdaGrid(**value)
+    return _counted(grid, path, grid.size(), "lambda values")
+
+
+# Most bits a rational parameter's numerator or denominator may have: rows
+# spell them out in decimal, which Python refuses past 4,300 digits, and
+# ``Fraction`` expands an exponent such as 1e10000000 before any check.
+_RATIONAL_BITS = 10_000
+
+
+def _rational(value, path: str) -> Fraction:
+    text = str(value)
+    exponent = text.lower().partition("e")[2].lstrip("+-")
+    if exponent.isdecimal() and (len(exponent) > 5 or int(exponent) > _RATIONAL_BITS):
+        raise ResourceLimitError(f"{path}: the exponent of {value!r} is over {_RATIONAL_BITS}")
+    try:
+        q = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(path, f"not a rational number: {value!r}") from None
+    if max(q.numerator.bit_length(), q.denominator.bit_length()) > _RATIONAL_BITS:
+        raise ResourceLimitError(f"{path}: {value!r} has more than {_RATIONAL_BITS} bits")
+    return q
+
+
+# -- instances ------------------------------------------------------------------
+
+
+def _parse_instance(instance) -> tuple[str, Any]:
+    """(instance kind, parsed value) of an instance object."""
+    if not isinstance(instance, dict):
+        raise ConfigError("instance", "must be an object")
+    keys = [key for key in instance if key in INSTANCES]
+    if len(keys) != 1:
+        raise ConfigError("instance", f"need exactly one of {sorted(INSTANCES)}")
+    key = keys[0]
+    extra = sorted(set(instance) - {key} - ({"radius"} if key == "group" else set()))
+    if extra:
+        raise ConfigError(f"instance.{extra[0]}", "unknown instance field")
+    return key, INSTANCES[key][0](instance[key], f"instance.{key}", instance)
+
+
+def _parse_group(value, path: str, instance: dict) -> tuple[GroupSpec, int]:
+    if not _is_count(instance.get("radius"), 1):
+        raise ConfigError("instance.radius", "group instances need a positive radius")
+    try:
+        return GroupSpec.from_json(value), instance["radius"]
+    except InputError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _read_instance(path: str, _) -> Graph:
+    g = read_graph(path)
+    if g.num_vertices == 0:
+        raise InputError("graph file has no vertices")
+    return g
+
+
+# instance kind -> (parser (value, path, instance object), vertex count of a
+# parsed value where it is known before building, builder (value, ball
+# budget) -> graph or Cayley ball)
+INSTANCES: dict[str, tuple[Callable, Callable | None, Callable]] = {
+    "graph_file": (_checked(lambda v: isinstance(v, str), "must be a file path"), None, _read_instance),
+    "path": (_integer(0), lambda n: n + 1, lambda n, _: path_graph(n)),
+    "cycle": (_integer(3), lambda n: n, lambda n, _: cycle_graph(n)),
+    "grid": (_checked(lambda v: isinstance(v, list) and len(v) == 2 and all(_is_count(x, 1) for x in v),
+                      "must be [rows, cols] with positive integers"), lambda rc: rc[0] * rc[1],
+             lambda rc, _: grid_graph(*rc)),
+    "group": (_parse_group, None, lambda group, budget: cayley_ball(*group, max_vertices=budget)),
+}
+
+
+def build_instance_graph(instance: dict, max_vertices: int = DEFAULT_BALL_BUDGET,
+                         source: tuple | None = None) -> tuple[Graph, CayleyBall | None, str]:
+    """Realize an instance object (parsed into ``source``, when given):
+    (graph, ball or None, stable hash), with at most ``max_vertices``
+    vertices, which a path, cycle or grid is checked against unbuilt."""
+    key, value = source or _parse_instance(instance)
+    _, size, build = INSTANCES[key]
+    if size is not None and size(value) > max_vertices:
+        raise ResourceLimitError(f"{key} of {size(value)} vertices exceeds the budget of "
+                                 f"{max_vertices} vertices")
+    built = build(value, max_vertices)
+    ball = built if isinstance(built, CayleyBall) else None
+    # a graph file is hashed by its text, any other instance by its config
+    text = pathlib.Path(value).read_text(encoding="utf-8") if key == "graph_file" else canonical_json(instance)
+    return (ball.graph if ball else built), ball, sha256_of(text)
 
 
 def parabolic_family(ball: CayleyBall) -> tuple[SubgraphFamily, list[int], list[int]]:
@@ -516,212 +596,236 @@ def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int],
 _AUGMENT_ARTIFACT_MAX_VERTICES = 50_000
 
 
-def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) -> Report:
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    artifacts: list[str] = []
-    diagnostics: dict = {}
-    timings: dict = {}
-    rows: list[dict]
+@dataclass
+class _Run:
+    """What a runner gets: the instance, the parsed parameters and the seed,
+    and the report's timings, diagnostics and artifacts to add to."""
 
-    def artifact(name: str) -> pathlib.Path:
-        artifacts.append(name)
-        return out / name
+    graph: Graph
+    ball: CayleyBall | None
+    values: dict
+    seed: int
+    out: pathlib.Path
+    export_dot: bool
+    timings: dict
+    diagnostics: dict = field(default_factory=dict)
+    artifacts: list[str] = field(default_factory=list)
 
-    def carrier_artifacts(space, stem: str) -> None:
+    def artifact(self, name: str) -> pathlib.Path:
+        self.artifacts.append(name)
+        return self.out / name
+
+    def carrier_artifacts(self, space, stem: str) -> None:
         """``<stem>.json`` (and ``<stem>.dot``) of a carrier, written from its
         provenance columns and timed as ``artifacts_s``."""
         t = time.perf_counter()
         kind, alpha, base_vertex, level = space.columns
-        write_carrier(artifact(f"{stem}.json"), space.carrier.edges, space.base.labels,
+        write_carrier(self.artifact(f"{stem}.json"), space.carrier.edges, space.base.labels,
                       kind, alpha, base_vertex, level)
-        if export_dot:
+        if self.export_dot:
             labels = carrier_labels(space.base.labels, kind, base_vertex, level)
-            artifact(f"{stem}.dot").write_text(to_dot(space.carrier, name=stem, levels=level, labels=labels),
-                                               encoding="utf-8")
-        timings["artifacts_s"] = _since(t)
+            self.artifact(f"{stem}.dot").write_text(
+                to_dot(space.carrier, name=stem, levels=level, labels=labels), encoding="utf-8")
+        self.timings["artifacts_s"] = _since(t)
 
-    kind = config.kind
-    params = config.params
-    t = time.perf_counter()
+
+def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) -> Report:
+    out = pathlib.Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot make the output directory {out}: {exc}") from None
+    t0 = time.perf_counter()
     graph, ball, digest = build_instance_graph(
-        config.instance, max_vertices=_int_param(params, "budget", DEFAULT_BALL_BUDGET))
-    timings["instance_s"] = _since(t)
-
-    if kind == "build-horoball":
-        depth = _int_param(params, "depth")
-        h = build_restricted_horoball(graph, depth)
-        lv = h.carrier.edges // graph.num_vertices
-        horizontal = np.bincount(lv[lv[:, 0] == lv[:, 1], 0], minlength=depth + 1)
-        rows = [{"level": k, "vertices": len(h.level_vertices(k)),
-                 "horizontal_edges": int(horizontal[k])} for k in range(depth + 1)]
-        rows.append({"level": "total", "vertices": h.carrier.num_vertices,
-                     "horizontal_edges": int(h.carrier.num_edges)})
-        carrier_artifacts(h, "horoball")
-
-    elif kind == "augment":
-        depth = _int_param(params, "depth")
-        if ball is None:
-            raise ConfigError("instance", "augment needs a group instance")
-        family, _, identity_indices, shapes = _shaped_family(ball, timings)
-        # the carrier holds the base plus depth copies of every member
-        carrier_vertices = ball.graph.num_vertices + depth * len(family.vertices)
-        aug = glue_horoballs(ball.graph, family, shapes, depth)
-        rows = [{
-            "family_members": len(family),
-            "identity_cosets": len(identity_indices),
-            "carrier_vertices": aug.carrier.num_vertices,
-            "carrier_edges": int(aug.carrier.num_edges),
-            "depth": depth,
-        }]
-        if carrier_vertices <= _AUGMENT_ARTIFACT_MAX_VERTICES:
-            carrier_artifacts(aug, "augmented")
-        else:
-            diagnostics["artifact_skipped"] = {
-                "name": "augmented.json", "carrier_vertices": carrier_vertices,
-                "max_vertices": _AUGMENT_ARTIFACT_MAX_VERTICES}
-
-    elif kind == "delta":
-        sample = params.get("sample", "all")
-        if sample != "all" and not _is_count(sample, 1):
-            raise ConfigError("params.sample", "must be 'all' or a positive integer")
-        target = graph
-        if "depth" in params:
-            depth = _int_param(params, "depth")
-            if ball is None:
-                raise ConfigError("params.depth", "augmented delta needs a group instance")
-            family, _, _, shapes = _shaped_family(ball, timings)
-            target = glue_horoballs(ball.graph, family, shapes, depth).carrier
-        est = four_point_delta(target, sample=sample, seed=config.seed)
-        rows = [{
-            "delta": str(est.delta),
-            "quadruples_checked": est.quadruples_checked,
-            "exhaustive": est.exhaustive,
-            "vertices": target.num_vertices,
-        }]
-
-    elif kind == "convexity":
-        target = graph
-        spec_set = params.get("set")
-        if not isinstance(spec_set, dict):
-            raise ConfigError("params.set", "must be an object")
-        if "depth" in params:
-            h = build_restricted_horoball(graph, _int_param(params, "depth"))
-            target = h.carrier
-            if "level_at_least" in spec_set:
-                vertex_set = h.deep_vertices(_int_param(spec_set, "level_at_least", where="set."))
-            elif "vertices" in spec_set:
-                vertex_set = _int_list_param(spec_set, "vertices", least=None, where="set.")
-            else:
-                raise ConfigError("params.set", "need level_at_least or vertices")
-        elif "vertices" in spec_set:
-            vertex_set = _int_list_param(spec_set, "vertices", least=None, where="set.")
-        else:
-            raise ConfigError("params.set", "need vertices (or a horoball depth)")
-        pair_filter = None
-        if "interior" in params:
-            inter = params["interior"]
-            if not isinstance(inter, dict):
-                raise ConfigError("params.interior", "must be {basepoint, radius}")
-            pair_filter = InteriorFilter(_int_param(inter, "basepoint", least=0, where="interior."),
-                                         _int_param(inter, "radius", least=0, where="interior."))
-        report = convexity_defect(
-            target, vertex_set, pair_filter=pair_filter,
-            geodesic_cap=_int_param(params, "geodesic_cap", 64, least=0),
-        )
-        rows = [{
-            "defect": report.defect,
-            "convex": report.convex,
-            "witnesses": [list(w) for w in report.witnesses[:10]],
-            "quasiconvexity": report.quasiconvexity_constant,
-            "pairs_checked": report.pairs_checked,
-        }]
-        diagnostics["geodesic_cap_hits"] = report.truncated_pairs
-
-    elif kind == "shortcut":
-        k = _fraction_param("K", params.get("K", "1"))
-        n_list = _int_list_param(params, "n_list", least=3)
-        lam = params.get("lambda")
-        if not isinstance(lam, dict) or "lo" not in lam or "hi" not in lam:
-            raise ConfigError("params.lambda", "must be {lo, hi, step}")
-        grid = LambdaGrid(*(_fraction_param(f"lambda.{key}", lam.get(key, "1/4"))
-                            for key in ("lo", "hi", "step")))
-        restrict = params.get("restrict")
-        if restrict is not None and not (isinstance(restrict, list) and all(map(_is_int, restrict))):
-            raise ConfigError("params.restrict", "must be a list of vertex ids")
-        profile, witnesses = shortcut_profile(
-            graph, k, n_list, grid,
-            node_cap=_int_param(params, "node_cap", 2_000_000),
-            restrict=restrict,
-        )
-        rows = profile.to_json_rows(witnesses)
-        artifact("profile.csv").write_text(profile.to_csv(), encoding="utf-8")
-
-    elif kind == "convexify-experiment":
-        if ball is None:
-            raise ConfigError("instance", "convexify experiment needs a group instance")
-        rows = convexify_experiment(
-            ball, _int_list_param(params, "depths"),
-            verify_cosets=_int_param(params, "verify_cosets", 3, least=0),
-            geodesic_cap=_int_param(params, "geodesic_cap", 32, least=0),
-            diagnostics=diagnostics.setdefault("depths", []),
-            timings=timings,
-        )
-        convexify_gate(rows)
-
-    elif kind == "milnor-svarc":
-        if ball is None:
-            raise ConfigError("instance", "milnor-svarc needs a group instance")
-        rows = milnor_svarc_experiment(
-            ball, _int_param(params, "depth"), _int_list_param(params, "t_list", least=0), timings,
-            diagnostics.setdefault("distance_tables", []))
-
-    else:  # unreachable after validation
-        raise ConfigError("experiment", f"unhandled kind {kind}")
-
+        config.instance, config.values.get("budget", DEFAULT_BALL_BUDGET), config.source)
+    run = _Run(graph, ball, config.values, config.seed, out, export_dot, {"instance_s": _since(t0)})
+    rows = KINDS[config.kind].run(run)
     report = Report(
         config=config,
         environment={"tool": "horolab", "version": __version__, "instance_hash": digest},
         rows=rows,
-        timings={"total_seconds": _since(t0), **timings},
-        artifacts=artifacts,
-        diagnostics=diagnostics,
+        timings={"total_seconds": _since(t0), **run.timings},
+        artifacts=run.artifacts,
+        diagnostics=run.diagnostics,
     )
     write_json(report.to_json(), out / "report.json")
     return report
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _run_build_horoball(run: _Run) -> list[dict]:
+    depth = run.values["depth"]
+    h = build_restricted_horoball(run.graph, depth)
+    lv = h.carrier.edges // run.graph.num_vertices
+    horizontal = np.bincount(lv[lv[:, 0] == lv[:, 1], 0], minlength=depth + 1)
+    rows = [{"level": k, "vertices": len(h.level_vertices(k)),
+             "horizontal_edges": int(horizontal[k])} for k in range(depth + 1)]
+    rows.append({"level": "total", "vertices": h.carrier.num_vertices,
+                 "horizontal_edges": int(h.carrier.num_edges)})
+    run.carrier_artifacts(h, "horoball")
+    return rows
 
 
-def _is_count(value, least: int) -> bool:
-    return _is_int(value) and value >= least
+def _run_augment(run: _Run) -> list[dict]:
+    depth = run.values["depth"]
+    family, _, identity_indices, shapes = _shaped_family(run.ball, run.timings)
+    aug = glue_horoballs(run.graph, family, shapes, depth)
+    if aug.carrier.num_vertices <= _AUGMENT_ARTIFACT_MAX_VERTICES:
+        run.carrier_artifacts(aug, "augmented")
+    else:
+        run.diagnostics["artifact_skipped"] = {
+            "name": "augmented.json", "carrier_vertices": aug.carrier.num_vertices,
+            "max_vertices": _AUGMENT_ARTIFACT_MAX_VERTICES}
+    return [{
+        "family_members": len(family),
+        "identity_cosets": len(identity_indices),
+        "carrier_vertices": aug.carrier.num_vertices,
+        "carrier_edges": int(aug.carrier.num_edges),
+        "depth": depth,
+    }]
 
 
-def _fraction_param(key: str, value) -> Fraction:
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"params.{key}", f"not a rational number: {value!r}") from None
+def _run_delta(run: _Run) -> list[dict]:
+    target = run.graph
+    if run.values["depth"] is not None:
+        family, _, _, shapes = _shaped_family(run.ball, run.timings)
+        target = glue_horoballs(run.graph, family, shapes, run.values["depth"]).carrier
+    est = four_point_delta(target, sample=run.values["sample"], seed=run.seed)
+    return [{
+        "delta": str(est.delta),
+        "quadruples_checked": est.quadruples_checked,
+        "exhaustive": est.exhaustive,
+        "vertices": target.num_vertices,
+    }]
 
 
-def _int_param(params: dict, key: str, default: int | None = None, least: int = 1,
-               where: str = "") -> int:
-    """``params[key]`` (or ``default`` when absent) as an integer >= ``least``."""
-    value = params.get(key, default)
-    if not _is_count(value, least):
-        raise ConfigError(f"params.{where}{key}", f"must be an integer >= {least}")
-    return value
+def _run_convexity(run: _Run) -> list[dict]:
+    values = run.values
+    target, vertex_set = run.graph, values["set"]["vertices"]
+    if values["depth"] is not None:
+        h = build_restricted_horoball(run.graph, values["depth"])
+        target = h.carrier
+        if values["set"]["level_at_least"] is not None:
+            vertex_set = h.deep_vertices(values["set"]["level_at_least"])
+    report = convexity_defect(target, vertex_set, pair_filter=values["interior"],
+                              geodesic_cap=values["geodesic_cap"])
+    run.diagnostics["geodesic_cap_hits"] = report.truncated_pairs
+    return [{
+        "defect": report.defect,
+        "convex": report.convex,
+        "witnesses": [list(w) for w in report.witnesses[:10]],
+        "quasiconvexity": report.quasiconvexity_constant,
+        "pairs_checked": report.pairs_checked,
+    }]
 
 
-def _int_list_param(params: dict, key: str, least: int | None = 1, where: str = "") -> list[int]:
-    """``params[key]`` as a nonempty list of integers, each >= ``least``
-    unless ``least`` is None."""
-    value = params.get(key)
-    if not (isinstance(value, list) and value
-            and all(_is_int(x) and (least is None or x >= least) for x in value)):
-        bound = "" if least is None else f" >= {least}"
-        raise ConfigError(f"params.{where}{key}", f"must be a nonempty list of integers{bound}")
-    return value
+def _run_shortcut(run: _Run) -> list[dict]:
+    values = run.values
+    profile, witnesses = shortcut_profile(run.graph, values["K"], values["n_list"], values["lambda"],
+                                          node_cap=values["node_cap"], restrict=values["restrict"])
+    run.artifact("profile.csv").write_text(profile.to_csv(), encoding="utf-8")
+    return profile.to_json_rows(witnesses)
+
+
+def _run_convexify(run: _Run) -> list[dict]:
+    rows = convexify_experiment(
+        run.ball, run.values["depths"],
+        verify_cosets=run.values["verify_cosets"],
+        geodesic_cap=run.values["geodesic_cap"],
+        diagnostics=run.diagnostics.setdefault("depths", []),
+        timings=run.timings,
+    )
+    convexify_gate(rows)
+    return rows
+
+
+def _run_milnor_svarc(run: _Run) -> list[dict]:
+    return milnor_svarc_experiment(run.ball, run.values["depth"], run.values["t_list"], run.timings,
+                                   run.diagnostics.setdefault("distance_tables", []))
+
+
+# -- parameter schemas ------------------------------------------------------------
+
+
+_ABSENT = object()  # the default of a field that may be left out: it parses to None
+
+
+@dataclass(frozen=True)
+class Kind:
+    """An experiment kind: its parameter schema, whether it needs a group
+    instance (True, or the parameter that needs one when given), its runner,
+    and a check across its parsed parameters.  The schema maps a field to
+    (parser, default), or (parser, default, fields) for an object, whose
+    parser gets its parsed fields (see ``_parse_fields``)."""
+
+    params: dict[str, tuple]
+    needs_group: bool | str
+    run: Callable[[_Run], list[dict]]
+    check: Callable[[dict], None] | None = None
+
+
+def _parse_fields(fields: dict[str, tuple], obj: dict, where: str, unknown: str = "unknown field") -> dict:
+    """The fields of ``obj`` at path ``where``, parsed.  A parser takes
+    (value, path) and raises ``ConfigError`` at the path (or
+    ``ResourceLimitError`` for a count over its budget).  A missing field's
+    default is parsed like a given value, so None makes the field required,
+    and ``_ABSENT`` makes it parse to None."""
+    for key in obj:
+        if key not in fields:
+            raise ConfigError(f"{where}.{key}", unknown)
+    values = {}
+    for key, (parse, default, *nested) in fields.items():
+        value, path = obj.get(key, default), f"{where}.{key}"
+        if value is _ABSENT:
+            values[key] = None
+        elif not nested:
+            values[key] = parse(value, path)
+        elif not isinstance(value, dict):
+            raise ConfigError(path, "must be {" + ", ".join(nested[0]) + "}")
+        else:
+            values[key] = parse(_parse_fields(nested[0], value, path), path)
+    return values
+
+
+def _check_convexity(values: dict) -> None:
+    if values["depth"] is None and values["set"]["vertices"] is None:
+        raise ConfigError("params.set", "need vertices (or a horoball depth)")
+    if values["set"]["level_at_least"] is None and values["set"]["vertices"] is None:
+        raise ConfigError("params.set", "need level_at_least or vertices")
+
+
+_DEPTH = (_integer(1), None)
+_BUDGET = (_integer(1), DEFAULT_BALL_BUDGET)
+
+KINDS: dict[str, Kind] = {
+    "build-horoball": Kind({"depth": _DEPTH}, False, _run_build_horoball),
+    "augment": Kind({"depth": _DEPTH}, True, _run_augment),
+    "delta": Kind({
+        "sample": (_sample, "all"),
+        "depth": (_integer(1), _ABSENT),
+    }, "depth", _run_delta),
+    "convexity": Kind({
+        "set": (lambda value, path: value, None,
+                {"level_at_least": (_integer(1), _ABSENT), "vertices": (_integers(), _ABSENT)}),
+        "depth": (_integer(1), _ABSENT),
+        "interior": (lambda value, path: InteriorFilter(**value), _ABSENT,
+                     {"basepoint": (_integer(0), None), "radius": (_integer(0), None)}),
+        "geodesic_cap": (_integer(0), 64),
+    }, False, _run_convexity, _check_convexity),
+    "shortcut": Kind({
+        "K": (_rational, "1"),
+        "n_list": (_cycle_lengths, None),
+        "lambda": (_lambda_grid, None,
+                   {"lo": (_rational, None), "hi": (_rational, None), "step": (_rational, "1/4")}),
+        "restrict": (_checked(lambda v: v is None or isinstance(v, list) and all(map(_is_int, v)),
+                              "must be a list of vertex ids"), None),
+        "node_cap": (_integer(1), 2_000_000),
+    }, False, _run_shortcut),
+    "milnor-svarc": Kind({"depth": _DEPTH, "t_list": (_integers(0), None), "budget": _BUDGET},
+                         True, _run_milnor_svarc),
+    "convexify-experiment": Kind({
+        "depths": (_integers(1), None),
+        "verify_cosets": (_integer(0), 3),
+        "geodesic_cap": (_integer(0), 32),
+        "budget": _BUDGET,
+    }, True, _run_convexify),
+}

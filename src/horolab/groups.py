@@ -42,6 +42,13 @@ DEFAULT_BALL_BUDGET = 200_000
 # and depth 5 (acceptance criterion 07) has 66,921 + 5 * 133,842 = 736,131.
 CARRIER_BUDGET = 1_000_000
 
+# Largest count a config sets for a loop or a table that no other budget
+# bounds: four-point samples, the cells of the largest cycle's metric table
+# (n^2), the values of a lambda grid, and the generator-table cells of a
+# rank-r free or free abelian radius-1 ball (2r(2r + 1)).  Checked before any
+# of them is built.
+COUNT_BUDGET = 1_000_000
+
 # Largest code range, per ball element, that a free abelian ball looks its
 # translations up in through a dense table rather than a sorted search.
 _DENSE_CODES_PER_ELEMENT = 16
@@ -144,6 +151,9 @@ class GroupSpec:
         for kind in ("free", "free_abelian"):
             if kind in obj and (not isinstance(obj[kind], int) or isinstance(obj[kind], bool)):
                 raise InputError(f"{kind} rank must be an integer: {obj[kind]!r}")
+            if kind in obj and obj[kind] > 0 and 2 * obj[kind] * (2 * obj[kind] + 1) > COUNT_BUDGET:
+                raise ResourceLimitError(f"{kind} rank {obj[kind]}: the generator table of its radius-1 "
+                                         f"ball exceeds the count budget of {COUNT_BUDGET} cells")
         if "free" in obj:
             return free(obj["free"], names=names)
         if "free_abelian" in obj:

@@ -14,9 +14,11 @@ and computes the shape table: one distance matrix per member shape.  A
 has one shape per template.  ``_glue`` then emits the edges and per-vertex
 provenance of all members of a shape at once.  ``build_augmented`` runs the
 two in a row; ``glue_horoballs`` takes a shape table already computed, so an
-experiment over several depths builds it once.  The restricted horoball
-over a whole base is the one-member case: the gluing over
-``Subgraph.whole(base)``.  A carrier keeps its per-vertex provenance as
+experiment over several depths builds it once, and it is the only caller of
+``_glue``.  The restricted horoball over a whole base is the one-member
+case: ``RestrictedHoroball`` is a view over the ``AugmentedSpace`` glued
+over ``Subgraph.whole(base)`` that adds the level-major id arithmetic of
+the geodesic functions.  A carrier keeps its per-vertex provenance as
 arrays (``columns``); ``io.write_carrier`` renders its labels and
 vertex_meta from them.
 """
@@ -44,20 +46,22 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 class RestrictedHoroball:
-    """Depth-``depth`` horoball over ``base``.
+    """Depth-``depth`` horoball over ``base``: a view over the one-member
+    ``AugmentedSpace`` glued over ``Subgraph.whole(base)``, which has its
+    ``base``, ``depth``, ``carrier`` and ``columns``.
 
-    Vertex ids are level-major: (v, k) has id k*|base| + v, so level 0 keeps
-    the base's own ids.  ``columns`` is the carrier's provenance, as in
-    ``AugmentedSpace.columns``: every vertex is a copy in member 0.
+    Vertex ids are level-major: (v, k) has id k*|base| + v, since the
+    member's level-k block starts at k*|base|, and level 0 keeps the base's
+    own ids.  ``columns`` marks every vertex, level 0 included, as a copy in
+    member 0, so ``io.write_carrier`` labels it ``x@k``.
     """
 
-    def __init__(self, base: Graph, depth: int, carrier: Graph, base_oracle: DistanceOracle,
-                 columns: tuple):
-        self.base = base
-        self.depth = depth
-        self.carrier = carrier
-        self.base_oracle = base_oracle
-        self.columns = columns
+    def __init__(self, space: AugmentedSpace):
+        self.base, self.depth, self.carrier = space.base, space.depth, space.carrier
+        self.columns = space.columns
+        self.base_oracle = DistanceOracle(space.base)
+        kind, alpha, _, _ = self.columns
+        kind[:], alpha[:] = 1, 0
 
     def vertex_id(self, base_vertex: int, level: int) -> int:
         if not 0 <= base_vertex < self.base.num_vertices or not 0 <= level <= self.depth:
@@ -71,9 +75,6 @@ class RestrictedHoroball:
     def base_of(self, vid: int) -> int:
         self._check(vid)
         return vid % self.base.num_vertices
-
-    def base_distance(self, x: int, y: int) -> int:
-        return self.base_oracle.distance(x, y)
 
     def level_vertices(self, level: int) -> range:
         if not 0 <= level <= self.depth:
@@ -94,20 +95,12 @@ class RestrictedHoroball:
 
 
 def build_restricted_horoball(base: Graph, depth: int) -> RestrictedHoroball:
-    """Depth-``depth`` horoball over all of ``base``: the gluing step of
-    ``build_augmented`` over the one member ``Subgraph.whole(base)``, whose
-    level-k block starts at k*|base|.  Every vertex, level 0 included, counts
-    as a vertex of that member's horoball: its kind is 1 and its member 0 at
-    every level, so ``io.write_carrier`` labels it ``x@k``.
-    """
+    """Depth-``depth`` horoball over all of ``base``: the view over
+    ``glue_horoballs`` of the one member ``Subgraph.whole(base)``."""
     if not base.is_connected():
         raise InputError("horoball base must be connected")
     family = (Subgraph.whole(base),)
-    edges, kind, alpha, base_vertex, level, _ = _glue(base, family, member_shapes(base, family), depth)
-    kind[:] = 1
-    alpha[:] = 0
-    return RestrictedHoroball(base, depth, Graph(len(kind), edges), DistanceOracle(base),
-                              (kind, alpha, base_vertex, level))
+    return RestrictedHoroball(glue_horoballs(base, family, member_shapes(base, family), depth))
 
 
 def _crossing_costs(d_base, k: int, l: int, depth: int) -> list:
@@ -116,9 +109,14 @@ def _crossing_costs(d_base, k: int, l: int, depth: int) -> list:
     ``d_base`` = d(x, y): (m-k) + (m-l) + ceil(D / 2^m).
 
     ``d_base`` may be an int or an integer array of base distances; each
-    cost then has its shape.
+    cost then has its shape.  The list stops at the first m with 2^m >= max
+    D (or at ``depth``): from there on every ceil(D / 2^m) stays 0 or 1, so
+    each further cost is 2 more than the one before, and stopping keeps the
+    minimum and its first index.
     """
-    return [(m - k) + (m - l) + _ceil_div(d_base, 2**m) for m in range(max(k, l), depth + 1)]
+    saturated = max(int(np.max(d_base, initial=0)) - 1, 0).bit_length()
+    top = min(depth, max(k, l, saturated))
+    return [(m - k) + (m - l) + _ceil_div(d_base, 2**m) for m in range(max(k, l), top + 1)]
 
 
 def crossing_distance(d_base, k: int, l: int, depth: int):
@@ -136,7 +134,7 @@ def horoball_distance(h: RestrictedHoroball, v1: int, v2: int) -> int:
     """Exact carrier distance, via ``crossing_distance``."""
     x, k = h.base_of(v1), h.level_of(v1)
     y, l = h.base_of(v2), h.level_of(v2)
-    return int(crossing_distance(h.base_distance(x, y), k, l, h.depth))
+    return int(crossing_distance(h.base_oracle.distance(x, y), k, l, h.depth))
 
 
 @dataclass(frozen=True)
@@ -181,25 +179,11 @@ def _lex_first_base_geodesic(h: RestrictedHoroball, x: int, y: int) -> list[int]
 
 
 def normal_form_geodesic(h: RestrictedHoroball, v1: int, v2: int) -> GeodesicNormalForm:
+    """The ascend-cross-descend geodesic from ``v1`` to ``v2``.  Over one
+    base vertex (D = 0) the crossing is that vertex at level max(k, l)."""
     x, k = h.base_of(v1), h.level_of(v1)
     y, l = h.base_of(v2), h.level_of(v2)
-
-    if x == y:
-        top = max(k, l)
-        if k > l:
-            ascent = [h.vertex_id(x, k)]
-            descent = [h.vertex_id(x, j) for j in range(k, l - 1, -1)]
-        else:
-            ascent = [h.vertex_id(x, j) for j in range(k, l + 1)]
-            descent = [h.vertex_id(x, l)]
-        return GeodesicNormalForm(
-            ascent=Path(tuple(ascent)),
-            crossing=Path((h.vertex_id(x, top),)),
-            descent=Path(tuple(descent)),
-            top_level=top,
-        )
-
-    d_base = h.base_distance(x, y)
+    d_base = h.base_oracle.distance(x, y)
     costs = _crossing_costs(d_base, k, l, h.depth)
     m = max(k, l) + costs.index(min(costs))
     if m < h.depth and _ceil_div(d_base, 2**m) in (4, 5):
@@ -360,44 +344,35 @@ def verify_geodesic_shape(h: RestrictedHoroball, p: Path) -> ShapeReport:
 # -- augmented spaces ---------------------------------------------------------
 
 
+@dataclass(eq=False, repr=False)
 class AugmentedSpace:
     """A base graph with one depth-``depth`` horoball glued onto each family
-    member along its level 0."""
+    member along its level 0.
 
-    def __init__(self, base, family, depth, carrier, kind, alpha, base_vertex, level, block_starts,
-                 shapes):
-        self.base: Graph = base
-        self.family: Sequence[Subgraph] = family
-        self.depth: int = depth
-        self.carrier: Graph = carrier
-        self._kind = kind            # 0 = base vertex, 1 = horoball copy
-        self._alpha = alpha          # family index, -1 for base vertices
-        self._base_vertex = base_vertex
-        self._level = level
-        self._block_starts = block_starts
-        self._shape_of, self._dmats = shapes  # see member_shapes
+    ``columns`` is the carrier's provenance, the arrays (kind, alpha,
+    base_vertex, level): kind 0 on base vertices and 1 on horoball copies,
+    alpha the member index (-1 on base vertices).  Member ``a``'s level-k
+    copy starts at id ``_block_starts[a] + (k-1)*s``, s its size."""
 
-    @property
-    def columns(self) -> tuple:
-        """The carrier's provenance arrays (kind, alpha, base_vertex, level):
-        kind 0 on base vertices and 1 on horoball copies, alpha the member
-        index (-1 on base vertices)."""
-        return self._kind, self._alpha, self._base_vertex, self._level
+    base: Graph
+    family: Sequence[Subgraph]
+    depth: int
+    carrier: Graph
+    columns: tuple
+    _block_starts: list[int]
+    _shapes: tuple  # see member_shapes
 
     def provenance(self, vid: int) -> tuple:
         if not 0 <= vid < self.carrier.num_vertices:
             raise InputError(f"unknown vertex id {vid}")
-        if self._kind[vid] == 0:
-            return ("gamma", int(self._base_vertex[vid]))
-        return ("horo", int(self._alpha[vid]), int(self._base_vertex[vid]), int(self._level[vid]))
-
-    def level_of(self, vid: int) -> int:
-        return int(self._level[vid])
+        kind, alpha, base_vertex, level = (int(column[vid]) for column in self.columns)
+        return ("horo", alpha, base_vertex, level) if kind else ("gamma", base_vertex)
 
     def member_metric(self, alpha: int) -> np.ndarray:
         """Member ``alpha``'s int32 distance matrix over its local indices,
         shared by every member of its shape."""
-        return self._dmats[self._shape_of[alpha]]
+        shape_of, dmats = self._shapes
+        return dmats[shape_of[alpha]]
 
     def horo_vertex(self, alpha: int, base_vid: int, level: int) -> int:
         """Carrier id of the level-``level`` copy of a member vertex."""
@@ -590,9 +565,8 @@ def glue_horoballs(
     measures the members once.  The carrier graph holds the edges only; its
     labels and vertex_meta are rendered from ``AugmentedSpace.columns`` by
     ``io.write_carrier``."""
-    edges, kind, alpha, base_vertex, level, block_starts = _glue(base, family, shapes, depth)
-    return AugmentedSpace(base, family, depth, Graph(len(kind), edges), kind, alpha, base_vertex,
-                          level, block_starts, shapes)
+    edges, columns, block_starts = _glue(base, family, shapes, depth)
+    return AugmentedSpace(base, family, depth, Graph(len(columns[0]), edges), columns, block_starts, shapes)
 
 
 def _glue(base: Graph, family: Sequence[Subgraph], shapes, depth: int) -> tuple:
@@ -608,10 +582,10 @@ def _glue(base: Graph, family: Sequence[Subgraph], shapes, depth: int) -> tuple:
     a few shapes however many members it has (Z^2*Z^2 at radius 4: 1,970
     members, 5 shapes).
 
-    Returns (edges, kind, alpha, base_vertex, level, block_starts): kind is 0
-    on base vertices and 1 on horoball copies, alpha the member index (-1 on
-    base vertices).  A carrier of more than ``CARRIER_BUDGET`` vertices
-    raises ``ResourceLimitError`` before any carrier array is allocated.
+    Returns (edges, columns, block_starts), with the provenance columns
+    (kind, alpha, base_vertex, level) of ``AugmentedSpace``.  A carrier of
+    more than ``CARRIER_BUDGET`` vertices raises ``ResourceLimitError``
+    before any carrier array is allocated.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
@@ -654,11 +628,14 @@ def _glue(base: Graph, family: Sequence[Subgraph], shapes, depth: int) -> tuple:
         # vertical edges: level 0 (the member itself) up to level depth
         below = np.concatenate([bottom[:, None, :], ids[:, :-1, :]], axis=1)
         chunks.append(np.stack([below.ravel(), ids.ravel()], axis=1))
-        # horizontal edges at levels >= 1 (level 0 edges are base edges)
-        for k in range(1, depth + 1):
+        # horizontal edges at levels >= 1 (level 0 edges are base edges);
+        # from the first level whose 2^k reaches the shape's diameter on,
+        # every level joins all pairs, so those levels take one pair list
+        saturated = max(1, max(int(dmat.max(initial=0)) - 1, 0).bit_length())
+        for k in range(1, min(depth, saturated) + 1):
             iu, iv = np.nonzero(np.triu((dmat > 0) & (dmat <= 2**k), k=1))
-            level_ids = ids[:, k - 1, :]
-            chunks.append(np.stack([level_ids[:, iu].ravel(), level_ids[:, iv].ravel()], axis=1))
+            levels = ids[:, k - 1:k if k < saturated else depth, :]
+            chunks.append(np.stack([levels[:, :, iu].ravel(), levels[:, :, iv].ravel()], axis=1))
 
     edges = np.concatenate(chunks, axis=0)
-    return edges, kind, alpha, base_vertex, level, block_starts.tolist()
+    return edges, (kind, alpha, base_vertex, level), block_starts.tolist()

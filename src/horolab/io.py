@@ -98,17 +98,22 @@ def graph_from_json(obj: dict) -> Graph:
     edges = obj.get("edges")
     if not isinstance(vertices, list) or not isinstance(edges, list):
         raise InputError("graph document needs 'vertices' and 'edges' arrays")
-    ids = [v.get("id") for v in vertices]
-    if ids != list(range(len(vertices))):
+    n = len(vertices)
+    # ids and ends are ints as JSON spells them: ``true`` and ``1.0`` are not ids
+    if not all(isinstance(v, dict) and type(v.get("id")) is int and v["id"] == i
+               for i, v in enumerate(vertices)):
         raise InputError("vertex ids must be dense and sorted 0..n-1")
     labels = None
     if any("label" in v for v in vertices):
         labels = [str(v.get("label", v["id"])) for v in vertices]
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and e[0] < e[1]):
-            raise InputError(f"malformed edge entry {e!r}: expected [u, v] with u < v")
-    return Graph(len(vertices), [(e[0], e[1]) for e in edges], labels=labels,
-                 metadata=obj.get("metadata") or {})
+        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)
+                and 0 <= e[0] < e[1] < n):
+            raise InputError(f"malformed edge entry {e!r}: expected [u, v] with 0 <= u < v < {n}")
+    metadata = obj.get("metadata") or {}
+    if not isinstance(metadata, dict):
+        raise InputError("graph metadata must be an object")
+    return Graph(n, [(e[0], e[1]) for e in edges], labels=labels, metadata=metadata)
 
 
 def write_graph(g: Graph, path: str | pathlib.Path) -> None:
@@ -343,11 +348,17 @@ def _encode(value: Any, pad: str) -> str:
 
 
 def read_graph(path: str | pathlib.Path) -> Graph:
+    return graph_from_json(read_json(path, "graph file"))
+
+
+def read_json(path: str | pathlib.Path, what: str) -> Any:
+    """The JSON document in a UTF-8 file; ``InputError`` naming ``what`` if
+    the file cannot be read (missing, a directory, not UTF-8, a NUL in the
+    path) or is not JSON (nesting too deep included)."""
     try:
-        obj = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"not valid JSON: {path}") from exc
-    return graph_from_json(obj)
+        return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from None
 
 
 def to_dot(g: Graph, name: str = "G", levels: Sequence[int] | None = None,

@@ -53,13 +53,13 @@ class LambdaGrid:
         if self.step <= 0:
             raise InputError("lambda step must be positive")
 
+    def size(self) -> int:
+        """The number of values, floor((hi - lo) / step) + 1 (0 when hi < lo),
+        counted without listing them."""
+        return max(0, math.floor((self.hi - self.lo) / self.step) + 1)
+
     def values(self) -> list[Fraction]:
-        out = []
-        v = self.lo
-        while v <= self.hi:
-            out.append(v)
-            v += self.step
-        return out
+        return [self.lo + i * self.step for i in range(self.size())]
 
     @classmethod
     def of(cls, lo, hi, step="1/4") -> "LambdaGrid":
@@ -279,7 +279,6 @@ class ProfileRow:
 
 @dataclass(frozen=True)
 class ShortcutProfile:
-    target_size: int
     rows: tuple[ProfileRow, ...]
 
     def to_csv(self) -> str:
@@ -354,5 +353,4 @@ def shortcut_profile(
     results = [run_one(n) for n in n_list]
 
     witnesses = {row.cycle_length: emb for row, emb in results if emb is not None}
-    return ShortcutProfile(target_size=target.num_vertices,
-                           rows=tuple(row for row, _ in results)), witnesses
+    return ShortcutProfile(tuple(row for row, _ in results)), witnesses

@@ -53,6 +53,24 @@ def test_unknown_fields_are_rejected_with_paths():
         validate_config({**base, "instance": {"group": {"free_abelian": 2}}})
 
 
+def test_readme_has_a_parameter_table_per_kind():
+    """Each kind's README table lists exactly its schema fields (nested ones
+    as ``object.field``), with the schema's default where it is a value."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    for name, kind in experiments.KINDS.items():
+        section = readme.split(f"#### `{name}`", 1)[1].split("\n#", 1)[0]
+        rows = {line.split("|")[1].strip().strip("`"): line for line in section.splitlines()
+                if line.startswith("| `")}
+        fields = {}
+        for key, (_, default, *nested) in kind.params.items():
+            fields[key] = default
+            fields.update({f"{key}.{sub}": spec[1] for sub, spec in (nested[0].items() if nested else ())})
+        assert set(rows) == set(fields), name
+        for key, default in fields.items():
+            if default is not None and default is not experiments._ABSENT:
+                assert f"`{json.dumps(default)}`" in rows[key], (name, key)
+
+
 def test_instance_builders(tmp_path):
     g, ball, _ = build_instance_graph({"cycle": 12})
     assert g.num_vertices == 12 and ball is None
@@ -548,6 +566,121 @@ def test_cli_rejects_booleans_as_integers(tmp_path, capsys, kind, instance, para
     assert stream in capsys.readouterr().err
 
 
+_GRAPH_FILES = {
+    "vertex-null": b'{"version": 1, "vertices": [null], "edges": []}',
+    "id-true": b'{"version": 1, "vertices": [{"id": true}], "edges": []}',
+    "ids-bool": b'{"version": 1, "vertices": [{"id": false}, {"id": true}], "edges": [[0, 1]]}',
+    "edge-bool": b'{"version": 1, "vertices": [{"id": 0}, {"id": 1}], "edges": [[false, true]]}',
+    "edge-float": b'{"version": 1, "vertices": [{"id": 0}, {"id": 1}], "edges": [[0.0, 1]]}',
+    "edge-huge": b'{"version": 1, "vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 1180591620717411303424]]}',
+    "metadata-list": b'{"version": 1, "vertices": [{"id": 0}], "edges": [], "metadata": [1]}',
+    "not-utf8": b'\xff\xfe{"version": 1}',
+    "nested-too-deep": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("case, stream", [
+    ("config-directory", "config error: --config: cannot read config"),
+    ("config-not-utf8", "config error: --config: cannot read config"),
+    ("graph-file-not-a-string", "config error: instance.graph_file"),
+    ("graph-file-missing", "input error: cannot read graph file"),
+    ("graph-file-directory", "input error: cannot read graph file"),
+    ("out-under-a-file", "input error: cannot make the output directory"),
+    *[(f"graph-{name}", "input error") for name in _GRAPH_FILES],
+])
+def test_cli_rejects_bad_files_and_paths(tmp_path, capsys, case, stream):
+    """Unreadable configs and graph files, graph documents that spell ids
+    as booleans or floats, and an output directory under a regular file
+    exit 2 with a message, not a traceback."""
+    instance = {"cycle": 6}
+    if case.startswith("graph-") and case[len("graph-"):] in _GRAPH_FILES:
+        (tmp_path / "g.json").write_bytes(_GRAPH_FILES[case[len("graph-"):]])
+        instance = {"graph_file": str(tmp_path / "g.json")}
+    elif case != "out-under-a-file" and case.startswith("graph-file"):
+        instance = {"graph_file": {"graph-file-not-a-string": 5, "graph-file-missing": str(tmp_path / "nope.json"),
+                                   "graph-file-directory": str(tmp_path)}[case]}
+    cfg = write_config(tmp_path, {"version": 1, "experiment": "delta", "instance": instance})
+    out = tmp_path / "out"
+    if case == "config-directory":
+        cfg = str(tmp_path)
+    elif case == "config-not-utf8":
+        pathlib.Path(cfg).write_bytes(b'\xff{"version": 1}')
+    elif case == "out-under-a-file":
+        (tmp_path / "plain").write_text("x", encoding="utf-8")
+        out = tmp_path / "plain" / "out"
+    assert main(["delta", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert stream in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, instance, params, stream", [
+    ("delta", {"path": 2**70}, {}, "path of 1180591620717411303425 vertices exceeds the budget of 200000"),
+    ("delta", {"grid": [2**70, 2]}, {}, "grid of 2361183241434822606848 vertices exceeds the budget of 200000"),
+    ("delta", {"cycle": 200_001}, {}, "cycle of 200001 vertices exceeds the budget of 200000"),
+    ("delta", {"cycle": 6}, {"sample": 2**70}, "params.sample: 1180591620717411303424 sampled quadruples"),
+    ("shortcut", {"cycle": 8}, {"n_list": [10_000], "lambda": {"lo": "1", "hi": "2"}},
+     "params.n_list: 100000000 cycle-table cells"),
+    ("shortcut", {"cycle": 8}, {"n_list": [4], "lambda": {"lo": "1", "hi": "1000000000", "step": "1/1000"}},
+     "params.lambda: 999999999001 lambda values"),
+    ("augment", {"group": {"free": 2**70}, "radius": 3}, {"depth": 1}, "free rank 1180591620717411303424"),
+    ("shortcut", {"cycle": 8}, {"K": "1e10000000", "n_list": [4], "lambda": {"lo": "1", "hi": "2"}},
+     "params.K: the exponent of '1e10000000' is over 10000"),
+    ("shortcut", {"cycle": 8}, {"K": "1e5000", "n_list": [4], "lambda": {"lo": "1", "hi": "2"}},
+     "params.K: '1e5000' has more than 10000 bits"),
+    ("shortcut", {"cycle": 8}, {"n_list": [4], "lambda": {"lo": "1", "hi": "2", "step": f"1/{'9' * 4000}"}},
+     "params.lambda.step: '1/999"),
+], ids=["path", "grid", "cycle", "sample", "cycle-table", "lambda-grid", "free-rank", "K-exponent", "K-digits",
+        "step-digits"])
+def test_cli_counts_over_their_budget_exit_3(tmp_path, capsys, kind, instance, params, stream):
+    """Instance sizes, sample counts, cycle tables, lambda grids and group
+    ranks are counted in Python integers and refused before anything of
+    that size is built."""
+    cfg = write_config(tmp_path, {"version": 1, "experiment": kind, "instance": instance, "params": params})
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert f"resource limit: {stream}" in err and "Traceback" not in err
+
+
+def test_budgets_admit_every_benchmark_config(monkeypatch):
+    """Every config the benchmark runs passes validation, budgets included."""
+    import importlib.util
+    import sys
+
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    for ops in workloads.WORKLOADS.values():
+        for op in ops:
+            validate_config(op.config("graph.json" if op.graph else None))
+
+
+def test_cli_milnor_svarc_past_the_saturating_depth(tmp_path):
+    """On Z^2 at radius 3 every word distance is at most 6, so depths past 3
+    add nothing: depth 2**70 gives the rows of depth 3 (it once overflowed
+    int32 in the crossing costs)."""
+    rows = {}
+    for depth in (3, 2**70):
+        cfg = write_config(tmp_path, {"version": 1, "experiment": "milnor-svarc",
+                                      "instance": {"group": {"free_abelian": 2}, "radius": 3},
+                                      "params": {"depth": depth, "t_list": [1, 2, 4]}})
+        assert main(["milnor-svarc", "--config", cfg, "--out", str(tmp_path / str(depth))]) == EXIT_OK
+        rows[depth] = json.loads((tmp_path / str(depth) / "report.json").read_text())["rows"]
+    assert rows[2**70] == rows[3]
+
+
+def test_report_echoes_the_config_as_given(tmp_path):
+    """Parsed values and defaults stay out of the report's config echo."""
+    params = {"n_list": [4], "lambda": {"lo": "1", "hi": "2"}}
+    cfg = validate_config({"version": 1, "experiment": "shortcut", "instance": {"cycle": 6}, "params": params})
+    assert cfg.values["K"] == 1 and cfg.values["node_cap"] == 2_000_000
+    run_experiment(cfg, tmp_path / "out")
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert doc["config"] == {"version": 1, "experiment": "shortcut", "instance": {"cycle": 6},
+                             "params": params, "seed": 0}
+
+
 def test_cli_convexity_on_a_long_path(tmp_path):
     # geodesic enumeration along 3000 edges must not recurse per vertex
     cfg = write_config(tmp_path, {
@@ -581,6 +714,21 @@ def test_cli_convexity_across_two_components(tmp_path, capsys, cap, code):
 
 _ODD_VALUES = st.one_of(st.booleans(), st.integers(-3, -1), st.floats(allow_nan=True, allow_infinity=True),
                         st.text(max_size=2), st.none())
+_ODD_FIELDS = st.one_of(_ODD_VALUES, st.just(2**70), st.just([]), st.just({}))
+
+
+def _exit_code(config, graph_text: str | None = None) -> int:
+    """``main`` on ``config`` (and a graph file with ``graph_text``, which
+    a ``"graph_file": "<graph>"`` instance names), in a fresh directory."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        if graph_text is not None:
+            (pathlib.Path(tmp) / "graph.json").write_text(graph_text, encoding="utf-8")
+            config = json.loads(json.dumps(config).replace('"<graph>"', json.dumps(str(pathlib.Path(tmp) / "graph.json"))))
+        cfg = pathlib.Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        return main([config["experiment"], "--config", str(cfg), "--out", str(pathlib.Path(tmp) / "out")])
 _ODD_IDS = st.one_of(_ODD_VALUES, st.integers(-3, 40), st.just(2**70))
 # past the carrier budget on every small instance: inside int64, and past it
 _HUGE_DEPTHS = st.sampled_from([10**6, 2**62, 2**63, 2**70])
@@ -620,13 +768,7 @@ def _convexity_configs(draw):
 def test_cli_convexity_front_door_never_raises(config):
     """Any convexity config ends in a documented exit code, not a traceback:
     odd caps (bools, negatives, floats, 2**70), sets, interiors and depths."""
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = pathlib.Path(tmp) / "config.json"
-        cfg.write_text(json.dumps(config), encoding="utf-8")
-        code = main(["convexity", "--config", str(cfg), "--out", str(pathlib.Path(tmp) / "out")])
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RESOURCE, EXIT_VIOLATION)
+    assert _exit_code(config) in (EXIT_OK, EXIT_CONFIG, EXIT_RESOURCE, EXIT_VIOLATION)
 
 
 @st.composite
@@ -651,13 +793,104 @@ def _carrier_configs(draw):
 def test_cli_carrier_front_door_never_raises(config):
     """Any build-horoball or augment config ends in a documented exit code,
     not a traceback: depths up to 2**70, booleans, floats and negatives."""
-    import tempfile
+    assert _exit_code(config) in (EXIT_OK, EXIT_CONFIG, EXIT_RESOURCE, EXIT_VIOLATION)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = pathlib.Path(tmp) / "config.json"
-        cfg.write_text(json.dumps(config), encoding="utf-8")
-        code = main([config["experiment"], "--config", str(cfg), "--out", str(pathlib.Path(tmp) / "out")])
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RESOURCE, EXIT_VIOLATION)
+
+def _paths(value, prefix=()) -> list[tuple]:
+    """The key path of every value nested in dicts and lists."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    return [path for key, item in items for path in [prefix + (key,), *_paths(item, prefix + (key,))]]
+
+
+@st.composite
+def _with_an_odd_field(draw, doc: dict, keep: tuple = ()) -> dict:
+    """``doc`` with at most one value anywhere in it (outside ``keep``)
+    replaced by an odd value or dropped."""
+    doc = json.loads(json.dumps(doc))  # a copy: sampled instances are shared
+    paths = [path for path in _paths(doc) if path[0] not in keep]
+    path = draw(st.sampled_from([None, *paths]))
+    if path is not None:
+        *head, last = path
+        holder = doc
+        for key in head:
+            holder = holder[key]
+        if isinstance(holder, dict) and draw(st.booleans()):
+            del holder[last]
+        else:
+            holder[last] = draw(_ODD_FIELDS)
+    return doc
+
+
+_ZZ = {"free_product": [{"free_abelian": 1}, {"free_abelian": 1}]}
+_SMALL_GRAPHS = st.sampled_from([{"cycle": 6}, {"path": 4}, {"grid": [2, 3]}])
+# every kind's valid configs on small instances; a fuzzed config changes one field of one
+_FRONT_DOORS = {
+    "delta": (st.one_of(_SMALL_GRAPHS, st.just({"group": _ZZ, "radius": 2})), st.fixed_dictionaries(
+        {}, optional={"sample": st.one_of(st.just("all"), st.integers(1, 50)), "depth": st.integers(1, 2)})),
+    "shortcut": (_SMALL_GRAPHS, st.fixed_dictionaries({
+        "n_list": st.lists(st.integers(3, 6), min_size=1, max_size=2),
+        "lambda": st.fixed_dictionaries({"lo": st.sampled_from(["1", "3/2"]), "hi": st.sampled_from(["1", "2"])},
+                                        optional={"step": st.sampled_from(["1/2", "1"])}),
+    }, optional={"K": st.sampled_from(["1", "6/5", "2"]), "restrict": st.lists(st.integers(0, 5), max_size=4),
+                 "node_cap": st.integers(1, 300)})),
+    "milnor-svarc": (st.sampled_from([{"group": {"free_abelian": 2}, "radius": 3}, {"group": _ZZ, "radius": 2}]),
+                     st.fixed_dictionaries({"depth": st.integers(1, 3), "t_list": st.lists(st.integers(0, 4), min_size=1,
+                                                                                           max_size=3),
+                                            "budget": st.integers(50, 2000)})),
+    "convexify-experiment": (
+        st.sampled_from([{"group": _ZZ, "radius": 2},
+                         {"group": {"free_product": [{"free_abelian": 2}, {"free_abelian": 1}]}, "radius": 2}]),
+        st.fixed_dictionaries({"depths": st.lists(st.integers(1, 3), min_size=1, max_size=3),
+                               "budget": st.integers(50, 2000)},
+                              optional={"verify_cosets": st.integers(0, 3), "geodesic_cap": st.integers(0, 40)})),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FRONT_DOORS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_front_door_never_raises(kind, data):
+    """Any delta, shortcut, milnor-svarc or convexify-experiment config ends
+    in a documented exit code, not a traceback: a valid config with one
+    field anywhere (instance, params, nested objects, list items, seed)
+    made a boolean, float, null, string, negative, 2**70, empty list or
+    empty object, or dropped."""
+    instances, params = _FRONT_DOORS[kind]
+    config = {"version": 1, "experiment": kind, "instance": data.draw(instances), "params": data.draw(params),
+              "seed": data.draw(st.integers(0, 5))}
+    config = data.draw(_with_an_odd_field(config, keep=("version", "experiment")))
+    assert _exit_code(config) in (EXIT_OK, EXIT_CONFIG, EXIT_RESOURCE, EXIT_VIOLATION)
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers(-3, 2**70) | st.floats() | st.text(max_size=3),
+                     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                                 max_size=4),
+                     max_leaves=12)
+
+
+@st.composite
+def _graph_documents(draw) -> dict:
+    """A small graph document with one odd value anywhere in it, or any
+    JSON document at all."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(_JSON)
+    n = draw(st.integers(0, 6))
+    pairs = {(min(e), max(e)) for e in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=8))}
+    doc = {"version": 1, "vertices": [{"id": v} for v in range(n)],
+           "edges": [[u, v] for u, v in sorted(pairs) if u < v < n], "metadata": {}}
+    if draw(st.booleans()):
+        doc["vertices"] = [dict(v, label=draw(_JSON)) for v in doc["vertices"]]
+    return draw(_with_an_odd_field(doc))
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_graph_documents(), kind=st.sampled_from(["delta", "build-horoball", "convexity"]))
+def test_cli_graph_files_never_raise(doc, kind):
+    """Any JSON document as a graph file ends in a documented exit code, not
+    a traceback, whichever kind reads it."""
+    params = {"delta": {}, "build-horoball": {"depth": 2}, "convexity": {"set": {"vertices": [0, 1]}}}[kind]
+    config = {"version": 1, "experiment": kind, "instance": {"graph_file": "<graph>"}, "params": params}
+    assert _exit_code(config, json.dumps(doc)) in (EXIT_OK, EXIT_CONFIG, EXIT_RESOURCE, EXIT_VIOLATION)
 
 
 @pytest.mark.parametrize("kind, instance, params", [

@@ -106,7 +106,7 @@ def _restricted_cases():
     return [pytest.param(base, id=name) for name, base in cases]
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3, 6])  # 2^6 passes every base's diameter
 @pytest.mark.parametrize("base", _restricted_cases())
 def test_restricted_horoball_document_matches_reference(base, depth, tmp_path):
     """Edges, ``x@k`` labels (level 0 included) and vertex_meta, byte for
@@ -136,6 +136,20 @@ def test_vertex_indexing_roundtrip():
 
 
 # -- distances ----------------------------------------------------------------
+
+
+def test_crossing_distance_stops_at_the_saturating_depth():
+    """Past the first level m with 2^m >= max D every further crossing costs
+    2 more, so a depth of 2**70 gives the minimum over all crossing levels,
+    for a table and for single distances, at any endpoint levels."""
+    def every_level(d, k, l, depth=64):  # the formula over every crossing level
+        return min((m - k) + (m - l) + -(-d // 2**m) for m in range(max(k, l), depth + 1))
+
+    table = distance_rows(cycle_graph(40), range(40))  # max D = 20, saturated at m = 5
+    for k, l in ((0, 0), (0, 3), (7, 2), (2, 9)):
+        expected = [[every_level(int(d), k, l) for d in row] for row in table]
+        assert crossing_distance(table, k, l, 2**70).tolist() == expected
+        assert [crossing_distance(d, k, l, 2**70) for d in range(60)] == [every_level(d, k, l) for d in range(60)]
 
 
 def test_vertical_distance():

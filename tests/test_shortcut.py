@@ -89,6 +89,20 @@ def test_query_validation():
         LambdaGrid.of(1, 2, 0)
 
 
+@pytest.mark.parametrize("lo, hi, step, size", [
+    (1, 2, "1/4", 5), (2, 3, "1/3", 4), (1, "7/4", "1/2", 2), (1, 1, 1, 1), (2, 1, 1, 0), ("3/2", 1, "1/4", 0),
+    (1, 10**9, "1/1000", 999_999_999_001),
+])
+def test_lambda_grid_is_counted_without_listing(lo, hi, step, size):
+    """``size`` is floor((hi - lo) / step) + 1, the length of ``values``."""
+    grid = LambdaGrid.of(lo, hi, step)
+    assert grid.size() == size
+    if size < 100:
+        values = grid.values()
+        assert len(values) == size and all(grid.lo <= v <= grid.hi for v in values)
+        assert values == sorted(values) and (not values or values[-1] + grid.step > grid.hi)
+
+
 def test_restriction_masks_images():
     g = cycle_graph(12)
     free_run = run(g, 3, 2, 1, 1)
