@@ -8,8 +8,9 @@ stamp the instance, and keep result rows separate from timings: identical
 Two tables drive the runner.  ``INSTANCES`` maps each instance kind to its
 parser, its vertex count where that is known before building, and its
 builder.  ``KINDS`` maps each experiment kind to its parameter schema (a
-parser and a default per field, nested for objects), whether it needs a
-group instance, its runner, and a check across its parameters.
+parser and a default per field; the ``set``, ``interior`` and ``lambda``
+objects have parsers that read their own fields), whether it needs a group
+instance, its runner, and a check across its parameters.
 ``validate_config`` parses the instance and every parameter once, before
 any work starts, and refuses counts over their budgets; the runners take
 the parsed values and raise no ``ConfigError``.
@@ -62,8 +63,7 @@ class ExperimentConfig:
     instance: dict  # as given, echoed in the report
     params: dict  # as given, echoed in the report
     seed: int
-    source: tuple = ()  # (instance kind, parsed value), see INSTANCES
-    values: dict = field(default_factory=dict)  # params parsed, defaults filled in
+    values: dict  # params parsed by ``validate_config``, defaults filled in
 
     def echo(self) -> dict:
         return {
@@ -108,23 +108,44 @@ def validate_config(obj: dict) -> ExperimentConfig:
     if not isinstance(name, str) or name not in KINDS:
         raise ConfigError("experiment", f"unknown experiment kind {name!r}")
     kind, instance, seed = KINDS[name], obj.get("instance"), obj.get("seed", 0)
-    source = _parse_instance(instance)
+    key, _ = _parse_instance(instance)
     if not _is_count(seed, 0):
         raise ConfigError("seed", "must be a nonnegative integer")
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params", "must be an object")
     values = _parse_fields(kind.params, params, "params", f"unknown parameter for {name}")
-    group = kind.needs_group
-    if source[0] != "group" and (group is True or group and values[group] is not None):
-        where = "instance" if group is True else f"params.{group}"
-        raise ConfigError(where, f"{name} needs a group instance")
+    if kind.needs_group and key != "group":
+        raise ConfigError("instance", f"{name} needs a group instance")
     if kind.check is not None:
         kind.check(values)
-    return ExperimentConfig(name, instance, params, seed, source, values)
+    return ExperimentConfig(name, instance, params, seed, values)
 
 
 # -- parsers --------------------------------------------------------------------
+#
+# A parser takes (value, path) and returns the parsed value, or raises
+# ``ConfigError`` at the path (``ResourceLimitError`` for a count over its
+# budget).  Instance parsers also get the instance object.
+
+REQUIRED = object()  # the default of a field that must be given
+
+
+def _parse_fields(fields: dict[str, tuple], obj: dict, where: str, unknown: str = "unknown field") -> dict:
+    """The fields of ``obj`` at path ``where``, parsed with the (parser,
+    default) of each field.  A missing field takes its default as it
+    stands, and a missing ``REQUIRED`` one goes to its parser as None."""
+    for key in obj:
+        if key not in fields:
+            raise ConfigError(f"{where}.{key}", unknown)
+    return {key: parse(obj.get(key), f"{where}.{key}") if key in obj or default is REQUIRED else default
+            for key, (parse, default) in fields.items()}
+
+
+def _object(fields: dict[str, tuple], value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(path, "must be {" + ", ".join(fields) + "}")
+    return _parse_fields(fields, value, path)
 
 
 def _is_int(value) -> bool:
@@ -136,8 +157,7 @@ def _is_count(value, least: int) -> bool:
 
 
 def _checked(ok: Callable[[Any], bool], message: str) -> Callable:
-    """A parser (value, path) that returns a value ``ok`` accepts and refuses
-    any other with ``message``."""
+    """A parser that returns a value ``ok`` accepts and refuses any other."""
     def parse(value, path: str, *_):
         if not ok(value):
             raise ConfigError(path, message)
@@ -156,27 +176,22 @@ def _integers(least: int | None = None) -> Callable:
                     "must be a nonempty list of integers" + ("" if least is None else f" >= {least}"))
 
 
-def _counted(value, path: str, count: int, what: str):
-    """``value``, unless ``count`` (of ``what``) is over ``COUNT_BUDGET``."""
+def _within_budget(count: int, path: str, what: str) -> None:
     if count > COUNT_BUDGET:
         raise ResourceLimitError(f"{path}: {count} {what} exceed the count budget of {COUNT_BUDGET}")
-    return value
 
 
 def _sample(value, path: str):
     if value != "all" and not _is_count(value, 1):
         raise ConfigError(path, "must be 'all' or a positive integer")
-    return _counted(value, path, 0 if value == "all" else value, "sampled quadruples")
+    _within_budget(0 if value == "all" else value, path, "sampled quadruples")
+    return value
 
 
 def _cycle_lengths(value, path: str) -> list[int]:
     value = _integers(3)(value, path)
-    return _counted(value, path, max(value) ** 2, "cycle-table cells")
-
-
-def _lambda_grid(value: dict, path: str) -> LambdaGrid:
-    grid = LambdaGrid(**value)
-    return _counted(grid, path, grid.size(), "lambda values")
+    _within_budget(max(value) ** 2, path, "cycle-table cells")
+    return value
 
 
 # Most bits a rational parameter's numerator or denominator may have: rows
@@ -186,17 +201,29 @@ _RATIONAL_BITS = 10_000
 
 
 def _rational(value, path: str) -> Fraction:
-    text = str(value)
-    exponent = text.lower().partition("e")[2].lstrip("+-")
+    # the exponent as ``Fraction`` reads it: surrounding space and
+    # underscores between digits allowed
+    exponent = str(value).strip().lower().partition("e")[2].lstrip("+-").replace("_", "")
     if exponent.isdecimal() and (len(exponent) > 5 or int(exponent) > _RATIONAL_BITS):
         raise ResourceLimitError(f"{path}: the exponent of {value!r} is over {_RATIONAL_BITS}")
     try:
-        q = Fraction(text)
+        q = Fraction(str(value))
     except (ValueError, ZeroDivisionError):
         raise ConfigError(path, f"not a rational number: {value!r}") from None
     if max(q.numerator.bit_length(), q.denominator.bit_length()) > _RATIONAL_BITS:
         raise ResourceLimitError(f"{path}: {value!r} has more than {_RATIONAL_BITS} bits")
     return q
+
+
+_SET = {"level_at_least": (_integer(1), None), "vertices": (_integers(), None)}
+_INTERIOR = {"basepoint": (_integer(0), REQUIRED), "radius": (_integer(0), REQUIRED)}
+_LAMBDA = {"lo": (_rational, REQUIRED), "hi": (_rational, REQUIRED), "step": (_rational, Fraction(1, 4))}
+
+
+def _lambda_grid(value, path: str) -> LambdaGrid:
+    grid = LambdaGrid(**_object(_LAMBDA, value, path))
+    _within_budget(grid.size(), path, "lambda values")
+    return grid
 
 
 # -- instances ------------------------------------------------------------------
@@ -246,12 +273,12 @@ INSTANCES: dict[str, tuple[Callable, Callable | None, Callable]] = {
 }
 
 
-def build_instance_graph(instance: dict, max_vertices: int = DEFAULT_BALL_BUDGET,
-                         source: tuple | None = None) -> tuple[Graph, CayleyBall | None, str]:
-    """Realize an instance object (parsed into ``source``, when given):
-    (graph, ball or None, stable hash), with at most ``max_vertices``
-    vertices, which a path, cycle or grid is checked against unbuilt."""
-    key, value = source or _parse_instance(instance)
+def build_instance_graph(instance: dict, max_vertices: int = DEFAULT_BALL_BUDGET
+                         ) -> tuple[Graph, CayleyBall | None, str]:
+    """Realize an instance object: (graph, ball or None, stable hash), with
+    at most ``max_vertices`` vertices, which a path, cycle or grid is
+    checked against unbuilt."""
+    key, value = _parse_instance(instance)
     _, size, build = INSTANCES[key]
     if size is not None and size(value) > max_vertices:
         raise ResourceLimitError(f"{key} of {size(value)} vertices exceeds the budget of "
@@ -636,8 +663,7 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
     except OSError as exc:
         raise InputError(f"cannot make the output directory {out}: {exc}") from None
     t0 = time.perf_counter()
-    graph, ball, digest = build_instance_graph(
-        config.instance, config.values.get("budget", DEFAULT_BALL_BUDGET), config.source)
+    graph, ball, digest = build_instance_graph(config.instance, config.values.get("budget", DEFAULT_BALL_BUDGET))
     run = _Run(graph, ball, config.values, config.seed, out, export_dot, {"instance_s": _since(t0)})
     rows = KINDS[config.kind].run(run)
     report = Report(
@@ -685,10 +711,15 @@ def _run_augment(run: _Run) -> list[dict]:
 
 
 def _run_delta(run: _Run) -> list[dict]:
-    target = run.graph
-    if run.values["depth"] is not None:
+    """Four-point delta of the instance, or with a ``depth`` of its
+    augmentation: over ``parabolic_family`` for a group instance, and over
+    the whole graph (the restricted horoball) for any other."""
+    target, depth = run.graph, run.values["depth"]
+    if depth is not None and run.ball is None:
+        target = build_restricted_horoball(run.graph, depth).carrier
+    elif depth is not None:
         family, _, _, shapes = _shaped_family(run.ball, run.timings)
-        target = glue_horoballs(run.graph, family, shapes, run.values["depth"]).carrier
+        target = glue_horoballs(run.graph, family, shapes, depth).carrier
     est = four_point_delta(target, sample=run.values["sample"], seed=run.seed)
     return [{
         "delta": str(est.delta),
@@ -738,52 +769,19 @@ def _run_convexify(run: _Run) -> list[dict]:
     return rows
 
 
-def _run_milnor_svarc(run: _Run) -> list[dict]:
-    return milnor_svarc_experiment(run.ball, run.values["depth"], run.values["t_list"], run.timings,
-                                   run.diagnostics.setdefault("distance_tables", []))
-
-
-# -- parameter schemas ------------------------------------------------------------
-
-
-_ABSENT = object()  # the default of a field that may be left out: it parses to None
+# -- the kind table -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Kind:
-    """An experiment kind: its parameter schema, whether it needs a group
-    instance (True, or the parameter that needs one when given), its runner,
-    and a check across its parsed parameters.  The schema maps a field to
-    (parser, default), or (parser, default, fields) for an object, whose
-    parser gets its parsed fields (see ``_parse_fields``)."""
+    """An experiment kind: its parameter schema, field -> (parser, default)
+    (see ``_parse_fields``), whether it needs a group instance, its runner,
+    and a check across its parsed parameters."""
 
     params: dict[str, tuple]
-    needs_group: bool | str
+    needs_group: bool
     run: Callable[[_Run], list[dict]]
     check: Callable[[dict], None] | None = None
-
-
-def _parse_fields(fields: dict[str, tuple], obj: dict, where: str, unknown: str = "unknown field") -> dict:
-    """The fields of ``obj`` at path ``where``, parsed.  A parser takes
-    (value, path) and raises ``ConfigError`` at the path (or
-    ``ResourceLimitError`` for a count over its budget).  A missing field's
-    default is parsed like a given value, so None makes the field required,
-    and ``_ABSENT`` makes it parse to None."""
-    for key in obj:
-        if key not in fields:
-            raise ConfigError(f"{where}.{key}", unknown)
-    values = {}
-    for key, (parse, default, *nested) in fields.items():
-        value, path = obj.get(key, default), f"{where}.{key}"
-        if value is _ABSENT:
-            values[key] = None
-        elif not nested:
-            values[key] = parse(value, path)
-        elif not isinstance(value, dict):
-            raise ConfigError(path, "must be {" + ", ".join(nested[0]) + "}")
-        else:
-            values[key] = parse(_parse_fields(nested[0], value, path), path)
-    return values
 
 
 def _check_convexity(values: dict) -> None:
@@ -793,37 +791,33 @@ def _check_convexity(values: dict) -> None:
         raise ConfigError("params.set", "need level_at_least or vertices")
 
 
-_DEPTH = (_integer(1), None)
+_DEPTH = (_integer(1), REQUIRED)
 _BUDGET = (_integer(1), DEFAULT_BALL_BUDGET)
 
 KINDS: dict[str, Kind] = {
     "build-horoball": Kind({"depth": _DEPTH}, False, _run_build_horoball),
     "augment": Kind({"depth": _DEPTH}, True, _run_augment),
-    "delta": Kind({
-        "sample": (_sample, "all"),
-        "depth": (_integer(1), _ABSENT),
-    }, "depth", _run_delta),
+    "delta": Kind({"sample": (_sample, "all"), "depth": (_integer(1), None)}, False, _run_delta),
     "convexity": Kind({
-        "set": (lambda value, path: value, None,
-                {"level_at_least": (_integer(1), _ABSENT), "vertices": (_integers(), _ABSENT)}),
-        "depth": (_integer(1), _ABSENT),
-        "interior": (lambda value, path: InteriorFilter(**value), _ABSENT,
-                     {"basepoint": (_integer(0), None), "radius": (_integer(0), None)}),
+        "set": (lambda value, path: _object(_SET, value, path), REQUIRED),
+        "depth": (_integer(1), None),
+        "interior": (lambda value, path: InteriorFilter(**_object(_INTERIOR, value, path)), None),
         "geodesic_cap": (_integer(0), 64),
     }, False, _run_convexity, _check_convexity),
     "shortcut": Kind({
-        "K": (_rational, "1"),
-        "n_list": (_cycle_lengths, None),
-        "lambda": (_lambda_grid, None,
-                   {"lo": (_rational, None), "hi": (_rational, None), "step": (_rational, "1/4")}),
+        "K": (_rational, Fraction(1)),
+        "n_list": (_cycle_lengths, REQUIRED),
+        "lambda": (_lambda_grid, REQUIRED),
         "restrict": (_checked(lambda v: v is None or isinstance(v, list) and all(map(_is_int, v)),
                               "must be a list of vertex ids"), None),
         "node_cap": (_integer(1), 2_000_000),
     }, False, _run_shortcut),
-    "milnor-svarc": Kind({"depth": _DEPTH, "t_list": (_integers(0), None), "budget": _BUDGET},
-                         True, _run_milnor_svarc),
+    "milnor-svarc": Kind({"depth": _DEPTH, "t_list": (_integers(0), REQUIRED), "budget": _BUDGET}, True,
+                         lambda run: milnor_svarc_experiment(
+                             run.ball, run.values["depth"], run.values["t_list"], run.timings,
+                             run.diagnostics.setdefault("distance_tables", []))),
     "convexify-experiment": Kind({
-        "depths": (_integers(1), None),
+        "depths": (_integers(1), REQUIRED),
         "verify_cosets": (_integer(0), 3),
         "geodesic_cap": (_integer(0), 32),
         "budget": _BUDGET,

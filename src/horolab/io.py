@@ -13,33 +13,24 @@ Serialization is canonical (sorted keys, 2-space indent, ``ensure_ascii``
 off, trailing newline) so identical graphs produce byte-identical files.
 Per-vertex annotations of structured carriers live under
 ``metadata["vertex_meta"]`` as a list aligned with vertex ids.
-
-``write_graph`` writes exactly ``canonical_json(graph_to_json(g))`` without
-building that document.  It lays out the sections itself, from the edge
-array, the vertex ids and labels, and the metadata, in blocks of
-``_BLOCK`` records.  Each block is one ``%`` template repeated over a flat
-tuple of encoded values: strings through ``json``'s own escaper, scalars
-spelled as ``json`` spells them.  A metadata list of flat records (such as
-the ``vertex_meta`` of a graph read from a file) gets one template per key
-set; any other metadata value goes through ``json`` itself.
+``write_json`` streams a document (a graph's, ``report.json``) through
+``json.dump`` with these options.
 
 ``write_carrier`` writes a glued carrier's document, labels and
-``vertex_meta`` included, from its columns: the edge array, the base labels
-and the per-vertex provenance arrays (kind, member, base vertex, level).
-Each run of base vertices or horoball copies in a block is one template, so
-no label string or ``vertex_meta`` record is built for a carrier.  Neither
-writer reaches the pure-Python encoder that ``json.dump`` runs under an
-indent.  ``write_json`` streams other documents (``report.json``) through
-``json.dump`` with the same options.
+``vertex_meta`` included, with the same bytes, but from its columns: the
+edge array, the base labels and the per-vertex provenance arrays (kind,
+member, base vertex, level), in blocks of ``_BLOCK`` records.  Each run of
+base vertices or horoball copies in a block is one ``%`` template repeated
+over a flat tuple of encoded values, so no label string or ``vertex_meta``
+record is built for a carrier, and the pure-Python encoder that
+``json.dump`` runs under an indent is never reached.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import pathlib
-from itertools import chain, groupby
 from json.encoder import encode_basestring
 from typing import Any, Iterator, Sequence
 
@@ -117,10 +108,7 @@ def graph_from_json(obj: dict) -> Graph:
 
 
 def write_graph(g: Graph, path: str | pathlib.Path) -> None:
-    """Write ``canonical_json(graph_to_json(g))`` to ``path``, byte for byte,
-    straight from the graph's arrays (see the module docstring)."""
-    _write_document(path, g.edges, lambda f: _write_metadata(f, g.metadata),
-                    _vertex_blocks(g.num_vertices, g.labels))
+    write_json(graph_to_json(g), path)
 
 
 def write_carrier(path: str | pathlib.Path, edges: np.ndarray, base_labels: Sequence[str] | None,
@@ -135,13 +123,16 @@ def write_carrier(path: str | pathlib.Path, edges: np.ndarray, base_labels: Sequ
     ``label@k`` (level 0 included), and no vertex has a label when the base
     has none; ``vertex_meta`` holds ``{"kind": "gamma", "alpha": null,
     "base": x, "level": 0}`` or ``{"kind": "horo", "alpha": a, "base": x,
-    "level": k}`` per vertex."""
-    def metadata(f) -> None:
-        f.write('{\n    "vertex_meta": ')
+    "level": k}`` per vertex.  The sections come in canonical (sorted)
+    order."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write('{\n  "edges": ')
+        _write_array(f, _edge_blocks(edges), "  ")
+        f.write(',\n  "metadata": {\n    "vertex_meta": ')
         _write_array(f, _provenance_blocks(kind, alpha, base_vertex, level), "    ")
-        f.write("\n  }")
-
-    _write_document(path, edges, metadata, _carrier_vertex_blocks(base_labels, kind, base_vertex, level))
+        f.write(f'\n  }},\n  "version": {FORMAT_VERSION},\n  "vertices": ')
+        _write_array(f, _carrier_vertex_blocks(base_labels, kind, base_vertex, level), "  ")
+        f.write("\n}\n")
 
 
 def carrier_labels(base_labels: Sequence[str] | None, kind: np.ndarray, base_vertex: np.ndarray,
@@ -152,18 +143,6 @@ def carrier_labels(base_labels: Sequence[str] | None, kind: np.ndarray, base_ver
         return None
     return [f"{base_labels[x]}@{k}" if t else base_labels[x]
             for t, x, k in zip(kind.tolist(), base_vertex.tolist(), level.tolist())]
-
-
-def _write_document(path, edges: np.ndarray, write_metadata, vertex_blocks: Iterator[str]) -> None:
-    """The graph document's sections in canonical (sorted) order."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write('{\n  "edges": ')
-        _write_array(f, _edge_blocks(edges), "  ")
-        f.write(',\n  "metadata": ')
-        write_metadata(f)
-        f.write(f',\n  "version": {FORMAT_VERSION},\n  "vertices": ')
-        _write_array(f, vertex_blocks, "  ")
-        f.write("\n}\n")
 
 
 # -- the block writer ------------------------------------------------------------
@@ -212,15 +191,11 @@ def _edge_blocks(edges: np.ndarray) -> Iterator[str]:
         yield _repeat(template, len(block), "  ") % tuple(block.ravel().tolist())
 
 
-def _vertex_blocks(n: int, labels: Sequence | None) -> Iterator[str]:
-    template = _object_template(("id",) if labels is None else ("id", "label"), "    ")
+def _id_blocks(n: int) -> Iterator[str]:
+    template = _object_template(("id",), "    ")
     for start in range(0, n, _BLOCK):
         ids = range(start, min(start + _BLOCK, n))
-        if labels is None:
-            args = tuple(ids)
-        else:
-            args = tuple(chain.from_iterable(zip(ids, _encode_column(labels[start : ids.stop], "      "))))
-        yield _repeat(template, len(ids), "  ") % args
+        yield _repeat(template, len(ids), "  ") % tuple(ids)
 
 
 # Carrier records, one template per vertex kind (0 = base vertex, 1 = horoball
@@ -253,7 +228,7 @@ def _provenance_blocks(kind, alpha, base_vertex, level) -> Iterator[str]:
 
 def _carrier_vertex_blocks(base_labels, kind, base_vertex, level) -> Iterator[str]:
     if base_labels is None:
-        yield from _vertex_blocks(len(kind), None)
+        yield from _id_blocks(len(kind))
         return
     encoded = np.array([encode_basestring(x) for x in base_labels], dtype=object)
     opened = np.array([e[:-1] for e in encoded], dtype=object)
@@ -273,78 +248,6 @@ def _interleave(*columns: np.ndarray) -> tuple:
     for j, column in enumerate(columns):
         table[:, j] = column
     return tuple(table.ravel().tolist())
-
-
-def _write_metadata(f, metadata: dict) -> None:
-    """The metadata object at indent one.  A list of flat records is written
-    by ``_record_blocks``; any other value goes through ``_encode``."""
-    if not metadata or not all(type(k) is str for k in metadata):
-        f.write(_encode(metadata, "  "))
-        return
-    f.write("{")
-    for i, (key, value) in enumerate(sorted(metadata.items())):
-        f.write(("\n" if i == 0 else ",\n") + "    " + encode_basestring(key) + ": ")
-        if _is_record_list(value):
-            _write_array(f, _record_blocks(value, "    "), "    ")
-        else:
-            f.write(_encode(value, "    "))
-    f.write("\n  }")
-
-
-def _is_record_list(value: Any) -> bool:
-    """A list of plain dicts with ``str`` keys, such as ``vertex_meta``."""
-    return (type(value) is list and all(type(r) is dict for r in value)
-            and all(type(k) is str for k in set(chain.from_iterable(value))))
-
-
-def _record_blocks(records: list[dict], pad: str) -> Iterator[str]:
-    """Blocks of a record list: each run of records with the same keys is one
-    template, filled column by column."""
-    item_pad = pad + "  "
-    for start in range(0, len(records), _BLOCK):
-        texts = []
-        for keys, run in groupby(records[start : start + _BLOCK], key=lambda r: tuple(sorted(r))):
-            run = list(run)
-            columns = [_encode_column([r[k] for r in run], item_pad + "  ") for k in keys]
-            texts.append(_repeat(_object_template(keys, item_pad), len(run), pad)
-                         % tuple(chain.from_iterable(zip(*columns))))
-        yield _item_sep(pad).join(texts)
-
-
-def _encode_column(values: list, pad: str) -> list[str]:
-    """``_encode`` of every value, with one C-level pass for the common
-    all-``int`` and all-``str`` columns."""
-    kinds = set(map(type, values))
-    if kinds <= {int}:
-        return list(map(int.__repr__, values))
-    if kinds <= {str}:
-        return list(map(encode_basestring, values))
-    return [_encode(v, pad) for v in values]
-
-
-def _encode(value: Any, pad: str) -> str:
-    """``value`` as ``canonical_json`` writes it at indent ``pad``.  The
-    scalars are spelled as ``json`` spells them (``None``, ``True`` and
-    ``False`` before ``int``; ``NaN`` and ``Infinity`` for floats); anything
-    else goes through ``json`` itself and is shifted to ``pad``."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if kind is int:
-        return int.__repr__(value)
-    if kind is float:
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    return json.dumps(value, **_JSON_OPTIONS).replace("\n", "\n" + pad)
 
 
 def read_graph(path: str | pathlib.Path) -> Graph:

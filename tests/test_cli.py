@@ -23,6 +23,8 @@ from horolab.experiments import (
     scan_parabolic,
     validate_config,
 )
+from horolab.graph import path_graph
+from horolab.horoball import build_restricted_horoball
 from horolab.io import canonical_json
 
 from oracles import floyd_warshall, naive_four_point_delta
@@ -57,18 +59,20 @@ def test_readme_has_a_parameter_table_per_kind():
     """Each kind's README table lists exactly its schema fields (nested ones
     as ``object.field``), with the schema's default where it is a value."""
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    nested = {"set": experiments._SET, "interior": experiments._INTERIOR, "lambda": experiments._LAMBDA}
     for name, kind in experiments.KINDS.items():
         section = readme.split(f"#### `{name}`", 1)[1].split("\n#", 1)[0]
         rows = {line.split("|")[1].strip().strip("`"): line for line in section.splitlines()
                 if line.startswith("| `")}
         fields = {}
-        for key, (_, default, *nested) in kind.params.items():
+        for key, (_, default) in kind.params.items():
             fields[key] = default
-            fields.update({f"{key}.{sub}": spec[1] for sub, spec in (nested[0].items() if nested else ())})
+            fields.update({f"{key}.{sub}": spec[1] for sub, spec in nested.get(key, {}).items()})
         assert set(rows) == set(fields), name
         for key, default in fields.items():
-            if default is not None and default is not experiments._ABSENT:
-                assert f"`{json.dumps(default)}`" in rows[key], (name, key)
+            if default is not None and default is not experiments.REQUIRED:
+                shown = str(default) if isinstance(default, Fraction) else default
+                assert f"`{json.dumps(shown)}`" in rows[key], (name, key)
 
 
 def test_instance_builders(tmp_path):
@@ -466,6 +470,22 @@ def test_cli_runs_delta(tmp_path, capsys):
     assert report["environment"]["tool"] == "horolab"
 
 
+def test_delta_with_a_depth_on_a_graph_reads_the_restricted_horoball(tmp_path):
+    """A ``depth`` on an instance that is not a group glues one horoball over
+    the whole graph, as a group that is not a free product is its own single
+    parabolic: the path of 9 vertices and the radius-4 ball of Z give the
+    same carrier."""
+    rows = {}
+    for name, instance in (("path", {"path": 8}), ("group", {"group": {"free_abelian": 1}, "radius": 4})):
+        cfg = validate_config({"version": 1, "experiment": "delta", "instance": instance,
+                               "params": {"depth": 3}})
+        rows[name] = run_experiment(cfg, tmp_path / name).rows[0]
+    carrier = build_restricted_horoball(path_graph(8), 3).carrier
+    fw = floyd_warshall(carrier.num_vertices, [tuple(e) for e in carrier.edges.tolist()])
+    assert rows["path"] == rows["group"]
+    assert rows["path"]["vertices"] == 36 and rows["path"]["delta"] == str(naive_four_point_delta(fw))
+
+
 @pytest.mark.parametrize("kind,params", [("convexify-experiment", {"depths": [1], "budget": 100}),
                                          ("milnor-svarc", {"depth": 1, "t_list": [1], "budget": 100})])
 def test_cli_free_product_over_its_budget_exits_3(tmp_path, capsys, kind, params):
@@ -625,11 +645,16 @@ def test_cli_rejects_bad_files_and_paths(tmp_path, capsys, case, stream):
     ("augment", {"group": {"free": 2**70}, "radius": 3}, {"depth": 1}, "free rank 1180591620717411303424"),
     ("shortcut", {"cycle": 8}, {"K": "1e10000000", "n_list": [4], "lambda": {"lo": "1", "hi": "2"}},
      "params.K: the exponent of '1e10000000' is over 10000"),
+    ("shortcut", {"cycle": 8}, {"K": "1e10000000 ", "n_list": [4], "lambda": {"lo": "1", "hi": "2"}},
+     "params.K: the exponent of '1e10000000 ' is over 10000"),
+    ("shortcut", {"cycle": 8}, {"K": "1e10_000_000", "n_list": [4], "lambda": {"lo": "1", "hi": "2"}},
+     "params.K: the exponent of '1e10_000_000' is over 10000"),
     ("shortcut", {"cycle": 8}, {"K": "1e5000", "n_list": [4], "lambda": {"lo": "1", "hi": "2"}},
      "params.K: '1e5000' has more than 10000 bits"),
     ("shortcut", {"cycle": 8}, {"n_list": [4], "lambda": {"lo": "1", "hi": "2", "step": f"1/{'9' * 4000}"}},
      "params.lambda.step: '1/999"),
-], ids=["path", "grid", "cycle", "sample", "cycle-table", "lambda-grid", "free-rank", "K-exponent", "K-digits",
+], ids=["path", "grid", "cycle", "sample", "cycle-table", "lambda-grid", "free-rank", "K-exponent",
+        "K-exponent-space", "K-exponent-underscores", "K-digits",
         "step-digits"])
 def test_cli_counts_over_their_budget_exit_3(tmp_path, capsys, kind, instance, params, stream):
     """Instance sizes, sample counts, cycle tables, lambda grids and group

@@ -670,8 +670,8 @@ def _graphs(draw):
          block=1)
 @example(g=Graph(2, [(0, 1)], metadata={2: [1, {"b": []}], 1: {}}), block=4096)
 def test_written_graph_equals_canonical_text(g, block):
-    """``write_graph`` lays out the indented document itself, block by
-    block; it must give the bytes of the canonical text of the document."""
+    """``write_graph`` gives the bytes of the canonical text of the
+    document, whatever the carrier writer's block size."""
     expected = canonical_json(graph_to_json(g)).encode("utf-8")
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(horolab.io, "_BLOCK", block):
         f = pathlib.Path(tmp) / "g.json"
@@ -713,8 +713,6 @@ def test_carriers_never_reach_the_pure_python_encoder(tmp_path, monkeypatch):
     for name, space in carriers.items():
         f = tmp_path / f"{name}.json"
         write_carrier(f, space.carrier.edges, space.base.labels, *space.columns)
-        assert f.read_bytes() == expected[name]
-        write_graph(read_graph(f), f)  # the generic record writer, on the graph read back
         assert f.read_bytes() == expected[name]
 
 
