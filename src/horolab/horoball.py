@@ -11,13 +11,14 @@ onto each member of a family of subgraphs along its level 0.
 One gluing step builds every carrier.  ``member_shapes`` validates the family
 and computes the shape table: one distance matrix per member shape.  A
 ``SubgraphFamily`` (a Cayley ball's cosets) is vouched for by its builder and
-has one shape per template.  ``glue_horoballs`` then emits the edges and
-per-vertex provenance of all members of a shape at once, from a shape table
-already computed, so an experiment over several depths builds it once;
-``build_augmented`` runs the two in a row.  The restricted horoball over a
-whole base is the one-member case: ``RestrictedHoroball`` is a view over
-the ``AugmentedSpace`` glued over ``Subgraph.whole(base)`` that adds the
-level-major id arithmetic of the geodesic functions.  A carrier keeps its per-vertex provenance as
+has one shape per template.  ``_glue`` then emits the edges and per-vertex
+provenance of all members of a shape at once.  ``build_augmented`` runs the
+two in a row; ``glue_horoballs`` takes a shape table already computed, so an
+experiment over several depths builds it once, and it is the only caller of
+``_glue``.  The restricted horoball over a whole base is the one-member
+case: ``RestrictedHoroball`` is a view over the ``AugmentedSpace`` glued
+over ``Subgraph.whole(base)`` that adds the level-major id arithmetic of
+the geodesic functions.  A carrier keeps its per-vertex provenance as
 arrays (``columns``); ``io.write_carrier`` renders its labels and
 vertex_meta from them.
 """
@@ -559,23 +560,32 @@ def glue_horoballs(
     shapes: tuple[list[int], list[np.ndarray]],
     depth: int,
 ) -> AugmentedSpace:
-    """The one gluing step: ``build_augmented`` over the family's shape
-    table from ``member_shapes``, so that a run over several depths
-    validates and measures the members once.
+    """``build_augmented`` over the family's shape table from
+    ``member_shapes``, so that a run over several depths validates and
+    measures the members once.  The carrier graph holds the edges only; its
+    labels and vertex_meta are rendered from ``AugmentedSpace.columns`` by
+    ``io.write_carrier``."""
+    edges, columns, block_starts = _glue(base, family, shapes, depth)
+    return AugmentedSpace(base, family, depth, Graph(len(columns[0]), edges), columns, block_starts, shapes)
+
+
+def _glue(base: Graph, family: Sequence[Subgraph], shapes, depth: int) -> tuple:
+    """The one gluing step: carrier edges and per-vertex provenance.
 
     Member ``a`` owns the block of carrier ids ``block_starts[a] + (k-1)*s +
     i`` for its level-k copy of local vertex ``i`` (``s`` its size); level 0
     is the member itself, inside the base.  The work is done per shape, not
     per member: a shape's level-k horizontal pairs come from its distance
     matrix once, and one broadcast over the block offsets of all its members
-    emits their edges and provenance columns.  On Cayley balls the
-    parabolic subgroups act cocompactly on their cosets, so the coset family
-    has only a few shapes however many members it has (Z^2*Z^2 at radius 4:
-    1,970 members, 5 shapes).  The carrier graph holds the edges only; its
-    labels and vertex_meta are rendered from ``AugmentedSpace.columns`` by
-    ``io.write_carrier``.  A carrier of more than ``CARRIER_BUDGET``
-    vertices raises ``ResourceLimitError`` before any carrier array is
-    allocated.
+    emits their edges and provenance.  On Cayley balls the parabolic
+    subgroups act cocompactly on their cosets, so the coset family has only
+    a few shapes however many members it has (Z^2*Z^2 at radius 4: 1,970
+    members, 5 shapes).
+
+    Returns (edges, columns, block_starts), with the provenance columns
+    (kind, alpha, base_vertex, level) of ``AugmentedSpace``.  A carrier of
+    more than ``CARRIER_BUDGET`` vertices raises ``ResourceLimitError``
+    before any carrier array is allocated.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
@@ -588,8 +598,9 @@ def glue_horoballs(
         raise ResourceLimitError(
             f"carrier of {total} vertices ({n0} base + depth {depth} x {copied} member vertices) "
             f"exceeds the carrier budget of {CARRIER_BUDGET} vertices")
-    glued = depth if copied else 1  # members without vertices glue nothing at any depth
-    blocks = np.diff(offsets) * glued
+    if not copied:
+        depth = 1  # members without vertices glue nothing at any depth
+    blocks = np.diff(offsets) * depth
     block_starts = n0 + np.cumsum(blocks) - blocks
 
     kind = np.zeros(total, dtype=np.int8)
@@ -606,25 +617,25 @@ def glue_horoballs(
         s = dmat.shape[0]
         # ids[m, k-1, i]: level-k copy of local vertex i of the m-th member
         ids = (block_starts[members, None, None]
-               + (np.arange(glued, dtype=np.int64) * s)[None, :, None]
+               + (np.arange(depth, dtype=np.int64) * s)[None, :, None]
                + np.arange(s, dtype=np.int64)[None, None, :])
         bottom = vertices[offsets[members, None] + np.arange(s)]
         kind[ids] = 1
         alpha[ids] = members[:, None, None]
         base_vertex[ids] = bottom[:, None, :]
-        level[ids] = np.arange(1, glued + 1)[None, :, None]
+        level[ids] = np.arange(1, depth + 1)[None, :, None]
 
-        # vertical edges: level 0 (the member itself) up to the top level
+        # vertical edges: level 0 (the member itself) up to level depth
         below = np.concatenate([bottom[:, None, :], ids[:, :-1, :]], axis=1)
         chunks.append(np.stack([below.ravel(), ids.ravel()], axis=1))
         # horizontal edges at levels >= 1 (level 0 edges are base edges);
         # from the first level whose 2^k reaches the shape's diameter on,
         # every level joins all pairs, so those levels take one pair list
         saturated = max(1, max(int(dmat.max(initial=0)) - 1, 0).bit_length())
-        for k in range(1, min(glued, saturated) + 1):
+        for k in range(1, min(depth, saturated) + 1):
             iu, iv = np.nonzero(np.triu((dmat > 0) & (dmat <= 2**k), k=1))
-            levels = ids[:, k - 1:k if k < saturated else glued, :]
+            levels = ids[:, k - 1:k if k < saturated else depth, :]
             chunks.append(np.stack([levels[:, :, iu].ravel(), levels[:, :, iv].ravel()], axis=1))
 
-    return AugmentedSpace(base, family, depth, Graph(total, np.concatenate(chunks, axis=0)),
-                          (kind, alpha, base_vertex, level), block_starts.tolist(), shapes)
+    edges = np.concatenate(chunks, axis=0)
+    return edges, (kind, alpha, base_vertex, level), block_starts.tolist()
