@@ -33,11 +33,13 @@ from horolab.horoball import (
     ASCENDING,
     DESCENDING,
     HORIZONTAL,
+    RestrictedHoroball,
     Subgraph,
     build_augmented,
     build_restricted_horoball,
     classify_segments,
     crossing_distance,
+    glue_horoballs,
     horoball_distance,
     member_shapes,
     normal_form_geodesic,
@@ -116,6 +118,21 @@ def test_restricted_horoball_document_matches_reference(base, depth, tmp_path):
     expected = canonical_json(restricted_horoball(base, depth)).encode("utf-8")
     assert written(h, tmp_path / "h.json") == expected
     assert h.carrier.labels is None and h.carrier.metadata == {}
+
+
+def test_restricted_view_leaves_its_space_unchanged():
+    """The view marks level 0 as horoball copies in its own columns; the
+    augmented space it wraps keeps base vertices as base vertices."""
+    base = path_graph(4)
+    family = (Subgraph.whole(base),)
+    space = glue_horoballs(base, family, member_shapes(base, family), 2)
+    before = [column.copy() for column in space.columns]
+    h = RestrictedHoroball(space)
+    assert all(np.array_equal(a, b) for a, b in zip(space.columns, before))
+    assert space.provenance(0) == ("gamma", 0) and space.provenance(5) == ("horo", 0, 0, 1)
+    kind, alpha, base_vertex, level = h.columns
+    assert kind.tolist() == [1] * 15 and alpha.tolist() == [0] * 15
+    assert base_vertex.tolist() == list(range(5)) * 3 and level.tolist() == [0] * 5 + [1] * 5 + [2] * 5
 
 
 def test_rejects_disconnected_or_shallow():
