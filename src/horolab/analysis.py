@@ -19,8 +19,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InputError
-from .graph import (INF, KERNEL_BYTES, DistanceOracle, Graph, Path, _sorted_contains, enumerate_geodesics,
-                    is_interior_pair)
+from .graph import (INF, KERNEL_BYTES, DistanceOracle, Graph, Path, _gather, _jagged_layout, _sorted_contains,
+                    enumerate_geodesics, is_interior_pair, unique_ints)
 from .groups import GroupElement
 
 
@@ -242,7 +242,7 @@ def convexity_defect(
             paths, capped = enumerate_geodesics(g, int(pu[p]), int(pv[p]), cap=geodesic_cap,
                                                 dist_to_target=rows[iv[p]])
             truncated += capped
-            on = np.unique(np.concatenate([path.vertices for path in paths]))
+            on = unique_ints(np.concatenate([path.vertices for path in paths]))
             off = on[outside[on]]
             if off.size:  # witnesses of pair p, so to_set is known
                 quasi = max(quasi, int(to_set[off].max()))
@@ -269,21 +269,26 @@ def _over_cap(g: Graph, rows: np.ndarray, src: np.ndarray, dst: np.ndarray, limi
 
     σ counts geodesics level by level over the adjacency matrix A
     (Brandes 2001), saturated at s = limit + 1: σ_0 is the source's
-    indicator and σ_t = [d = t] · min(σ_{t-1} A, s).  float64 sums are exact
-    below 2^53 and cannot round below s above it, so σ reaches s exactly
-    when it exceeds ``limit``.  Sources go in blocks that fit in ``KERNEL_BYTES``.
+    indicator and σ_t = [d = t] · min(σ_{t-1} A, s).  Each product is the
+    bit-parallel kernel's jagged-diagonal gather, adding where that kernel
+    ORs.  float64 sums are exact below 2^53 and cannot round below s above
+    it, so σ reaches s exactly when it exceeds ``limit``.  Sources go in
+    blocks that fit in ``KERNEL_BYTES``.
     """
-    adj = g.csr()
+    layout = _jagged_layout(g)
+    order, rank = layout[:2]
     saturation = limit + 1
     over = np.zeros(len(dst), dtype=bool)
-    for block in _blocks(src[np.flatnonzero(np.diff(src, prepend=-1))], g.num_vertices, 24):
+    for block in _blocks(src[np.flatnonzero(np.diff(src, prepend=-1))], g.num_vertices, 40):
         lo, hi = np.searchsorted(src, [block[0], block[-1] + 1])
-        d = rows[block].T  # vertex x source
-        v, c = dst[lo:hi], np.searchsorted(block, src[lo:hi])
+        d = rows[block][:, order].T  # vertex position x source
+        v, c = rank[dst[lo:hi]], np.searchsorted(block, src[lo:hi])
         front = np.ascontiguousarray(d == 0, dtype=np.float64)
+        step, scratch = np.empty_like(front), np.empty_like(front)
         full = np.zeros(d.shape, dtype=bool)
         for t in range(1, int(d[v, c].max(initial=0)) + 1):
-            front = adj @ front
+            _gather(front, layout, np.add, step, scratch)
+            front, step = step, front
             np.minimum(front, saturation, out=front)
             front *= d == t
             full |= front == saturation
@@ -408,7 +413,7 @@ def qi_distortion(
 
     # the fit is a max over pairs, so repeated (dx, dy) values cost nothing;
     # dy < 2**30, so the key dx * 2**30 + dy sorts exactly like the pair
-    distinct = np.unique(dxs << 30 | dys).tolist()
+    distinct = unique_ints(dxs << 30 | dys).tolist()
 
     k = Fraction(1)
     for key in distinct:

@@ -44,6 +44,7 @@ from .graph import (
     grid_graph,
     neighborhood_subgraph,
     path_graph,
+    unique_ints,
 )
 from .groups import COUNT_BUDGET, DEFAULT_BALL_BUDGET, CayleyBall, GroupSpec, cayley_ball
 from .horoball import (
@@ -387,7 +388,7 @@ def scan_parabolic(
 
     drop = 0
     if check_level_drop:
-        ends = np.unique(np.concatenate([iu, iv]))
+        ends = unique_ints(np.concatenate([iu, iv]))
         sub0, ids0 = neighborhood_subgraph(aug.carrier, members[ends], d_max // 2)
         local0 = np.searchsorted(ids0, members)
         sources, row_of = np.unique(iu, return_inverse=True)

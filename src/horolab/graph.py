@@ -16,21 +16,26 @@ the edges per level, and keeps each distance bit-sliced until the end; it
 serves most multi-source calls.  The frontier product runs the BFS from all
 sources as one float32 BLAS product per level; it wins on small dense graphs
 of a few levels (the S_8 graph of Milnor-Svarc at radius 16).  Per-source
-scipy ``breadth_first_order`` wins for one or a few sources, on big carriers
-above all; its first row is the probe itself.  Tests check all three against
-a pure-Python BFS and Floyd-Warshall in ``tests/oracles.py``.
+BFS wins for one or a few sources; its first row is the probe itself.  Its
+rows come from a numpy level-synchronous BFS over the CSR arrays, or from
+scipy's ``breadth_first_order`` where the model prices that cheaper, its
+import included while scipy is not loaded: long paths and many rows on big
+carriers.  Nothing here imports scipy at module level, so a process that
+never needs it never pays its import.  The probe, computed before L is
+known, hands over to scipy once it passes the break-even level count for
+the graph's size.  Tests check every kernel and both engines against a
+pure-Python BFS and Floyd-Warshall in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 
 # Sentinel for unreachable pairs: every real hop count is smaller, and two
 # sentinels add up to 2**31 - 2, still an int32.
@@ -41,20 +46,35 @@ INF: int = 2**30 - 1
 # bit-parallel one takes its sources in as many 64-source words as fit.
 KERNEL_BYTES = 64 * 2**20
 
-# The cost model of _pick_kernel, in seconds per unit of work.  Fitted by
-# least squares on relative error to 136 timings of the three kernels
-# (2-core host, one BLAS thread): the word ball and S_1, S_2, S_4, S_8 of
-# Z^2 at radii 8, 16 and 32, cycles, a path, grids, random, complete, star
-# and tree graphs, and horoball carriers of 2,359 and 21,659 vertices, each
-# from 1, 8, 64, 200 and all sources.  The adjacency read is set by hand:
-# the fit took 5.4e-11 from cached matrices, which picked the frontier
-# product for 8 sources on S_8 at radius 32 (43 ms against 8 ms per source).
-# Picking by the model took 1.907 s over the set, against 1.906 s for the
-# fastest kernel each time.
-_BFS_ROW_S = 22e-6          # per-source BFS: per row,
-_BFS_VERTEX_S = 38e-9       # per vertex and row,
-_BFS_EDGE_S = 1.6e-9        # per edge end and row,
-_BFS_LEVEL_S = 0.18e-6      # per level and row (the level split)
+# Byte budget for one dense V×V int32 distance table
+# (``DistanceOracle.matrix``), checked before it is allocated: 8,192
+# vertices.
+TABLE_BYTES = 256 * 2**20
+
+# The cost model of _pick_kernel, in seconds per unit of work.  The
+# bit-parallel and frontier constants were fitted by least squares on
+# relative error to 136 timings of the kernels (2-core host, one BLAS
+# thread): the word ball and S_1, S_2, S_4, S_8 of Z^2 at radii 8, 16 and 32,
+# cycles, a path, grids, random, complete, star and tree graphs, and horoball
+# carriers of 2,359 and 21,659 vertices, each from 1, 8, 64, 200 and all
+# sources.  The adjacency read is set by hand: the fit took 5.4e-11 from
+# cached matrices, which picked the frontier product for 8 sources on S_8 at
+# radius 32 (43 ms against 8 ms per source).  The per-source constants were
+# refitted the same way to single rows from three sources each of paths,
+# cycles, grids, random, complete, star and tree graphs, Z^2 balls of radius
+# 8, 16 and 32, two restricted horoballs and Z^2*Z^2 carriers of depth 3 and
+# 5 (2,359 to 736,131 vertices): numpy within 6% on the median (paths left
+# out, which it prices up to 3.5x high: their one-vertex levels take a
+# cheaper branch), scipy within 4%.  scipy's start-up is its import
+# (0.21-0.32 s in a fresh process).
+_NUMPY_VERTEX_S = 29e-9     # per-source BFS in numpy: per vertex and row,
+_NUMPY_EDGE_S = 6.8e-9      # per edge end and row,
+_NUMPY_LEVEL_S = 14e-6      # per level and row;
+_BFS_ROW_S = 25e-6          # per-source BFS in scipy: per row,
+_BFS_VERTEX_S = 31e-9       # per vertex and row,
+_BFS_EDGE_S = 1.2e-9        # per edge end and row,
+_BFS_LEVEL_S = 0.16e-6      # per level and row (the level split),
+_SCIPY_START_S = 0.25       # once per process
 _BITS_WORD_S = 2e-9         # bit-parallel: per edge end, 64-source word and level,
 _BITS_LEVEL_S = 1.3e-6      # per level and chunk,
 _BITS_SLOT_S = 6.2e-6       # per level, chunk and neighbour slot (max degree),
@@ -67,6 +87,18 @@ def is_unreachable(d: int) -> bool:
     return d >= INF
 
 
+def unique_ints(x: np.ndarray) -> np.ndarray:
+    """The distinct values of the integer array ``x``, sorted: a sort plus a
+    mask.  Not a plain ``np.unique``: numpy 2 hashes 1-D integers there,
+    which measured ~30x slower on 600k keys and raised the peak RSS, and
+    its first call imports ``numpy.ma`` (12-19 ms)."""
+    x = np.sort(x)
+    keep = np.empty(len(x), dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 class Graph:
     """Immutable undirected graph on dense vertex ids ``0..n-1``.
 
@@ -75,7 +107,7 @@ class Graph:
     top (geodesic enumeration, ball numbering, search witnesses).
     """
 
-    __slots__ = ("_n", "_edges", "_indptr", "_indices", "labels", "metadata", "_csr")
+    __slots__ = ("_n", "_edges", "_indptr", "_indices", "labels", "metadata")
 
     def __init__(
         self,
@@ -99,12 +131,9 @@ class Graph:
             raise InputError("self-loops are not allowed")
 
         # Canonical edges (lo, hi), deduplicated and ordered through the 1-D
-        # key lo * n + hi, which sorts exactly like the pair.  A sort plus a
-        # mask, not np.unique: numpy 2's np.unique hashes 1-D integers, which
-        # measured ~30x slower on 600k keys and raised the peak RSS.
+        # key lo * n + hi, which sorts exactly like the pair.
         n = max(self._n, 1)
-        key = np.sort(np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1]))
-        key = key[np.diff(key, prepend=-1) != 0]
+        key = unique_ints(np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1]))
         self._edges = np.stack([key // n, key % n], axis=1).astype(np.int32)
         self._edges.setflags(write=False)
 
@@ -122,7 +151,6 @@ class Graph:
                 raise InputError("labels length must equal vertex count")
         self.labels = labels
         self.metadata = dict(metadata) if metadata else {}
-        self._csr = None
 
     # -- basic queries -------------------------------------------------
 
@@ -154,15 +182,6 @@ class Graph:
         row = self.neighbors(u)
         i = np.searchsorted(row, v)
         return bool(i < len(row) and row[i] == v)
-
-    def csr(self) -> csr_matrix:
-        """Unit-weight adjacency matrix, built once.  Its data is float64,
-        the dtype scipy's graph kernels work in, so they use it without a
-        converted copy and check its canonical format only once."""
-        if self._csr is None:
-            data = np.ones(len(self._indices), dtype=np.float64)
-            self._csr = csr_matrix((data, self._indices, self._indptr), shape=(self._n, self._n))
-        return self._csr
 
     def is_connected(self) -> bool:
         if self._n <= 1:
@@ -277,14 +296,8 @@ def distance_rows(g: Graph, sources: Sequence[int], columns: Sequence[int] | Non
     sources give a ``(0, width)`` array.  ``info``, when given, receives the
     kernel that ``_pick_kernel`` chose and its level bound.
     """
-    try:
-        srcs = np.asarray(sources, dtype=np.int64)
-    except OverflowError:
-        raise InputError(f"unknown vertex id {next(s for s in sources if not -2**63 <= s < 2**63)}") from None
+    srcs = _checked_ids(g, sources)
     n = g.num_vertices
-    bad = srcs[(srcs < 0) | (srcs >= n)]
-    if bad.size:
-        raise InputError(f"unknown vertex id {bad[0]}")
     cols = None if columns is None else np.asarray(columns, dtype=np.int64)
     width = n if cols is None else len(cols)
     if srcs.size == 0:
@@ -300,10 +313,23 @@ def distance_rows(g: Graph, sources: Sequence[int], columns: Sequence[int] | Non
         return _bit_parallel_rows(g, srcs, cols, levels)
     out = np.empty((len(srcs), width), dtype=np.int32)
     out[0] = probe if cols is None else probe[cols]
-    for i in range(1, len(srcs)):
-        row = _bfs_order_row(g, int(srcs[i]))
+    numpy_s, scipy_s = _per_source_costs(g, len(srcs) - 1, levels)
+    rest = _scipy_rows(g, srcs[1:]) if scipy_s < numpy_s else (_frontier_bfs(g, [s]) for s in srcs[1:])
+    for i, row in enumerate(rest, 1):
         out[i] = row if cols is None else row[cols]
     return out
+
+
+def _checked_ids(g: Graph, ids) -> np.ndarray:
+    """``ids`` as an int64 array, each a vertex of ``g``."""
+    try:
+        ids = np.asarray(ids, dtype=np.int64)
+    except OverflowError:
+        raise InputError(f"unknown vertex id {next(s for s in ids if not -2**63 <= s < 2**63)}") from None
+    bad = ids[(ids < 0) | (ids >= g.num_vertices)]
+    if bad.size:
+        raise InputError(f"unknown vertex id {bad[0]}")
+    return ids
 
 
 def _pick_kernel(g: Graph, n_sources: int, width: int | None = None,
@@ -330,8 +356,7 @@ def _pick_kernel(g: Graph, n_sources: int, width: int | None = None,
     k, planes = n_sources, levels.bit_length()
     if k == 1:  # the probe is the row
         return "bfs", levels
-    costs = {"bfs": (k - 1) * (_BFS_ROW_S + n * _BFS_VERTEX_S + two_e * _BFS_EDGE_S
-                               + levels * _BFS_LEVEL_S)}
+    costs = {"bfs": min(_per_source_costs(g, k - 1, levels))}
     chunk_words = _bit_chunk_words(g, width, levels)
     if chunk_words:
         words = -(-k // 64)
@@ -345,6 +370,26 @@ def _pick_kernel(g: Graph, n_sources: int, width: int | None = None,
     if 4 * n * n + 14 * k * n <= KERNEL_BYTES:
         costs["frontier"] = levels * n * n * (k * _FRONTIER_MAC_S + _FRONTIER_READ_S)
     return min(costs, key=costs.get), levels
+
+
+def _per_source_costs(g: Graph, rows: int, levels: int) -> tuple[float, float]:
+    """The modelled seconds of ``rows`` per-source rows of at most
+    ``levels`` levels each, as (numpy BFS, scipy BFS).  The scipy side
+    includes its import while ``scipy.sparse.csgraph`` is not loaded, so a
+    process starts it only for work that pays it back."""
+    n, two_e = g.num_vertices, 2 * g.num_edges
+    numpy_s = rows * (n * _NUMPY_VERTEX_S + two_e * _NUMPY_EDGE_S + levels * _NUMPY_LEVEL_S)
+    scipy_s = rows * (_BFS_ROW_S + n * _BFS_VERTEX_S + two_e * _BFS_EDGE_S + levels * _BFS_LEVEL_S)
+    if "scipy.sparse.csgraph" not in sys.modules:
+        scipy_s += _SCIPY_START_S
+    return numpy_s, scipy_s
+
+
+def _numpy_row_levels(g: Graph) -> int:
+    """The break-even level count of one row: the most levels at which the
+    model prices the numpy BFS no dearer than scipy's on ``g``."""
+    numpy_s, scipy_s = _per_source_costs(g, 1, 0)
+    return max(0, int((scipy_s - numpy_s) / (_NUMPY_LEVEL_S - _BFS_LEVEL_S)))
 
 
 def _frontier_product_rows(g: Graph, srcs: np.ndarray) -> np.ndarray:
@@ -411,17 +456,8 @@ def _bit_parallel_rows(g: Graph, srcs: np.ndarray, cols: np.ndarray | None, leve
     rows once, at the end, only for the wanted columns.
     """
     n, k = g.num_vertices, len(srcs)
-    deg = np.diff(g._indptr)
-    order = np.argsort(-deg, kind="stable")  # position -> vertex
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)  # vertex -> position
-    # slots[offsets[j]:offsets[j + 1]]: position of the j-th neighbour of
-    # each of the first counts[j] positions, those of degree > j
-    counts = np.searchsorted(-deg[order], -np.arange(int(deg.max())), side="left")
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    owner = np.repeat(np.arange(n), deg)
-    slots = np.empty(len(g._indices), dtype=np.int64)
-    slots[offsets[np.arange(len(owner)) - g._indptr[owner]] + rank[owner]] = rank[g._indices]
+    layout = _jagged_layout(g)
+    rank = layout[1]
     rows = rank if cols is None else rank[cols]
 
     out = np.empty((k, len(rows)), dtype=np.int32)
@@ -438,10 +474,7 @@ def _bit_parallel_rows(g: Graph, srcs: np.ndarray, cols: np.ndarray | None, leve
         level = 0
         while True:
             level += 1
-            nxt[:] = 0
-            for j, c in enumerate(counts):
-                np.take(frontier, slots[offsets[j]:offsets[j + 1]], axis=0, out=gathered[:c])
-                nxt[:c] |= gathered[:c]
+            _gather(frontier, layout, np.bitwise_or, nxt, gathered)
             nxt &= unseen
             if not nxt.any():
                 break
@@ -461,31 +494,108 @@ def _bit_parallel_rows(g: Graph, srcs: np.ndarray, cols: np.ndarray | None, leve
     return out
 
 
+def _jagged_layout(g: Graph) -> tuple[np.ndarray, ...]:
+    """The adjacency in jagged-diagonal layout, as (order, rank, counts,
+    offsets, slots).  Vertices are stored by descending degree: ``order``
+    maps position -> vertex and ``rank`` vertex -> position.  The first
+    ``counts[j]`` positions, those of degree > j, have their j-th
+    neighbours' positions at ``slots[offsets[j]:offsets[j + 1]]``, so one
+    neighbour slot of every vertex is one contiguous gather."""
+    n = g.num_vertices
+    deg = np.diff(g._indptr)
+    order = np.argsort(-deg, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    counts = np.searchsorted(-deg[order], -np.arange(int(deg.max(initial=0))), side="left")
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    owner = np.repeat(np.arange(n), deg)
+    slots = np.empty(len(g._indices), dtype=np.int64)
+    slots[offsets[np.arange(len(owner)) - g._indptr[owner]] + rank[owner]] = rank[g._indices]
+    return order, rank, counts, offsets, slots
+
+
+def _gather(rows: np.ndarray, layout: tuple[np.ndarray, ...], op: np.ufunc, out: np.ndarray,
+            scratch: np.ndarray) -> None:
+    """``out[p]`` = ``op`` over the neighbours q of position p of
+    ``rows[q]``, starting from zeros, for rows stored by ``layout``'s
+    positions; ``scratch`` is a buffer of ``rows``' shape."""
+    _, _, counts, offsets, slots = layout
+    out[:] = 0
+    for j, c in enumerate(counts):
+        np.take(rows, slots[offsets[j]:offsets[j + 1]], axis=0, out=scratch[:c])
+        op(out[:c], scratch[:c], out=out[:c])
+
+
 def _unpack(words: np.ndarray) -> np.ndarray:
     """Bit j of word w of each row, at column 64·w + j, as uint8 0/1."""
     return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
 
 
 def _bfs_order_row(g: Graph, source: int) -> np.ndarray:
-    order, pred = breadth_first_order(g.csr(), source, directed=True, return_predecessors=True)
-    # The traversal is FIFO, so the visit positions of the parents never
-    # decrease along the visit order.  Each BFS level is therefore one
-    # contiguous run of ``order``, and the run of level k+1 ends where the
-    # parents reach the end of level k: at 1 + the number of parents visited
-    # before it.  Those counts are tabulated once, by one bincount, so each
-    # level costs one lookup.
-    m = len(order)
-    position = np.empty(g.num_vertices, dtype=np.int64)
-    position[order] = np.arange(m)
-    before = memoryview(np.cumsum(np.bincount(position[pred[order[1:]]], minlength=m)))
-    ends = [1]
-    while ends[-1] < m:
-        ends.append(1 + before[ends[-1] - 1])
-    starts = np.zeros(m, dtype=np.int32)
-    starts[ends[:-1]] = 1
+    """The distance row of ``source`` when no level bound is known yet (the
+    probe): the numpy BFS while it stays under the break-even level count of
+    ``_numpy_row_levels``, scipy's from scratch once it passes it."""
+    row = _frontier_bfs(g, [source], _numpy_row_levels(g))
+    return next(_scipy_rows(g, [source])) if row is None else row
+
+
+def _frontier_bfs(g: Graph, sources, max_levels: int | None = None) -> np.ndarray | None:
+    """Distances to the nearest of ``sources`` by a level-synchronous BFS
+    over the CSR arrays, one pass of array operations per level: the
+    frontier's neighbours, less those already reached, deduplicated, are
+    the next level.  The work grows with the edges reached and the level
+    count.  None once more than ``max_levels`` levels would be needed."""
     dist = np.full(g.num_vertices, INF, dtype=np.int32)
-    dist[order] = np.cumsum(starts, dtype=np.int32)
+    frontier = unique_ints(np.asarray(sources, dtype=np.int64))
+    dist[frontier] = 0
+    level = 0
+    while frontier.size:
+        if level == max_levels:
+            return None
+        level += 1
+        if len(frontier) == 1:  # a slice, not a gather: long thin graphs have many such levels
+            v = frontier[0]
+            nb = g._indices[g._indptr[v]:g._indptr[v + 1]]
+        else:
+            nb = g._indices[_csr_slots(g, frontier)[1]]
+        nb = nb[dist[nb] == INF]
+        if len(nb) > 1:
+            nb = unique_ints(nb)
+        dist[nb] = level
+        frontier = nb
     return dist
+
+
+def _scipy_rows(g: Graph, sources: Sequence[int]) -> Iterator[np.ndarray]:
+    """The distance rows of ``sources`` from scipy's ``breadth_first_order``,
+    imported here: its import is the start-up cost ``_SCIPY_START_S`` that
+    the cost model charges only while it is not loaded."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    # float64 data, the dtype scipy's graph kernels work in, so they use the
+    # matrix without a converted copy
+    adj = csr_matrix((np.ones(len(g._indices)), g._indices, g._indptr), shape=(g.num_vertices,) * 2)
+    for source in sources:
+        order, pred = breadth_first_order(adj, int(source), directed=True, return_predecessors=True)
+        # The traversal is FIFO, so the visit positions of the parents never
+        # decrease along the visit order.  Each BFS level is therefore one
+        # contiguous run of ``order``, and the run of level k+1 ends where
+        # the parents reach the end of level k: at 1 + the number of parents
+        # visited before it.  Those counts are tabulated once, by one
+        # bincount, so each level costs one lookup.
+        m = len(order)
+        position = np.empty(g.num_vertices, dtype=np.int64)
+        position[order] = np.arange(m)
+        before = memoryview(np.cumsum(np.bincount(position[pred[order[1:]]], minlength=m)))
+        ends = [1]
+        while ends[-1] < m:
+            ends.append(1 + before[ends[-1] - 1])
+        starts = np.zeros(m, dtype=np.int32)
+        starts[ends[:-1]] = 1
+        dist = np.full(g.num_vertices, INF, dtype=np.int32)
+        dist[order] = np.cumsum(starts, dtype=np.int32)
+        yield dist
 
 
 class DistanceOracle:
@@ -524,15 +634,18 @@ class DistanceOracle:
         return int(self.row(u)[v])
 
     def matrix(self) -> np.ndarray:
-        return self.rows(range(self.graph.num_vertices))
+        """All rows, as one V×V table; refused over ``TABLE_BYTES``."""
+        n = self.graph.num_vertices
+        if 4 * n * n > TABLE_BYTES:
+            raise ResourceLimitError(f"a distance table of {n} x {n} vertices exceeds the table budget "
+                                     f"of {TABLE_BYTES} bytes")
+        return self.rows(range(n))
 
     def distance_to_set(self, sources: Sequence[int]) -> np.ndarray:
         """Row of distances to the nearest vertex of ``sources``."""
         if not len(sources):
             raise InputError("source set must be nonempty")
-        d = dijkstra(self.graph.csr(), unweighted=True, indices=list(sources), min_only=True)
-        d[np.isinf(d)] = INF
-        return d.astype(np.int32)
+        return _frontier_bfs(self.graph, _checked_ids(self.graph, sources))
 
 
 def neighborhood_subgraph(g: Graph, sources: Sequence[int], radius: int) -> tuple[Graph, np.ndarray]:
@@ -548,33 +661,30 @@ def neighborhood_subgraph(g: Graph, sources: Sequence[int], radius: int) -> tupl
     """
     if radius < 0:
         raise InputError("radius must be >= 0")
-    reached = np.unique(np.asarray(sources, dtype=np.int64))
+    reached = unique_ints(_checked_ids(g, sources))
     if not reached.size:
         raise InputError("source set must be nonempty")
-    bad = reached[(reached < 0) | (reached >= g.num_vertices)]
-    if bad.size:
-        raise InputError(f"unknown vertex id {bad[0]}")
     frontier = reached
     for _ in range(radius):
-        step = np.unique(_csr_neighbors(g, frontier)[1])
+        step = unique_ints(g._indices[_csr_slots(g, frontier)[1]])
         frontier = step[~_sorted_contains(reached, step)]
         if not frontier.size:
             break
-        reached = np.union1d(reached, frontier)
-    owner, nb = _csr_neighbors(g, reached)
+        reached = np.sort(np.concatenate([reached, frontier]))
+    counts, slots = _csr_slots(g, reached)
+    owner, nb = np.repeat(np.arange(len(reached)), counts), g._indices[slots]
     inside = _sorted_contains(reached, nb)
     edges = np.stack([owner[inside], np.searchsorted(reached, nb[inside])], axis=1)
     return Graph(len(reached), edges), reached
 
 
-def _csr_neighbors(g: Graph, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(position in ``vertices``, neighbor) for every edge end at
-    ``vertices``, read from the CSR arrays without a per-vertex loop."""
+def _csr_slots(g: Graph, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(degree of each of ``vertices``, the position in ``g._indices`` of
+    each of their edge ends, vertex by vertex), without a per-vertex loop."""
     starts = g._indptr[vertices]
-    counts = g._indptr[vertices + 1] - starts
-    owner = np.repeat(np.arange(len(vertices)), counts)
-    slot = np.arange(int(counts.sum())) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return owner, g._indices[slot]
+    counts = g._indptr[1:][vertices] - starts
+    ends = np.cumsum(counts)
+    return counts, np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
 
 
 def _sorted_contains(sorted_ids: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -55,6 +55,9 @@ _DENSE_CODES_PER_ELEMENT = 16
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
+# The keys a JSON group description may hold besides its kind's own.
+_JSON_KEYS = {"free": {"names"}, "free_abelian": {"names"}, "heisenberg": {"names"}, "free_product": set()}
+
 
 def _default_names(count: int, start: int = 0) -> tuple[str, ...]:
     names = []
@@ -63,8 +66,12 @@ def _default_names(count: int, start: int = 0) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _check_names(names: Sequence[str]) -> tuple[str, ...]:
-    names = tuple(names)
+def _check_names(names: Sequence[str] | None, count: int) -> tuple[str, ...]:
+    """``count`` generator names: ``names``, or the default letters when
+    None.  Each must be valid and distinct."""
+    names = _default_names(count) if names is None else tuple(names)
+    if len(names) != count:
+        raise InputError(f"the group has {count} generators, but {len(names)} names are given")
     seen = set()
     for nm in names:
         if not _NAME_RE.match(nm) or nm == "e":
@@ -143,27 +150,37 @@ class GroupSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroupSpec":
-        if not isinstance(obj, dict) or len(set(obj) & {"free", "free_abelian", "heisenberg", "free_product"}) != 1:
+        """The group ``obj`` describes, as ``to_json`` writes it.  Unknown
+        keys, a ``names`` list of the wrong length and a ``heisenberg``
+        value that is not an object of known options are refused, so that a
+        description never builds a group other than the one it names."""
+        kinds = set(obj) & set(_JSON_KEYS) if isinstance(obj, dict) else set()
+        if len(kinds) != 1:
             raise InputError(f"not a group description: {obj!r}")
+        kind = kinds.pop()
+        unknown = sorted(set(obj) - {kind} - _JSON_KEYS[kind])
+        if unknown:
+            raise InputError(f"unknown key {unknown[0]!r} in {kind} group description")
         names = obj.get("names")
         if names is not None and not (isinstance(names, list) and all(isinstance(nm, str) for nm in names)):
             raise InputError(f"group names must be a list of strings: {names!r}")
-        for kind in ("free", "free_abelian"):
-            if kind in obj and (not isinstance(obj[kind], int) or isinstance(obj[kind], bool)):
-                raise InputError(f"{kind} rank must be an integer: {obj[kind]!r}")
-            if kind in obj and obj[kind] > 0 and 2 * obj[kind] * (2 * obj[kind] + 1) > COUNT_BUDGET:
-                raise ResourceLimitError(f"{kind} rank {obj[kind]}: the generator table of its radius-1 "
-                                         f"ball exceeds the count budget of {COUNT_BUDGET} cells")
-        if "free" in obj:
-            return free(obj["free"], names=names)
-        if "free_abelian" in obj:
-            return free_abelian(obj["free_abelian"], names=names)
-        if "heisenberg" in obj:
-            opts = obj["heisenberg"] if isinstance(obj["heisenberg"], dict) else {}
-            return heisenberg(include_central=bool(opts.get("include_central", False)), names=names)
-        if not isinstance(obj["free_product"], list):
-            raise InputError(f"free_product must be a list of groups: {obj['free_product']!r}")
-        return free_product(*[cls.from_json(f) for f in obj["free_product"]])
+        if kind == "free_product":
+            if not isinstance(obj[kind], list):
+                raise InputError(f"free_product must be a list of groups: {obj[kind]!r}")
+            return free_product(*[cls.from_json(f) for f in obj[kind]])
+        if kind == "heisenberg":
+            opts = obj[kind]
+            if not isinstance(opts, dict) or set(opts) - {"include_central"} \
+                    or not isinstance(opts.get("include_central", False), bool):
+                raise InputError(f"heisenberg takes an object with an optional boolean include_central: {opts!r}")
+            return heisenberg(include_central=opts.get("include_central", False), names=names)
+        rank = obj[kind]
+        if not isinstance(rank, int) or isinstance(rank, bool):
+            raise InputError(f"{kind} rank must be an integer: {rank!r}")
+        if rank > 0 and 2 * rank * (2 * rank + 1) > COUNT_BUDGET:
+            raise ResourceLimitError(f"{kind} rank {rank}: the generator table of its radius-1 "
+                                     f"ball exceeds the count budget of {COUNT_BUDGET} cells")
+        return (free if kind == "free" else free_abelian)(rank, names=names)
 
     # -- kind-specific internals ----------------------------------------
 
@@ -404,22 +421,17 @@ class GroupElement:
 def free(rank: int, names: Sequence[str] | None = None) -> GroupSpec:
     if rank < 1:
         raise InputError("free group rank must be >= 1")
-    return GroupSpec("free", rank=rank,
-                     generator_names=_check_names(names or _default_names(rank)))
+    return GroupSpec("free", rank=rank, generator_names=_check_names(names, rank))
 
 
 def free_abelian(rank: int, names: Sequence[str] | None = None) -> GroupSpec:
     if rank < 1:
         raise InputError("free abelian rank must be >= 1")
-    return GroupSpec("free_abelian", rank=rank,
-                     generator_names=_check_names(names or _default_names(rank)))
+    return GroupSpec("free_abelian", rank=rank, generator_names=_check_names(names, rank))
 
 
 def heisenberg(include_central: bool = False, names: Sequence[str] | None = None) -> GroupSpec:
-    nm = _check_names(names or _default_names(3))
-    if len(nm) != 3:
-        raise InputError("heisenberg needs exactly 3 generator names (a, b, central c)")
-    return GroupSpec("heisenberg", rank=3, generator_names=nm, include_central=include_central)
+    return GroupSpec("heisenberg", rank=3, generator_names=_check_names(names, 3), include_central=include_central)
 
 
 def free_product(*factors: GroupSpec) -> GroupSpec:
@@ -443,7 +455,7 @@ def free_product(*factors: GroupSpec) -> GroupSpec:
         relabeled.append(GroupSpec(f.kind, rank=f.rank, generator_names=fresh,
                                    factors=f.factors, include_central=f.include_central))
     names = tuple(nm for f in relabeled for nm in f.generator_names)
-    return GroupSpec("free_product", generator_names=_check_names(names), factors=tuple(relabeled))
+    return GroupSpec("free_product", generator_names=_check_names(names, len(names)), factors=tuple(relabeled))
 
 
 # -- Cayley balls ----------------------------------------------------------

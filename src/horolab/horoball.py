@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .graph import INF, DistanceOracle, Graph, Path, Subgraph, SubgraphFamily, distance_rows
+from .graph import INF, DistanceOracle, Graph, Path, Subgraph, SubgraphFamily, distance_rows, unique_ints
 from .groups import CARRIER_BUDGET
 
 ASCENDING = "ascending"
@@ -506,7 +506,7 @@ def _member_faults(base: Graph, sizes: np.ndarray, vertices: np.ndarray, edge_co
     member = np.repeat(np.arange(m), sizes)
     order = np.lexsort((vertices, member))
     same = (member[order[1:]] == member[order[:-1]]) & (vertices[order[1:]] == vertices[order[:-1]])
-    repeated = np.unique(member[order[1:][same]])
+    repeated = unique_ints(member[order[1:][same]])
     outside = np.nonzero((vertices < 0) | (vertices >= n))[0]
     _, first_out = np.unique(member[outside], return_index=True)
 

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .graph import INF, DistanceOracle, Graph
+from .graph import INF, KERNEL_BYTES, DistanceOracle, Graph
 
 FOUND = "found"
 NONE = "none"
@@ -325,8 +325,12 @@ def shortcut_profile(
 ) -> tuple[ShortcutProfile, dict[int, CycleEmbedding]]:
     """One search row per cycle length.  Every scale of an unsuccessful row is
     searched; nothing learned at one (n, lam) cell prunes another, but all
-    rows share one distance oracle, so no distance row is computed twice."""
+    rows share one distance oracle, so no distance row is computed twice.
+    When the V×V int32 table fits ``KERNEL_BYTES``, one ``distance_rows``
+    call fills the oracle with every vertex's row up front."""
     oracle = DistanceOracle(target)
+    if 4 * target.num_vertices**2 <= KERNEL_BYTES:
+        oracle.prefetch(range(target.num_vertices))
 
     def run_one(n: int) -> tuple[ProfileRow, CycleEmbedding | None]:
         t0 = time.perf_counter()

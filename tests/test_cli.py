@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -560,10 +563,24 @@ ZZ_RADIUS2 = {"group": {"free_product": [{"free_abelian": 1}, {"free_abelian": 1
      "config error: instance.group"),
     ("augment", {"group": {"free_abelian": 2, "names": 7}, "radius": 2}, {"depth": 1},
      "config error: instance.group"),
+    ("augment", {"group": {"free_abelian": 2, "names": ["a"]}, "radius": 2}, {"depth": 1},
+     "config error: instance.group: the group has 2 generators, but 1 names are given"),
+    ("milnor-svarc", {"group": {"free": 1, "names": ["a", "b", "c"]}, "radius": 2}, {"depth": 1, "t_list": [1]},
+     "config error: instance.group: the group has 1 generators, but 3 names are given"),
+    ("augment", {"group": {"free": 2, "extra": 1}, "radius": 2}, {"depth": 1},
+     "config error: instance.group: unknown key 'extra'"),
+    ("augment", {"group": {"free_product": [{"free": 1}, {"free_abelian": 1, "names": ["a"], "x": 0}]},
+                 "radius": 2}, {"depth": 1}, "config error: instance.group: unknown key 'x'"),
+    ("augment", {"group": {"heisenberg": 5}, "radius": 2}, {"depth": 1},
+     "config error: instance.group: heisenberg takes an object"),
+    ("augment", {"group": {"heisenberg": {"include_central": 1}}, "radius": 2}, {"depth": 1},
+     "config error: instance.group: heisenberg takes an object"),
 ], ids=["set-above-range", "set-below-range", "cycle-not-int", "path-not-int", "grid-one-value",
         "lambda-without-lo", "lambda-lo-not-rational", "set-vertex-not-int", "interior-without-basepoint",
         "depths-not-int", "t_list-not-int", "geodesic_cap-not-int", "restrict-not-a-list",
-        "restrict-out-of-range", "rank-not-int", "free-product-not-a-list", "names-not-a-list"])
+        "restrict-out-of-range", "rank-not-int", "free-product-not-a-list", "names-not-a-list",
+        "names-too-few", "names-too-many", "group-extra-key", "factor-extra-key", "heisenberg-not-an-object",
+        "heisenberg-option-not-a-bool"])
 def test_cli_rejects_bad_values(tmp_path, capsys, kind, instance, params, stream):
     cfg = write_config(tmp_path, {
         "version": 1, "experiment": kind, "instance": instance, "params": params,
@@ -653,13 +670,15 @@ def test_cli_rejects_bad_files_and_paths(tmp_path, capsys, case, stream):
      "params.K: '1e5000' has more than 10000 bits"),
     ("shortcut", {"cycle": 8}, {"n_list": [4], "lambda": {"lo": "1", "hi": "2", "step": f"1/{'9' * 4000}"}},
      "params.lambda.step: '1/999"),
+    ("delta", {"path": 20000}, {"sample": "all"},
+     f"a distance table of 20001 x 20001 vertices exceeds the table budget of {256 * 2**20} bytes"),
 ], ids=["path", "grid", "cycle", "sample", "cycle-table", "lambda-grid", "free-rank", "K-exponent",
         "K-exponent-space", "K-exponent-underscores", "K-digits",
-        "step-digits"])
+        "step-digits", "distance-table"])
 def test_cli_counts_over_their_budget_exit_3(tmp_path, capsys, kind, instance, params, stream):
-    """Instance sizes, sample counts, cycle tables, lambda grids and group
-    ranks are counted in Python integers and refused before anything of
-    that size is built."""
+    """Instance sizes, sample counts, cycle tables, lambda grids, group
+    ranks and dense distance tables are counted in Python integers and
+    refused before anything of that size is built."""
     cfg = write_config(tmp_path, {"version": 1, "experiment": kind, "instance": instance, "params": params})
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_RESOURCE
     err = capsys.readouterr().err
@@ -679,6 +698,36 @@ def test_budgets_admit_every_benchmark_config(monkeypatch):
     for ops in workloads.WORKLOADS.values():
         for op in ops:
             validate_config(op.config("graph.json" if op.graph else None))
+
+
+def test_ops_run_without_scipy_or_numpy_ma(tmp_path):
+    """``import horolab.cli`` and one small convexify-experiment,
+    milnor-svarc and shortcut op, in a fresh process, load neither scipy
+    nor ``numpy.ma``: every CLI process would pay their imports (0.2-0.3 s
+    for scipy's sparse graphs, 12-19 ms for ``numpy.ma``, which a plain
+    ``np.unique`` pulls in)."""
+    configs = [
+        ("convexify-experiment", {"group": {"free_product": [{"free_abelian": 2}, {"free_abelian": 2}]}, "radius": 3},
+         {"depths": [1, 2, 3]}),
+        ("milnor-svarc", {"group": {"free_abelian": 2}, "radius": 6}, {"depth": 3, "t_list": [1, 2, 4]}),
+        ("shortcut", {"grid": [5, 5]}, {"K": "6/5", "n_list": [5, 6], "lambda": {"lo": "2", "hi": "3", "step": "1/2"}}),
+    ]
+    argvs = [[kind, "--config", write_config(tmp_path, {"version": 1, "experiment": kind, "instance": instance,
+                                                        "params": params}, f"{kind}.json"),
+              "--out", str(tmp_path / kind)] for kind, instance, params in configs]
+    script = "\n".join([
+        "import json, sys",
+        "import horolab.cli",
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma')",
+        "at_start = loaded()",
+        f"codes = [horolab.cli.main(argv) for argv in {argvs!r}]",
+        "print(json.dumps([at_start, codes, loaded()]))",
+    ])
+    src = pathlib.Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[], [EXIT_OK] * 3, []]
 
 
 def test_cli_milnor_svarc_past_the_saturating_depth(tmp_path):
@@ -830,7 +879,7 @@ def _paths(value, prefix=()) -> list[tuple]:
 @st.composite
 def _with_an_odd_field(draw, doc: dict, keep: tuple = ()) -> dict:
     """``doc`` with at most one value anywhere in it (outside ``keep``)
-    replaced by an odd value or dropped."""
+    replaced by an odd value or dropped, or an unknown key added next to it."""
     doc = json.loads(json.dumps(doc))  # a copy: sampled instances are shared
     paths = [path for path in _paths(doc) if path[0] not in keep]
     path = draw(st.sampled_from([None, *paths]))
@@ -839,8 +888,11 @@ def _with_an_odd_field(draw, doc: dict, keep: tuple = ()) -> dict:
         holder = doc
         for key in head:
             holder = holder[key]
-        if isinstance(holder, dict) and draw(st.booleans()):
+        change = draw(st.sampled_from(["drop", "odd", "extra"]) if isinstance(holder, dict) else st.just("odd"))
+        if change == "drop":
             del holder[last]
+        elif change == "extra":
+            holder[draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in holder))] = draw(_ODD_FIELDS)
         else:
             holder[last] = draw(_ODD_FIELDS)
     return doc
@@ -879,12 +931,51 @@ def test_cli_front_door_never_raises(kind, data):
     in a documented exit code, not a traceback: a valid config with one
     field anywhere (instance, params, nested objects, list items, seed)
     made a boolean, float, null, string, negative, 2**70, empty list or
-    empty object, or dropped."""
+    empty object, or dropped, or with an unknown key added anywhere."""
     instances, params = _FRONT_DOORS[kind]
     config = {"version": 1, "experiment": kind, "instance": data.draw(instances), "params": data.draw(params),
               "seed": data.draw(st.integers(0, 5))}
     config = data.draw(_with_an_odd_field(config, keep=("version", "experiment")))
     assert _exit_code(config) in (EXIT_OK, EXIT_CONFIG, EXIT_RESOURCE, EXIT_VIOLATION)
+
+
+@st.composite
+def _disagreeing_groups(draw) -> dict:
+    """A group description with one part that disagrees with the rest, at
+    the top or in a factor: a names list whose length is not the rank, an
+    unknown key, or a heisenberg value that is not an object of options."""
+    group = json.loads(json.dumps(draw(st.sampled_from([
+        {"free": 2}, {"free_abelian": 2}, {"heisenberg": {}}, _ZZ,
+        {"free_product": [{"free_abelian": 2}, {"heisenberg": {"include_central": True}}]}]))))
+    holder = draw(st.sampled_from([group, *group.get("free_product", [])]))
+    kind = next(iter(holder))
+    fault = draw(st.sampled_from(["names", "key", "heisenberg"]))
+    if fault == "names":
+        rank = 3 if kind == "heisenberg" else holder[kind] if kind != "free_product" else -1
+        holder["names"] = [f"g{i}" for i in range(draw(st.integers(0, 5).filter(lambda k: k != rank)))]
+    elif fault == "key":
+        holder[draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in holder and k != "names"))] = draw(
+            _ODD_FIELDS)
+    else:
+        holder.clear()
+        holder["heisenberg"] = draw(st.one_of(
+            _ODD_FIELDS.filter(lambda v: v != {}),
+            st.fixed_dictionaries({"include_central": _ODD_FIELDS.filter(lambda v: not isinstance(v, bool))}),
+            st.fixed_dictionaries({"include_central": st.booleans(), "extra": _ODD_FIELDS})))
+    return group
+
+
+@settings(max_examples=100, deadline=None)
+@given(group=_disagreeing_groups(),
+       kind=st.sampled_from(["augment", "milnor-svarc", "convexify-experiment", "delta"]))
+def test_cli_group_descriptions_that_disagree_exit_2(group, kind):
+    """A group description whose parts disagree is refused with exit 2: it
+    would otherwise build and report on a group other than the one the
+    config names (``{"free_abelian": 2, "names": ["a"]}`` built Z)."""
+    params = {"augment": {"depth": 1}, "milnor-svarc": {"depth": 1, "t_list": [1]},
+              "convexify-experiment": {"depths": [1]}, "delta": {}}[kind]
+    config = {"version": 1, "experiment": kind, "instance": {"group": group, "radius": 2}, "params": params}
+    assert _exit_code(config) == EXIT_CONFIG
 
 
 _JSON = st.recursive(st.none() | st.booleans() | st.integers(-3, 2**70) | st.floats() | st.text(max_size=3),

@@ -6,6 +6,7 @@ import itertools
 import json
 import pathlib
 import random
+import sys
 import tempfile
 from unittest import mock
 
@@ -69,10 +70,10 @@ def test_edge_order_and_duplicates_do_not_change_the_graph(seed):
         g = Graph(n, variant)
         assert g.edges.dtype == np.int32
         assert np.array_equal(g.edges, canon.reshape(-1, 2))
-        csr = g.csr()
-        assert csr.dtype == np.float64
-        assert np.array_equal(csr.indptr, indptr) and np.array_equal(csr.indices, indices)
-        assert np.array_equal(csr.toarray(), csr.toarray().T)
+        assert np.array_equal(g._indptr, indptr) and np.array_equal(g._indices, indices)
+        adj = np.zeros((n, n), dtype=bool)
+        adj[np.repeat(np.arange(n), np.diff(g._indptr)), g._indices] = True
+        assert np.array_equal(adj, adj.T)
 
 
 def test_parallel_edges_collapse():
@@ -97,6 +98,31 @@ def use_kernel(monkeypatch, kernel):
     pick = horolab.graph._pick_kernel
     monkeypatch.setattr(horolab.graph, "_pick_kernel",
                         lambda *args: (kernel, pick(*args)[1]))
+
+
+# The two engines of per-source rows.  ``use_engine`` forces one: "numpy"
+# never hands a row over to scipy, "scipy" computes every row in scipy, the
+# probe included.
+ENGINES = ["numpy", "scipy"]
+
+
+def use_engine(monkeypatch, engine):
+    monkeypatch.setattr(horolab.graph, "_per_source_costs",
+                        lambda *args: (0.0, 1.0) if engine == "numpy" else (1.0, 0.0))
+    monkeypatch.setattr(horolab.graph, "_numpy_row_levels", lambda g: None if engine == "numpy" else 0)
+
+
+def spy_on_scipy(monkeypatch) -> list:
+    """The sources of every scipy row computed from here on."""
+    calls = []
+    rows = horolab.graph._scipy_rows
+
+    def counted(g, sources):
+        calls.extend(int(s) for s in sources)
+        return rows(g, sources)
+
+    monkeypatch.setattr(horolab.graph, "_scipy_rows", counted)
+    return calls
 
 
 def random_graph(n, edge_count, rng):
@@ -153,6 +179,53 @@ def test_per_source_bfs_row_matches_the_queue_bfs(g):
         row = horolab.graph._bfs_order_row(g, s)
         assert row.dtype == np.int32
         assert row.tolist() == as_inf(bfs_distances(n, edges, s))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_per_source_engines_match_the_references(monkeypatch, engine):
+    """Per-source rows from each engine, probe included, against
+    Floyd-Warshall on random and disconnected graphs, and against the queue
+    BFS on a long path, from both ends and the middle."""
+    use_kernel(monkeypatch, "bfs")
+    use_engine(monkeypatch, engine)
+    calls = spy_on_scipy(monkeypatch)
+    check_random_graphs_against_references(random.Random(8))
+    g = path_graph(3000)
+    assert distance_rows(g, [0, 1500, 3000]).tolist() == [
+        as_inf(bfs_distances(3001, g.edges.tolist(), s)) for s in (0, 1500, 3000)]
+    assert bool(calls) == (engine == "scipy")
+
+
+@pytest.mark.parametrize("length", [49, 50])
+def test_the_probe_hands_over_to_scipy_past_the_break_even(monkeypatch, length):
+    """With a break-even of 50 levels, a probe row of 50 levels (a path of
+    length 49 from one end) stays in numpy, and one of 51 is computed again
+    by scipy; both give the queue BFS rows, and so does every source after
+    the probe."""
+    monkeypatch.setattr(horolab.graph, "_numpy_row_levels", lambda g: 50)
+    use_kernel(monkeypatch, "bfs")
+    calls = spy_on_scipy(monkeypatch)
+    g = path_graph(length)
+    edges = g.edges.tolist()
+    assert (horolab.graph._frontier_bfs(g, [0], 50) is None) == (length == 50)
+    assert horolab.graph._bfs_order_row(g, 0).tolist() == as_inf(bfs_distances(length + 1, edges, 0))
+    assert calls == ([0] if length == 50 else [])
+    sources = [0, length // 2, length]
+    assert distance_rows(g, sources).tolist() == [as_inf(bfs_distances(length + 1, edges, s)) for s in sources]
+
+
+def test_scipy_is_priced_with_its_start_until_it_is_loaded(monkeypatch):
+    """The model charges scipy's import to the first call that would use it,
+    and to none after: before the import a 3,001-vertex path is a numpy
+    row, and with scipy loaded it is handed over after a few levels."""
+    g = path_graph(3000)
+    monkeypatch.delitem(sys.modules, "scipy.sparse.csgraph", raising=False)
+    numpy_s, cold = horolab.graph._per_source_costs(g, 1, 3001)
+    assert numpy_s < cold and horolab.graph._numpy_row_levels(g) > 3001
+    monkeypatch.setitem(sys.modules, "scipy.sparse.csgraph", sys.modules.get("scipy.sparse.csgraph"))
+    numpy_s, warm = horolab.graph._per_source_costs(g, 1, 3001)
+    assert cold - warm == pytest.approx(horolab.graph._SCIPY_START_S)
+    assert warm < numpy_s and horolab.graph._numpy_row_levels(g) < 100
 
 
 def test_bfs_matches_floyd_warshall_on_random_graphs(monkeypatch):
@@ -411,18 +484,35 @@ def test_metric_axioms_on_sampled_triples():
 
 
 def test_distance_to_set_matches_min_of_rows():
+    """One multi-source BFS gives, at each vertex, the least Floyd-Warshall
+    distance to the set: on a grid, and on random graphs, disconnected ones
+    included (INF where no source reaches), with repeated sources."""
     g = grid_graph(4, 5)
     oracle = DistanceOracle(g)
     sources = [0, 7, 19]
     expected = np.min(oracle.rows(sources), axis=0)
     assert np.array_equal(oracle.distance_to_set(sources), expected)
+    rng = random.Random(4)
+    for i in range(40):
+        n = rng.randrange(1, 25)
+        g = random_connected_graph(n, rng.randrange(0, 8), rng) if i % 2 else random_graph(n, rng.randrange(0, 2 * n), rng)
+        fw = floyd_warshall(n, [tuple(e) for e in g.edges])
+        sources = [rng.randrange(n) for _ in range(rng.randrange(1, 6))]
+        to_set = DistanceOracle(g).distance_to_set(sources)
+        assert to_set.dtype == np.int32
+        assert to_set.tolist() == as_inf([min(fw[s][v] for s in sources) for v in range(n)])
+    with pytest.raises(InputError):
+        DistanceOracle(g).distance_to_set([])
+    with pytest.raises(InputError, match="unknown vertex id"):
+        DistanceOracle(g).distance_to_set([0, n])
 
 
 def _induced_reference(g, sources, radius):
-    """N_radius(sources) from ``distance_to_set``, and the edges of g with
-    both ends inside, renumbered by rank."""
-    to_set = DistanceOracle(g).distance_to_set(sources)
-    ids = [v for v in range(g.num_vertices) if to_set[v] <= radius]
+    """N_radius(sources) from the queue BFS of ``tests/oracles.py``, and the
+    edges of g with both ends inside, renumbered by rank."""
+    edges = g.edges.tolist()
+    rows = [bfs_distances(g.num_vertices, edges, s) for s in sorted(set(sources))]
+    ids = [v for v in range(g.num_vertices) if min(row[v] for row in rows) <= radius]
     rank = {v: i for i, v in enumerate(ids)}
     edges = sorted((rank[u], rank[v]) for u, v in g.edges.tolist() if u in rank and v in rank)
     return ids, edges
