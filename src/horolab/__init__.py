@@ -11,17 +11,14 @@ from .graph import (
     Path,
     distance_rows,
     enumerate_geodesics,
-    hausdorff_distance,
     is_interior_pair,
     rips_graph,
 )
 from .groups import (
     CayleyBall,
-    CosetSubgraph,
     GroupElement,
     GroupSpec,
     cayley_ball,
-    coset_family,
     free,
     free_abelian,
     free_product,

@@ -1,15 +1,13 @@
 """Coarse-geometry measurements on finite graphs.
 
 Four-point hyperbolicity constants, betweenness-based convexity defects,
-local-geodesic and quasigeodesic checks, displacement generating sets, and
-multiplicative quasi-isometry fits.  Fitted constants are exact rationals
-(resolution is therefore finer than any fixed grid); distances are exact
-integers throughout.
+displacement generating sets, and multiplicative quasi-isometry fits.
+Fitted constants are exact rationals (resolution is therefore finer than any
+fixed grid); distances are exact integers throughout.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -19,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InputError
-from .graph import (INF, KERNEL_BYTES, DistanceOracle, Graph, Path, _gather, _jagged_layout, _sorted_contains,
+from .graph import (INF, KERNEL_BYTES, DistanceOracle, Graph, _gather, _jagged_layout, _sorted_contains,
                     enumerate_geodesics, is_interior_pair, unique_ints)
 from .groups import GroupElement
 
@@ -57,14 +55,16 @@ def four_point_delta(g: Graph, sample: str | int = "all", seed: int | None = Non
 
     An integer samples that many quadruples uniformly: ``random.Random(seed)``
     draws the four vertices of each in turn, and distance rows are computed
-    only for drawn vertices, once each.
+    only for drawn vertices, once each.  Connectivity is read off the row
+    of vertex 0, for ``"all"`` the table's own, so the table's budget is
+    checked before any row is computed.
     """
-    if not g.is_connected():
-        raise InputError("four-point scan needs a connected graph")
     n = g.num_vertices
     oracle = DistanceOracle(g)
-    if sample == "all":
-        d = oracle.matrix()
+    d = oracle.matrix() if sample == "all" else None
+    if n > 1 and np.any(oracle.row(0) >= INF):
+        raise InputError("four-point scan needs a connected graph")
+    if d is not None:
         best = 0
         for w in range(n - 3):
             tail = d[w + 1:, w + 1:]
@@ -294,49 +294,6 @@ def _over_cap(g: Graph, rows: np.ndarray, src: np.ndarray, dst: np.ndarray, limi
             full |= front == saturation
         over[lo:hi] = full[v, c]
     return over
-
-
-# -- local geodesics and quasigeodesics ----------------------------------------
-
-
-def is_r_local_geodesic(
-    g: Graph, p: Path, r: int, oracle: DistanceOracle | None = None
-) -> tuple[bool, tuple[int, int] | None]:
-    """Every window of ``r`` consecutive edges must realize the distance of
-    its endpoints.  Returns (ok, first violating window as index pair)."""
-    if r < 1:
-        raise InputError("window length must be >= 1")
-    oracle = oracle or DistanceOracle(g)
-    w = min(r, p.length)
-    for i in range(p.length - w + 1):
-        a, b = p.vertices[i], p.vertices[i + w]
-        if oracle.distance(a, b) != w:
-            return False, (i, i + w)
-    return True, None
-
-
-def quasigeodesic_fit(
-    g: Graph, p: Path, additive_budget: int | Fraction = 0, oracle: DistanceOracle | None = None
-) -> Fraction | float:
-    """Smallest multiplicative constant L with
-    (1/L)|i-j| - C <= d(p_i, p_j) <= L|i-j| + C over all index pairs.
-
-    Unit-speed paths satisfy the upper bound with L = 1, so the fit is the
-    largest ratio |i-j| / (d + C).  Returns math.inf when some pair has
-    d + C = 0, e.g. a closed walk with no additive budget.
-    """
-    c = Fraction(additive_budget)
-    if c < 0:
-        raise InputError("additive budget must be >= 0")
-    oracle = oracle or DistanceOracle(g)
-    best = Fraction(1)
-    for i, j in itertools.combinations(range(len(p.vertices)), 2):
-        d = oracle.distance(p.vertices[i], p.vertices[j])
-        gap = j - i
-        if d + c == 0:
-            return math.inf
-        best = max(best, Fraction(gap) / (d + c))
-    return best
 
 
 # -- displacement generating sets -------------------------------------------------

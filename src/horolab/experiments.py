@@ -314,7 +314,7 @@ def _shaped_family(ball: CayleyBall, timings: dict | None) -> tuple:
     timed as ``family_s`` in ``timings`` (when given)."""
     t = time.perf_counter()
     family, factor_of, identity_members = parabolic_family(ball)
-    shapes = member_shapes(ball.graph, family)
+    shapes = member_shapes(family)
     if timings is not None:
         timings["family_s"] = _since(t)
     return family, factor_of, identity_members, shapes
@@ -786,9 +786,15 @@ class Kind:
 
 
 def _check_convexity(values: dict) -> None:
-    if values["depth"] is None and values["set"]["vertices"] is None:
-        raise ConfigError("params.set", "need vertices (or a horoball depth)")
-    if values["set"]["level_at_least"] is None and values["set"]["vertices"] is None:
+    """A set is ``vertices`` of the graph, or with a horoball ``depth`` its
+    levels from ``level_at_least`` up; a field the run would ignore is
+    refused."""
+    vertices, level = values["set"]["vertices"], values["set"]["level_at_least"]
+    if level is not None and vertices is not None:
+        raise ConfigError("params.set", "give level_at_least or vertices, not both")
+    if level is not None and values["depth"] is None:
+        raise ConfigError("params.set.level_at_least", "needs a horoball depth")
+    if level is None and vertices is None:
         raise ConfigError("params.set", "need level_at_least or vertices")
 
 

@@ -46,9 +46,9 @@ INF: int = 2**30 - 1
 # bit-parallel one takes its sources in as many 64-source words as fit.
 KERNEL_BYTES = 64 * 2**20
 
-# Byte budget for one dense V×V int32 distance table
-# (``DistanceOracle.matrix``), checked before it is allocated: 8,192
-# vertices.
+# Byte budget for one dense V×V int32 distance table (``check_table``):
+# 8,192 vertices.  ``DistanceOracle.matrix`` and the shape table of
+# ``horoball.member_shapes`` check it before a table is allocated.
 TABLE_BYTES = 256 * 2**20
 
 # The cost model of _pick_kernel, in seconds per unit of work.  The
@@ -202,18 +202,6 @@ class Path:
         if not self.vertices:
             raise InputError("a path needs at least one vertex")
 
-    @classmethod
-    def in_graph(cls, g: Graph, vertices: Sequence[int]) -> "Path":
-        """Validate consecutive adjacency against ``g`` and build the path."""
-        vs = tuple(int(v) for v in vertices)
-        for v in vs:
-            if not 0 <= v < g.num_vertices:
-                raise InputError(f"unknown vertex id {v}")
-        for a, b in zip(vs, vs[1:]):
-            if not g.has_edge(a, b):
-                raise InputError(f"vertices {a} and {b} are not adjacent")
-        return cls(vs)
-
     @property
     def length(self) -> int:
         return len(self.vertices) - 1
@@ -240,11 +228,6 @@ class Subgraph:
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
-    @classmethod
-    def whole(cls, g: Graph) -> "Subgraph":
-        """All of ``g``: every vertex in id order and every edge."""
-        return cls(tuple(range(g.num_vertices)), tuple(map(tuple, g.edges.tolist())))
-
 
 @dataclass(frozen=True, eq=False)
 class SubgraphFamily:
@@ -267,7 +250,8 @@ class SubgraphFamily:
 
     @classmethod
     def whole(cls, g: Graph) -> "SubgraphFamily":
-        """The one member ``Subgraph.whole(g)``."""
+        """The one member that is all of ``g``: every vertex in id order
+        and every edge."""
         n = g.num_vertices
         return cls(np.array([0, n]), np.arange(n), np.zeros(1, dtype=np.int64), (g.edges,))
 
@@ -598,6 +582,14 @@ def _scipy_rows(g: Graph, sources: Sequence[int]) -> Iterator[np.ndarray]:
         yield dist
 
 
+def check_table(n: int) -> None:
+    """Refuse a dense n×n int32 distance table over ``TABLE_BYTES`` before
+    it is allocated."""
+    if 4 * n * n > TABLE_BYTES:
+        raise ResourceLimitError(f"a distance table of {n} x {n} vertices exceeds the table budget "
+                                 f"of {TABLE_BYTES} bytes")
+
+
 class DistanceOracle:
     """Per-source cache of ``distance_rows``."""
 
@@ -635,11 +627,8 @@ class DistanceOracle:
 
     def matrix(self) -> np.ndarray:
         """All rows, as one V×V table; refused over ``TABLE_BYTES``."""
-        n = self.graph.num_vertices
-        if 4 * n * n > TABLE_BYTES:
-            raise ResourceLimitError(f"a distance table of {n} x {n} vertices exceeds the table budget "
-                                     f"of {TABLE_BYTES} bytes")
-        return self.rows(range(n))
+        check_table(self.graph.num_vertices)
+        return self.rows(range(self.graph.num_vertices))
 
     def distance_to_set(self, sources: Sequence[int]) -> np.ndarray:
         """Row of distances to the nearest vertex of ``sources``."""
@@ -697,11 +686,14 @@ def rips_graph(g: Graph, t: int) -> Graph:
     """Thicken ``g``: same vertices, edge (u, v) iff 0 < d_g(u, v) <= t."""
     if t < 1:
         raise InputError("rips scale t must be >= 1")
-    if not g.is_connected():
+    oracle = DistanceOracle(g)
+    # t > 1 reads the whole table, refused over its budget before any row is
+    # computed; connectivity is read off the row of vertex 0 either way
+    d = oracle.matrix() if t > 1 else None
+    if g.num_vertices > 1 and np.any(oracle.row(0) >= INF):
         raise InputError("rips graph of a disconnected graph is undefined")
     if t == 1:
         return Graph(g.num_vertices, g.edges, labels=g.labels, metadata=g.metadata)
-    d = DistanceOracle(g).matrix()
     iu, iv = np.nonzero(np.triu((d > 0) & (d <= t), k=1))
     return Graph(g.num_vertices, np.stack([iu, iv], axis=1), labels=g.labels, metadata=g.metadata)
 
@@ -748,22 +740,6 @@ def enumerate_geodesics(
     return out, False
 
 
-def hausdorff_distance(g: Graph, a: Sequence[int], b: Sequence[int]) -> int:
-    """max(sup_{x in A} d(x, B), sup_{y in B} d(y, A)) over one component."""
-    a = list(dict.fromkeys(int(x) for x in a))
-    b = list(dict.fromkeys(int(x) for x in b))
-    if not a or not b:
-        raise InputError("hausdorff distance needs two nonempty vertex sets")
-    oracle = DistanceOracle(g)
-    to_a = oracle.distance_to_set(a)
-    to_b = oracle.distance_to_set(b)
-    d_ab = int(max(to_b[x] for x in a))
-    d_ba = int(max(to_a[y] for y in b))
-    if is_unreachable(d_ab) or is_unreachable(d_ba):
-        raise InputError("vertex sets do not lie in one component")
-    return max(d_ab, d_ba)
-
-
 def is_interior_pair(d_o_u, d_o_v, d_uv, radius: int):
     """Ball-interior test for a pair inside a radius-``radius`` ball around o.
 
@@ -805,35 +781,3 @@ def grid_graph(rows: int, cols: int) -> Graph:
             if r + 1 < rows:
                 edges.append((v, v + cols))
     return Graph(rows * cols, edges)
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def star_graph(leaves: int) -> Graph:
-    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def binary_tree(depth: int) -> Graph:
-    n = 2 ** (depth + 1) - 1
-    return Graph(n, [(i, 2 * i + 1) for i in range((n - 1) // 2)] + [(i, 2 * i + 2) for i in range((n - 1) // 2)])
-
-
-def random_connected_graph(n: int, extra_edges: int, rng) -> Graph:
-    """Random spanning tree plus ``extra_edges`` uniform extra edges."""
-    if n < 1:
-        raise InputError("need at least one vertex")
-    perm = list(range(n))
-    rng.shuffle(perm)
-    edges = set()
-    for i in range(1, n):
-        j = rng.randrange(i)
-        edges.add((min(perm[i], perm[j]), max(perm[i], perm[j])))
-    attempts = 0
-    while len(edges) < n - 1 + extra_edges and attempts < 50 * (extra_edges + 1):
-        u, v = rng.randrange(n), rng.randrange(n)
-        attempts += 1
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    return Graph(n, sorted(edges))

@@ -1,4 +1,5 @@
-"""Group catalog with unique normal forms, Cayley balls, and coset families.
+"""Group catalog with unique normal forms, Cayley balls, and their coset
+families (``CayleyBall.cosets``).
 
 Supported groups: free groups, free abelian groups, the discrete Heisenberg
 group, and free products of those.  Each has a decidable canonical normal
@@ -11,7 +12,7 @@ form, so equality, multiplication and ball generation are exact:
                    (p1+p2, q1+q2, r1+r2 - p2*q1)
 * free_product     alternating nonempty syllables from distinct factors
 
-Serialized normal forms use the grammar
+Ball labels write normal forms in the grammar
 
     word     := "e" | term (" " term)*
     term     := name | name "^" int          (int nonzero, may be negative)
@@ -128,11 +129,6 @@ class GroupSpec:
 
     def format(self, x: "GroupElement") -> str:
         return self._format_key(x.key)
-
-    def parse(self, text: str) -> "GroupElement":
-        key = self._parse_key(text.strip())
-        self._validate(key)
-        return GroupElement(self, key)
 
     # -- JSON form -------------------------------------------------------
 
@@ -296,62 +292,6 @@ class GroupSpec:
             return "e"
         return " | ".join(self.factors[i]._format_key(k) for i, k in key)
 
-    def _parse_key(self, text: str):
-        if self.kind == "free_product":
-            if text == "e":
-                return ()
-            syllables = []
-            for chunk in text.split("|"):
-                chunk = chunk.strip()
-                word = _parse_terms(chunk)
-                owner = self._owning_factor(word)
-                key = self.factors[owner]._key_from_terms(word)
-                if key == self.factors[owner]._identity_key():
-                    raise InputError(f"identity syllable in {text!r}")
-                if syllables and syllables[-1][0] == owner:
-                    raise InputError(f"consecutive syllables from one factor in {text!r}")
-                syllables.append((owner, key))
-            return tuple(syllables)
-        if text == "e":
-            return self._identity_key()
-        return self._key_from_terms(_parse_terms(text))
-
-    def _owning_factor(self, word: list[tuple[str, int]]) -> int:
-        owners = set()
-        for nm, _ in word:
-            for i, factor in enumerate(self.factors):
-                if nm in factor.generator_names:
-                    owners.add(i)
-                    break
-            else:
-                raise InputError(f"unknown generator {nm!r}")
-        if len(owners) != 1:
-            raise InputError(f"syllable mixes factors: {word!r}")
-        return owners.pop()
-
-    def _key_from_terms(self, word: list[tuple[str, int]]):
-        index = {nm: i for i, nm in enumerate(self.generator_names)}
-        for nm, _ in word:
-            if nm not in index:
-                raise InputError(f"unknown generator {nm!r}")
-        key = self._identity_key()
-        for nm, exp in word:
-            step = self._gen_power(index[nm], exp)
-            key = self._mul(key, step)
-        return key
-
-    def _gen_power(self, gen_index: int, exp: int):
-        if self.kind == "free":
-            return ((gen_index, exp),)
-        if self.kind == "free_abelian":
-            vec = [0] * self.rank
-            vec[gen_index] = exp
-            return tuple(vec)
-        # heisenberg: a^exp, b^exp, c^exp in coordinates
-        vec = [0, 0, 0]
-        vec[gen_index] = exp
-        return tuple(vec)
-
     def describe(self) -> str:
         if self.kind == "free":
             return f"free({self.rank})"
@@ -364,27 +304,6 @@ class GroupSpec:
 
 def _term(name: str, exp: int) -> str:
     return name if exp == 1 else f"{name}^{exp}"
-
-
-def _parse_terms(text: str) -> list[tuple[str, int]]:
-    word = []
-    for token in text.split():
-        if token == "e":
-            continue
-        if "^" in token:
-            name, _, raw = token.partition("^")
-            try:
-                exp = int(raw)
-            except ValueError as exc:
-                raise InputError(f"bad exponent in {token!r}") from exc
-            if exp == 0:
-                continue
-        else:
-            name, exp = token, 1
-        if not _NAME_RE.match(name):
-            raise InputError(f"bad generator token {token!r}")
-        word.append((name, exp))
-    return word
 
 
 @dataclass(frozen=True)
@@ -581,12 +500,6 @@ class CayleyBall:
                     table = (coords, lo, hi, radix, code, lookup)
             object.__setattr__(self, "_codes", table)
         return self._codes
-
-    def vertex_of(self, g: GroupElement) -> int:
-        try:
-            return self.index[g]
-        except KeyError:
-            raise InputError(f"element {g!r} is outside the ball") from None
 
     @property
     def cosets(self) -> SubgraphFamily:
@@ -805,40 +718,6 @@ def _free_product_size(spheres: list[list[int]], radius: int) -> int:
             ending[i][length] = sum((total[m] - ending[i][m]) * sphere[length - m] for m in range(length))
         total[length] = sum(e[length] for e in ending)
     return sum(total)
-
-
-# -- coset subgraph families (free products) -------------------------------
-
-
-@dataclass(frozen=True)
-class CosetSubgraph:
-    """One left coset g·H_i intersected with a ball, with its factor edges."""
-
-    factor_index: int
-    representative: GroupElement
-    members: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-
-def coset_family(ball: CayleyBall, factor_index: int) -> list[CosetSubgraph]:
-    """The cosets g·H_i of factor ``factor_index`` inside the ball, from
-    ``ball.cosets``: each is r·B_{H_i}(radius - |r|) for its unique shortest
-    element r, the coset's smallest ball index, so the families come in the
-    (word length, normal form) order of their representatives.  Members are
-    ascending and edges sorted.
-    """
-    spec = ball.spec
-    if spec.kind != "free_product":
-        raise InputError("coset families are defined for free products only")
-    if not 0 <= factor_index < len(spec.factors):
-        raise InputError(f"factor index {factor_index} out of range")
-    family = ball.cosets
-    out = []
-    for a in np.nonzero(ball.coset_factors == factor_index)[0].tolist():
-        member = family[a]
-        out.append(CosetSubgraph(factor_index=factor_index, representative=ball.elements[member.vertices[0]],
-                                 members=member.vertices, edges=member.edges))
-    return out
 
 
 def _cosets(ball: CayleyBall) -> SubgraphFamily:

@@ -8,16 +8,17 @@ between base vertices at base distance in (0, 2^k].  Level k is therefore the
 with each level climbed.  The augmentation of a graph glues one such horoball
 onto each member of a family of subgraphs along its level 0.
 
-One gluing step builds every carrier.  ``member_shapes`` validates the family
-and computes the shape table: one distance matrix per member shape.  A
-``SubgraphFamily`` (a Cayley ball's cosets) is vouched for by its builder and
-has one shape per template.  ``_glue`` then emits the edges and per-vertex
-provenance of all members of a shape at once.  ``build_augmented`` runs the
-two in a row; ``glue_horoballs`` takes a shape table already computed, so an
-experiment over several depths builds it once, and it is the only caller of
-``_glue``.  The restricted horoball over a whole base is the one-member
-case: ``RestrictedHoroball`` is a view over the ``AugmentedSpace`` glued
-over ``Subgraph.whole(base)`` that adds the level-major id arithmetic of
+Every family is a ``SubgraphFamily``: a few templates copied many times, as
+the paper's parabolic subgroups act cocompactly on their cosets.  Its
+builder vouches for its members (a Cayley ball for its cosets, ``whole``
+for a whole base).  One gluing step builds every carrier.  ``member_shapes``
+computes the shape table, one distance matrix per member shape, looking at
+each template once.  ``glue_horoballs`` takes that table, so an experiment
+over several depths builds it once, and ``_glue`` emits the edges and
+per-vertex provenance of all members of a shape at once.  The restricted
+horoball over a whole base is the one-member case: ``RestrictedHoroball``
+is a view over the ``AugmentedSpace`` glued over
+``SubgraphFamily.whole(base)`` that adds the level-major id arithmetic of
 the geodesic functions.  A carrier keeps its per-vertex provenance as
 arrays (``columns``); ``io.write_carrier`` renders its labels and
 vertex_meta from them.
@@ -26,14 +27,12 @@ vertex_meta from them.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .graph import INF, DistanceOracle, Graph, Path, Subgraph, SubgraphFamily, distance_rows, unique_ints
+from .graph import INF, DistanceOracle, Graph, Path, SubgraphFamily, check_table, distance_rows
 from .groups import CARRIER_BUDGET
 
 ASCENDING = "ascending"
@@ -47,7 +46,7 @@ def _ceil_div(a: int, b: int) -> int:
 
 class RestrictedHoroball:
     """Depth-``depth`` horoball over ``base``: a view over the one-member
-    ``AugmentedSpace`` glued over ``Subgraph.whole(base)``, which has its
+    ``AugmentedSpace`` glued over ``SubgraphFamily.whole(base)``, which has its
     ``base``, ``depth`` and ``carrier``.
 
     Vertex ids are level-major: (v, k) has id k*|base| + v, since the
@@ -96,11 +95,10 @@ class RestrictedHoroball:
 
 def build_restricted_horoball(base: Graph, depth: int) -> RestrictedHoroball:
     """Depth-``depth`` horoball over all of ``base``: the view over
-    ``glue_horoballs`` of the one member ``Subgraph.whole(base)``."""
-    if not base.is_connected():
-        raise InputError("horoball base must be connected")
-    family = (Subgraph.whole(base),)
-    return RestrictedHoroball(glue_horoballs(base, family, member_shapes(base, family), depth))
+    ``glue_horoballs`` of the one member ``SubgraphFamily.whole(base)``.  A
+    disconnected base is refused by ``member_shapes``."""
+    family = SubgraphFamily.whole(base)
+    return RestrictedHoroball(glue_horoballs(base, family, member_shapes(family), depth))
 
 
 def _crossing_costs(d_base, k: int, l: int, depth: int) -> list:
@@ -355,7 +353,7 @@ class AugmentedSpace:
     copy starts at id ``_block_starts[a] + (k-1)*s``, s its size."""
 
     base: Graph
-    family: Sequence[Subgraph]
+    family: SubgraphFamily
     depth: int
     carrier: Graph
     columns: tuple
@@ -374,14 +372,6 @@ class AugmentedSpace:
         shape_of, dmats = self._shapes
         return dmats[shape_of[alpha]]
 
-    def horo_vertex(self, alpha: int, base_vid: int, level: int) -> int:
-        """Carrier id of the level-``level`` copy of a member vertex."""
-        try:
-            idx = self.family[alpha].vertices.index(base_vid)
-        except ValueError:
-            raise InputError(f"vertex {base_vid} not in family member {alpha}") from None
-        return self.level_vertices(alpha, level)[idx]
-
     def level_vertices(self, alpha: int, level: int) -> list[int]:
         """Carrier ids of member ``alpha``'s level-``level`` copy, in member
         order; level 0 is the member itself."""
@@ -399,177 +389,56 @@ class AugmentedSpace:
                 f"|carrier|={self.carrier.num_vertices})")
 
 
-def member_shapes(base: Graph, family: Sequence[Subgraph]) -> tuple[list[int], list[np.ndarray]]:
-    """Validate every family member and group the members by shape.
+def member_shapes(family: SubgraphFamily) -> tuple[list[int], list[np.ndarray]]:
+    """Group the family's members by shape and measure each shape once.
 
     A member's shape is its size plus its sorted local edge list, where a
-    vertex's local index is its position in ``member.vertices``; members of
-    one shape have the same graph on their local indices.
-    Returns the shape table: the shape index of each member and, per shape,
-    its int32 distance matrix over local indices.  Members are checked in
-    order, and the first fault raises: a member that fails
-    ``_member_faults`` or whose shape, the first time it is seen, is
-    disconnected.  A ``SubgraphFamily`` skips ``_member_faults``: its
-    members are its templates' copies, so each template is looked at once,
-    in the order of its first member.
+    vertex's local index is its position in the member's vertex list;
+    members of one shape have the same graph on their local indices.  The
+    members are copies of the family's templates, so each template is
+    looked at once, in the order of its first member, and templates with
+    equal local graphs share a shape.  Returns the shape table: the shape
+    index of each member and, per shape, its int32 distance matrix over
+    local indices.  A shape whose matrix exceeds ``TABLE_BYTES`` raises
+    ``ResourceLimitError`` before the matrix exists, and a disconnected
+    shape raises ``InputError``, each naming the first member of its shape.
     """
-    if isinstance(family, SubgraphFamily):
-        used, first, inverse = np.unique(family.template, return_index=True, return_inverse=True)
-        by_first = np.argsort(first)
-        sizes = family.sizes[first[by_first]].tolist()
-        shape_of_used, dmats = _shape_table(
-            (a, s, _edge_codes(family.templates[t], s))
-            for a, s, t in zip(first[by_first].tolist(), sizes, used[by_first].tolist()))
-        shape_of = np.empty(len(used), dtype=np.int64)
-        shape_of[by_first] = shape_of_used
-        return shape_of[inverse].tolist(), dmats
-
-    offsets, vertices = _member_arrays(family)
-    sizes = np.diff(offsets)
-    edge_counts = np.fromiter((len(m.edges) for m in family), dtype=np.int64, count=len(family))
-    ends = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(m.edges) for m in family),
-                       dtype=np.int64, count=2 * int(edge_counts.sum())).reshape(-1, 2)
-    local, faults = _member_faults(base, sizes, vertices, edge_counts, ends)
-
-    # each member's deduplicated local edges (lo, hi), sorted, as codes lo * s + hi
-    owner = np.repeat(np.arange(len(family)), edge_counts)
-    code = _edge_codes(local, sizes[owner])
-    order = np.lexsort((code, owner))
-    owner, code = owner[order], code[order]
-    fresh = np.ones(len(code), dtype=bool)
-    fresh[1:] = (owner[1:] != owner[:-1]) | (code[1:] != code[:-1])
-    owner, code = owner[fresh], code[fresh]
-    bounds = np.searchsorted(owner, np.arange(len(family) + 1)).tolist()
-
-    def checked():
-        for a, s in enumerate(sizes.tolist()):
-            fault = faults.get(a)
-            if fault is not None:
-                raise InputError(f"family member {a}: {fault}")
-            yield a, s, code[bounds[a]:bounds[a + 1]]
-
-    return _shape_table(checked())
-
-
-def _edge_codes(local: np.ndarray, s) -> np.ndarray:
-    """Local edges (i, j) as the int64 codes lo * s + hi, which sort like
-    the pairs (lo, hi)."""
-    lo, hi = np.minimum(local[:, 0], local[:, 1]), np.maximum(local[:, 0], local[:, 1])
-    return lo.astype(np.int64) * s + hi
-
-
-def _shape_table(members) -> tuple[list[int], list[np.ndarray]]:
-    """Shape index per (member index, size, sorted local edge codes), in
-    the order given, and the distance matrix of each new shape; the first
-    disconnected shape raises, naming the member it was met on."""
+    used, first, inverse = np.unique(family.template, return_index=True, return_inverse=True)
     index: dict[tuple, int] = {}
-    shape_of: list[int] = []
+    shape_of_used = np.empty(len(used), dtype=np.int64)
     dmats: list[np.ndarray] = []
-    for a, s, codes in members:
-        key = (s, codes.tobytes())
+    for j in np.argsort(first).tolist():
+        a, s = int(first[j]), int(family.sizes[first[j]])
+        pairs = np.asarray(family.templates[used[j]], dtype=np.int64)
+        key = (s, pairs.tobytes())
         shape = index.get(key)
         if shape is None:
-            dmat = distance_rows(Graph(s, np.stack([codes // s, codes % s], axis=1)), range(s))
+            check_table(s)
+            dmat = distance_rows(Graph(s, pairs), range(s))
             if np.any(dmat >= INF):
                 raise InputError(f"family member {a}: member is not connected")
             shape = index[key] = len(dmats)
             dmats.append(dmat)
-        shape_of.append(shape)
-    return shape_of, dmats
-
-
-def _member_arrays(family: Sequence[Subgraph]) -> tuple[np.ndarray, np.ndarray]:
-    """The members' offsets and concatenated vertex lists, as int64."""
-    if isinstance(family, SubgraphFamily):
-        return np.asarray(family.offsets, dtype=np.int64), np.asarray(family.vertices, dtype=np.int64)
-    sizes = np.fromiter((len(m.vertices) for m in family), dtype=np.int64, count=len(family))
-    vertices = np.fromiter(itertools.chain.from_iterable(m.vertices for m in family),
-                           dtype=np.int64, count=int(sizes.sum()))
-    return np.concatenate([[0], np.cumsum(sizes)]), vertices
-
-
-def _member_faults(base: Graph, sizes: np.ndarray, vertices: np.ndarray, edge_counts: np.ndarray,
-                   ends: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
-    """Check every member's vertices and edges at once.
-
-    ``vertices`` and ``ends`` are the members' vertex lists and edge
-    endpoint pairs, concatenated in family order.  Returns the local index
-    pairs of the edges and, for each faulty member, its first fault, in the
-    order a member-by-member check finds it: repeated vertices, then the
-    first vertex outside the base graph, then the first edge that leaves the
-    member or is not a base edge.  Edges are matched as 1-D keys, a member's
-    (member, vertex) keys and the base graph's lo * n + hi keys, each by one
-    ``searchsorted``.
-    """
-    n, m = base.num_vertices, len(sizes)
-    starts = np.cumsum(sizes) - sizes
-    member = np.repeat(np.arange(m), sizes)
-    order = np.lexsort((vertices, member))
-    same = (member[order[1:]] == member[order[:-1]]) & (vertices[order[1:]] == vertices[order[:-1]])
-    repeated = unique_ints(member[order[1:][same]])
-    outside = np.nonzero((vertices < 0) | (vertices >= n))[0]
-    _, first_out = np.unique(member[outside], return_index=True)
-
-    # (member, vertex) keys, sorted by ``order``.  Vertices clip to -1..n, so
-    # the keys stay in order, and an out-of-range end can only match in a
-    # member that has a range fault.  A sentinel past every key ends the
-    # array, and one past every lo * n + hi ends the base keys.
-    def member_key(owner, v):
-        return owner * (n + 2) + np.clip(v, -1, n) + 1
-
-    sorted_key = np.append(member_key(member, vertices)[order], m * (n + 2))
-    edge_member = np.repeat(np.arange(m), edge_counts)
-    ends_key = member_key(edge_member[:, None], ends)
-    pos = np.searchsorted(sorted_key, ends_key)
-    leaves = ~(sorted_key[pos] == ends_key).all(axis=1)
-    local = np.append(order, 0)[pos] - starts[edge_member][:, None]
-    lo, hi = np.clip(ends.min(axis=1), 0, n), np.clip(ends.max(axis=1), 0, n)
-    base_keys = np.append(base.edges[:, 0].astype(np.int64) * n + base.edges[:, 1], (n + 1) ** 2)
-    edge_key = lo * n + hi
-    in_base = base_keys[np.searchsorted(base_keys, edge_key)] == edge_key
-    bad_edges = np.nonzero(leaves | ~in_base)[0]
-    _, first_bad = np.unique(edge_member[bad_edges], return_index=True)
-
-    faults: dict[int, str] = {}
-    for i in bad_edges[first_bad].tolist():
-        u, v = ends[i].tolist()
-        what = "leaves the member" if leaves[i] else "is not a base edge"
-        faults[int(edge_member[i])] = f"edge ({u}, {v}) {what}"
-    for i in outside[first_out].tolist():
-        faults[int(member[i])] = f"vertex {int(vertices[i])} outside the base graph"
-    for a in repeated.tolist():
-        faults[a] = "repeated vertices"
-    return local, faults
-
-
-def build_augmented(
-    base: Graph,
-    family: Sequence[Subgraph],
-    depth: int,
-) -> AugmentedSpace:
-    """Glue a depth-``depth`` horoball onto each family member: the shape
-    table of ``member_shapes``, then ``glue_horoballs``.  The family is
-    taken as input, copied into ``Subgraph``s and validated in full."""
-    family = tuple(Subgraph(tuple(m.vertices), tuple(tuple(e) for e in m.edges)) for m in family)
-    return glue_horoballs(base, family, member_shapes(base, family), depth)
+        shape_of_used[j] = shape
+    return shape_of_used[inverse].tolist(), dmats
 
 
 def glue_horoballs(
     base: Graph,
-    family: Sequence[Subgraph],
+    family: SubgraphFamily,
     shapes: tuple[list[int], list[np.ndarray]],
     depth: int,
 ) -> AugmentedSpace:
-    """``build_augmented`` over the family's shape table from
-    ``member_shapes``, so that a run over several depths validates and
-    measures the members once.  The carrier graph holds the edges only; its
-    labels and vertex_meta are rendered from ``AugmentedSpace.columns`` by
-    ``io.write_carrier``."""
+    """Glue a depth-``depth`` horoball onto each family member, over the
+    family's shape table from ``member_shapes``, so that a run over several
+    depths measures the members once.  The carrier graph holds the edges
+    only; its labels and vertex_meta are rendered from
+    ``AugmentedSpace.columns`` by ``io.write_carrier``."""
     edges, columns, block_starts = _glue(base, family, shapes, depth)
     return AugmentedSpace(base, family, depth, Graph(len(columns[0]), edges), columns, block_starts, shapes)
 
 
-def _glue(base: Graph, family: Sequence[Subgraph], shapes, depth: int) -> tuple:
+def _glue(base: Graph, family: SubgraphFamily, shapes, depth: int) -> tuple:
     """The one gluing step: carrier edges and per-vertex provenance.
 
     Member ``a`` owns the block of carrier ids ``block_starts[a] + (k-1)*s +
@@ -591,7 +460,7 @@ def _glue(base: Graph, family: Sequence[Subgraph], shapes, depth: int) -> tuple:
         raise InputError("depth must be >= 1")
     shape_of, dmats = shapes
     n0 = base.num_vertices
-    offsets, vertices = _member_arrays(family)
+    offsets, vertices = family.offsets, family.vertices
     copied = int(offsets[-1])
     total = n0 + depth * copied  # Python ints: exact at any depth
     if total > CARRIER_BUDGET:

@@ -7,6 +7,9 @@ carrier: it is the reference for where the parabolic scan may look, not for
 the scan itself.  The Cayley ball and coset family references multiply
 factor keys with the package's group law: they are the reference for how
 balls and families are built from products, not for the factors' products.
+
+At the end are fixtures that build package objects for the tests: small
+graphs and ``family_of``, an irregular family as a ``SubgraphFamily``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,13 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
+
+from horolab.errors import InputError
+from horolab.graph import Graph, SubgraphFamily
 
 BIG = 10**9
 
@@ -232,7 +241,8 @@ def reference_sampled_delta(dist, sample: int, seed) -> tuple[int, Fraction]:
 
 
 def augmented_carrier(num_base: int, base_edges, family, depth: int, base_labels=None) -> dict:
-    """Member-by-member reference for ``build_augmented``.
+    """Member-by-member reference for ``member_shapes`` and
+    ``glue_horoballs``.
 
     ``family`` is a list of (vertices, edges) in base ids.  Member ``a``
     owns the ids ``block_starts[a] + (k-1)*s + i`` for the level-k copy of
@@ -469,13 +479,22 @@ def coset_representative(spec, g, factor_index: int):
     return GroupElement(spec, key)
 
 
-def reference_coset_family(ball, factor_index: int) -> list:
-    """Reference for ``groups.coset_family``: members grouped by their
-    representative, families ordered by the representative's (word length,
-    normal form), and edges from per-element products by the factor's
-    generators and their inverses."""
-    from horolab.groups import CosetSubgraph
+@dataclass(frozen=True)
+class Coset:
+    """One left coset g·H_i intersected with a ball, with its factor edges."""
 
+    factor_index: int
+    representative: object
+    members: tuple
+    edges: tuple
+
+
+def reference_coset_family(ball, factor_index: int) -> list[Coset]:
+    """Reference for the factor-``factor_index`` members of
+    ``CayleyBall.cosets``: members grouped by their representative, families
+    ordered by the representative's (word length, normal form), and edges
+    from per-element products by the factor's generators and their
+    inverses."""
     spec = ball.spec
     groups: dict = {}
     for vid, g in enumerate(ball.elements):
@@ -491,6 +510,56 @@ def reference_coset_family(ball, factor_index: int) -> list:
                 w = ball.key_index.get(reference_product(spec, ball.elements[v].key, s))
                 if w is not None and w > v and w in member_set:
                     edges.add((v, w))
-        out.append(CosetSubgraph(factor_index=factor_index, representative=rep,
-                                 members=tuple(members), edges=tuple(sorted(edges))))
+        out.append(Coset(factor_index=factor_index, representative=rep,
+                         members=tuple(members), edges=tuple(sorted(edges))))
     return out
+
+
+# -- fixtures --------------------------------------------------------------------
+
+
+def family_of(members) -> SubgraphFamily:
+    """An irregular family, (vertices, edges) pairs in base ids, as a
+    ``SubgraphFamily`` with one template per member.  Like the package's
+    families it is not checked against any graph."""
+    templates = []
+    for vertices, edges in members:
+        local = {v: i for i, v in enumerate(vertices)}
+        pairs = sorted({(min(local[u], local[v]), max(local[u], local[v])) for u, v in edges})
+        templates.append(np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    sizes = [len(vertices) for vertices, _ in members]
+    return SubgraphFamily(offsets=np.cumsum([0] + sizes, dtype=np.int64),
+                          vertices=np.array([v for vertices, _ in members for v in vertices], dtype=np.int64),
+                          template=np.arange(len(members)), templates=tuple(templates))
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def star_graph(leaves: int) -> Graph:
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def binary_tree(depth: int) -> Graph:
+    n = 2 ** (depth + 1) - 1
+    return Graph(n, [(i, 2 * i + 1) for i in range((n - 1) // 2)] + [(i, 2 * i + 2) for i in range((n - 1) // 2)])
+
+
+def random_connected_graph(n: int, extra_edges: int, rng) -> Graph:
+    """Random spanning tree plus ``extra_edges`` uniform extra edges."""
+    if n < 1:
+        raise InputError("need at least one vertex")
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = set()
+    for i in range(1, n):
+        j = rng.randrange(i)
+        edges.add((min(perm[i], perm[j]), max(perm[i], perm[j])))
+    attempts = 0
+    while len(edges) < n - 1 + extra_edges and attempts < 50 * (extra_edges + 1):
+        u, v = rng.randrange(n), rng.randrange(n)
+        attempts += 1
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph(n, sorted(edges))

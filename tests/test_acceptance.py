@@ -28,28 +28,27 @@ from horolab.experiments import (
     parabolic_family,
     scan_parabolic,
 )
-from horolab.graph import (
-    Graph,
-    binary_tree,
-    complete_graph,
-    cycle_graph,
-    grid_graph,
-    path_graph,
-    random_connected_graph,
-    star_graph,
-    rips_graph,
-)
+from horolab.graph import Graph, cycle_graph, grid_graph, path_graph, rips_graph
 from horolab.groups import free_abelian, free_product
 from horolab.horoball import (
-    build_augmented,
     build_restricted_horoball,
+    glue_horoballs,
+    member_shapes,
     normal_form_geodesic,
     verify_geodesic_shape,
 )
 from horolab.io import canonical_json
 from horolab.shortcut import FOUND, NONE, LambdaGrid, ShortcutQuery, bilipschitz_cycle_search
 
-from oracles import floyd_warshall, naive_cycle_embedding_exists, naive_four_point_delta
+from oracles import (
+    binary_tree,
+    complete_graph,
+    floyd_warshall,
+    naive_cycle_embedding_exists,
+    naive_four_point_delta,
+    random_connected_graph,
+    star_graph,
+)
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "reports" / "golden"
 
@@ -168,7 +167,7 @@ def test_criterion_06_bottom_to_top_rough_isometry(z2z2_radius6):
     with criterion(6, "|d_bottom - d_top| <= 2n over interior parabolic pairs at radius 6"):
         ball, family, factor_of, identity_indices = z2z2_radius6
         depth = 3
-        aug = build_augmented(ball.graph, family, depth)
+        aug = glue_horoballs(ball.graph, family, member_shapes(family), depth)
         scanned = list(identity_indices) + _sample_cosets(family, factor_of, identity_indices, 3)
         total_pairs = 0
         drops = []

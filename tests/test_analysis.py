@@ -1,4 +1,4 @@
-"""Hyperbolicity constants, convexity scans, quasigeodesic and QI fits."""
+"""Hyperbolicity constants, convexity scans, QI fits."""
 
 from __future__ import annotations
 
@@ -10,37 +10,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horolab import INF, InputError, Path, analysis, cayley_ball, free_abelian, free_product
+from horolab import INF, InputError, analysis, cayley_ball, free_abelian, free_product
 from horolab.analysis import (
     ConvexityReport,
     InteriorFilter,
     convexity_defect,
     displacement_generating_set,
     four_point_delta,
-    is_r_local_geodesic,
     qi_distortion,
-    quasigeodesic_fit,
 )
-from horolab.graph import (
-    Graph,
-    binary_tree,
-    cycle_graph,
-    distance_rows,
-    enumerate_geodesics,
-    grid_graph,
-    path_graph,
-    random_connected_graph,
-    star_graph,
-)
+from horolab.graph import Graph, cycle_graph, distance_rows, enumerate_geodesics, grid_graph, path_graph
 from horolab.experiments import convexify_experiment
 from horolab.horoball import build_restricted_horoball
 
 from oracles import (
+    binary_tree,
     floyd_warshall,
     geodesic_counts,
     naive_four_point_delta,
+    random_connected_graph,
     reference_convexity_defect,
     reference_sampled_delta,
+    star_graph,
 )
 
 
@@ -292,65 +283,6 @@ def test_enumeration_runs_only_for_pairs_over_the_cap(monkeypatch):
     diagnostics = []
     convexify_experiment(ball, [1, 2], geodesic_cap=1, diagnostics=diagnostics)
     assert len(calls) == sum(d["geodesic_cap_hits"] for d in diagnostics) > 0
-
-
-# -- local geodesics -----------------------------------------------------------------
-
-
-def test_any_geodesic_is_r_local():
-    g = grid_graph(4, 4)
-    paths, _ = enumerate_geodesics(g, 0, 15, cap=1)
-    for r in (1, 2, 3, 6, 10):
-        ok, violation = is_r_local_geodesic(g, paths[0], r)
-        assert ok and violation is None
-
-
-def test_arc_windows_in_c8():
-    g = cycle_graph(8)
-    arc = Path.in_graph(g, [0, 1, 2, 3, 4, 5])
-    ok, violation = is_r_local_geodesic(g, arc, 3)
-    assert ok
-    ok, violation = is_r_local_geodesic(g, arc, 5)
-    assert not ok and violation == (0, 5)
-    with pytest.raises(InputError):
-        is_r_local_geodesic(g, arc, 0)
-
-
-# -- quasigeodesic fit -----------------------------------------------------------------
-
-
-def test_geodesic_fits_with_l_one():
-    g = grid_graph(3, 5)
-    paths, _ = enumerate_geodesics(g, 0, 14, cap=1)
-    assert quasigeodesic_fit(g, paths[0], 0) == 1
-
-
-def test_arc_in_c8_fit_is_exact_rational():
-    g = cycle_graph(8)
-    arc = Path.in_graph(g, [0, 1, 2, 3, 4, 5])
-    assert quasigeodesic_fit(g, arc, 0) == Fraction(5, 3)
-
-
-def test_closed_walk_has_no_finite_fit():
-    g = cycle_graph(4)
-    walk = Path.in_graph(g, [0, 1, 2, 3, 0])
-    assert quasigeodesic_fit(g, walk, 0) == math.inf
-    assert quasigeodesic_fit(g, walk, 1) == Fraction(4, 1)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 5000), c1=st.integers(0, 3), c2=st.integers(0, 3))
-def test_fit_monotone_in_additive_budget(seed, c1, c2):
-    rng = random.Random(seed)
-    g = random_connected_graph(rng.randrange(3, 10), rng.randrange(0, 5), rng)
-    # random walk of moderate length
-    vs = [0]
-    for _ in range(6):
-        vs.append(int(rng.choice(list(g.neighbors(vs[-1])))))
-    p = Path(tuple(vs))
-    lo, hi = sorted((c1, c2))
-    f_hi, f_lo = quasigeodesic_fit(g, p, hi), quasigeodesic_fit(g, p, lo)
-    assert f_hi <= f_lo
 
 
 # -- displacement sets -----------------------------------------------------------------

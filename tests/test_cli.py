@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from horolab import PropertyViolation, cayley_ball, free_abelian, free_product
 from horolab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATION, main
+import horolab.graph
+import horolab.horoball
 from horolab import experiments
 from horolab.errors import ConfigError
 from horolab.experiments import (
@@ -296,19 +298,19 @@ def test_scan_matches_generic_convexity_defect():
     from horolab.analysis import convexity_defect
     from horolab.graph import is_interior_pair
     from horolab.groups import cayley_ball
-    from horolab.horoball import build_augmented
+    from horolab.horoball import glue_horoballs, member_shapes
 
     radius, depth = 3, 2
     ball = cayley_ball(Z2xZ2, radius)
     family, factor_of, identity_indices = parabolic_family(ball)
-    aug = build_augmented(ball.graph, family, depth)
+    aug = glue_horoballs(ball.graph, family, member_shapes(family), depth)
 
     alpha = identity_indices[0]
     dmat = aug.member_metric(alpha)
     scan = scan_parabolic(aug, ball.word_lengths, radius, alpha, geodesic_cap=16)
 
     member = aug.family[alpha]
-    top_ids = [aug.horo_vertex(alpha, v, depth) for v in member.vertices]
+    top_ids = aug.level_vertices(alpha, depth)
     pairs = []
     for i in range(len(member.vertices)):
         for j in range(i + 1, len(member.vertices)):
@@ -334,17 +336,17 @@ def test_local_scan_finds_the_defect_of_a_nonconvex_arc():
     the rest of the cycle, so the scan must find witnesses off the arc, and
     find them inside its neighborhood of the top level."""
     from horolab.graph import Graph, distance_rows
-    from horolab.horoball import Subgraph, build_augmented
+    from horolab.horoball import glue_horoballs, member_shapes
 
-    from oracles import whole_carrier_scan
+    from oracles import family_of, whole_carrier_scan
 
     base = Graph(80, [(i, (i + 1) % 40) for i in range(40)] + [(35, 40)]
                  + [(i, i + 1) for i in range(40, 79)])
-    arc = Subgraph(tuple(range(30)), tuple((i, i + 1) for i in range(29)))
+    arc = family_of([(range(30), [(i, i + 1) for i in range(29)])])
     row = distance_rows(base, [0])[0]
     expected = {1: (6, 62, 71), 2: (0, 0, 94)}  # defect, witnesses, neighborhood vertices
     for depth, (defect, witnesses, local) in expected.items():
-        aug = build_augmented(base, [arc], depth)
+        aug = glue_horoballs(base, arc, member_shapes(arc), depth)
         assert aug.carrier.num_vertices == 80 + 30 * depth
         scan = scan_parabolic(aug, row, 100, 0, geodesic_cap=32, check_level_drop=True)
         assert scan.pairs_checked == 30 * 29 // 2
@@ -359,19 +361,19 @@ def test_local_scan_finds_the_defect_of_a_u_shaped_path_in_a_grid():
     witnesses off it; from depth 2 on the top level is convex.  Even at
     depth 1 the neighborhood scanned is smaller than the carrier."""
     from horolab.graph import distance_rows, grid_graph
-    from horolab.horoball import Subgraph, build_augmented
+    from horolab.horoball import glue_horoballs, member_shapes
 
-    from oracles import whole_carrier_scan
+    from oracles import family_of, whole_carrier_scan
 
     rows, cols = 14, 12
     base = grid_graph(rows, cols)
     cells = [(r, 1) for r in range(7)] + [(6, c) for c in range(2, 10)] + [(r, 10) for r in range(6, -1, -1)]
     path = [r * cols + c for r, c in cells]
-    arc = Subgraph(tuple(path), tuple(zip(path, path[1:])))
+    arc = family_of([(path, list(zip(path, path[1:])))])
     row = distance_rows(base, [0])[0]
     expected = {1: (5, 10, 152), 2: (0, 0, 108), 3: (0, 0, 44)}  # defect, witnesses, neighborhood vertices
     for depth, (defect, witnesses, local) in expected.items():
-        aug = build_augmented(base, [arc], depth)
+        aug = glue_horoballs(base, arc, member_shapes(arc), depth)
         assert aug.carrier.num_vertices == rows * cols + 22 * depth
         scan = scan_parabolic(aug, row, 100, 0, geodesic_cap=32, check_level_drop=True)
         assert scan.pairs_checked == 22 * 21 // 2
@@ -391,7 +393,7 @@ def test_local_scan_matches_the_whole_carrier_scan(factors, radius):
 
     ball = cayley_ball(GroupSpec.from_json({"free_product": factors}), radius)
     family, factor_of, identity_indices = parabolic_family(ball)
-    shapes = member_shapes(ball.graph, family)
+    shapes = member_shapes(family)
     scanned = identity_indices + _sample_cosets(family, factor_of, identity_indices, 3)
     for depth in range(1, 6):
         aug = glue_horoballs(ball.graph, family, shapes, depth)
@@ -550,6 +552,10 @@ ZZ_RADIUS2 = {"group": {"free_product": [{"free_abelian": 1}, {"free_abelian": 1
     ("convexity", {"cycle": 8}, {"set": {"vertices": ["a", 1]}}, "config error: params.set.vertices"),
     ("convexity", {"cycle": 8}, {"set": {"vertices": [0, 4]}, "interior": {"radius": 2}},
      "config error: params.interior.basepoint"),
+    ("convexity", {"cycle": 8}, {"set": {"level_at_least": 1}},
+     "config error: params.set.level_at_least: needs a horoball depth"),
+    ("convexity", {"cycle": 8}, {"depth": 2, "set": {"vertices": [0, 4], "level_at_least": 1}},
+     "config error: params.set: give level_at_least or vertices, not both"),
     ("convexify-experiment", ZZ_RADIUS2, {"depths": ["x"]}, "config error: params.depths"),
     ("milnor-svarc", ZZ_RADIUS2, {"depth": 1, "t_list": ["x"]}, "config error: params.t_list"),
     ("convexify-experiment", ZZ_RADIUS2, {"depths": [1], "geodesic_cap": "z"},
@@ -577,6 +583,7 @@ ZZ_RADIUS2 = {"group": {"free_product": [{"free_abelian": 1}, {"free_abelian": 1
      "config error: instance.group: heisenberg takes an object"),
 ], ids=["set-above-range", "set-below-range", "cycle-not-int", "path-not-int", "grid-one-value",
         "lambda-without-lo", "lambda-lo-not-rational", "set-vertex-not-int", "interior-without-basepoint",
+        "set-level-without-depth", "set-level-and-vertices",
         "depths-not-int", "t_list-not-int", "geodesic_cap-not-int", "restrict-not-a-list",
         "restrict-out-of-range", "rank-not-int", "free-product-not-a-list", "names-not-a-list",
         "names-too-few", "names-too-many", "group-extra-key", "factor-extra-key", "heisenberg-not-an-object",
@@ -672,13 +679,21 @@ def test_cli_rejects_bad_files_and_paths(tmp_path, capsys, case, stream):
      "params.lambda.step: '1/999"),
     ("delta", {"path": 20000}, {"sample": "all"},
      f"a distance table of 20001 x 20001 vertices exceeds the table budget of {256 * 2**20} bytes"),
+    ("convexity", {"path": 20000}, {"depth": 2, "set": {"level_at_least": 1}},
+     f"a distance table of 20001 x 20001 vertices exceeds the table budget of {256 * 2**20} bytes"),
 ], ids=["path", "grid", "cycle", "sample", "cycle-table", "lambda-grid", "free-rank", "K-exponent",
         "K-exponent-space", "K-exponent-underscores", "K-digits",
-        "step-digits", "distance-table"])
-def test_cli_counts_over_their_budget_exit_3(tmp_path, capsys, kind, instance, params, stream):
+        "step-digits", "distance-table", "shape-table"])
+def test_cli_counts_over_their_budget_exit_3(tmp_path, capsys, monkeypatch, kind, instance, params, stream):
     """Instance sizes, sample counts, cycle tables, lambda grids, group
-    ranks and dense distance tables are counted in Python integers and
-    refused before anything of that size is built."""
+    ranks and dense distance tables (the whole graph's, or a horoball
+    member's shape table) are counted in Python integers and refused before
+    anything of that size is built, and before any distance row."""
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a distance row was computed before the budget check")
+
+    for module in (horolab.graph, horolab.horoball):
+        monkeypatch.setattr(module, "distance_rows", no_rows)
     cfg = write_config(tmp_path, {"version": 1, "experiment": kind, "instance": instance, "params": params})
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_RESOURCE
     err = capsys.readouterr().err
@@ -1084,7 +1099,7 @@ def test_geodesic_cap_hits_are_the_pairs_with_more_geodesics_than_the_cap():
     have two or more geodesics, counted by brute force on the whole carrier
     (a pair with a single geodesic was not cut short)."""
     from horolab.experiments import _sample_cosets
-    from horolab.horoball import build_augmented
+    from horolab.horoball import glue_horoballs, member_shapes
 
     from oracles import geodesic_counts
 
@@ -1095,7 +1110,7 @@ def test_geodesic_cap_hits_are_the_pairs_with_more_geodesics_than_the_cap():
     family, factor_of, identity_indices = parabolic_family(ball)
     scanned = dict.fromkeys(identity_indices + _sample_cosets(family, factor_of, identity_indices, 3))
     for entry in diagnostics:
-        aug = build_augmented(ball.graph, family, entry["n"])
+        aug = glue_horoballs(ball.graph, family, member_shapes(family), entry["n"])
         n, edges = aug.carrier.num_vertices, aug.carrier.edges.tolist()
         several = 0
         for alpha in scanned:

@@ -19,23 +19,19 @@ from horolab import (
     Path,
     ResourceLimitError,
     cayley_ball,
-    coset_family,
     distance_rows,
     enumerate_geodesics,
     free,
     free_abelian,
     free_product,
-    hausdorff_distance,
     heisenberg,
 )
-from horolab.graph import cycle_graph, grid_graph, path_graph, random_connected_graph
+from horolab.graph import SubgraphFamily, cycle_graph, grid_graph, path_graph
 from horolab.horoball import (
     ASCENDING,
     DESCENDING,
     HORIZONTAL,
     RestrictedHoroball,
-    Subgraph,
-    build_augmented,
     build_restricted_horoball,
     classify_segments,
     crossing_distance,
@@ -53,11 +49,17 @@ import horolab.horoball
 import horolab.io
 from horolab.experiments import convexify_experiment, milnor_svarc_experiment, parabolic_family
 
-from oracles import augmented_carrier, bfs_distances, reference_coset_family, restricted_horoball
+from oracles import (BIG, augmented_carrier, bfs_distances, family_of, random_connected_graph, reference_coset_family,
+                     restricted_horoball)
 
 
 def all_pairs(n):
     return itertools.combinations(range(n), 2)
+
+
+def augment(base, family, depth):
+    """The carrier of ``glue_horoballs`` over the family's shape table."""
+    return glue_horoballs(base, family, member_shapes(family), depth)
 
 
 def written(space, path) -> bytes:
@@ -124,8 +126,7 @@ def test_restricted_view_leaves_its_space_unchanged():
     """The view marks level 0 as horoball copies in its own columns; the
     augmented space it wraps keeps base vertices as base vertices."""
     base = path_graph(4)
-    family = (Subgraph.whole(base),)
-    space = glue_horoballs(base, family, member_shapes(base, family), 2)
+    space = augment(base, SubgraphFamily.whole(base), 2)
     before = [column.copy() for column in space.columns]
     h = RestrictedHoroball(space)
     assert all(np.array_equal(a, b) for a, b in zip(space.columns, before))
@@ -241,7 +242,8 @@ def test_normal_form_is_geodesic_everywhere():
     for u in range(h.carrier.num_vertices):
         for v in range(h.carrier.num_vertices):
             beta = normal_form_geodesic(h, u, v)
-            Path.in_graph(h.carrier, beta.path.vertices)  # valid carrier path
+            vs = beta.path.vertices
+            assert all(h.carrier.has_edge(a, b) for a, b in zip(vs, vs[1:]))  # a carrier path
             assert beta.length == oracle.distance(u, v)
             assert beta.path.start == u and beta.path.end == v
 
@@ -318,11 +320,9 @@ def test_descend_then_ascend_is_not_a_geodesic():
     # walk down, along, and back up: always beatable, so the precondition
     # (path must be geodesic) rejects it
     h = build_restricted_horoball(path_graph(8), 2)
-    p = Path.in_graph(
-        h.carrier,
-        [h.vertex_id(0, 1), h.vertex_id(0, 0), h.vertex_id(1, 0),
-         h.vertex_id(2, 0), h.vertex_id(2, 1)],
-    )
+    p = Path((h.vertex_id(0, 1), h.vertex_id(0, 0), h.vertex_id(1, 0),
+              h.vertex_id(2, 0), h.vertex_id(2, 1)))
+    assert all(h.carrier.has_edge(a, b) for a, b in zip(p.vertices, p.vertices[1:]))
     with pytest.raises(InputError):
         verify_geodesic_shape(h, p)
 
@@ -338,13 +338,16 @@ def test_all_geodesics_pass_shape_checks_small():
 
 
 def test_hausdorff_between_geodesics_and_normal_form():
+    """max(sup_{x in p} d(x, beta), sup_{y in beta} d(y, p)) <= 4."""
     h = build_restricted_horoball(path_graph(8), 2)
-    n = h.carrier.num_vertices
-    for u, v in all_pairs(n):
-        beta = set(normal_form_geodesic(h, u, v).path.vertices)
+    oracle = DistanceOracle(h.carrier)
+    for u, v in all_pairs(h.carrier.num_vertices):
+        beta = list(normal_form_geodesic(h, u, v).path.vertices)
+        to_beta = oracle.distance_to_set(beta)
         paths, _ = enumerate_geodesics(h.carrier, u, v, cap=10_000)
         for p in paths:
-            assert hausdorff_distance(h.carrier, list(p.vertices), sorted(beta)) <= 4
+            vs = list(p.vertices)
+            assert max(to_beta[vs].max(), oracle.distance_to_set(vs)[beta].max()) <= 4
 
 
 def test_extra_horizontal_edges_outside_top_segment():
@@ -370,15 +373,14 @@ def test_extra_horizontal_edges_outside_top_segment():
 
 def test_empty_family_is_base():
     base = cycle_graph(6)
-    aug = build_augmented(base, [], 3)
+    aug = augment(base, family_of([]), 3)
     assert aug.carrier.num_vertices == 6
     assert np.array_equal(aug.carrier.edges, base.edges)
 
 
 def test_whole_base_family_count_and_edges():
     base = path_graph(8)
-    member = Subgraph(tuple(range(9)), tuple((i, i + 1) for i in range(8)))
-    aug = build_augmented(base, [member], 3)
+    aug = augment(base, family_of([(range(9), [(i, i + 1) for i in range(8)])]), 3)
     assert aug.carrier.num_vertices == 9 * 4
     # same ids as the standalone horoball: edge sets must agree exactly
     h = build_restricted_horoball(base, 3)
@@ -386,91 +388,76 @@ def test_whole_base_family_count_and_edges():
 
 
 def test_family_validation_errors():
+    """A family is vouched for by its builder; what gluing still refuses is
+    a disconnected member and a depth below 1."""
     base = path_graph(4)
-    with pytest.raises(InputError):
-        build_augmented(base, [Subgraph((0, 9), ())], 1)
-    with pytest.raises(InputError):
-        build_augmented(base, [Subgraph((0, 2), ((0, 2),))], 1)  # not a base edge
-    with pytest.raises(InputError):
-        build_augmented(base, [Subgraph((0, 2), ())], 1)  # disconnected member
+    with pytest.raises(InputError, match="not connected"):
+        member_shapes(family_of([((0, 2), ())]))
+    with pytest.raises(InputError, match="depth must be >= 1"):
+        augment(base, family_of([((0, 1), ((0, 1),))]), 0)
 
 
 @pytest.mark.parametrize("family, message", [
-    ([Subgraph((0, 1, 0), ((0, 1),))], "family member 0: repeated vertices"),
-    ([Subgraph((0, 1), ((0, 1),)), Subgraph((2, 9, -1), ())],
-     "family member 1: vertex 9 outside the base graph"),
-    ([Subgraph((1, 2), ((1, 2), (2, 3)))], "family member 0: edge (2, 3) leaves the member"),
-    ([Subgraph((0, 2, 1), ((0, 1), (0, 2), (1, 2)))], "family member 0: edge (0, 2) is not a base edge"),
-    ([Subgraph((0, 1), ((0, 1),)), Subgraph((0, 2), ())], "family member 1: member is not connected"),
-    # the first faulty member wins, and within a member the first check
-    ([Subgraph((3, 3, 7), ((3, 9),)), Subgraph((0, 0), ())], "family member 0: repeated vertices"),
-    ([Subgraph((3, -1, 7), ((3, 9),))], "family member 0: vertex -1 outside the base graph"),
-    ([Subgraph((-1, 5, -1), ())], "family member 0: repeated vertices"),
-    ([Subgraph((0, 1), ((1, 0), (0, 0), (1, 3)))], "family member 0: edge (0, 0) is not a base edge"),
-    ([Subgraph((0, 2), ()), Subgraph((0, 0), ())], "family member 0: member is not connected"),
-    ([Subgraph((0,), ()), Subgraph((1, 2), ((2, 1),)), Subgraph((4, 3), ((3, 4), (4, 5)))],
-     "family member 2: edge (4, 5) leaves the member"),
-], ids=["repeated", "out-of-range", "leaves", "not-base", "disconnected", "first-member", "range-first",
-        "repeated-outside", "self-loop", "disconnected-first", "third-member"])
+    ([((0, 1), ((0, 1),)), ((0, 2), ())], "family member 1: member is not connected"),
+    # the first disconnected member wins
+    ([((0, 2), ()), ((1, 3), ())], "family member 0: member is not connected"),
+], ids=["disconnected", "disconnected-first"])
 def test_family_validation_messages(family, message):
     with pytest.raises(InputError) as err:
-        member_shapes(path_graph(4), family)
+        member_shapes(family_of(family))
     assert str(err.value) == message
 
 
-def reference_member_fault(base, family):
-    """The member-by-member validation the vectorised check replaces."""
-    shapes = set()
-    for a, m in enumerate(family):
-        local = {v: i for i, v in enumerate(m.vertices)}
-        if len(local) != len(m.vertices):
-            return f"family member {a}: repeated vertices"
-        for v in m.vertices:
-            if not 0 <= v < base.num_vertices:
-                return f"family member {a}: vertex {v} outside the base graph"
-        for u, v in m.edges:
-            if u not in local or v not in local:
-                return f"family member {a}: edge ({u}, {v}) leaves the member"
-            if u == v or not base.has_edge(u, v):
-                return f"family member {a}: edge ({u}, {v}) is not a base edge"
-        edges = frozenset((min(local[u], local[v]), max(local[u], local[v])) for u, v in m.edges)
-        key = (len(m.vertices), edges)
-        if key not in shapes:
-            shapes.add(key)
-            if not Graph(key[0], list(key[1])).is_connected():
+def reference_shapes(family):
+    """The member-by-member shape table: the shape index of each member and
+    each shape's distance rows, or the message of the first member whose
+    shape, the first time it is seen, is disconnected."""
+    index, shape_of, dmats = {}, [], []
+    for a, (vertices, edges) in enumerate(family):
+        local = {v: i for i, v in enumerate(vertices)}
+        key = (len(vertices), frozenset((min(local[u], local[v]), max(local[u], local[v])) for u, v in edges))
+        if key not in index:
+            dist = [bfs_distances(key[0], list(key[1]), i) for i in range(key[0])]
+            if any(BIG in row for row in dist):
                 return f"family member {a}: member is not connected"
-    return None
+            index[key] = len(dmats)
+            dmats.append(dist)
+        shape_of.append(index[key])
+    return shape_of, dmats
 
 
 def test_family_validation_matches_the_member_by_member_check():
+    """Random families of connected vertex sets of a grid, each with a
+    random part of its induced base edges: the shape table, or the first
+    disconnected member, is the member-by-member one."""
     rng = random.Random(4)
     base = grid_graph(3, 4)
     faults = 0
     for _ in range(400):
         family = []
         for _ in range(rng.randrange(1, 5)):
-            vs = rng.sample(range(-1, 13), rng.randrange(0, 5))
-            if vs and rng.random() < 0.1:
-                vs.append(vs[0])
-            pool = vs + [rng.randrange(-1, 13)]
-            family.append(Subgraph(tuple(vs), tuple((rng.choice(pool), rng.choice(pool))
-                                                    for _ in range(rng.randrange(0, 5)))))
-        expected = reference_member_fault(base, family)
-        if expected is None:
-            member_shapes(base, family)
-        else:
+            vs = [rng.randrange(12)]
+            for _ in range(rng.randrange(0, 5)):
+                vs.append(rng.choice([v for u in vs for v in base.neighbors(u).tolist() if v not in vs]))
+            rng.shuffle(vs)
+            edges = [(u, v) for u, v in base.edges.tolist() if u in vs and v in vs and rng.random() < 0.9]
+            family.append((vs, edges))
+        expected = reference_shapes(family)
+        if isinstance(expected, str):
             faults += 1
             with pytest.raises(InputError) as err:
-                member_shapes(base, family)
+                member_shapes(family_of(family))
             assert str(err.value) == expected
-    assert 100 < faults < 400
+        else:
+            shape_of, dmats = member_shapes(family_of(family))
+            assert (shape_of, [d.tolist() for d in dmats]) == expected
+    assert 100 < faults < 300
 
 
 def test_provenance_partition_on_coset_family():
     ball = cayley_ball(free_product(free_abelian(2), free_abelian(2)), 3)
-    cosets = coset_family(ball, 0)
-    family = [Subgraph(c.members, c.edges) for c in cosets]
-    aug = build_augmented(ball.graph, family, 3)
+    family, _, _ = parabolic_family(ball)
+    aug = augment(ball.graph, family, 3)
 
     expected = ball.graph.num_vertices + sum(len(m.vertices) for m in family) * 3
     assert aug.carrier.num_vertices == expected
@@ -496,31 +483,31 @@ def test_provenance_partition_on_coset_family():
 
 
 def test_horo_vertex_lookup_and_levels():
+    """A member's level-k copy, from ``level_vertices``, holds the copies of
+    its vertices in member order."""
     ball = cayley_ball(free_product(free_abelian(2), free_abelian(2)), 2)
-    cosets = coset_family(ball, 1)
-    family = [Subgraph(c.members, c.edges) for c in cosets]
-    aug = build_augmented(ball.graph, family, 2)
+    family, _, _ = parabolic_family(ball)
+    aug = augment(ball.graph, family, 2)
     for a, m in enumerate(family):
         assert aug.level_vertices(a, 0) == list(m.vertices)
-        top = aug.level_vertices(a, 2)
-        assert len(top) == len(m.vertices)
-        for v, vid in zip(m.vertices, top):
-            assert aug.horo_vertex(a, v, 2) == vid
-            assert aug.provenance(vid) == ("horo", a, v, 2)
+        for k in (1, 2):
+            top = aug.level_vertices(a, k)
+            assert len(top) == len(m.vertices)
+            for v, vid in zip(m.vertices, top):
+                assert aug.provenance(vid) == ("horo", a, v, k)
 
 
 def test_rough_isometry_bound_between_bottom_and_top():
     # |d((x,0),(y,0)) - d((x,n),(y,n))| <= 2n for members of one family piece
     ball = cayley_ball(free_product(free_abelian(2), free_abelian(2)), 3)
-    cosets = coset_family(ball, 0)
-    family = [Subgraph(c.members, c.edges) for c in cosets]
+    family, _, _ = parabolic_family(ball)
     n = 2
-    aug = build_augmented(ball.graph, family, n)
+    aug = augment(ball.graph, family, n)
     oracle = DistanceOracle(aug.carrier)
-    member = family[0]
-    for x, y in itertools.combinations(member.vertices[:8], 2):
-        d0 = oracle.distance(x, y)
-        dn = oracle.distance(aug.horo_vertex(0, x, n), aug.horo_vertex(0, y, n))
+    bottom, top = aug.level_vertices(0, 0)[:8], aug.level_vertices(0, n)[:8]
+    for i, j in itertools.combinations(range(len(bottom)), 2):
+        d0 = oracle.distance(bottom[i], bottom[j])
+        dn = oracle.distance(top[i], top[j])
         assert abs(d0 - dn) <= 2 * n
 
 
@@ -528,9 +515,9 @@ def test_augmented_vertex_meta_roundtrip(tmp_path):
     """The written vertex_meta reads back as the reference's records, and
     the generic writer reproduces the file from what was read."""
     base = path_graph(3)
-    member = Subgraph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)))
-    aug = build_augmented(base, [member], 2)
-    ref = augmented_carrier(4, base.edges.tolist(), [(member.vertices, member.edges)], 2)
+    member = ((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)))
+    aug = augment(base, family_of([member]), 2)
+    ref = augmented_carrier(4, base.edges.tolist(), [member], 2)
     f = tmp_path / "aug.json"
     assert written(aug, f) == canonical_json(ref["document"]).encode("utf-8")
     again = read_graph(f)
@@ -551,7 +538,7 @@ def assert_matches_member_reference(base, family, depth):
     (labels and vertex_meta) against the member-by-member reference."""
     ref = augmented_carrier(base.num_vertices, base.edges.tolist(),
                             [(m.vertices, m.edges) for m in family], depth, base.labels)
-    aug = build_augmented(base, family, depth)
+    aug = augment(base, family, depth)
     assert aug.carrier.edges.tolist() == [list(e) for e in ref["edges"]]
     assert [c.tolist() for c in aug.columns] == [ref[k] for k in ("kind", "alpha", "base_vertex", "level")]
     assert aug._block_starts == ref["block_starts"]
@@ -569,18 +556,18 @@ def assert_matches_member_reference(base, family, depth):
 def test_coset_family_matches_member_reference(spec, radius, depth):
     ball = cayley_ball(spec, radius)
     family, _, _ = parabolic_family(ball)
-    assert len(member_shapes(ball.graph, family)[1]) < len(family)
+    assert len(member_shapes(family)[1]) < len(family)
     assert_matches_member_reference(ball.graph, family, depth)
 
 
 def test_reordered_vertex_lists_are_different_shapes():
     base = path_graph(4)
-    family = [
-        Subgraph((0, 1, 2), ((0, 1), (1, 2))),
-        Subgraph((2, 0, 1), ((1, 2), (0, 1))),  # same set, other local order
-        Subgraph((2, 3, 4), ((3, 2), (3, 4))),  # translate of the first
-    ]
-    shape_of, dmats = member_shapes(base, family)
+    family = family_of([
+        ((0, 1, 2), ((0, 1), (1, 2))),
+        ((2, 0, 1), ((1, 2), (0, 1))),  # same set, other local order
+        ((2, 3, 4), ((3, 2), (3, 4))),  # translate of the first
+    ])
+    shape_of, dmats = member_shapes(family)
     assert shape_of == [0, 1, 0]
     assert dmats[1].tolist() == [[0, 2, 1], [2, 0, 1], [1, 1, 0]]
     for depth in (1, 2, 3):
@@ -589,11 +576,11 @@ def test_reordered_vertex_lists_are_different_shapes():
 
 def test_same_size_members_with_different_edges():
     base = cycle_graph(4)
-    family = [
-        Subgraph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3), (3, 0))),
-        Subgraph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3))),
-    ]
-    shape_of, dmats = member_shapes(base, family)
+    family = family_of([
+        ((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3), (3, 0))),
+        ((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3))),
+    ])
+    shape_of, dmats = member_shapes(family)
     assert shape_of == [0, 1]
     assert dmats[0][0, 3] == 1 and dmats[1][0, 3] == 3
     for depth in (1, 2):
@@ -607,8 +594,8 @@ def test_same_size_members_with_different_edges():
 _LABEL_PARTS = ("e", "a", 'q"', "\\", "é", "%s", "x@1", "\u2028", "\U0001F600")
 
 
-def _random_family(base: Graph, rng: random.Random) -> list[Subgraph]:
-    """One to four overlapping connected members.  Each grows from a random
+def _random_family(base: Graph, rng: random.Random) -> list[tuple]:
+    """One to four overlapping connected members, as (vertices, edges).  Each grows from a random
     vertex by taking a random neighbour of what it has, keeps those tree
     edges and about half of its other induced base edges, and lists its
     vertices in a random order."""
@@ -628,7 +615,7 @@ def _random_family(base: Graph, rng: random.Random) -> list[Subgraph]:
         extra = [(u, v) for u, v in base.edges.tolist()
                  if u in inside and v in inside and (u, v) not in tree_keys and rng.random() < 0.5]
         rng.shuffle(taken)
-        family.append(Subgraph(tuple(taken), tuple(tree + extra)))
+        family.append((tuple(taken), tuple(tree + extra)))
     return family
 
 
@@ -647,9 +634,8 @@ def test_written_carriers_equal_the_reference_documents(seed, labelled, depth, b
     if labelled:
         base = Graph(n, base.edges, labels=[rng.choice(_LABEL_PARTS) + str(i) for i in range(n)])
     family = _random_family(base, rng)
-    ref = augmented_carrier(n, base.edges.tolist(), [(m.vertices, m.edges) for m in family], depth,
-                            base.labels)
-    cases = [(build_augmented(base, family, depth), ref["document"]),
+    ref = augmented_carrier(n, base.edges.tolist(), family, depth, base.labels)
+    cases = [(augment(base, family_of(family), depth), ref["document"]),
              (build_restricted_horoball(base, depth), restricted_horoball(base, depth))]
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(horolab.io, "_BLOCK", block):
         f = pathlib.Path(tmp) / "carrier.json"
@@ -665,12 +651,10 @@ def test_written_carrier_with_a_run_boundary_inside_a_block(tmp_path):
     horoball copy fall in the same block, away from its start."""
     base = path_graph(horolab.io._BLOCK + 100, labels=True)
     n = base.num_vertices
-    family = [Subgraph(tuple(range(a, a + 5)), tuple((v, v + 1) for v in range(a, a + 4)))
-              for a in (0, 3, n - 5)]
-    aug = build_augmented(base, family, 2)
+    family = [(tuple(range(a, a + 5)), tuple((v, v + 1) for v in range(a, a + 4))) for a in (0, 3, n - 5)]
+    aug = augment(base, family_of(family), 2)
     assert horolab.io._BLOCK < n < aug.carrier.num_vertices < 2 * horolab.io._BLOCK
-    ref = augmented_carrier(n, base.edges.tolist(), [(m.vertices, m.edges) for m in family], 2,
-                            base.labels)
+    ref = augmented_carrier(n, base.edges.tolist(), family, 2, base.labels)
     expected = canonical_json(ref["document"]).encode("utf-8")
     assert written(aug, tmp_path / "aug.json") == expected
     write_graph(read_graph(tmp_path / "aug.json"), tmp_path / "again.json")
@@ -687,20 +671,20 @@ def test_carrier_budget_is_checked_before_gluing(monkeypatch):
     base = path_graph(4)  # 5 vertices; the whole-base member has 5 too
     monkeypatch.setattr(horolab.horoball, "CARRIER_BUDGET", 15)
     assert build_restricted_horoball(base, 2).carrier.num_vertices == 15
-    assert build_augmented(base, [Subgraph.whole(base)], 2).carrier.num_vertices == 15
+    assert augment(base, SubgraphFamily.whole(base), 2).carrier.num_vertices == 15
     for depth in (3, 2**62, 2**70):
         with pytest.raises(ResourceLimitError, match="exceeds the carrier budget of 15 vertices"):
             build_restricted_horoball(base, depth)
         with pytest.raises(ResourceLimitError, match="carrier budget"):
-            build_augmented(base, [Subgraph.whole(base)], depth)
+            augment(base, SubgraphFamily.whole(base), depth)
         # members without vertices glue nothing, however deep
-        assert build_augmented(base, [Subgraph((), ())], depth).carrier.num_vertices == 5
+        assert augment(base, family_of([((), ())]), depth).carrier.num_vertices == 5
 
 
 def test_z2z2_radius4_coset_shapes():
     ball = cayley_ball(free_product(free_abelian(2), free_abelian(2)), 4)
     family, _, _ = parabolic_family(ball)
-    shape_of, dmats = member_shapes(ball.graph, family)
+    shape_of, dmats = member_shapes(family)
     assert len(family) == 1970
     assert len(dmats) == 5
     assert sorted(set(shape_of)) == list(range(5))
@@ -711,22 +695,21 @@ def test_z2z2_radius4_coset_shapes():
     (free_product(free_abelian(2), free_abelian(1)), 5),
     (free_product(free(2), heisenberg()), 3),
 ], ids=["Z2*Z2-r4", "Z2*Z-r5", "F2*Heis-r3"])
-def test_array_family_has_the_shape_table_of_its_subgraph_copies(spec, radius, monkeypatch):
+def test_array_family_has_the_shape_table_of_its_subgraph_copies(spec, radius):
     """The ball's family is the reference coset families, factor after
-    factor.  Its shape table, one shape per (factor, radius) template and no
-    per-member edge check, equals the one ``member_shapes`` computes over
-    ``Subgraph`` copies of the same members, every member validated."""
+    factor.  Its shape table, one shape per (factor, radius) template,
+    equals the one ``member_shapes`` computes over copies of the same
+    members with a template each."""
     ball = cayley_ball(spec, radius)
     family, factor_of, identity = parabolic_family(ball)
     reference = [(i, c) for i in range(len(spec.factors)) for c in reference_coset_family(ball, i)]
-    copies = list(family)
-    assert copies == [Subgraph(c.members, c.edges) for _, c in reference]
+    copies = [(m.vertices, m.edges) for m in family]
+    assert copies == [(c.members, c.edges) for _, c in reference]
     assert factor_of == [i for i, _ in reference]
     assert identity == [a for a, (_, c) in enumerate(reference) if c.representative.is_identity()]
 
-    expected_shape_of, expected = member_shapes(ball.graph, copies)
-    monkeypatch.setattr(horolab.horoball, "_member_faults", None)  # not called for the array family
-    shape_of, dmats = member_shapes(ball.graph, family)
+    expected_shape_of, expected = member_shapes(family_of(copies))
+    shape_of, dmats = member_shapes(family)
     assert shape_of == expected_shape_of
     assert len(dmats) == len(expected) < len(family)
     for dmat, ref in zip(dmats, expected):
@@ -750,7 +733,7 @@ def test_crossing_distance_matrix_equals_carrier_bfs(spec, radius, depth):
     n = ball.graph.num_vertices
     family, _, _ = parabolic_family(ball)
     assert len(family) == 1 and len(family[0].vertices) == n
-    carrier = build_augmented(ball.graph, family, depth).carrier
+    carrier = augment(ball.graph, family, depth).carrier
     expected = distance_rows(carrier, range(n), columns=np.arange(n))
     closed = crossing_distance(distance_rows(ball.graph, range(n)), 0, 0, depth)
     assert closed.dtype == np.int32
@@ -780,9 +763,9 @@ def test_milnor_svarc_builds_no_carrier_for_a_whole_ball_parabolic(monkeypatch):
 def test_convexify_builds_the_shape_table_once(monkeypatch):
     calls = []
 
-    def counting(base, family):
+    def counting(family):
         calls.append(len(family))
-        return member_shapes(base, family)
+        return member_shapes(family)
 
     monkeypatch.setattr(horolab.horoball, "member_shapes", counting)
     monkeypatch.setattr(horolab.experiments, "member_shapes", counting)

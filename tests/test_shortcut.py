@@ -8,15 +8,7 @@ from fractions import Fraction
 import pytest
 
 from horolab import DistanceOracle, Graph, InputError
-from horolab.graph import (
-    binary_tree,
-    complete_graph,
-    cycle_graph,
-    grid_graph,
-    path_graph,
-    random_connected_graph,
-    star_graph,
-)
+from horolab.graph import cycle_graph, grid_graph, path_graph
 from horolab.shortcut import (
     FOUND,
     NONE,
@@ -29,7 +21,14 @@ from horolab.shortcut import (
     shortcut_profile,
 )
 
-from oracles import naive_cycle_embedding_exists, reference_cycle_search
+from oracles import (
+    binary_tree,
+    complete_graph,
+    naive_cycle_embedding_exists,
+    random_connected_graph,
+    reference_cycle_search,
+    star_graph,
+)
 
 
 def run(target, n, k, lo, hi, step="1/4", **kw):
