@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .graph import (INF, KERNEL_BYTES, DistanceOracle, Graph, _gather, _jagged_layout, _sorted_contains,
-                    enumerate_geodesics, is_interior_pair, unique_ints)
+                    check_table, distance_rows, enumerate_geodesics, is_interior_pair, unique_ints)
 from .groups import GroupElement
 
 
@@ -54,46 +54,48 @@ def four_point_delta(g: Graph, sample: str | int = "all", seed: int | None = Non
     block holds at most max(_BLOCK_MAX_ELEMENTS, n^2) entries.
 
     An integer samples that many quadruples uniformly: ``random.Random(seed)``
-    draws the four vertices of each in turn, and distance rows are computed
-    only for drawn vertices, once each.  Connectivity is read off the row
-    of vertex 0, for ``"all"`` the table's own, so the table's budget is
-    checked before any row is computed.
+    draws the four vertices of each in turn, all quadruples first, and rows
+    are computed for vertex 0 and every drawn w, x and y.  Either way the
+    rows come from one ``distance_rows`` call, whose table is checked
+    against the table budget before any row is computed; connectivity is
+    read off its row of vertex 0.
     """
     n = g.num_vertices
-    oracle = DistanceOracle(g)
-    d = oracle.matrix() if sample == "all" else None
-    if n > 1 and np.any(oracle.row(0) >= INF):
-        raise InputError("four-point scan needs a connected graph")
-    if d is not None:
-        best = 0
-        for w in range(n - 3):
-            tail = d[w + 1:, w + 1:]
-            dw = d[w, w + 1:]
-            m = n - w - 1
-            x0 = 0
-            while x0 < m:
-                width = m - x0
-                x1 = min(m, x0 + max(1, _BLOCK_MAX_ELEMENTS // (width * width)))
-                yz = tail[x0:, x0:]
-                xy = tail[x0:x1, x0:]
-                s1 = dw[x0:x1, None, None] + yz[None, :, :]
-                s2 = dw[None, x0:, None] + xy[:, None, :]
-                s3 = dw[None, None, x0:] + xy[:, :, None]
-                best = max(best, int(_defects(s1, s2, s3).max()))
-                x0 = x1
-        return HyperbolicityEstimate(Fraction(best, 2), math.comb(n, 4), True)
-    if isinstance(sample, bool) or not isinstance(sample, int) or sample < 1:
+    if sample == "all":
+        sources = np.arange(n)
+    elif isinstance(sample, bool) or not isinstance(sample, int) or sample < 1:
         raise InputError("sample must be 'all' or a positive count")
-    rng = random.Random(seed)
+    else:
+        rng = random.Random(seed)
+        quads = np.fromiter((rng.randrange(n) for _ in range(4 * sample)), dtype=np.int64,
+                            count=4 * sample).reshape(sample, 4)
+        sources = unique_ints(np.append(quads[:, :3], 0))
+    check_table(n, len(sources))
+    d = distance_rows(g, sources)  # sources ascending: vertex 0 is row 0
+    if n > 1 and np.any(d[0] >= INF):
+        raise InputError("four-point scan needs a connected graph")
+    if sample != "all":
+        w, x, y = np.searchsorted(sources, quads[:, :3]).T
+        _, qx, qy, qz = quads.T
+        defects = _defects(d[w, qx] + d[y, qz], d[w, qy] + d[x, qz], d[w, qz] + d[x, qy])
+        return HyperbolicityEstimate(Fraction(int(defects.max()), 2), sample, False)
     best = 0
-    for _ in range(sample):
-        w, x, y, z = (rng.randrange(n) for _ in range(4))
-        rw, rx, ry = oracle.row(w), oracle.row(x), oracle.row(y)
-        s1 = int(rw[x]) + int(ry[z])
-        s2 = int(rw[y]) + int(rx[z])
-        s3 = int(rw[z]) + int(rx[y])
-        best = max(best, 2 * max(s1, s2, s3) + min(s1, s2, s3) - (s1 + s2 + s3))
-    return HyperbolicityEstimate(Fraction(best, 2), sample, False)
+    for w in range(n - 3):
+        tail = d[w + 1:, w + 1:]
+        dw = d[w, w + 1:]
+        m = n - w - 1
+        x0 = 0
+        while x0 < m:
+            width = m - x0
+            x1 = min(m, x0 + max(1, _BLOCK_MAX_ELEMENTS // (width * width)))
+            yz = tail[x0:, x0:]
+            xy = tail[x0:x1, x0:]
+            s1 = dw[x0:x1, None, None] + yz[None, :, :]
+            s2 = dw[None, x0:, None] + xy[:, None, :]
+            s3 = dw[None, None, x0:] + xy[:, :, None]
+            best = max(best, int(_defects(s1, s2, s3).max()))
+            x0 = x1
+    return HyperbolicityEstimate(Fraction(best, 2), math.comb(n, 4), True)
 
 
 # -- convexity ------------------------------------------------------------------

@@ -46,7 +46,7 @@ from .graph import (
     path_graph,
     unique_ints,
 )
-from .groups import COUNT_BUDGET, DEFAULT_BALL_BUDGET, CayleyBall, GroupSpec, cayley_ball
+from .groups import COUNT_BUDGET, DEFAULT_BALL_BUDGET, CayleyBall, GroupSpec, cayley_ball, check_ball_size
 from .horoball import (
     AugmentedSpace,
     build_restricted_horoball,
@@ -253,6 +253,11 @@ def _parse_group(value, path: str, instance: dict) -> tuple[GroupSpec, int]:
         raise ConfigError(path, str(exc)) from exc
 
 
+def _group_ball(group: tuple[GroupSpec, int], budget: int) -> CayleyBall:
+    check_ball_size(*group, budget)
+    return cayley_ball(*group, max_vertices=budget)
+
+
 def _read_instance(path: str, _) -> Graph:
     g = read_graph(path)
     if g.num_vertices == 0:
@@ -270,7 +275,7 @@ INSTANCES: dict[str, tuple[Callable, Callable | None, Callable]] = {
     "grid": (_checked(lambda v: isinstance(v, list) and len(v) == 2 and all(_is_count(x, 1) for x in v),
                       "must be [rows, cols] with positive integers"), lambda rc: rc[0] * rc[1],
              lambda rc, _: grid_graph(*rc)),
-    "group": (_parse_group, None, lambda group, budget: cayley_ball(*group, max_vertices=budget)),
+    "group": (_parse_group, None, _group_ball),
 }
 
 

@@ -16,20 +16,14 @@ the edges per level, and keeps each distance bit-sliced until the end; it
 serves most multi-source calls.  The frontier product runs the BFS from all
 sources as one float32 BLAS product per level; it wins on small dense graphs
 of a few levels (the S_8 graph of Milnor-Svarc at radius 16).  Per-source
-BFS wins for one or a few sources; its first row is the probe itself.  Its
-rows come from a numpy level-synchronous BFS over the CSR arrays, or from
-scipy's ``breadth_first_order`` where the model prices that cheaper, its
-import included while scipy is not loaded: long paths and many rows on big
-carriers.  Nothing here imports scipy at module level, so a process that
-never needs it never pays its import.  The probe, computed before L is
-known, hands over to scipy once it passes the break-even level count for
-the graph's size.  Tests check every kernel and both engines against a
-pure-Python BFS and Floyd-Warshall in ``tests/oracles.py``.
+BFS, a numpy level-synchronous BFS over the CSR arrays, wins for one or a
+few sources; its first row is the probe itself.  The choice depends only on
+the graph and the call.  Tests check every kernel against a pure-Python BFS
+and Floyd-Warshall in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -46,8 +40,9 @@ INF: int = 2**30 - 1
 # bit-parallel one takes its sources in as many 64-source words as fit.
 KERNEL_BYTES = 64 * 2**20
 
-# Byte budget for one dense V×V int32 distance table (``check_table``):
-# 8,192 vertices.  ``DistanceOracle.matrix`` and the shape table of
+# Byte budget for one dense int32 distance table (``check_table``): 8,192
+# vertices for a V×V table.  ``DistanceOracle.matrix``, the rows of
+# ``analysis.four_point_delta`` and the shape table of
 # ``horoball.member_shapes`` check it before a table is allocated.
 TABLE_BYTES = 256 * 2**20
 
@@ -60,21 +55,15 @@ TABLE_BYTES = 256 * 2**20
 # sources.  The adjacency read is set by hand: the fit took 5.4e-11 from
 # cached matrices, which picked the frontier product for 8 sources on S_8 at
 # radius 32 (43 ms against 8 ms per source).  The per-source constants were
-# refitted the same way to single rows from three sources each of paths,
-# cycles, grids, random, complete, star and tree graphs, Z^2 balls of radius
-# 8, 16 and 32, two restricted horoballs and Z^2*Z^2 carriers of depth 3 and
-# 5 (2,359 to 736,131 vertices): numpy within 6% on the median (paths left
-# out, which it prices up to 3.5x high: their one-vertex levels take a
-# cheaper branch), scipy within 4%.  scipy's start-up is its import
-# (0.21-0.32 s in a fresh process).
-_NUMPY_VERTEX_S = 29e-9     # per-source BFS in numpy: per vertex and row,
+# fitted the same way to single rows from three sources each of cycles,
+# grids, random, complete, star and tree graphs, Z^2 balls of radius 8, 16
+# and 32, two restricted horoballs and Z^2*Z^2 carriers of depth 3 and 5
+# (2,359 to 736,131 vertices), within 6% on the median.  Paths were left
+# out: their one-vertex levels take a cheaper branch, which the model prices
+# up to 3.5x high.
+_NUMPY_VERTEX_S = 29e-9     # per-source BFS: per vertex and row,
 _NUMPY_EDGE_S = 6.8e-9      # per edge end and row,
 _NUMPY_LEVEL_S = 14e-6      # per level and row;
-_BFS_ROW_S = 25e-6          # per-source BFS in scipy: per row,
-_BFS_VERTEX_S = 31e-9       # per vertex and row,
-_BFS_EDGE_S = 1.2e-9        # per edge end and row,
-_BFS_LEVEL_S = 0.16e-6      # per level and row (the level split),
-_SCIPY_START_S = 0.25       # once per process
 _BITS_WORD_S = 2e-9         # bit-parallel: per edge end, 64-source word and level,
 _BITS_LEVEL_S = 1.3e-6      # per level and chunk,
 _BITS_SLOT_S = 6.2e-6       # per level, chunk and neighbour slot (max degree),
@@ -286,7 +275,7 @@ def distance_rows(g: Graph, sources: Sequence[int], columns: Sequence[int] | Non
     width = n if cols is None else len(cols)
     if srcs.size == 0:
         return np.empty((0, width), dtype=np.int32)
-    probe = _bfs_order_row(g, int(srcs[0]))
+    probe = _frontier_bfs(g, srcs[:1])
     kernel, levels = _pick_kernel(g, len(srcs), width, probe)
     if info is not None:
         info.update(kernel=kernel, levels=levels)
@@ -296,10 +285,8 @@ def distance_rows(g: Graph, sources: Sequence[int], columns: Sequence[int] | Non
     if kernel == "bits":
         return _bit_parallel_rows(g, srcs, cols, levels)
     out = np.empty((len(srcs), width), dtype=np.int32)
-    out[0] = probe if cols is None else probe[cols]
-    numpy_s, scipy_s = _per_source_costs(g, len(srcs) - 1, levels)
-    rest = _scipy_rows(g, srcs[1:]) if scipy_s < numpy_s else (_frontier_bfs(g, [s]) for s in srcs[1:])
-    for i, row in enumerate(rest, 1):
+    for i in range(len(srcs)):
+        row = _frontier_bfs(g, srcs[i:i + 1]) if i else probe
         out[i] = row if cols is None else row[cols]
     return out
 
@@ -334,13 +321,13 @@ def _pick_kernel(g: Graph, n_sources: int, width: int | None = None,
     n, two_e = g.num_vertices, 2 * g.num_edges
     width = n if width is None else width
     if probe is None:
-        probe = _bfs_order_row(g, 0)
+        probe = _frontier_bfs(g, [0])
     reached = probe[probe < INF]
     levels = min(n, max(2 * int(reached.max()) + 1, n - len(reached)))
     k, planes = n_sources, levels.bit_length()
     if k == 1:  # the probe is the row
         return "bfs", levels
-    costs = {"bfs": min(_per_source_costs(g, k - 1, levels))}
+    costs = {"bfs": (k - 1) * (n * _NUMPY_VERTEX_S + two_e * _NUMPY_EDGE_S + levels * _NUMPY_LEVEL_S)}
     chunk_words = _bit_chunk_words(g, width, levels)
     if chunk_words:
         words = -(-k // 64)
@@ -354,26 +341,6 @@ def _pick_kernel(g: Graph, n_sources: int, width: int | None = None,
     if 4 * n * n + 14 * k * n <= KERNEL_BYTES:
         costs["frontier"] = levels * n * n * (k * _FRONTIER_MAC_S + _FRONTIER_READ_S)
     return min(costs, key=costs.get), levels
-
-
-def _per_source_costs(g: Graph, rows: int, levels: int) -> tuple[float, float]:
-    """The modelled seconds of ``rows`` per-source rows of at most
-    ``levels`` levels each, as (numpy BFS, scipy BFS).  The scipy side
-    includes its import while ``scipy.sparse.csgraph`` is not loaded, so a
-    process starts it only for work that pays it back."""
-    n, two_e = g.num_vertices, 2 * g.num_edges
-    numpy_s = rows * (n * _NUMPY_VERTEX_S + two_e * _NUMPY_EDGE_S + levels * _NUMPY_LEVEL_S)
-    scipy_s = rows * (_BFS_ROW_S + n * _BFS_VERTEX_S + two_e * _BFS_EDGE_S + levels * _BFS_LEVEL_S)
-    if "scipy.sparse.csgraph" not in sys.modules:
-        scipy_s += _SCIPY_START_S
-    return numpy_s, scipy_s
-
-
-def _numpy_row_levels(g: Graph) -> int:
-    """The break-even level count of one row: the most levels at which the
-    model prices the numpy BFS no dearer than scipy's on ``g``."""
-    numpy_s, scipy_s = _per_source_costs(g, 1, 0)
-    return max(0, int((scipy_s - numpy_s) / (_NUMPY_LEVEL_S - _BFS_LEVEL_S)))
 
 
 def _frontier_product_rows(g: Graph, srcs: np.ndarray) -> np.ndarray:
@@ -515,27 +482,17 @@ def _unpack(words: np.ndarray) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
 
 
-def _bfs_order_row(g: Graph, source: int) -> np.ndarray:
-    """The distance row of ``source`` when no level bound is known yet (the
-    probe): the numpy BFS while it stays under the break-even level count of
-    ``_numpy_row_levels``, scipy's from scratch once it passes it."""
-    row = _frontier_bfs(g, [source], _numpy_row_levels(g))
-    return next(_scipy_rows(g, [source])) if row is None else row
-
-
-def _frontier_bfs(g: Graph, sources, max_levels: int | None = None) -> np.ndarray | None:
+def _frontier_bfs(g: Graph, sources) -> np.ndarray:
     """Distances to the nearest of ``sources`` by a level-synchronous BFS
     over the CSR arrays, one pass of array operations per level: the
     frontier's neighbours, less those already reached, deduplicated, are
     the next level.  The work grows with the edges reached and the level
-    count.  None once more than ``max_levels`` levels would be needed."""
+    count."""
     dist = np.full(g.num_vertices, INF, dtype=np.int32)
     frontier = unique_ints(np.asarray(sources, dtype=np.int64))
     dist[frontier] = 0
     level = 0
     while frontier.size:
-        if level == max_levels:
-            return None
         level += 1
         if len(frontier) == 1:  # a slice, not a gather: long thin graphs have many such levels
             v = frontier[0]
@@ -550,43 +507,12 @@ def _frontier_bfs(g: Graph, sources, max_levels: int | None = None) -> np.ndarra
     return dist
 
 
-def _scipy_rows(g: Graph, sources: Sequence[int]) -> Iterator[np.ndarray]:
-    """The distance rows of ``sources`` from scipy's ``breadth_first_order``,
-    imported here: its import is the start-up cost ``_SCIPY_START_S`` that
-    the cost model charges only while it is not loaded."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order
-
-    # float64 data, the dtype scipy's graph kernels work in, so they use the
-    # matrix without a converted copy
-    adj = csr_matrix((np.ones(len(g._indices)), g._indices, g._indptr), shape=(g.num_vertices,) * 2)
-    for source in sources:
-        order, pred = breadth_first_order(adj, int(source), directed=True, return_predecessors=True)
-        # The traversal is FIFO, so the visit positions of the parents never
-        # decrease along the visit order.  Each BFS level is therefore one
-        # contiguous run of ``order``, and the run of level k+1 ends where
-        # the parents reach the end of level k: at 1 + the number of parents
-        # visited before it.  Those counts are tabulated once, by one
-        # bincount, so each level costs one lookup.
-        m = len(order)
-        position = np.empty(g.num_vertices, dtype=np.int64)
-        position[order] = np.arange(m)
-        before = memoryview(np.cumsum(np.bincount(position[pred[order[1:]]], minlength=m)))
-        ends = [1]
-        while ends[-1] < m:
-            ends.append(1 + before[ends[-1] - 1])
-        starts = np.zeros(m, dtype=np.int32)
-        starts[ends[:-1]] = 1
-        dist = np.full(g.num_vertices, INF, dtype=np.int32)
-        dist[order] = np.cumsum(starts, dtype=np.int32)
-        yield dist
-
-
-def check_table(n: int) -> None:
-    """Refuse a dense n×n int32 distance table over ``TABLE_BYTES`` before
-    it is allocated."""
-    if 4 * n * n > TABLE_BYTES:
-        raise ResourceLimitError(f"a distance table of {n} x {n} vertices exceeds the table budget "
+def check_table(n: int, rows: int | None = None) -> None:
+    """Refuse a dense int32 distance table of ``rows`` rows (n when not
+    given) over n vertices, over ``TABLE_BYTES``, before it is allocated."""
+    rows = n if rows is None else rows
+    if 4 * rows * n > TABLE_BYTES:
+        raise ResourceLimitError(f"a distance table of {rows} x {n} vertices exceeds the table budget "
                                  f"of {TABLE_BYTES} bytes")
 
 

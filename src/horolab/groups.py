@@ -26,7 +26,7 @@ import operator
 import re
 from array import array
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -571,10 +571,7 @@ def cayley_ball(spec: GroupSpec, radius: int, max_vertices: int = DEFAULT_BALL_B
                 if d is None:
                     d = len(ids)
                     if d >= max_vertices:
-                        raise ResourceLimitError(
-                            f"ball of {spec.describe()} at radius {radius} exceeds the "
-                            f"budget of {max_vertices} vertices"
-                        )
+                        raise _over_budget(spec, radius, max_vertices)
                     ids[hk] = d
                     new.append(hk)
                 raw.append(d)
@@ -628,23 +625,21 @@ def _free_product_ball(spec: GroupSpec, radius: int, max_vertices: int) -> Cayle
     gives h·s, and h·s = e gives the prefix), and otherwise appends the
     syllable s.  A label is the prefix's label, " | " and the factor label,
     the normal form the BFS formats, so one sort by (word length, label)
-    gives the BFS's order.  The exact size is counted from the factor
-    spheres before any array of the product's size is allocated.
+    gives the BFS's order.  Closed-form sizes are checked before any factor
+    ball is built (``check_ball_size``), and the exact size is counted from
+    the factor spheres before any array of the product's size is allocated.
     """
-    def over_budget() -> ResourceLimitError:
-        return ResourceLimitError(f"ball of {spec.describe()} at radius {radius} exceeds the "
-                                  f"budget of {max_vertices} vertices")
-
+    check_ball_size(spec, radius, max_vertices)
     try:
         # a factor ball is the identity coset, so it is no larger than the ball
         factor_balls = tuple(cayley_ball(f, radius, max_vertices) for f in spec.factors)
     except ResourceLimitError:
-        raise over_budget() from None
+        raise _over_budget(spec, radius, max_vertices) from None
     lengths = [np.asarray(b.word_lengths, dtype=np.int64) for b in factor_balls]
     spheres = [np.bincount(w, minlength=radius + 1).tolist() for w in lengths]
-    n = _free_product_size(spheres, radius)
+    n = _free_product_size([sphere.__getitem__ for sphere in spheres], radius, max_vertices)
     if n > max_vertices:
-        raise over_budget()
+        raise _over_budget(spec, radius, max_vertices)
 
     # creation order: one syllable count after another; element 0 is e
     parent = np.full(n, -1, dtype=np.int64)
@@ -707,17 +702,55 @@ def _free_product_ball(spec: GroupSpec, radius: int, max_vertices: int) -> Cayle
                  wl[order].tolist(), rank[raw[order]].astype(np.int32), tree)
 
 
-def _free_product_size(spheres: list[list[int]], radius: int) -> int:
-    """|B(radius)| of a free product from its factors' sphere sizes: of the
-    elements of length l, ``ending[i][l]`` end in a syllable of factor i,
-    one of length l - m after each element of length m that does not."""
-    total = [1] + [0] * radius
-    ending = [[0] * (radius + 1) for _ in spheres]
+def _over_budget(spec: GroupSpec, radius: int, max_vertices: int) -> ResourceLimitError:
+    return ResourceLimitError(f"ball of {spec.describe()} at radius {radius} exceeds the "
+                              f"budget of {max_vertices} vertices")
+
+
+def check_ball_size(spec: GroupSpec, radius: int, max_vertices: int = DEFAULT_BALL_BUDGET) -> None:
+    """Refuse the ball of ``spec`` at ``radius`` over ``max_vertices``
+    before any element is built, from the closed-form sizes of free and
+    free abelian balls: its own, a free product's from such factors' sphere
+    sizes, or each such factor's.  Heisenberg balls are checked as
+    ``cayley_ball`` grows them."""
+    def size(f: GroupSpec, r: int) -> int:
+        """|B(r)| of a free or free abelian group of rank k, exact up to
+        ``max_vertices``: Σ_j 2^j·C(k, j)·C(r, j) exponent vectors of l1
+        norm at most r (2r + 1 elements for k = 1, free or not), or
+        1 + k((2k - 1)^r - 1)/(k - 1) reduced words, r capped at the bit
+        length b of ``max_vertices``: radius b already has over
+        2^b > ``max_vertices`` elements, and a free product's count stops
+        by then."""
+        k = f.rank
+        if f.kind == "free_abelian" or k == 1:
+            return sum(2**j * math.comb(k, j) * math.comb(r, j) for j in range(k + 1))
+        return 1 + k * ((2 * k - 1) ** min(r, max_vertices.bit_length()) - 1) // (k - 1)
+
+    parts = spec.factors or (spec,)
+    closed = [f for f in parts if f.kind != "heisenberg"]
+    if len(closed) == len(parts) > 1:
+        spheres = [lambda l, f=f: size(f, l) - (size(f, l - 1) if l else 0) for f in parts]
+        n = _free_product_size(spheres, radius, max_vertices)
+    else:
+        n = max((size(f, radius) for f in closed), default=0)
+    if n > max_vertices:
+        raise _over_budget(spec, radius, max_vertices)
+
+
+def _free_product_size(spheres: Sequence[Callable[[int], int]], radius: int, cap: int) -> int:
+    """|B(radius)| of a free product from its factors' sphere sizes,
+    ``spheres[i](l)``, or a partial count over ``cap``: of the elements of
+    length l, ``ending[i][l]`` end in a syllable of factor i, one of length
+    l - m after each element of length m that does not."""
+    total, ending, count = [1], [[0] for _ in spheres], 1
     for length in range(1, radius + 1):
+        if count > cap:
+            break
         for i, sphere in enumerate(spheres):
-            ending[i][length] = sum((total[m] - ending[i][m]) * sphere[length - m] for m in range(length))
-        total[length] = sum(e[length] for e in ending)
-    return sum(total)
+            ending[i].append(sum((total[m] - ending[i][m]) * sphere(length - m) for m in range(length)))
+        total.append(sum(e[length] for e in ending))
+        count += total[length]
+    return count
 
 
 def _cosets(ball: CayleyBall) -> SubgraphFamily:

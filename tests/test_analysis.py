@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import horolab.graph
 from horolab import INF, InputError, analysis, cayley_ball, free_abelian, free_product
 from horolab.analysis import (
     ConvexityReport,
@@ -100,6 +101,22 @@ def test_sampled_delta_matches_scalar_loop(seed):
     est = four_point_delta(g, sample=sample, seed=seed)
     assert (est.quadruples_checked, est.delta) == reference_sampled_delta(fw, sample, seed)
     assert not est.exhaustive
+
+
+def test_sampled_delta_computes_its_rows_in_one_call(monkeypatch):
+    """Every sampled quadruple is drawn first, and the rows of vertex 0 and
+    of every drawn w, x and y come from one ``distance_rows`` call."""
+    calls = []
+    rows = horolab.graph.distance_rows
+
+    def counted(g, sources, *args, **kwargs):
+        calls.append(len(sources))
+        return rows(g, sources, *args, **kwargs)
+
+    for module in (horolab.graph, analysis):
+        monkeypatch.setattr(module, "distance_rows", counted)
+    est = four_point_delta(cycle_graph(30), sample=500, seed=4)
+    assert calls == [30] and est.quadruples_checked == 500
 
 
 # -- convexity ----------------------------------------------------------------------

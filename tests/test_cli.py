@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from horolab import PropertyViolation, cayley_ball, free_abelian, free_product
 from horolab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATION, main
+import horolab.analysis
 import horolab.graph
+import horolab.groups
 import horolab.horoball
 from horolab import experiments
 from horolab.errors import ConfigError
@@ -504,6 +506,30 @@ def test_cli_free_product_over_its_budget_exits_3(tmp_path, capsys, kind, params
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("group, radius", [
+    ({"free_abelian": 2}, 2**70), ({"free_abelian": 1}, 2**70), ({"free": 2}, 2**70), ({"free": 1}, 2**70),
+    ({"free_product": [{"free_abelian": 2}, {"free": 2}]}, 2**70),
+    ({"free_product": [{"free_abelian": 1}, {"free_abelian": 1}]}, 99_999),
+    ({"free_product": [{"heisenberg": {}}, {"free_abelian": 2}]}, 2**70),
+], ids=["Z2", "Z", "F2", "F1", "Z2*F2", "Z*Z-r99999", "Heis*Z2"])
+def test_cli_counts_closed_form_balls_before_building_them(tmp_path, capsys, monkeypatch, group, radius):
+    """Free and free abelian balls, and free products of them, are refused
+    from their closed-form sizes, and a free product with such a factor by
+    that factor's size before any factor ball is built: no group element
+    is ever multiplied."""
+    def no_products(*args):
+        raise AssertionError("a group element was multiplied before the budget check")
+
+    monkeypatch.setattr(horolab.groups.GroupSpec, "_mul", no_products)
+    cfg = write_config(tmp_path, {"version": 1, "experiment": "delta",
+                                  "instance": {"group": group, "radius": radius}})
+    assert main(["delta", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    spec = horolab.groups.GroupSpec.from_json(group)
+    assert f"resource limit: ball of {spec.describe()} at radius {radius} exceeds the budget of 200000 vertices" in err
+    assert "Traceback" not in err
+
+
 def test_cli_rejects_mismatched_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "version": 1, "experiment": "delta",
@@ -681,18 +707,22 @@ def test_cli_rejects_bad_files_and_paths(tmp_path, capsys, case, stream):
      f"a distance table of 20001 x 20001 vertices exceeds the table budget of {256 * 2**20} bytes"),
     ("convexity", {"path": 20000}, {"depth": 2, "set": {"level_at_least": 1}},
      f"a distance table of 20001 x 20001 vertices exceeds the table budget of {256 * 2**20} bytes"),
+    # 300,000 drawn w, x and y cover every vertex of the path
+    ("delta", {"path": 9000}, {"sample": 100_000},
+     f"a distance table of 9001 x 9001 vertices exceeds the table budget of {256 * 2**20} bytes"),
 ], ids=["path", "grid", "cycle", "sample", "cycle-table", "lambda-grid", "free-rank", "K-exponent",
         "K-exponent-space", "K-exponent-underscores", "K-digits",
-        "step-digits", "distance-table", "shape-table"])
+        "step-digits", "distance-table", "shape-table", "sampled-rows"])
 def test_cli_counts_over_their_budget_exit_3(tmp_path, capsys, monkeypatch, kind, instance, params, stream):
     """Instance sizes, sample counts, cycle tables, lambda grids, group
-    ranks and dense distance tables (the whole graph's, or a horoball
-    member's shape table) are counted in Python integers and refused before
-    anything of that size is built, and before any distance row."""
+    ranks and dense distance tables (the whole graph's, a horoball member's
+    shape table, or the rows of a sampled four-point scan) are counted in
+    Python integers and refused before anything of that size is built, and
+    before any distance row."""
     def no_rows(*args, **kwargs):
         raise AssertionError("a distance row was computed before the budget check")
 
-    for module in (horolab.graph, horolab.horoball):
+    for module in (horolab.graph, horolab.horoball, horolab.analysis):
         monkeypatch.setattr(module, "distance_rows", no_rows)
     cfg = write_config(tmp_path, {"version": 1, "experiment": kind, "instance": instance, "params": params})
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_RESOURCE
@@ -717,15 +747,17 @@ def test_budgets_admit_every_benchmark_config(monkeypatch):
 
 def test_ops_run_without_scipy_or_numpy_ma(tmp_path):
     """``import horolab.cli`` and one small convexify-experiment,
-    milnor-svarc and shortcut op, in a fresh process, load neither scipy
-    nor ``numpy.ma``: every CLI process would pay their imports (0.2-0.3 s
-    for scipy's sparse graphs, 12-19 ms for ``numpy.ma``, which a plain
+    milnor-svarc and shortcut op, and a convexity op on a long path (20,001
+    BFS levels per row), in a fresh process, load neither scipy nor
+    ``numpy.ma``: every CLI process would pay their imports (0.2-0.3 s for
+    scipy's sparse graphs, 12-19 ms for ``numpy.ma``, which a plain
     ``np.unique`` pulls in)."""
     configs = [
         ("convexify-experiment", {"group": {"free_product": [{"free_abelian": 2}, {"free_abelian": 2}]}, "radius": 3},
          {"depths": [1, 2, 3]}),
         ("milnor-svarc", {"group": {"free_abelian": 2}, "radius": 6}, {"depth": 3, "t_list": [1, 2, 4]}),
         ("shortcut", {"grid": [5, 5]}, {"K": "6/5", "n_list": [5, 6], "lambda": {"lo": "2", "hi": "3", "step": "1/2"}}),
+        ("convexity", {"path": 20000}, {"set": {"vertices": [0, 20000]}}),
     ]
     argvs = [[kind, "--config", write_config(tmp_path, {"version": 1, "experiment": kind, "instance": instance,
                                                         "params": params}, f"{kind}.json"),
@@ -742,7 +774,7 @@ def test_ops_run_without_scipy_or_numpy_ma(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == [[], [EXIT_OK] * 3, []]
+    assert json.loads(done.stdout.splitlines()[-1]) == [[], [EXIT_OK] * len(configs), []]
 
 
 def test_cli_milnor_svarc_past_the_saturating_depth(tmp_path):

@@ -6,7 +6,6 @@ import itertools
 import json
 import pathlib
 import random
-import sys
 import tempfile
 
 import numpy as np
@@ -97,31 +96,6 @@ def use_kernel(monkeypatch, kernel):
                         lambda *args: (kernel, pick(*args)[1]))
 
 
-# The two engines of per-source rows.  ``use_engine`` forces one: "numpy"
-# never hands a row over to scipy, "scipy" computes every row in scipy, the
-# probe included.
-ENGINES = ["numpy", "scipy"]
-
-
-def use_engine(monkeypatch, engine):
-    monkeypatch.setattr(horolab.graph, "_per_source_costs",
-                        lambda *args: (0.0, 1.0) if engine == "numpy" else (1.0, 0.0))
-    monkeypatch.setattr(horolab.graph, "_numpy_row_levels", lambda g: None if engine == "numpy" else 0)
-
-
-def spy_on_scipy(monkeypatch) -> list:
-    """The sources of every scipy row computed from here on."""
-    calls = []
-    rows = horolab.graph._scipy_rows
-
-    def counted(g, sources):
-        calls.extend(int(s) for s in sources)
-        return rows(g, sources)
-
-    monkeypatch.setattr(horolab.graph, "_scipy_rows", counted)
-    return calls
-
-
 def random_graph(n, edge_count, rng):
     """Uniform random edges; usually disconnected when sparse."""
     edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(edge_count)}
@@ -167,62 +141,26 @@ def test_bfs_disconnected_sentinel(monkeypatch):
     path_graph(3000), star_graph(40), Graph(7, [(0, 1), (1, 2), (4, 5), (5, 6), (6, 4)]), Graph(1, []),
 ], ids=["path-3001", "star", "disconnected", "single-vertex"])
 def test_per_source_bfs_row_matches_the_queue_bfs(g):
-    """The level split of ``_bfs_order_row``: one level per vertex on a long
-    path, two levels on a star, unreached vertices left at INF."""
+    """The per-source BFS: one level per vertex on a long path, two levels
+    on a star, unreached vertices left at INF."""
     n = g.num_vertices
     edges = g.edges.tolist()
     sources = {0, n // 2, n - 1} | ({1, 3} if n == 7 else set())
     for s in sorted(sources):
-        row = horolab.graph._bfs_order_row(g, s)
+        row = horolab.graph._frontier_bfs(g, [s])
         assert row.dtype == np.int32
         assert row.tolist() == as_inf(bfs_distances(n, edges, s))
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_per_source_engines_match_the_references(monkeypatch, engine):
-    """Per-source rows from each engine, probe included, against
-    Floyd-Warshall on random and disconnected graphs, and against the queue
-    BFS on a long path, from both ends and the middle."""
+def test_per_source_rows_match_the_references(monkeypatch):
+    """Per-source rows, probe included, against Floyd-Warshall on random
+    and disconnected graphs, and against the queue BFS on a long path, from
+    both ends and the middle."""
     use_kernel(monkeypatch, "bfs")
-    use_engine(monkeypatch, engine)
-    calls = spy_on_scipy(monkeypatch)
     check_random_graphs_against_references(random.Random(8))
     g = path_graph(3000)
     assert distance_rows(g, [0, 1500, 3000]).tolist() == [
         as_inf(bfs_distances(3001, g.edges.tolist(), s)) for s in (0, 1500, 3000)]
-    assert bool(calls) == (engine == "scipy")
-
-
-@pytest.mark.parametrize("length", [49, 50])
-def test_the_probe_hands_over_to_scipy_past_the_break_even(monkeypatch, length):
-    """With a break-even of 50 levels, a probe row of 50 levels (a path of
-    length 49 from one end) stays in numpy, and one of 51 is computed again
-    by scipy; both give the queue BFS rows, and so does every source after
-    the probe."""
-    monkeypatch.setattr(horolab.graph, "_numpy_row_levels", lambda g: 50)
-    use_kernel(monkeypatch, "bfs")
-    calls = spy_on_scipy(monkeypatch)
-    g = path_graph(length)
-    edges = g.edges.tolist()
-    assert (horolab.graph._frontier_bfs(g, [0], 50) is None) == (length == 50)
-    assert horolab.graph._bfs_order_row(g, 0).tolist() == as_inf(bfs_distances(length + 1, edges, 0))
-    assert calls == ([0] if length == 50 else [])
-    sources = [0, length // 2, length]
-    assert distance_rows(g, sources).tolist() == [as_inf(bfs_distances(length + 1, edges, s)) for s in sources]
-
-
-def test_scipy_is_priced_with_its_start_until_it_is_loaded(monkeypatch):
-    """The model charges scipy's import to the first call that would use it,
-    and to none after: before the import a 3,001-vertex path is a numpy
-    row, and with scipy loaded it is handed over after a few levels."""
-    g = path_graph(3000)
-    monkeypatch.delitem(sys.modules, "scipy.sparse.csgraph", raising=False)
-    numpy_s, cold = horolab.graph._per_source_costs(g, 1, 3001)
-    assert numpy_s < cold and horolab.graph._numpy_row_levels(g) > 3001
-    monkeypatch.setitem(sys.modules, "scipy.sparse.csgraph", sys.modules.get("scipy.sparse.csgraph"))
-    numpy_s, warm = horolab.graph._per_source_costs(g, 1, 3001)
-    assert cold - warm == pytest.approx(horolab.graph._SCIPY_START_S)
-    assert warm < numpy_s and horolab.graph._numpy_row_levels(g) < 100
 
 
 def test_bfs_matches_floyd_warshall_on_random_graphs(monkeypatch):
