@@ -16,7 +16,6 @@ from .graph import (
 )
 from .groups import (
     CayleyBall,
-    GroupElement,
     GroupSpec,
     cayley_ball,
     free,

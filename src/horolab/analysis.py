@@ -19,7 +19,6 @@ import numpy as np
 from .errors import InputError
 from .graph import (INF, KERNEL_BYTES, DistanceOracle, Graph, _gather, _jagged_layout, _sorted_contains,
                     check_table, distance_rows, enumerate_geodesics, is_interior_pair, unique_ints)
-from .groups import GroupElement
 
 
 @dataclass(frozen=True)
@@ -301,27 +300,18 @@ def _over_cap(g: Graph, rows: np.ndarray, src: np.ndarray, dst: np.ndarray, limi
 # -- displacement generating sets -------------------------------------------------
 
 
-def displacement_generating_set(
-    orbit: Sequence[tuple[GroupElement, int]], t: int
-) -> tuple[GroupElement, ...]:
-    """Elements whose basepoint displacement is at most ``t``.
+def displacement_generating_set(displacement: np.ndarray, inverse: np.ndarray, t: int) -> np.ndarray:
+    """The ball ids, ascending, of the elements whose basepoint
+    ``displacement`` is at most ``t``, and whose inverse's is too (the
+    element at ball id g has its inverse at ``inverse[g]``).
 
-    Closed under inversion by construction: an element stays only if its
-    inverse is also present with displacement <= t (exact displacement data
-    is symmetric, so this drops nothing there).
+    Closed under inversion by construction; exact displacement data is
+    symmetric, so the inverse check drops nothing there.
     """
-    disp = {g: d for g, d in orbit}
-    kept = []
-    for g, d in orbit:
-        if d > t:
-            continue
-        gi = g.inverse()
-        di = disp.get(gi)
-        if di is not None and di <= t:
-            kept.append(g)
-    if not any(0 < disp[g] for g in kept):
+    kept = np.flatnonzero((displacement <= t) & (displacement[inverse] <= t))
+    if not (displacement[kept] > 0).any():
         raise InputError(f"S_t does not generate within the analyzed ball (t={t})")
-    return tuple(kept)
+    return kept
 
 
 # -- quasi-isometry fits ----------------------------------------------------------

@@ -46,7 +46,7 @@ from .graph import (
     path_graph,
     unique_ints,
 )
-from .groups import COUNT_BUDGET, DEFAULT_BALL_BUDGET, CayleyBall, GroupSpec, cayley_ball, check_ball_size
+from .groups import COUNT_BUDGET, DEFAULT_BALL_BUDGET, CayleyBall, GroupSpec, cayley_ball
 from .horoball import (
     AugmentedSpace,
     build_restricted_horoball,
@@ -253,11 +253,6 @@ def _parse_group(value, path: str, instance: dict) -> tuple[GroupSpec, int]:
         raise ConfigError(path, str(exc)) from exc
 
 
-def _group_ball(group: tuple[GroupSpec, int], budget: int) -> CayleyBall:
-    check_ball_size(*group, budget)
-    return cayley_ball(*group, max_vertices=budget)
-
-
 def _read_instance(path: str, _) -> Graph:
     g = read_graph(path)
     if g.num_vertices == 0:
@@ -275,7 +270,7 @@ INSTANCES: dict[str, tuple[Callable, Callable | None, Callable]] = {
     "grid": (_checked(lambda v: isinstance(v, list) and len(v) == 2 and all(_is_count(x, 1) for x in v),
                       "must be [rows, cols] with positive integers"), lambda rc: rc[0] * rc[1],
              lambda rc, _: grid_graph(*rc)),
-    "group": (_parse_group, None, _group_ball),
+    "group": (_parse_group, None, lambda group, budget: cayley_ball(*group, budget)),
 }
 
 
@@ -523,11 +518,12 @@ def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int],
     build the carrier and take its BFS rows.  The tests check the formula
     against carrier BFS.
 
-    The S_t graph joins g to g·s for s in S_t.  Every S_t is found first, so
-    that one ``CayleyBall.right_translations`` call gives the translation
-    rows of all their elements, and one numpy mask over an S_t's rows gives
-    its edges.  An S_t graph whose canonical edges equal the word ball's or
-    the previous S_t graph's reuses that distance table.
+    The S_t graph joins g to g·s for s in S_t.  Every S_t is found first,
+    as ascending ball ids, so that one ``CayleyBall.right_translations``
+    call over their union gives the translation rows of all their elements;
+    an S_t reads its rows by a sorted search, and one numpy mask over them
+    gives its edges.  An S_t graph whose canonical edges equal the word
+    ball's or the previous S_t graph's reuses that distance table.
 
     ``timings`` (when given) receives ``word_rows_s``, ``translations_s``
     and ``st_rows_s``, and for free products the ``family_s`` of their coset
@@ -555,28 +551,23 @@ def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int],
         carrier = {"graph": "carrier"}
         d_aug = distance_rows(aug.carrier, range(n_el), columns=np.arange(n_el), info=carrier)
         diagnostics.append(carrier)
-    displacement = d_aug[0].tolist()
-    orbit = list(zip(ball.elements, displacement))
+    displacement = d_aug[0]
+    inverse = np.fromiter((ball.index[spec._inv(k)] for k in ball.keys), dtype=np.int64, count=n_el)
 
     # interior pairs in the word metric of the ball itself
     wl = np.asarray(ball.word_lengths, dtype=np.int32)
     pair_idx = np.nonzero(np.triu(np.minimum.outer(wl, wl) + d_word <= radius, k=1))
 
-    factor_generators = []
-    if spec.kind == "free_product":
-        factor_generators = [g for _, g in spec.generators()]
-
-    s_sets: dict[int, tuple | InputError] = {}
+    s_sets: dict[int, np.ndarray | InputError] = {}
     for t in t_list:
         try:
-            s_sets[t] = displacement_generating_set(orbit, t)
+            s_sets[t] = displacement_generating_set(displacement, inverse, t)
         except InputError as exc:
             s_sets[t] = exc
     t0 = time.perf_counter()
-    shifts = {s.key: s for s_t in s_sets.values() if not isinstance(s_t, InputError)
-              for s in s_t if not s.is_identity()}
-    row_of = {key: r for r, key in enumerate(shifts)}
-    translations = ball.right_translations(list(shifts.values()))
+    found = [s_t for s_t in s_sets.values() if not isinstance(s_t, InputError)]
+    shifts = unique_ints(np.concatenate([[0], *found]))[1:]  # every S_t's ids but the identity's, 0
+    translations = ball.right_translations(shifts)
     timings["translations_s"] = _since(t0)
 
     vid = np.arange(n_el, dtype=np.int32)
@@ -592,7 +583,7 @@ def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int],
             })
             continue
         t0 = time.perf_counter()
-        targets = translations[[row_of[s.key] for s in s_t if not s.is_identity()]]
+        targets = translations[np.searchsorted(shifts, s_t[s_t != 0])]
         keep = targets > vid  # j > i, which also drops the -1 of a product outside the ball
         g_t = Graph(n_el, np.stack([np.broadcast_to(vid, targets.shape)[keep], targets[keep]], axis=1))
         info = {"graph": f"S_{t}"}
@@ -607,8 +598,6 @@ def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int],
         st_seconds += time.perf_counter() - t0
 
         fit = qi_distortion(d_st[pair_idx], d_aug[pair_idx], scale=t, additive_budget=t)
-        present = all(ball.index.get(g) is not None and displacement[ball.index[g]] <= t
-                      for g in factor_generators)
         rows.append({
             "t": t,
             "S_t_size": len(s_t),
@@ -616,7 +605,8 @@ def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int],
             "C": t,
             "pairs_checked": fit.pairs_checked,
             "flagged": None,
-            "factor_generators_present": bool(present) if factor_generators else None,
+            "factor_generators_present": (bool((displacement[ball.generator_table[0]] <= t).all())
+                                          if spec.kind == "free_product" else None),
         })
     timings["st_rows_s"] = round(st_seconds, 6)
     return rows

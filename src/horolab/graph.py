@@ -172,11 +172,6 @@ class Graph:
         i = np.searchsorted(row, v)
         return bool(i < len(row) and row[i] == v)
 
-    def is_connected(self) -> bool:
-        if self._n <= 1:
-            return True
-        return not np.any(distance_rows(self, [0]) >= INF)
-
     def __repr__(self) -> str:
         return f"Graph(|V|={self._n}, |E|={self.num_edges})"
 

@@ -3,14 +3,21 @@ families (``CayleyBall.cosets``).
 
 Supported groups: free groups, free abelian groups, the discrete Heisenberg
 group, and free products of those.  Each has a decidable canonical normal
-form, so equality, multiplication and ball generation are exact:
+form, so equality, multiplication and ball generation are exact.  An
+element is its normal-form key, a hashable tuple, and equal keys are equal
+elements:
 
 * free(k)          freely reduced words, stored as (generator, exponent) runs
 * free_abelian(d)  exponent vectors
 * heisenberg       triples (p, q, r) for a^p b^q c^r with central c = [a, b];
                    multiplication law (p1,q1,r1)(p2,q2,r2) =
                    (p1+p2, q1+q2, r1+r2 - p2*q1)
-* free_product     alternating nonempty syllables from distinct factors
+* free_product     alternating nonempty (factor, factor key) syllables from
+                   distinct factors
+
+``GroupSpec.multiply`` and ``inverse`` validate their keys; a ball holds
+its elements' keys in ball order (``CayleyBall.keys``), and ``index`` maps
+a key to its ball index.
 
 Ball labels write normal forms in the grammar
 
@@ -93,42 +100,45 @@ class GroupSpec:
     factors: tuple["GroupSpec", ...] = ()
     include_central: bool = False  # heisenberg: expose c^±1 as ball generators
 
-    # -- construction of elements --------------------------------------
+    # -- elements: normal-form keys -------------------------------------
 
-    def identity(self) -> "GroupElement":
-        return GroupElement(self, self._identity_key())
+    def identity(self):
+        if self.kind == "free_abelian":
+            return (0,) * self.rank
+        if self.kind == "heisenberg":
+            return (0, 0, 0)
+        return ()
 
-    def element(self, key) -> "GroupElement":
-        """Wrap a raw key after validating it is a normal form."""
-        self._validate(key)
-        return GroupElement(self, key)
+    def multiply(self, x, y):
+        """x·y, after validating that both are normal forms."""
+        self._validate(x)
+        self._validate(y)
+        return self._mul(x, y)
 
-    def multiply(self, x: "GroupElement", y: "GroupElement") -> "GroupElement":
-        for z in (x, y):
-            if z.spec != self:
-                raise InputError("element does not belong to this group")
-            self._validate(z.key)
-        return GroupElement(self, self._mul(x.key, y.key))
+    def inverse(self, x):
+        self._validate(x)
+        return self._inv(x)
 
-    def inverse(self, x: "GroupElement") -> "GroupElement":
-        if x.spec != self:
-            raise InputError("element does not belong to this group")
-        self._validate(x.key)
-        return GroupElement(self, self._inv(x.key))
-
-    def generators(self) -> list[tuple[str, "GroupElement"]]:
-        """Symmetric generating set as (display name, element), closed under
+    def generators(self) -> list[tuple[str, object]]:
+        """Symmetric generating set as (display name, key), closed under
         formal inversion; order is declaration order with g before g^-1."""
         out = []
         for name, key in self._generator_keys():
-            out.append((name, GroupElement(self, key)))
-            out.append((f"{name}^-1", GroupElement(self, self._inv(key))))
+            out += [(name, key), (f"{name}^-1", self._inv(key))]
         return out
 
-    # -- normal form text ------------------------------------------------
-
-    def format(self, x: "GroupElement") -> str:
-        return self._format_key(x.key)
+    def format(self, key) -> str:
+        """The normal form ``key`` as ball-label text."""
+        if self.kind == "free":
+            if not key:
+                return "e"
+            return " ".join(_term(self.generator_names[g], e) for g, e in key)
+        if self.kind in ("free_abelian", "heisenberg"):
+            terms = [_term(nm, e) for nm, e in zip(self.generator_names, key) if e]
+            return " ".join(terms) if terms else "e"
+        if not key:
+            return "e"
+        return " | ".join(self.factors[i].format(k) for i, k in key)
 
     # -- JSON form -------------------------------------------------------
 
@@ -202,13 +212,6 @@ class GroupSpec:
                 out.append((nm, ((i, key),)))
         return out
 
-    def _identity_key(self):
-        if self.kind == "free_abelian":
-            return (0,) * self.rank
-        if self.kind == "heisenberg":
-            return (0, 0, 0)
-        return ()
-
     def _mul(self, xk, yk):
         if self.kind == "free":
             word = list(xk)
@@ -235,7 +238,7 @@ class GroupSpec:
             merged = self.factors[i]._mul(xk[end - 1][1], yk[start][1])
             end -= 1
             start += 1
-            if merged != self.factors[i]._identity_key():
+            if merged != self.factors[i].identity():
                 return xk[:end] + ((i, merged),) + yk[start:]
         return xk[:end] + yk[start:]
 
@@ -270,27 +273,12 @@ class GroupSpec:
                 ok = all(key[i][0] != key[i + 1][0] for i in range(len(key) - 1))
             if ok:
                 for i, sub in key:
-                    if sub == self.factors[i]._identity_key():
+                    if sub == self.factors[i].identity():
                         ok = False
                         break
                     self.factors[i]._validate(sub)
         if not ok:
             raise InputError(f"malformed normal form for {self.kind}: {key!r}")
-
-    def _format_key(self, key) -> str:
-        if self.kind == "free":
-            if not key:
-                return "e"
-            return " ".join(_term(self.generator_names[g], e) for g, e in key)
-        if self.kind == "free_abelian":
-            terms = [_term(nm, e) for nm, e in zip(self.generator_names, key) if e]
-            return " ".join(terms) if terms else "e"
-        if self.kind == "heisenberg":
-            terms = [_term(nm, e) for nm, e in zip(self.generator_names, key) if e]
-            return " ".join(terms) if terms else "e"
-        if not key:
-            return "e"
-        return " | ".join(self.factors[i]._format_key(k) for i, k in key)
 
     def describe(self) -> str:
         if self.kind == "free":
@@ -304,34 +292,6 @@ class GroupSpec:
 
 def _term(name: str, exp: int) -> str:
     return name if exp == 1 else f"{name}^{exp}"
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """An element in normal form.  Equal keys are equal elements."""
-
-    spec: GroupSpec
-    key: object
-
-    def __str__(self) -> str:
-        return self.spec.format(self)
-
-    def __repr__(self) -> str:
-        return f"<{self.spec.format(self)}>"
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return self.spec.multiply(self, other)
-
-    def inverse(self) -> "GroupElement":
-        return self.spec.inverse(self)
-
-    def is_identity(self) -> bool:
-        return self.key == self.spec._identity_key()
-
-    def __hash__(self) -> int:
-        # Equality still compares the spec too; hashing it as well would walk
-        # the whole GroupSpec on every set or dict lookup.
-        return hash(self.key)
 
 
 # -- public constructors --------------------------------------------------
@@ -398,75 +358,61 @@ class CayleyBall:
     spec: GroupSpec
     radius: int
     graph: Graph
-    elements: tuple[GroupElement, ...]
+    keys: tuple
     word_lengths: tuple[int, ...]
     generator_table: np.ndarray = field(compare=False, repr=False)
     basepoint: int = 0
     tree: FactorTree | None = field(default=None, compare=False, repr=False)
 
     @property
-    def index(self) -> dict[GroupElement, int]:
+    def index(self) -> dict:
+        """The ball index of each normal-form key."""
         if not hasattr(self, "_index"):
-            object.__setattr__(self, "_index", {g: i for i, g in enumerate(self.elements)})
+            object.__setattr__(self, "_index", {k: i for i, k in enumerate(self.keys)})
         return self._index
 
-    @property
-    def key_index(self) -> dict:
-        """Like ``index``, keyed by raw normal-form keys."""
-        if not hasattr(self, "_key_index"):
-            object.__setattr__(self, "_key_index", {g.key: i for i, g in enumerate(self.elements)})
-        return self._key_index
-
-    def right_translations(self, elements: Sequence[GroupElement]) -> np.ndarray:
-        """Right translation by each of ``elements``: row i holds the ball
-        index of g·s_i for every ball element g, in ball order, or -1 where
-        g·s_i leaves the ball; a (len(elements), n) int32 array.
+    def right_translations(self, ids: Sequence[int]) -> np.ndarray:
+        """Right translation by the ball elements ``ids``: row i holds the
+        ball index of g·s, s the element at ``ids[i]``, for every ball
+        element g, in ball order, or -1 where g·s leaves the ball; a
+        (len(ids), n) int32 array.
 
         A free abelian ball does all rows in one array pass over its
         coordinate table: the code of g·s is code(g) + code(s) - code(e)
         wherever every coordinate of g·s stays in its range, and it is
         looked up through ``_coordinate_codes``.  Other balls copy a
         generator's ``generator_table`` column, and multiply any other
-        element on raw keys, one ball element at a time."""
-        for s in elements:
-            if s.spec != self.spec:
-                raise InputError("element does not belong to this group")
-        n = len(self.elements)
-        out = np.full((len(elements), n), -1, dtype=np.int32)
+        element on keys, one ball element at a time."""
+        n = len(self.keys)
+        ids = np.asarray(ids, dtype=np.int64)
+        if ((ids < 0) | (ids >= n)).any():
+            raise InputError(f"ball ids lie in [0, {n})")
+        out = np.full((len(ids), n), -1, dtype=np.int32)
         codes = self._coordinate_codes()
         if codes is None:
-            columns = {g.key: j for j, (_, g) in enumerate(self.spec.generators())}
-            mul, get = self.spec._mul, self.key_index.get
-            for i, s in enumerate(elements):
-                j = columns.get(s.key)
+            columns = {s: j for j, s in enumerate(self.generator_table[0].tolist())}
+            mul, get = self.spec._mul, self.index.get
+            for i, s in enumerate(ids.tolist()):
+                j = columns.get(s)
                 if j is not None:
                     out[i] = self.generator_table[:, j]
                 else:
-                    out[i] = np.fromiter((get(mul(g.key, s.key), -1) for g in self.elements),
-                                         dtype=np.int32, count=n)
+                    sk = self.keys[s]
+                    out[i] = np.fromiter((get(mul(g, sk), -1) for g in self.keys), dtype=np.int32, count=n)
             return out
         coords, lo, hi, radix, code, lookup = codes
-        # a coordinate shift wider than the ball's range leaves it from
-        # everywhere; checked on Python ints, so no int64 sum can wrap
-        rows = [i for i, s in enumerate(elements)
-                if all(a - b <= x <= b - a for x, a, b in zip(s.key, lo, hi))]
-        if not rows:
-            return out
-        shift = np.array([elements[i].key for i in rows], dtype=np.int64)
-        inside = np.ones((len(rows), n), dtype=bool)
+        shift = coords[ids]
+        inside = np.ones(out.shape, dtype=bool)
         for c in range(len(lo)):
             moved = coords[:, c] + shift[:, c, None]
             inside &= (moved >= lo[c]) & (moved <= hi[c])
         moved = (code + (shift @ radix)[:, None])[inside]
         if isinstance(lookup, np.ndarray):
-            found = lookup[moved]
+            out[inside] = lookup[moved]
         else:
             sorted_codes, order = lookup
             pos = np.minimum(np.searchsorted(sorted_codes, moved), n - 1)
-            found = np.where(sorted_codes[pos] == moved, order[pos], -1)
-        block = np.full(inside.shape, -1, dtype=np.int32)
-        block[inside] = found
-        out[rows] = block
+            out[inside] = np.where(sorted_codes[pos] == moved, order[pos], -1)
         return out
 
     def _coordinate_codes(self):
@@ -481,7 +427,7 @@ class CayleyBall:
         if not hasattr(self, "_codes"):
             table = None
             if self.spec.kind == "free_abelian":
-                keys = [g.key for g in self.elements]
+                keys = self.keys
                 lo = [min(c) for c in zip(*keys)]
                 hi = [max(c) for c in zip(*keys)]
                 bases = [b - a + 1 for a, b in zip(lo, hi)]
@@ -542,14 +488,17 @@ def cayley_ball(spec: GroupSpec, radius: int, max_vertices: int = DEFAULT_BALL_B
     or (from the sphere) leaves the ball.  Elements of a new layer get
     consecutive discovery ids; the layer is then sorted by normal form,
     formatted once per element for both the sort and the label, and the
-    table is renumbered at the end."""
+    table is renumbered at the end.  A free or free abelian ball, or a free
+    product with such factors, is refused from its closed-form size before
+    any element is built (``check_ball_size``)."""
     if radius < 1:
         raise InputError("radius must be >= 1")
+    check_ball_size(spec, radius, max_vertices)
     if spec.kind == "free_product":
         return _free_product_ball(spec, radius, max_vertices)
-    gen_keys = [s.key for _, s in spec.generators()]
-    mul, fmt = spec._mul, spec._format_key
-    identity = spec._identity_key()
+    gen_keys = [s for _, s in spec.generators()]
+    mul, fmt = spec._mul, spec.format
+    identity = spec.identity()
 
     ids = {identity: 0}  # normal-form key -> discovery id
     keys, labels, word_lengths = [identity], [fmt(identity)], [0]
@@ -603,7 +552,7 @@ def _ball(spec: GroupSpec, radius: int, keys: list, labels: list[str], word_leng
     graph = Graph(n, np.stack([rows[upper], table[upper]], axis=1), labels=labels,
                   metadata={"group": spec.to_json(), "radius": radius})
     return CayleyBall(spec=spec, radius=radius, graph=graph,
-                      elements=tuple(GroupElement(spec, k) for k in keys),
+                      keys=tuple(keys),
                       word_lengths=tuple(word_lengths), generator_table=table, tree=tree)
 
 
@@ -625,11 +574,9 @@ def _free_product_ball(spec: GroupSpec, radius: int, max_vertices: int) -> Cayle
     gives h·s, and h·s = e gives the prefix), and otherwise appends the
     syllable s.  A label is the prefix's label, " | " and the factor label,
     the normal form the BFS formats, so one sort by (word length, label)
-    gives the BFS's order.  Closed-form sizes are checked before any factor
-    ball is built (``check_ball_size``), and the exact size is counted from
-    the factor spheres before any array of the product's size is allocated.
+    gives the BFS's order.  The exact size is counted from the factor
+    spheres before any array of the product's size is allocated.
     """
-    check_ball_size(spec, radius, max_vertices)
     try:
         # a factor ball is the identity coset, so it is no larger than the ball
         factor_balls = tuple(cayley_ball(f, radius, max_vertices) for f in spec.factors)
@@ -648,7 +595,6 @@ def _free_product_ball(spec: GroupSpec, radius: int, max_vertices: int) -> Cayle
     wl = np.zeros(n, dtype=np.int64)
     first = np.full((n, len(factor_balls)), -1, dtype=np.int64)  # the child of factor-ball index 1
     upto = [np.cumsum(sphere) for sphere in spheres]  # upto[i][rho] = |B_{H_i}(rho)|
-    factor_keys = [[g.key for g in b.elements] for b in factor_balls]
     keys, labels = [()], ["e"]
     lo, hi = 0, 1  # the elements one syllable shorter than those being made
     while lo < hi:
@@ -664,7 +610,7 @@ def _free_product_ball(spec: GroupSpec, radius: int, max_vertices: int) -> Cayle
             syllable[new] = np.arange(new.stop - new.start) - np.repeat(starts - end, counts) + 1
             last[new] = i
             wl[new] = wl[parent[new]] + lengths[i][syllable[new]]
-            names, fk = b.graph.labels, factor_keys[i]
+            names, fk = b.graph.labels, b.keys
             if lo == 0:  # the children of e are single syllables
                 hs = syllable[new].tolist()
                 labels.extend([names[h] for h in hs])

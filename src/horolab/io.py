@@ -267,15 +267,9 @@ def read_json(path: str | pathlib.Path, what: str) -> Any:
 def to_dot(g: Graph, name: str = "G", levels: Sequence[int] | None = None,
            labels: Sequence[str] | None = None) -> str:
     """Undirected DOT text.  Labels (explicit, or the graph's own) become
-    node labels; ``levels`` (explicit or found in metadata vertex_meta) color
-    nodes per level."""
+    node labels; ``levels``, when given, color nodes per level."""
     if labels is None:
         labels = g.labels
-    if levels is None:
-        meta = g.metadata.get("vertex_meta")
-        if isinstance(meta, list) and len(meta) == g.num_vertices:
-            if all(isinstance(m, dict) and "level" in m for m in meta):
-                levels = [m["level"] for m in meta]
     lines = [f"graph {name} {{", "  node [shape=circle];"]
     for v in range(g.num_vertices):
         attrs = []

@@ -418,65 +418,70 @@ def reference_product(spec, xk, yk):
     while xs and ys and xs[-1][0] == ys[0][0]:
         i = xs[-1][0]
         merged = spec.factors[i]._mul(xs.pop()[1], ys.pop(0)[1])
-        if merged != spec.factors[i]._identity_key():
+        if merged != spec.factors[i].identity():
             xs.append((i, merged))
             break
     return tuple(xs + ys)
 
 
 def reference_cayley_ball(spec, radius: int) -> dict:
-    """Reference for ``groups.cayley_ball``: BFS over ``GroupElement``s,
+    """Reference for ``groups.cayley_ball``: BFS over normal-form keys,
     each new layer sorted by its normal-form text, then a second pass of
-    products for the edges.  Returns the elements, word lengths, labels and
-    the sorted edge list."""
-    from horolab.groups import GroupElement
-
-    gens = [s.key for _, s in spec.generators()]
+    products for the edges.  Returns the keys, word lengths, labels and the
+    sorted edge list."""
+    gens = [s for _, s in spec.generators()]
     layers = [[spec.identity()]]
     seen = {spec.identity()}
     for _ in range(radius):
         frontier = []
         for g in layers[-1]:
             for s in gens:
-                h = GroupElement(spec, reference_product(spec, g.key, s))
+                h = reference_product(spec, g, s)
                 if h not in seen:
                     seen.add(h)
                     frontier.append(h)
         frontier.sort(key=spec.format)
         layers.append(frontier)
-    elements = [g for layer in layers for g in layer]
-    index = {g: i for i, g in enumerate(elements)}
+    keys = [g for layer in layers for g in layer]
+    index = {g: i for i, g in enumerate(keys)}
     edges = set()
-    for i, g in enumerate(elements):
+    for i, g in enumerate(keys):
         for s in gens:
-            j = index.get(GroupElement(spec, reference_product(spec, g.key, s)))
+            j = index.get(reference_product(spec, g, s))
             if j is not None and j != i:
                 edges.add((min(i, j), max(i, j)))
-    return {"elements": tuple(elements),
+    return {"keys": tuple(keys),
             "word_lengths": tuple(k for k, layer in enumerate(layers) for _ in layer),
-            "labels": [spec.format(g) for g in elements],
+            "labels": [spec.format(g) for g in keys],
             "edges": sorted(edges)}
 
 
-def reference_generator_table(spec, elements) -> list[list[int]]:
-    """Reference for ``CayleyBall.generator_table`` over a ball's
-    ``elements``: row g, column j is the index of g·s_j, the product taken by
+def reference_generator_table(spec, keys) -> list[list[int]]:
+    """Reference for ``CayleyBall.generator_table`` over a ball's ``keys``:
+    row g, column j is the index of g·s_j, the product taken by
     ``reference_product``, or -1 outside the ball, for the generators s_j of
     ``spec.generators()``."""
-    index = {g.key: i for i, g in enumerate(elements)}
-    gens = [s.key for _, s in spec.generators()]
-    return [[index.get(reference_product(spec, g.key, s), -1) for s in gens] for g in elements]
+    index = {g: i for i, g in enumerate(keys)}
+    gens = [s for _, s in spec.generators()]
+    return [[index.get(reference_product(spec, g, s), -1) for s in gens] for g in keys]
 
 
-def coset_representative(spec, g, factor_index: int):
+def reference_displacement_set(spec, keys, displacement, t: int) -> list[int]:
+    """Reference for ``analysis.displacement_generating_set`` over a ball's
+    ``keys``: the ball ids g with displacement at most ``t`` whose inverse,
+    found by searching the ball for the h with g·h = e under
+    ``reference_product``, has displacement at most ``t`` too."""
+    e = spec.identity()
+    return [g for g, key in enumerate(keys) if displacement[g] <= t
+            and any(reference_product(spec, key, h) == e and displacement[i] <= t for i, h in enumerate(keys))]
+
+
+def coset_representative(key, factor_index: int):
     """Strip the trailing factor-``factor_index`` syllable: the shortest
     element of g·H_i, which identifies the coset."""
-    from horolab.groups import GroupElement
-
-    key = g.key
     if key and key[-1][0] == factor_index:
         key = key[:-1]
-    return GroupElement(spec, key)
+    return key
 
 
 @dataclass(frozen=True)
@@ -497,9 +502,9 @@ def reference_coset_family(ball, factor_index: int) -> list[Coset]:
     inverses."""
     spec = ball.spec
     groups: dict = {}
-    for vid, g in enumerate(ball.elements):
-        groups.setdefault(coset_representative(spec, g, factor_index), []).append(vid)
-    gens = [s.key for _, s in spec.generators() if s.key[0][0] == factor_index]
+    for vid, g in enumerate(ball.keys):
+        groups.setdefault(coset_representative(g, factor_index), []).append(vid)
+    gens = [s for _, s in spec.generators() if s[0][0] == factor_index]
     out = []
     for rep in sorted(groups, key=lambda r: (ball.word_lengths[ball.index[r]], spec.format(r))):
         members = groups[rep]
@@ -507,7 +512,7 @@ def reference_coset_family(ball, factor_index: int) -> list[Coset]:
         edges = set()
         for v in members:
             for s in gens:
-                w = ball.key_index.get(reference_product(spec, ball.elements[v].key, s))
+                w = ball.index.get(reference_product(spec, ball.keys[v], s))
                 if w is not None and w > v and w in member_set:
                     edges.add((v, w))
         out.append(Coset(factor_index=factor_index, representative=rep,

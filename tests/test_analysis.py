@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import horolab.graph
-from horolab import INF, InputError, analysis, cayley_ball, free_abelian, free_product
+from horolab import INF, InputError, analysis, cayley_ball, free, free_abelian, free_product, heisenberg
 from horolab.analysis import (
     ConvexityReport,
     InteriorFilter,
@@ -31,6 +31,7 @@ from oracles import (
     naive_four_point_delta,
     random_connected_graph,
     reference_convexity_defect,
+    reference_displacement_set,
     reference_sampled_delta,
     star_graph,
 )
@@ -306,33 +307,54 @@ def test_enumeration_runs_only_for_pairs_over_the_cap(monkeypatch):
 
 
 def z2_orbit(radius):
+    """The word-length displacement of the Z^2 ball and its inverse ids."""
     ball = cayley_ball(free_abelian(2), radius)
-    return [(g, ball.word_lengths[i]) for i, g in enumerate(ball.elements)]
+    inverse = np.array([ball.index[tuple(-a for a in g)] for g in ball.keys])
+    return np.array(ball.word_lengths), inverse
 
 
 def test_unit_ball_of_z2():
-    s1 = displacement_generating_set(z2_orbit(3), 1)
+    s1 = displacement_generating_set(*z2_orbit(3), 1)
     assert len(s1) == 5  # e, a^+-1, b^+-1
 
 
 def test_radius_two_ball_of_z2():
-    assert len(displacement_generating_set(z2_orbit(3), 2)) == 13
+    assert len(displacement_generating_set(*z2_orbit(3), 2)) == 13
 
 
 def test_displacement_sets_nest_and_close_under_inverse():
-    orbit = z2_orbit(4)
+    displacement, inverse = z2_orbit(4)
     prev = set()
     for t in (1, 2, 3, 4):
-        st_set = set(displacement_generating_set(orbit, t))
+        st_set = set(displacement_generating_set(displacement, inverse, t).tolist())
         assert prev <= st_set
-        assert all(g.inverse() in st_set for g in st_set)
+        assert all(inverse[g] in st_set for g in st_set)
         prev = st_set
 
 
 def test_error_below_minimal_displacement():
-    orbit = [(free_abelian(2).identity(), 0)] + [(g, d + 5) for g, d in z2_orbit(2)[1:]]
+    displacement, inverse = z2_orbit(2)
+    displacement[1:] += 5
     with pytest.raises(InputError, match="does not generate"):
-        displacement_generating_set(orbit, 3)
+        displacement_generating_set(displacement, inverse, 3)
+
+
+@pytest.mark.parametrize("spec,radius", [
+    (free_abelian(2), 4), (free(2), 3), (free_product(free_abelian(2), free_abelian(1)), 3), (heisenberg(), 3),
+], ids=["Z2-r4", "F2-r3", "Z2*Z-r3", "Heis-r3"])
+def test_displacement_sets_match_the_reference(spec, radius):
+    """Against a brute-force search over keys, on the word-length
+    displacement and on a seeded random one, which is not symmetric, so the
+    inverse check drops elements there."""
+    ball = cayley_ball(spec, radius)
+    inverse = np.array([ball.index[spec.inverse(g)] for g in ball.keys])
+    rng = np.random.default_rng(7)
+    random_disp = rng.integers(0, 6, len(ball.keys))
+    random_disp[0] = 0
+    for displacement in (np.array(ball.word_lengths), random_disp):
+        for t in (1, 2, 4):
+            expected = reference_displacement_set(spec, ball.keys, displacement.tolist(), t)
+            assert displacement_generating_set(displacement, inverse, t).tolist() == expected
 
 
 # -- qi distortion -----------------------------------------------------------------------

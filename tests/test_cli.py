@@ -121,7 +121,9 @@ def test_exported_dot_files_equal_the_dot_of_the_reference_documents(tmp_path):
                                     "instance": {"graph_file": str(graph_file)}, "params": {"depth": 3}}),
                    tmp_path / "h", export_dot=True)
     doc = restricted_horoball(read_graph(graph_file), 3)
-    assert (tmp_path / "h" / "horoball.dot").read_text() == to_dot(graph_from_json(doc), name="horoball")
+    levels = [m["level"] for m in doc["metadata"]["vertex_meta"]]
+    assert (tmp_path / "h" / "horoball.dot").read_text() == to_dot(graph_from_json(doc), name="horoball",
+                                                                   levels=levels)
 
     run_experiment(validate_config({"version": 1, "experiment": "augment", "instance": Z_FREE_Z,
                                     "params": {"depth": 2}}), tmp_path / "a", export_dot=True)
@@ -130,7 +132,8 @@ def test_exported_dot_files_equal_the_dot_of_the_reference_documents(tmp_path):
     ref = augmented_carrier(ball.graph.num_vertices, ball.graph.edges.tolist(),
                             [(m.vertices, m.edges) for m in family], 2, ball.graph.labels)
     dot = (tmp_path / "a" / "augmented.dot").read_text()
-    assert dot == to_dot(graph_from_json(ref["document"]), name="augmented")
+    levels = [m["level"] for m in ref["document"]["metadata"]["vertex_meta"]]
+    assert dot == to_dot(graph_from_json(ref["document"]), name="augmented", levels=levels)
     assert 'label="e"' in dot and 'label="e@2", level=2' in dot
 
 

@@ -349,12 +349,12 @@ def milnor_svarc_graphs(radius, depth=3):
     ball = cayley_ball(free_abelian(2), radius)
     n = ball.graph.num_vertices
     displacement = crossing_distance(distance_rows(ball.graph, [0])[0], 0, 0, depth)
-    orbit = list(zip(ball.elements, displacement.tolist()))
+    inverse = np.array([ball.index[ball.spec.inverse(g)] for g in ball.keys])
     graphs = {"word": ball.graph}
     vid = np.arange(n)
     for t in (1, 2, 4, 8):
-        s_t = [s for s in displacement_generating_set(orbit, t) if not s.is_identity()]
-        targets = ball.right_translations(s_t)
+        s_t = displacement_generating_set(displacement, inverse, t)
+        targets = ball.right_translations(s_t[s_t != 0])
         keep = targets > vid
         edges = np.stack([np.broadcast_to(vid, targets.shape)[keep], targets[keep]], axis=1)
         graphs[f"S_{t}"] = Graph(n, edges)
@@ -733,9 +733,7 @@ def test_json_validation_errors():
 
 
 def test_dot_export_mentions_labels_and_levels():
-    g = Graph(3, [(0, 1), (1, 2)], labels=["x", "y", "z"],
-              metadata={"vertex_meta": [{"level": 0}, {"level": 1}, {"level": 1}]})
-    dot = to_dot(g, name="H")
+    dot = to_dot(Graph(3, [(0, 1), (1, 2)], labels=["x", "y", "z"]), name="H", levels=[0, 1, 1])
     assert "graph H {" in dot
     assert 'label="y"' in dot
     assert "level=1" in dot

@@ -18,7 +18,7 @@ from horolab import (
     free_product,
     heisenberg,
 )
-from horolab.groups import GroupSpec, GroupElement
+from horolab.groups import GroupSpec
 
 from oracles import (
     bfs_distances,
@@ -43,7 +43,7 @@ def random_element(spec, rng, size=4):
     g = spec.identity()
     gens = spec.generators()
     for _ in range(rng.randrange(0, size * 2)):
-        g = g * rng.choice(gens)[1]
+        g = spec.multiply(g, rng.choice(gens)[1])
     return g
 
 
@@ -56,31 +56,31 @@ def test_identity_is_right_neutral():
         e = spec.identity()
         for _ in range(20):
             x = random_element(spec, rng)
-            assert x * e == x
-            assert e * x == x
+            assert spec.multiply(x, e) == x
+            assert spec.multiply(e, x) == x
 
 
 def test_free_inverse_cancels():
     f1 = free(1)
     a = f1.generators()[0][1]
-    assert (a * a.inverse()).is_identity()
+    assert f1.multiply(a, f1.inverse(a)) == f1.identity()
 
 
 def test_heisenberg_commutator_convention():
     a, b = H3.generators()[0][1], H3.generators()[2][1]
-    ba = b * a
-    assert str(ba) == "a b c^-1"
+    ba = H3.multiply(b, a)
+    assert H3.format(ba) == "a b c^-1"
     # round-trip through the 3x3 unitriangular matrix representation
     m = heis_matmul(heis_matrix(0, 1, 0), heis_matrix(1, 0, 0))
-    assert heis_from_matrix(m) == ba.key
+    assert heis_from_matrix(m) == ba
 
 
 def test_heisenberg_central_element_commutes():
     rng = random.Random(5)
-    c = H3.element((0, 0, 1))
+    c = (0, 0, 1)
     for _ in range(30):
         x = random_element(H3, rng)
-        assert x * c == c * x
+        assert H3.multiply(x, c) == H3.multiply(c, x)
 
 
 @pytest.mark.parametrize("spec", [Z2, F2, H3, Z2xZ2], ids=lambda s: s.describe())
@@ -88,32 +88,36 @@ def test_group_axioms_against_independent_representations(spec):
     rng = random.Random(42)
     for _ in range(1000):
         x, y, z = (random_element(spec, rng, 3) for _ in range(3))
-        assert (x * y) * z == x * (y * z)
-        assert (x * x.inverse()).is_identity()
+        xy = spec.multiply(x, y)
+        assert spec.multiply(xy, z) == spec.multiply(x, spec.multiply(y, z))
+        assert spec.multiply(x, spec.inverse(x)) == spec.identity()
         if spec is H3:
-            mx, my = heis_matrix(*x.key), heis_matrix(*y.key)
-            assert heis_from_matrix(heis_matmul(mx, my)) == (x * y).key
+            mx, my = heis_matrix(*x), heis_matrix(*y)
+            assert heis_from_matrix(heis_matmul(mx, my)) == xy
         if spec is Z2:
-            assert (x * y).key == tuple(a + b for a, b in zip(x.key, y.key))
+            assert xy == tuple(a + b for a, b in zip(x, y))
         if spec is F2:
             # independent check: reduce the concatenation letter by letter
-            letters = [(g, 1 if e > 0 else -1) for g, e in x.key for _ in range(abs(e))]
-            letters += [(g, 1 if e > 0 else -1) for g, e in y.key for _ in range(abs(e))]
+            letters = [(g, 1 if e > 0 else -1) for g, e in x for _ in range(abs(e))]
+            letters += [(g, 1 if e > 0 else -1) for g, e in y for _ in range(abs(e))]
             stack = []
             for l in letters:
                 if stack and stack[-1][0] == l[0] and stack[-1][1] == -l[1]:
                     stack.pop()
                 else:
                     stack.append(l)
-            flat = [(g, s) for g, e in (x * y).key for s in [1 if e > 0 else -1] for _ in range(abs(e))]
+            flat = [(g, s) for g, e in xy for s in [1 if e > 0 else -1] for _ in range(abs(e))]
             assert stack == flat
 
 
 def test_multiply_validates_normal_forms():
-    bad = Z2.identity()
-    object.__setattr__(bad, "key", (1, 2, 3))  # wrong arity for Z^2
+    bad = (1, 2, 3)  # wrong arity for Z^2
     with pytest.raises(InputError):
         Z2.multiply(bad, Z2.identity())
+    with pytest.raises(InputError):
+        Z2.multiply(Z2.identity(), bad)
+    with pytest.raises(InputError):
+        Z2.inverse(bad)
 
 
 def test_free_product_flattens_and_relabels():
@@ -129,7 +133,7 @@ def test_z2_ball_counts():
     ball = cayley_ball(Z2, 2)
     assert ball.graph.num_vertices == 13  # 1 + 4 + 8
     assert ball.basepoint == 0
-    assert ball.elements[0].is_identity()
+    assert ball.keys[0] == Z2.identity()
 
 
 def test_free2_ball_counts():
@@ -146,11 +150,11 @@ def test_ball_distance_equals_word_length():
 
 def test_independent_word_lengths_free_and_abelian():
     ball = cayley_ball(Z2, 3)
-    for vid, g in enumerate(ball.elements):
-        assert ball.word_lengths[vid] == sum(abs(a) for a in g.key)
+    for vid, g in enumerate(ball.keys):
+        assert ball.word_lengths[vid] == sum(abs(a) for a in g)
     ball = cayley_ball(F2, 3)
-    for vid, g in enumerate(ball.elements):
-        assert ball.word_lengths[vid] == sum(abs(e) for _, e in g.key)
+    for vid, g in enumerate(ball.keys):
+        assert ball.word_lengths[vid] == sum(abs(e) for _, e in g)
 
 
 def test_heisenberg_ball_against_word_enumeration():
@@ -169,8 +173,8 @@ def test_heisenberg_ball_against_word_enumeration():
                 m = heis_matmul(m, step)
             seen.setdefault(heis_from_matrix(m), length)
     assert len(seen) == ball.graph.num_vertices
-    for vid, g in enumerate(ball.elements):
-        assert seen[g.key] == ball.word_lengths[vid]
+    for vid, g in enumerate(ball.keys):
+        assert seen[g] == ball.word_lengths[vid]
 
 
 def test_ball_numbering_is_deterministic():
@@ -195,15 +199,27 @@ def test_ball_budget_is_checked_while_a_layer_grows(monkeypatch):
     assert cayley_ball(F2, 4, max_vertices=161).graph.num_vertices == 161
     with pytest.raises(ResourceLimitError, match="160"):
         cayley_ball(F2, 4, max_vertices=160)
-    # Layers 0, 1, 2 of F2 take 4, 16 and 48 products and reach 5, 17 and
-    # 53 elements.  The 38th element turns up inside layer 2, and the ball
-    # stops there, even at a radius far past the budget.
+    # Heisenberg balls have no closed-form size, so they are checked as
+    # they grow.  Layers 0, 1, 2 take 4, 16 and 48 products and reach 5, 17
+    # and 53 elements.  The 38th element turns up inside layer 2, and the
+    # ball stops there, even at a radius far past the budget.
     products = []
     mul = GroupSpec._mul
     monkeypatch.setattr(GroupSpec, "_mul", lambda self, x, y: products.append(1) or mul(self, x, y))
     with pytest.raises(ResourceLimitError, match="at radius 50 exceeds the budget of 37 vertices"):
-        cayley_ball(F2, 50, max_vertices=37)
+        cayley_ball(H3, 50, max_vertices=37)
     assert 4 + 16 < len(products) < 4 + 16 + 48
+
+
+@pytest.mark.parametrize("spec", [Z2, F2], ids=["Z2", "F2"])
+def test_closed_form_balls_are_refused_before_any_product(monkeypatch, spec):
+    def no_product(self, x, y):
+        raise AssertionError("a product was computed")
+
+    monkeypatch.setattr(GroupSpec, "_mul", no_product)
+    message = f"ball of {spec.describe()} at radius {2**70} exceeds the budget of 200000 vertices"
+    with pytest.raises(ResourceLimitError, match=re.escape(message)):
+        cayley_ball(spec, 2**70)
 
 
 BALL_CASES = [
@@ -220,14 +236,14 @@ BALL_IDS = ["Z2*Z2-r4", "Z2*Z-r5", "F2*Heis-r3", "Z*Z*Z-r4", "F2*Z2-r3",
 def test_ball_and_coset_families_match_the_references(spec, radius):
     ball = cayley_ball(spec, radius)
     reference = reference_cayley_ball(spec, radius)
-    assert ball.elements == reference["elements"]
+    assert ball.keys == reference["keys"]
     assert ball.word_lengths == reference["word_lengths"]
     assert ball.graph.labels == reference["labels"]
     assert ball.graph.edges.tolist() == [list(e) for e in reference["edges"]]
-    assert ball.generator_table.tolist() == reference_generator_table(spec, reference["elements"])
+    assert ball.generator_table.tolist() == reference_generator_table(spec, reference["keys"])
     # the cosets, factor after factor, each led by its representative
     cosets = [c for factor in range(len(spec.factors)) for c in reference_coset_family(ball, factor)]
-    assert [(f, ball.elements[m.vertices[0]], m.vertices, m.edges)
+    assert [(f, ball.keys[m.vertices[0]], m.vertices, m.edges)
             for f, m in zip(ball.coset_factors.tolist(), ball.cosets)] == [
         (c.factor_index, c.representative, c.members, c.edges) for c in cosets]
 
@@ -261,8 +277,7 @@ def test_free_product_budget_is_checked_before_the_product_is_built():
 
 def test_free_product_product_matches_the_reference():
     for spec in (Z2xZ2, free_product(F2, H3), free_product(free_abelian(1), free_abelian(1), F2)):
-        keys = [g.key for g in cayley_ball(spec, 2).elements]
-        for xk, yk in itertools.product(keys, repeat=2):
+        for xk, yk in itertools.product(cayley_ball(spec, 2).keys, repeat=2):
             assert spec._mul(xk, yk) == reference_product(spec, xk, yk)
 
 
@@ -283,7 +298,7 @@ def cosets_of(ball, factor: int) -> list:
 def test_identity_coset_is_factor_ball():
     ball = cayley_ball(Z2xZ2, 2)
     ident = cosets_of(ball, 0)[0]
-    assert ball.elements[ident.vertices[0]].is_identity()
+    assert ball.keys[ident.vertices[0]] == Z2xZ2.identity()
     assert len(ident.vertices) == 13  # factor-0 ball of radius 2
     member_labels = {ball.graph.labels[v] for v in ident.vertices}
     assert "e" in member_labels and "a" in member_labels and "c" not in member_labels
@@ -314,13 +329,12 @@ def test_coset_count_against_partition_refinement():
 
     for c in fam:
         pass  # oracle must not read the family; build edges independently
-    factor0 = ball.spec.factors[0]
-    gens = [ball.spec.element(((0, key),)) for _, key in factor0._generator_keys()]
-    gens += [g.inverse() for g in gens]
-    for vid, g in enumerate(ball.elements):
+    spec = ball.spec
+    gens = [((0, key),) for _, key in spec.factors[0]._generator_keys()]
+    gens += [spec.inverse(g) for g in gens]
+    for vid, g in enumerate(ball.keys):
         for s in gens:
-            h = g * s
-            w = ball.index.get(h)
+            w = ball.index.get(spec.multiply(g, s))
             if w is not None:
                 ra, rb = find(vid), find(w)
                 if ra != rb:
@@ -330,24 +344,23 @@ def test_coset_count_against_partition_refinement():
     # representatives are exactly the elements whose normal form has no
     # trailing factor-0 syllable
     expected_reps = {
-        g for g in ball.elements
-        if coset_representative(ball.spec, g, 0) == g
+        g for g in ball.keys
+        if coset_representative(g, 0) == g
     }
-    assert {ball.elements[c.vertices[0]] for c in fam} == expected_reps
+    assert {ball.keys[c.vertices[0]] for c in fam} == expected_reps
 
 
 def test_coset_edges_use_only_factor_generators():
     ball = cayley_ball(Z2xZ2, 3)
     fam = cosets_of(ball, 1)
-    factor1 = ball.spec.factors[1]
+    factor1 = Z2xZ2.factors[1]
     gen_keys = {key for _, key in factor1._generator_keys()}
     gen_keys |= {factor1._inv(k) for k in gen_keys}
     for c in fam:
         for u, v in c.edges:
-            gu, gv = ball.elements[u], ball.elements[v]
-            step = gu.inverse() * gv
-            assert step.key and step.key[0][0] == 1
-            assert step.key[0][1] in gen_keys
+            step = Z2xZ2.multiply(Z2xZ2.inverse(ball.keys[u]), ball.keys[v])
+            assert step and step[0][0] == 1
+            assert step[0][1] in gen_keys
 
 
 def test_coset_family_rejects_non_products():
@@ -370,13 +383,13 @@ def test_group_spec_json_roundtrip():
 def test_coset_edges_match_per_element_products(spec):
     ball = cayley_ball(spec, 3)
     for factor in range(len(spec.factors)):
-        gens = [g for _, g in spec.generators() if g.key[0][0] == factor]
+        gens = [g for _, g in spec.generators() if g[0][0] == factor]
         for c in cosets_of(ball, factor):
             members = set(c.vertices)
             expected = set()
             for u in c.vertices:
                 for s in gens:
-                    w = ball.index.get(ball.elements[u] * s)
+                    w = ball.index.get(spec.multiply(ball.keys[u], s))
                     if w is not None and w in members and w > u:
                         expected.add((u, w))
             assert c.edges == tuple(sorted(expected))
@@ -393,11 +406,11 @@ def test_right_translation_matches_products(spec, radius):
     """One-row calls of ``right_translations``, one per ball element."""
     ball = cayley_ball(spec, radius)
     outside = 0
-    for s in ball.elements:
+    for s, sk in enumerate(ball.keys):
         col = ball.right_translations([s])
-        assert col.dtype == np.int32 and col.shape == (1, len(ball.elements))
-        for g, j in zip(ball.elements, col[0].tolist()):
-            expected = ball.index.get(spec.multiply(g, s), -1)
+        assert col.dtype == np.int32 and col.shape == (1, len(ball.keys))
+        for g, j in zip(ball.keys, col[0].tolist()):
+            expected = ball.index.get(spec.multiply(g, sk), -1)
             outside += expected == -1
             assert j == expected
     assert outside > 0
@@ -408,11 +421,11 @@ def test_right_translation_matches_products(spec, radius):
 def test_generator_columns_match_per_element_products(spec, radius):
     ball = cayley_ball(spec, radius)
     gens = spec.generators()
-    assert ball.generator_table.shape == (len(ball.elements), len(gens))
+    assert ball.generator_table.shape == (len(ball.keys), len(gens))
     assert ball.generator_table.dtype == np.int32
     for j, (_, s) in enumerate(gens):
-        expected = [ball.key_index.get(reference_product(spec, g.key, s.key), -1) for g in ball.elements]
-        column = ball.right_translations([s])[0]
+        expected = [ball.index.get(reference_product(spec, g, s), -1) for g in ball.keys]
+        column = ball.right_translations([ball.index[s]])[0]
         assert column.dtype == np.int32 and column.tolist() == expected
         assert ball.generator_table[:, j].tolist() == expected
         column[:] = 0  # a copy: the table stays as it was
@@ -429,40 +442,28 @@ def test_free_abelian_codes_fall_back_where_int64_overflows():
     assert cayley_ball(H3, 2)._coordinate_codes() is None
 
 
-@pytest.mark.parametrize("spec", [free_abelian(1), Z2, free_abelian(3)], ids=["Z1", "Z2", "Z3"])
-def test_right_translation_by_elements_outside_the_ball(spec):
-    radius = 3
-    ball = cayley_ball(spec, radius)
-    for shift in (radius, radius + 1, 2 * radius, 2 * radius + 1, 10**30):
-        for sign in (1, -1):
-            s = spec.element((sign * shift,) + (1,) * (spec.rank - 1))
-            expected = [ball.index.get(spec.multiply(g, s), -1) for g in ball.elements]
-            assert ball.right_translations([s]).tolist() == [expected]
-
-
-def test_right_translation_rejects_foreign_elements():
-    ball = cayley_ball(Z2, 2)
-    with pytest.raises(InputError):
-        ball.right_translations([ball.elements[1], GroupElement(F2, ((0, 1),))])
+def test_right_translation_rejects_ids_outside_the_ball():
+    for spec in (Z2, F2):  # the coordinate-code path and the generic one
+        ball = cayley_ball(spec, 2)
+        for bad in (-1, len(ball.keys)):
+            with pytest.raises(InputError):
+                ball.right_translations([1, bad])
 
 
 @pytest.mark.parametrize("spec,radius", [
     (Z2, 5), (free_abelian(3), 3), (free_abelian(39), 1), (F2, 3), (H3, 3), (Z2xZ2, 3),
 ], ids=["Z2", "Z3", "Z39", "F2", "Heis", "Z2*Z2"])
 def test_right_translations_equal_the_per_element_products(spec, radius):
-    """The whole table in one call, with elements repeated, out of ball
-    order and (for free abelian groups) outside the ball.  Z^2 and Z^3 look
-    codes up in a dense table; Z^39 at radius 1 has 3^39 codes for 79
-    elements and searches the sorted codes instead."""
+    """The whole table in one call, with elements repeated and out of ball
+    order.  Z^2 and Z^3 look codes up in a dense table; Z^39 at radius 1
+    has 3^39 codes for 79 elements and searches the sorted codes instead."""
     ball = cayley_ball(spec, radius)
-    elements = list(reversed(ball.elements)) + [ball.elements[3], ball.elements[0]]
-    if spec.kind == "free_abelian":
-        elements.append(spec.element((2 * radius,) + (0,) * (spec.rank - 1)))
-    table = ball.right_translations(elements)
-    assert table.dtype == np.int32 and table.shape == (len(elements), len(ball.elements))
-    for s, row in zip(elements, table.tolist()):
-        assert row == [ball.key_index.get(reference_product(spec, g.key, s.key), -1) for g in ball.elements]
+    ids = list(reversed(range(len(ball.keys)))) + [3, 0]
+    table = ball.right_translations(ids)
+    assert table.dtype == np.int32 and table.shape == (len(ids), len(ball.keys))
+    for s, row in zip(ids, table.tolist()):
+        assert row == [ball.index.get(reference_product(spec, g, ball.keys[s]), -1) for g in ball.keys]
     if spec.kind == "free_abelian":
         lookup = ball._coordinate_codes()[-1]
         assert isinstance(lookup, np.ndarray) == (spec.rank < 39)
-    assert ball.right_translations([]).shape == (0, len(ball.elements))
+    assert ball.right_translations([]).shape == (0, len(ball.keys))

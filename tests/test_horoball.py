@@ -706,7 +706,7 @@ def test_array_family_has_the_shape_table_of_its_subgraph_copies(spec, radius):
     copies = [(m.vertices, m.edges) for m in family]
     assert copies == [(c.members, c.edges) for _, c in reference]
     assert factor_of == [i for i, _ in reference]
-    assert identity == [a for a, (_, c) in enumerate(reference) if c.representative.is_identity()]
+    assert identity == [a for a, (_, c) in enumerate(reference) if c.representative == ()]
 
     expected_shape_of, expected = member_shapes(family_of(copies))
     shape_of, dmats = member_shapes(family)
