@@ -16,9 +16,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .graph import (INF, KERNEL_BYTES, DistanceOracle, Graph, _gather, _jagged_layout, _sorted_contains,
                     check_table, distance_rows, enumerate_geodesics, is_interior_pair, unique_ints)
+from .groups import QUADRUPLE_BUDGET
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,9 @@ def four_point_delta(g: Graph, sample: str | int = "all", seed: int | None = Non
     are computed for vertex 0 and every drawn w, x and y.  Either way the
     rows come from one ``distance_rows`` call, whose table is checked
     against the table budget before any row is computed; connectivity is
-    read off its row of vertex 0.
+    read off its row of vertex 0.  An exhaustive scan of more than
+    ``QUADRUPLE_BUDGET`` quadruples is refused after the table check, also
+    before any row.
     """
     n = g.num_vertices
     if sample == "all":
@@ -70,6 +73,9 @@ def four_point_delta(g: Graph, sample: str | int = "all", seed: int | None = Non
                             count=4 * sample).reshape(sample, 4)
         sources = unique_ints(np.append(quads[:, :3], 0))
     check_table(n, len(sources))
+    if sample == "all" and math.comb(n, 4) > QUADRUPLE_BUDGET:
+        raise ResourceLimitError(f"an exhaustive four-point scan of {math.comb(n, 4)} quadruples exceeds "
+                                 f"the quadruple budget of {QUADRUPLE_BUDGET}")
     d = distance_rows(g, sources)  # sources ascending: vertex 0 is row 0
     if n > 1 and np.any(d[0] >= INF):
         raise InputError("four-point scan needs a connected graph")

@@ -359,9 +359,10 @@ def scan_parabolic(
     of a geodesic between the copies is then within floor(R/2) of the pair,
     and so is every shortest path from a witness back to S.  The scan
     (``analysis.convexity_defect``) therefore runs on the subgraph induced on
-    N_floor(R/2)(S): its distances are never shorter than the carrier's, so
-    it adds no witness, and equal along all of those paths, so it loses
-    none.  A pair's geodesics are the same paths there, so are its interval
+    N_floor(R/2)(S), which ``graph.neighborhood_subgraph`` cuts out of the
+    space's layout without gluing the carrier: its distances are never
+    shorter than the carrier's, so it adds no witness, and equal along all
+    of those paths, so it loses none.  A pair's geodesics are the same paths there, so are its interval
     and its geodesic count, and with them the quasiconvexity term of every
     pair with at most ``geodesic_cap`` geodesics.  Only the pairs over the
     cap are enumerated; local ids follow carrier order, which keeps that
@@ -380,7 +381,7 @@ def scan_parabolic(
 
     top = np.asarray(aug.level_vertices(alpha, n))
     d_max = int(dmat[iu, iv].max())
-    sub, ids = neighborhood_subgraph(aug.carrier, top, -(-d_max // 2**n) // 2)  # floor(R/2)
+    sub, ids = neighborhood_subgraph(aug, top, -(-d_max // 2**n) // 2)  # floor(R/2)
     local = np.searchsorted(ids, top)
     oracle = DistanceOracle(sub)
     report = convexity_defect(sub, local, pairs=np.stack([local[iu], local[iv]], axis=1),
@@ -389,7 +390,7 @@ def scan_parabolic(
     drop = 0
     if check_level_drop:
         ends = unique_ints(np.concatenate([iu, iv]))
-        sub0, ids0 = neighborhood_subgraph(aug.carrier, members[ends], d_max // 2)
+        sub0, ids0 = neighborhood_subgraph(aug, members[ends], d_max // 2)
         local0 = np.searchsorted(ids0, members)
         sources, row_of = np.unique(iu, return_inverse=True)
         d0 = distance_rows(sub0, local0[sources])[row_of, local0[iv]]
@@ -450,7 +451,10 @@ def convexify_experiment(
     ``diagnostics`` list receives one entry per n: the vertices of the
     neighborhoods scanned, summed, and the pairs with more than
     ``geodesic_cap`` geodesics (where quasiconvexity is only a lower bound).
-    A ``timings`` dict receives ``family_s`` (see ``_shaped_family``).
+    A ``timings`` dict receives ``family_s`` (see ``_shaped_family``).  No
+    carrier is glued: each depth is a layout (``glue_horoballs``), its
+    vertex count a closed form, and each scan cuts its neighborhoods out of
+    the layout.
     """
     spec = ball.spec
     if spec.kind != "free_product":
@@ -473,7 +477,7 @@ def convexify_experiment(
             "witnesses": [list(w) for w in witnesses],
             "pairs_checked": sum(scan.pairs_checked for scan in scans.values()),
             "quasiconvexity": max((scan.quasiconvexity for scan in identity), default=0),
-            "carrier_vertices": aug.carrier.num_vertices,
+            "carrier_vertices": aug.num_vertices,
             "translation_check": ("ok" if all(scans[alpha].defect <= identity_defect
                                               for alpha in sampled) else "exceeded"),
             "generating_set": list(spec.generator_names),
@@ -484,7 +488,6 @@ def convexify_experiment(
                 "local_carrier_vertices": sum(scan.local_vertices for scan in scans.values()),
                 "geodesic_cap_hits": sum(scan.truncated_pairs for scan in scans.values()),
             })
-        del aug  # so that the next depth's carrier is not built beside this one
     return rows
 
 

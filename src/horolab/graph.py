@@ -24,6 +24,7 @@ and Floyd-Warshall in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -167,6 +168,13 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(self._indptr[v + 1] - self._indptr[v])
 
+    def adjacent(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The edge ends at ``vertices``, an int64 array of ids, as (owner,
+        neighbour): ``owner[j]`` is the position in ``vertices`` of the
+        vertex that ``neighbour[j]`` is adjacent to."""
+        counts, slots = _csr_slots(self, vertices)
+        return np.repeat(np.arange(len(vertices)), counts), self._indices[slots]
+
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u)
         i = np.searchsorted(row, v)
@@ -242,6 +250,13 @@ class SubgraphFamily:
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
+
+    @functools.cached_property
+    def slots_by_vertex(self) -> tuple[np.ndarray, np.ndarray]:
+        """(``vertices`` sorted, and the slot in ``vertices`` of each), so
+        that the members through a vertex are one sorted search away."""
+        order = np.argsort(self.vertices, kind="stable")
+        return self.vertices[order], order
 
     def __len__(self) -> int:
         return len(self.template)
@@ -558,16 +573,19 @@ class DistanceOracle:
         return _frontier_bfs(self.graph, _checked_ids(self.graph, sources))
 
 
-def neighborhood_subgraph(g: Graph, sources: Sequence[int], radius: int) -> tuple[Graph, np.ndarray]:
+def neighborhood_subgraph(g, sources: Sequence[int], radius: int) -> tuple[Graph, np.ndarray]:
     """The subgraph induced on N_radius(sources), the vertices within
     ``radius`` hops of a source, and its local -> global id map (sorted).
 
+    ``g`` is a ``Graph``, or any graph that gives its ``num_vertices`` and
+    the edge ends at an array of vertices as ``Graph.adjacent`` does, such
+    as a ``horoball.AugmentedSpace``, whose carrier is then never built.
     Local ids follow global id order, so neighbor lists keep their order and
     an id-ordered traversal such as ``enumerate_geodesics`` meets shared
     vertices in the same order as in ``g``.  Distances in the subgraph are
     never shorter than in ``g``, and equal for pairs joined by some shortest
-    path that stays inside.  A frontier grows one BFS level at a time over
-    the CSR arrays, so the work grows with the neighborhood, not with ``g``.
+    path that stays inside.  A frontier grows one BFS level at a time, so the
+    work grows with the neighborhood, not with ``g``.
     """
     if radius < 0:
         raise InputError("radius must be >= 0")
@@ -576,13 +594,12 @@ def neighborhood_subgraph(g: Graph, sources: Sequence[int], radius: int) -> tupl
         raise InputError("source set must be nonempty")
     frontier = reached
     for _ in range(radius):
-        step = unique_ints(g._indices[_csr_slots(g, frontier)[1]])
+        step = unique_ints(g.adjacent(frontier)[1])
         frontier = step[~_sorted_contains(reached, step)]
         if not frontier.size:
             break
         reached = np.sort(np.concatenate([reached, frontier]))
-    counts, slots = _csr_slots(g, reached)
-    owner, nb = np.repeat(np.arange(len(reached)), counts), g._indices[slots]
+    owner, nb = g.adjacent(reached)
     inside = _sorted_contains(reached, nb)
     edges = np.stack([owner[inside], np.searchsorted(reached, nb[inside])], axis=1)
     return Graph(len(reached), edges), reached
@@ -593,8 +610,14 @@ def _csr_slots(g: Graph, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     each of their edge ends, vertex by vertex), without a per-vertex loop."""
     starts = g._indptr[vertices]
     counts = g._indptr[1:][vertices] - starts
+    return counts, concatenated_ranges(starts, counts)
+
+
+def concatenated_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``range(starts[i], starts[i] + counts[i])`` for every i, one after
+    another, as one int64 array."""
     ends = np.cumsum(counts)
-    return counts, np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
 
 
 def _sorted_contains(sorted_ids: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -50,12 +50,25 @@ DEFAULT_BALL_BUDGET = 200_000
 # and depth 5 (acceptance criterion 07) has 66,921 + 5 * 133,842 = 736,131.
 CARRIER_BUDGET = 1_000_000
 
+# Largest carrier, in edges, that gluing builds: base edges plus, per member
+# of s vertices, depth * s vertical edges and at each level k its pairs at
+# member distance in (0, 2^k], counted from the shape matrices before any
+# carrier array exists.  Criterion 07's carrier has 2,365,770 edges; a
+# level past a member's diameter joins all its pairs, so a carrier under the
+# vertex budget can still have Theta(depth * s^2) edges.
+CARRIER_EDGE_BUDGET = 4_000_000
+
 # Largest count a config sets for a loop or a table that no other budget
 # bounds: four-point samples, the cells of the largest cycle's metric table
 # (n^2), the values of a lambda grid, and the generator-table cells of a
 # rank-r free or free abelian radius-1 ball (2r(2r + 1)).  Checked before any
 # of them is built.
 COUNT_BUDGET = 1_000_000
+
+# Most quadruples an exhaustive four-point scan visits: C(n, 4) over n
+# vertices, refused before any distance row.  C(371, 4) = 776,673,660 took
+# 19 s on a 2-core host; the benchmark's 55-vertex delta scans 341,055.
+QUADRUPLE_BUDGET = 1_000_000_000
 
 # Largest code range, per ball element, that a free abelian ball looks its
 # translations up in through a dense table rather than a sorted search.

@@ -11,17 +11,21 @@ onto each member of a family of subgraphs along its level 0.
 Every family is a ``SubgraphFamily``: a few templates copied many times, as
 the paper's parabolic subgroups act cocompactly on their cosets.  Its
 builder vouches for its members (a Cayley ball for its cosets, ``whole``
-for a whole base).  One gluing step builds every carrier.  ``member_shapes``
-computes the shape table, one distance matrix per member shape, looking at
-each template once.  ``glue_horoballs`` takes that table, so an experiment
-over several depths builds it once, and ``_glue`` emits the edges and
-per-vertex provenance of all members of a shape at once.  The restricted
-horoball over a whole base is the one-member case: ``RestrictedHoroball``
-is a view over the ``AugmentedSpace`` glued over
-``SubgraphFamily.whole(base)`` that adds the level-major id arithmetic of
-the geodesic functions.  A carrier keeps its per-vertex provenance as
-arrays (``columns``); ``io.write_carrier`` renders its labels and
-vertex_meta from them.
+for a whole base).  ``member_shapes`` computes the shape table, one distance
+matrix per member shape, looking at each template once.  ``glue_horoballs``
+takes that table, so an experiment over several depths builds it once, and
+returns an ``AugmentedSpace``: the carrier's layout, whose vertices and
+edges ``check_carrier`` has counted and held to their budgets.  The carrier
+``Graph`` and its per-vertex provenance (``columns``) are glued by one step,
+``_glue``, which emits the edges and provenance of all members of a shape
+at once, on the first read of either; ``io.write_carrier`` renders labels
+and vertex_meta from the columns.  The space also reads the carrier's edges
+at any vertices off its layout (``AugmentedSpace.adjacent``), so the
+convexification experiment cuts each scanned neighborhood out of the
+layout and never glues a carrier.  The restricted horoball over a whole
+base is the one-member case: ``RestrictedHoroball`` is a view over the
+glued ``AugmentedSpace`` over ``SubgraphFamily.whole(base)`` that adds the
+level-major id arithmetic of the geodesic functions.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .graph import INF, DistanceOracle, Graph, Path, SubgraphFamily, check_table, distance_rows
-from .groups import CARRIER_BUDGET
+from .graph import (INF, DistanceOracle, Graph, Path, SubgraphFamily, check_table, concatenated_ranges,
+                    distance_rows, unique_ints)
+from .groups import CARRIER_BUDGET, CARRIER_EDGE_BUDGET
 
 ASCENDING = "ascending"
 DESCENDING = "descending"
@@ -98,6 +103,7 @@ def build_restricted_horoball(base: Graph, depth: int) -> RestrictedHoroball:
     ``glue_horoballs`` of the one member ``SubgraphFamily.whole(base)``.  A
     disconnected base is refused by ``member_shapes``."""
     family = SubgraphFamily.whole(base)
+    check_carrier(base, family, depth)  # the floor, before the base's distance matrix
     return RestrictedHoroball(glue_horoballs(base, family, member_shapes(family), depth))
 
 
@@ -345,23 +351,44 @@ def verify_geodesic_shape(h: RestrictedHoroball, p: Path) -> ShapeReport:
 @dataclass(eq=False, repr=False)
 class AugmentedSpace:
     """A base graph with one depth-``depth`` horoball glued onto each family
-    member along its level 0.
+    member along its level 0, held as its layout.
 
-    ``columns`` is the carrier's provenance, the arrays (kind, alpha,
+    Member ``a``'s level-k copy of its local vertex i has the id
+    ``_block_starts[a] + (k-1)*s + i``, s its size, and the carrier has
+    ``num_vertices`` = |base| + depth * (member vertices) ids.  The carrier
+    ``Graph`` and its provenance ``columns`` are glued by ``_glue`` on the
+    first read of either.  ``columns`` are the arrays (kind, alpha,
     base_vertex, level): kind 0 on base vertices and 1 on horoball copies,
-    alpha the member index (-1 on base vertices).  Member ``a``'s level-k
-    copy starts at id ``_block_starts[a] + (k-1)*s``, s its size."""
+    alpha the member index (-1 on base vertices).  ``adjacent`` reads edges
+    off the layout, so ``graph.neighborhood_subgraph`` cuts a neighborhood
+    out of the space without the carrier."""
 
     base: Graph
     family: SubgraphFamily
     depth: int
-    carrier: Graph
-    columns: tuple
+    num_vertices: int
     _block_starts: list[int]
     _shapes: tuple  # see member_shapes
 
+    @functools.cached_property
+    def _glued(self) -> tuple[Graph, tuple]:
+        edges, columns = _glue(self)
+        return Graph(self.num_vertices, edges), columns
+
+    @functools.cached_property
+    def _shape_index(self) -> np.ndarray:
+        return np.asarray(self._shapes[0], dtype=np.int64)
+
+    @property
+    def carrier(self) -> Graph:
+        return self._glued[0]
+
+    @property
+    def columns(self) -> tuple:
+        return self._glued[1]
+
     def provenance(self, vid: int) -> tuple:
-        if not 0 <= vid < self.carrier.num_vertices:
+        if not 0 <= vid < self.num_vertices:
             raise InputError(f"unknown vertex id {vid}")
         kind, alpha, base_vertex, level = (int(column[vid]) for column in self.columns)
         return ("horo", alpha, base_vertex, level) if kind else ("gamma", base_vertex)
@@ -383,10 +410,57 @@ class AugmentedSpace:
         start = self._block_starts[alpha] + (level - 1) * len(member.vertices)
         return list(range(start, start + len(member.vertices)))
 
+    def adjacent(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The carrier's edge ends at ``vertices`` as ``Graph.adjacent``
+        gives them, read off the layout: base edges from the base's CSR, a
+        vertical edge from a base vertex up to level 1 of each member through
+        it, from a copy up a level and down a level (level 1 steps down to
+        the member's base vertex), and at level k a horizontal edge to each
+        copy at member distance in (0, 2^k], from the shape matrix."""
+        v = np.asarray(vertices, dtype=np.int64)
+        n0, family = self.base.num_vertices, self.family
+        depth = self.depth if self.num_vertices > n0 else 1  # without copies, any depth lays out nothing
+        offsets = family.offsets
+        owners, ends = [], []
+
+        at = np.flatnonzero(v < n0)
+        owner, nb = self.base.adjacent(v[at])
+        owners.append(at[owner])
+        ends.append(nb)
+        first, slot_of = family.slots_by_vertex
+        lo = np.searchsorted(first, v[at])
+        counts = np.searchsorted(first, v[at], side="right") - lo
+        slots = slot_of[concatenated_ranges(lo, counts)]
+        a = np.searchsorted(offsets, slots, side="right") - 1
+        owners.append(np.repeat(at, counts))
+        ends.append(n0 + depth * offsets[a] + slots - offsets[a])
+
+        at = np.flatnonzero(v >= n0)
+        copy = v[at]
+        # member a's block is [n0 + depth * offsets[a], n0 + depth * offsets[a + 1]);
+        # the last member starting at or before a copy is its own, as an
+        # empty member starts where the next one does
+        a = np.searchsorted(offsets, (copy - n0) // depth, side="right") - 1
+        size = family.sizes[a]
+        k, i = np.divmod(copy - n0 - depth * offsets[a], size)
+        k += 1
+        owners += [at, at[k < depth]]
+        ends += [np.where(k == 1, family.vertices[offsets[a] + i], copy - size), (copy + size)[k < depth]]
+        dmats = self._shapes[1]
+        shape = self._shape_index[a]
+        for sigma in unique_ints(shape).tolist():
+            sel = np.flatnonzero(shape == sigma)
+            d = dmats[sigma][i[sel]]
+            # 2^30 exceeds every member distance, so k caps there
+            row, j = np.nonzero((d > 0) & (d <= np.left_shift(1, np.minimum(k[sel], 30))[:, None]))
+            owners.append(at[sel][row])
+            ends.append((copy - i)[sel][row] + j)
+        return np.concatenate(owners), np.concatenate(ends)
+
     def __repr__(self) -> str:
         return (f"AugmentedSpace(|base|={self.base.num_vertices}, "
                 f"family={len(self.family)}, depth={self.depth}, "
-                f"|carrier|={self.carrier.num_vertices})")
+                f"|carrier|={self.num_vertices})")
 
 
 def member_shapes(family: SubgraphFamily) -> tuple[list[int], list[np.ndarray]]:
@@ -429,48 +503,90 @@ def glue_horoballs(
     shapes: tuple[list[int], list[np.ndarray]],
     depth: int,
 ) -> AugmentedSpace:
-    """Glue a depth-``depth`` horoball onto each family member, over the
+    """Lay out a depth-``depth`` horoball on each family member, over the
     family's shape table from ``member_shapes``, so that a run over several
-    depths measures the members once.  The carrier graph holds the edges
-    only; its labels and vertex_meta are rendered from
-    ``AugmentedSpace.columns`` by ``io.write_carrier``."""
-    edges, columns, block_starts = _glue(base, family, shapes, depth)
-    return AugmentedSpace(base, family, depth, Graph(len(columns[0]), edges), columns, block_starts, shapes)
-
-
-def _glue(base: Graph, family: SubgraphFamily, shapes, depth: int) -> tuple:
-    """The one gluing step: carrier edges and per-vertex provenance.
-
-    Member ``a`` owns the block of carrier ids ``block_starts[a] + (k-1)*s +
-    i`` for its level-k copy of local vertex ``i`` (``s`` its size); level 0
-    is the member itself, inside the base.  The work is done per shape, not
-    per member: a shape's level-k horizontal pairs come from its distance
-    matrix once, and one broadcast over the block offsets of all its members
-    emits their edges and provenance.  On Cayley balls the parabolic
-    subgroups act cocompactly on their cosets, so the coset family has only
-    a few shapes however many members it has (Z^2*Z^2 at radius 4: 1,970
-    members, 5 shapes).
-
-    Returns (edges, columns, block_starts), with the provenance columns
-    (kind, alpha, base_vertex, level) of ``AugmentedSpace``.  A carrier of
-    more than ``CARRIER_BUDGET`` vertices raises ``ResourceLimitError``
-    before any carrier array is allocated.
-    """
+    depths measures the members once.  The carrier is counted here and
+    refused over its budgets (``check_carrier``), and glued only when the
+    space's ``carrier`` or ``columns`` is first read; its labels and
+    vertex_meta are rendered from the columns by ``io.write_carrier``."""
     if depth < 1:
         raise InputError("depth must be >= 1")
-    shape_of, dmats = shapes
-    n0 = base.num_vertices
-    offsets, vertices = family.offsets, family.vertices
-    copied = int(offsets[-1])
+    total = check_carrier(base, family, depth, shapes)
+    block_starts = base.num_vertices + family.offsets[:-1] * (depth if total > base.num_vertices else 1)
+    return AugmentedSpace(base, family, depth, total, block_starts.tolist(), shapes)
+
+
+def _first_complete_level(diameter: int) -> int:
+    """The first level k >= 1 whose 2^k reaches ``diameter``: from there on
+    a level joins all pairs of a member of that diameter."""
+    return max(1, max(diameter - 1, 0).bit_length())
+
+
+def _level_pairs(dmat: np.ndarray, depth: int) -> int:
+    """The horizontal edges of one member of the shape with distance matrix
+    ``dmat``, summed over levels 1..depth: at level k, its pairs at member
+    distance in (0, 2^k]."""
+    complete = _first_complete_level(int(dmat.max(initial=0)))
+    pairs = [int(np.count_nonzero((dmat > 0) & (dmat <= 2**k))) // 2 for k in range(1, min(depth, complete) + 1)]
+    return sum(pairs) + pairs[-1] * max(0, depth - complete)
+
+
+def check_carrier(base: Graph, family: SubgraphFamily, depth: int, shapes=None) -> int:
+    """Count the depth-``depth`` carrier over ``family`` and refuse it, with
+    ``ResourceLimitError``, over ``CARRIER_BUDGET`` vertices or
+    ``CARRIER_EDGE_BUDGET`` edges, before any carrier array exists.  Returns
+    its vertex count, |V| + depth * (member vertices).
+
+    Its edges are the base's, depth * s vertical ones per member of s
+    vertices, and per member and level its pairs within 2^k.  With the
+    ``member_shapes`` table the count is exact.  Without it, it is a floor
+    from the member sizes alone, checked before any shape matrix is
+    computed: a connected member of s vertices has diameter at most s - 1,
+    so every level from ``_first_complete_level(s - 1)`` on joins all of its
+    pairs.  (A disconnected member is refused by ``member_shapes``.)
+    """
+    n0, copied = base.num_vertices, int(family.offsets[-1])
     total = n0 + depth * copied  # Python ints: exact at any depth
     if total > CARRIER_BUDGET:
         raise ResourceLimitError(
             f"carrier of {total} vertices ({n0} base + depth {depth} x {copied} member vertices) "
             f"exceeds the carrier budget of {CARRIER_BUDGET} vertices")
-    if not copied:
-        depth = 1  # members without vertices glue nothing at any depth
-    blocks = np.diff(offsets) * depth
-    block_starts = n0 + np.cumsum(blocks) - blocks
+    if shapes is None:
+        sizes = np.bincount(family.sizes)
+        horizontal = sum(int(sizes[s]) * max(0, depth - _first_complete_level(s - 1) + 1) * (s * (s - 1) // 2)
+                         for s in np.flatnonzero(sizes).tolist())
+    else:
+        shape_of, dmats = shapes
+        members = np.bincount(np.asarray(shape_of, dtype=np.int64), minlength=len(dmats)).tolist()
+        horizontal = sum(m * _level_pairs(dmat, depth) for m, dmat in zip(members, dmats) if m)
+    edges = base.num_edges + depth * copied + horizontal
+    if edges > CARRIER_EDGE_BUDGET:
+        raise ResourceLimitError(
+            f"carrier of {'' if shapes is not None else 'at least '}{edges} edges at depth {depth} "
+            f"exceeds the carrier edge budget of {CARRIER_EDGE_BUDGET} edges")
+    return total
+
+
+def _glue(space: AugmentedSpace) -> tuple:
+    """The one gluing step: the carrier edges and per-vertex provenance of
+    ``space``, laid out by ``glue_horoballs``.
+
+    The work is done per shape, not per member: a shape's level-k
+    horizontal pairs come from its distance matrix once, and one broadcast
+    over the block offsets of all its members emits their edges and
+    provenance.  On Cayley balls the parabolic subgroups act cocompactly on
+    their cosets, so the coset family has only a few shapes however many
+    members it has (Z^2*Z^2 at radius 4: 1,970 members, 5 shapes).
+
+    Returns (edges, columns), with the provenance columns (kind, alpha,
+    base_vertex, level) of ``AugmentedSpace``.
+    """
+    base, family, total = space.base, space.family, space.num_vertices
+    shape_of, dmats = space._shapes
+    n0 = base.num_vertices
+    offsets, vertices = family.offsets, family.vertices
+    depth = space.depth if total > n0 else 1  # members without vertices glue nothing at any depth
+    block_starts = np.asarray(space._block_starts, dtype=np.int64)
 
     kind = np.zeros(total, dtype=np.int8)
     alpha = np.full(total, -1, dtype=np.int32)
@@ -500,11 +616,10 @@ def _glue(base: Graph, family: SubgraphFamily, shapes, depth: int) -> tuple:
         # horizontal edges at levels >= 1 (level 0 edges are base edges);
         # from the first level whose 2^k reaches the shape's diameter on,
         # every level joins all pairs, so those levels take one pair list
-        saturated = max(1, max(int(dmat.max(initial=0)) - 1, 0).bit_length())
-        for k in range(1, min(depth, saturated) + 1):
+        complete = _first_complete_level(int(dmat.max(initial=0)))
+        for k in range(1, min(depth, complete) + 1):
             iu, iv = np.nonzero(np.triu((dmat > 0) & (dmat <= 2**k), k=1))
-            levels = ids[:, k - 1:k if k < saturated else depth, :]
+            levels = ids[:, k - 1:k if k < complete else depth, :]
             chunks.append(np.stack([levels[:, :, iu].ravel(), levels[:, :, iv].ravel()], axis=1))
 
-    edges = np.concatenate(chunks, axis=0)
-    return edges, (kind, alpha, base_vertex, level), block_starts.tolist()
+    return np.concatenate(chunks, axis=0), (kind, alpha, base_vertex, level)

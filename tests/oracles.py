@@ -9,7 +9,8 @@ factor keys with the package's group law: they are the reference for how
 balls and families are built from products, not for the factors' products.
 
 At the end are fixtures that build package objects for the tests: small
-graphs and ``family_of``, an irregular family as a ``SubgraphFamily``.
+graphs, ``family_of``, an irregular family as a ``SubgraphFamily``, and the
+one-member families of the local-scan tests.
 """
 
 from __future__ import annotations
@@ -407,6 +408,29 @@ def whole_carrier_scan(aug, basepoint_row, radius: int, alpha: int, geodesic_cap
     return out
 
 
+def glued_neighborhood(aug, sources, radius: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Glue-then-cut reference for ``graph.neighborhood_subgraph`` on an
+    augmented space: N_radius(sources) in the glued carrier by a plain BFS,
+    as its sorted carrier ids and its induced edges in local ids (positions
+    in that list), sorted."""
+    adjacency = [[] for _ in range(aug.carrier.num_vertices)]
+    for u, v in aug.carrier.edges.tolist():
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    dist = {int(s): 0 for s in sources}
+    queue = deque(dist)
+    while queue:
+        u = queue.popleft()
+        if dist[u] < radius:
+            for w in adjacency[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+    ids = sorted(dist)
+    local = {v: i for i, v in enumerate(ids)}
+    return ids, sorted((local[u], local[w]) for u in ids for w in adjacency[u] if w in local and u < w)
+
+
 def reference_product(spec, xk, yk):
     """Product of two normal-form keys.  Free products by list surgery:
     pop the syllables that meet at the seam, merge them with the factor's own
@@ -536,6 +560,25 @@ def family_of(members) -> SubgraphFamily:
     return SubgraphFamily(offsets=np.cumsum([0] + sizes, dtype=np.int64),
                           vertices=np.array([v for vertices, _ in members for v in vertices], dtype=np.int64),
                           template=np.arange(len(members)), templates=tuple(templates))
+
+
+def arc_on_a_cycle() -> tuple[Graph, SubgraphFamily]:
+    """C_40 with a 40-vertex path hanging off vertex 35, and one member: the
+    arc 0..29."""
+    base = Graph(80, [(i, (i + 1) % 40) for i in range(40)] + [(35, 40)] + [(i, i + 1) for i in range(40, 79)])
+    return base, family_of([(range(30), [(i, i + 1) for i in range(29)])])
+
+
+def u_path_in_a_grid(rows: int = 14, cols: int = 12) -> tuple[Graph, SubgraphFamily]:
+    """A ``rows`` x ``cols`` grid and one member: the path down column 1
+    (rows 0..6), along row 6 and up column ``cols - 2``, 22 vertices in the
+    14 x 12 grid."""
+    base = Graph(rows * cols, [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+                 + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)])
+    cells = ([(r, 1) for r in range(7)] + [(6, c) for c in range(2, cols - 2)]
+             + [(r, cols - 2) for r in range(6, -1, -1)])
+    path = [r * cols + c for r, c in cells]
+    return base, family_of([(path, list(zip(path, path[1:])))])
 
 
 def complete_graph(n: int) -> Graph:

@@ -340,14 +340,12 @@ def test_local_scan_finds_the_defect_of_a_nonconvex_arc():
     the arc 0..29.  At depth 1 the long way round the arc is shorter through
     the rest of the cycle, so the scan must find witnesses off the arc, and
     find them inside its neighborhood of the top level."""
-    from horolab.graph import Graph, distance_rows
+    from horolab.graph import distance_rows
     from horolab.horoball import glue_horoballs, member_shapes
 
-    from oracles import family_of, whole_carrier_scan
+    from oracles import arc_on_a_cycle, whole_carrier_scan
 
-    base = Graph(80, [(i, (i + 1) % 40) for i in range(40)] + [(35, 40)]
-                 + [(i, i + 1) for i in range(40, 79)])
-    arc = family_of([(range(30), [(i, i + 1) for i in range(29)])])
+    base, arc = arc_on_a_cycle()
     row = distance_rows(base, [0])[0]
     expected = {1: (6, 62, 71), 2: (0, 0, 94)}  # defect, witnesses, neighborhood vertices
     for depth, (defect, witnesses, local) in expected.items():
@@ -365,16 +363,13 @@ def test_local_scan_finds_the_defect_of_a_u_shaped_path_in_a_grid():
     U are closer across the grid than along the path, so the scan finds
     witnesses off it; from depth 2 on the top level is convex.  Even at
     depth 1 the neighborhood scanned is smaller than the carrier."""
-    from horolab.graph import distance_rows, grid_graph
+    from horolab.graph import distance_rows
     from horolab.horoball import glue_horoballs, member_shapes
 
-    from oracles import family_of, whole_carrier_scan
+    from oracles import u_path_in_a_grid, whole_carrier_scan
 
     rows, cols = 14, 12
-    base = grid_graph(rows, cols)
-    cells = [(r, 1) for r in range(7)] + [(6, c) for c in range(2, 10)] + [(r, 10) for r in range(6, -1, -1)]
-    path = [r * cols + c for r, c in cells]
-    arc = family_of([(path, list(zip(path, path[1:])))])
+    base, arc = u_path_in_a_grid(rows, cols)
     row = distance_rows(base, [0])[0]
     expected = {1: (5, 10, 152), 2: (0, 0, 108), 3: (0, 0, 44)}  # defect, witnesses, neighborhood vertices
     for depth, (defect, witnesses, local) in expected.items():
@@ -713,15 +708,22 @@ def test_cli_rejects_bad_files_and_paths(tmp_path, capsys, case, stream):
     # 300,000 drawn w, x and y cover every vertex of the path
     ("delta", {"path": 9000}, {"sample": 100_000},
      f"a distance table of 9001 x 9001 vertices exceeds the table budget of {256 * 2**20} bytes"),
+    # a 100 MB table, under the table budget, and C(5001, 4) quadruples
+    ("delta", {"path": 5000}, {"sample": "all"},
+     "an exhaustive four-point scan of 26031248958750 quadruples exceeds the quadruple budget of 1000000000"),
+    # 3,600 vertices per level, and levels 12 on join all 6,478,200 pairs
+    ("build-horoball", {"grid": [60, 60]}, {"depth": 12},
+     "carrier of at least 6528480 edges at depth 12 exceeds the carrier edge budget of 4000000 edges"),
 ], ids=["path", "grid", "cycle", "sample", "cycle-table", "lambda-grid", "free-rank", "K-exponent",
         "K-exponent-space", "K-exponent-underscores", "K-digits",
-        "step-digits", "distance-table", "shape-table", "sampled-rows"])
+        "step-digits", "distance-table", "shape-table", "sampled-rows", "quadruples", "carrier-edges"])
 def test_cli_counts_over_their_budget_exit_3(tmp_path, capsys, monkeypatch, kind, instance, params, stream):
     """Instance sizes, sample counts, cycle tables, lambda grids, group
-    ranks and dense distance tables (the whole graph's, a horoball member's
-    shape table, or the rows of a sampled four-point scan) are counted in
-    Python integers and refused before anything of that size is built, and
-    before any distance row."""
+    ranks, dense distance tables (the whole graph's, a horoball member's
+    shape table, or the rows of a sampled four-point scan), the quadruples
+    of an exhaustive four-point scan and the edges of a horoball are counted
+    in Python integers and refused before anything of that size is built,
+    and before any distance row."""
     def no_rows(*args, **kwargs):
         raise AssertionError("a distance row was computed before the budget check")
 

@@ -26,7 +26,7 @@ from horolab import (
     free_product,
     heisenberg,
 )
-from horolab.graph import SubgraphFamily, cycle_graph, grid_graph, path_graph
+from horolab.graph import SubgraphFamily, cycle_graph, grid_graph, neighborhood_subgraph, path_graph
 from horolab.horoball import (
     ASCENDING,
     DESCENDING,
@@ -49,8 +49,8 @@ import horolab.horoball
 import horolab.io
 from horolab.experiments import convexify_experiment, milnor_svarc_experiment, parabolic_family
 
-from oracles import (BIG, augmented_carrier, bfs_distances, family_of, random_connected_graph, reference_coset_family,
-                     restricted_horoball)
+from oracles import (BIG, arc_on_a_cycle, augmented_carrier, bfs_distances, family_of, glued_neighborhood,
+                     random_connected_graph, reference_coset_family, restricted_horoball, u_path_in_a_grid)
 
 
 def all_pairs(n):
@@ -587,6 +587,93 @@ def test_same_size_members_with_different_edges():
         assert_matches_member_reference(base, family, depth)
 
 
+# -- neighborhoods cut out of the layout ----------------------------------------
+
+
+def _random_family(base: Graph, members: int, rng: random.Random):
+    """``members`` connected members of ``base`` grown from random roots, each
+    with its spanning tree and some of its induced edges, in random vertex
+    order, plus an empty and a one-vertex member; members overlap."""
+    out = [((), ()), ((rng.randrange(base.num_vertices),), ())]
+    for _ in range(members):
+        grown, tree = [rng.randrange(base.num_vertices)], []
+        for _ in range(rng.randrange(1, 9)):
+            u = rng.choice(grown)
+            fresh = [int(w) for w in base.neighbors(u) if int(w) not in grown]
+            if fresh:
+                tree.append((u, rng.choice(fresh)))
+                grown.append(tree[-1][1])
+        extra = [(int(u), int(w)) for u in grown for w in base.neighbors(u) if int(w) in grown and rng.random() < 0.5]
+        rng.shuffle(grown)
+        out.append((tuple(grown), tuple(tree + extra)))
+    rng.shuffle(out)
+    return family_of(out)
+
+
+def _spaces():
+    """(id, base, family) of the ball cases of the coset-family test, the
+    arc and U-path families of the local-scan tests, and random families on
+    random graphs."""
+    for name, spec, radius in [("Z2*Z2", free_product(free_abelian(2), free_abelian(2)), 3),
+                               ("Z2*Z", free_product(free_abelian(2), free_abelian(1)), 3),
+                               ("F2*Heis", free_product(free(2), heisenberg()), 2)]:
+        ball = cayley_ball(spec, radius)
+        yield name, ball.graph, parabolic_family(ball)[0]
+    yield ("arc", *arc_on_a_cycle())
+    yield ("U-path", *u_path_in_a_grid())
+    for seed in range(4):
+        rng = random.Random(seed)
+        base = random_connected_graph(rng.randrange(8, 30), rng.randrange(0, 12), rng)
+        yield f"random-{seed}", base, _random_family(base, rng.randrange(1, 6), rng)
+
+
+SPACES = list(_spaces())
+
+
+@pytest.mark.parametrize("base, family", [case[1:] for case in SPACES], ids=[case[0] for case in SPACES])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_space_adjacency_is_the_glued_carrier(base, family, depth):
+    """``AugmentedSpace.adjacent`` gives every vertex exactly its edge ends
+    in the glued carrier."""
+    aug = augment(base, family, depth)
+    owner, nb = aug.adjacent(np.arange(aug.num_vertices))
+    got = np.sort(owner * aug.num_vertices + nb)
+    carrier = aug.carrier
+    expected = np.sort(np.concatenate([carrier.edges[:, 0] * aug.num_vertices + carrier.edges[:, 1],
+                                       carrier.edges[:, 1] * aug.num_vertices + carrier.edges[:, 0]]))
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("base, family", [case[1:] for case in SPACES], ids=[case[0] for case in SPACES])
+@pytest.mark.parametrize("depth", [1, 2, 3, 5])
+def test_space_neighborhood_matches_glue_then_cut(base, family, depth):
+    """The neighborhood cut out of the layout equals the one cut out of the
+    glued carrier, and the plain-BFS reference, in ids and edges, around
+    the top and the bottom level of members at radii 0-4."""
+    aug = augment(base, family, depth)
+    members = [a for a in range(len(family)) if family.sizes[a]]
+    for alpha in sorted({members[0], members[len(members) // 2], members[-1]}):
+        for sources in (aug.level_vertices(alpha, depth), aug.level_vertices(alpha, 0)):
+            for radius in range(5):
+                sub, ids = neighborhood_subgraph(aug, sources, radius)
+                cut, cut_ids = neighborhood_subgraph(aug.carrier, sources, radius)
+                ref_ids, ref_edges = glued_neighborhood(aug, sources, radius)
+                assert ids.tolist() == cut_ids.tolist() == ref_ids, (alpha, radius)
+                assert sub.edges.tolist() == cut.edges.tolist() == [list(e) for e in ref_edges], (alpha, radius)
+
+
+def test_convexify_experiment_never_glues_a_carrier(monkeypatch):
+    """The convexification experiment reads its carrier sizes off the layout
+    and cuts every neighborhood out of it: gluing would raise."""
+    monkeypatch.setattr(horolab.horoball, "_glue", mock.Mock(side_effect=AssertionError("a carrier was glued")))
+    ball = cayley_ball(free_product(free_abelian(2), free_abelian(2)), 3)
+    diagnostics = []
+    rows = convexify_experiment(ball, [1, 2, 3], diagnostics=diagnostics)
+    copied = int(parabolic_family(ball)[0].offsets[-1])
+    assert [row["carrier_vertices"] for row in rows] == [ball.graph.num_vertices + n * copied for n in (1, 2, 3)]
+    assert all(entry["local_carrier_vertices"] > 0 for entry in diagnostics)
+
+
 # -- carrier documents against the references -----------------------------------
 
 # Labels with characters that ``json`` escapes, a ``%`` that a template must not
@@ -679,6 +766,29 @@ def test_carrier_budget_is_checked_before_gluing(monkeypatch):
             augment(base, SubgraphFamily.whole(base), depth)
         # members without vertices glue nothing, however deep
         assert augment(base, family_of([((), ())]), depth).carrier.num_vertices == 5
+
+
+def test_carrier_edges_are_counted_exactly_before_gluing():
+    """The edge count from the shape matrices is the glued carrier's edge
+    count: a carrier of exactly the edge budget is built, one edge more is
+    refused before ``_glue`` runs.  Without the shapes, the floor from the
+    member sizes is refused before any distance row."""
+    base, arc = arc_on_a_cycle()
+    for base, family in [(base, arc), (grid_graph(5, 4), SubgraphFamily.whole(grid_graph(5, 4)))]:
+        for depth in (1, 2, 3, 6):
+            edges = augment(base, family, depth).carrier.num_edges
+            with mock.patch.object(horolab.horoball, "CARRIER_EDGE_BUDGET", edges):
+                assert augment(base, family, depth).carrier.num_edges == edges
+            with (mock.patch.object(horolab.horoball, "CARRIER_EDGE_BUDGET", edges - 1),
+                  mock.patch.object(horolab.horoball, "_glue", side_effect=AssertionError("glued")),
+                  pytest.raises(ResourceLimitError, match=f"carrier of {edges} edges at depth {depth} exceeds "
+                                                          f"the carrier edge budget of {edges - 1} edges")):
+                augment(base, family, depth)
+    # 20 vertices: levels from 5 on (2^5 >= 19) join all 190 pairs
+    with (mock.patch.object(horolab.horoball, "CARRIER_EDGE_BUDGET", 31 + 6 * 20 + 2 * 190 - 1),
+          mock.patch.object(horolab.horoball, "distance_rows", side_effect=AssertionError("a distance row")),
+          pytest.raises(ResourceLimitError, match="carrier of at least 531 edges at depth 6")):
+        build_restricted_horoball(grid_graph(5, 4), 6)
 
 
 def test_z2z2_radius4_coset_shapes():
