@@ -225,6 +225,23 @@ def reference_cycle_search(dist, n_cycle: int, k: Fraction, lambdas, restrict=No
     return "none", node_cap - budget, True, None
 
 
+def reference_embedding_distortion(dist, images, lam: Fraction, k: Fraction) -> Fraction:
+    """``shortcut.embedding_distortion`` pair by pair: every pair i < j in
+    row-major order is checked in ``Fraction``s, and the first violation
+    raises InputError with the package's message."""
+    n = len(images)
+    worst = Fraction(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = dist[images[i]][images[j]]
+            ref = lam * min(j - i, n - (j - i))
+            if k * d < ref or Fraction(d) > k * ref:
+                raise InputError(f"pair ({i}, {j}): distance {d} outside bracket for lam={lam}")
+            if d:
+                worst = max(worst, Fraction(d) / ref, ref / Fraction(d))
+    return worst
+
+
 def reference_sampled_delta(dist, sample: int, seed) -> tuple[int, Fraction]:
     """Sampled four-point defect by one scalar loop over ``random.Random(seed)``
     draws, four ``randrange`` calls per quadruple in (w, x, y, z) order."""

@@ -273,6 +273,19 @@ def test_cli_shortcut_with_a_constant_near_one(tmp_path, e):
     assert row["witness"]["images"] == list(range(8))
 
 
+def test_cli_shortcut_at_the_longest_cycle_length(tmp_path):
+    """n = 1000, the most ``n_list`` allows, is 999 search levels deep: they
+    run from an explicit stack, not one Python call per slot."""
+    cfg = write_config(tmp_path, {
+        "version": 1, "experiment": "shortcut", "instance": {"cycle": 1000},
+        "params": {"K": "1", "n_list": [1000], "lambda": {"lo": "1", "hi": "1", "step": "1"}},
+    })
+    assert main(["shortcut", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    row, = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+    assert (row["status"], row["nodes"], row["exhaustive"]) == ("found", 999, True)
+    assert row["witness"] == {"images": list(range(1000)), "lambda": "1", "K_achieved": "1"}
+
+
 # -- convexify + milnor-svarc at reduced scale ------------------------------------
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from horolab import DistanceOracle, Graph, InputError
+from horolab import DistanceOracle, Graph, InputError, shortcut
 from horolab.graph import cycle_graph, grid_graph, path_graph
 from horolab.shortcut import (
     FOUND,
@@ -27,6 +27,7 @@ from oracles import (
     naive_cycle_embedding_exists,
     random_connected_graph,
     reference_cycle_search,
+    reference_embedding_distortion,
     star_graph,
 )
 
@@ -86,6 +87,9 @@ def test_query_validation():
         ShortcutQuery(4, Fraction(1, 2), LambdaGrid.of(1, 2), cycle_graph(4))
     with pytest.raises(InputError):
         LambdaGrid.of(1, 2, 0)
+    for roots in ((4,), (-1,)):
+        with pytest.raises(InputError, match="f0_candidates"):
+            ShortcutQuery(4, Fraction(1), LambdaGrid.of(1, 2), cycle_graph(4), f0_candidates=roots)
 
 
 @pytest.mark.parametrize("lo, hi, step, size", [
@@ -206,6 +210,134 @@ def test_search_matches_reference_on_the_benchmark_grid():
     grid = LambdaGrid.of(2, 3, "1/4")
     nodes = [assert_matches_reference(target, n, "6/5", grid).nodes_expanded for n in range(5, 11)]
     assert sum(nodes) == 76_012
+
+
+@pytest.mark.parametrize("target, n, k, lo, hi", [
+    ("grid", 5, "6/5", 2, 3),   # 81 vertices: two words per set; an exhaustive none
+    ("grid", 6, "3/2", 2, 3),
+    ("grid", 5, "5/4", 3, 4),   # found after 4,288 nodes
+    ("cycle", 7, "6/5", 2, 3),  # 130 vertices: three words per set; an exhaustive none
+    ("cycle", 6, "6/5", 20, 24),
+    ("cycle", 10, "6/5", 12, 14),
+    ("cycle", 13, "1", 10, 10),
+])
+def test_multiword_targets_match_reference(target, n, k, lo, hi):
+    graph = grid_graph(9, 9) if target == "grid" else cycle_graph(130)
+    assert_matches_reference(graph, n, k, LambdaGrid.of(lo, hi, "1/2"))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_restrict_and_unsorted_repeated_roots_match_reference(seed):
+    """f(0) runs over ``f0_candidates`` in the order given, repeats
+    included, and within ``restrict``, which need not be sorted."""
+    rng = random.Random(100 + seed)
+    target = random_connected_graph(20, 12, rng) if seed else grid_graph(4, 5)
+    restrict = tuple(rng.sample(range(20), 14))
+    roots = (19, 3, 19, 0, 11, 3, 7)
+    grid = LambdaGrid.of(1, 3, "1/2")
+    statuses = set()
+    for k in ("6/5", "3/2"):
+        for n in (4, 5, 6):
+            for kw in ({"restrict": restrict}, {"f0_candidates": roots},
+                       {"restrict": restrict, "f0_candidates": roots}):
+                statuses.add(assert_matches_reference(target, n, k, grid, **kw).status)
+    assert statuses == {FOUND, NONE}
+
+
+def test_every_node_cap_matches_reference():
+    """On the 12-cycle, n = 7 and K = 3/2, the scale 1 finds nothing in 96
+    nodes and the witness at 3/2 is node 106: every cap below 106 stops the
+    search, in the first scale or the second, and no cap moves the charge."""
+    target, grid = cycle_graph(12), LambdaGrid.of(1, 2, "1/2")
+    total = run(target, 7, "3/2", 1, 2, "1/2").nodes_expanded
+    assert total == 106
+    statuses = [assert_matches_reference(target, 7, "3/2", grid, node_cap=cap).status
+                for cap in range(1, total + 2)]
+    assert statuses == [UNKNOWN] * (total - 1) + [FOUND] * 2
+
+
+@pytest.mark.parametrize("kernel_bytes", [1, 1000])
+def test_small_slices_match_reference(monkeypatch, kernel_bytes):
+    """With ``KERNEL_BYTES`` at 1 every slice, root slices included, holds
+    one state; at 1,000 a slice holds a few states and a level's children
+    are built a few parents at a time.  Counts and witnesses do not
+    change."""
+    monkeypatch.setattr(shortcut, "KERNEL_BYTES", kernel_bytes)
+    sizes = []
+    popcount = shortcut._popcount
+    monkeypatch.setattr(shortcut, "_popcount", lambda words: sizes.append(len(words)) or popcount(words))
+    statuses = set()
+    for target, n, k, lo, hi, kw in [
+        (grid_graph(7, 7), 6, "6/5", 2, 3, {}),
+        (grid_graph(9, 9), 5, "5/4", 3, 4, {}),
+        (cycle_graph(12), 7, "3/2", 1, 2, {"node_cap": 100}),
+        (cycle_graph(130), 10, "6/5", 12, 14, {}),
+        (grid_graph(4, 5), 5, "3/2", 1, 3, {"restrict": (19, 0, 4, 7, 12, 2, 10, 15, 1)}),
+        (random_connected_graph(12, 8, random.Random(1)), 7, "2", 2, 3, {}),  # leaf-only parents start chunks
+    ]:
+        statuses.add(assert_matches_reference(target, n, k, LambdaGrid.of(lo, hi, "1/2"), **kw).status)
+    assert statuses == {FOUND, NONE, UNKNOWN}
+    assert set(sizes) == {1} if kernel_bytes == 1 else max(sizes) > 1
+
+
+def test_scales_with_equal_brackets_are_searched_once(monkeypatch):
+    """On the benchmark grid, lambda = 11/4 has the integer brackets of 5/2
+    for n = 5, 6 and 7: 27 of the 30 scales are searched, and the rows
+    keep their node counts (``test_search_matches_reference_on_the_benchmark_grid``)."""
+    searched = []
+    search = shortcut._search_one_lambda
+
+    def recording(query, brackets, *rest):
+        searched.append((query.cycle_length, brackets[0].tobytes() + brackets[1].tobytes()))
+        return search(query, brackets, *rest)
+
+    monkeypatch.setattr(shortcut, "_search_one_lambda", recording)
+    grid = LambdaGrid.of(2, 3, "1/4")
+    profile, _ = shortcut_profile(grid_graph(7, 7), Fraction(6, 5), range(5, 11), grid)
+    assert [r.nodes_expanded for r in profile.rows] == [7620, 12212, 14240, 14324, 16140, 11476]
+    expected, skipped = [], []
+    for n in range(5, 11):
+        for lam in grid.values():
+            lo, hi = shortcut._cycle_brackets(n, lam, Fraction(6, 5))
+            if (n, lo.tobytes() + hi.tobytes()) in expected:
+                skipped.append((n, lam))
+            else:
+                expected.append((n, lo.tobytes() + hi.tobytes()))
+    assert searched == expected and len(searched) == 27
+    assert skipped == [(n, Fraction(11, 4)) for n in (5, 6, 7)]
+
+
+@pytest.mark.parametrize("cap", [5951, 5952, 7619, 7620])
+def test_a_repeated_scale_is_charged_against_the_cap(cap):
+    """n = 5 on the benchmark grid: the scales up to 5/2 cost 4,492 nodes,
+    11/4 is charged 1,460 more without a search, and 3 brings 7,620."""
+    assert_matches_reference(grid_graph(7, 7), 5, "6/5", LambdaGrid.of(2, 3, "1/4"), node_cap=cap)
+    assert run(grid_graph(7, 7), 5, "6/5", 2, 3, node_cap=cap).status == (NONE if cap == 7620 else UNKNOWN)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_distortion_matches_the_pairwise_reference(seed):
+    """The same value, or the same error naming the same first pair."""
+    rng = random.Random(seed)
+    target = random_connected_graph(12, 10, rng)
+    oracle = DistanceOracle(target)
+    dist = oracle.matrix().tolist()
+    outcomes = set()
+    for _ in range(60):
+        n = rng.randrange(3, 9)
+        images = [rng.randrange(12) for _ in range(n)]
+        lam = Fraction(rng.randrange(0, 7), rng.choice([1, 2, 3]))
+        k = Fraction(rng.choice(["1", "6/5", "3/2", "4", "16"]))
+        results = []
+        for check in (lambda: reference_embedding_distortion(dist, images, lam, k),
+                      lambda: embedding_distortion(oracle, images, lam, k)):
+            try:
+                results.append(check())
+            except InputError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], (images, lam, k)
+        outcomes.add(type(results[0]))
+    assert outcomes == {Fraction, str}
 
 
 def test_deep_binary_tree_has_no_k13_cycles():
