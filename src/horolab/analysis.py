@@ -17,9 +17,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .graph import (INF, KERNEL_BYTES, DistanceOracle, Graph, _gather, _jagged_layout, _sorted_contains,
-                    check_table, distance_rows, enumerate_geodesics, is_interior_pair, unique_ints)
-from .groups import QUADRUPLE_BUDGET
+from .graph import (INF, KERNEL_BYTES, TABLE_BYTES, DistanceOracle, Graph, _gather, _jagged_layout,
+                    _sorted_contains, check_table, distance_rows, distance_to_set, enumerate_geodesics,
+                    is_interior_pair, unique_ints)
+from .groups import QUADRUPLE_BUDGET, SCAN_BUDGET
 
 
 @dataclass(frozen=True)
@@ -155,6 +156,9 @@ def convexity_defect(
     the levels; pairs this leaves open are counted (``_over_cap``).  Only
     pairs with more than min(cap, 2^52) geodesics are enumerated, and then
     the constant is a lower bound (``truncated_pairs``).
+
+    The pairs are counted before they are listed, and the cells (pairs x
+    |V|) before any row: ``_check_scan`` refuses them over their budgets.
     """
     s_list = sorted(dict.fromkeys(int(v) for v in vertex_set))
     if not s_list:
@@ -167,21 +171,25 @@ def convexity_defect(
     outside[s_list] = False
 
     members = np.asarray(s_list, dtype=np.int32)
+    # a filter leaves pairs unscanned, so its scan is counted once it is done
+    scanned = g.num_vertices if pair_filter is None else 0
     if pairs is None:
+        _check_scan(math.comb(len(members), 2), scanned)
         pu, pv = np.take(members, np.triu_indices(len(members), 1))
     else:
         both = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64).reshape(-1, 2)
+        _check_scan(len(both), scanned)
         bad = np.flatnonzero(~_sorted_contains(members, both).all(axis=1))
         if bad.size:
             raise InputError(f"pair ({both[bad[0], 0]}, {both[bad[0], 1]}) leaves the vertex set")
         pu, pv = both.T
 
     if pair_filter is not None:
-        oracle.prefetch(np.concatenate([[pair_filter.basepoint], pu]))
-        o_row = oracle.row(pair_filter.basepoint)
         src, at = np.unique(pu, return_inverse=True)
-        keep = is_interior_pair(o_row[pu], o_row[pv], oracle.rows(src)[at, pv], pair_filter.radius)
+        table = oracle.rows(np.concatenate([[pair_filter.basepoint], src]))
+        keep = is_interior_pair(table[0, pu], table[0, pv], table[1:][at, pv], pair_filter.radius)
         pu, pv = pu[keep], pv[keep]
+        _check_scan(len(pu), g.num_vertices)
 
     # table rows: the sources in id order, then the other targets
     is_source = np.bincount(pu, minlength=g.num_vertices) > 0
@@ -218,7 +226,7 @@ def convexity_defect(
             hit = inside & outside
             if hit.any():
                 if to_set is None:
-                    to_set = oracle.distance_to_set(s_list)
+                    to_set = distance_to_set(g, s_list)
                 far[sel] = np.where(hit, to_set, 0).max(axis=1)
             if not geodesic_cap:
                 continue
@@ -261,6 +269,16 @@ def convexity_defect(
         pairs_checked=len(pu),
         truncated_pairs=truncated,
     )
+
+
+def _check_scan(pairs: int, vertices: int) -> None:
+    """Refuse a list of ``pairs`` pairs, 8 bytes each, over ``TABLE_BYTES``,
+    and their scan against ``vertices`` vertices over ``SCAN_BUDGET`` cells."""
+    if 8 * pairs > TABLE_BYTES:
+        raise ResourceLimitError(f"a list of {pairs} vertex pairs exceeds the table budget of {TABLE_BYTES} bytes")
+    if pairs * vertices > SCAN_BUDGET:
+        raise ResourceLimitError(f"a convexity scan of {pairs} pairs x {vertices} vertices exceeds the scan "
+                                 f"budget of {SCAN_BUDGET} cells")
 
 
 def _blocks(items: np.ndarray, width: int, cell_bytes: int) -> Iterator[np.ndarray]:

@@ -39,9 +39,11 @@ from .graph import (
     DistanceOracle,
     Graph,
     SubgraphFamily,
+    check_table,
     cycle_graph,
     distance_rows,
     grid_graph,
+    is_interior_pair,
     neighborhood_subgraph,
     path_graph,
     unique_ints,
@@ -375,7 +377,7 @@ def scan_parabolic(
     n = aug.depth
     dmat = aug.member_metric(alpha)
     wl = np.array([basepoint_row[v] for v in members.tolist()])
-    iu, iv = np.nonzero(np.triu(np.minimum.outer(wl, wl) + dmat <= radius, k=1))
+    iu, iv = np.nonzero(np.triu(is_interior_pair(wl[:, None], wl, dmat, radius), k=1))
     if not len(iu):
         return ParabolicScan(0, [], 0, 0, 0)
 
@@ -536,6 +538,9 @@ def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int],
     """
     spec, radius = ball.spec, ball.radius
     n_el = ball.graph.num_vertices
+    # the word rows, the carrier rows over the elements and every S_t table
+    # are n_el x n_el: one check refuses them all before any row
+    check_table(n_el)
     timings = {} if timings is None else timings
     diagnostics = [] if diagnostics is None else diagnostics
 
@@ -559,7 +564,7 @@ def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int],
 
     # interior pairs in the word metric of the ball itself
     wl = np.asarray(ball.word_lengths, dtype=np.int32)
-    pair_idx = np.nonzero(np.triu(np.minimum.outer(wl, wl) + d_word <= radius, k=1))
+    pair_idx = np.nonzero(np.triu(is_interior_pair(wl[:, None], wl, d_word, radius), k=1))
 
     s_sets: dict[int, np.ndarray | InputError] = {}
     for t in t_list:
@@ -691,20 +696,22 @@ def _run_build_horoball(run: _Run) -> list[dict]:
 
 
 def _run_augment(run: _Run) -> list[dict]:
+    """The carrier's counts come from its layout; it is glued only to be
+    written out, up to ``_AUGMENT_ARTIFACT_MAX_VERTICES``."""
     depth = run.values["depth"]
     family, _, identity_indices, shapes = _shaped_family(run.ball, run.timings)
     aug = glue_horoballs(run.graph, family, shapes, depth)
-    if aug.carrier.num_vertices <= _AUGMENT_ARTIFACT_MAX_VERTICES:
+    if aug.num_vertices <= _AUGMENT_ARTIFACT_MAX_VERTICES:
         run.carrier_artifacts(aug, "augmented")
     else:
         run.diagnostics["artifact_skipped"] = {
-            "name": "augmented.json", "carrier_vertices": aug.carrier.num_vertices,
+            "name": "augmented.json", "carrier_vertices": aug.num_vertices,
             "max_vertices": _AUGMENT_ARTIFACT_MAX_VERTICES}
     return [{
         "family_members": len(family),
         "identity_cosets": len(identity_indices),
-        "carrier_vertices": aug.carrier.num_vertices,
-        "carrier_edges": int(aug.carrier.num_edges),
+        "carrier_vertices": aug.num_vertices,
+        "carrier_edges": aug.num_edges,
         "depth": depth,
     }]
 

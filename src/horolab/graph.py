@@ -42,9 +42,10 @@ INF: int = 2**30 - 1
 KERNEL_BYTES = 64 * 2**20
 
 # Byte budget for one dense int32 distance table (``check_table``): 8,192
-# vertices for a V×V table.  ``DistanceOracle.matrix``, the rows of
-# ``analysis.four_point_delta`` and the shape table of
-# ``horoball.member_shapes`` check it before a table is allocated.
+# vertices for a V×V table.  The rows a ``DistanceOracle`` holds, the rows of
+# ``analysis.four_point_delta``, the shape table of ``horoball.member_shapes``
+# and Milnor-Svarc's element tables are checked against it before a table is
+# allocated.
 TABLE_BYTES = 256 * 2**20
 
 # The cost model of _pick_kernel, in seconds per unit of work.  The
@@ -71,10 +72,6 @@ _BITS_SLOT_S = 6.2e-6       # per level, chunk and neighbour slot (max degree),
 _BITS_UNPACK_S = 2.2e-9     # per output cell and bit plane
 _FRONTIER_MAC_S = 2.7e-11   # frontier product: per multiply-add,
 _FRONTIER_READ_S = 5e-10    # per adjacency cell and level
-
-
-def is_unreachable(d: int) -> bool:
-    return d >= INF
 
 
 def unique_ints(x: np.ndarray) -> np.ndarray:
@@ -164,9 +161,6 @@ class Graph:
         if not 0 <= v < self._n:
             raise InputError(f"unknown vertex id {v}")
         return self._indices[self._indptr[v] : self._indptr[v + 1]]
-
-    def degree(self, v: int) -> int:
-        return int(self._indptr[v + 1] - self._indptr[v])
 
     def adjacent(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The edge ends at ``vertices``, an int64 array of ids, as (owner,
@@ -527,50 +521,31 @@ def check_table(n: int, rows: int | None = None) -> None:
 
 
 class DistanceOracle:
-    """Per-source cache of ``distance_rows``."""
+    """Per-source cache of ``distance_rows``, held to ``TABLE_BYTES``."""
 
     def __init__(self, g: Graph):
         self.graph = g
         self._rows: dict[int, np.ndarray] = {}
 
-    def row(self, source: int) -> np.ndarray:
-        cached = self._rows.get(source)
-        if cached is None:
-            cached = self._rows[source] = distance_rows(self.graph, [source])[0]
-        return cached
-
-    def prefetch(self, sources: Iterable[int]) -> None:
-        """Cache the rows of every source not cached yet, from one
-        ``distance_rows`` call."""
-        missing = [s for s in dict.fromkeys(map(int, sources)) if s not in self._rows]
-        for s, r in zip(missing, distance_rows(self.graph, missing)):
-            self._rows[s] = r
-
     def rows(self, sources: Sequence[int]) -> np.ndarray:
-        """The rows of ``sources`` as one table.  When none is cached and
-        none repeats, this is the table of the one ``distance_rows`` call
-        that caches them, shared rather than copied: do not write to it."""
-        sources = [int(s) for s in sources]
-        if len(set(sources)) == len(sources) and not any(s in self._rows for s in sources):
-            table = distance_rows(self.graph, sources)
-            self._rows.update(zip(sources, table))
-            return table
-        self.prefetch(sources)
-        return np.stack([self._rows[s] for s in sources])
+        """The rows of ``sources`` as one table.  The distinct sources not
+        cached yet come from one ``distance_rows`` call, refused before it
+        when the cache would pass ``TABLE_BYTES`` with them.  When none is
+        cached and none repeats, the table is that call's, shared rather
+        than copied: do not write to it."""
+        ids = _checked_ids(self.graph, sources).tolist()
+        new = [s for s in dict.fromkeys(ids) if s not in self._rows]
+        check_table(self.graph.num_vertices, len(self._rows) + len(new))
+        table = distance_rows(self.graph, new)
+        self._rows.update(zip(new, table))
+        return table if len(new) == len(ids) else np.stack([self._rows[s] for s in ids])
 
-    def distance(self, u: int, v: int) -> int:
-        return int(self.row(u)[v])
 
-    def matrix(self) -> np.ndarray:
-        """All rows, as one V×V table; refused over ``TABLE_BYTES``."""
-        check_table(self.graph.num_vertices)
-        return self.rows(range(self.graph.num_vertices))
-
-    def distance_to_set(self, sources: Sequence[int]) -> np.ndarray:
-        """Row of distances to the nearest vertex of ``sources``."""
-        if not len(sources):
-            raise InputError("source set must be nonempty")
-        return _frontier_bfs(self.graph, _checked_ids(self.graph, sources))
+def distance_to_set(g: Graph, sources: Sequence[int]) -> np.ndarray:
+    """Row of distances to the nearest vertex of ``sources``."""
+    if not len(sources):
+        raise InputError("source set must be nonempty")
+    return _frontier_bfs(g, _checked_ids(g, sources))
 
 
 def neighborhood_subgraph(g, sources: Sequence[int], radius: int) -> tuple[Graph, np.ndarray]:
@@ -630,16 +605,16 @@ def rips_graph(g: Graph, t: int) -> Graph:
     """Thicken ``g``: same vertices, edge (u, v) iff 0 < d_g(u, v) <= t."""
     if t < 1:
         raise InputError("rips scale t must be >= 1")
-    oracle = DistanceOracle(g)
+    n = g.num_vertices
     # t > 1 reads the whole table, refused over its budget before any row is
     # computed; connectivity is read off the row of vertex 0 either way
-    d = oracle.matrix() if t > 1 else None
-    if g.num_vertices > 1 and np.any(oracle.row(0) >= INF):
+    d = DistanceOracle(g).rows(range(n if t > 1 else min(n, 1)))
+    if n > 1 and np.any(d[0] >= INF):
         raise InputError("rips graph of a disconnected graph is undefined")
     if t == 1:
-        return Graph(g.num_vertices, g.edges, labels=g.labels, metadata=g.metadata)
+        return Graph(n, g.edges, labels=g.labels, metadata=g.metadata)
     iu, iv = np.nonzero(np.triu((d > 0) & (d <= t), k=1))
-    return Graph(g.num_vertices, np.stack([iu, iv], axis=1), labels=g.labels, metadata=g.metadata)
+    return Graph(n, np.stack([iu, iv], axis=1), labels=g.labels, metadata=g.metadata)
 
 
 def enumerate_geodesics(
@@ -655,7 +630,7 @@ def enumerate_geodesics(
     if cap < 1:
         raise InputError("cap must be >= 1")
     dist_to_v = distance_rows(g, [v])[0] if dist_to_target is None else dist_to_target
-    if is_unreachable(int(dist_to_v[u])):
+    if dist_to_v[u] >= INF:
         raise InputError("u and v are in different components")
     if u == v:
         return [Path((u,))], False

@@ -70,6 +70,12 @@ COUNT_BUDGET = 1_000_000
 # 19 s on a 2-core host; the benchmark's 55-vertex delta scans 341,055.
 QUADRUPLE_BUDGET = 1_000_000_000
 
+# Most cells a convexity scan tests: its pairs times the vertices of the
+# graph, each cell one candidate witness, refused before any distance row.
+# 1.12e10 cells (1,124,250 pairs on a 100 x 100 grid) took 31 s on a 2-core
+# host; the tier-1 tests scan at most 1.4e7.
+SCAN_BUDGET = 10_000_000_000
+
 # Largest code range, per ball element, that a free abelian ball looks its
 # translations up in through a dense table rather than a sorted search.
 _DENSE_CODES_PER_ELEMENT = 16

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .graph import (INF, DistanceOracle, Graph, Path, SubgraphFamily, check_table, concatenated_ranges,
-                    distance_rows, unique_ints)
+from .graph import (INF, Graph, Path, SubgraphFamily, check_table, concatenated_ranges, distance_rows,
+                    unique_ints)
 from .groups import CARRIER_BUDGET, CARRIER_EDGE_BUDGET
 
 ASCENDING = "ascending"
@@ -52,7 +52,8 @@ def _ceil_div(a: int, b: int) -> int:
 class RestrictedHoroball:
     """Depth-``depth`` horoball over ``base``: a view over the one-member
     ``AugmentedSpace`` glued over ``SubgraphFamily.whole(base)``, which has its
-    ``base``, ``depth`` and ``carrier``.
+    ``base``, ``depth`` and ``carrier``, and as its member's metric the base's
+    distance matrix, ``base_metric``.
 
     Vertex ids are level-major: (v, k) has id k*|base| + v, since the
     member's level-k block starts at k*|base|, and level 0 keeps the base's
@@ -65,7 +66,7 @@ class RestrictedHoroball:
         self.base, self.depth, self.carrier = space.base, space.depth, space.carrier
         kind, alpha, base_vertex, level = space.columns  # left as they are in ``space``
         self.columns = (np.ones_like(kind), np.zeros_like(alpha), base_vertex, level)
-        self.base_oracle = DistanceOracle(space.base)
+        self.base_metric = space.member_metric(0)
 
     def vertex_id(self, base_vertex: int, level: int) -> int:
         if not 0 <= base_vertex < self.base.num_vertices or not 0 <= level <= self.depth:
@@ -138,7 +139,7 @@ def horoball_distance(h: RestrictedHoroball, v1: int, v2: int) -> int:
     """Exact carrier distance, via ``crossing_distance``."""
     x, k = h.base_of(v1), h.level_of(v1)
     y, l = h.base_of(v2), h.level_of(v2)
-    return int(crossing_distance(h.base_oracle.distance(x, y), k, l, h.depth))
+    return int(crossing_distance(int(h.base_metric[x, y]), k, l, h.depth))
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,7 @@ class GeodesicNormalForm:
 
 
 def _lex_first_base_geodesic(h: RestrictedHoroball, x: int, y: int) -> list[int]:
-    dist_to_y = h.base_oracle.row(y)
+    dist_to_y = h.base_metric[y]
     seq = [x]
     cur = x
     while cur != y:
@@ -187,7 +188,7 @@ def normal_form_geodesic(h: RestrictedHoroball, v1: int, v2: int) -> GeodesicNor
     base vertex (D = 0) the crossing is that vertex at level max(k, l)."""
     x, k = h.base_of(v1), h.level_of(v1)
     y, l = h.base_of(v2), h.level_of(v2)
-    d_base = h.base_oracle.distance(x, y)
+    d_base = int(h.base_metric[x, y])
     costs = _crossing_costs(d_base, k, l, h.depth)
     m = max(k, l) + costs.index(min(costs))
     if m < h.depth and _ceil_div(d_base, 2**m) in (4, 5):
@@ -355,7 +356,8 @@ class AugmentedSpace:
 
     Member ``a``'s level-k copy of its local vertex i has the id
     ``_block_starts[a] + (k-1)*s + i``, s its size, and the carrier has
-    ``num_vertices`` = |base| + depth * (member vertices) ids.  The carrier
+    ``num_vertices`` = |base| + depth * (member vertices) ids and the
+    ``num_edges`` that ``check_carrier`` counted.  The carrier
     ``Graph`` and its provenance ``columns`` are glued by ``_glue`` on the
     first read of either.  ``columns`` are the arrays (kind, alpha,
     base_vertex, level): kind 0 on base vertices and 1 on horoball copies,
@@ -367,6 +369,7 @@ class AugmentedSpace:
     family: SubgraphFamily
     depth: int
     num_vertices: int
+    num_edges: int
     _block_starts: list[int]
     _shapes: tuple  # see member_shapes
 
@@ -511,9 +514,9 @@ def glue_horoballs(
     vertex_meta are rendered from the columns by ``io.write_carrier``."""
     if depth < 1:
         raise InputError("depth must be >= 1")
-    total = check_carrier(base, family, depth, shapes)
+    total, edges = check_carrier(base, family, depth, shapes)
     block_starts = base.num_vertices + family.offsets[:-1] * (depth if total > base.num_vertices else 1)
-    return AugmentedSpace(base, family, depth, total, block_starts.tolist(), shapes)
+    return AugmentedSpace(base, family, depth, total, edges, block_starts.tolist(), shapes)
 
 
 def _first_complete_level(diameter: int) -> int:
@@ -531,11 +534,11 @@ def _level_pairs(dmat: np.ndarray, depth: int) -> int:
     return sum(pairs) + pairs[-1] * max(0, depth - complete)
 
 
-def check_carrier(base: Graph, family: SubgraphFamily, depth: int, shapes=None) -> int:
+def check_carrier(base: Graph, family: SubgraphFamily, depth: int, shapes=None) -> tuple[int, int]:
     """Count the depth-``depth`` carrier over ``family`` and refuse it, with
     ``ResourceLimitError``, over ``CARRIER_BUDGET`` vertices or
     ``CARRIER_EDGE_BUDGET`` edges, before any carrier array exists.  Returns
-    its vertex count, |V| + depth * (member vertices).
+    its vertex count, |V| + depth * (member vertices), and its edge count.
 
     Its edges are the base's, depth * s vertical ones per member of s
     vertices, and per member and level its pairs within 2^k.  With the
@@ -564,7 +567,7 @@ def check_carrier(base: Graph, family: SubgraphFamily, depth: int, shapes=None) 
         raise ResourceLimitError(
             f"carrier of {'' if shapes is not None else 'at least '}{edges} edges at depth {depth} "
             f"exceeds the carrier edge budget of {CARRIER_EDGE_BUDGET} edges")
-    return total
+    return total, edges
 
 
 def _glue(space: AugmentedSpace) -> tuple:

@@ -361,7 +361,7 @@ def bilipschitz_cycle_search(query: ShortcutQuery, oracle: DistanceOracle | None
     """
     if oracle is None:
         oracle = DistanceOracle(query.target)
-    if query.target.num_vertices and np.any(oracle.row(0) >= INF):
+    if query.target.num_vertices and np.any(oracle.rows([0]) >= INF):
         raise InputError("target graph must be connected")
     lams = query.lambdas.values()
     if not lams:
@@ -457,7 +457,7 @@ def shortcut_profile(
     call fills the oracle with every vertex's row up front."""
     oracle = DistanceOracle(target)
     if 4 * target.num_vertices**2 <= KERNEL_BYTES:
-        oracle.prefetch(range(target.num_vertices))
+        oracle.rows(range(target.num_vertices))
 
     def run_one(n: int) -> tuple[ProfileRow, CycleEmbedding | None]:
         t0 = time.perf_counter()

@@ -417,7 +417,7 @@ def whole_carrier_scan(aug, basepoint_row, radius: int, alpha: int, geodesic_cap
     oracle = DistanceOracle(aug.carrier)
     report = convexity_defect(aug.carrier, top, pairs=[(top[i], top[j]) for i, j in pairs],
                               oracle=oracle, geodesic_cap=geodesic_cap)
-    drop = max(abs(oracle.distance(members[i], members[j]) - oracle.distance(top[i], top[j]))
+    drop = max(abs(oracle.rows([members[i]])[0, members[j]] - oracle.rows([top[i]])[0, top[j]])
                for i, j in pairs)
     out.update(defect=report.defect, witnesses=[tuple(map(int, w)) for w in report.witnesses],
                pairs_checked=report.pairs_checked, quasiconvexity=report.quasiconvexity_constant,

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import horolab.graph
-from horolab import INF, InputError, analysis, cayley_ball, free, free_abelian, free_product, heisenberg
+from horolab import (INF, InputError, ResourceLimitError, analysis, cayley_ball, free, free_abelian, free_product,
+                     heisenberg)
 from horolab.analysis import (
     ConvexityReport,
     InteriorFilter,
@@ -282,6 +283,32 @@ def test_explicit_pairs_outside_the_set_name_the_first_one():
         convexity_defect(g, [0, 1, 3], pairs=[(0, 1), (3, 11), (12, 0)])
     with pytest.raises(InputError, match=r"pair \(-1, 0\) leaves"):
         convexity_defect(g, [0, 1, 11], pairs=[(-1, 0)])
+
+
+def test_convexity_scans_are_held_to_their_budgets(monkeypatch):
+    """A set's C(|S|, 2) pairs, or the pairs given, are refused before they
+    are listed and before any row: over the table budget at 8 bytes a pair,
+    and over the scan budget in pairs x |V| cells.  An interior filter's
+    pairs are counted once it has dropped the others."""
+    g = path_graph(20)
+    s = range(21)  # 210 pairs, 4,410 cells
+    interior = InteriorFilter(basepoint=0, radius=4)  # its 10 pairs, 210 cells
+    expected = convexity_defect(g, s, pair_filter=interior)
+    monkeypatch.setattr(analysis, "SCAN_BUDGET", 4409)
+    assert convexity_defect(g, s, pair_filter=interior) == expected
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a distance row was computed before the budget check")
+
+    monkeypatch.setattr(horolab.graph, "distance_rows", no_rows)
+    monkeypatch.setattr(analysis, "distance_rows", no_rows)
+    for pairs in (None, [(u, v) for u in s for v in s if u < v]):
+        with pytest.raises(ResourceLimitError, match="a convexity scan of 210 pairs x 21 vertices exceeds the "
+                                                     "scan budget of 4409 cells"):
+            convexity_defect(g, s, pairs=pairs)
+    monkeypatch.setattr(analysis, "TABLE_BYTES", 8 * 209)
+    with pytest.raises(ResourceLimitError, match=f"a list of 210 vertex pairs exceeds the table budget of {8 * 209}"):
+        convexity_defect(g, s, pair_filter=interior)
 
 
 def test_enumeration_runs_only_for_pairs_over_the_cap(monkeypatch):

@@ -224,6 +224,23 @@ def test_augment_reports_a_skipped_artifact(tmp_path, monkeypatch):
     assert reports[264]["rows"][0]["carrier_vertices"] == 265
 
 
+def test_augment_over_the_artifact_cap_glues_nothing(tmp_path, monkeypatch):
+    """Above the artifact cap the carrier's counts come from its layout:
+    ``_glue`` never runs, and the rows are those of the glued carrier."""
+    cfg = write_config(tmp_path, {
+        "version": 1, "experiment": "augment",
+        "instance": {"group": {"free_product": [{"free_abelian": 1}, {"free_abelian": 1}]},
+                     "radius": 3},
+        "params": {"depth": 2},
+    })
+    assert main(["augment", "--config", cfg, "--out", str(tmp_path / "glued")]) == EXIT_OK
+    monkeypatch.setattr(experiments, "_AUGMENT_ARTIFACT_MAX_VERTICES", 264)
+    monkeypatch.setattr(horolab.horoball, "_glue", lambda space: pytest.fail("the carrier was glued"))
+    assert main(["augment", "--config", cfg, "--out", str(tmp_path / "counted")]) == EXIT_OK
+    rows = [json.loads((tmp_path / out / "report.json").read_text())["rows"] for out in ("glued", "counted")]
+    assert rows[1] == rows[0] and rows[0][0]["carrier_edges"] > 0
+
+
 def test_report_rows_are_reproducible(tmp_path):
     cfg_obj = {
         "version": 1, "experiment": "delta",
@@ -727,20 +744,34 @@ def test_cli_rejects_bad_files_and_paths(tmp_path, capsys, case, stream):
     # 3,600 vertices per level, and levels 12 on join all 6,478,200 pairs
     ("build-horoball", {"grid": [60, 60]}, {"depth": 12},
      "carrier of at least 6528480 edges at depth 12 exceeds the carrier edge budget of 4000000 edges"),
+    # the word rows, carrier rows and S_t tables over 80,401 / 66,921 elements
+    ("milnor-svarc", {"group": {"free_abelian": 2}, "radius": 200}, {"depth": 3, "t_list": [1, 2]},
+     f"a distance table of 80401 x 80401 vertices exceeds the table budget of {256 * 2**20} bytes"),
+    ("milnor-svarc", {"group": {"free_product": [{"free_abelian": 2}, {"free_abelian": 2}]}, "radius": 6},
+     {"depth": 3, "t_list": [1, 2]},
+     f"a distance table of 66921 x 66921 vertices exceeds the table budget of {256 * 2**20} bytes"),
+    # an 8,100 x 8,100 row table fits the table budget; its C(8100, 2) pairs
+    # against 8,100 vertices do not fit the scan budget
+    ("convexity", {"grid": [90, 90]}, {"set": {"vertices": list(range(8100))}},
+     "a convexity scan of 32800950 pairs x 8100 vertices exceeds the scan budget of 10000000000 cells"),
+    ("convexity", {"grid": [300, 300]}, {"set": {"vertices": list(range(90000))}},
+     f"a list of 4049955000 vertex pairs exceeds the table budget of {256 * 2**20} bytes"),
 ], ids=["path", "grid", "cycle", "sample", "cycle-table", "lambda-grid", "free-rank", "K-exponent",
         "K-exponent-space", "K-exponent-underscores", "K-digits",
-        "step-digits", "distance-table", "shape-table", "sampled-rows", "quadruples", "carrier-edges"])
+        "step-digits", "distance-table", "shape-table", "sampled-rows", "quadruples", "carrier-edges",
+        "milnor-svarc-tables", "milnor-svarc-free-product", "scan-cells", "pair-list"])
 def test_cli_counts_over_their_budget_exit_3(tmp_path, capsys, monkeypatch, kind, instance, params, stream):
     """Instance sizes, sample counts, cycle tables, lambda grids, group
     ranks, dense distance tables (the whole graph's, a horoball member's
-    shape table, or the rows of a sampled four-point scan), the quadruples
-    of an exhaustive four-point scan and the edges of a horoball are counted
-    in Python integers and refused before anything of that size is built,
-    and before any distance row."""
+    shape table, the rows of a sampled four-point scan, or Milnor-Svarc's
+    element tables), the quadruples of an exhaustive four-point scan, the
+    edges of a horoball, and the pairs and cells of a convexity scan are
+    counted in Python integers and refused before anything of that size is
+    built, and before any distance row."""
     def no_rows(*args, **kwargs):
         raise AssertionError("a distance row was computed before the budget check")
 
-    for module in (horolab.graph, horolab.horoball, horolab.analysis):
+    for module in (horolab.graph, horolab.horoball, horolab.analysis, horolab.experiments):
         monkeypatch.setattr(module, "distance_rows", no_rows)
     cfg = write_config(tmp_path, {"version": 1, "experiment": kind, "instance": instance, "params": params})
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_RESOURCE
@@ -877,7 +908,8 @@ _HUGE_DEPTHS = st.sampled_from([10**6, 2**62, 2**63, 2**70])
 def _convexity_configs(draw):
     """A convexity config with at most one field drawn from odd values."""
     odd = draw(st.sampled_from([None, None, "geodesic_cap", "set", "interior", "depth"]))
-    params = {"set": {"vertices": draw(st.lists(st.integers(0, 5), min_size=1, max_size=6))}}
+    # up to every vertex of the largest instance, the 3 x 3 grid
+    params = {"set": {"vertices": draw(st.lists(st.integers(0, 8), min_size=1, max_size=9))}}
     if draw(st.booleans()):
         params["depth"] = draw(st.integers(1, 3))
         if draw(st.booleans()):

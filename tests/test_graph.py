@@ -28,6 +28,7 @@ import horolab.graph
 import horolab.io
 from horolab.graph import (
     cycle_graph,
+    distance_to_set,
     grid_graph,
     neighborhood_subgraph,
     path_graph,
@@ -121,7 +122,7 @@ def test_bfs_unknown_source():
     with pytest.raises(InputError):
         distance_rows(path_graph(2), [0, -1])
     with pytest.raises(InputError):
-        DistanceOracle(path_graph(2)).row(7)
+        DistanceOracle(path_graph(2)).rows([7])
     with pytest.raises(InputError, match=f"unknown vertex id {2**70}"):
         distance_rows(path_graph(2), [0, 2**70])
 
@@ -182,7 +183,7 @@ def check_random_graphs_against_references(rng):
         oracle = DistanceOracle(g)
         for s in range(n):
             assert as_inf(bfs_distances(n, edges, s)) == fw[s]
-            assert oracle.row(s).tolist() == fw[s]
+            assert oracle.rows([s])[0].tolist() == fw[s]
         cols = sorted(rng.sample(range(n), rng.randrange(0, n + 1)))
         assert distance_rows(g, [n - 1, 0, n - 1], columns=cols).tolist() == [
             [fw[n - 1][c] for c in cols], [fw[0][c] for c in cols], [fw[n - 1][c] for c in cols]]
@@ -397,8 +398,46 @@ def test_no_sources_give_an_empty_table():
     assert distance_rows(g, []).shape == (0, 4)
     assert distance_rows(g, [], columns=[1, 2]).shape == (0, 2)
     assert DistanceOracle(g).rows([]).shape == (0, 4)
-    empty = DistanceOracle(Graph(0, [])).matrix()
+    empty = DistanceOracle(Graph(0, [])).rows(range(0))
     assert empty.shape == (0, 0) and empty.dtype == np.int32
+
+
+def test_oracle_holds_its_rows_to_the_table_budget(monkeypatch):
+    """Under a table budget of k rows, k distinct sources are fetched in one
+    call whose table is returned as it is; one more new source is refused
+    before its row is computed, and the refused call caches nothing.  Cached
+    sources, repeated sources and an empty call compute no row."""
+    g = grid_graph(4, 5)
+    n, k = g.num_vertices, 6
+    full = distance_rows(g, range(n))
+    tables = []
+
+    def recording(graph, sources, *args):
+        tables.append(distance_rows(graph, sources, *args))
+        return tables[-1]
+
+    monkeypatch.setattr(horolab.graph, "TABLE_BYTES", 4 * n * k)
+    monkeypatch.setattr(horolab.graph, "distance_rows", recording)
+    oracle = DistanceOracle(g)
+    first = oracle.rows([9, 2, 14])
+    assert first is tables[-1] and np.array_equal(first, full[[9, 2, 14]])
+    assert np.array_equal(oracle.rows([0, 2, 19, 0, 5]), full[[0, 2, 19, 0, 5]])
+
+    def no_rows(graph, sources, *args):
+        assert not len(sources), "a distance row was computed"
+        return recording(graph, sources, *args)
+
+    monkeypatch.setattr(horolab.graph, "distance_rows", no_rows)
+    for sources in ([19], [5, 9, 5], [2, 0, 14, 19, 9, 5]):
+        assert np.array_equal(oracle.rows(sources), full[sources])
+    assert oracle.rows([]).shape == (0, n)
+    for sources in ([7], [2, 7], [7, 7]):
+        with pytest.raises(ResourceLimitError, match=f"a distance table of {k + 1} x {n} vertices exceeds "
+                                                     f"the table budget of {4 * n * k} bytes"):
+            oracle.rows(sources)
+    assert np.array_equal(oracle.rows([9, 14]), full[[9, 14]])
+    with pytest.raises(InputError, match="unknown vertex id 20"):
+        oracle.rows([3, 20])
 
 
 def test_long_path_geodesic_is_not_recursive():
@@ -409,7 +448,7 @@ def test_long_path_geodesic_is_not_recursive():
 def test_metric_axioms_on_sampled_triples():
     rng = random.Random(11)
     g = random_connected_graph(30, 25, rng)
-    d = DistanceOracle(g).matrix()
+    d = DistanceOracle(g).rows(range(g.num_vertices))
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0)
     n = g.num_vertices
@@ -426,20 +465,20 @@ def test_distance_to_set_matches_min_of_rows():
     oracle = DistanceOracle(g)
     sources = [0, 7, 19]
     expected = np.min(oracle.rows(sources), axis=0)
-    assert np.array_equal(oracle.distance_to_set(sources), expected)
+    assert np.array_equal(distance_to_set(g, sources), expected)
     rng = random.Random(4)
     for i in range(40):
         n = rng.randrange(1, 25)
         g = random_connected_graph(n, rng.randrange(0, 8), rng) if i % 2 else random_graph(n, rng.randrange(0, 2 * n), rng)
         fw = floyd_warshall(n, [tuple(e) for e in g.edges])
         sources = [rng.randrange(n) for _ in range(rng.randrange(1, 6))]
-        to_set = DistanceOracle(g).distance_to_set(sources)
+        to_set = distance_to_set(g, sources)
         assert to_set.dtype == np.int32
         assert to_set.tolist() == as_inf([min(fw[s][v] for s in sources) for v in range(n)])
     with pytest.raises(InputError):
-        DistanceOracle(g).distance_to_set([])
+        distance_to_set(g, [])
     with pytest.raises(InputError, match="unknown vertex id"):
-        DistanceOracle(g).distance_to_set([0, n])
+        distance_to_set(g, [0, n])
 
 
 def _induced_reference(g, sources, radius):
@@ -527,8 +566,8 @@ def test_rips_checks_the_table_budget_before_any_row(monkeypatch):
 def test_rips_metric_identity_property(seed, t):
     rng = random.Random(seed)
     g = random_connected_graph(rng.randrange(2, 25), rng.randrange(0, 10), rng)
-    d = DistanceOracle(g).matrix()
-    dr = DistanceOracle(rips_graph(g, t)).matrix()
+    d = DistanceOracle(g).rows(range(g.num_vertices))
+    dr = DistanceOracle(rips_graph(g, t)).rows(range(g.num_vertices))
     n = g.num_vertices
     for u in range(n):
         for v in range(n):
@@ -585,7 +624,7 @@ def test_every_between_vertex_appears_on_some_geodesic():
     rng = random.Random(3)
     for _ in range(10):
         g = random_connected_graph(rng.randrange(2, 12), rng.randrange(0, 6), rng)
-        d = DistanceOracle(g).matrix()
+        d = DistanceOracle(g).rows(range(g.num_vertices))
         n = g.num_vertices
         u, v = rng.randrange(n), rng.randrange(n)
         paths, truncated = enumerate_geodesics(g, u, v, cap=100_000)

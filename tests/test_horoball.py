@@ -26,7 +26,8 @@ from horolab import (
     free_product,
     heisenberg,
 )
-from horolab.graph import SubgraphFamily, cycle_graph, grid_graph, neighborhood_subgraph, path_graph
+from horolab.graph import (SubgraphFamily, cycle_graph, distance_to_set, grid_graph, neighborhood_subgraph,
+                           path_graph)
 from horolab.horoball import (
     ASCENDING,
     DESCENDING,
@@ -43,6 +44,7 @@ from horolab.horoball import (
 )
 from horolab.io import canonical_json, read_graph, write_carrier, write_graph
 
+import horolab.analysis
 import horolab.experiments
 import horolab.graph
 import horolab.horoball
@@ -203,7 +205,7 @@ def test_formula_matches_bfs_exhaustively(length, depth):
     oracle = DistanceOracle(h.carrier)
     n = h.carrier.num_vertices
     for u in range(n):
-        row = oracle.row(u)
+        row = oracle.rows([u])[0]
         for v in range(u, n):
             assert horoball_distance(h, u, v) == row[v]
 
@@ -212,7 +214,7 @@ def test_formula_on_cycle_base():
     h = build_restricted_horoball(cycle_graph(12), 3)
     oracle = DistanceOracle(h.carrier)
     for u in range(h.carrier.num_vertices):
-        row = oracle.row(u)
+        row = oracle.rows([u])[0]
         for v in range(h.carrier.num_vertices):
             assert horoball_distance(h, u, v) == row[v]
 
@@ -244,7 +246,7 @@ def test_normal_form_is_geodesic_everywhere():
             beta = normal_form_geodesic(h, u, v)
             vs = beta.path.vertices
             assert all(h.carrier.has_edge(a, b) for a, b in zip(vs, vs[1:]))  # a carrier path
-            assert beta.length == oracle.distance(u, v)
+            assert beta.length == oracle.rows([u])[0, v]
             assert beta.path.start == u and beta.path.end == v
 
 
@@ -343,11 +345,11 @@ def test_hausdorff_between_geodesics_and_normal_form():
     oracle = DistanceOracle(h.carrier)
     for u, v in all_pairs(h.carrier.num_vertices):
         beta = list(normal_form_geodesic(h, u, v).path.vertices)
-        to_beta = oracle.distance_to_set(beta)
+        to_beta = distance_to_set(h.carrier, beta)
         paths, _ = enumerate_geodesics(h.carrier, u, v, cap=10_000)
         for p in paths:
             vs = list(p.vertices)
-            assert max(to_beta[vs].max(), oracle.distance_to_set(vs)[beta].max()) <= 4
+            assert max(to_beta[vs].max(), distance_to_set(h.carrier, vs)[beta].max()) <= 4
 
 
 def test_extra_horizontal_edges_outside_top_segment():
@@ -506,8 +508,8 @@ def test_rough_isometry_bound_between_bottom_and_top():
     oracle = DistanceOracle(aug.carrier)
     bottom, top = aug.level_vertices(0, 0)[:8], aug.level_vertices(0, n)[:8]
     for i, j in itertools.combinations(range(len(bottom)), 2):
-        d0 = oracle.distance(bottom[i], bottom[j])
-        dn = oracle.distance(top[i], top[j])
+        d0 = oracle.rows([bottom[i]])[0, bottom[j]]
+        dn = oracle.rows([top[i]])[0, top[j]]
         assert abs(d0 - dn) <= 2 * n
 
 
@@ -769,14 +771,16 @@ def test_carrier_budget_is_checked_before_gluing(monkeypatch):
 
 
 def test_carrier_edges_are_counted_exactly_before_gluing():
-    """The edge count from the shape matrices is the glued carrier's edge
-    count: a carrier of exactly the edge budget is built, one edge more is
+    """The edge count from the shape matrices, kept as the space's
+    ``num_edges``, is the glued carrier's edge count: a carrier of exactly the edge budget is built, one edge more is
     refused before ``_glue`` runs.  Without the shapes, the floor from the
     member sizes is refused before any distance row."""
     base, arc = arc_on_a_cycle()
     for base, family in [(base, arc), (grid_graph(5, 4), SubgraphFamily.whole(grid_graph(5, 4)))]:
         for depth in (1, 2, 3, 6):
-            edges = augment(base, family, depth).carrier.num_edges
+            space = augment(base, family, depth)
+            edges = space.carrier.num_edges
+            assert space.num_edges == edges
             with mock.patch.object(horolab.horoball, "CARRIER_EDGE_BUDGET", edges):
                 assert augment(base, family, depth).carrier.num_edges == edges
             with (mock.patch.object(horolab.horoball, "CARRIER_EDGE_BUDGET", edges - 1),
@@ -855,7 +859,7 @@ def test_crossing_distance_scalar_matches_every_level_pair():
     d = DistanceOracle(h.carrier)
     for v1 in (0, 7, 21 + 3, 63 + 20):
         for v2 in range(h.carrier.num_vertices):
-            assert horoball_distance(h, v1, v2) == d.distance(v1, v2)
+            assert horoball_distance(h, v1, v2) == d.rows([v1])[0, v2]
 
 
 def test_milnor_svarc_builds_no_carrier_for_a_whole_ball_parabolic(monkeypatch):
@@ -892,14 +896,13 @@ def test_convexify_computes_no_row_over_a_whole_carrier(monkeypatch):
         sizes.append(g.num_vertices)
         return distance_rows(g, sources, columns)
 
-    def recording_to_set(self, sources):
-        sizes.append(self.graph.num_vertices)
-        return to_set(self, sources)
+    def recording_to_set(g, sources):
+        sizes.append(g.num_vertices)
+        return distance_to_set(g, sources)
 
-    to_set = DistanceOracle.distance_to_set
     for module in (horolab.graph, horolab.horoball, horolab.experiments):
         monkeypatch.setattr(module, "distance_rows", recording)
-    monkeypatch.setattr(DistanceOracle, "distance_to_set", recording_to_set)
+    monkeypatch.setattr(horolab.analysis, "distance_to_set", recording_to_set)
     ball = cayley_ball(free_product(free_abelian(2), free_abelian(2)), 3)
     rows = convexify_experiment(ball, depths=[1, 2, 3])
     assert [r["n"] for r in rows] == [1, 2, 3]

@@ -137,7 +137,7 @@ def test_orbit_representatives_do_not_change_existence():
 ], ids=["C6", "P5", "K4", "star4"])
 def test_agreement_with_naive_enumeration(target):
     oracle = DistanceOracle(target)
-    dist = [[oracle.distance(i, j) for j in range(target.num_vertices)]
+    dist = [[int(oracle.rows([i])[0, j]) for j in range(target.num_vertices)]
             for i in range(target.num_vertices)]
     k = Fraction(5, 4)
     for n in (3, 4, 5):
@@ -153,7 +153,7 @@ def test_bracket_products_do_not_wrap_for_large_constants():
     # cross-multiplied brackets outgrow int32 from e = 30 and int64 from e = 61
     target = cycle_graph(8)
     oracle = DistanceOracle(target)
-    dist = [[oracle.distance(i, j) for j in range(8)] for i in range(8)]
+    dist = [[int(oracle.rows([i])[0, j]) for j in range(8)] for i in range(8)]
     for e in (30, 61, 62, 70):
         k = Fraction(2**e + 1, 2**e)
         for n in (4, 5, 8):
@@ -167,7 +167,7 @@ def test_bracket_products_do_not_wrap_for_large_constants():
 
 
 def assert_matches_reference(target, n, k, grid, **kw):
-    dist = DistanceOracle(target).matrix().tolist()
+    dist = DistanceOracle(target).rows(range(target.num_vertices)).tolist()
     out = run(target, n, k, grid.lo, grid.hi, grid.step, **kw)
     got = (out.status, out.nodes_expanded, out.exhaustive,
            out.embedding.images if out.embedding else None)
@@ -321,7 +321,7 @@ def test_distortion_matches_the_pairwise_reference(seed):
     rng = random.Random(seed)
     target = random_connected_graph(12, 10, rng)
     oracle = DistanceOracle(target)
-    dist = oracle.matrix().tolist()
+    dist = oracle.rows(range(target.num_vertices)).tolist()
     outcomes = set()
     for _ in range(60):
         n = rng.randrange(3, 9)
@@ -413,6 +413,6 @@ def test_profile_computes_each_distance_row_once(monkeypatch):
 def test_a_shared_oracle_still_checks_connectivity():
     split = Graph(4, [(0, 1), (2, 3)])
     oracle = DistanceOracle(split)
-    oracle.row(3)
+    oracle.rows([3])
     with pytest.raises(InputError, match="connected"):
         bilipschitz_cycle_search(ShortcutQuery(4, Fraction(1), LambdaGrid.of(1, 1), split), oracle)
