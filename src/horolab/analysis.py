@@ -20,7 +20,7 @@ from .errors import InputError, ResourceLimitError
 from .graph import (INF, KERNEL_BYTES, TABLE_BYTES, DistanceOracle, Graph, _gather, _jagged_layout,
                     _sorted_contains, check_table, distance_rows, distance_to_set, enumerate_geodesics,
                     is_interior_pair, unique_ints)
-from .groups import QUADRUPLE_BUDGET, SCAN_BUDGET
+from .groups import COUNT_BUDGET, QUADRUPLE_BUDGET, SCAN_BUDGET
 
 
 @dataclass(frozen=True)
@@ -157,8 +157,14 @@ def convexity_defect(
     pairs with more than min(cap, 2^52) geodesics are enumerated, and then
     the constant is a lower bound (``truncated_pairs``).
 
+    An interior ``pair_filter`` first cuts the set (or the pairs given) to
+    the ball of its radius around its basepoint, which holds both ends of
+    every interior pair, and then tests the pairs left on the scan's rows.
+
     The pairs are counted before they are listed, and the cells (pairs x
     |V|) before any row: ``_check_scan`` refuses them over their budgets.
+    The enumeration, up to cap + 1 paths for each pair over the cap, is
+    refused over ``COUNT_BUDGET`` paths before it starts.
     """
     s_list = sorted(dict.fromkeys(int(v) for v in vertex_set))
     if not s_list:
@@ -175,34 +181,33 @@ def convexity_defect(
     scanned = g.num_vertices if pair_filter is None else 0
     if pairs is None:
         _check_scan(math.comb(len(members), 2), scanned)
-        pu, pv = np.take(members, np.triu_indices(len(members), 1))
     else:
         both = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64).reshape(-1, 2)
         _check_scan(len(both), scanned)
         bad = np.flatnonzero(~_sorted_contains(members, both).all(axis=1))
         if bad.size:
             raise InputError(f"pair ({both[bad[0], 0]}, {both[bad[0], 1]}) leaves the vertex set")
-        pu, pv = both.T
 
     if pair_filter is not None:
-        src, at = np.unique(pu, return_inverse=True)
-        table = oracle.rows(np.concatenate([[pair_filter.basepoint], src]))
-        keep = is_interior_pair(table[0, pu], table[0, pv], table[1:][at, pv], pair_filter.radius)
-        pu, pv = pu[keep], pv[keep]
-        _check_scan(len(pu), g.num_vertices)
+        # min(o(u), o(v)) + d(u, v) <= radius puts both u and v within the radius of o
+        o = oracle.rows([pair_filter.basepoint])[0]
+        near = o <= pair_filter.radius
+        members = members[near[members]]
+        if pairs is not None:
+            both = both[near[both].all(axis=1)]
+    pu, pv = np.take(members, np.triu_indices(len(members), 1)) if pairs is None else both.T
 
-    # table rows: the sources in id order, then the other targets
-    is_source = np.bincount(pu, minlength=g.num_vertices) > 0
-    target_only = (np.bincount(pv, minlength=g.num_vertices) > 0) & ~is_source
-    sources = np.flatnonzero(is_source)
-    ends = np.concatenate([sources, np.flatnonzero(target_only)])
-    at = np.zeros(g.num_vertices, dtype=np.int32)
-    at[ends] = np.arange(len(ends))
-    iu, iv = at[pu], at[pv]
+    # table rows: the pairs' ends in id order
+    ends = unique_ints(np.concatenate([pu, pv]))
+    iu, iv = np.searchsorted(ends, pu), np.searchsorted(ends, pv)
     rows = oracle.rows(ends)
+    if pair_filter is not None:
+        keep = is_interior_pair(o[pu], o[pv], rows[iu, pv], pair_filter.radius)
+        pu, pv, iu, iv = pu[keep], pv[keep], iu[keep], iv[keep]
+        _check_scan(len(pu), g.num_vertices)
     d_uv = rows[iu, pv]
     by_source = np.argsort(iu, kind="stable")
-    bounds = np.searchsorted(iu[by_source], np.arange(len(sources) + 1))
+    bounds = np.searchsorted(iu[by_source], np.arange(len(ends) + 1))
     if geodesic_cap and len(pu):
         if geodesic_cap < 1:
             raise InputError("cap must be >= 1")
@@ -220,7 +225,7 @@ def convexity_defect(
     wide = np.zeros(len(pu), dtype=bool)  # 2^b > limit: may have more geodesics than the cap
     bits = int(limit).bit_length()
     to_set = None
-    for r in range(len(sources)):
+    for r in range(len(ends)):
         for sel in _blocks(by_source[bounds[r]:bounds[r + 1]], g.num_vertices, 12):
             inside = between(sel, r)
             hit = inside & outside
@@ -252,6 +257,10 @@ def convexity_defect(
         over = np.zeros(len(pu), dtype=bool)
         if counted.size:
             over[counted] = _over_cap(g, rows, iu[counted], pv[counted], limit)
+        enumerated = int(over.sum())
+        if enumerated * (geodesic_cap + 1) > COUNT_BUDGET:
+            raise ResourceLimitError(f"enumerating up to {enumerated * (geodesic_cap + 1)} geodesics ({enumerated} "
+                                     f"pairs over the cap of {geodesic_cap}) exceeds the count budget of {COUNT_BUDGET}")
         quasi = int(far[~over].max(initial=0))
         for p in np.flatnonzero(over).tolist():
             paths, capped = enumerate_geodesics(g, int(pu[p]), int(pv[p]), cap=geodesic_cap,

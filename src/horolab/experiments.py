@@ -293,22 +293,21 @@ def build_instance_graph(instance: dict, max_vertices: int = DEFAULT_BALL_BUDGET
     return (ball.graph if ball else built), ball, sha256_of(text)
 
 
-def parabolic_family(ball: CayleyBall) -> tuple[SubgraphFamily, list[int], list[int]]:
+def parabolic_family(ball: CayleyBall) -> tuple[SubgraphFamily, np.ndarray, list[int]]:
     """The coset family a Cayley ball is augmented over.
 
     Free products use every coset of every factor, ``ball.cosets``; any other
     group is its own single parabolic (relative hyperbolicity is trivial
     there, which is exactly what e.g. the Milnor-Svarc baseline wants).
-    Returns (family, factor index per member, family indices of the
-    identity cosets).
+    Returns (family, factor index per member as an int64 array, family
+    indices of the identity cosets).
     """
     if ball.spec.kind != "free_product":
-        return SubgraphFamily.whole(ball.graph), [0], [0]
+        return SubgraphFamily.whole(ball.graph), np.zeros(1, dtype=np.int64), [0]
     family = ball.cosets
-    factor_of = ball.coset_factors.tolist()
     # a coset's first member is its representative, and e is ball index 0
     identity_members = np.nonzero(family.vertices[family.offsets[:-1]] == 0)[0].tolist()
-    return family, factor_of, identity_members
+    return family, ball.coset_factors, identity_members
 
 
 def _shaped_family(ball: CayleyBall, timings: dict | None) -> tuple:
@@ -373,15 +372,15 @@ def scan_parabolic(
     second neighborhood, of radius floor(max D / 2) around the bottom copies
     of the pairs, and the top ones from the scan's rows in one gather.
     """
-    members = np.asarray(aug.family[alpha].vertices, dtype=np.int64)
+    members = aug.level_vertices(alpha, 0)
     n = aug.depth
     dmat = aug.member_metric(alpha)
-    wl = np.array([basepoint_row[v] for v in members.tolist()])
+    wl = np.asarray(basepoint_row)[members]
     iu, iv = np.nonzero(np.triu(is_interior_pair(wl[:, None], wl, dmat, radius), k=1))
     if not len(iu):
         return ParabolicScan(0, [], 0, 0, 0)
 
-    top = np.asarray(aug.level_vertices(alpha, n))
+    top = aug.level_vertices(alpha, n)
     d_max = int(dmat[iu, iv].max())
     sub, ids = neighborhood_subgraph(aug, top, -(-d_max // 2**n) // 2)  # floor(R/2)
     local = np.searchsorted(ids, top)
@@ -411,28 +410,21 @@ def scan_parabolic(
     )
 
 
-def _sample_cosets(family, factor_of, identity_indices, per_factor: int) -> list[int]:
+def _sample_cosets(family, factor_of: np.ndarray, identity_indices, per_factor: int) -> list[int]:
     """Deterministic translation cross-check sample per factor: the first
     non-identity coset (shortest representative, the most expensive kind) and
     the last few (deepest representatives, the cheapest)."""
-    picked: list[int] = []
     if per_factor < 1:
-        return picked
-    skip = set(identity_indices)
-    sizes = family.sizes.tolist()
-    for f in sorted(set(factor_of)):
-        # family order within a factor is (rep word length, rep normal form);
-        # only cosets with at least two members can have pairs to check
-        candidates = [
-            a for a in range(len(family))
-            if factor_of[a] == f and a not in skip and sizes[a] >= 2
-        ]
-        if not candidates:
-            continue
-        picked.append(candidates[0])
-        if per_factor > 1:
-            picked.extend(candidates[-(per_factor - 1):])
-    return sorted(dict.fromkeys(picked))
+        return []
+    # family order within a factor is (rep word length, rep normal form);
+    # only cosets with at least two members can have pairs to check
+    eligible = family.sizes >= 2
+    eligible[identity_indices] = False
+    picked = []
+    for f in unique_ints(factor_of).tolist():
+        candidates = np.flatnonzero(eligible & (factor_of == f))
+        picked += [candidates[:1], candidates[max(len(candidates) - per_factor + 1, 1):]]
+    return unique_ints(np.concatenate(picked)).tolist()
 
 
 def convexify_experiment(
@@ -463,11 +455,12 @@ def convexify_experiment(
         raise InputError("the convexification experiment needs a free product")
     family, factor_of, identity_indices, shapes = _shaped_family(ball, timings)
     sampled = _sample_cosets(family, factor_of, identity_indices, verify_cosets)
+    word_lengths = np.asarray(ball.word_lengths)
 
     rows = []
     for n in sorted(depths):
         aug = glue_horoballs(ball.graph, family, shapes, n)
-        scans = {alpha: scan_parabolic(aug, ball.word_lengths, ball.radius, alpha,
+        scans = {alpha: scan_parabolic(aug, word_lengths, ball.radius, alpha,
                                        geodesic_cap=geodesic_cap)
                  for alpha in identity_indices + sampled}
         identity = [scans[alpha] for alpha in identity_indices]

@@ -380,7 +380,6 @@ class CayleyBall:
     keys: tuple
     word_lengths: tuple[int, ...]
     generator_table: np.ndarray = field(compare=False, repr=False)
-    basepoint: int = 0
     tree: FactorTree | None = field(default=None, compare=False, repr=False)
 
     @property

@@ -273,15 +273,6 @@ TOO_MANY_VERTICAL_RUNS = "more_than_two_vertical_runs"
 BELOW_ENDPOINT_LEVEL = "below_minimum_endpoint_level"
 ABOVE_CAPPED_HORIZONTAL = "level_exceeded_after_capped_horizontal"
 
-SHAPE_CLAUSES = (
-    ASCENT_AFTER_DESCENT,
-    LONG_HORIZONTAL_OFF_MAX,
-    VERY_LONG_HORIZONTAL_OFF_TOP,
-    TOO_MANY_VERTICAL_RUNS,
-    BELOW_ENDPOINT_LEVEL,
-    ABOVE_CAPPED_HORIZONTAL,
-)
-
 
 @dataclass(frozen=True)
 class ShapeReport:
@@ -370,17 +361,13 @@ class AugmentedSpace:
     depth: int
     num_vertices: int
     num_edges: int
-    _block_starts: list[int]
+    _block_starts: np.ndarray  # int64, one per member
     _shapes: tuple  # see member_shapes
 
     @functools.cached_property
     def _glued(self) -> tuple[Graph, tuple]:
         edges, columns = _glue(self)
         return Graph(self.num_vertices, edges), columns
-
-    @functools.cached_property
-    def _shape_index(self) -> np.ndarray:
-        return np.asarray(self._shapes[0], dtype=np.int64)
 
     @property
     def carrier(self) -> Graph:
@@ -390,28 +377,24 @@ class AugmentedSpace:
     def columns(self) -> tuple:
         return self._glued[1]
 
-    def provenance(self, vid: int) -> tuple:
-        if not 0 <= vid < self.num_vertices:
-            raise InputError(f"unknown vertex id {vid}")
-        kind, alpha, base_vertex, level = (int(column[vid]) for column in self.columns)
-        return ("horo", alpha, base_vertex, level) if kind else ("gamma", base_vertex)
-
     def member_metric(self, alpha: int) -> np.ndarray:
         """Member ``alpha``'s int32 distance matrix over its local indices,
         shared by every member of its shape."""
         shape_of, dmats = self._shapes
         return dmats[shape_of[alpha]]
 
-    def level_vertices(self, alpha: int, level: int) -> list[int]:
+    def level_vertices(self, alpha: int, level: int) -> np.ndarray:
         """Carrier ids of member ``alpha``'s level-``level`` copy, in member
-        order; level 0 is the member itself."""
-        member = self.family[alpha]
+        order, as an int64 array; level 0 is the member itself, a view
+        into ``family.vertices`` not to be written to."""
+        alpha = range(len(self.family))[alpha]  # IndexError past the end, as for a list
+        lo, hi = self.family.offsets[alpha:alpha + 2].tolist()
         if level == 0:
-            return list(member.vertices)
+            return self.family.vertices[lo:hi]
         if not 1 <= level <= self.depth:
             raise InputError(f"no level {level}")
-        start = self._block_starts[alpha] + (level - 1) * len(member.vertices)
-        return list(range(start, start + len(member.vertices)))
+        start = int(self._block_starts[alpha]) + (level - 1) * (hi - lo)
+        return np.arange(start, start + hi - lo, dtype=np.int64)
 
     def adjacent(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The carrier's edge ends at ``vertices`` as ``Graph.adjacent``
@@ -421,8 +404,7 @@ class AugmentedSpace:
         the member's base vertex), and at level k a horizontal edge to each
         copy at member distance in (0, 2^k], from the shape matrix."""
         v = np.asarray(vertices, dtype=np.int64)
-        n0, family = self.base.num_vertices, self.family
-        depth = self.depth if self.num_vertices > n0 else 1  # without copies, any depth lays out nothing
+        n0, family, starts = self.base.num_vertices, self.family, self._block_starts
         offsets = family.offsets
         owners, ends = [], []
 
@@ -436,21 +418,20 @@ class AugmentedSpace:
         slots = slot_of[concatenated_ranges(lo, counts)]
         a = np.searchsorted(offsets, slots, side="right") - 1
         owners.append(np.repeat(at, counts))
-        ends.append(n0 + depth * offsets[a] + slots - offsets[a])
+        ends.append(starts[a] + slots - offsets[a])
 
         at = np.flatnonzero(v >= n0)
         copy = v[at]
-        # member a's block is [n0 + depth * offsets[a], n0 + depth * offsets[a + 1]);
         # the last member starting at or before a copy is its own, as an
         # empty member starts where the next one does
-        a = np.searchsorted(offsets, (copy - n0) // depth, side="right") - 1
+        a = np.searchsorted(starts, copy, side="right") - 1
         size = family.sizes[a]
-        k, i = np.divmod(copy - n0 - depth * offsets[a], size)
+        k, i = np.divmod(copy - starts[a], size)
         k += 1
-        owners += [at, at[k < depth]]
-        ends += [np.where(k == 1, family.vertices[offsets[a] + i], copy - size), (copy + size)[k < depth]]
-        dmats = self._shapes[1]
-        shape = self._shape_index[a]
+        owners += [at, at[k < self.depth]]
+        ends += [np.where(k == 1, family.vertices[offsets[a] + i], copy - size), (copy + size)[k < self.depth]]
+        shape_of, dmats = self._shapes
+        shape = shape_of[a]
         for sigma in unique_ints(shape).tolist():
             sel = np.flatnonzero(shape == sigma)
             d = dmats[sigma][i[sel]]
@@ -466,7 +447,7 @@ class AugmentedSpace:
                 f"|carrier|={self.num_vertices})")
 
 
-def member_shapes(family: SubgraphFamily) -> tuple[list[int], list[np.ndarray]]:
+def member_shapes(family: SubgraphFamily) -> tuple[np.ndarray, list[np.ndarray]]:
     """Group the family's members by shape and measure each shape once.
 
     A member's shape is its size plus its sorted local edge list, where a
@@ -475,7 +456,7 @@ def member_shapes(family: SubgraphFamily) -> tuple[list[int], list[np.ndarray]]:
     members are copies of the family's templates, so each template is
     looked at once, in the order of its first member, and templates with
     equal local graphs share a shape.  Returns the shape table: the shape
-    index of each member and, per shape, its int32 distance matrix over
+    index of each member (int64) and, per shape, its int32 distance matrix over
     local indices.  A shape whose matrix exceeds ``TABLE_BYTES`` raises
     ``ResourceLimitError`` before the matrix exists, and a disconnected
     shape raises ``InputError``, each naming the first member of its shape.
@@ -497,13 +478,13 @@ def member_shapes(family: SubgraphFamily) -> tuple[list[int], list[np.ndarray]]:
             shape = index[key] = len(dmats)
             dmats.append(dmat)
         shape_of_used[j] = shape
-    return shape_of_used[inverse].tolist(), dmats
+    return shape_of_used[inverse], dmats
 
 
 def glue_horoballs(
     base: Graph,
     family: SubgraphFamily,
-    shapes: tuple[list[int], list[np.ndarray]],
+    shapes: tuple[np.ndarray, list[np.ndarray]],
     depth: int,
 ) -> AugmentedSpace:
     """Lay out a depth-``depth`` horoball on each family member, over the
@@ -515,8 +496,9 @@ def glue_horoballs(
     if depth < 1:
         raise InputError("depth must be >= 1")
     total, edges = check_carrier(base, family, depth, shapes)
+    # without copies any depth lays out nothing, and a factor of 1 keeps a huge one from overflowing
     block_starts = base.num_vertices + family.offsets[:-1] * (depth if total > base.num_vertices else 1)
-    return AugmentedSpace(base, family, depth, total, edges, block_starts.tolist(), shapes)
+    return AugmentedSpace(base, family, depth, total, edges, block_starts, shapes)
 
 
 def _first_complete_level(diameter: int) -> int:
@@ -560,7 +542,7 @@ def check_carrier(base: Graph, family: SubgraphFamily, depth: int, shapes=None) 
                          for s in np.flatnonzero(sizes).tolist())
     else:
         shape_of, dmats = shapes
-        members = np.bincount(np.asarray(shape_of, dtype=np.int64), minlength=len(dmats)).tolist()
+        members = np.bincount(shape_of, minlength=len(dmats)).tolist()
         horizontal = sum(m * _level_pairs(dmat, depth) for m, dmat in zip(members, dmats) if m)
     edges = base.num_edges + depth * copied + horizontal
     if edges > CARRIER_EDGE_BUDGET:
@@ -584,12 +566,10 @@ def _glue(space: AugmentedSpace) -> tuple:
     Returns (edges, columns), with the provenance columns (kind, alpha,
     base_vertex, level) of ``AugmentedSpace``.
     """
-    base, family, total = space.base, space.family, space.num_vertices
+    base, family, total, depth = space.base, space.family, space.num_vertices, space.depth
     shape_of, dmats = space._shapes
     n0 = base.num_vertices
     offsets, vertices = family.offsets, family.vertices
-    depth = space.depth if total > n0 else 1  # members without vertices glue nothing at any depth
-    block_starts = np.asarray(space._block_starts, dtype=np.int64)
 
     kind = np.zeros(total, dtype=np.int8)
     alpha = np.full(total, -1, dtype=np.int32)
@@ -598,13 +578,14 @@ def _glue(space: AugmentedSpace) -> tuple:
     base_vertex[:n0] = np.arange(n0)
 
     chunks = [np.asarray(base.edges, dtype=np.int64)]
-    shape_of = np.asarray(shape_of, dtype=np.int64)
     by_shape = np.split(np.argsort(shape_of, kind="stable"),
                         np.cumsum(np.bincount(shape_of, minlength=len(dmats)))[:-1])
     for dmat, members in zip(dmats, by_shape):
         s = dmat.shape[0]
+        if not s:  # members without vertices glue nothing at any depth
+            continue
         # ids[m, k-1, i]: level-k copy of local vertex i of the m-th member
-        ids = (block_starts[members, None, None]
+        ids = (space._block_starts[members, None, None]
                + (np.arange(depth, dtype=np.int64) * s)[None, :, None]
                + np.arange(s, dtype=np.int64)[None, None, :])
         bottom = vertices[offsets[members, None] + np.arange(s)]

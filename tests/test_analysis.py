@@ -221,7 +221,9 @@ def test_convexity_defect_matches_the_reference(seed):
     for cap in (0, 1, 2, 3, 5, 64, 2**70):
         witness_cap = rng.choice([0, 1, 4, 100])
         for kw, ref_kw in (({}, {}), ({"pairs": pairs}, {"pairs": pairs}),
-                           ({"pair_filter": InteriorFilter(*interior)}, {"interior": interior})):
+                           ({"pair_filter": InteriorFilter(*interior)}, {"interior": interior}),
+                           ({"pairs": pairs, "pair_filter": InteriorFilter(*interior)},
+                            {"pairs": pairs, "interior": interior})):
             report = convexity_defect(g, s, geodesic_cap=cap, witness_cap=witness_cap, **kw)
             expected = reference_convexity_defect(n, edges, s, geodesic_cap=cap,
                                                   witness_cap=witness_cap, **ref_kw)
@@ -309,6 +311,56 @@ def test_convexity_scans_are_held_to_their_budgets(monkeypatch):
     monkeypatch.setattr(analysis, "TABLE_BYTES", 8 * 209)
     with pytest.raises(ResourceLimitError, match=f"a list of 210 vertex pairs exceeds the table budget of {8 * 209}"):
         convexity_defect(g, s, pair_filter=interior)
+
+
+def test_interior_filter_reads_rows_only_inside_its_ball(monkeypatch):
+    """Both ends of an interior pair lie within the filter's radius of its
+    basepoint, so on all 900 vertices of a 30 x 30 grid, with radius 4 about
+    a corner, the scan takes the rows of that corner's 15-vertex ball and no
+    others."""
+    g = grid_graph(30, 30)
+    ball = np.flatnonzero(distance_rows(g, [0])[0] <= 4).tolist()
+    interior = [(u, v) for u in ball for v in ball if u < v and min(u // 30 + u % 30, v // 30 + v % 30)
+                + abs(u // 30 - v // 30) + abs(u % 30 - v % 30) <= 4]
+    sources = []
+    real = horolab.graph.distance_rows
+
+    def recorded(h, ids, *args, **kwargs):
+        sources.extend(np.asarray(ids).tolist())
+        return real(h, ids, *args, **kwargs)
+
+    monkeypatch.setattr(horolab.graph, "distance_rows", recorded)
+    report = convexity_defect(g, range(900), pair_filter=InteriorFilter(basepoint=0, radius=4))
+    assert sorted(set(sources)) == ball and len(ball) == 15
+    assert (report.defect, report.pairs_checked) == (0, len(interior))
+
+
+def test_geodesic_enumeration_is_held_to_the_count_budget(monkeypatch):
+    """Each pair over the cap is enumerated up to cap + 1 paths, and those
+    paths are counted against ``COUNT_BUDGET`` before the first: two far
+    corners of a 60 x 60 grid at a cap of 2**70 are refused at the default
+    budget, and random vertices of an 8 x 8 grid at cap 4 pass at (pairs
+    over the cap) x 5 paths and are refused one below."""
+    def no_paths(*args, **kwargs):
+        raise AssertionError("geodesics were enumerated before the count budget check")
+
+    g = grid_graph(8, 8)
+    s = random.Random(0).sample(range(64), 20)
+    expected = convexity_defect(g, s, geodesic_cap=4)
+    over = expected.truncated_pairs
+    assert over > 0
+    monkeypatch.setattr(analysis, "COUNT_BUDGET", over * 5)
+    assert convexity_defect(g, s, geodesic_cap=4) == expected
+
+    monkeypatch.setattr(analysis, "enumerate_geodesics", no_paths)
+    monkeypatch.setattr(analysis, "COUNT_BUDGET", over * 5 - 1)
+    with pytest.raises(ResourceLimitError, match=rf"enumerating up to {over * 5} geodesics \({over} pairs over "
+                                                 rf"the cap of 4\) exceeds the count budget of {over * 5 - 1}"):
+        convexity_defect(g, s, geodesic_cap=4)
+    monkeypatch.undo()
+    monkeypatch.setattr(analysis, "enumerate_geodesics", no_paths)
+    with pytest.raises(ResourceLimitError, match=rf"enumerating up to {2**70 + 1} geodesics \(1 pairs over"):
+        convexity_defect(grid_graph(60, 60), [0, 3599], geodesic_cap=2**70)
 
 
 def test_enumeration_runs_only_for_pairs_over_the_cap(monkeypatch):

@@ -826,6 +826,26 @@ def test_ops_run_without_scipy_or_numpy_ma(tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == [[], [EXIT_OK] * len(configs), []]
 
 
+def test_ops_build_no_subgraph(tmp_path, monkeypatch):
+    """A free-product convexify-experiment, augment and milnor-svarc op read
+    the coset family as arrays: none of them builds a member as a
+    ``Subgraph``."""
+    def no_subgraph(self, a):
+        raise AssertionError(f"family member {a} built as a Subgraph")
+
+    monkeypatch.setattr(horolab.graph.SubgraphFamily, "__getitem__", no_subgraph)
+    instance = {"group": {"free_product": [{"free_abelian": 2}, {"free_abelian": 2}]}, "radius": 3}
+    configs = [
+        ("convexify-experiment", {"depths": [1, 2, 3]}),
+        ("augment", {"depth": 2}),
+        ("milnor-svarc", {"depth": 3, "t_list": [1, 2, 4]}),
+    ]
+    codes = [main([kind, "--config", write_config(tmp_path, {"version": 1, "experiment": kind, "instance": instance,
+                                                          "params": params}, f"{kind}.json"),
+                   "--out", str(tmp_path / kind)]) for kind, params in configs]
+    assert codes == [EXIT_OK] * len(configs)
+
+
 def test_cli_milnor_svarc_past_the_saturating_depth(tmp_path):
     """On Z^2 at radius 3 every word distance is at most 6, so depths past 3
     add nothing: depth 2**70 gives the rows of depth 3 (it once overflowed

@@ -132,7 +132,7 @@ def test_free_product_flattens_and_relabels():
 def test_z2_ball_counts():
     ball = cayley_ball(Z2, 2)
     assert ball.graph.num_vertices == 13  # 1 + 4 + 8
-    assert ball.basepoint == 0
+    assert ball.word_lengths[0] == 0  # the basepoint is vertex 0
     assert ball.keys[0] == Z2.identity()
 
 
@@ -144,7 +144,7 @@ def test_free2_ball_counts():
 def test_ball_distance_equals_word_length():
     for spec, radius in ((Z2, 3), (F2, 3), (Z2xZ2, 3), (H3, 3)):
         ball = cayley_ball(spec, radius)
-        dist = bfs_distances(ball.graph.num_vertices, ball.graph.edges, ball.basepoint)
+        dist = bfs_distances(ball.graph.num_vertices, ball.graph.edges, 0)
         assert list(dist) == list(ball.word_lengths)
 
 
