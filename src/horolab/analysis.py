@@ -16,11 +16,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError
-from .graph import (INF, KERNEL_BYTES, TABLE_BYTES, DistanceOracle, Graph, _gather, _jagged_layout,
-                    _sorted_contains, check_table, distance_rows, distance_to_set, enumerate_geodesics,
-                    is_interior_pair, unique_ints)
-from .groups import COUNT_BUDGET, QUADRUPLE_BUDGET, SCAN_BUDGET
+from .errors import InputError, check_budget
+from .graph import (INF, KERNEL_BYTES, DistanceOracle, Graph, _gather, _jagged_layout, _sorted_contains,
+                    check_table, distance_rows, distance_to_set, enumerate_geodesics, is_interior_pair,
+                    unique_ints)
 
 
 @dataclass(frozen=True)
@@ -60,8 +59,8 @@ def four_point_delta(g: Graph, sample: str | int = "all", seed: int | None = Non
     rows come from one ``distance_rows`` call, whose table is checked
     against the table budget before any row is computed; connectivity is
     read off its row of vertex 0.  An exhaustive scan of more than
-    ``QUADRUPLE_BUDGET`` quadruples is refused after the table check, also
-    before any row.
+    the quadruple budget is refused after the table check, also before any
+    row.
     """
     n = g.num_vertices
     if sample == "all":
@@ -74,9 +73,9 @@ def four_point_delta(g: Graph, sample: str | int = "all", seed: int | None = Non
                             count=4 * sample).reshape(sample, 4)
         sources = unique_ints(np.append(quads[:, :3], 0))
     check_table(n, len(sources))
-    if sample == "all" and math.comb(n, 4) > QUADRUPLE_BUDGET:
-        raise ResourceLimitError(f"an exhaustive four-point scan of {math.comb(n, 4)} quadruples exceeds "
-                                 f"the quadruple budget of {QUADRUPLE_BUDGET}")
+    if sample == "all":
+        check_budget("quadruple", math.comb(n, 4), f"an exhaustive four-point scan of {math.comb(n, 4)} "
+                     "quadruples exceeds")
     d = distance_rows(g, sources)  # sources ascending: vertex 0 is row 0
     if n > 1 and np.any(d[0] >= INF):
         raise InputError("four-point scan needs a connected graph")
@@ -161,10 +160,11 @@ def convexity_defect(
     the ball of its radius around its basepoint, which holds both ends of
     every interior pair, and then tests the pairs left on the scan's rows.
 
-    The pairs are counted before they are listed, and the cells (pairs x
-    |V|) before any row: ``_check_scan`` refuses them over their budgets.
+    The pairs left are counted before they are listed, and the cells (pairs
+    x |V|) before any row but the basepoint's: ``_check_scan`` refuses them
+    over their budgets.
     The enumeration, up to cap + 1 paths for each pair over the cap, is
-    refused over ``COUNT_BUDGET`` paths before it starts.
+    refused over the count budget in paths before it starts.
     """
     s_list = sorted(dict.fromkeys(int(v) for v in vertex_set))
     if not s_list:
@@ -177,13 +177,8 @@ def convexity_defect(
     outside[s_list] = False
 
     members = np.asarray(s_list, dtype=np.int32)
-    # a filter leaves pairs unscanned, so its scan is counted once it is done
-    scanned = g.num_vertices if pair_filter is None else 0
-    if pairs is None:
-        _check_scan(math.comb(len(members), 2), scanned)
-    else:
+    if pairs is not None:
         both = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64).reshape(-1, 2)
-        _check_scan(len(both), scanned)
         bad = np.flatnonzero(~_sorted_contains(members, both).all(axis=1))
         if bad.size:
             raise InputError(f"pair ({both[bad[0], 0]}, {both[bad[0], 1]}) leaves the vertex set")
@@ -195,6 +190,7 @@ def convexity_defect(
         members = members[near[members]]
         if pairs is not None:
             both = both[near[both].all(axis=1)]
+    _check_scan(math.comb(len(members), 2) if pairs is None else len(both), g.num_vertices)
     pu, pv = np.take(members, np.triu_indices(len(members), 1)) if pairs is None else both.T
 
     # table rows: the pairs' ends in id order
@@ -204,7 +200,6 @@ def convexity_defect(
     if pair_filter is not None:
         keep = is_interior_pair(o[pu], o[pv], rows[iu, pv], pair_filter.radius)
         pu, pv, iu, iv = pu[keep], pv[keep], iu[keep], iv[keep]
-        _check_scan(len(pu), g.num_vertices)
     d_uv = rows[iu, pv]
     by_source = np.argsort(iu, kind="stable")
     bounds = np.searchsorted(iu[by_source], np.arange(len(ends) + 1))
@@ -258,9 +253,8 @@ def convexity_defect(
         if counted.size:
             over[counted] = _over_cap(g, rows, iu[counted], pv[counted], limit)
         enumerated = int(over.sum())
-        if enumerated * (geodesic_cap + 1) > COUNT_BUDGET:
-            raise ResourceLimitError(f"enumerating up to {enumerated * (geodesic_cap + 1)} geodesics ({enumerated} "
-                                     f"pairs over the cap of {geodesic_cap}) exceeds the count budget of {COUNT_BUDGET}")
+        check_budget("count", enumerated * (geodesic_cap + 1), f"enumerating up to {enumerated * (geodesic_cap + 1)} "
+                     f"geodesics ({enumerated} pairs over the cap of {geodesic_cap}) exceeds")
         quasi = int(far[~over].max(initial=0))
         for p in np.flatnonzero(over).tolist():
             paths, capped = enumerate_geodesics(g, int(pu[p]), int(pv[p]), cap=geodesic_cap,
@@ -281,13 +275,10 @@ def convexity_defect(
 
 
 def _check_scan(pairs: int, vertices: int) -> None:
-    """Refuse a list of ``pairs`` pairs, 8 bytes each, over ``TABLE_BYTES``,
-    and their scan against ``vertices`` vertices over ``SCAN_BUDGET`` cells."""
-    if 8 * pairs > TABLE_BYTES:
-        raise ResourceLimitError(f"a list of {pairs} vertex pairs exceeds the table budget of {TABLE_BYTES} bytes")
-    if pairs * vertices > SCAN_BUDGET:
-        raise ResourceLimitError(f"a convexity scan of {pairs} pairs x {vertices} vertices exceeds the scan "
-                                 f"budget of {SCAN_BUDGET} cells")
+    """Refuse a list of ``pairs`` pairs, 8 bytes each, over the table budget,
+    and their scan against ``vertices`` vertices over the scan budget."""
+    check_budget("table", 8 * pairs, f"a list of {pairs} vertex pairs exceeds")
+    check_budget("scan", pairs * vertices, f"a convexity scan of {pairs} pairs x {vertices} vertices exceeds")
 
 
 def _blocks(items: np.ndarray, width: int, cell_bytes: int) -> Iterator[np.ndarray]:

@@ -2,8 +2,8 @@
 
     horolab <experiment> --config cfg.json [--out DIR] [--seed N] [--export-dot]
 
-Subcommands mirror the experiment kinds; the config's "experiment" field must
-agree with the chosen subcommand.  Exit codes: 0 success, 2 config or input
+The positional argument names an experiment kind; the config's "experiment"
+field must agree with it.  Exit codes: 0 success, 2 config or input
 error, 3 resource cap exceeded, 4 structural property violation.
 """
 
@@ -31,19 +31,17 @@ _FAILURES = {ConfigError: (EXIT_CONFIG, "config error"), InputError: (EXIT_CONFI
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="horolab", description=__doc__)
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for kind in KINDS:
-        p = sub.add_parser(kind, help=f"run a {kind} experiment")
-        p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--export-dot", action="store_true", help="also emit DOT files for built graphs")
+    parser.add_argument("experiment", choices=KINDS, help="the experiment kind to run")
+    parser.add_argument("--config", required=True, help="path to the JSON config")
+    parser.add_argument("--out", default="out", help="output directory (default: ./out)")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--export-dot", action="store_true", help="also emit DOT files for built graphs")
     return parser
 
 
 def load_config(path: str, expected_kind: str, seed_override: int | None) -> ExperimentConfig:
     try:
-        obj = read_json(path, "config")
+        obj, _ = read_json(path, "config")
     except InputError as exc:
         raise ConfigError("--config", str(exc)) from None
     config = validate_config(obj)

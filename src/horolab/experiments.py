@@ -34,7 +34,7 @@ from .analysis import (
     four_point_delta,
     qi_distortion,
 )
-from .errors import ConfigError, InputError, PropertyViolation, ResourceLimitError
+from .errors import ConfigError, InputError, PropertyViolation, ResourceLimitError, check_budget
 from .graph import (
     DistanceOracle,
     Graph,
@@ -48,7 +48,7 @@ from .graph import (
     path_graph,
     unique_ints,
 )
-from .groups import COUNT_BUDGET, DEFAULT_BALL_BUDGET, CayleyBall, GroupSpec, cayley_ball
+from .groups import DEFAULT_BALL_BUDGET, CayleyBall, GroupSpec, cayley_ball
 from .horoball import (
     AugmentedSpace,
     build_restricted_horoball,
@@ -56,7 +56,7 @@ from .horoball import (
     glue_horoballs,
     member_shapes,
 )
-from .io import carrier_labels, canonical_json, read_graph, sha256_of, to_dot, write_carrier, write_json
+from .io import carrier_labels, canonical_json, graph_from_json, read_json, sha256_of, to_dot, write_carrier, write_json
 from .shortcut import LambdaGrid, shortcut_profile
 
 
@@ -179,21 +179,16 @@ def _integers(least: int | None = None) -> Callable:
                     "must be a nonempty list of integers" + ("" if least is None else f" >= {least}"))
 
 
-def _within_budget(count: int, path: str, what: str) -> None:
-    if count > COUNT_BUDGET:
-        raise ResourceLimitError(f"{path}: {count} {what} exceed the count budget of {COUNT_BUDGET}")
-
-
 def _sample(value, path: str):
     if value != "all" and not _is_count(value, 1):
         raise ConfigError(path, "must be 'all' or a positive integer")
-    _within_budget(0 if value == "all" else value, path, "sampled quadruples")
+    check_budget("count", 0 if value == "all" else value, f"{path}: {value} sampled quadruples exceed")
     return value
 
 
 def _cycle_lengths(value, path: str) -> list[int]:
     value = _integers(3)(value, path)
-    _within_budget(max(value) ** 2, path, "cycle-table cells")
+    check_budget("count", max(value) ** 2, f"{path}: {max(value) ** 2} cycle-table cells exceed")
     return value
 
 
@@ -225,7 +220,7 @@ _LAMBDA = {"lo": (_rational, REQUIRED), "hi": (_rational, REQUIRED), "step": (_r
 
 def _lambda_grid(value, path: str) -> LambdaGrid:
     grid = LambdaGrid(**_object(_LAMBDA, value, path))
-    _within_budget(grid.size(), path, "lambda values")
+    check_budget("count", grid.size(), f"{path}: {grid.size()} lambda values exceed")
     return grid
 
 
@@ -255,16 +250,19 @@ def _parse_group(value, path: str, instance: dict) -> tuple[GroupSpec, int]:
         raise ConfigError(path, str(exc)) from exc
 
 
-def _read_instance(path: str, _) -> Graph:
-    g = read_graph(path)
+def _read_instance(path: str, _) -> tuple[Graph, str]:
+    """The graph in a graph file and the text it was parsed from, which the
+    instance hash is taken of: the file is read once."""
+    obj, text = read_json(path, "graph file")
+    g = graph_from_json(obj)
     if g.num_vertices == 0:
         raise InputError("graph file has no vertices")
-    return g
+    return g, text
 
 
 # instance kind -> (parser (value, path, instance object), vertex count of a
 # parsed value where it is known before building, builder (value, ball
-# budget) -> graph or Cayley ball)
+# budget) -> graph, Cayley ball, or a graph file's (graph, text))
 INSTANCES: dict[str, tuple[Callable, Callable | None, Callable]] = {
     "graph_file": (_checked(lambda v: isinstance(v, str), "must be a file path"), None, _read_instance),
     "path": (_integer(0), lambda n: n + 1, lambda n, _: path_graph(n)),
@@ -287,9 +285,9 @@ def build_instance_graph(instance: dict, max_vertices: int = DEFAULT_BALL_BUDGET
         raise ResourceLimitError(f"{key} of {size(value)} vertices exceeds the budget of "
                                  f"{max_vertices} vertices")
     built = build(value, max_vertices)
-    ball = built if isinstance(built, CayleyBall) else None
     # a graph file is hashed by its text, any other instance by its config
-    text = pathlib.Path(value).read_text(encoding="utf-8") if key == "graph_file" else canonical_json(instance)
+    built, text = built if key == "graph_file" else (built, canonical_json(instance))
+    ball = built if isinstance(built, CayleyBall) else None
     return (ball.graph if ball else built), ball, sha256_of(text)
 
 

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, check_budget
 
 # Sentinel for unreachable pairs: every real hop count is smaller, and two
 # sentinels add up to 2**31 - 2, still an int32.
@@ -40,13 +40,6 @@ INF: int = 2**30 - 1
 # rows it returns.  A kernel whose buffers do not fit is not picked; the
 # bit-parallel one takes its sources in as many 64-source words as fit.
 KERNEL_BYTES = 64 * 2**20
-
-# Byte budget for one dense int32 distance table (``check_table``): 8,192
-# vertices for a V×V table.  The rows a ``DistanceOracle`` holds, the rows of
-# ``analysis.four_point_delta``, the shape table of ``horoball.member_shapes``
-# and Milnor-Svarc's element tables are checked against it before a table is
-# allocated.
-TABLE_BYTES = 256 * 2**20
 
 # The cost model of _pick_kernel, in seconds per unit of work.  The
 # bit-parallel and frontier constants were fitted by least squares on
@@ -513,15 +506,13 @@ def _frontier_bfs(g: Graph, sources) -> np.ndarray:
 
 def check_table(n: int, rows: int | None = None) -> None:
     """Refuse a dense int32 distance table of ``rows`` rows (n when not
-    given) over n vertices, over ``TABLE_BYTES``, before it is allocated."""
+    given) over n vertices, over the table budget, before it is allocated."""
     rows = n if rows is None else rows
-    if 4 * rows * n > TABLE_BYTES:
-        raise ResourceLimitError(f"a distance table of {rows} x {n} vertices exceeds the table budget "
-                                 f"of {TABLE_BYTES} bytes")
+    check_budget("table", 4 * rows * n, f"a distance table of {rows} x {n} vertices exceeds")
 
 
 class DistanceOracle:
-    """Per-source cache of ``distance_rows``, held to ``TABLE_BYTES``."""
+    """Per-source cache of ``distance_rows``, held to the table budget."""
 
     def __init__(self, g: Graph):
         self.graph = g
@@ -530,7 +521,7 @@ class DistanceOracle:
     def rows(self, sources: Sequence[int]) -> np.ndarray:
         """The rows of ``sources`` as one table.  The distinct sources not
         cached yet come from one ``distance_rows`` call, refused before it
-        when the cache would pass ``TABLE_BYTES`` with them.  When none is
+        when the cache would pass the table budget with them.  When none is
         cached and none repeats, the table is that call's, shared rather
         than copied: do not write to it."""
         ids = _checked_ids(self.graph, sources).tolist()

@@ -37,44 +37,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError
+from .errors import BUDGETS, InputError, ResourceLimitError
 from .graph import Graph, SubgraphFamily
 
 # Default generator letters; "e" is reserved for the identity.
 _LETTERS = "abcdfghijklmnopqrstuvwxyz"
 
 DEFAULT_BALL_BUDGET = 200_000
-
-# Largest carrier, in vertices, that gluing builds: |V| + depth * (member
-# vertices), checked before any carrier array exists.  Z^2*Z^2 at radius 6
-# and depth 5 (acceptance criterion 07) has 66,921 + 5 * 133,842 = 736,131.
-CARRIER_BUDGET = 1_000_000
-
-# Largest carrier, in edges, that gluing builds: base edges plus, per member
-# of s vertices, depth * s vertical edges and at each level k its pairs at
-# member distance in (0, 2^k], counted from the shape matrices before any
-# carrier array exists.  Criterion 07's carrier has 2,365,770 edges; a
-# level past a member's diameter joins all its pairs, so a carrier under the
-# vertex budget can still have Theta(depth * s^2) edges.
-CARRIER_EDGE_BUDGET = 4_000_000
-
-# Largest count a config sets for a loop or a table that no other budget
-# bounds: four-point samples, the cells of the largest cycle's metric table
-# (n^2), the values of a lambda grid, and the generator-table cells of a
-# rank-r free or free abelian radius-1 ball (2r(2r + 1)).  Checked before any
-# of them is built.
-COUNT_BUDGET = 1_000_000
-
-# Most quadruples an exhaustive four-point scan visits: C(n, 4) over n
-# vertices, refused before any distance row.  C(371, 4) = 776,673,660 took
-# 19 s on a 2-core host; the benchmark's 55-vertex delta scans 341,055.
-QUADRUPLE_BUDGET = 1_000_000_000
-
-# Most cells a convexity scan tests: its pairs times the vertices of the
-# graph, each cell one candidate witness, refused before any distance row.
-# 1.12e10 cells (1,124,250 pairs on a 100 x 100 grid) took 31 s on a 2-core
-# host; the tier-1 tests scan at most 1.4e7.
-SCAN_BUDGET = 10_000_000_000
 
 # Largest code range, per ball element, that a free abelian ball looks its
 # translations up in through a dense table rather than a sorted search.
@@ -202,9 +171,9 @@ class GroupSpec:
         rank = obj[kind]
         if not isinstance(rank, int) or isinstance(rank, bool):
             raise InputError(f"{kind} rank must be an integer: {rank!r}")
-        if rank > 0 and 2 * rank * (2 * rank + 1) > COUNT_BUDGET:
+        if rank > 0 and 2 * rank * (2 * rank + 1) > BUDGETS["count"]:
             raise ResourceLimitError(f"{kind} rank {rank}: the generator table of its radius-1 "
-                                     f"ball exceeds the count budget of {COUNT_BUDGET} cells")
+                                     f"ball exceeds the count budget of {BUDGETS['count']} cells")
         return (free if kind == "free" else free_abelian)(rank, names=names)
 
     # -- kind-specific internals ----------------------------------------

@@ -35,10 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, check_budget
 from .graph import (INF, Graph, Path, SubgraphFamily, check_table, concatenated_ranges, distance_rows,
                     unique_ints)
-from .groups import CARRIER_BUDGET, CARRIER_EDGE_BUDGET
 
 ASCENDING = "ascending"
 DESCENDING = "descending"
@@ -457,9 +456,9 @@ def member_shapes(family: SubgraphFamily) -> tuple[np.ndarray, list[np.ndarray]]
     looked at once, in the order of its first member, and templates with
     equal local graphs share a shape.  Returns the shape table: the shape
     index of each member (int64) and, per shape, its int32 distance matrix over
-    local indices.  A shape whose matrix exceeds ``TABLE_BYTES`` raises
+    local indices.  A shape whose matrix exceeds the table budget raises
     ``ResourceLimitError`` before the matrix exists, and a disconnected
-    shape raises ``InputError``, each naming the first member of its shape.
+    shape raises ``InputError`` naming the first member of its shape.
     """
     used, first, inverse = np.unique(family.template, return_index=True, return_inverse=True)
     index: dict[tuple, int] = {}
@@ -518,8 +517,8 @@ def _level_pairs(dmat: np.ndarray, depth: int) -> int:
 
 def check_carrier(base: Graph, family: SubgraphFamily, depth: int, shapes=None) -> tuple[int, int]:
     """Count the depth-``depth`` carrier over ``family`` and refuse it, with
-    ``ResourceLimitError``, over ``CARRIER_BUDGET`` vertices or
-    ``CARRIER_EDGE_BUDGET`` edges, before any carrier array exists.  Returns
+    ``ResourceLimitError``, over the carrier budget in vertices or the
+    carrier edge budget in edges, before any carrier array exists.  Returns
     its vertex count, |V| + depth * (member vertices), and its edge count.
 
     Its edges are the base's, depth * s vertical ones per member of s
@@ -532,10 +531,8 @@ def check_carrier(base: Graph, family: SubgraphFamily, depth: int, shapes=None) 
     """
     n0, copied = base.num_vertices, int(family.offsets[-1])
     total = n0 + depth * copied  # Python ints: exact at any depth
-    if total > CARRIER_BUDGET:
-        raise ResourceLimitError(
-            f"carrier of {total} vertices ({n0} base + depth {depth} x {copied} member vertices) "
-            f"exceeds the carrier budget of {CARRIER_BUDGET} vertices")
+    check_budget("carrier", total, f"carrier of {total} vertices ({n0} base + depth {depth} x {copied} "
+                 "member vertices) exceeds")
     if shapes is None:
         sizes = np.bincount(family.sizes)
         horizontal = sum(int(sizes[s]) * max(0, depth - _first_complete_level(s - 1) + 1) * (s * (s - 1) // 2)
@@ -545,10 +542,8 @@ def check_carrier(base: Graph, family: SubgraphFamily, depth: int, shapes=None) 
         members = np.bincount(shape_of, minlength=len(dmats)).tolist()
         horizontal = sum(m * _level_pairs(dmat, depth) for m, dmat in zip(members, dmats) if m)
     edges = base.num_edges + depth * copied + horizontal
-    if edges > CARRIER_EDGE_BUDGET:
-        raise ResourceLimitError(
-            f"carrier of {'' if shapes is not None else 'at least '}{edges} edges at depth {depth} "
-            f"exceeds the carrier edge budget of {CARRIER_EDGE_BUDGET} edges")
+    check_budget("carrier edge", edges, f"carrier of {'' if shapes is not None else 'at least '}{edges} edges "
+                 f"at depth {depth} exceeds")
     return total, edges
 
 

@@ -251,15 +251,17 @@ def _interleave(*columns: np.ndarray) -> tuple:
 
 
 def read_graph(path: str | pathlib.Path) -> Graph:
-    return graph_from_json(read_json(path, "graph file"))
+    return graph_from_json(read_json(path, "graph file")[0])
 
 
-def read_json(path: str | pathlib.Path, what: str) -> Any:
-    """The JSON document in a UTF-8 file; ``InputError`` naming ``what`` if
-    the file cannot be read (missing, a directory, not UTF-8, a NUL in the
-    path) or is not JSON (nesting too deep included)."""
+def read_json(path: str | pathlib.Path, what: str) -> tuple[Any, str]:
+    """The JSON document in a UTF-8 file and the text it was parsed from,
+    read once; ``InputError`` naming ``what`` if the file cannot be read
+    (missing, a directory, not UTF-8, a NUL in the path) or is not JSON
+    (nesting too deep included)."""
     try:
-        return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+        return json.loads(text), text
     except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from None
 

@@ -291,12 +291,14 @@ def test_convexity_scans_are_held_to_their_budgets(monkeypatch):
     """A set's C(|S|, 2) pairs, or the pairs given, are refused before they
     are listed and before any row: over the table budget at 8 bytes a pair,
     and over the scan budget in pairs x |V| cells.  An interior filter's
-    pairs are counted once it has dropped the others."""
+    pairs are counted once its basepoint's row has cut the set to its ball,
+    before any other row."""
     g = path_graph(20)
     s = range(21)  # 210 pairs, 4,410 cells
     interior = InteriorFilter(basepoint=0, radius=4)  # its 10 pairs, 210 cells
     expected = convexity_defect(g, s, pair_filter=interior)
-    monkeypatch.setattr(analysis, "SCAN_BUDGET", 4409)
+    real = horolab.graph.distance_rows
+    monkeypatch.setitem(horolab.errors.BUDGETS, "scan", 4409)
     assert convexity_defect(g, s, pair_filter=interior) == expected
 
     def no_rows(*args, **kwargs):
@@ -308,9 +310,24 @@ def test_convexity_scans_are_held_to_their_budgets(monkeypatch):
         with pytest.raises(ResourceLimitError, match="a convexity scan of 210 pairs x 21 vertices exceeds the "
                                                      "scan budget of 4409 cells"):
             convexity_defect(g, s, pairs=pairs)
-    monkeypatch.setattr(analysis, "TABLE_BYTES", 8 * 209)
+    monkeypatch.setitem(horolab.errors.BUDGETS, "table", 8 * 209)
     with pytest.raises(ResourceLimitError, match=f"a list of 210 vertex pairs exceeds the table budget of {8 * 209}"):
-        convexity_defect(g, s, pair_filter=interior)
+        convexity_defect(g, s)
+
+    sources = []
+
+    def recorded(h, ids, *args, **kwargs):
+        sources.append(np.asarray(ids).tolist())
+        return real(h, ids, *args, **kwargs)
+
+    monkeypatch.setattr(horolab.graph, "distance_rows", recorded)
+    assert convexity_defect(g, s, pair_filter=interior) == expected
+    sources.clear()
+    # the radius-5 ball's 15 pairs pass 8 x 14 bytes; its basepoint's row (4 x 21 bytes) does not
+    monkeypatch.setitem(horolab.errors.BUDGETS, "table", 8 * 14)
+    with pytest.raises(ResourceLimitError, match=f"a list of 15 vertex pairs exceeds the table budget of {8 * 14}"):
+        convexity_defect(g, s, pair_filter=InteriorFilter(basepoint=0, radius=5))
+    assert sources == [[0]]
 
 
 def test_interior_filter_reads_rows_only_inside_its_ball(monkeypatch):
@@ -337,7 +354,7 @@ def test_interior_filter_reads_rows_only_inside_its_ball(monkeypatch):
 
 def test_geodesic_enumeration_is_held_to_the_count_budget(monkeypatch):
     """Each pair over the cap is enumerated up to cap + 1 paths, and those
-    paths are counted against ``COUNT_BUDGET`` before the first: two far
+    paths are counted against the count budget before the first: two far
     corners of a 60 x 60 grid at a cap of 2**70 are refused at the default
     budget, and random vertices of an 8 x 8 grid at cap 4 pass at (pairs
     over the cap) x 5 paths and are refused one below."""
@@ -349,11 +366,11 @@ def test_geodesic_enumeration_is_held_to_the_count_budget(monkeypatch):
     expected = convexity_defect(g, s, geodesic_cap=4)
     over = expected.truncated_pairs
     assert over > 0
-    monkeypatch.setattr(analysis, "COUNT_BUDGET", over * 5)
+    monkeypatch.setitem(horolab.errors.BUDGETS, "count", over * 5)
     assert convexity_defect(g, s, geodesic_cap=4) == expected
 
     monkeypatch.setattr(analysis, "enumerate_geodesics", no_paths)
-    monkeypatch.setattr(analysis, "COUNT_BUDGET", over * 5 - 1)
+    monkeypatch.setitem(horolab.errors.BUDGETS, "count", over * 5 - 1)
     with pytest.raises(ResourceLimitError, match=rf"enumerating up to {over * 5} geodesics \({over} pairs over "
                                                  rf"the cap of 4\) exceeds the count budget of {over * 5 - 1}"):
         convexity_defect(g, s, geodesic_cap=4)

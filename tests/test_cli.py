@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
@@ -15,9 +16,11 @@ from hypothesis import given, settings, strategies as st
 from horolab import PropertyViolation, cayley_ball, free_abelian, free_product
 from horolab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATION, main
 import horolab.analysis
+import horolab.errors
 import horolab.graph
 import horolab.groups
 import horolab.horoball
+import horolab.io
 from horolab import experiments
 from horolab.errors import ConfigError
 from horolab.experiments import (
@@ -779,6 +782,56 @@ def test_cli_counts_over_their_budget_exit_3(tmp_path, capsys, monkeypatch, kind
     assert f"resource limit: {stream}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, lowered, kind, instance, params", [
+    ("table", 4 * 6 * 6 - 1, "delta", {"path": 5}, {"sample": "all"}),  # a 6 x 6 table
+    ("quadruple", 14, "delta", {"path": 5}, {"sample": "all"}),  # C(6, 4) = 15
+    ("scan", 89, "convexity", {"path": 5}, {"set": {"vertices": list(range(6))}}),  # 15 pairs x 6
+    ("count", 15, "shortcut", {"cycle": 8}, {"n_list": [4], "lambda": {"lo": "1", "hi": "2"}}),  # 4^2 cells
+    ("carrier", 14, "build-horoball", {"path": 4}, {"depth": 2}),  # 5 + 2 x 5 vertices
+    ("carrier edge", 5, "build-horoball", {"path": 4}, {"depth": 2}),
+])
+def test_every_budget_is_read_from_the_table(tmp_path, capsys, monkeypatch, name, lowered, kind, instance, params):
+    """Each budget is read from ``errors.BUDGETS`` when it is checked: one
+    lowered there refuses a small config that passes it by default."""
+    cfg = write_config(tmp_path, {"version": 1, "experiment": kind, "instance": instance, "params": params})
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "ok")]) == EXIT_OK
+    monkeypatch.setitem(horolab.errors.BUDGETS, name, lowered)
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert f"the {name} budget of {lowered}" in err and "Traceback" not in err
+
+
+def test_cli_interior_scan_counts_only_its_ball(tmp_path, capsys):
+    """An interior filter's pairs are counted once it has cut the set to its
+    ball: all 90,000 vertices of a 300 x 300 grid, whose C(90000, 2) pairs
+    pass the table budget, scan the 60 interior pairs of a corner's radius-4
+    ball."""
+    cfg = write_config(tmp_path, {"version": 1, "experiment": "convexity", "instance": {"grid": [300, 300]},
+                                  "params": {"set": {"vertices": list(range(90_000))},
+                                             "interior": {"basepoint": 0, "radius": 4}}})
+    assert main(["convexity", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+    assert [(row["pairs_checked"], row["convex"]) for row in rows] == [(60, True)]
+
+
+def test_graph_file_is_read_once_and_hashed_as_read(tmp_path, monkeypatch):
+    """A graph file's instance hash is the sha256 of the one text the graph
+    was parsed from: the file is read once."""
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text(canonical_json(horolab.io.graph_to_json(path_graph(3))), encoding="utf-8")
+    reads = []
+    real = pathlib.Path.read_text
+
+    def counted(self, *args, **kwargs):
+        reads.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "read_text", counted)
+    g, ball, digest = build_instance_graph({"graph_file": str(graph_file)})
+    assert reads == [graph_file] and ball is None and g.num_vertices == 4
+    assert digest == hashlib.sha256(real(graph_file, encoding="utf-8").encode("utf-8")).hexdigest()
+
+
 def test_budgets_admit_every_benchmark_config(monkeypatch):
     """Every config the benchmark runs passes validation, budgets included."""
     import importlib.util
@@ -1135,7 +1188,7 @@ def test_cli_graph_files_never_raise(doc, kind):
     ("convexify-experiment", Z_FREE_Z, {"depths": [1, 2**70]}),
 ], ids=["build-horoball", "augment", "augment-int64", "convexity", "delta", "convexify"])
 def test_cli_carrier_over_its_budget_exits_3(tmp_path, capsys, kind, instance, params):
-    """A carrier past ``CARRIER_BUDGET`` vertices is refused before it is
+    """A carrier past the carrier budget in vertices is refused before it is
     built, with a message, at depths inside and past int64."""
     cfg = write_config(tmp_path, {"version": 1, "experiment": kind, "instance": instance, "params": params})
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_RESOURCE

@@ -416,7 +416,7 @@ def test_oracle_holds_its_rows_to_the_table_budget(monkeypatch):
         tables.append(distance_rows(graph, sources, *args))
         return tables[-1]
 
-    monkeypatch.setattr(horolab.graph, "TABLE_BYTES", 4 * n * k)
+    monkeypatch.setitem(horolab.errors.BUDGETS, "table", 4 * n * k)
     monkeypatch.setattr(horolab.graph, "distance_rows", recording)
     oracle = DistanceOracle(g)
     first = oracle.rows([9, 2, 14])
@@ -550,7 +550,7 @@ def test_rips_rejects_bad_input():
 def test_rips_checks_the_table_budget_before_any_row(monkeypatch):
     """Past t = 1 the whole distance table is read, so its budget is
     checked first, before the row that decides connectivity."""
-    monkeypatch.setattr(horolab.graph, "TABLE_BYTES", 4 * 16)  # 4 x 4 vertices
+    monkeypatch.setitem(horolab.errors.BUDGETS, "table", 4 * 16)  # 4 x 4 vertices
     assert rips_graph(path_graph(3), 2).num_edges == 5
 
     def no_rows(*args, **kwargs):

@@ -765,7 +765,7 @@ def test_carrier_budget_is_checked_before_gluing(monkeypatch):
     integers: a depth past int64 is refused like any other, and a carrier
     of exactly the budget is built."""
     base = path_graph(4)  # 5 vertices; the whole-base member has 5 too
-    monkeypatch.setattr(horolab.horoball, "CARRIER_BUDGET", 15)
+    monkeypatch.setitem(horolab.errors.BUDGETS, "carrier", 15)
     assert build_restricted_horoball(base, 2).carrier.num_vertices == 15
     assert augment(base, SubgraphFamily.whole(base), 2).carrier.num_vertices == 15
     for depth in (3, 2**62, 2**70):
@@ -788,15 +788,15 @@ def test_carrier_edges_are_counted_exactly_before_gluing():
             space = augment(base, family, depth)
             edges = space.carrier.num_edges
             assert space.num_edges == edges
-            with mock.patch.object(horolab.horoball, "CARRIER_EDGE_BUDGET", edges):
+            with mock.patch.dict(horolab.errors.BUDGETS, {"carrier edge": edges}):
                 assert augment(base, family, depth).carrier.num_edges == edges
-            with (mock.patch.object(horolab.horoball, "CARRIER_EDGE_BUDGET", edges - 1),
+            with (mock.patch.dict(horolab.errors.BUDGETS, {"carrier edge": edges - 1}),
                   mock.patch.object(horolab.horoball, "_glue", side_effect=AssertionError("glued")),
                   pytest.raises(ResourceLimitError, match=f"carrier of {edges} edges at depth {depth} exceeds "
                                                           f"the carrier edge budget of {edges - 1} edges")):
                 augment(base, family, depth)
     # 20 vertices: levels from 5 on (2^5 >= 19) join all 190 pairs
-    with (mock.patch.object(horolab.horoball, "CARRIER_EDGE_BUDGET", 31 + 6 * 20 + 2 * 190 - 1),
+    with (mock.patch.dict(horolab.errors.BUDGETS, {"carrier edge": 31 + 6 * 20 + 2 * 190 - 1}),
           mock.patch.object(horolab.horoball, "distance_rows", side_effect=AssertionError("a distance row")),
           pytest.raises(ResourceLimitError, match="carrier of at least 531 edges at depth 6")):
         build_restricted_horoball(grid_graph(5, 4), 6)
