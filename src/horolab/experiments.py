@@ -676,7 +676,7 @@ def run_experiment(config: ExperimentConfig, out_dir, export_dot: bool = False) 
 def _run_build_horoball(run: _Run) -> list[dict]:
     depth = run.values["depth"]
     h = build_restricted_horoball(run.graph, depth)
-    lv = h.carrier.edges // run.graph.num_vertices
+    lv = h.columns[3][h.carrier.edges]
     horizontal = np.bincount(lv[lv[:, 0] == lv[:, 1], 0], minlength=depth + 1)
     rows = [{"level": k, "vertices": len(h.level_vertices(k)),
              "horizontal_edges": int(horizontal[k])} for k in range(depth + 1)]
@@ -748,10 +748,10 @@ def _run_convexity(run: _Run) -> list[dict]:
 
 def _run_shortcut(run: _Run) -> list[dict]:
     values = run.values
-    profile, witnesses = shortcut_profile(run.graph, values["K"], values["n_list"], values["lambda"],
-                                          node_cap=values["node_cap"], restrict=values["restrict"])
+    profile = shortcut_profile(run.graph, values["K"], values["n_list"], values["lambda"],
+                               node_cap=values["node_cap"], restrict=values["restrict"])
     run.artifact("profile.csv").write_text(profile.to_csv(), encoding="utf-8")
-    return profile.to_json_rows(witnesses)
+    return profile.to_json_rows()
 
 
 def _run_convexify(run: _Run) -> list[dict]:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InputError, check_budget
 from .graph import (INF, Graph, Path, SubgraphFamily, check_table, concatenated_ranges, distance_rows,
-                    unique_ints)
+                    enumerate_geodesics, unique_ints)
 
 ASCENDING = "ascending"
 DESCENDING = "descending"
@@ -86,9 +86,9 @@ class RestrictedHoroball:
         v = self.base.num_vertices
         return range(level * v, (level + 1) * v)
 
-    def deep_vertices(self, level: int) -> list[int]:
+    def deep_vertices(self, level: int) -> range:
         """All vertices at levels >= level."""
-        return [vid for k in range(level, self.depth + 1) for vid in self.level_vertices(k)]
+        return range(level * self.base.num_vertices, self.carrier.num_vertices)
 
     def _check(self, vid: int) -> None:
         if not 0 <= vid < self.carrier.num_vertices:
@@ -168,23 +168,10 @@ class GeodesicNormalForm:
         return self.ascent.length + self.crossing.length + self.descent.length
 
 
-def _lex_first_base_geodesic(h: RestrictedHoroball, x: int, y: int) -> list[int]:
-    dist_to_y = h.base_metric[y]
-    seq = [x]
-    cur = x
-    while cur != y:
-        d = dist_to_y[cur]
-        for z in h.base.neighbors(cur):
-            if dist_to_y[z] == d - 1:
-                cur = int(z)
-                break
-        seq.append(cur)
-    return seq
-
-
 def normal_form_geodesic(h: RestrictedHoroball, v1: int, v2: int) -> GeodesicNormalForm:
-    """The ascend-cross-descend geodesic from ``v1`` to ``v2``.  Over one
-    base vertex (D = 0) the crossing is that vertex at level max(k, l)."""
+    """The ascend-cross-descend geodesic from ``v1`` to ``v2``, crossing
+    along the first path of ``enumerate_geodesics``.  Over one base vertex
+    (D = 0) the crossing is that vertex at level max(k, l)."""
     x, k = h.base_of(v1), h.level_of(v1)
     y, l = h.base_of(v2), h.level_of(v2)
     d_base = int(h.base_metric[x, y])
@@ -194,9 +181,9 @@ def normal_form_geodesic(h: RestrictedHoroball, v1: int, v2: int) -> GeodesicNor
         m += 1  # same total length, crossing shrinks to <= 3
 
     step = 2**m
-    base_geo = _lex_first_base_geodesic(h, x, y)
+    (base_geo,), _ = enumerate_geodesics(h.base, x, y, cap=1, dist_to_target=h.base_metric[y])
     waypoints = list(range(0, d_base, step)) + [d_base]
-    crossing = [h.vertex_id(base_geo[i], m) for i in waypoints]
+    crossing = [h.vertex_id(base_geo.vertices[i], m) for i in waypoints]
 
     ascent = [h.vertex_id(x, j) for j in range(k, m + 1)]
     descent = [h.vertex_id(y, j) for j in range(m, l - 1, -1)]

@@ -282,7 +282,7 @@ def to_dot(g: Graph, name: str = "G", levels: Sequence[int] | None = None,
             attrs.append(f"level={k}")
             attrs.append(f'style=filled fillcolor="{_DOT_PALETTE[k % len(_DOT_PALETTE)]}"')
         lines.append(f"  {v} [{', '.join(attrs)}];" if attrs else f"  {v};")
-    for u, v in sorted((int(a), int(b)) for a, b in g.edges):
+    for u, v in g.edges.tolist():
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -37,8 +37,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .analysis import qi_distortion
 from .errors import InputError
-from .graph import INF, KERNEL_BYTES, DistanceOracle, Graph, _sorted_contains, _unpack, unique_ints
+from .graph import INF, KERNEL_BYTES, DistanceOracle, Graph, _unpack, unique_ints
 
 FOUND = "found"
 NONE = "none"
@@ -57,6 +58,8 @@ class LambdaGrid:
     def __post_init__(self):
         if self.step <= 0:
             raise InputError("lambda step must be positive")
+        if self.lo <= 0:
+            raise InputError("lambda grid must start above 0")
 
     def size(self) -> int:
         """The number of values, floor((hi - lo) / step) + 1 (0 when hi < lo),
@@ -103,45 +106,39 @@ class CycleEmbedding:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """``exhaustive`` means the status is definitive: the search ran to its
-    natural end (witness found, or full grid refuted) without hitting the
-    node cap."""
-
     status: str  # found | none | unknown | not_searched
     embedding: CycleEmbedding | None
     nodes_expanded: int
-    exhaustive: bool
+
+    @property
+    def exhaustive(self) -> bool:
+        """The status is definitive: the search ran to its natural end
+        (witness found, or full grid refuted) without hitting the node cap."""
+        return self.status in (FOUND, NONE)
 
 
 def embedding_distortion(
     oracle: DistanceOracle, images: Sequence[int], lam: Fraction, bilipschitz: Fraction
 ) -> Fraction:
-    """Re-verify an embedding; the largest per-pair distortion.
+    """Re-verify an embedding; its distortion constant.
 
     Raises InputError naming the first pair (i, j), i < j in row-major
-    order, whose distance violates the bilipschitz bracket for
-    ``bilipschitz`` (used as the post-hoc soundness check on every
-    witness).  A pair's verdict and distortion depend only on its
-    (distance, cycle distance), so each distinct one is checked once, in
-    exact ``Fraction``s.
+    order, whose distance lies outside the search's own integer bracket
+    (``_cycle_brackets``) for ``bilipschitz`` (used as the post-hoc
+    soundness check on every witness).  The constant is the exact fit
+    ``qi_distortion`` of the pairs' distances against their cycle
+    distances at scale ``lam``.
     """
     n = len(images)
     i, j = np.triu_indices(n, 1)
     d = oracle.rows(images)[:, np.asarray(images, dtype=np.int64)][i, j].astype(np.int64)
-    width = n // 2 + 1
-    key = d * width + np.minimum(j - i, n - j + i)
-    worst, bad = Fraction(1), []
-    for k in unique_ints(key).tolist():
-        dk, ck = divmod(k, width)
-        ref = lam * ck
-        if bilipschitz * dk < ref or Fraction(dk) > bilipschitz * ref:
-            bad.append(k)
-        elif dk:
-            worst = max(worst, Fraction(dk) / ref, ref / Fraction(dk))
-    if bad:
-        first = int(np.flatnonzero(_sorted_contains(np.array(bad, dtype=np.int64), key))[0])
+    c = np.minimum(j - i, n - j + i)
+    lo, hi = _cycle_brackets(n, lam, bilipschitz)
+    bad = np.flatnonzero((d < lo[c]) | (d > hi[c]))
+    if len(bad):
+        first = bad[0]
         raise InputError(f"pair ({i[first]}, {j[first]}): distance {d[first]} outside bracket for lam={lam}")
-    return worst
+    return qi_distortion(c, d, scale=lam).multiplicative
 
 
 class _CapExceeded(Exception):
@@ -351,8 +348,8 @@ def _search_one_lambda(
 def bilipschitz_cycle_search(query: ShortcutQuery, oracle: DistanceOracle | None = None) -> SearchOutcome:
     """Scan the scale grid in ascending order; the first witness wins.
 
-    The outcome's ``exhaustive`` flag is set only when every scale in the
-    grid was fully searched.  A scale whose integer brackets equal an
+    The outcome is ``exhaustive`` unless the node cap stopped the search
+    or the grid is empty.  A scale whose integer brackets equal an
     earlier scale's runs the same search, which found nothing: it is
     charged that search's node count instead of being run again.
     ``oracle`` may hold rows of ``query.target`` that other searches
@@ -365,7 +362,7 @@ def bilipschitz_cycle_search(query: ShortcutQuery, oracle: DistanceOracle | None
         raise InputError("target graph must be connected")
     lams = query.lambdas.values()
     if not lams:
-        return SearchOutcome(NOT_SEARCHED, None, 0, False)
+        return SearchOutcome(NOT_SEARCHED, None, 0)
 
     budget = [query.node_cap]
     searched: dict[bytes, int] = {}
@@ -381,58 +378,52 @@ def bilipschitz_cycle_search(query: ShortcutQuery, oracle: DistanceOracle | None
                 continue
             hit = _search_one_lambda(query, brackets, oracle, budget)
         except _CapExceeded:
-            return SearchOutcome(UNKNOWN, None, query.node_cap, False)
+            return SearchOutcome(UNKNOWN, None, query.node_cap)
         if hit is not None:
             k_achieved = embedding_distortion(oracle, hit, lam, query.bilipschitz)
             emb = CycleEmbedding(images=hit, lam=lam, k_achieved=k_achieved)
-            return SearchOutcome(FOUND, emb, query.node_cap - budget[0], True)
+            return SearchOutcome(FOUND, emb, query.node_cap - budget[0])
         searched[key] = before - budget[0]
-    return SearchOutcome(NONE, None, query.node_cap - budget[0], True)
+    return SearchOutcome(NONE, None, query.node_cap - budget[0])
 
 
 # -- profiles ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ProfileRow:
-    cycle_length: int
-    bilipschitz: Fraction
-    lam: Fraction | None
-    status: str
-    nodes_expanded: int
-    exhaustive: bool
-    seconds: float
-
-
-@dataclass(frozen=True)
 class ShortcutProfile:
-    rows: tuple[ProfileRow, ...]
+    """Searches at one constant K: per cycle length, in order, (cycle
+    length, its ``SearchOutcome``, seconds)."""
+
+    bilipschitz: Fraction
+    searches: tuple[tuple[int, SearchOutcome, float], ...]
 
     def to_csv(self) -> str:
         buf = _io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["n", "K", "lambda", "status", "nodes", "seconds"])
-        for r in self.rows:
+        for n, outcome, seconds in self.searches:
+            e = outcome.embedding
             writer.writerow([
-                r.cycle_length, str(r.bilipschitz),
-                "" if r.lam is None else str(r.lam),
-                r.status, r.nodes_expanded, f"{r.seconds:.6f}",
+                n, str(self.bilipschitz),
+                "" if e is None else str(e.lam),
+                outcome.status, outcome.nodes_expanded, f"{seconds:.6f}",
             ])
         return buf.getvalue()
 
-    def to_json_rows(self, embeddings: dict[int, CycleEmbedding] | None = None) -> list[dict]:
+    def to_json_rows(self) -> list[dict]:
         out = []
-        for r in self.rows:
+        for n, outcome, _ in self.searches:
+            e = outcome.embedding
             row = {
-                "n": r.cycle_length,
-                "K": str(r.bilipschitz),
-                "lambda": None if r.lam is None else str(r.lam),
-                "status": r.status,
-                "nodes": r.nodes_expanded,
-                "exhaustive": r.exhaustive,
+                "n": n,
+                "K": str(self.bilipschitz),
+                "lambda": None if e is None else str(e.lam),
+                "status": outcome.status,
+                "nodes": outcome.nodes_expanded,
+                "exhaustive": outcome.exhaustive,
             }
-            if embeddings and r.cycle_length in embeddings:
-                e = embeddings[r.cycle_length]
+            if e is not None:
                 row["witness"] = {
                     "images": list(e.images),
                     "lambda": str(e.lam),
@@ -449,17 +440,18 @@ def shortcut_profile(
     lambdas: LambdaGrid,
     node_cap: int = 2_000_000,
     restrict: Sequence[int] | None = None,
-) -> tuple[ShortcutProfile, dict[int, CycleEmbedding]]:
-    """One search row per cycle length.  Every scale of an unsuccessful row is
+) -> ShortcutProfile:
+    """One search per cycle length.  Every scale of an unsuccessful search is
     searched; nothing learned at one (n, lam) cell prunes another, but all
-    rows share one distance oracle, so no distance row is computed twice.
+    searches share one distance oracle, so no distance row is computed twice.
     When the V×V int32 table fits ``KERNEL_BYTES``, one ``distance_rows``
     call fills the oracle with every vertex's row up front."""
     oracle = DistanceOracle(target)
     if 4 * target.num_vertices**2 <= KERNEL_BYTES:
         oracle.rows(range(target.num_vertices))
 
-    def run_one(n: int) -> tuple[ProfileRow, CycleEmbedding | None]:
+    searches = []
+    for n in n_list:
         t0 = time.perf_counter()
         query = ShortcutQuery(
             cycle_length=n,
@@ -469,19 +461,5 @@ def shortcut_profile(
             restrict=None if restrict is None else tuple(restrict),
             node_cap=node_cap,
         )
-        outcome = bilipschitz_cycle_search(query, oracle)
-        row = ProfileRow(
-            cycle_length=n,
-            bilipschitz=Fraction(bilipschitz),
-            lam=outcome.embedding.lam if outcome.embedding else None,
-            status=outcome.status,
-            nodes_expanded=outcome.nodes_expanded,
-            exhaustive=outcome.exhaustive,
-            seconds=time.perf_counter() - t0,
-        )
-        return row, outcome.embedding
-
-    results = [run_one(n) for n in n_list]
-
-    witnesses = {row.cycle_length: emb for row, emb in results if emb is not None}
-    return ShortcutProfile(tuple(row for row, _ in results)), witnesses
+        searches.append((n, bilipschitz_cycle_search(query, oracle), time.perf_counter() - t0))
+    return ShortcutProfile(Fraction(bilipschitz), tuple(searches))

@@ -228,7 +228,9 @@ def reference_cycle_search(dist, n_cycle: int, k: Fraction, lambdas, restrict=No
 def reference_embedding_distortion(dist, images, lam: Fraction, k: Fraction) -> Fraction:
     """``shortcut.embedding_distortion`` pair by pair: every pair i < j in
     row-major order is checked in ``Fraction``s, and the first violation
-    raises InputError with the package's message."""
+    raises InputError with the package's message.  A scale of 0 or less
+    has no distortion constant: past the pairs, it raises the package's
+    "scale must be positive"."""
     n = len(images)
     worst = Fraction(1)
     for i in range(n):
@@ -239,6 +241,8 @@ def reference_embedding_distortion(dist, images, lam: Fraction, k: Fraction) -> 
                 raise InputError(f"pair ({i}, {j}): distance {d} outside bracket for lam={lam}")
             if d:
                 worst = max(worst, Fraction(d) / ref, ref / Fraction(d))
+    if lam <= 0:
+        raise InputError("scale must be positive")
     return worst
 
 

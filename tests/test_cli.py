@@ -606,6 +606,10 @@ ZZ_RADIUS2 = {"group": {"free_product": [{"free_abelian": 1}, {"free_abelian": 1
     ("shortcut", {"cycle": 6}, {"n_list": [4], "lambda": {"hi": "2"}}, "config error: params.lambda"),
     ("shortcut", {"cycle": 6}, {"n_list": [4], "lambda": {"lo": "x", "hi": "2"}},
      "config error: params.lambda.lo"),
+    ("shortcut", {"cycle": 6}, {"n_list": [4], "lambda": {"lo": "0", "hi": "2"}},
+     "input error: lambda grid must start above 0"),
+    ("shortcut", {"cycle": 6}, {"n_list": [4], "lambda": {"lo": "-2", "hi": "0"}},
+     "input error: lambda grid must start above 0"),
     ("convexity", {"cycle": 8}, {"set": {"vertices": ["a", 1]}}, "config error: params.set.vertices"),
     ("convexity", {"cycle": 8}, {"set": {"vertices": [0, 4]}, "interior": {"radius": 2}},
      "config error: params.interior.basepoint"),
@@ -639,7 +643,8 @@ ZZ_RADIUS2 = {"group": {"free_product": [{"free_abelian": 1}, {"free_abelian": 1
     ("augment", {"group": {"heisenberg": {"include_central": 1}}, "radius": 2}, {"depth": 1},
      "config error: instance.group: heisenberg takes an object"),
 ], ids=["set-above-range", "set-below-range", "cycle-not-int", "path-not-int", "grid-one-value",
-        "lambda-without-lo", "lambda-lo-not-rational", "set-vertex-not-int", "interior-without-basepoint",
+        "lambda-without-lo", "lambda-lo-not-rational", "lambda-from-0", "lambda-from-negative",
+        "set-vertex-not-int", "interior-without-basepoint",
         "set-level-without-depth", "set-level-and-vertices",
         "depths-not-int", "t_list-not-int", "geodesic_cap-not-int", "restrict-not-a-list",
         "restrict-out-of-range", "rank-not-int", "free-product-not-a-list", "names-not-a-list",

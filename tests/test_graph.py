@@ -781,5 +781,11 @@ def test_dot_export_mentions_labels_and_levels():
     assert explicit == dot
 
 
+def test_dot_edges_are_written_in_pair_order():
+    dot = to_dot(Graph(5, [(3, 1), (4, 0), (1, 3), (2, 1), (0, 2), (0, 4), (1, 0)]))
+    assert [line for line in dot.splitlines() if "--" in line] == [
+        "  0 -- 1;", "  0 -- 2;", "  0 -- 4;", "  1 -- 2;", "  1 -- 3;"]
+
+
 def test_canonical_json_is_sorted():
     assert canonical_json({"b": 1, "a": 2}).index('"a"') < canonical_json({"b": 1, "a": 2}).index('"b"')

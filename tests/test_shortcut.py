@@ -80,6 +80,13 @@ def test_node_cap_yields_unknown_never_none():
     assert out.status == UNKNOWN and not out.exhaustive
 
 
+def test_exhaustive_is_set_exactly_for_found_and_none():
+    outcomes = [run(cycle_graph(8), 8, 1, 1, 1), run(path_graph(9), 6, "6/5", 2, 4),
+                run(grid_graph(5, 5), 6, 2, 1, 3, node_cap=5), run(cycle_graph(6), 4, 2, 3, 2)]
+    assert {o.status: o.exhaustive for o in outcomes} == {
+        FOUND: True, NONE: True, UNKNOWN: False, NOT_SEARCHED: False}
+
+
 def test_query_validation():
     with pytest.raises(InputError):
         ShortcutQuery(2, Fraction(2), LambdaGrid.of(1, 2), cycle_graph(4))
@@ -293,8 +300,8 @@ def test_scales_with_equal_brackets_are_searched_once(monkeypatch):
 
     monkeypatch.setattr(shortcut, "_search_one_lambda", recording)
     grid = LambdaGrid.of(2, 3, "1/4")
-    profile, _ = shortcut_profile(grid_graph(7, 7), Fraction(6, 5), range(5, 11), grid)
-    assert [r.nodes_expanded for r in profile.rows] == [7620, 12212, 14240, 14324, 16140, 11476]
+    profile = shortcut_profile(grid_graph(7, 7), Fraction(6, 5), range(5, 11), grid)
+    assert [o.nodes_expanded for _, o, _ in profile.searches] == [7620, 12212, 14240, 14324, 16140, 11476]
     expected, skipped = [], []
     for n in range(5, 11):
         for lam in grid.values():
@@ -317,17 +324,20 @@ def test_a_repeated_scale_is_charged_against_the_cap(cap):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_distortion_matches_the_pairwise_reference(seed):
-    """The same value, or the same error naming the same first pair."""
+    """The same value, or the same error naming the same first pair.
+    Equal images fail the bracket at lambda = 1 and have no constant at
+    lambda = 0."""
     rng = random.Random(seed)
     target = random_connected_graph(12, 10, rng)
     oracle = DistanceOracle(target)
     dist = oracle.rows(range(target.num_vertices)).tolist()
-    outcomes = set()
+    outcomes = []
+    draws = [([seed] * 5, Fraction(lam), Fraction(k)) for lam in (0, 1) for k in ("1", "16")]  # equal images
     for _ in range(60):
         n = rng.randrange(3, 9)
-        images = [rng.randrange(12) for _ in range(n)]
-        lam = Fraction(rng.randrange(0, 7), rng.choice([1, 2, 3]))
-        k = Fraction(rng.choice(["1", "6/5", "3/2", "4", "16"]))
+        draws.append(([rng.randrange(12) for _ in range(n)], Fraction(rng.randrange(0, 7), rng.choice([1, 2, 3])),
+                      Fraction(rng.choice(["1", "6/5", "3/2", "4", "16"]))))
+    for images, lam, k in draws:
         results = []
         for check in (lambda: reference_embedding_distortion(dist, images, lam, k),
                       lambda: embedding_distortion(oracle, images, lam, k)):
@@ -336,43 +346,44 @@ def test_distortion_matches_the_pairwise_reference(seed):
             except InputError as exc:
                 results.append(str(exc))
         assert results[0] == results[1], (images, lam, k)
-        outcomes.add(type(results[0]))
-    assert outcomes == {Fraction, str}
+        outcomes.append(results[0])
+    assert outcomes[:4] == ["scale must be positive"] * 2 + ["pair (0, 1): distance 0 outside bracket for lam=1"] * 2
+    assert {type(o) for o in outcomes} == {Fraction, str}
 
 
 def test_deep_binary_tree_has_no_k13_cycles():
     tree = binary_tree(5)
-    profile, _ = shortcut_profile(
+    profile = shortcut_profile(
         tree, Fraction(13, 10), n_list=[8, 10, 12], lambdas=LambdaGrid.of(1, 3, "1/2")
     )
-    for row in profile.rows:
-        assert row.status == NONE and row.exhaustive
+    for _, outcome, _ in profile.searches:
+        assert outcome.status == NONE and outcome.exhaustive
 
 
 def test_c24_isometric_profile_matches_equally_spaced_construction():
     g = cycle_graph(24)
-    profile, witnesses = shortcut_profile(
+    profile = shortcut_profile(
         g, Fraction(1), n_list=[5, 6, 8, 12, 24], lambdas=LambdaGrid.of(1, 4, "1/4")
     )
-    by_n = {r.cycle_length: r for r in profile.rows}
+    by_n = {n: outcome for n, outcome, _ in profile.searches}
     # lam = 24/n whenever that hits the grid; n=5 needs 24/5 which does not
     assert by_n[5].status == NONE
     for n in (6, 8, 12):
-        assert by_n[n].status == FOUND and by_n[n].lam == Fraction(24, n)
-        images = witnesses[n].images
+        assert by_n[n].status == FOUND and by_n[n].embedding.lam == Fraction(24, n)
+        images = by_n[n].embedding.images
         gaps = {(images[(i + 1) % n] - images[i]) % 24 for i in range(n)}
         assert len(gaps) == 1  # equally spaced
-    assert by_n[24].status == FOUND and by_n[24].lam == 1
+    assert by_n[24].status == FOUND and by_n[24].embedding.lam == 1
 
 
 def test_profile_csv_and_json_shapes():
-    profile, witnesses = shortcut_profile(
+    profile = shortcut_profile(
         cycle_graph(8), Fraction(1), n_list=[4, 8], lambdas=LambdaGrid.of(1, 2, 1)
     )
     csv_text = profile.to_csv()
     assert csv_text.splitlines()[0] == "n,K,lambda,status,nodes,seconds"
     assert len(csv_text.splitlines()) == 3
-    rows = profile.to_json_rows(witnesses)
+    rows = profile.to_json_rows()
     assert rows[1]["status"] == FOUND and "witness" in rows[1]
     assert rows[0]["n"] == 4 and rows[0]["lambda"] == "2"
 
@@ -397,13 +408,10 @@ def test_profile_computes_each_distance_row_once(monkeypatch):
         return rows(g, srcs, *args, **kwargs)
 
     monkeypatch.setattr(horolab.graph, "distance_rows", recording)
-    profile, witnesses = shortcut_profile(target, Fraction(6, 5), n_list, grid)
+    profile = shortcut_profile(target, Fraction(6, 5), n_list, grid)
     assert sources and len(sources) == len(set(sources)) <= target.num_vertices
 
-    assert [(r.cycle_length, r.lam, r.status, r.nodes_expanded, r.exhaustive) for r in profile.rows] == [
-        (n, None if o.embedding is None else o.embedding.lam, o.status, o.nodes_expanded, o.exhaustive)
-        for n, o in zip(n_list, separate)]
-    assert witnesses == {n: o.embedding for n, o in zip(n_list, separate) if o.embedding is not None}
+    assert [(n, o) for n, o, _ in profile.searches] == list(zip(n_list, separate))
     csv_rows = [line.rsplit(",", 1)[0] for line in profile.to_csv().splitlines()]
     assert csv_rows == ["n,K,lambda,status,nodes"] + [
         f"{n},6/5,{'' if o.embedding is None else o.embedding.lam},{o.status},{o.nodes_expanded}"
