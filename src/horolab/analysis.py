@@ -64,6 +64,7 @@ def four_point_delta(g: Graph, sample: str | int = "all", seed: int | None = Non
     """
     n = g.num_vertices
     if sample == "all":
+        _check_exhaustive(n)
         sources = np.arange(n)
     elif isinstance(sample, bool) or not isinstance(sample, int) or sample < 1:
         raise InputError("sample must be 'all' or a positive count")
@@ -72,10 +73,7 @@ def four_point_delta(g: Graph, sample: str | int = "all", seed: int | None = Non
         quads = np.fromiter((rng.randrange(n) for _ in range(4 * sample)), dtype=np.int64,
                             count=4 * sample).reshape(sample, 4)
         sources = unique_ints(np.append(quads[:, :3], 0))
-    check_table(n, len(sources))
-    if sample == "all":
-        check_budget("quadruple", math.comb(n, 4), f"an exhaustive four-point scan of {math.comb(n, 4)} "
-                     "quadruples exceeds")
+        check_table(n, len(sources))
     d = distance_rows(g, sources)  # sources ascending: vertex 0 is row 0
     if n > 1 and np.any(d[0] >= INF):
         raise InputError("four-point scan needs a connected graph")
@@ -101,6 +99,15 @@ def four_point_delta(g: Graph, sample: str | int = "all", seed: int | None = Non
             best = max(best, int(_defects(s1, s2, s3).max()))
             x0 = x1
     return HyperbolicityEstimate(Fraction(best, 2), math.comb(n, 4), True)
+
+
+def _check_exhaustive(n: int) -> None:
+    """Refuse an exhaustive four-point scan of ``n`` vertices: its n x n
+    table over the table budget, then its C(n, 4) quadruples over the
+    quadruple budget."""
+    check_table(n)
+    check_budget("quadruple", math.comb(n, 4), f"an exhaustive four-point scan of {math.comb(n, 4)} "
+                 "quadruples exceeds")
 
 
 # -- convexity ------------------------------------------------------------------
@@ -166,6 +173,8 @@ def convexity_defect(
     The enumeration, up to cap + 1 paths for each pair over the cap, is
     refused over the count budget in paths before it starts.
     """
+    if geodesic_cap < 0:
+        raise InputError("geodesic cap must be >= 0")
     s_list = sorted(dict.fromkeys(int(v) for v in vertex_set))
     if not s_list:
         raise InputError("vertex set must be nonempty")
@@ -203,11 +212,8 @@ def convexity_defect(
     d_uv = rows[iu, pv]
     by_source = np.argsort(iu, kind="stable")
     bounds = np.searchsorted(iu[by_source], np.arange(len(ends) + 1))
-    if geodesic_cap and len(pu):
-        if geodesic_cap < 1:
-            raise InputError("cap must be >= 1")
-        if d_uv.max() >= INF:
-            raise InputError("u and v are in different components")
+    if geodesic_cap and len(pu) and d_uv.max() >= INF:
+        raise InputError("u and v are in different components")
     limit = min(geodesic_cap, 2**52)
 
     def between(sel: np.ndarray, src) -> np.ndarray:

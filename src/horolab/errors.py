@@ -24,7 +24,7 @@ class PropertyViolation(RuntimeError):
 # name -> the largest count of its kind that is built, checked before the work
 BUDGETS: dict[str, int] = {
     # bytes of a dense int32 distance table, 8,192 vertices for V x V: the rows
-    # a ``DistanceOracle`` holds, four-point rows, ``member_shapes``' shape
+    # a ``DistanceOracle`` holds, four-point rows, ``SubgraphFamily.shapes``
     # table and Milnor-Svarc's element tables, and a convexity scan's pairs at
     # 8 bytes a pair
     "table": 256 * 2**20,

@@ -18,6 +18,7 @@ the parsed values and raise no ``ConfigError``.
 
 from __future__ import annotations
 
+import math
 import pathlib
 import time
 from dataclasses import dataclass, field
@@ -29,6 +30,8 @@ import numpy as np
 from . import __version__
 from .analysis import (
     InteriorFilter,
+    _check_exhaustive,
+    _check_scan,
     convexity_defect,
     displacement_generating_set,
     four_point_delta,
@@ -54,7 +57,6 @@ from .horoball import (
     build_restricted_horoball,
     crossing_distance,
     glue_horoballs,
-    member_shapes,
 )
 from .io import carrier_labels, canonical_json, graph_from_json, read_json, sha256_of, to_dot, write_carrier, write_json
 from .shortcut import LambdaGrid, shortcut_profile
@@ -291,32 +293,28 @@ def build_instance_graph(instance: dict, max_vertices: int = DEFAULT_BALL_BUDGET
     return (ball.graph if ball else built), ball, sha256_of(text)
 
 
-def parabolic_family(ball: CayleyBall) -> tuple[SubgraphFamily, np.ndarray, list[int]]:
+def parabolic_family(ball: CayleyBall, timings: dict | None = None
+                     ) -> tuple[SubgraphFamily, np.ndarray, list[int]]:
     """The coset family a Cayley ball is augmented over.
 
     Free products use every coset of every factor, ``ball.cosets``; any other
     group is its own single parabolic (relative hyperbolicity is trivial
     there, which is exactly what e.g. the Milnor-Svarc baseline wants).
     Returns (family, factor index per member as an int64 array, family
-    indices of the identity cosets).
+    indices of the identity cosets).  A ``timings`` dict receives
+    ``family_s``: the family and its shape table, ``SubgraphFamily.shapes``.
     """
-    if ball.spec.kind != "free_product":
-        return SubgraphFamily.whole(ball.graph), np.zeros(1, dtype=np.int64), [0]
-    family = ball.cosets
-    # a coset's first member is its representative, and e is ball index 0
-    identity_members = np.nonzero(family.vertices[family.offsets[:-1]] == 0)[0].tolist()
-    return family, ball.coset_factors, identity_members
-
-
-def _shaped_family(ball: CayleyBall, timings: dict | None) -> tuple:
-    """``parabolic_family`` and the ``member_shapes`` table of its members,
-    timed as ``family_s`` in ``timings`` (when given)."""
     t = time.perf_counter()
-    family, factor_of, identity_members = parabolic_family(ball)
-    shapes = member_shapes(family)
+    if ball.spec.kind != "free_product":
+        family, factor_of, identity_members = SubgraphFamily.whole(ball.graph), np.zeros(1, dtype=np.int64), [0]
+    else:
+        family, factor_of = ball.cosets, ball.coset_factors
+        # a coset's first member is its representative, and e is ball index 0
+        identity_members = np.nonzero(family.vertices[family.offsets[:-1]] == 0)[0].tolist()
     if timings is not None:
+        family.shapes  # computed here, so that family_s times it
         timings["family_s"] = _since(t)
-    return family, factor_of, identity_members, shapes
+    return family, factor_of, identity_members
 
 
 def _since(t: float) -> float:
@@ -443,7 +441,7 @@ def convexify_experiment(
     ``diagnostics`` list receives one entry per n: the vertices of the
     neighborhoods scanned, summed, and the pairs with more than
     ``geodesic_cap`` geodesics (where quasiconvexity is only a lower bound).
-    A ``timings`` dict receives ``family_s`` (see ``_shaped_family``).  No
+    A ``timings`` dict receives ``family_s`` (see ``parabolic_family``).  No
     carrier is glued: each depth is a layout (``glue_horoballs``), its
     vertex count a closed form, and each scan cuts its neighborhoods out of
     the layout.
@@ -451,13 +449,13 @@ def convexify_experiment(
     spec = ball.spec
     if spec.kind != "free_product":
         raise InputError("the convexification experiment needs a free product")
-    family, factor_of, identity_indices, shapes = _shaped_family(ball, timings)
+    family, factor_of, identity_indices = parabolic_family(ball, timings)
     sampled = _sample_cosets(family, factor_of, identity_indices, verify_cosets)
     word_lengths = np.asarray(ball.word_lengths)
 
     rows = []
     for n in sorted(depths):
-        aug = glue_horoballs(ball.graph, family, shapes, n)
+        aug = glue_horoballs(ball.graph, family, n)
         scans = {alpha: scan_parabolic(aug, word_lengths, ball.radius, alpha,
                                        geodesic_cap=geodesic_cap)
                  for alpha in identity_indices + sampled}
@@ -544,8 +542,8 @@ def milnor_svarc_experiment(ball: CayleyBall, depth: int, t_list: Sequence[int],
     if spec.kind != "free_product":
         d_aug = crossing_distance(d_word, 0, 0, depth)
     else:
-        family, _, _, shapes = _shaped_family(ball, timings)
-        aug = glue_horoballs(ball.graph, family, shapes, depth)
+        family, _, _ = parabolic_family(ball, timings)
+        aug = glue_horoballs(ball.graph, family, depth)
         # element vertices keep ids 0..n_el-1 in the carrier
         carrier = {"graph": "carrier"}
         d_aug = distance_rows(aug.carrier, range(n_el), columns=np.arange(n_el), info=carrier)
@@ -690,8 +688,8 @@ def _run_augment(run: _Run) -> list[dict]:
     """The carrier's counts come from its layout; it is glued only to be
     written out, up to ``_AUGMENT_ARTIFACT_MAX_VERTICES``."""
     depth = run.values["depth"]
-    family, _, identity_indices, shapes = _shaped_family(run.ball, run.timings)
-    aug = glue_horoballs(run.graph, family, shapes, depth)
+    family, _, identity_indices = parabolic_family(run.ball, run.timings)
+    aug = glue_horoballs(run.graph, family, depth)
     if aug.num_vertices <= _AUGMENT_ARTIFACT_MAX_VERTICES:
         run.carrier_artifacts(aug, "augmented")
     else:
@@ -710,13 +708,15 @@ def _run_augment(run: _Run) -> list[dict]:
 def _run_delta(run: _Run) -> list[dict]:
     """Four-point delta of the instance, or with a ``depth`` of its
     augmentation: over ``parabolic_family`` for a group instance, and over
-    the whole graph (the restricted horoball) for any other."""
+    the whole graph (the restricted horoball) for any other, whose
+    exhaustive scan is counted before the horoball is built."""
     target, depth = run.graph, run.values["depth"]
     if depth is not None and run.ball is None:
-        target = build_restricted_horoball(run.graph, depth).carrier
+        check = _check_exhaustive if run.values["sample"] == "all" else None
+        target = build_restricted_horoball(run.graph, depth, check).carrier
     elif depth is not None:
-        family, _, _, shapes = _shaped_family(run.ball, run.timings)
-        target = glue_horoballs(run.graph, family, shapes, depth).carrier
+        family, _, _ = parabolic_family(run.ball, run.timings)
+        target = glue_horoballs(run.graph, family, depth).carrier
     est = four_point_delta(target, sample=run.values["sample"], seed=run.seed)
     return [{
         "delta": str(est.delta),
@@ -727,13 +727,20 @@ def _run_delta(run: _Run) -> list[dict]:
 
 
 def _run_convexity(run: _Run) -> list[dict]:
+    """The convexity scan of the set; with a ``depth``, in the restricted
+    horoball, where a scan without an interior filter is counted before
+    the horoball is built."""
     values = run.values
-    target, vertex_set = run.graph, values["set"]["vertices"]
+    target, vertex_set, level = run.graph, values["set"]["vertices"], values["set"]["level_at_least"]
     if values["depth"] is not None:
-        h = build_restricted_horoball(run.graph, values["depth"])
+        depth = values["depth"]
+        # the set's size; the levels from ``level`` up hold (depth + 1 - level) * |V|
+        size = len(set(vertex_set)) if level is None else max(0, depth + 1 - level) * run.graph.num_vertices
+        check = None if values["interior"] is not None else lambda n: _check_scan(math.comb(size, 2), n)
+        h = build_restricted_horoball(run.graph, depth, check)
         target = h.carrier
-        if values["set"]["level_at_least"] is not None:
-            vertex_set = h.deep_vertices(values["set"]["level_at_least"])
+        if level is not None:
+            vertex_set = h.deep_vertices(level)
     report = convexity_defect(target, vertex_set, pair_filter=values["interior"],
                               geodesic_cap=values["geodesic_cap"])
     run.diagnostics["geodesic_cap_hits"] = report.truncated_pairs

@@ -197,17 +197,6 @@ class Path:
         return iter(self.vertices)
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    """A subgraph of an ambient graph, by vertex ids and explicit edges.
-
-    The edge list may be a strict subset of the induced edges (coset
-    subgraphs keep only their own factor's edges)."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-
 @dataclass(frozen=True, eq=False)
 class SubgraphFamily:
     """Subgraphs of one graph held as arrays, each a copy of one of a few
@@ -218,8 +207,8 @@ class SubgraphFamily:
     (k, 2) array of local index pairs (i, j) with i < j, where local index i
     names the member's i-th vertex, so all members of one template have one
     size.  Nothing is checked against the graph: the builder vouches for the
-    members, as a Cayley ball does for its cosets.  ``family[a]`` builds
-    member ``a`` as a ``Subgraph`` when asked.
+    members, as a Cayley ball does for its cosets.  Members of one shape
+    share one distance matrix, ``shapes``.
     """
 
     offsets: np.ndarray
@@ -245,16 +234,40 @@ class SubgraphFamily:
         order = np.argsort(self.vertices, kind="stable")
         return self.vertices[order], order
 
+    @functools.cached_property
+    def shapes(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The shape table: the shape index of each member (int64) and, per
+        shape, its int32 distance matrix over local indices.
+
+        A member's shape is its size plus its sorted local edge list;
+        members of one shape have the same graph on their local indices.
+        Each template is looked at once, in the order of its first member,
+        and templates with equal local graphs share a shape.  A shape whose
+        matrix exceeds the table budget raises ``ResourceLimitError`` before
+        the matrix exists, and a disconnected shape raises ``InputError``
+        naming the first member of its shape.
+        """
+        used, first, inverse = np.unique(self.template, return_index=True, return_inverse=True)
+        index: dict[tuple, int] = {}
+        shape_of_used = np.empty(len(used), dtype=np.int64)
+        dmats: list[np.ndarray] = []
+        for j in np.argsort(first).tolist():
+            a, s = int(first[j]), int(self.sizes[first[j]])
+            pairs = np.asarray(self.templates[used[j]], dtype=np.int64)
+            key = (s, pairs.tobytes())
+            shape = index.get(key)
+            if shape is None:
+                check_table(s)
+                dmat = distance_rows(Graph(s, pairs), range(s))
+                if np.any(dmat >= INF):
+                    raise InputError(f"family member {a}: member is not connected")
+                shape = index[key] = len(dmats)
+                dmats.append(dmat)
+            shape_of_used[j] = shape
+        return shape_of_used[inverse], dmats
+
     def __len__(self) -> int:
         return len(self.template)
-
-    def __getitem__(self, a: int) -> Subgraph:
-        a = range(len(self))[a]  # IndexError past the end, as for a list
-        vs = self.vertices[self.offsets[a]:self.offsets[a + 1]]
-        return Subgraph(tuple(vs.tolist()), tuple(map(tuple, vs[self.templates[self.template[a]]].tolist())))
-
-    def __iter__(self) -> Iterator[Subgraph]:
-        return map(self.__getitem__, range(len(self)))
 
 
 def distance_rows(g: Graph, sources: Sequence[int], columns: Sequence[int] | None = None,

@@ -11,11 +11,12 @@ onto each member of a family of subgraphs along its level 0.
 Every family is a ``SubgraphFamily``: a few templates copied many times, as
 the paper's parabolic subgroups act cocompactly on their cosets.  Its
 builder vouches for its members (a Cayley ball for its cosets, ``whole``
-for a whole base).  ``member_shapes`` computes the shape table, one distance
-matrix per member shape, looking at each template once.  ``glue_horoballs``
-takes that table, so an experiment over several depths builds it once, and
-returns an ``AugmentedSpace``: the carrier's layout, whose vertices and
-edges ``check_carrier`` has counted and held to their budgets.  The carrier
+for a whole base), and the family holds its shape table,
+``SubgraphFamily.shapes``: one distance matrix per member shape, computed
+once per family, so an experiment over several depths measures each shape
+once.  ``glue_horoballs(base, family, depth)`` reads that table and returns
+an ``AugmentedSpace``: the carrier's layout, whose vertices and edges
+``check_carrier`` has counted and held to their budgets.  The carrier
 ``Graph`` and its per-vertex provenance (``columns``) are glued by one step,
 ``_glue``, which emits the edges and provenance of all members of a shape
 at once, on the first read of either; ``io.write_carrier`` renders labels
@@ -32,12 +33,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import InputError, check_budget
-from .graph import (INF, Graph, Path, SubgraphFamily, check_table, concatenated_ranges, distance_rows,
-                    enumerate_geodesics, unique_ints)
+from .graph import (Graph, Path, SubgraphFamily, check_table, concatenated_ranges, enumerate_geodesics,
+                    unique_ints)
 
 ASCENDING = "ascending"
 DESCENDING = "descending"
@@ -98,13 +100,22 @@ class RestrictedHoroball:
         return f"RestrictedHoroball(base |V|={self.base.num_vertices}, depth={self.depth})"
 
 
-def build_restricted_horoball(base: Graph, depth: int) -> RestrictedHoroball:
+def build_restricted_horoball(base: Graph, depth: int,
+                              check: Callable[[int], None] | None = None) -> RestrictedHoroball:
     """Depth-``depth`` horoball over all of ``base``: the view over
     ``glue_horoballs`` of the one member ``SubgraphFamily.whole(base)``.  A
-    disconnected base is refused by ``member_shapes``."""
+    disconnected base is refused by ``SubgraphFamily.shapes``.
+
+    The carrier floor and the base's table are checked before the base's
+    distance matrix exists; then ``check``, when given, is called with the
+    carrier's vertex count, (depth + 1) * |base|, so that a caller refuses
+    what it would do with the carrier before any distance row."""
     family = SubgraphFamily.whole(base)
-    check_carrier(base, family, depth)  # the floor, before the base's distance matrix
-    return RestrictedHoroball(glue_horoballs(base, family, member_shapes(family), depth))
+    check_carrier(base, family, depth)
+    check_table(base.num_vertices)
+    if check is not None:
+        check((depth + 1) * base.num_vertices)
+    return RestrictedHoroball(glue_horoballs(base, family, depth))
 
 
 def _crossing_costs(d_base, k: int, l: int, depth: int) -> list:
@@ -348,7 +359,6 @@ class AugmentedSpace:
     num_vertices: int
     num_edges: int
     _block_starts: np.ndarray  # int64, one per member
-    _shapes: tuple  # see member_shapes
 
     @functools.cached_property
     def _glued(self) -> tuple[Graph, tuple]:
@@ -366,7 +376,7 @@ class AugmentedSpace:
     def member_metric(self, alpha: int) -> np.ndarray:
         """Member ``alpha``'s int32 distance matrix over its local indices,
         shared by every member of its shape."""
-        shape_of, dmats = self._shapes
+        shape_of, dmats = self.family.shapes
         return dmats[shape_of[alpha]]
 
     def level_vertices(self, alpha: int, level: int) -> np.ndarray:
@@ -416,7 +426,7 @@ class AugmentedSpace:
         k += 1
         owners += [at, at[k < self.depth]]
         ends += [np.where(k == 1, family.vertices[offsets[a] + i], copy - size), (copy + size)[k < self.depth]]
-        shape_of, dmats = self._shapes
+        shape_of, dmats = self.family.shapes
         shape = shape_of[a]
         for sigma in unique_ints(shape).tolist():
             sel = np.flatnonzero(shape == sigma)
@@ -433,58 +443,20 @@ class AugmentedSpace:
                 f"|carrier|={self.num_vertices})")
 
 
-def member_shapes(family: SubgraphFamily) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Group the family's members by shape and measure each shape once.
-
-    A member's shape is its size plus its sorted local edge list, where a
-    vertex's local index is its position in the member's vertex list;
-    members of one shape have the same graph on their local indices.  The
-    members are copies of the family's templates, so each template is
-    looked at once, in the order of its first member, and templates with
-    equal local graphs share a shape.  Returns the shape table: the shape
-    index of each member (int64) and, per shape, its int32 distance matrix over
-    local indices.  A shape whose matrix exceeds the table budget raises
-    ``ResourceLimitError`` before the matrix exists, and a disconnected
-    shape raises ``InputError`` naming the first member of its shape.
-    """
-    used, first, inverse = np.unique(family.template, return_index=True, return_inverse=True)
-    index: dict[tuple, int] = {}
-    shape_of_used = np.empty(len(used), dtype=np.int64)
-    dmats: list[np.ndarray] = []
-    for j in np.argsort(first).tolist():
-        a, s = int(first[j]), int(family.sizes[first[j]])
-        pairs = np.asarray(family.templates[used[j]], dtype=np.int64)
-        key = (s, pairs.tobytes())
-        shape = index.get(key)
-        if shape is None:
-            check_table(s)
-            dmat = distance_rows(Graph(s, pairs), range(s))
-            if np.any(dmat >= INF):
-                raise InputError(f"family member {a}: member is not connected")
-            shape = index[key] = len(dmats)
-            dmats.append(dmat)
-        shape_of_used[j] = shape
-    return shape_of_used[inverse], dmats
-
-
-def glue_horoballs(
-    base: Graph,
-    family: SubgraphFamily,
-    shapes: tuple[np.ndarray, list[np.ndarray]],
-    depth: int,
-) -> AugmentedSpace:
+def glue_horoballs(base: Graph, family: SubgraphFamily, depth: int) -> AugmentedSpace:
     """Lay out a depth-``depth`` horoball on each family member, over the
-    family's shape table from ``member_shapes``, so that a run over several
-    depths measures the members once.  The carrier is counted here and
-    refused over its budgets (``check_carrier``), and glued only when the
-    space's ``carrier`` or ``columns`` is first read; its labels and
-    vertex_meta are rendered from the columns by ``io.write_carrier``."""
+    family's shape table (``SubgraphFamily.shapes``), which the family
+    computes once, so that a run over several depths measures the members
+    once.  The carrier is counted here and refused over its budgets
+    (``check_carrier``), and glued only when the space's ``carrier`` or
+    ``columns`` is first read; its labels and vertex_meta are rendered from
+    the columns by ``io.write_carrier``."""
     if depth < 1:
         raise InputError("depth must be >= 1")
-    total, edges = check_carrier(base, family, depth, shapes)
+    total, edges = check_carrier(base, family, depth, exact=True)
     # without copies any depth lays out nothing, and a factor of 1 keeps a huge one from overflowing
     block_starts = base.num_vertices + family.offsets[:-1] * (depth if total > base.num_vertices else 1)
-    return AugmentedSpace(base, family, depth, total, edges, block_starts, shapes)
+    return AugmentedSpace(base, family, depth, total, edges, block_starts)
 
 
 def _first_complete_level(diameter: int) -> int:
@@ -502,34 +474,34 @@ def _level_pairs(dmat: np.ndarray, depth: int) -> int:
     return sum(pairs) + pairs[-1] * max(0, depth - complete)
 
 
-def check_carrier(base: Graph, family: SubgraphFamily, depth: int, shapes=None) -> tuple[int, int]:
+def check_carrier(base: Graph, family: SubgraphFamily, depth: int, exact: bool = False) -> tuple[int, int]:
     """Count the depth-``depth`` carrier over ``family`` and refuse it, with
     ``ResourceLimitError``, over the carrier budget in vertices or the
     carrier edge budget in edges, before any carrier array exists.  Returns
     its vertex count, |V| + depth * (member vertices), and its edge count.
 
     Its edges are the base's, depth * s vertical ones per member of s
-    vertices, and per member and level its pairs within 2^k.  With the
-    ``member_shapes`` table the count is exact.  Without it, it is a floor
-    from the member sizes alone, checked before any shape matrix is
-    computed: a connected member of s vertices has diameter at most s - 1,
-    so every level from ``_first_complete_level(s - 1)`` on joins all of its
-    pairs.  (A disconnected member is refused by ``member_shapes``.)
+    vertices, and per member and level its pairs within 2^k.  An ``exact``
+    count reads the family's shape table.  Otherwise it is a floor from the
+    member sizes alone, checked before any shape matrix is computed: a
+    connected member of s vertices has diameter at most s - 1, so every
+    level from ``_first_complete_level(s - 1)`` on joins all of its pairs.
+    (A disconnected member is refused by ``SubgraphFamily.shapes``.)
     """
     n0, copied = base.num_vertices, int(family.offsets[-1])
     total = n0 + depth * copied  # Python ints: exact at any depth
     check_budget("carrier", total, f"carrier of {total} vertices ({n0} base + depth {depth} x {copied} "
                  "member vertices) exceeds")
-    if shapes is None:
+    if not exact:
         sizes = np.bincount(family.sizes)
         horizontal = sum(int(sizes[s]) * max(0, depth - _first_complete_level(s - 1) + 1) * (s * (s - 1) // 2)
                          for s in np.flatnonzero(sizes).tolist())
     else:
-        shape_of, dmats = shapes
+        shape_of, dmats = family.shapes
         members = np.bincount(shape_of, minlength=len(dmats)).tolist()
         horizontal = sum(m * _level_pairs(dmat, depth) for m, dmat in zip(members, dmats) if m)
     edges = base.num_edges + depth * copied + horizontal
-    check_budget("carrier edge", edges, f"carrier of {'' if shapes is not None else 'at least '}{edges} edges "
+    check_budget("carrier edge", edges, f"carrier of {'' if exact else 'at least '}{edges} edges "
                  f"at depth {depth} exceeds")
     return total, edges
 
@@ -549,7 +521,7 @@ def _glue(space: AugmentedSpace) -> tuple:
     base_vertex, level) of ``AugmentedSpace``.
     """
     base, family, total, depth = space.base, space.family, space.num_vertices, space.depth
-    shape_of, dmats = space._shapes
+    shape_of, dmats = family.shapes
     n0 = base.num_vertices
     offsets, vertices = family.offsets, family.vertices
 

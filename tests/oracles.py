@@ -9,8 +9,9 @@ factor keys with the package's group law: they are the reference for how
 balls and families are built from products, not for the factors' products.
 
 At the end are fixtures that build package objects for the tests: small
-graphs, ``family_of``, an irregular family as a ``SubgraphFamily``, and the
-one-member families of the local-scan tests.
+graphs, ``family_of``, an irregular family as a ``SubgraphFamily``, the
+member view ``subgraph``/``subgraphs``, and the one-member families of the
+local-scan tests.
 """
 
 from __future__ import annotations
@@ -263,7 +264,7 @@ def reference_sampled_delta(dist, sample: int, seed) -> tuple[int, Fraction]:
 
 
 def augmented_carrier(num_base: int, base_edges, family, depth: int, base_labels=None) -> dict:
-    """Member-by-member reference for ``member_shapes`` and
+    """Member-by-member reference for ``SubgraphFamily.shapes`` and
     ``glue_horoballs``.
 
     ``family`` is a list of (vertices, edges) in base ids.  Member ``a``
@@ -409,7 +410,7 @@ def whole_carrier_scan(aug, basepoint_row, radius: int, alpha: int, geodesic_cap
     from horolab.analysis import convexity_defect
     from horolab.graph import DistanceOracle
 
-    members = list(aug.family[alpha].vertices)
+    members = list(subgraph(aug.family, alpha).vertices)
     dmat = aug.member_metric(alpha)
     top = aug.level_vertices(alpha, aug.depth)
     pairs = [(i, j) for i, j in itertools.combinations(range(len(members)), 2)
@@ -581,6 +582,29 @@ def family_of(members) -> SubgraphFamily:
     return SubgraphFamily(offsets=np.cumsum([0] + sizes, dtype=np.int64),
                           vertices=np.array([v for vertices, _ in members for v in vertices], dtype=np.int64),
                           template=np.arange(len(members)), templates=tuple(templates))
+
+
+@dataclass(frozen=True)
+class Subgraph:
+    """A subgraph of an ambient graph, by vertex ids and explicit edges.
+
+    The edge list may be a strict subset of the induced edges (coset
+    subgraphs keep only their own factor's edges)."""
+
+    vertices: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
+
+
+def subgraph(family: SubgraphFamily, a: int) -> Subgraph:
+    """Member ``a`` of ``family`` as a ``Subgraph``, in base ids."""
+    a = range(len(family))[a]  # IndexError past the end, as for a list
+    vs = family.vertices[family.offsets[a]:family.offsets[a + 1]]
+    return Subgraph(tuple(vs.tolist()), tuple(map(tuple, vs[family.templates[family.template[a]]].tolist())))
+
+
+def subgraphs(family: SubgraphFamily) -> list[Subgraph]:
+    """Every member of ``family`` as a ``Subgraph``, in member order."""
+    return [subgraph(family, a) for a in range(len(family))]
 
 
 def arc_on_a_cycle() -> tuple[Graph, SubgraphFamily]:

@@ -33,7 +33,6 @@ from horolab.groups import free_abelian, free_product
 from horolab.horoball import (
     build_restricted_horoball,
     glue_horoballs,
-    member_shapes,
     normal_form_geodesic,
     verify_geodesic_shape,
 )
@@ -167,7 +166,7 @@ def test_criterion_06_bottom_to_top_rough_isometry(z2z2_radius6):
     with criterion(6, "|d_bottom - d_top| <= 2n over interior parabolic pairs at radius 6"):
         ball, family, factor_of, identity_indices = z2z2_radius6
         depth = 3
-        aug = glue_horoballs(ball.graph, family, member_shapes(family), depth)
+        aug = glue_horoballs(ball.graph, family, depth)
         scanned = list(identity_indices) + _sample_cosets(family, factor_of, identity_indices, 3)
         total_pairs = 0
         drops = []

@@ -279,6 +279,15 @@ def test_convexity_defect_needs_one_component_only_for_geodesics():
         defect=1, witnesses=((0, 2, 1),), quasiconvexity_constant=0, pairs_checked=3, truncated_pairs=0)
 
 
+@pytest.mark.parametrize("vertex_set", [[0], [0, 3]], ids=["no-pairs", "one-pair"])
+def test_negative_geodesic_cap_is_refused_up_front(vertex_set):
+    """A cap below 0 is refused whether or not the set has a pair to scan,
+    and cap 0, which skips the geodesics, is accepted."""
+    with pytest.raises(InputError, match=r"^geodesic cap must be >= 0$"):
+        convexity_defect(cycle_graph(6), vertex_set, geodesic_cap=-1)
+    assert convexity_defect(cycle_graph(6), vertex_set, geodesic_cap=0).pairs_checked == len(vertex_set) - 1
+
+
 def test_explicit_pairs_outside_the_set_name_the_first_one():
     g = cycle_graph(12)
     with pytest.raises(InputError, match=r"pair \(3, 11\) leaves"):

@@ -37,7 +37,7 @@ from horolab.graph import path_graph
 from horolab.horoball import build_restricted_horoball
 from horolab.io import canonical_json
 
-from oracles import floyd_warshall, naive_four_point_delta
+from oracles import floyd_warshall, naive_four_point_delta, subgraph
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -114,7 +114,7 @@ def test_exported_dot_files_equal_the_dot_of_the_reference_documents(tmp_path):
     """``--export-dot`` writes, for each carrier, the DOT text of the graph
     document the references build: labels and per-level colors included."""
     from horolab.io import graph_from_json, read_graph, to_dot
-    from oracles import augmented_carrier, restricted_horoball
+    from oracles import augmented_carrier, restricted_horoball, subgraphs
 
     graph_file = tmp_path / "g.json"
     graph_file.write_text(json.dumps({
@@ -133,7 +133,7 @@ def test_exported_dot_files_equal_the_dot_of_the_reference_documents(tmp_path):
     ball = cayley_ball(free_product(free_abelian(1), free_abelian(1)), 3)
     family, _, _ = parabolic_family(ball)
     ref = augmented_carrier(ball.graph.num_vertices, ball.graph.edges.tolist(),
-                            [(m.vertices, m.edges) for m in family], 2, ball.graph.labels)
+                            [(m.vertices, m.edges) for m in subgraphs(family)], 2, ball.graph.labels)
     dot = (tmp_path / "a" / "augmented.dot").read_text()
     levels = [m["level"] for m in ref["document"]["metadata"]["vertex_meta"]]
     assert dot == to_dot(graph_from_json(ref["document"]), name="augmented", levels=levels)
@@ -336,18 +336,18 @@ def test_scan_matches_generic_convexity_defect():
     from horolab.analysis import convexity_defect
     from horolab.graph import is_interior_pair
     from horolab.groups import cayley_ball
-    from horolab.horoball import glue_horoballs, member_shapes
+    from horolab.horoball import glue_horoballs
 
     radius, depth = 3, 2
     ball = cayley_ball(Z2xZ2, radius)
     family, factor_of, identity_indices = parabolic_family(ball)
-    aug = glue_horoballs(ball.graph, family, member_shapes(family), depth)
+    aug = glue_horoballs(ball.graph, family, depth)
 
     alpha = identity_indices[0]
     dmat = aug.member_metric(alpha)
     scan = scan_parabolic(aug, ball.word_lengths, radius, alpha, geodesic_cap=16)
 
-    member = aug.family[alpha]
+    member = subgraph(aug.family, alpha)
     top_ids = aug.level_vertices(alpha, depth)
     pairs = []
     for i in range(len(member.vertices)):
@@ -374,7 +374,7 @@ def test_local_scan_finds_the_defect_of_a_nonconvex_arc():
     the rest of the cycle, so the scan must find witnesses off the arc, and
     find them inside its neighborhood of the top level."""
     from horolab.graph import distance_rows
-    from horolab.horoball import glue_horoballs, member_shapes
+    from horolab.horoball import glue_horoballs
 
     from oracles import arc_on_a_cycle, whole_carrier_scan
 
@@ -382,7 +382,7 @@ def test_local_scan_finds_the_defect_of_a_nonconvex_arc():
     row = distance_rows(base, [0])[0]
     expected = {1: (6, 62, 71), 2: (0, 0, 94)}  # defect, witnesses, neighborhood vertices
     for depth, (defect, witnesses, local) in expected.items():
-        aug = glue_horoballs(base, arc, member_shapes(arc), depth)
+        aug = glue_horoballs(base, arc, depth)
         assert aug.carrier.num_vertices == 80 + 30 * depth
         scan = scan_parabolic(aug, row, 100, 0, geodesic_cap=32, check_level_drop=True)
         assert scan.pairs_checked == 30 * 29 // 2
@@ -397,7 +397,7 @@ def test_local_scan_finds_the_defect_of_a_u_shaped_path_in_a_grid():
     witnesses off it; from depth 2 on the top level is convex.  Even at
     depth 1 the neighborhood scanned is smaller than the carrier."""
     from horolab.graph import distance_rows
-    from horolab.horoball import glue_horoballs, member_shapes
+    from horolab.horoball import glue_horoballs
 
     from oracles import u_path_in_a_grid, whole_carrier_scan
 
@@ -406,7 +406,7 @@ def test_local_scan_finds_the_defect_of_a_u_shaped_path_in_a_grid():
     row = distance_rows(base, [0])[0]
     expected = {1: (5, 10, 152), 2: (0, 0, 108), 3: (0, 0, 44)}  # defect, witnesses, neighborhood vertices
     for depth, (defect, witnesses, local) in expected.items():
-        aug = glue_horoballs(base, arc, member_shapes(arc), depth)
+        aug = glue_horoballs(base, arc, depth)
         assert aug.carrier.num_vertices == rows * cols + 22 * depth
         scan = scan_parabolic(aug, row, 100, 0, geodesic_cap=32, check_level_drop=True)
         assert scan.pairs_checked == 22 * 21 // 2
@@ -420,16 +420,15 @@ def test_local_scan_finds_the_defect_of_a_u_shaped_path_in_a_grid():
 def test_local_scan_matches_the_whole_carrier_scan(factors, radius):
     from horolab.experiments import _sample_cosets
     from horolab.groups import GroupSpec
-    from horolab.horoball import glue_horoballs, member_shapes
+    from horolab.horoball import glue_horoballs
 
     from oracles import whole_carrier_scan
 
     ball = cayley_ball(GroupSpec.from_json({"free_product": factors}), radius)
     family, factor_of, identity_indices = parabolic_family(ball)
-    shapes = member_shapes(family)
     scanned = identity_indices + _sample_cosets(family, factor_of, identity_indices, 3)
     for depth in range(1, 6):
-        aug = glue_horoballs(ball.graph, family, shapes, depth)
+        aug = glue_horoballs(ball.graph, family, depth)
         for alpha in scanned:
             scan = scan_parabolic(aug, ball.word_lengths, ball.radius, alpha, check_level_drop=True)
             reference = whole_carrier_scan(aug, ball.word_lengths, ball.radius, alpha, geodesic_cap=32)
@@ -489,7 +488,7 @@ def test_parabolic_family_trivial_group():
     ball = cayley_ball(free_abelian(2), 3)
     family, factor_of, ident = parabolic_family(ball)
     assert len(family) == 1 and ident == [0]
-    assert len(family[0].vertices) == ball.graph.num_vertices
+    assert len(subgraph(family, 0).vertices) == ball.graph.num_vertices
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -764,10 +763,19 @@ def test_cli_rejects_bad_files_and_paths(tmp_path, capsys, case, stream):
      "a convexity scan of 32800950 pairs x 8100 vertices exceeds the scan budget of 10000000000 cells"),
     ("convexity", {"grid": [300, 300]}, {"set": {"vertices": list(range(90000))}},
      f"a list of 4049955000 vertex pairs exceeds the table budget of {256 * 2**20} bytes"),
+    # a depth-built graph instance is counted before its horoball: (depth + 1)
+    # x 7,921 vertices, and 3 x 8,100 or 7,000 vertices in the set
+    ("delta", {"grid": [89, 89]}, {"depth": 1, "sample": "all"},
+     f"a distance table of 15842 x 15842 vertices exceeds the table budget of {256 * 2**20} bytes"),
+    ("convexity", {"grid": [90, 90]}, {"depth": 3, "set": {"level_at_least": 1}},
+     f"a list of 295232850 vertex pairs exceeds the table budget of {256 * 2**20} bytes"),
+    ("convexity", {"grid": [89, 89]}, {"depth": 2, "set": {"vertices": list(range(7000))}},
+     "a convexity scan of 24496500 pairs x 23763 vertices exceeds the scan budget of 10000000000 cells"),
 ], ids=["path", "grid", "cycle", "sample", "cycle-table", "lambda-grid", "free-rank", "K-exponent",
         "K-exponent-space", "K-exponent-underscores", "K-digits",
         "step-digits", "distance-table", "shape-table", "sampled-rows", "quadruples", "carrier-edges",
-        "milnor-svarc-tables", "milnor-svarc-free-product", "scan-cells", "pair-list"])
+        "milnor-svarc-tables", "milnor-svarc-free-product", "scan-cells", "pair-list",
+        "horoball-delta-table", "horoball-level-pairs", "horoball-vertex-scan"])
 def test_cli_counts_over_their_budget_exit_3(tmp_path, capsys, monkeypatch, kind, instance, params, stream):
     """Instance sizes, sample counts, cycle tables, lambda grids, group
     ranks, dense distance tables (the whole graph's, a horoball member's
@@ -779,7 +787,7 @@ def test_cli_counts_over_their_budget_exit_3(tmp_path, capsys, monkeypatch, kind
     def no_rows(*args, **kwargs):
         raise AssertionError("a distance row was computed before the budget check")
 
-    for module in (horolab.graph, horolab.horoball, horolab.analysis, horolab.experiments):
+    for module in (horolab.graph, horolab.analysis, horolab.experiments):
         monkeypatch.setattr(module, "distance_rows", no_rows)
     cfg = write_config(tmp_path, {"version": 1, "experiment": kind, "instance": instance, "params": params})
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_RESOURCE
@@ -884,14 +892,12 @@ def test_ops_run_without_scipy_or_numpy_ma(tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == [[], [EXIT_OK] * len(configs), []]
 
 
-def test_ops_build_no_subgraph(tmp_path, monkeypatch):
+def test_ops_build_no_subgraph(tmp_path):
     """A free-product convexify-experiment, augment and milnor-svarc op read
-    the coset family as arrays: none of them builds a member as a
-    ``Subgraph``."""
-    def no_subgraph(self, a):
-        raise AssertionError(f"family member {a} built as a Subgraph")
-
-    monkeypatch.setattr(horolab.graph.SubgraphFamily, "__getitem__", no_subgraph)
+    the coset family as arrays: a family has no member view to build a
+    member with (the view is ``oracles.subgraph``)."""
+    assert not hasattr(horolab.graph.SubgraphFamily, "__getitem__")
+    assert not hasattr(horolab.graph.SubgraphFamily, "__iter__")
     instance = {"group": {"free_product": [{"free_abelian": 2}, {"free_abelian": 2}]}, "radius": 3}
     configs = [
         ("convexify-experiment", {"depths": [1, 2, 3]}),
@@ -1259,7 +1265,7 @@ def test_geodesic_cap_hits_are_the_pairs_with_more_geodesics_than_the_cap():
     have two or more geodesics, counted by brute force on the whole carrier
     (a pair with a single geodesic was not cut short)."""
     from horolab.experiments import _sample_cosets
-    from horolab.horoball import glue_horoballs, member_shapes
+    from horolab.horoball import glue_horoballs
 
     from oracles import geodesic_counts
 
@@ -1270,11 +1276,11 @@ def test_geodesic_cap_hits_are_the_pairs_with_more_geodesics_than_the_cap():
     family, factor_of, identity_indices = parabolic_family(ball)
     scanned = dict.fromkeys(identity_indices + _sample_cosets(family, factor_of, identity_indices, 3))
     for entry in diagnostics:
-        aug = glue_horoballs(ball.graph, family, member_shapes(family), entry["n"])
+        aug = glue_horoballs(ball.graph, family, entry["n"])
         n, edges = aug.carrier.num_vertices, aug.carrier.edges.tolist()
         several = 0
         for alpha in scanned:
-            members = aug.family[alpha].vertices
+            members = subgraph(aug.family, alpha).vertices
             dmat = aug.member_metric(alpha)
             top = aug.level_vertices(alpha, entry["n"])
             for i in range(len(members)):

@@ -381,14 +381,14 @@ def test_pick_kernel_keeps_per_source_bfs_on_long_paths_and_big_carriers():
     """A geodesic's two endpoints on a 3,001-vertex path (L = n levels),
     and one source on the 21,659-vertex depth-5 carrier of Z^2*Z^2 at
     radius 4."""
-    from horolab.experiments import _shaped_family
+    from horolab.experiments import parabolic_family
     from horolab.groups import cayley_ball, free_abelian, free_product
     from horolab.horoball import glue_horoballs
 
     assert horolab.graph._pick_kernel(path_graph(3000), 2) == ("bfs", 3001)
     ball = cayley_ball(free_product(free_abelian(2), free_abelian(2)), 4)
-    family, _, _, shapes = _shaped_family(ball, None)
-    carrier = glue_horoballs(ball.graph, family, shapes, 5).carrier
+    family, _, _ = parabolic_family(ball)
+    carrier = glue_horoballs(ball.graph, family, 5).carrier
     assert carrier.num_vertices == 21659
     assert horolab.graph._pick_kernel(carrier, 1)[0] == "bfs"
 
@@ -731,19 +731,19 @@ def test_carriers_never_reach_the_pure_python_encoder(tmp_path, monkeypatch):
     reference documents (labels and vertex_meta included)."""
     from horolab.experiments import parabolic_family
     from horolab.groups import cayley_ball, free_abelian, free_product
-    from horolab.horoball import build_restricted_horoball, glue_horoballs, member_shapes
+    from horolab.horoball import build_restricted_horoball, glue_horoballs
     from horolab.io import write_carrier
-    from oracles import augmented_carrier, restricted_horoball
+    from oracles import augmented_carrier, restricted_horoball, subgraphs
 
     ball = cayley_ball(free_product(free_abelian(2), free_abelian(1)), 3)
     family, _, _ = parabolic_family(ball)
     grid = grid_graph(12, 12)
     carriers = {
-        "augmented": glue_horoballs(ball.graph, family, member_shapes(family), 2),
+        "augmented": glue_horoballs(ball.graph, family, 2),
         "horoball": build_restricted_horoball(grid, 3),
     }
     ref = augmented_carrier(ball.graph.num_vertices, ball.graph.edges.tolist(),
-                            [(m.vertices, m.edges) for m in family], 2, ball.graph.labels)
+                            [(m.vertices, m.edges) for m in subgraphs(family)], 2, ball.graph.labels)
     docs = {"augmented": ref["document"], "horoball": restricted_horoball(grid, 3)}
     assert all(doc["metadata"]["vertex_meta"] for doc in docs.values())
     assert "label" in docs["augmented"]["vertices"][-1]

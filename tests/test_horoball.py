@@ -38,7 +38,6 @@ from horolab.horoball import (
     crossing_distance,
     glue_horoballs,
     horoball_distance,
-    member_shapes,
     normal_form_geodesic,
     verify_geodesic_shape,
 )
@@ -52,16 +51,12 @@ import horolab.io
 from horolab.experiments import convexify_experiment, milnor_svarc_experiment, parabolic_family
 
 from oracles import (BIG, arc_on_a_cycle, augmented_carrier, bfs_distances, family_of, glued_neighborhood,
-                     random_connected_graph, reference_coset_family, restricted_horoball, u_path_in_a_grid)
+                     random_connected_graph, reference_coset_family, restricted_horoball, subgraph, subgraphs,
+                     u_path_in_a_grid)
 
 
 def all_pairs(n):
     return itertools.combinations(range(n), 2)
-
-
-def augment(base, family, depth):
-    """The carrier of ``glue_horoballs`` over the family's shape table."""
-    return glue_horoballs(base, family, member_shapes(family), depth)
 
 
 def written(space, path) -> bytes:
@@ -128,7 +123,7 @@ def test_restricted_view_leaves_its_space_unchanged():
     """The view marks level 0 as horoball copies in its own columns; the
     augmented space it wraps keeps base vertices as base vertices."""
     base = path_graph(4)
-    space = augment(base, SubgraphFamily.whole(base), 2)
+    space = glue_horoballs(base, SubgraphFamily.whole(base), 2)
     before = [column.copy() for column in space.columns]
     h = RestrictedHoroball(space)
     assert all(np.array_equal(a, b) for a, b in zip(space.columns, before))
@@ -376,14 +371,14 @@ def test_extra_horizontal_edges_outside_top_segment():
 
 def test_empty_family_is_base():
     base = cycle_graph(6)
-    aug = augment(base, family_of([]), 3)
+    aug = glue_horoballs(base, family_of([]), 3)
     assert aug.carrier.num_vertices == 6
     assert np.array_equal(aug.carrier.edges, base.edges)
 
 
 def test_whole_base_family_count_and_edges():
     base = path_graph(8)
-    aug = augment(base, family_of([(range(9), [(i, i + 1) for i in range(8)])]), 3)
+    aug = glue_horoballs(base, family_of([(range(9), [(i, i + 1) for i in range(8)])]), 3)
     assert aug.carrier.num_vertices == 9 * 4
     # same ids as the standalone horoball: edge sets must agree exactly
     h = build_restricted_horoball(base, 3)
@@ -395,9 +390,9 @@ def test_family_validation_errors():
     a disconnected member and a depth below 1."""
     base = path_graph(4)
     with pytest.raises(InputError, match="not connected"):
-        member_shapes(family_of([((0, 2), ())]))
+        family_of([((0, 2), ())]).shapes
     with pytest.raises(InputError, match="depth must be >= 1"):
-        augment(base, family_of([((0, 1), ((0, 1),))]), 0)
+        glue_horoballs(base, family_of([((0, 1), ((0, 1),))]), 0)
 
 
 @pytest.mark.parametrize("family, message", [
@@ -407,7 +402,7 @@ def test_family_validation_errors():
 ], ids=["disconnected", "disconnected-first"])
 def test_family_validation_messages(family, message):
     with pytest.raises(InputError) as err:
-        member_shapes(family_of(family))
+        family_of(family).shapes
     assert str(err.value) == message
 
 
@@ -449,10 +444,10 @@ def test_family_validation_matches_the_member_by_member_check():
         if isinstance(expected, str):
             faults += 1
             with pytest.raises(InputError) as err:
-                member_shapes(family_of(family))
+                family_of(family).shapes
             assert str(err.value) == expected
         else:
-            shape_of, dmats = member_shapes(family_of(family))
+            shape_of, dmats = family_of(family).shapes
             assert (shape_of.tolist(), [d.tolist() for d in dmats]) == expected
     assert 100 < faults < 300
 
@@ -460,9 +455,9 @@ def test_family_validation_matches_the_member_by_member_check():
 def test_provenance_partition_on_coset_family():
     ball = cayley_ball(free_product(free_abelian(2), free_abelian(2)), 3)
     family, _, _ = parabolic_family(ball)
-    aug = augment(ball.graph, family, 3)
+    aug = glue_horoballs(ball.graph, family, 3)
 
-    expected = ball.graph.num_vertices + sum(len(m.vertices) for m in family) * 3
+    expected = ball.graph.num_vertices + sum(len(m.vertices) for m in subgraphs(family)) * 3
     assert aug.carrier.num_vertices == expected
 
     seen = set()
@@ -477,7 +472,7 @@ def test_provenance_partition_on_coset_family():
     horo_tags = {t for t in seen if t[0] == 1}
     declared = {
         (1, a, v, k)
-        for a, m in enumerate(family)
+        for a, m in enumerate(subgraphs(family))
         for v in m.vertices
         for k in range(1, 4)
     }
@@ -494,9 +489,9 @@ def test_horo_vertex_lookup_and_levels():
     for spec, radius, whole in ((z2z2, 2, False), (z2z2, 3, False), (z2z2, 3, True), (free_abelian(2), 3, True)):
         ball = cayley_ball(spec, radius)
         family = SubgraphFamily.whole(ball.graph) if whole else parabolic_family(ball)[0]
-        aug = augment(ball.graph, family, depth)
+        aug = glue_horoballs(ball.graph, family, depth)
         kind, alpha, base_vertex, level = aug.columns
-        for a, m in enumerate(family):
+        for a, m in enumerate(subgraphs(family)):
             assert aug.level_vertices(a, 0).tolist() == list(m.vertices)
             for k in range(depth + 1):
                 ids = aug.level_vertices(a, k)
@@ -511,7 +506,7 @@ def test_rough_isometry_bound_between_bottom_and_top():
     ball = cayley_ball(free_product(free_abelian(2), free_abelian(2)), 3)
     family, _, _ = parabolic_family(ball)
     n = 2
-    aug = augment(ball.graph, family, n)
+    aug = glue_horoballs(ball.graph, family, n)
     oracle = DistanceOracle(aug.carrier)
     bottom, top = aug.level_vertices(0, 0)[:8], aug.level_vertices(0, n)[:8]
     for i, j in itertools.combinations(range(len(bottom)), 2):
@@ -525,7 +520,7 @@ def test_augmented_vertex_meta_roundtrip(tmp_path):
     the generic writer reproduces the file from what was read."""
     base = path_graph(3)
     member = ((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)))
-    aug = augment(base, family_of([member]), 2)
+    aug = glue_horoballs(base, family_of([member]), 2)
     ref = augmented_carrier(4, base.edges.tolist(), [member], 2)
     f = tmp_path / "aug.json"
     assert written(aug, f) == canonical_json(ref["document"]).encode("utf-8")
@@ -546,8 +541,8 @@ def assert_matches_member_reference(base, family, depth):
     """Edges, provenance columns, block starts and the written document
     (labels and vertex_meta) against the member-by-member reference."""
     ref = augmented_carrier(base.num_vertices, base.edges.tolist(),
-                            [(m.vertices, m.edges) for m in family], depth, base.labels)
-    aug = augment(base, family, depth)
+                            [(m.vertices, m.edges) for m in subgraphs(family)], depth, base.labels)
+    aug = glue_horoballs(base, family, depth)
     assert aug.carrier.edges.tolist() == [list(e) for e in ref["edges"]]
     assert [c.tolist() for c in aug.columns] == [ref[k] for k in ("kind", "alpha", "base_vertex", "level")]
     assert aug._block_starts.tolist() == ref["block_starts"]
@@ -565,7 +560,7 @@ def assert_matches_member_reference(base, family, depth):
 def test_coset_family_matches_member_reference(spec, radius, depth):
     ball = cayley_ball(spec, radius)
     family, _, _ = parabolic_family(ball)
-    assert len(member_shapes(family)[1]) < len(family)
+    assert len(family.shapes[1]) < len(family)
     assert_matches_member_reference(ball.graph, family, depth)
 
 
@@ -576,7 +571,7 @@ def test_reordered_vertex_lists_are_different_shapes():
         ((2, 0, 1), ((1, 2), (0, 1))),  # same set, other local order
         ((2, 3, 4), ((3, 2), (3, 4))),  # translate of the first
     ])
-    shape_of, dmats = member_shapes(family)
+    shape_of, dmats = family.shapes
     assert shape_of.tolist() == [0, 1, 0]
     assert dmats[1].tolist() == [[0, 2, 1], [2, 0, 1], [1, 1, 0]]
     for depth in (1, 2, 3):
@@ -589,7 +584,7 @@ def test_same_size_members_with_different_edges():
         ((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3), (3, 0))),
         ((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3))),
     ])
-    shape_of, dmats = member_shapes(family)
+    shape_of, dmats = family.shapes
     assert shape_of.tolist() == [0, 1]
     assert dmats[0][0, 3] == 1 and dmats[1][0, 3] == 3
     for depth in (1, 2):
@@ -644,7 +639,7 @@ SPACES = list(_spaces())
 def test_space_adjacency_is_the_glued_carrier(base, family, depth):
     """``AugmentedSpace.adjacent`` gives every vertex exactly its edge ends
     in the glued carrier."""
-    aug = augment(base, family, depth)
+    aug = glue_horoballs(base, family, depth)
     owner, nb = aug.adjacent(np.arange(aug.num_vertices))
     got = np.sort(owner * aug.num_vertices + nb)
     carrier = aug.carrier
@@ -659,7 +654,7 @@ def test_space_neighborhood_matches_glue_then_cut(base, family, depth):
     """The neighborhood cut out of the layout equals the one cut out of the
     glued carrier, and the plain-BFS reference, in ids and edges, around
     the top and the bottom level of members at radii 0-4."""
-    aug = augment(base, family, depth)
+    aug = glue_horoballs(base, family, depth)
     members = [a for a in range(len(family)) if family.sizes[a]]
     for alpha in sorted({members[0], members[len(members) // 2], members[-1]}):
         for sources in (aug.level_vertices(alpha, depth), aug.level_vertices(alpha, 0)):
@@ -731,7 +726,7 @@ def test_written_carriers_equal_the_reference_documents(seed, labelled, depth, b
         base = Graph(n, base.edges, labels=[rng.choice(_LABEL_PARTS) + str(i) for i in range(n)])
     family = _random_family(base, rng)
     ref = augmented_carrier(n, base.edges.tolist(), family, depth, base.labels)
-    cases = [(augment(base, family_of(family), depth), ref["document"]),
+    cases = [(glue_horoballs(base, family_of(family), depth), ref["document"]),
              (build_restricted_horoball(base, depth), restricted_horoball(base, depth))]
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(horolab.io, "_BLOCK", block):
         f = pathlib.Path(tmp) / "carrier.json"
@@ -748,7 +743,7 @@ def test_written_carrier_with_a_run_boundary_inside_a_block(tmp_path):
     base = path_graph(horolab.io._BLOCK + 100, labels=True)
     n = base.num_vertices
     family = [(tuple(range(a, a + 5)), tuple((v, v + 1) for v in range(a, a + 4))) for a in (0, 3, n - 5)]
-    aug = augment(base, family_of(family), 2)
+    aug = glue_horoballs(base, family_of(family), 2)
     assert horolab.io._BLOCK < n < aug.carrier.num_vertices < 2 * horolab.io._BLOCK
     ref = augmented_carrier(n, base.edges.tolist(), family, 2, base.labels)
     expected = canonical_json(ref["document"]).encode("utf-8")
@@ -767,14 +762,14 @@ def test_carrier_budget_is_checked_before_gluing(monkeypatch):
     base = path_graph(4)  # 5 vertices; the whole-base member has 5 too
     monkeypatch.setitem(horolab.errors.BUDGETS, "carrier", 15)
     assert build_restricted_horoball(base, 2).carrier.num_vertices == 15
-    assert augment(base, SubgraphFamily.whole(base), 2).carrier.num_vertices == 15
+    assert glue_horoballs(base, SubgraphFamily.whole(base), 2).carrier.num_vertices == 15
     for depth in (3, 2**62, 2**70):
         with pytest.raises(ResourceLimitError, match="exceeds the carrier budget of 15 vertices"):
             build_restricted_horoball(base, depth)
         with pytest.raises(ResourceLimitError, match="carrier budget"):
-            augment(base, SubgraphFamily.whole(base), depth)
+            glue_horoballs(base, SubgraphFamily.whole(base), depth)
         # members without vertices glue nothing, however deep
-        assert augment(base, family_of([((), ())]), depth).carrier.num_vertices == 5
+        assert glue_horoballs(base, family_of([((), ())]), depth).carrier.num_vertices == 5
 
 
 def test_carrier_edges_are_counted_exactly_before_gluing():
@@ -785,19 +780,19 @@ def test_carrier_edges_are_counted_exactly_before_gluing():
     base, arc = arc_on_a_cycle()
     for base, family in [(base, arc), (grid_graph(5, 4), SubgraphFamily.whole(grid_graph(5, 4)))]:
         for depth in (1, 2, 3, 6):
-            space = augment(base, family, depth)
+            space = glue_horoballs(base, family, depth)
             edges = space.carrier.num_edges
             assert space.num_edges == edges
             with mock.patch.dict(horolab.errors.BUDGETS, {"carrier edge": edges}):
-                assert augment(base, family, depth).carrier.num_edges == edges
+                assert glue_horoballs(base, family, depth).carrier.num_edges == edges
             with (mock.patch.dict(horolab.errors.BUDGETS, {"carrier edge": edges - 1}),
                   mock.patch.object(horolab.horoball, "_glue", side_effect=AssertionError("glued")),
                   pytest.raises(ResourceLimitError, match=f"carrier of {edges} edges at depth {depth} exceeds "
                                                           f"the carrier edge budget of {edges - 1} edges")):
-                augment(base, family, depth)
+                glue_horoballs(base, family, depth)
     # 20 vertices: levels from 5 on (2^5 >= 19) join all 190 pairs
     with (mock.patch.dict(horolab.errors.BUDGETS, {"carrier edge": 31 + 6 * 20 + 2 * 190 - 1}),
-          mock.patch.object(horolab.horoball, "distance_rows", side_effect=AssertionError("a distance row")),
+          mock.patch.object(horolab.graph, "distance_rows", side_effect=AssertionError("a distance row")),
           pytest.raises(ResourceLimitError, match="carrier of at least 531 edges at depth 6")):
         build_restricted_horoball(grid_graph(5, 4), 6)
 
@@ -805,7 +800,7 @@ def test_carrier_edges_are_counted_exactly_before_gluing():
 def test_z2z2_radius4_coset_shapes():
     ball = cayley_ball(free_product(free_abelian(2), free_abelian(2)), 4)
     family, _, _ = parabolic_family(ball)
-    shape_of, dmats = member_shapes(family)
+    shape_of, dmats = family.shapes
     assert len(family) == 1970
     assert len(dmats) == 5
     assert sorted(set(shape_of)) == list(range(5))
@@ -819,18 +814,18 @@ def test_z2z2_radius4_coset_shapes():
 def test_array_family_has_the_shape_table_of_its_subgraph_copies(spec, radius):
     """The ball's family is the reference coset families, factor after
     factor.  Its shape table, one shape per (factor, radius) template,
-    equals the one ``member_shapes`` computes over copies of the same
+    equals the one ``SubgraphFamily.shapes`` computes over copies of the same
     members with a template each."""
     ball = cayley_ball(spec, radius)
     family, factor_of, identity = parabolic_family(ball)
     reference = [(i, c) for i in range(len(spec.factors)) for c in reference_coset_family(ball, i)]
-    copies = [(m.vertices, m.edges) for m in family]
+    copies = [(m.vertices, m.edges) for m in subgraphs(family)]
     assert copies == [(c.members, c.edges) for _, c in reference]
     assert factor_of.tolist() == [i for i, _ in reference]
     assert identity == [a for a, (_, c) in enumerate(reference) if c.representative == ()]
 
-    expected_shape_of, expected = member_shapes(family_of(copies))
-    shape_of, dmats = member_shapes(family)
+    expected_shape_of, expected = family_of(copies).shapes
+    shape_of, dmats = family.shapes
     assert shape_of.tolist() == expected_shape_of.tolist()
     assert len(dmats) == len(expected) < len(family)
     for dmat, ref in zip(dmats, expected):
@@ -853,8 +848,8 @@ def test_crossing_distance_matrix_equals_carrier_bfs(spec, radius, depth):
     ball = cayley_ball(spec, radius)
     n = ball.graph.num_vertices
     family, _, _ = parabolic_family(ball)
-    assert len(family) == 1 and len(family[0].vertices) == n
-    carrier = augment(ball.graph, family, depth).carrier
+    assert len(family) == 1 and len(subgraph(family, 0).vertices) == n
+    carrier = glue_horoballs(ball.graph, family, depth).carrier
     expected = distance_rows(carrier, range(n), columns=np.arange(n))
     closed = crossing_distance(distance_rows(ball.graph, range(n)), 0, 0, depth)
     assert closed.dtype == np.int32
@@ -882,18 +877,38 @@ def test_milnor_svarc_builds_no_carrier_for_a_whole_ball_parabolic(monkeypatch):
 
 
 def test_convexify_builds_the_shape_table_once(monkeypatch):
-    calls = []
+    """A 3-depth convexify run builds the family's shape table once, and each
+    shape's matrix once: as many template distance-row calls as a 1-depth
+    run, one per shape.  The table's builder is wrapped in place, as a
+    cached property cannot be replaced from outside its class."""
+    table = SubgraphFamily.__dict__["shapes"]
+    build, building, builds, template_rows = table.func, [], [], []
 
     def counting(family):
-        calls.append(len(family))
-        return member_shapes(family)
+        builds.append(len(family))
+        building.append(family)
+        try:
+            return build(family)
+        finally:
+            building.pop()
 
-    monkeypatch.setattr(horolab.horoball, "member_shapes", counting)
-    monkeypatch.setattr(horolab.experiments, "member_shapes", counting)
-    ball = cayley_ball(free_product(free_abelian(1), free_abelian(1)), 3)
-    rows = convexify_experiment(ball, depths=[1, 2, 3])
-    assert [r["n"] for r in rows] == [1, 2, 3]
-    assert len(calls) == 1
+    def recording(g, sources, *args, **kwargs):
+        if building:
+            template_rows.append(g.num_vertices)
+        return distance_rows(g, sources, *args, **kwargs)
+
+    monkeypatch.setattr(table, "func", counting)
+    monkeypatch.setattr(horolab.graph, "distance_rows", recording)
+    per_run = []
+    for depths in ([1], [1, 2, 3]):
+        builds.clear()
+        template_rows.clear()
+        ball = cayley_ball(free_product(free_abelian(1), free_abelian(1)), 3)
+        rows = convexify_experiment(ball, depths=depths)
+        assert [r["n"] for r in rows] == depths
+        per_run.append((len(builds), len(template_rows)))
+    shapes = len(parabolic_family(ball)[0].shapes[1])
+    assert per_run == [(1, shapes), (1, shapes)]
 
 
 def test_convexify_computes_no_row_over_a_whole_carrier(monkeypatch):
@@ -907,7 +922,7 @@ def test_convexify_computes_no_row_over_a_whole_carrier(monkeypatch):
         sizes.append(g.num_vertices)
         return distance_to_set(g, sources)
 
-    for module in (horolab.graph, horolab.horoball, horolab.experiments):
+    for module in (horolab.graph, horolab.experiments):
         monkeypatch.setattr(module, "distance_rows", recording)
     monkeypatch.setattr(horolab.analysis, "distance_to_set", recording_to_set)
     ball = cayley_ball(free_product(free_abelian(2), free_abelian(2)), 3)
