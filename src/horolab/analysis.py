@@ -27,11 +27,13 @@ class HyperbolicityEstimate:
     delta: Fraction  # half-integer >= 0
     quadruples_checked: int
     exhaustive: bool
+    far_apart_pairs: int = 0  # exhaustive scan of 4 or more vertices only
+    pair_tests: int = 0  # pairs of far-apart pairs whose defect was computed
 
 
 # Largest number of int32 entries in one block of the exhaustive four-point
-# scan (one slab of x values against every y, z from the slab's first x on),
-# unless one x alone needs more.
+# scan (a block of far-apart pairs against every pair up to the block's end,
+# or a block of columns of the neighbour maxima), unless one row needs more.
 _BLOCK_MAX_ELEMENTS = 1 << 18
 
 
@@ -46,12 +48,18 @@ def four_point_delta(g: Graph, sample: str | int = "all", seed: int | None = Non
     """Largest four-point defect, halved.
 
     ``sample="all"`` gives the exact constant of the instance over every
-    unordered 4-subset (``quadruples_checked`` is C(n, 4)).  It runs per
-    basepoint w on int32 blocks over (x, y, z) > w: the defect is symmetric in
-    the four points and 0 when two coincide, so the cube has the same maximum
-    as the 4-subsets.  Slab j of x values pairs with y, z >= its first x,
-    which still covers every subset once its least point is in slab j; a
-    block holds at most max(_BLOCK_MAX_ELEMENTS, n^2) entries.
+    unordered 4-subset (``quadruples_checked`` is C(n, 4)) by the far-apart
+    pair scan of Cohen, Coudert and Lancin (On computing the Gromov
+    hyperbolicity, ACM JEA 2015).  A pair x < y is far-apart when no
+    neighbour of x is farther from y and no neighbour of y is farther from
+    x; some quadruple of greatest defect has its largest pair sum on two
+    far-apart pairs, and a defect is at most the smaller of those two
+    distances.  So the far-apart pairs, longest first (stable), are each
+    tested against every pair up to them, in blocks of at most
+    max(_BLOCK_MAX_ELEMENTS, one row) pair tests, and the scan stops before
+    a block whose first pair is no longer than the best defect so far.
+    ``far_apart_pairs`` and ``pair_tests`` count that work (both 0 below 4
+    vertices, where every defect is 0).
 
     An integer samples that many quadruples uniformly: ``random.Random(seed)``
     draws the four vertices of each in turn, all quadruples first, and rows
@@ -75,6 +83,8 @@ def four_point_delta(g: Graph, sample: str | int = "all", seed: int | None = Non
         sources = unique_ints(np.append(quads[:, :3], 0))
         check_table(n, len(sources))
     d = distance_rows(g, sources)  # sources ascending: vertex 0 is row 0
+    # before any neighbour maximum: reduceat reads a neighbourless vertex's
+    # empty segment as the next vertex's first neighbour
     if n > 1 and np.any(d[0] >= INF):
         raise InputError("four-point scan needs a connected graph")
     if sample != "all":
@@ -82,23 +92,29 @@ def four_point_delta(g: Graph, sample: str | int = "all", seed: int | None = Non
         _, qx, qy, qz = quads.T
         defects = _defects(d[w, qx] + d[y, qz], d[w, qy] + d[x, qz], d[w, qz] + d[x, qy])
         return HyperbolicityEstimate(Fraction(int(defects.max()), 2), sample, False)
-    best = 0
-    for w in range(n - 3):
-        tail = d[w + 1:, w + 1:]
-        dw = d[w, w + 1:]
-        m = n - w - 1
-        x0 = 0
-        while x0 < m:
-            width = m - x0
-            x1 = min(m, x0 + max(1, _BLOCK_MAX_ELEMENTS // (width * width)))
-            yz = tail[x0:, x0:]
-            xy = tail[x0:x1, x0:]
-            s1 = dw[x0:x1, None, None] + yz[None, :, :]
-            s2 = dw[None, x0:, None] + xy[:, None, :]
-            s3 = dw[None, None, x0:] + xy[:, :, None]
-            best = max(best, int(_defects(s1, s2, s3).max()))
-            x0 = x1
-    return HyperbolicityEstimate(Fraction(best, 2), math.comb(n, 4), True)
+    if n < 4:
+        return HyperbolicityEstimate(Fraction(0), 0, True)
+    far = np.empty_like(d)  # far[v, y]: the largest d(u, y) over neighbours u of v
+    step = max(1, _BLOCK_MAX_ELEMENTS // len(g._indices))
+    for c in range(0, n, step):
+        far[:, c:c + step] = np.maximum.reduceat(d[g._indices, c:c + step], g._indptr[:-1], axis=0)
+    ok = far <= d
+    x, y = np.nonzero(np.triu(ok & ok.T, 1))
+    dxy = d[x, y]
+    order = np.argsort(-dxy, kind="stable")
+    x, y, dxy = x[order], y[order], dxy[order]
+    best = tests = i0 = 0
+    while i0 < len(x) and dxy[i0] > best:
+        # (i1 - i0) * i1 <= _BLOCK_MAX_ELEMENTS unless one row needs more
+        i1 = min(len(x), i0 + max(1, (math.isqrt(i0 * i0 + 4 * _BLOCK_MAX_ELEMENTS) - i0) // 2))
+        dx, dy = d[x[i0:i1]], d[y[i0:i1]]
+        s1 = dxy[i0:i1, None] + dxy[None, :i1]
+        s2 = dx[:, x[:i1]] + dy[:, y[:i1]]
+        s3 = dx[:, y[:i1]] + dy[:, x[:i1]]
+        best = max(best, int(_defects(s1, s2, s3).max()))
+        tests += (i1 - i0) * i1
+        i0 = i1
+    return HyperbolicityEstimate(Fraction(best, 2), math.comb(n, 4), True, len(x), tests)
 
 
 def _check_exhaustive(n: int) -> None:

@@ -718,6 +718,7 @@ def _run_delta(run: _Run) -> list[dict]:
         family, _, _ = parabolic_family(run.ball, run.timings)
         target = glue_horoballs(run.graph, family, depth).carrier
     est = four_point_delta(target, sample=run.values["sample"], seed=run.seed)
+    run.diagnostics["four_point"] = {"far_apart_pairs": est.far_apart_pairs, "pair_tests": est.pair_tests}
     return [{
         "delta": str(est.delta),
         "quadruples_checked": est.quadruples_checked,

@@ -1,12 +1,16 @@
 """Independent reference implementations used only to check the main code.
 
 Everything here is deliberately naive: different algorithms, different data
-layouts, no shared helpers with the package.  There are two exceptions.
+layouts, no shared helpers with the package.  There are three exceptions.
 ``whole_carrier_scan`` is the package's betweenness scan run on the whole
 carrier: it is the reference for where the parabolic scan may look, not for
 the scan itself.  The Cayley ball and coset family references multiply
 factor keys with the package's group law: they are the reference for how
 balls and families are built from products, not for the factors' products.
+``block_four_point_delta`` is the package's former exhaustive four-point
+kernel, a vectorised walk over every quadruple that the far-apart pair
+scan replaced: fast enough to check that scan on graphs too big for
+``naive_four_point_delta``.
 
 At the end are fixtures that build package objects for the tests: small
 graphs, ``family_of``, an irregular family as a ``SubgraphFamily``, the
@@ -101,6 +105,38 @@ def naive_four_point_delta(dist) -> Fraction:
         a, b, _ = sorted((s1, s2, s3), reverse=True)
         if a - b > best:
             best = a - b
+    return Fraction(best, 2)
+
+
+def block_four_point_delta(dist, max_elements: int = 1 << 18) -> Fraction:
+    """Max four-point defect over every 4-subset, halved, per basepoint w on
+    int32 blocks over (x, y, z) > w.
+
+    The defect is symmetric in the four points and 0 when two coincide, so
+    the cube has the same maximum as the 4-subsets.  Slab j of x values
+    pairs with y, z >= its first x, which still covers every subset once
+    its least point is in slab j; a block holds at most
+    max(``max_elements``, n^2) entries."""
+    d = np.asarray(dist, dtype=np.int32).reshape(len(dist), len(dist))
+    n = len(d)
+    best = 0
+    for w in range(n - 3):
+        tail = d[w + 1:, w + 1:]
+        dw = d[w, w + 1:]
+        m = n - w - 1
+        x0 = 0
+        while x0 < m:
+            width = m - x0
+            x1 = min(m, x0 + max(1, max_elements // (width * width)))
+            yz = tail[x0:, x0:]
+            xy = tail[x0:x1, x0:]
+            s1 = dw[x0:x1, None, None] + yz[None, :, :]
+            s2 = dw[None, x0:, None] + xy[:, None, :]
+            s3 = dw[None, None, x0:] + xy[:, :, None]
+            hi = np.maximum(np.maximum(s1, s2), s3)
+            lo = np.minimum(np.minimum(s1, s2), s3)
+            best = max(best, int((2 * hi + lo - (s1 + s2 + s3)).max()))
+            x0 = x1
     return Fraction(best, 2)
 
 

@@ -27,6 +27,8 @@ from horolab.horoball import build_restricted_horoball
 
 from oracles import (
     binary_tree,
+    block_four_point_delta,
+    complete_graph,
     floyd_warshall,
     geodesic_counts,
     naive_four_point_delta,
@@ -75,6 +77,7 @@ def test_sampled_mode_flags_and_reproducibility():
     b = four_point_delta(g, sample=500, seed=4)
     exact = four_point_delta(g)
     assert not a.exhaustive and a.quadruples_checked == 500
+    assert a.far_apart_pairs == a.pair_tests == 0 and exact.far_apart_pairs > 0
     assert a.delta == b.delta
     assert a.delta <= exact.delta
     with pytest.raises(InputError):
@@ -85,13 +88,78 @@ def test_sampled_mode_flags_and_reproducibility():
 
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 10, 25, 40])
 def test_exhaustive_blocks_match_naive_across_slab_edges(monkeypatch, n):
-    # a tiny block bound splits every basepoint's x range into many slabs
+    # a tiny block bound splits the far-apart pair scan into many row blocks
+    # and the neighbour maxima into many column blocks; the oracle's slabs
+    # split the same way
     monkeypatch.setattr(analysis, "_BLOCK_MAX_ELEMENTS", 40)
     g = Graph(0, []) if n == 0 else random_connected_graph(n, n // 2, random.Random(n))
     est = four_point_delta(g)
     fw = floyd_warshall(n, [tuple(e) for e in g.edges])
-    assert est.delta == naive_four_point_delta(fw)
+    assert est.delta == naive_four_point_delta(fw) == block_four_point_delta(fw, max_elements=40)
     assert est.quadruples_checked == math.comb(n, 4) and est.exhaustive
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 13])
+def test_complete_graph_scan_tests_every_pair_of_pairs(n):
+    """In K_n every pair is far-apart and every defect is 0, so nothing
+    stops the scan early."""
+    g = complete_graph(n)
+    est = four_point_delta(g)
+    fw = floyd_warshall(n, [tuple(e) for e in g.edges])
+    assert est.delta == naive_four_point_delta(fw) == 0
+    assert est.far_apart_pairs == math.comb(n, 2)
+    assert est.pair_tests >= est.far_apart_pairs * (est.far_apart_pairs + 1) // 2
+
+
+@pytest.mark.parametrize("g", [cycle_graph(9), cycle_graph(10), cycle_graph(31), cycle_graph(32), grid_graph(5, 7),
+                               grid_graph(6, 6), star_graph(9), binary_tree(4)],
+                         ids=["C9", "C10", "C31", "C32", "grid5x7", "grid6x6", "star9", "tree4"])
+def test_far_apart_scan_matches_the_block_oracle_on_cycles_grids_and_trees(g):
+    est = four_point_delta(g)
+    assert est.delta == block_four_point_delta(distance_rows(g, range(g.num_vertices)))
+    assert est.quadruples_checked == math.comb(g.num_vertices, 4) and est.exhaustive
+    if est.delta == 0:  # a tree: no pair is ever short enough to stop the scan
+        assert est.pair_tests >= est.far_apart_pairs * (est.far_apart_pairs + 1) // 2
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_fewer_than_four_vertices_scan_nothing(n):
+    for g in (Graph(0, []) if n == 0 else path_graph(n - 1), complete_graph(n)):
+        est = four_point_delta(g)
+        assert (est.delta, est.quadruples_checked, est.exhaustive) == (0, 0, True)
+        assert est.far_apart_pairs == est.pair_tests == 0
+
+
+def test_far_apart_scan_matches_the_block_oracle_on_seeded_graphs():
+    rng = random.Random(27)
+    for _ in range(200):
+        n = rng.randrange(20, 61)
+        g = random_connected_graph(n, rng.randrange(0, 2 * n), rng)
+        est = four_point_delta(g)
+        assert est.delta == block_four_point_delta(distance_rows(g, range(n))), g.edges.tolist()
+
+
+@pytest.mark.parametrize("n", [4, 5, 9])
+def test_an_isolated_last_vertex_is_refused_before_any_neighbour_maximum(n):
+    # the last vertex's empty neighbour segment would otherwise read as a
+    # neighbour of someone else
+    g = Graph(n, [(i, i + 1) for i in range(n - 2)])
+    with pytest.raises(InputError, match="four-point scan needs a connected graph"):
+        four_point_delta(g)
+
+
+@pytest.mark.parametrize("g, pairs", [(cycle_graph(12), 6), (grid_graph(6, 6), 2)], ids=["C12", "grid6x6"])
+def test_pair_tests_are_counted_and_far_below_the_quadruples(monkeypatch, g, pairs):
+    """C_12's far-apart pairs are its 6 antipodal pairs and the 6 x 6 grid's
+    its 2 pairs of opposite corners.  One block holds them all, so the scan
+    tests each pair against every pair: F(F + 1)/2 pairs up to it and the
+    block's overhang of F(F - 1)/2 more."""
+    est = four_point_delta(g)
+    assert est.far_apart_pairs == pairs and est.pair_tests == pairs * pairs
+    assert 10 * est.pair_tests < est.quadruples_checked
+    monkeypatch.setattr(analysis, "_BLOCK_MAX_ELEMENTS", 1)  # one pair a block: no overhang
+    one = four_point_delta(g)
+    assert one.delta == est.delta and one.pair_tests <= pairs * (pairs + 1) // 2
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -507,6 +507,38 @@ def test_cli_runs_delta(tmp_path, capsys):
     assert report["environment"]["tool"] == "horolab"
 
 
+def test_delta_report_counts_the_scan_in_diagnostics_not_rows(tmp_path):
+    """The exhaustive scan's work counts go to ``diagnostics.four_point``;
+    the rows keep their keys and values (C_12: delta 3 over 495
+    quadruples, found from its 6 antipodal pairs).  A sampled run counts
+    no far-apart pair."""
+    for sample, rows, work in (("all", [{"delta": "3", "quadruples_checked": 495, "exhaustive": True, "vertices": 12}],
+                                {"far_apart_pairs": 6, "pair_tests": 36}),
+                               (50, None, {"far_apart_pairs": 0, "pair_tests": 0})):
+        cfg = write_config(tmp_path, {"version": 1, "experiment": "delta", "instance": {"cycle": 12},
+                                      "params": {"sample": sample}})
+        out = tmp_path / f"out-{sample}"
+        assert main(["delta", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["diagnostics"]["four_point"] == work
+        assert set(report["rows"][0]) == {"delta", "quadruples_checked", "exhaustive", "vertices"}
+        assert rows is None or report["rows"] == rows
+
+
+@pytest.mark.parametrize("depth, delta, quadruples, vertices, pairs", [
+    (1, "1", 25_637_001, 159, 3_066), (2, "1", 200_860_990, 265, 3_958), (3, "3/2", 776_673_660, 371, 4_062)])
+def test_cli_delta_on_z_free_z_radius_3_over_depth(tmp_path, depth, delta, quadruples, vertices, pairs):
+    """Exact four-point delta of the Z*Z radius-3 carriers at depths 1, 2
+    and 3, the first entries of a delta table over depth."""
+    cfg = write_config(tmp_path, {"version": 1, "experiment": "delta", "instance": Z_FREE_Z,
+                                  "params": {"depth": depth, "sample": "all"}})
+    assert main(["delta", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["rows"] == [{"delta": delta, "quadruples_checked": quadruples, "exhaustive": True,
+                               "vertices": vertices}]
+    assert report["diagnostics"]["four_point"]["far_apart_pairs"] == pairs
+
+
 def test_delta_with_a_depth_on_a_graph_reads_the_restricted_horoball(tmp_path):
     """A ``depth`` on an instance that is not a group glues one horoball over
     the whole graph, as a group that is not a free product is its own single
