@@ -29,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    ConvexityReport,
     InteriorFilter,
     _check_exhaustive,
     _check_scan,
@@ -334,6 +335,7 @@ class ParabolicScan:
     level_drop: int = 0  # max over pairs of |d_bottom - d_top|
     local_vertices: int = 0  # vertices of the neighborhood the scan ran on
     truncated_pairs: int = 0  # pairs with more geodesics than the cap
+    settled_pairs: int = 0  # pairs with adjacent top copies (D <= 2^n), never scanned
 
 
 def scan_parabolic(
@@ -352,9 +354,12 @@ def scan_parabolic(
     a Cayley ball) and D the member metric; in a ball of that radius the
     relevant geodesics stay inside the carrier.  Level n joins copies at
     member distance <= 2^n, so the top copies of a pair are at most
-    R = max ceil(D / 2^n) apart.  Every betweenness witness and every vertex
-    of a geodesic between the copies is then within floor(R/2) of the pair,
-    and so is every shortest path from a witness back to S.  The scan
+    R = max ceil(D / 2^n) apart.  A pair with D <= 2^n is settled with no
+    row: its one geodesic is the edge joining its top copies, in S, and with
+    R <= 1 no neighborhood is built.  For the others, every betweenness
+    witness and every vertex of a geodesic between the copies is within
+    floor(R/2) of the pair, and so is every shortest path from a witness
+    back to S.  The scan
     (``analysis.convexity_defect``) therefore runs on the subgraph induced on
     N_floor(R/2)(S), which ``graph.neighborhood_subgraph`` cuts out of the
     space's layout without gluing the carrier: its distances are never
@@ -366,7 +371,8 @@ def scan_parabolic(
     capped enumeration the same.  Witnesses are mapped back to carrier ids.
     The check of the level drop takes the bottom distances (d_0 <= D) from a
     second neighborhood, of radius floor(max D / 2) around the bottom copies
-    of the pairs, and the top ones from the scan's rows in one gather.
+    of the pairs, and the top ones from the scan's rows in one gather (1 for
+    a settled pair).
     """
     members = aug.level_vertices(alpha, 0)
     n = aug.depth
@@ -378,11 +384,16 @@ def scan_parabolic(
 
     top = aug.level_vertices(alpha, n)
     d_max = int(dmat[iu, iv].max())
-    sub, ids = neighborhood_subgraph(aug, top, -(-d_max // 2**n) // 2)  # floor(R/2)
-    local = np.searchsorted(ids, top)
-    oracle = DistanceOracle(sub)
-    report = convexity_defect(sub, local, pairs=np.stack([local[iu], local[iv]], axis=1),
-                              oracle=oracle, geodesic_cap=geodesic_cap)
+    settled = dmat[iu, iv] <= min(2**n, d_max)  # top copies adjacent; min keeps 2^n in int32
+    ou, ov = iu[~settled], iv[~settled]
+    report, ids, local_vertices = ConvexityReport(0, (), 0, 0, 0), top, len(top)
+    if len(ou):
+        sub, ids = neighborhood_subgraph(aug, top, -(-d_max // 2**n) // 2)  # floor(R/2)
+        local = np.searchsorted(ids, top)
+        oracle = DistanceOracle(sub)
+        report = convexity_defect(sub, local, pairs=np.stack([local[ou], local[ov]], axis=1),
+                                  oracle=oracle, geodesic_cap=geodesic_cap)
+        local_vertices = sub.num_vertices
 
     drop = 0
     if check_level_drop:
@@ -391,18 +402,22 @@ def scan_parabolic(
         local0 = np.searchsorted(ids0, members)
         sources, row_of = np.unique(iu, return_inverse=True)
         d0 = distance_rows(sub0, local0[sources])[row_of, local0[iv]]
-        dn = oracle.rows(local[sources])[row_of, local[iv]]
+        dn = np.ones_like(d0)
+        if len(ou):
+            sources, row_of = np.unique(ou, return_inverse=True)
+            dn[~settled] = oracle.rows(local[sources])[row_of, local[ov]]
         drop = int(np.abs(d0 - dn).max())
 
     return ParabolicScan(
         defect=report.defect,
         witnesses=[(int(ids[u]), int(ids[v]), int(ids[w])) for u, v, w in report.witnesses],
-        pairs_checked=report.pairs_checked,
+        pairs_checked=len(iu),
         quasiconvexity=report.quasiconvexity_constant,
         level_drop_excess=max(0, drop - 2 * n),
         level_drop=drop,
-        local_vertices=sub.num_vertices,
+        local_vertices=local_vertices,
         truncated_pairs=report.truncated_pairs,
+        settled_pairs=int(settled.sum()),
     )
 
 
@@ -477,6 +492,7 @@ def convexify_experiment(
             diagnostics.append({
                 "n": n,
                 "local_carrier_vertices": sum(scan.local_vertices for scan in scans.values()),
+                "settled_pairs": sum(scan.settled_pairs for scan in scans.values()),
                 "geodesic_cap_hits": sum(scan.truncated_pairs for scan in scans.values()),
             })
     return rows

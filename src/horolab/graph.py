@@ -379,6 +379,8 @@ def _frontier_product_rows(g: Graph, srcs: np.ndarray) -> np.ndarray:
         if not new.any():
             break
         unreached ^= new
+        if not unreached.any():
+            break
         dist += unreached
         np.copyto(frontier, new)
     dist[unreached] = INF

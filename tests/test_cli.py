@@ -417,7 +417,11 @@ def test_local_scan_finds_the_defect_of_a_u_shaped_path_in_a_grid():
 
 @pytest.mark.parametrize("factors, radius", [
     ([{"free_abelian": 2}, {"free_abelian": 2}], 4), ([{"free_abelian": 2}, {"free_abelian": 1}], 5)])
-def test_local_scan_matches_the_whole_carrier_scan(factors, radius):
+@pytest.mark.parametrize("check_level_drop", [True, False])
+def test_local_scan_matches_the_whole_carrier_scan(factors, radius, check_level_drop):
+    """Every scanned coset at depths 1..5, field by field.  From depth 2 on
+    every pair is settled (D <= 2^n), so both settled paths, with and
+    without the level-drop check, meet the whole-carrier reference."""
     from horolab.experiments import _sample_cosets
     from horolab.groups import GroupSpec
     from horolab.horoball import glue_horoballs
@@ -430,10 +434,45 @@ def test_local_scan_matches_the_whole_carrier_scan(factors, radius):
     for depth in range(1, 6):
         aug = glue_horoballs(ball.graph, family, depth)
         for alpha in scanned:
-            scan = scan_parabolic(aug, ball.word_lengths, ball.radius, alpha, check_level_drop=True)
+            scan = scan_parabolic(aug, ball.word_lengths, ball.radius, alpha, check_level_drop=check_level_drop)
             reference = whole_carrier_scan(aug, ball.word_lengths, ball.radius, alpha, geodesic_cap=32)
+            if not check_level_drop:
+                reference["level_drop"] = 0  # not measured
             assert _scan_fields(scan) == reference, (depth, alpha)
             assert scan.local_vertices < aug.carrier.num_vertices
+
+
+def test_settled_scans_build_no_neighbourhood(monkeypatch):
+    """Z²*Z² at radius 4: a pair with D <= 2^n is settled without a row, and
+    from depth 2 on every pair is, so of the 40 scans over depths 1..5 only
+    the 4 at depth 1 with open pairs cut a neighbourhood out of the layout."""
+    cut = []
+    real = experiments.neighborhood_subgraph
+    monkeypatch.setattr(experiments, "neighborhood_subgraph", lambda *a, **k: cut.append(a[2]) or real(*a, **k))
+    diagnostics = []
+    rows = convexify_experiment(cayley_ball(Z2xZ2, 4), depths=[1, 2, 3, 4, 5], diagnostics=diagnostics)
+    assert len(cut) == 4
+    assert [row["pairs_checked"] for row in rows] == [616] * 5
+    assert [d["settled_pairs"] for d in diagnostics] == [440, 616, 616, 616, 616]
+    assert [d["local_carrier_vertices"] for d in diagnostics] == [284, 152, 152, 152, 152]
+
+
+def test_convexify_at_depths_past_any_int_of_the_metric(tmp_path):
+    """2^n at n = 40, 63 and 64 is compared with int32 coset distances: the
+    rows are those of a scan of every pair, all settled at Z*Z radius 2."""
+    cfg = validate_config({
+        "version": 1, "experiment": "convexify-experiment",
+        "instance": {"group": {"free_product": [{"free_abelian": 1}, {"free_abelian": 1}]}, "radius": 2},
+        "params": {"depths": [1, 40, 63, 64]},
+    })
+    report = run_experiment(cfg, tmp_path / "out")
+    assert report.rows == [
+        {"n": n, "defect": 0, "witnesses": [], "pairs_checked": 20, "quasiconvexity": 0,
+         "carrier_vertices": vertices, "translation_check": "ok", "generating_set": ["a", "b"]}
+        for n, vertices in [(1, 51), (40, 1377), (63, 2159), (64, 2193)]]
+    assert report.diagnostics["depths"] == [
+        {"n": n, "local_carrier_vertices": 22, "settled_pairs": 20, "geodesic_cap_hits": 0}
+        for n in [1, 40, 63, 64]]
 
 
 def test_milnor_svarc_small_z2():
